@@ -14,6 +14,7 @@ from .channels import (
     ExtendedChannel,
     KrausChannel,
     apply,
+    apply_coincidence,
     canonicalize_extension,
     channels_equal,
     choi,

@@ -17,8 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, Operator, _conjugate_embedded, _readonly
-from .numeric import policy
+from .linalg import (
+    DensityMatrix,
+    Operator,
+    _coincidence_embedded,
+    _conjugate_embedded,
+    _readonly,
+)
+from .numeric import guard_dimension, policy
 
 import math
 from typing import Sequence
@@ -201,6 +207,28 @@ def apply(ch: KrausChannel, rho: DensityMatrix, acting_on: Sequence[str]) -> Den
             f"{tuple(acting_on)} with total dimension {acted_dim}"
         )
     out = _conjugate_embedded(rho.entries, rho.layout.dims, positions, list(ch.kraus))
+    return DensityMatrix(out, rho.layout)
+
+
+def apply_coincidence(rho: DensityMatrix, acting_on: Sequence[str]) -> DensityMatrix:
+    """Apply the coincidence channel K^(N) to the addressed labels, identity elsewhere.
+
+    ``acting_on`` lists the N >= 1 target labels and then the control label,
+    the input factors of ``k_multiline(d, N)`` in order; all of them must
+    have the same dimension d >= 2.  The result equals
+    ``apply(k_multiline(d, N), rho, acting_on)`` bit for bit, from the
+    channel's closed action instead of its d(d^N - 1) + 1 Kraus operators.
+    """
+    positions = rho.layout.positions(acting_on)
+    acted = tuple(rho.layout.dims[p] for p in positions)
+    d = acted[0] if acted else 0
+    if len(acted) < 2 or set(acted) != {d} or d < 2:
+        raise ValueError(
+            f"the coincidence channel acts on at least one target and a control of one "
+            f"dimension d >= 2; labels {tuple(acting_on)} have dims {acted}"
+        )
+    guard_dimension(d ** len(acted), f"{len(acted) - 1}-line coincidence channel")
+    out = _coincidence_embedded(rho.entries, rho.layout.dims, positions)
     return DensityMatrix(out, rho.layout)
 
 

@@ -375,8 +375,11 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out_path, fmt_kind,
         res = _parse_resource(cfg.resource, d)
         privacy = None
         if protocol == "private-dit":
-            transcript = run_private_dit(d, int(cfg.x), res)
+            x = int(cfg.x)
+            if not 0 <= x < d:
+                raise ValueError(f"message {x} out of range for dimension {d}")
             ensemble = [run_private_dit(d, msg, res) for msg in range(d)]
+            transcript = ensemble[x]
             privacy = privacy_report(ensemble)
         elif protocol == "bipartite":
             transcript = run_bipartite_establishment(d, res)

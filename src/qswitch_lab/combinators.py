@@ -14,7 +14,10 @@ For d mutually orthogonal information-erasing channels (the j-th erasing to
 the message sector, to one and the same channel with the closed Kraus form
 ``{P0} + {|j><l| (x) |j><j| : l != j}`` where ``P0 = sum_j |jj><jj|``.  The
 brute-force tuple enumerations are kept (with hard caps) as oracles against
-the closed forms; the closed forms are the production path.
+the closed forms.  The closed-form Kraus lists :func:`k_closed_form` and
+:func:`k_multiline` are themselves capped oracles: the protocols apply the
+channel through ``channels.apply_coincidence``, which uses its closed action
+and builds no Kraus list.
 
 Factor order throughout: target(s) first, control last.
 """
@@ -253,7 +256,7 @@ def target_sector_restriction(ch: KrausChannel, d: int, n_targets: int = 1) -> K
 
 
 # ---------------------------------------------------------------------------
-# Closed forms (production path)
+# Closed forms as Kraus lists (capped oracles)
 # ---------------------------------------------------------------------------
 
 
@@ -262,21 +265,10 @@ def k_closed_form(d: int) -> KrausChannel:
 
     Kraus set {P0} with P0 = sum_j |jj><jj| plus {|j><l| (x) |j><j|, l != j}.
     Acts as the identity on span{|j>|j>} and collapses everything else onto
-    that span with classical weights.
+    that span with classical weights.  Same list, in the same order, as
+    ``k_multiline(d, 1)``.
     """
-    if d < 2:
-        raise ValueError("need d >= 2")
-    guard_dimension(d * d, "coincidence channel")
-    p0 = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        p0 += np.kron(_proj(d, j), _proj(d, j))
-    ops = [p0]
-    for j in range(d):
-        for l in range(d):
-            if l != j:
-                flip = np.outer(_basis_column(d, j), _basis_column(d, l).conj())
-                ops.append(np.kron(flip, _proj(d, j)))
-    return KrausChannel(tuple(ops), d * d, d * d)
+    return k_multiline(d, 1)
 
 
 def k_multiline(d: int, n_lines: int) -> KrausChannel:
@@ -284,14 +276,27 @@ def k_multiline(d: int, n_lines: int) -> KrausChannel:
 
     Acts on N target qudits (x) one d-level control.  Kraus set
     ``{P0^N} + {|j>^N <y| (x) |j><j| : y != (j,...,j)}`` with
-    ``P0^N = sum_j (|j><j|)^N (x) |j><j|``; N = 1 reduces to
-    :func:`k_closed_form`.  Identity on any spectator system is the
-    caller's job via ``apply(..., acting_on)``.
+    ``P0^N = sum_j (|j><j|)^N (x) |j><j|``; N = 1 is :func:`k_closed_form`.
+    Identity on any spectator system is the caller's job via
+    ``apply(..., acting_on)``.
+
+    The list holds d(d^N - 1) + 1 dense operators, so besides the total
+    dimension it is capped by its storage: at most that of one operator at
+    the dimension limit (``policy.max_dim``), checked before anything is
+    allocated.
     """
     if d < 2 or n_lines < 1:
         raise ValueError("need d >= 2 and at least one line")
     dim = d ** (n_lines + 1)
     guard_dimension(dim, f"{n_lines}-line coincidence channel")
+    n_kraus = d * (d**n_lines - 1) + 1
+    need, cap = n_kraus * dim * dim * 16, policy.max_dim**2 * 16
+    if need > cap:
+        raise ResourceGuardError(
+            f"{n_lines}-line coincidence channel as a Kraus list needs {n_kraus} "
+            f"operators of dimension {dim} ({need / 1e6:.0f} MB), above the storage "
+            f"limit of {cap / 1e6:.0f} MB (max_dim {policy.max_dim} squared)"
+        )
 
     def chain(j: int) -> np.ndarray:
         v = np.ones(1, dtype=complex)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -355,6 +355,35 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(dim, dim), new_layout)
 
 
+def _embedded(
+    entries: np.ndarray,
+    dims: Sequence[int],
+    positions: Sequence[int],
+    kernel: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Run ``kernel`` on rho with the addressed factors moved to the front.
+
+    The kernel sees rho as an ``(m, r, m, r)`` tensor: ``m`` indexes the
+    subsystems at ``positions`` (in that order, first most significant) and
+    ``r`` the rest in layout order.  Its ``(m, r, m, r)`` result is moved
+    back to the layout order.
+    """
+    n = len(dims)
+    positions = list(positions)
+    rest = [p for p in range(n) if p not in positions]
+    perm = positions + rest
+    pdims = [dims[p] for p in perm]
+    m = math.prod(dims[p] for p in positions)
+    r = math.prod(dims[p] for p in rest) if rest else 1
+    t = entries.reshape(tuple(dims) * 2)
+    t = t.transpose(perm + [n + p for p in perm]).reshape(m, r, m, r)
+    out = kernel(t).reshape(tuple(pdims) * 2)
+    inv = list(np.argsort(perm))
+    out = out.transpose(inv + [n + i for i in inv])
+    full = math.prod(dims)
+    return out.reshape(full, full)
+
+
 def _conjugate_embedded(
     entries: np.ndarray,
     dims: Sequence[int],
@@ -367,27 +396,49 @@ def _conjugate_embedded(
     factors and the subsystems they act on; the operators must be square
     with dimension equal to the product of the addressed subsystem dims.
     """
-    n = len(dims)
-    positions = list(positions)
-    rest = [p for p in range(n) if p not in positions]
-    perm = positions + rest
-    pdims = [dims[p] for p in perm]
-    m = math.prod(dims[p] for p in positions)
-    r = math.prod(dims[p] for p in rest) if rest else 1
-    t = entries.reshape(tuple(dims) * 2)
-    t = t.transpose(perm + [n + p for p in perm]).reshape(m, r, m, r)
-    out = np.zeros_like(t)
-    for K in ops:
-        if K.shape != (m, m):
-            raise ValueError(f"operator shape {K.shape} does not match acted dimension {m}")
-        t1 = np.tensordot(K, t, axes=(1, 0))          # (i, q, l, r)
-        t2 = np.tensordot(t1, K.conj(), axes=(2, 1))  # (i, q, r, k)
-        out += t2.transpose(0, 1, 3, 2)
-    out = out.reshape(tuple(pdims) * 2)
-    inv = list(np.argsort(perm))
-    out = out.transpose(inv + [n + i for i in inv])
-    full = math.prod(dims)
-    return out.reshape(full, full)
+
+    def kraus_sum(t: np.ndarray) -> np.ndarray:
+        m = t.shape[0]
+        out = np.zeros_like(t)
+        for K in ops:
+            if K.shape != (m, m):
+                raise ValueError(f"operator shape {K.shape} does not match acted dimension {m}")
+            t1 = np.tensordot(K, t, axes=(1, 0))          # (i, q, l, r)
+            t2 = np.tensordot(t1, K.conj(), axes=(2, 1))  # (i, q, r, k)
+            out += t2.transpose(0, 1, 3, 2)
+        return out
+
+    return _embedded(entries, dims, positions, kraus_sum)
+
+
+def _coincidence_embedded(
+    entries: np.ndarray, dims: Sequence[int], positions: Sequence[int]
+) -> np.ndarray:
+    """The N-line coincidence channel on `positions`, identity elsewhere.
+
+    ``positions`` addresses N targets and then the control, all of one
+    dimension d >= 2.  The output is P rho P on span{c_j = |j>^N|j>} plus,
+    for each control value j and every other acted basis state a whose
+    control digit is j, the block <a| rho |a> on the other subsystems moved
+    onto |c_j><c_j|.  Terms are accumulated in the order of the Kraus list
+    of ``k_multiline`` (the projector, then j ascending, then a ascending),
+    so the result equals the Kraus application bit for bit.
+    """
+    d = dims[positions[0]]
+
+    def collapse(t: np.ndarray) -> np.ndarray:
+        m, r = t.shape[0], t.shape[1]
+        span = np.arange(d) * ((m - 1) // (d - 1))  # c_j = j (1 + d + ... + d^N)
+        block = np.ix_(span, np.arange(r), span, np.arange(r))
+        out = np.zeros_like(t)
+        out[block] += t[block]
+        for j, c in enumerate(span):
+            for a in range(j, m, d):  # acted indices whose control digit is j
+                if a != c:
+                    out[c, :, c, :] += t[a, :, a, :]
+        return out
+
+    return _embedded(entries, dims, positions, collapse)
 
 
 def apply_unitary(rho: DensityMatrix, u: Operator | np.ndarray, acting_on: Sequence[str]) -> DensityMatrix:

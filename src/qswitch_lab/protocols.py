@@ -13,10 +13,15 @@ Three constructive protocols are implemented:
 * GHZ distribution to N receivers: same idea with N clones through N
   parallel lines; one receiver corrects.
 
-All runs are pure functions returning a :class:`ProtocolTranscript` with the
-state after every stage and every measurement branch.  A fixed-configuration
-baseline and necessity sweeps over non-uniform Schmidt spectra probe why
-coherent control and maximal resource entanglement are needed.
+The channel is applied through ``channels.apply_coincidence``, its closed
+action; no Kraus list is built here (``combinators.k_multiline`` is the
+oracle it is tested against).  All runs are pure functions returning a
+:class:`ProtocolTranscript` with the state after every stage and every
+measurement branch.  The pre-measurement GGM of a GHZ run is skipped, with
+the reason recorded in the metrics, past ``policy.max_ggm_parties``.  A
+fixed-configuration baseline and necessity sweeps over non-uniform Schmidt
+spectra probe why coherent control and maximal resource entanglement are
+needed.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, apply as channel_apply
-from .combinators import k_closed_form, k_multiline
+from .channels import apply_coincidence
 from .linalg import (
     DensityMatrix,
     Ket,
@@ -217,7 +221,7 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
     rho1 = apply_unitary(rho0, phase_encoding_unitary(x, d), ("A",))
     stages.append(StageRecord("encoded", rho1))
 
-    rho2 = channel_apply(k_closed_form(d), rho1, ("A", "C")).relabel({"A": "B"})
+    rho2 = apply_coincidence(rho1, ("A", "C")).relabel({"A": "B"})
     stages.append(StageRecord("transmitted", rho2))
 
     fb = fourier_basis(d)
@@ -340,14 +344,21 @@ def _establishment_run(
     cloned = apply_unitary(extended, v, ("A",) + send_labels)
     stages.append(StageRecord("cloned", cloned))
 
-    channel = k_multiline(d, n_receivers) if n_receivers > 1 else k_closed_form(d)
-    sent = channel_apply(channel, cloned, send_labels + ("C",))
+    sent = apply_coincidence(cloned, send_labels + ("C",))
     sent = sent.relabel(dict(zip(send_labels, recv_labels)))
     stages.append(StageRecord("transmitted", sent))
 
-    pre_ggm = None
+    # the pre-measurement GGM is an optional diagnostic: past the bipartition
+    # cap it is skipped with a recorded reason instead of aborting the run
+    pre_ggm = ggm_skipped = None
     if sent.is_pure():
-        pre_ggm = ggm(sent.to_ket(), sent.layout)
+        parties = sent.layout.n_subsystems
+        if parties > policy.max_ggm_parties:
+            ggm_skipped = (
+                f"{parties} parties exceed the bipartition cap of {policy.max_ggm_parties}"
+            )
+        else:
+            pre_ggm = ggm(sent.to_ket(), sent.layout)
 
     target = ghz_ket(d, n_receivers + 1)
     fb = fourier_basis(d)
@@ -388,6 +399,8 @@ def _establishment_run(
     }
     if pre_ggm is not None:
         metrics["pre_measurement_ggm"] = float(pre_ggm)
+    if ggm_skipped is not None:
+        metrics["pre_measurement_ggm_skipped"] = ggm_skipped
     if d == 2 and n_receivers == 1:
         out_layout = SubsystemLayout((d, d), ("A", recv_labels[0]))
         metrics["average_output_concurrence"] = concurrence_2qubit(

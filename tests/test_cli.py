@@ -37,6 +37,12 @@ class TestVerify:
         assert result.exit_code == 2
         assert "limit" in result.output
 
+    def test_kraus_storage_guard_is_config_error(self, runner):
+        # dimension 2048 passes the dimension guard; the Kraus list would need ~137 GB
+        result = runner.invoke(main, ["verify", "--d", "2", "--n", "10"])
+        assert result.exit_code == 2
+        assert "storage limit" in result.output
+
     def test_multiline_checks(self, runner):
         result = runner.invoke(main, ["verify", "--d", "2", "--n", "2"])
         assert result.exit_code == 0, result.output
@@ -85,6 +91,13 @@ class TestRun:
         assert result.exit_code == 0, result.output
         assert "fidelity_mean: 1" in result.output
         assert "pre_measurement_ggm: 0.5" in result.output
+
+    def test_ghz_past_ggm_cap_still_runs(self, runner):
+        result = runner.invoke(main, ["run", "ghz", "--d", "2", "--receivers", "5"])
+        assert result.exit_code == 0, result.output
+        assert "fidelity_mean: 1\n" in result.output
+        assert "fidelity_min: 1\n" in result.output
+        assert "pre_measurement_ggm" not in result.output
 
     def test_fixed_baseline(self, runner):
         result = runner.invoke(main, ["run", "fixed-baseline", "--d", "2"])

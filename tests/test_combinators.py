@@ -6,6 +6,7 @@ from qswitch_lab import (
     ResourceGuardError,
     SubsystemLayout,
     apply,
+    apply_coincidence,
     channels_equal,
     choi,
     choice_two,
@@ -20,6 +21,7 @@ from qswitch_lab import (
     k_multiline,
     k_multiline_enumerated,
     maximally_entangled_ket,
+    policy,
     remix,
     switch_two,
     t_decomposition,
@@ -292,9 +294,70 @@ class TestMultiline:
         with pytest.raises(ResourceGuardError, match="limit"):
             k_multiline(9, 3)
 
+    def test_storage_cap_before_allocation(self):
+        # 511 operators of 512^2: about 2.1 GB against the 268 MB of one
+        # operator at the default dimension limit
+        with pytest.raises(ResourceGuardError, match="storage limit"):
+            k_multiline(2, 8)
+
+    def test_storage_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(policy, "max_dim", 16)
+        assert k_multiline(2, 1).n_kraus == 3  # 3 * 4^2 <= 16^2
+        with pytest.raises(ResourceGuardError, match="storage limit"):
+            k_multiline(2, 2)  # dimension 8 passes, 7 * 8^2 > 16^2 does not
+
     def test_enumeration_cap(self):
         with pytest.raises(ResourceGuardError, match="capped"):
             k_multiline_enumerated([erasing_channel(3, j) for j in range(3)], 2)
+
+
+class TestApplyCoincidence:
+    """The structured application against the Kraus-list oracle, bit for bit."""
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1)])
+    def test_equals_kraus_path_on_random_states(self, d, n, rng):
+        labels = tuple(f"B{i}" for i in range(1, n + 1)) + ("C",)
+        layout = SubsystemLayout((d,) * (n + 1), labels)
+        k = k_multiline(d, n)
+        for _ in range(5):
+            rho = random_density(d ** (n + 1), rng, layout)
+            out = apply_coincidence(rho, labels)
+            assert np.array_equal(out.entries, apply(k, rho, labels).entries)
+
+    @pytest.mark.parametrize(
+        "acting_on", [("B1", "B2", "C"), ("B2", "B1", "C"), ("C", "B1", "B2")]
+    )
+    def test_equals_kraus_path_with_spectators(self, acting_on, rng):
+        # spectators before, between and after the acted labels
+        layout = SubsystemLayout((3, 2, 2, 2, 2, 3), ("S0", "B1", "S1", "B2", "C", "S2"))
+        rho = random_density(layout.total_dim, rng, layout)
+        out = apply_coincidence(rho, acting_on)
+        oracle = apply(k_multiline(2, 2), rho, acting_on)
+        assert np.array_equal(out.entries, oracle.entries)
+        assert out.layout == rho.layout
+
+    def test_fixes_phased_ghz_family_beyond_oracle_cap(self):
+        d, n = 2, 8
+        with pytest.raises(ResourceGuardError):
+            k_multiline(d, n)
+        labels = tuple(f"B{i}" for i in range(1, n + 1)) + ("C",)
+        layout = SubsystemLayout((d,) * (n + 1), labels)
+        for x in range(d):
+            g = ghz_ket(d, n + 1, x).density(layout)
+            out = apply_coincidence(g, labels)
+            assert np.abs(out.entries - g.entries).max() < 1e-12
+
+    def test_rejects_unequal_dims(self, rng):
+        layout = SubsystemLayout((2, 3), ("B1", "C"))
+        rho = random_density(6, rng, layout)
+        with pytest.raises(ValueError, match="dimension"):
+            apply_coincidence(rho, ("B1", "C"))
+
+    def test_rejects_single_label(self, rng):
+        layout = SubsystemLayout((2, 2), ("B1", "C"))
+        rho = random_density(4, rng, layout)
+        with pytest.raises(ValueError, match="at least one target"):
+            apply_coincidence(rho, ("C",))
 
 
 class TestControlledChannelSpec:

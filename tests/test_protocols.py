@@ -20,6 +20,7 @@ from qswitch_lab import (
     mutual_information,
     necessity_sweep,
     phase_encoding_unitary,
+    policy,
     privacy_report,
     run_bipartite_establishment,
     run_ghz_distribution,
@@ -266,11 +267,20 @@ class TestBipartite:
 
 
 class TestGHZ:
-    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize(
+        "d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3)]
+    )
     def test_perfect_at_maximal_entanglement(self, d, n):
         t = run_ghz_distribution(d, n, ResourceState.maximally_entangled(d))
         assert t.metrics["fidelity_min"] > 1 - 1e-10
-        assert abs(t.metrics["pre_measurement_ggm"] - (d - 1) / d) < 1e-10
+        assert t.metrics["maximally_entangled_all_branches"]
+        if n + 2 <= policy.max_ggm_parties:
+            assert abs(t.metrics["pre_measurement_ggm"] - (d - 1) / d) < 1e-10
+        else:
+            assert "pre_measurement_ggm" not in t.metrics
+            assert t.metrics["pre_measurement_ggm_skipped"] == (
+                f"{n + 2} parties exceed the bipartition cap of {policy.max_ggm_parties}"
+            )
 
     def test_reduction_to_bipartite_qubits(self):
         res = ResourceState.from_schmidt((0.3, 0.7))
