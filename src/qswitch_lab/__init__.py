@@ -52,6 +52,7 @@ from .linalg import (
     ghz_ket,
     maximally_entangled_ket,
     partial_trace,
+    permute_basis,
     projective_measure,
     schmidt_decomposition,
     tensor,
@@ -74,6 +75,7 @@ from .protocols import (
     StageRecord,
     classical_flag_encodings,
     clone_extend_unitary,
+    clone_permutation,
     correction_unitary,
     decode_summary,
     dfs_phase_encodings,

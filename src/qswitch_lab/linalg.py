@@ -181,9 +181,39 @@ class Operator:
         return bool(np.abs(gram - np.eye(self.cols)).max() <= tol)
 
 
+# below this dimension the PSD check decomposes the full matrix: locating the
+# support costs about as much as the eigenvalues themselves
+_SUPPORT_MIN_DIM = 16
+
+
+def _min_eigenvalue(m: np.ndarray) -> float:
+    """Smallest eigenvalue of a square matrix, found on its support.
+
+    The support is every index whose row or column holds an exactly nonzero
+    entry.  The other rows and columns are exactly zero and contribute only
+    zero eigenvalues, so the minimum is that of the support block, capped at
+    0 when the support is smaller than the matrix.  The caller has checked
+    the unit trace, so the support is never empty.
+    """
+    n = m.shape[0]
+    if n > _SUPPORT_MIN_DIM:
+        nz = m != 0
+        support = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+        if support.size < n:
+            return min(float(np.linalg.eigvalsh(m[np.ix_(support, support)])[0]), 0.0)
+    return float(np.linalg.eigvalsh(m)[0])
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive semidefinite matrix with a layout."""
+    """Hermitian, unit-trace, positive semidefinite matrix with a layout.
+
+    Construction checks all three properties.  Positivity is decided on the
+    support, the indices whose row or column is not exactly zero: the rows
+    and columns left out add only zero eigenvalues, so the check is exact,
+    and a low-rank state in a large space costs a decomposition of its
+    support only.
+    """
 
     entries: np.ndarray
     layout: SubsystemLayout
@@ -203,7 +233,7 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > policy.structural_tol:
             raise ValueError(f"trace is {tr!r}, not 1")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
+        min_eig = _min_eigenvalue(m)
         if min_eig < policy.psd_floor:
             raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "entries", _readonly(m))
@@ -213,7 +243,8 @@ class DensityMatrix:
         return self.entries.shape[0]
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.entries @ self.entries)))
+        # sum of |rho_ij|^2, which is Tr rho^2 for Hermitian rho
+        return float(np.vdot(self.entries, self.entries).real)
 
     def is_pure(self, tol: float | None = None) -> bool:
         tol = policy.spectral_tol if tol is None else tol
@@ -458,6 +489,34 @@ def apply_unitary(rho: DensityMatrix, u: Operator | np.ndarray, acting_on: Seque
     return DensityMatrix(out, rho.layout)
 
 
+def permute_basis(rho: DensityMatrix, perm: Sequence[int], acting_on: Sequence[str]) -> DensityMatrix:
+    """Conjugate by the basis permutation |a> -> |perm[a]> on the addressed labels.
+
+    Equals ``apply_unitary`` with the permutation matrix, but moves entries
+    instead of multiplying by it.  ``perm`` indexes the basis of the
+    addressed labels in the order given (first most significant) and must be
+    a permutation of ``range(m)``, m the product of their dimensions.
+    """
+    positions = rho.layout.positions(acting_on)
+    acted_dim = math.prod(rho.layout.dims[p] for p in positions)
+    perm = np.asarray(perm)
+    src = np.full(acted_dim, -1)  # the output's a-th basis state comes from src[a]
+    if perm.shape == (acted_dim,) and perm.dtype.kind in "iu":
+        if ((perm >= 0) & (perm < acted_dim)).all():
+            src[perm] = np.arange(acted_dim)
+    if (src < 0).any():  # out of range, wrong length or type, or a repeated index
+        raise ValueError(
+            f"index map is not a permutation of the {acted_dim} basis states "
+            f"of labels {tuple(acting_on)}"
+        )
+
+    def gather(t: np.ndarray) -> np.ndarray:
+        return t[src][:, :, src]
+
+    out = _embedded(rho.entries, rho.layout.dims, positions, gather)
+    return DensityMatrix(out, rho.layout)
+
+
 @dataclass(frozen=True)
 class MeasurementBranch:
     outcome: int
@@ -561,12 +620,19 @@ def schmidt_decomposition(
     )
 
 
+def _clamp_unit(val: float, what: str) -> float:
+    """Clamp into [0, 1]; an excursion beyond ``spectral_tol`` is an error."""
+    if not -policy.spectral_tol <= val <= 1.0 + policy.spectral_tol:
+        raise ValueError(f"{what} is {val!r}, outside [0, 1] beyond the spectral tolerance")
+    return min(max(val, 0.0), 1.0)
+
+
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """(1/2) * trace norm of the difference; in [0, 1]."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     eigs = np.linalg.eigvalsh(rho.entries - sigma.entries)
-    return float(min(max(0.5 * np.abs(eigs).sum(), 0.0), 1.0))
+    return _clamp_unit(float(0.5 * np.abs(eigs).sum()), "trace distance")
 
 
 def fidelity_with_ket(rho: DensityMatrix, psi: Ket) -> float:
@@ -574,5 +640,4 @@ def fidelity_with_ket(rho: DensityMatrix, psi: Ket) -> float:
     if rho.dim != psi.dim:
         raise ValueError("dimension mismatch")
     v = psi.amplitudes
-    val = float(np.real(v.conj() @ rho.entries @ v))
-    return min(max(val, 0.0), 1.0)
+    return _clamp_unit(float(np.real(v.conj() @ rho.entries @ v)), "fidelity")

@@ -15,9 +15,11 @@ Three constructive protocols are implemented:
 
 The channel is applied through ``channels.apply_coincidence``, its closed
 action; no Kraus list is built here (``combinators.k_multiline`` is the
-oracle it is tested against).  All runs are pure functions returning a
-:class:`ProtocolTranscript` with the state after every stage and every
-measurement branch.  The pre-measurement GGM of a GHZ run is skipped, with
+oracle it is tested against).  Likewise the clone fan-out is applied as the
+basis permutation ``clone_permutation`` through ``linalg.permute_basis``,
+with the dense ``clone_extend_unitary`` as its oracle.  All runs are pure
+functions returning a :class:`ProtocolTranscript` with the state after
+every stage and every measurement branch.  The pre-measurement GGM of a GHZ run is skipped, with
 the reason recorded in the metrics, past ``policy.max_ggm_parties``.  A
 fixed-configuration baseline and necessity sweeps over non-uniform Schmidt
 spectra probe why coherent control and maximal resource entanglement are
@@ -44,6 +46,7 @@ from .linalg import (
     fourier_basis,
     ghz_ket,
     partial_trace,
+    permute_basis,
     projective_measure,
     tensor,
     trace_distance,
@@ -108,6 +111,21 @@ def clone_extend_unitary(d: int, n_copies: int) -> Operator:
             out = out * d + dg
         u[out, idx] = 1.0
     return Operator(u)
+
+
+def clone_permutation(d: int, n_copies: int) -> np.ndarray:
+    """Index map of the fan-out |k, a_1, ..., a_n> -> |k, a_1 + k, ..., a_n + k>.
+
+    ``perm[i]`` is the basis index that ``clone_extend_unitary(d, n_copies)``
+    sends basis index ``i`` to; the protocols apply it with
+    ``linalg.permute_basis`` and the dense unitary is its test oracle.
+    """
+    if d < 2 or n_copies < 1:
+        raise ValueError("need d >= 2 and at least one copy")
+    shape = (d,) * (n_copies + 1)
+    digits = np.indices(shape).reshape(n_copies + 1, -1)  # digits[0]: source register
+    k = digits[0]
+    return np.ravel_multi_index((k, *((digits[1:] + k) % d)), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +358,7 @@ def _establishment_run(
     extended = extended.reorder(("A",) + send_labels + ("C",))
     stages.append(StageRecord("extended", extended))
 
-    v = clone_extend_unitary(d, n_receivers)
-    cloned = apply_unitary(extended, v, ("A",) + send_labels)
+    cloned = permute_basis(extended, clone_permutation(d, n_receivers), ("A",) + send_labels)
     stages.append(StageRecord("cloned", cloned))
 
     sent = apply_coincidence(cloned, send_labels + ("C",))

@@ -14,12 +14,15 @@ from qswitch_lab import (
     ghz_ket,
     maximally_entangled_ket,
     partial_trace,
+    permute_basis,
+    policy,
     projective_measure,
     schmidt_decomposition,
     tensor,
     tensor_all,
     trace_distance,
 )
+from qswitch_lab.linalg import _min_eigenvalue
 
 from conftest import naive_partial_trace, random_density, random_ket, random_unitary
 
@@ -60,6 +63,66 @@ class TestTypes:
         rho = basis_ket(2, 0).density()
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 0.3
+
+
+def padded_state(n, support, eigenvalues, rng):
+    """Hermitian n x n matrix, zero outside `support`, with the given spectrum there."""
+    q = random_unitary(len(support), rng)
+    block = (q * np.asarray(eigenvalues)) @ q.conj().T
+    m = np.zeros((n, n), dtype=complex)
+    m[np.ix_(support, support)] = block
+    return m
+
+
+class TestSupportPSD:
+    @pytest.mark.parametrize("n", [4, 16, 17, 40, 64])
+    def test_padded_blocks_match_full_decomposition(self, n, rng):
+        layout = SubsystemLayout((n,), ("A",))
+        for trial in range(12):
+            k = int(rng.integers(1, n + 1))
+            support = np.sort(rng.choice(n, size=k, replace=False))
+            if k == 1:
+                lam = [1.0]
+            else:
+                lowest = (0.0, -1e-12, -1e-6, 0.5 / k)[trial % 4]
+                rest = rng.random(k - 1)
+                lam = [lowest, *(rest * (1.0 - lowest) / rest.sum())]
+            m = padded_state(n, support, lam, rng)
+            full_min = float(np.linalg.eigvalsh(m)[0])
+            assert abs(_min_eigenvalue(m) - full_min) < 1e-14
+            if full_min < policy.psd_floor:
+                with pytest.raises(ValueError, match="not positive semidefinite"):
+                    DensityMatrix(m, layout)
+            else:
+                DensityMatrix(m, layout)
+
+    def test_negative_block_in_large_zero_padding_raises(self, rng):
+        support = np.array([3, 150, 299])
+        m = padded_state(300, support, [-1e-6, 0.4, 0.6 + 1e-6], rng)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            DensityMatrix(m, SubsystemLayout((300,), ("A",)))
+
+    def test_zero_diagonal_with_nonzero_row_stays_in_support(self):
+        # [[0, b], [b, 1]] has a negative eigenvalue; dropping index 0 for its
+        # zero diagonal would leave only the eigenvalue 1
+        m = np.zeros((20, 20), dtype=complex)
+        m[5, 5] = 1.0
+        m[0, 5] = m[5, 0] = 0.1
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            DensityMatrix(m, SubsystemLayout((20,), ("A",)))
+
+    def test_full_support_state(self, rng):
+        rho = random_density(32, rng, SubsystemLayout((2, 16), ("A", "B")))
+        assert np.all(rho.entries != 0)
+        assert _min_eigenvalue(rho.entries) == float(np.linalg.eigvalsh(rho.entries)[0])
+        m = padded_state(32, np.arange(32), np.r_[-1e-6, np.full(31, (1 + 1e-6) / 31)], rng)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            DensityMatrix(m, SubsystemLayout((32,), ("A",)))
+
+    def test_purity_is_trace_of_square(self, rng):
+        rho = random_density(12, rng)
+        assert abs(rho.purity() - np.trace(rho.entries @ rho.entries).real) < 1e-15
+        assert basis_ket(20, 7).density().purity() == 1.0
 
 
 class TestTensor:
@@ -291,6 +354,25 @@ class TestDistances:
         with pytest.raises(ValueError, match="mismatch"):
             trace_distance(a, c)
 
+    def test_trace_distance_drift_beyond_tolerance_raises(self):
+        # valid states whose eigenvalues sit just above the PSD floor put
+        # the trace distance 1.8e-10 above 1
+        e = 0.9e-10
+        layout = SubsystemLayout((2,), ("A",))
+        rho = DensityMatrix(np.diag([1 + e, -e]), layout)
+        sigma = DensityMatrix(np.diag([-e, 1 + e]), layout)
+        with pytest.raises(ValueError, match="trace distance .* outside"):
+            trace_distance(rho, sigma)
+        small = DensityMatrix(np.diag([1 + 0.4 * e, -0.4 * e]), layout)
+        assert trace_distance(small, DensityMatrix(np.diag([-0.4 * e, 1 + 0.4 * e]), layout)) == 1.0
+
+    def test_fidelity_drift_beyond_tolerance_raises(self):
+        e = 0.9e-10
+        rho = DensityMatrix(np.diag([1 + 2 * e, -e, -e]), SubsystemLayout((3,), ("A",)))
+        with pytest.raises(ValueError, match="fidelity .* outside"):
+            fidelity_with_ket(rho, basis_ket(3, 0))
+        assert fidelity_with_ket(rho, basis_ket(3, 1)) == 0.0
+
 
 class TestEmbeddedUnitaries:
     def test_acts_on_addressed_factor_only(self, rng):
@@ -324,6 +406,20 @@ class TestEmbeddedUnitaries:
                     i = (a * 2 + b) * 2 + c
                     full[i, i] = -1.0 if (c == 1 and a == 1) else 1.0
         assert np.abs(out.entries - full @ rho.entries @ full.conj().T).max() < 1e-12
+
+    def test_permute_basis_rejects_non_permutation(self, rng):
+        rho = random_density(8, rng, SubsystemLayout((2, 2, 2), ("A", "B", "C")))
+        for bad in ([0, 1, 2, 2], [0, 1, 2], [0, 1, 2, 4], [[0, 1], [2, 3]]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                permute_basis(rho, bad, ("C", "A"))
+
+    def test_permute_basis_matches_permutation_matrix(self, rng):
+        rho = random_density(12, rng, SubsystemLayout((2, 3, 2), ("A", "B", "C")))
+        perm = rng.permutation(4)
+        u = np.zeros((4, 4), dtype=complex)
+        u[perm, np.arange(4)] = 1.0
+        out = permute_basis(rho, perm, ("C", "A"))
+        assert out.entries.tobytes() == apply_unitary(rho, u, ("C", "A")).entries.tobytes()
 
     def test_rejects_non_unitary(self, rng):
         rho = random_density(4, rng, SubsystemLayout((2, 2), ("A", "B")))

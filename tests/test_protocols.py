@@ -7,9 +7,11 @@ from qswitch_lab import (
     ResourceGuardError,
     ResourceState,
     SubsystemLayout,
+    apply_unitary,
     basis_ket,
     classical_flag_encodings,
     clone_extend_unitary,
+    clone_permutation,
     concurrence_2qubit,
     correction_unitary,
     decode_summary,
@@ -19,6 +21,7 @@ from qswitch_lab import (
     maximally_entangled_ket,
     mutual_information,
     necessity_sweep,
+    permute_basis,
     phase_encoding_unitary,
     policy,
     privacy_report,
@@ -28,6 +31,9 @@ from qswitch_lab import (
     tensor,
     trace_distance,
 )
+
+from qswitch_lab import protocols
+from qswitch_lab.serialize import dumps_json, transcript_to_dict
 
 from conftest import random_density, random_ket
 
@@ -123,6 +129,27 @@ class TestLocalUnitaries:
         for d, n in ((2, 1), (2, 3), (3, 2)):
             u = clone_extend_unitary(d, n)
             assert u.is_unitary()
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2), (5, 2)])
+    def test_clone_permutation_matches_unitary_oracle(self, d, n, rng):
+        # spectators S0, S1, S2 before, between and after the acted labels;
+        # S1 is trivial at the larger sizes to keep the state at most 500-dim
+        acted = ["A"] + [f"A{i}" for i in range(1, n + 1)]
+        labels = ["S0", acted[0], "S1", *acted[1:], "S2"]
+        dims = [2, d, 2 if d ** (n + 1) <= 16 else 1, *[d] * n, 2]
+        rho = random_density(int(np.prod(dims)), rng, SubsystemLayout(tuple(dims), tuple(labels)))
+        perm = clone_permutation(d, n)
+        u = clone_extend_unitary(d, n)
+        for order in (acted, acted[::-1], [acted[-1], *acted[:-1]]):
+            fast = permute_basis(rho, perm, order)
+            dense = apply_unitary(rho, u, order)
+            assert fast.entries.tobytes() == dense.entries.tobytes()
+
+    def test_clone_permutation_is_the_unitary_index_map(self):
+        for d, n in ((2, 1), (3, 2), (4, 2)):
+            u = clone_extend_unitary(d, n).entries
+            perm = clone_permutation(d, n)
+            assert np.array_equal(u.argmax(axis=0), perm)
 
     def test_clone_builds_ghz_from_pair(self):
         layout = SubsystemLayout((2, 2, 2), ("A", "A1", "C"))
@@ -298,6 +325,40 @@ class TestGHZ:
         b = run_bipartite_establishment(3, res)
         for key in ("fidelity_mean", "fidelity_min", "pre_measurement_ggm"):
             assert abs(g.metrics[key] - b.metrics[key]) < 1e-12
+
+    @staticmethod
+    def _dense_clone(rho, perm, acting_on):
+        d = rho.layout.dim_of(acting_on[0])
+        return apply_unitary(rho, clone_extend_unitary(d, len(acting_on) - 1), acting_on)
+
+    @pytest.mark.parametrize(
+        "protocol,d,n", [("ghz", 2, 4), ("ghz", 3, 3), ("ghz", 4, 2), ("bipartite", 3, 1)]
+    )
+    def test_transcript_json_matches_dense_clone_oracle(self, protocol, d, n, monkeypatch):
+        def payload():
+            resource = ResourceState.maximally_entangled(d)
+            if protocol == "bipartite":
+                t = run_bipartite_establishment(d, resource)
+            else:
+                t = run_ghz_distribution(d, n, resource)
+            return dumps_json(transcript_to_dict(t)).encode()
+
+        fast = payload()
+        monkeypatch.setattr(protocols, "permute_basis", self._dense_clone)
+        assert payload() == fast
+
+    def test_largest_ghz_states_match_dense_clone_oracle(self, monkeypatch):
+        # d=5, N=2 serializes to 77 MB of JSON; compare what it is made of
+        # instead: every state bit for bit, and the metrics
+        def parts():
+            t = run_ghz_distribution(5, 2, ResourceState.maximally_entangled(5))
+            states = [s.state for s in t.stages]
+            states += [b.state for b in t.branches if b.state is not None]
+            return [s.entries.tobytes() for s in states], repr(t.metrics)
+
+        fast = parts()
+        monkeypatch.setattr(protocols, "permute_basis", self._dense_clone)
+        assert parts() == fast
 
     def test_resource_guard(self):
         with pytest.raises(ResourceGuardError, match="limit"):
