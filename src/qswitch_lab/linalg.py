@@ -109,7 +109,7 @@ class Ket:
         object.__setattr__(self, "amplitudes", amps)
         if self._checked:
             nrm = np.linalg.norm(amps)
-            if abs(nrm - 1.0) > policy.structural_tol:
+            if not abs(nrm - 1.0) <= policy.structural_tol:  # rejects NaN too
                 raise ValueError(
                     f"ket norm is {nrm!r}, not 1; use Ket.normalized or Ket.raw "
                     "for explicit unnormalized construction"
@@ -227,14 +227,16 @@ class DensityMatrix:
                 f"matrix dimension {m.shape[0]} does not match layout "
                 f"dims {self.layout.dims} (product {self.layout.total_dim})"
             )
+        # each check is written to fail on NaN, which compares False both
+        # ways; a NaN or infinite entry already makes ``herm`` NaN
         herm = np.abs(m - m.conj().T).max()
-        if herm > policy.structural_tol:
+        if not herm <= policy.structural_tol:
             raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
         tr = m.trace()
-        if abs(tr - 1.0) > policy.structural_tol:
+        if not abs(tr - 1.0) <= policy.structural_tol:
             raise ValueError(f"trace is {tr!r}, not 1")
         min_eig = _min_eigenvalue(m)
-        if min_eig < policy.psd_floor:
+        if not min_eig >= policy.psd_floor:
             raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "entries", _readonly(m))
 
@@ -620,11 +622,11 @@ def schmidt_decomposition(
     )
 
 
-def _clamp_unit(val: float, what: str) -> float:
-    """Clamp into [0, 1]; an excursion beyond ``spectral_tol`` is an error."""
-    if not -policy.spectral_tol <= val <= 1.0 + policy.spectral_tol:
-        raise ValueError(f"{what} is {val!r}, outside [0, 1] beyond the spectral tolerance")
-    return min(max(val, 0.0), 1.0)
+def _clamp(val: float, what: str, hi: float = 1.0) -> float:
+    """Clamp into [0, hi]; an excursion beyond ``spectral_tol`` is an error."""
+    if not -policy.spectral_tol <= val <= hi + policy.spectral_tol:
+        raise ValueError(f"{what} is {val!r}, outside [0, {hi:g}] beyond the spectral tolerance")
+    return min(max(val, 0.0), hi)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -632,7 +634,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     eigs = np.linalg.eigvalsh(rho.entries - sigma.entries)
-    return _clamp_unit(float(0.5 * np.abs(eigs).sum()), "trace distance")
+    return _clamp(float(0.5 * np.abs(eigs).sum()), "trace distance")
 
 
 def fidelity_with_ket(rho: DensityMatrix, psi: Ket) -> float:
@@ -640,4 +642,4 @@ def fidelity_with_ket(rho: DensityMatrix, psi: Ket) -> float:
     if rho.dim != psi.dim:
         raise ValueError("dimension mismatch")
     v = psi.amplitudes
-    return _clamp_unit(float(np.real(v.conj() @ rho.entries @ v)), "fidelity")
+    return _clamp(float(np.real(v.conj() @ rho.entries @ v)), "fidelity")

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityMatrix, Ket, SubsystemLayout, schmidt_decomposition
+from .linalg import DensityMatrix, Ket, SubsystemLayout, _clamp, schmidt_decomposition
 from .numeric import ResourceGuardError, policy
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -83,7 +83,7 @@ def ggm(psi: Ket, layout: SubsystemLayout) -> float:
     """
     reports = bipartition_reports(psi, layout)
     top = max(r.top_schmidt_sq for r in reports)
-    return float(min(max(1.0 - top, 0.0), 1.0))
+    return _clamp(float(1.0 - top), "GGM")
 
 
 def is_maximally_entangled(
@@ -104,7 +104,7 @@ def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) -> float
         raise ValueError("dimension mismatch")
     eigs = np.linalg.eigvalsh(p0 * rho0.entries - (1.0 - p0) * rho1.entries)
     err = 0.5 * (1.0 - np.abs(eigs).sum())
-    return float(min(max(err, 0.0), 0.5))
+    return _clamp(float(err), "Helstrom error", 0.5)
 
 
 def mutual_information(joint_pmf) -> float:

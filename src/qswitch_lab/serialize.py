@@ -1,15 +1,22 @@
 """Deterministic JSON / CSV serialization of transcripts and tables.
 
-Complex numbers become ``[re, im]`` pairs, density matrices carry their
-layout, and no timestamps or other run-varying data ever enter the payload,
-so identical configurations produce byte-identical files.  CSV numbers are
-formatted with 12 significant digits and a ``.`` decimal separator,
-independent of locale.
+Density matrices carry their layout, and no timestamps or other run-varying
+data ever enter the payload, so identical configurations produce
+byte-identical files.  :func:`transcript_to_dict` keeps every matrix's
+``entries`` as its complex ``ndarray``; :func:`dumps_json` writes each one
+as nested ``[re, im]`` pairs, byte for byte what
+``json.dumps(..., sort_keys=True, indent=2)`` writes for those nested lists
+(:func:`complex_pairs`), but renders the matrices itself: the rest of the
+payload goes through ``json`` with a placeholder in place of each matrix,
+and each matrix block is spliced in, its distinct floats formatted once.
+CSV numbers are formatted with 12 significant digits and a ``.`` decimal
+separator, independent of locale.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -18,6 +25,9 @@ from .linalg import DensityMatrix
 from .protocols import ProtocolTranscript
 
 SCHEMA = "qswitch-lab/1"
+# stands in for each matrix in the text json writes; lengthened while a
+# string of the payload equals it
+_MARKER = "@qswitch-lab matrix@"
 
 
 def fmt(x) -> str:
@@ -30,7 +40,7 @@ def fmt(x) -> str:
 
 
 def complex_pairs(arr: np.ndarray):
-    """Nested lists of [re, im] pairs."""
+    """Nested lists of [re, im] pairs: the JSON form of a complex array."""
     a = np.asarray(arr, dtype=complex)
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
@@ -39,7 +49,7 @@ def density_to_dict(dm: DensityMatrix) -> dict:
     return {
         "labels": list(dm.layout.labels),
         "dims": list(dm.layout.dims),
-        "entries": complex_pairs(dm.entries),
+        "entries": dm.entries,
     }
 
 
@@ -85,7 +95,56 @@ def _plain(obj):
 
 
 def dumps_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, with every
+    2-d ``ndarray`` in the payload written as its :func:`complex_pairs`."""
+    marker = _MARKER
+    while True:
+        matrices = []
+        text = json.dumps(payload, sort_keys=True, indent=2,
+                          default=partial(_take_matrix, matrices, marker))
+        pieces = text.split(json.dumps(marker))
+        if len(pieces) == len(matrices) + 1:
+            break
+        marker += "@"
+    out = [pieces[0]]
+    for m, piece in zip(matrices, pieces[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1:]
+        out.append(_render_matrix(m, len(line) - len(line.lstrip(" "))))
+        out.append(piece)
+    out.append("\n")
+    return "".join(out)
+
+
+def _take_matrix(matrices: list, marker: str, obj):
+    """``json`` default hook: stand the marker in for a 2-d array."""
+    if not (isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    matrices.append(obj)
+    return marker
+
+
+def _render_matrix(m: np.ndarray, indent: int) -> str:
+    """``json`` text of ``complex_pairs(m)`` as a value on a line indented by
+    ``indent`` spaces."""
+    # the float bit patterns, re and im interleaved: equal bits, equal text,
+    # and -0.0 stays apart from 0.0 (json writes them differently)
+    bits = np.ascontiguousarray(m, dtype=complex).view(np.int64).reshape(-1)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    # json itself formats the distinct floats (repr, NaN, Infinity)
+    text = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    pad = ["\n" + " " * (indent + k) for k in (0, 2, 4, 6)]
+    open_pair, close_pair = "[" + pad[3], pad[2] + "]"
+    # [opening, re, sep, im, sep, re, ..., im, closing]
+    parts = np.empty(2 * bits.size + 1, dtype=object)
+    parts[0] = "[" + pad[1] + "[" + pad[2] + open_pair
+    parts[1::2] = np.array(text, dtype=object)[inverse]
+    parts[2::4] = "," + pad[3]
+    after_pair = parts[4::4]  # a view
+    after_pair[:] = close_pair + "," + pad[2] + open_pair
+    after_pair[m.shape[1] - 1::m.shape[1]] = (
+        close_pair + pad[1] + "]," + pad[1] + "[" + pad[2] + open_pair)
+    after_pair[-1] = close_pair + pad[1] + "]" + pad[0] + "]"
+    return "".join(parts.tolist())
 
 
 def transcript_metric_row(t: ProtocolTranscript) -> tuple[list[str], list[str]]:

@@ -52,6 +52,27 @@ class TestTypes:
         with pytest.raises(ValueError, match="semidefinite"):
             DensityMatrix(np.diag([1.5, -0.5]), layout)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan, 1j * np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    def test_density_matrix_rejects_non_finite_entries(self, bad, where):
+        m = np.eye(4, dtype=complex) / 4
+        if where == "diagonal":
+            m[1, 1] = bad
+        else:
+            m[0, 2] = bad
+            m[2, 0] = np.conj(bad)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(m, SubsystemLayout((2, 2), ("A", "B")))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("amps", [[np.nan, 0.0], [1.0, 1j * np.nan], [np.inf, 0.0]])
+    def test_ket_rejects_non_finite_amplitudes(self, amps):
+        with pytest.raises(ValueError, match="ket norm"):
+            Ket(np.array(amps))
+        with pytest.raises(ValueError, match="ket norm"):
+            Ket.normalized(np.array(amps))
+
     def test_layout_rejects_duplicates_and_mismatch(self):
         with pytest.raises(ValueError, match="duplicate"):
             SubsystemLayout((2, 2), ("A", "A"))

@@ -14,6 +14,7 @@ from qswitch_lab import (
     is_maximally_entangled,
     maximally_entangled_ket,
     mutual_information,
+    policy,
     tensor,
 )
 
@@ -91,6 +92,16 @@ class TestGGM:
         with pytest.raises(ValueError, match="two subsystems"):
             ggm(basis_ket(2, 0), SubsystemLayout((2,), ("A",)))
 
+    def test_drift_beyond_tolerance_raises(self, monkeypatch):
+        # under a loosened structural tolerance a ket of norm 1 + 1e-9 is
+        # accepted, and its product cuts put the GGM 2e-9 below 0
+        monkeypatch.setattr(policy, "structural_tol", 1e-8)
+        layout = SubsystemLayout((2, 2), ("A", "B"))
+        psi = Ket(np.sqrt(1 + 2e-9) * basis_ket(4, 0).amplitudes)
+        with pytest.raises(ValueError, match="GGM .* outside \\[0, 1\\]"):
+            ggm(psi, layout)
+        assert ggm(Ket(np.sqrt(1 + 0.5e-10) * basis_ket(4, 0).amplitudes), layout) == 0.0
+
     def test_party_guard(self):
         layout = SubsystemLayout((2,) * 7, tuple(f"P{i}" for i in range(7)))
         with pytest.raises(ResourceGuardError, match="cap"):
@@ -149,6 +160,19 @@ class TestHelstrom:
             e2 = helstrom_error(b, a, 1 - p)
             assert abs(e1 - e2) < 1e-12
             assert e1 <= min(p, 1 - p) + 1e-12
+
+    def test_drift_beyond_tolerance_raises(self):
+        # valid states just above the PSD floor put the error 1.8e-10 below 0
+        e = 0.9e-10
+        layout = SubsystemLayout((4,), ("A",))
+        a = DensityMatrix(np.diag([1 + 3 * e, -e, -e, -e]), layout)
+        b = DensityMatrix(np.diag([-e, -e, -e, 1 + 3 * e]), layout)
+        with pytest.raises(ValueError, match="Helstrom error .* outside \\[0, 0.5\\]"):
+            helstrom_error(a, b, 0.5)
+        e = 0.4e-10
+        a = DensityMatrix(np.diag([1 + 3 * e, -e, -e, -e]), layout)
+        b = DensityMatrix(np.diag([-e, -e, -e, 1 + 3 * e]), layout)
+        assert helstrom_error(a, b, 0.5) == 0.0
 
     def test_prior_out_of_range(self):
         a = basis_ket(2, 0).density()
