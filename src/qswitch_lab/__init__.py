@@ -24,16 +24,12 @@ from .channels import (
     vacuum_extend,
 )
 from .combinators import (
-    ControlledChannelSpec,
     TDecomposition,
-    choice_two,
     coincidence_extensions,
     controlled_choice,
     cyclic_switch,
-    k_closed_form,
     k_multiline,
     k_multiline_enumerated,
-    switch_two,
     t_decomposition,
     target_sector_restriction,
 )
@@ -50,7 +46,6 @@ from .linalg import (
     fourier_basis,
     fourier_ket,
     ghz_ket,
-    maximally_entangled_ket,
     partial_trace,
     permute_basis,
     projective_measure,
@@ -76,12 +71,11 @@ from .protocols import (
     classical_flag_encodings,
     clone_extend_unitary,
     clone_permutation,
-    correction_unitary,
     decode_summary,
     dfs_phase_encodings,
     fixed_configuration_baseline,
     necessity_sweep,
-    phase_encoding_unitary,
+    phase_unitary,
     privacy_report,
     run_bipartite_establishment,
     run_ghz_distribution,

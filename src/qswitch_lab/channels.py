@@ -19,7 +19,6 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
-    Operator,
     _coincidence_embedded,
     _conjugate_embedded,
     _readonly,
@@ -50,15 +49,9 @@ class KrausChannel:
                 )
         total = sum(k.conj().T @ k for k in ops)
         dev = np.abs(total - np.eye(self.in_dim)).max()
-        if dev > policy.spectral_tol:
+        if not dev <= policy.spectral_tol:  # rejects NaN too
             raise ValueError(f"not trace preserving: max |sum K^dag K - I| = {dev:.3e}")
         object.__setattr__(self, "kraus", ops)
-
-    @classmethod
-    def from_operators(cls, ops: Sequence[np.ndarray | Operator]) -> "KrausChannel":
-        mats = [o.entries if isinstance(o, Operator) else np.asarray(o, dtype=complex) for o in ops]
-        out_dim, in_dim = mats[0].shape
-        return cls(tuple(mats), in_dim, out_dim)
 
     @property
     def n_kraus(self) -> int:
@@ -128,7 +121,7 @@ def vacuum_extend(base: KrausChannel, amplitudes) -> ExtendedChannel:
             f"got {alpha.shape[0]} amplitudes for {base.n_kraus} Kraus operators"
         )
     nrm = np.linalg.norm(alpha)
-    if abs(nrm - 1.0) > policy.spectral_tol:
+    if not abs(nrm - 1.0) <= policy.spectral_tol:  # rejects NaN too
         raise ValueError(f"amplitude vector norm is {nrm!r}, not 1")
     d = base.in_dim
     ops = []
@@ -245,14 +238,16 @@ class ChoiMatrix:
         n = self.in_dim * self.out_dim
         if m.shape != (n, n):
             raise ValueError(f"Choi matrix must be {n}x{n}")
+        if not np.isfinite(m).all():  # eigvalsh does not converge on them
+            raise ValueError("Choi matrix has NaN or infinite entries")
         min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < policy.psd_floor:
+        if not min_eig >= policy.psd_floor:
             raise ValueError(f"Choi matrix not PSD: min eigenvalue {min_eig:.3e}")
         red = np.einsum(
             m.reshape(self.in_dim, self.out_dim, self.in_dim, self.out_dim), [0, 2, 1, 2]
         )
         dev = np.abs(red - np.eye(self.in_dim)).max()
-        if dev > policy.spectral_tol:
+        if not dev <= policy.spectral_tol:
             raise ValueError(f"output marginal of Choi differs from identity by {dev:.3e}")
         object.__setattr__(self, "entries", _readonly(m))
 

@@ -6,8 +6,8 @@ Subcommands
     Re-derive the structural identities numerically for a chosen dimension:
     order/choice coincidence, closed form vs brute-force enumeration,
     noiseless-subspace preservation, and the rank-one decomposition
-    round-trip.  Exit 0 iff every check passes (1 on failure, 2 on bad
-    configuration).
+    round-trip, each a row of :data:`CHECKS`.  Exit 0 iff every check
+    passes (1 on failure, 2 on bad configuration).
 ``run``
     Execute one protocol (private-dit, bipartite, ghz, fixed-baseline) and
     write the full transcript (JSON) or a metric row (CSV).
@@ -26,25 +26,24 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 import click
 import numpy as np
 
 from . import serialize
-from .channels import channels_equal, vacuum_extend
+from .channels import apply as channel_apply, channels_equal, erasing_channel, vacuum_extend
 from .combinators import (
     coincidence_extensions,
     controlled_choice,
     cyclic_switch,
-    k_closed_form,
     k_multiline,
     k_multiline_enumerated,
     t_decomposition,
     target_sector_restriction,
 )
-from .channels import erasing_channel
 from .linalg import fidelity_with_ket, ghz_ket, SubsystemLayout
-from .numeric import ResourceGuardError, policy
+from .numeric import ResourceGuardError, guard_dimension, policy
 from .protocols import (
     ResourceState,
     classical_flag_encodings,
@@ -119,7 +118,14 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _apply_guards(cfg: RunConfig) -> None:
+def _apply_guards(ctx: click.Context, cfg: RunConfig) -> None:
+    """Apply the guard and tolerance overrides until the command ends."""
+    saved = (policy.max_dim, policy.spectral_tol)
+
+    def restore() -> None:
+        policy.max_dim, policy.spectral_tol = saved
+
+    ctx.call_on_close(restore)  # runs on return, on ctx.exit and on errors alike
     env = os.environ.get("QSWITCH_MAX_DIM")
     if env is not None:
         try:
@@ -185,6 +191,87 @@ def main():
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Check:
+    """One named identity: ``distance(d, n)`` for dimension d and n lines.
+
+    ``equal`` is the expected verdict: the row passes when
+    ``(distance <= tol) == equal``.  ``label`` is formatted with d and n.
+    """
+
+    label: str
+    distance: Callable[[int, int], float]
+    equal: bool = True
+
+
+def _erasing_channels(d: int) -> list:
+    return [erasing_channel(d, j) for j in range(d)]
+
+
+def _random_extensions(d: int) -> list:
+    rng = np.random.default_rng(7)
+    exts = []
+    for l in range(d):
+        a = rng.normal(size=d) + 1j * rng.normal(size=d)
+        exts.append(vacuum_extend(erasing_channel(d, l), a / np.linalg.norm(a)))
+    return exts
+
+
+def _choice_vs_closed_form(d: int, extensions: list) -> float:
+    choice = target_sector_restriction(controlled_choice(extensions), d)
+    return channels_equal(choice, k_multiline(d, 1)).distance
+
+
+def _noiseless_infidelity(d: int, n: int) -> float:
+    """Worst infidelity of K^(N) over the phased GHZ family of N targets and control."""
+    k = k_multiline(d, n)
+    labels = tuple(f"B{i}" for i in range(1, n + 1)) + ("C",)
+    layout = SubsystemLayout((d,) * (n + 1), labels)
+    worst = 0.0
+    for x in range(d):
+        g = ghz_ket(d, n + 1, x)
+        out = channel_apply(k, g.density(layout), labels)
+        worst = max(worst, 1.0 - fidelity_with_ket(out, g))
+    return worst
+
+
+def _round_trip_distance(d: int, n: int) -> float:
+    dec = t_decomposition(coincidence_extensions(d))
+    target = target_sector_restriction(controlled_choice(coincidence_extensions(d)), d)
+    return channels_equal(dec.reconstructed_channel(), target).distance
+
+
+# the identities `verify` certifies; the acceptance tests call the same rows
+CHECKS = {
+    "order": Check(
+        "closed form vs order enumeration (d={d})",
+        lambda d, n: channels_equal(
+            cyclic_switch(_erasing_channels(d)), k_multiline(d, 1)
+        ).distance,
+    ),
+    "choice": Check(
+        "coincidence: choice vs order (d={d})",
+        lambda d, n: _choice_vs_closed_form(d, coincidence_extensions(d)),
+    ),
+    "random-choice": Check(
+        "random extensions: choice differs from order (d={d})",
+        lambda d, n: _choice_vs_closed_form(d, _random_extensions(d)),
+        equal=False,
+    ),
+    "noiseless": Check("noiseless subspace preserved (d={d}, all phases)", _noiseless_infidelity),
+    "round-trip": Check("rank-one decomposition round-trip (d={d})", _round_trip_distance),
+    "multiline-enumeration": Check(
+        "multiline closed form vs enumeration (d={d}, N={n})",
+        lambda d, n: channels_equal(
+            k_multiline(d, n), k_multiline_enumerated(_erasing_channels(d), n)
+        ).distance,
+    ),
+    "multiline-noiseless": Check(
+        "multiline noiseless subspace (d={d}, N={n})", _noiseless_infidelity
+    ),
+}
+
+
 @main.command()
 @click.option("--d", "d", type=int, default=None, help="Qudit dimension (>= 2).")
 @click.option("--n", "n_lines", type=int, default=None, help="Also check N transmission lines.")
@@ -209,102 +296,37 @@ def verify(ctx, d, n_lines, choice_amplitudes, tol, max_dim, config_path):
         tol=tol,
         max_dim=max_dim,
     )
-    _apply_guards(cfg)
+    _apply_guards(ctx, cfg)
     d = int(cfg.d)
-    n_lines = cfg.n
-    amp_mode = cfg.choice_amplitudes
+    n_lines = None if cfg.n is None else int(cfg.n)
     if d < 2:
         raise click.UsageError("--d must be at least 2")
+    if n_lines is not None and n_lines < 1:
+        raise click.UsageError("--n must be at least 1")
     tolerance = policy.spectral_tol
 
-    checks: list[tuple[str, float, bool]] = []  # (name, distance/deviation, passed)
+    choice = "choice" if cfg.choice_amplitudes == "coincidence" else "random-choice"
+    rows = [("order", 1), (choice, 1), ("noiseless", 1), ("round-trip", 1)]
+    if n_lines is not None:
+        if d == 2 and n_lines <= 2:
+            rows.append(("multiline-enumeration", n_lines))
+        rows.append(("multiline-noiseless", n_lines))
     try:
-        from .numeric import guard_dimension
-
         guard_dimension(d * d, "verification")
         if n_lines is not None:
-            guard_dimension(d ** (int(n_lines) + 1), "multiline verification")
-        order = cyclic_switch([erasing_channel(d, j) for j in range(d)])
-        closed = k_closed_form(d)
-        cmp_order = channels_equal(order, closed, tolerance)
-        checks.append((f"closed form vs order enumeration (d={d})", cmp_order.distance, cmp_order.equal))
-
-        if amp_mode == "coincidence":
-            choice = target_sector_restriction(controlled_choice(coincidence_extensions(d)), d)
-            cmp_choice = channels_equal(choice, closed, tolerance)
-            checks.append(
-                (f"coincidence: choice vs order (d={d})", cmp_choice.distance, cmp_choice.equal)
-            )
-        else:
-            rng = np.random.default_rng(7)
-            exts = []
-            for l in range(d):
-                a = rng.normal(size=d) + 1j * rng.normal(size=d)
-                exts.append(vacuum_extend(erasing_channel(d, l), a / np.linalg.norm(a)))
-            choice = target_sector_restriction(controlled_choice(exts), d)
-            cmp_choice = channels_equal(choice, closed, tolerance)
-            checks.append(
-                (
-                    f"random extensions: choice differs from order (d={d})",
-                    cmp_choice.distance,
-                    not cmp_choice.equal,
-                )
-            )
-
-        worst = 0.0
-        for x in range(d):
-            phi = ghz_ket(d, 2, x)
-            layout = SubsystemLayout((d, d), ("A", "C"))
-            out = _apply_full(closed, phi, layout)
-            worst = max(worst, 1.0 - fidelity_with_ket(out, phi))
-        checks.append((f"noiseless subspace preserved (d={d}, all phases)", worst, worst <= tolerance))
-
-        dec = t_decomposition(coincidence_extensions(d))
-        cmp_dec = channels_equal(
-            dec.reconstructed_channel(),
-            target_sector_restriction(controlled_choice(coincidence_extensions(d)), d),
-            tolerance,
-        )
-        checks.append((f"rank-one decomposition round-trip (d={d})", cmp_dec.distance, cmp_dec.equal))
-
-        if n_lines is not None:
-            n_lines = int(n_lines)
-            multi = k_multiline(d, n_lines)
-            if d == 2 and n_lines <= 2:
-                enum = k_multiline_enumerated([erasing_channel(d, j) for j in range(d)], n_lines)
-                cmp_multi = channels_equal(multi, enum, tolerance)
-                checks.append(
-                    (f"multiline closed form vs enumeration (d={d}, N={n_lines})",
-                     cmp_multi.distance, cmp_multi.equal)
-                )
-            worst = 0.0
-            for x in range(d):
-                g = ghz_ket(d, n_lines + 1, x)
-                layout = SubsystemLayout(
-                    (d,) * (n_lines + 1),
-                    tuple(f"B{i}" for i in range(1, n_lines + 1)) + ("C",),
-                )
-                out = _apply_full(multi, g, layout)
-                worst = max(worst, 1.0 - fidelity_with_ket(out, g))
-            checks.append(
-                (f"multiline noiseless subspace (d={d}, N={n_lines})", worst, worst <= tolerance)
-            )
-    except (ResourceGuardError,) as exc:
+            guard_dimension(d ** (n_lines + 1), "multiline verification")
+        results = [(CHECKS[name], n, CHECKS[name].distance(d, n)) for name, n in rows]
+    except ResourceGuardError as exc:
         raise click.UsageError(str(exc))
 
     failed = 0
-    for name, dist, ok in checks:
-        verdict = "PASS" if ok else "FAIL"
-        click.echo(f"[{verdict}] {name}: distance {dist:.3e} (tol {tolerance:.1e})")
+    for check, n, dist in results:
+        ok = (dist <= tolerance) == check.equal
+        verdict, label = "PASS" if ok else "FAIL", check.label.format(d=d, n=n)
+        click.echo(f"[{verdict}] {label}: distance {dist:.3e} (tol {tolerance:.1e})")
         failed += 0 if ok else 1
-    click.echo(f"{len(checks) - failed}/{len(checks)} checks passed")
+    click.echo(f"{len(results) - failed}/{len(results)} checks passed")
     ctx.exit(0 if failed == 0 else _EXIT_CHECK_FAILED)
-
-
-def _apply_full(channel, psi, layout):
-    from .channels import apply as channel_apply
-
-    return channel_apply(channel, psi.density(layout), layout.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +369,7 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out_path, fmt_kind,
         tol=tol,
         max_dim=max_dim,
     )
-    _apply_guards(cfg)
+    _apply_guards(ctx, cfg)
     d = int(cfg.d)
     if d < 2:
         raise click.UsageError("--d must be at least 2")
@@ -385,9 +407,7 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out_path, fmt_kind,
             transcript = run_bipartite_establishment(d, res)
         else:
             transcript = run_ghz_distribution(d, int(cfg.receivers), res)
-    except ResourceGuardError as exc:
-        raise click.UsageError(str(exc))
-    except ValueError as exc:
+    except ValueError as exc:  # a ResourceGuardError too
         raise click.UsageError(str(exc))
 
     for key in sorted(transcript.metrics):
@@ -449,14 +469,14 @@ def sweep(ctx, protocol, d, alpha_spec, receivers, out_path, tol, max_dim, confi
         tol=tol,
         max_dim=max_dim,
     )
-    _apply_guards(cfg)
+    _apply_guards(ctx, cfg)
     d = int(cfg.d)
     if d != 2:
         raise click.UsageError("--alpha grids parameterize two-level spectra; use --d 2")
     spectra = _parse_alpha(cfg.alpha)
     try:
         table = necessity_sweep(protocol, d, spectra, n_receivers=int(cfg.receivers))
-    except ResourceGuardError as exc:
+    except ValueError as exc:  # a ResourceGuardError too
         raise click.UsageError(str(exc))
 
     lines = serialize.sweep_csv_lines(table)

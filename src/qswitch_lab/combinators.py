@@ -14,8 +14,8 @@ For d mutually orthogonal information-erasing channels (the j-th erasing to
 the message sector, to one and the same channel with the closed Kraus form
 ``{P0} + {|j><l| (x) |j><j| : l != j}`` where ``P0 = sum_j |jj><jj|``.  The
 brute-force tuple enumerations are kept (with hard caps) as oracles against
-the closed forms.  The closed-form Kraus lists :func:`k_closed_form` and
-:func:`k_multiline` are themselves capped oracles: the protocols apply the
+the closed forms.  The closed-form Kraus list :func:`k_multiline` (``N = 1``
+for a single line) is itself a capped oracle: the protocols apply the
 channel through ``channels.apply_coincidence``, which uses its closed action
 and builds no Kraus list.
 
@@ -24,7 +24,6 @@ Factor order throughout: target(s) first, control last.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -38,7 +37,7 @@ from .channels import (
     restrict_channel,
     vacuum_extend,
 )
-from .linalg import Ket, Operator, _readonly
+from .linalg import Ket, Operator
 from .numeric import ResourceGuardError, guard_dimension, policy
 
 _ENUM_MAX_CHANNELS = 4          # cap for the d^d tuple enumerations
@@ -61,94 +60,8 @@ def _drop_zero(ops: list[np.ndarray]) -> list[np.ndarray]:
     return [k for k in ops if np.abs(k).max() > policy.zero_operator_tol]
 
 
-@dataclass(frozen=True)
-class ControlledChannelSpec:
-    """Configuration record for a controlled combination of d channels.
-
-    ``mode`` selects control over the execution order or over the channel
-    choice; order mode takes plain channels, choice mode vacuum-extended
-    ones.  ``n_lines`` > 1 asks for the N-line order combinator (within the
-    enumeration caps; the closed form :func:`k_multiline` is the production
-    path for erasing channels).
-    """
-
-    d: int
-    mode: str
-    branch_channels: tuple
-    n_lines: int = 1
-
-    def __post_init__(self):
-        if self.mode not in ("order", "choice"):
-            raise ValueError(f"mode must be 'order' or 'choice', got {self.mode!r}")
-        if len(self.branch_channels) != self.d:
-            raise ValueError(
-                f"need exactly {self.d} branch channels, got {len(self.branch_channels)}"
-            )
-        if self.n_lines < 1:
-            raise ValueError("n_lines must be positive")
-        want = ExtendedChannel if self.mode == "choice" else KrausChannel
-        for ch in self.branch_channels:
-            if not isinstance(ch, want):
-                raise ValueError(f"{self.mode} mode requires {want.__name__} branches")
-
-    def build(self) -> KrausChannel:
-        chans = list(self.branch_channels)
-        if self.mode == "order":
-            if self.n_lines == 1:
-                return cyclic_switch(chans)
-            return k_multiline_enumerated(chans, self.n_lines)
-        if self.n_lines != 1:
-            raise ValueError("choice mode is built for single-line configurations")
-        return controlled_choice(chans)
-
-
 # ---------------------------------------------------------------------------
-# Two-channel forms
-# ---------------------------------------------------------------------------
-
-
-def switch_two(e: KrausChannel, f: KrausChannel) -> KrausChannel:
-    """Order-controlled combination of two channels on target (x) qubit control.
-
-    Control |0> runs the first argument last (operator product E_a F_b),
-    control |1> the second (F_b E_a).  With the first channel erasing to |0>
-    and the second to |1>, span{|00>, |11>} is a decoherence-free subspace.
-    The output depends only on the channels, not on the Kraus lists used.
-    """
-    if e.in_dim != f.in_dim or not (e.is_square() and f.is_square()):
-        raise ValueError("switch needs two square channels of equal dimension")
-    d = e.in_dim
-    ops = []
-    for a, b in product(range(e.n_kraus), range(f.n_kraus)):
-        s = np.kron(e.kraus[a] @ f.kraus[b], _proj(2, 0)) + np.kron(
-            f.kraus[b] @ e.kraus[a], _proj(2, 1)
-        )
-        ops.append(s)
-    return KrausChannel(tuple(_drop_zero(ops)), d * 2, d * 2)
-
-
-def choice_two(e: ExtendedChannel, f: ExtendedChannel) -> KrausChannel:
-    """Choice-controlled combination of two vacuum-extended channels.
-
-    Control |0> feeds the message to the first channel and the vacuum to the
-    second (and vice versa for |1>); the unused channel enters only through
-    its vacuum amplitude.  Acts on the extended target (d+1) (x) control.
-    """
-    if e.target_dim != f.target_dim:
-        raise ValueError("extended channels must share the target dimension")
-    dd = e.target_dim + 1
-    alpha, beta = e.amplitudes, f.amplitudes
-    ops = []
-    for i, j in product(range(e.realized.n_kraus), range(f.realized.n_kraus)):
-        t = beta[j] * np.kron(e.realized.kraus[i], _proj(2, 0)) + alpha[i] * np.kron(
-            f.realized.kraus[j], _proj(2, 1)
-        )
-        ops.append(t)
-    return KrausChannel(tuple(_drop_zero(ops)), dd * 2, dd * 2)
-
-
-# ---------------------------------------------------------------------------
-# d-ary enumerated forms (oracle path)
+# Order and choice by enumeration (oracle path)
 # ---------------------------------------------------------------------------
 
 
@@ -159,7 +72,7 @@ def cyclic_switch(channels: list[KrausChannel]) -> KrausChannel:
     for control value j is the operator product over the cyclic order
     starting (and ending) so that channel j acts last.  Zero operators are
     dropped.  Enumeration grows as the product of Kraus counts, so the
-    number of channels is capped at 4; use :func:`k_closed_form` beyond.
+    number of channels is capped at 4; use :func:`k_multiline` beyond.
     """
     n = len(channels)
     if n == 0:
@@ -260,23 +173,14 @@ def target_sector_restriction(ch: KrausChannel, d: int, n_targets: int = 1) -> K
 # ---------------------------------------------------------------------------
 
 
-def k_closed_form(d: int) -> KrausChannel:
-    """Closed form of the order/choice coincidence channel on d (x) d.
-
-    Kraus set {P0} with P0 = sum_j |jj><jj| plus {|j><l| (x) |j><j|, l != j}.
-    Acts as the identity on span{|j>|j>} and collapses everything else onto
-    that span with classical weights.  Same list, in the same order, as
-    ``k_multiline(d, 1)``.
-    """
-    return k_multiline(d, 1)
-
-
 def k_multiline(d: int, n_lines: int) -> KrausChannel:
     """Coincidence channel for N parallel transmission lines, closed form.
 
     Acts on N target qudits (x) one d-level control.  Kraus set
     ``{P0^N} + {|j>^N <y| (x) |j><j| : y != (j,...,j)}`` with
-    ``P0^N = sum_j (|j><j|)^N (x) |j><j|``; N = 1 is :func:`k_closed_form`.
+    ``P0^N = sum_j (|j><j|)^N (x) |j><j|``.  N = 1 is the single-line
+    closed form ``{P0} + {|j><l| (x) |j><j| : l != j}``, with the identity on
+    span{|j>|j>}.
     Identity on any spectator system is the caller's job via
     ``apply(..., acting_on)``.
 

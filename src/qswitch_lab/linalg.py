@@ -134,9 +134,6 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def overlap(self, other: "Ket") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def density(self, layout: SubsystemLayout | None = None) -> "DensityMatrix":
         if layout is None:
             layout = single(self.dim)
@@ -276,10 +273,6 @@ class DensityMatrix:
         )
         return DensityMatrix(t.reshape(self.dim, self.dim), new_layout)
 
-    def expectation(self, op: np.ndarray | Operator) -> complex:
-        m = op.entries if isinstance(op, Operator) else np.asarray(op)
-        return complex(np.trace(m @ self.entries))
-
 
 # ---------------------------------------------------------------------------
 # Standard vectors and bases
@@ -326,10 +319,6 @@ def ghz_ket(d: int, parties: int, phase_index: int = 0) -> Ket:
     for j in range(d):
         v[j * stride] = np.exp(2j * np.pi * j * phase_index / d) / np.sqrt(d)
     return Ket(v)
-
-
-def maximally_entangled_ket(d: int, phase_index: int = 0) -> Ket:
-    return ghz_ket(d, 2, phase_index)
 
 
 # ---------------------------------------------------------------------------
@@ -476,18 +465,17 @@ def _coincidence_embedded(
 
 def apply_unitary(rho: DensityMatrix, u: Operator | np.ndarray, acting_on: Sequence[str]) -> DensityMatrix:
     """Conjugate by a unitary on the addressed labels, identity elsewhere."""
-    m = u.entries if isinstance(u, Operator) else np.asarray(u, dtype=complex)
+    op = u if isinstance(u, Operator) else Operator(u)
     positions = rho.layout.positions(acting_on)
     acted_dim = math.prod(rho.layout.dims[p] for p in positions)
-    if m.shape != (acted_dim, acted_dim):
+    if op.entries.shape != (acted_dim, acted_dim):
         raise ValueError(
-            f"unitary of shape {m.shape} cannot act on labels {tuple(acting_on)} "
+            f"unitary of shape {op.entries.shape} cannot act on labels {tuple(acting_on)} "
             f"with total dimension {acted_dim}"
         )
-    gram = m.conj().T @ m
-    if np.abs(gram - np.eye(acted_dim)).max() > policy.spectral_tol:
+    if not op.is_unitary():
         raise ValueError("operator is not unitary within tolerance")
-    out = _conjugate_embedded(rho.entries, rho.layout.dims, positions, [m])
+    out = _conjugate_embedded(rho.entries, rho.layout.dims, positions, [op.entries])
     return DensityMatrix(out, rho.layout)
 
 
@@ -638,7 +626,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def fidelity_with_ket(rho: DensityMatrix, psi: Ket) -> float:
-    """<psi| rho |psi>, the squared-overlap fidelity with a pure target."""
+    """<psi| rho |psi>, the fidelity with a pure target."""
     if rho.dim != psi.dim:
         raise ValueError("dimension mismatch")
     v = psi.amplitudes

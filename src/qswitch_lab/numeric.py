@@ -5,7 +5,8 @@ against ``structural_tol``; everything that goes through an eigen- or
 singular-value decomposition uses the looser ``spectral_tol``.  A single
 module-level :data:`policy` instance is consulted by all modules; callers
 that need different tolerances either pass an explicit ``tol`` argument or
-mutate the policy fields (the CLI does the latter).
+set the policy fields.  Each CLI command sets ``max_dim`` and
+``spectral_tol`` from its flags and restores them when it ends.
 """
 
 from __future__ import annotations

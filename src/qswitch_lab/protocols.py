@@ -13,14 +13,16 @@ Three constructive protocols are implemented:
 * GHZ distribution to N receivers: same idea with N clones through N
   parallel lines; one receiver corrects.
 
-The channel is applied through ``channels.apply_coincidence``, its closed
-action; no Kraus list is built here (``combinators.k_multiline`` is the
-oracle it is tested against).  Likewise the clone fan-out is applied as the
-basis permutation ``clone_permutation`` through ``linalg.permute_basis``,
-with the dense ``clone_extend_unitary`` as its oracle.  All runs are pure
-functions returning a :class:`ProtocolTranscript` with the state after
-every stage and every measurement branch.  The pre-measurement GGM of a GHZ run is skipped, with
-the reason recorded in the metrics, past ``policy.max_ggm_parties``.  A
+The sender's phase encoding and the receiver's correction are one gate,
+``phase_unitary``.  The channel is applied through
+``channels.apply_coincidence``, its closed action; no Kraus list is built
+here (``combinators.k_multiline`` is the oracle it is tested against).
+Likewise the clone fan-out is applied as the basis permutation
+``clone_permutation`` through ``linalg.permute_basis``, with the dense
+``clone_extend_unitary`` as its oracle.  All runs are pure functions
+returning a :class:`ProtocolTranscript` with the state after every stage and
+every measurement branch.  The pre-measurement GGM of a GHZ run is skipped,
+with the reason recorded in the metrics, past ``policy.max_ggm_parties``.  A
 fixed-configuration baseline and necessity sweeps over non-uniform Schmidt
 spectra probe why coherent control and maximal resource entanglement are
 needed.
@@ -37,7 +39,6 @@ from .channels import apply_coincidence
 from .linalg import (
     DensityMatrix,
     Ket,
-    MeasurementBranch,
     Operator,
     SubsystemLayout,
     apply_unitary,
@@ -51,7 +52,9 @@ from .linalg import (
     tensor,
     trace_distance,
 )
-from .metrics import concurrence_2qubit, ggm, helstrom_error, total_variation
+from .metrics import (
+    concurrence_2qubit, ggm, helstrom_error, is_maximally_entangled, total_variation,
+)
 from .numeric import guard_dimension, policy
 
 
@@ -60,29 +63,19 @@ from .numeric import guard_dimension, policy
 # ---------------------------------------------------------------------------
 
 
-def phase_encoding_unitary(x: int, d: int) -> Operator:
-    """Diagonal phase gate diag(exp(2*pi*i*j*x/d)).
+def phase_unitary(k: int, d: int) -> Operator:
+    """Diagonal phase gate diag(exp(2*pi*i*j*k/d)); for d = 2 it is Z^k.
 
-    Applied on one half of the canonical maximally entangled pair it
-    produces the x-th member of the phased family (x = 1, d = 2 is Pauli Z).
+    The sender encodes message k with it on her half of the canonical
+    maximally entangled pair, which gives the k-th member of the phased
+    family.  The receiver applies it for the controller's Fourier outcome k:
+    with the +-sign Fourier convention that outcome leaves phases
+    exp(-2*pi*i*j*k/d) on the |j...j> components, which the gate undoes.
     """
-    if not 0 <= x < d:
-        raise ValueError(f"message {x} out of range for dimension {d}")
+    if not 0 <= k < d:
+        raise ValueError(f"phase index {k} out of range for dimension {d}")
     j = np.arange(d)
-    return Operator(np.diag(np.exp(2j * np.pi * j * x / d)))
-
-
-def correction_unitary(m: int, d: int) -> Operator:
-    """Receiver-side phase gate undoing the controller's Fourier outcome m.
-
-    With the +-sign Fourier convention, conditioning on outcome m leaves
-    phases exp(-2*pi*i*j*m/d) on the |j...j> components; this gate restores
-    the m = 0 branch state.  For d = 2 it is the Pauli Z power Z^m.
-    """
-    if not 0 <= m < d:
-        raise ValueError(f"outcome {m} out of range for dimension {d}")
-    j = np.arange(d)
-    return Operator(np.diag(np.exp(2j * np.pi * j * m / d)))
+    return Operator(np.diag(np.exp(2j * np.pi * j * k / d)))
 
 
 def clone_extend_unitary(d: int, n_copies: int) -> Operator:
@@ -213,10 +206,6 @@ class ProtocolTranscript:
         raise KeyError(f"no stage named {name!r}; have {[r.name for r in self.stages]}")
 
 
-def _branch_total(branches) -> float:
-    return sum(b.probability for b in branches)
-
-
 # ---------------------------------------------------------------------------
 # Private dit transmission
 # ---------------------------------------------------------------------------
@@ -236,7 +225,7 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
     rho0 = resource.state(d)
     stages = [StageRecord("resource", rho0)]
 
-    rho1 = apply_unitary(rho0, phase_encoding_unitary(x, d), ("A",))
+    rho1 = apply_unitary(rho0, phase_unitary(x, d), ("A",))
     stages.append(StageRecord("encoded", rho1))
 
     rho2 = apply_coincidence(rho1, ("A", "C")).relabel({"A": "B"})
@@ -390,16 +379,15 @@ def _establishment_run(
         if cb.state is None:
             branches.append(Branch(cb.outcome, 0.0, None, None, None))
             continue
-        corrected = apply_unitary(cb.state, correction_unitary(cb.outcome, d), (recv_labels[0],))
+        corrected = apply_unitary(cb.state, phase_unitary(cb.outcome, d), (recv_labels[0],))
         fid = fidelity_with_ket(corrected, target)
         fidelities.append(fid)
         weighted_sum += cb.probability * fid
         avg_state += cb.probability * corrected.entries
         branch_metrics = {"fidelity": fid}
         if corrected.is_pure():
-            kt = corrected.to_ket()
-            branch_metrics["maximally_entangled"] = is_max_ent = _is_max_ent_first_cut(
-                kt, corrected.layout
+            branch_metrics["maximally_entangled"] = is_max_ent = is_maximally_entangled(
+                corrected.to_ket(), corrected.layout, (corrected.layout.labels[0],)
             )
             all_max_ent = all_max_ent and is_max_ent
         else:
@@ -430,12 +418,6 @@ def _establishment_run(
         branches,
         metrics,
     )
-
-
-def _is_max_ent_first_cut(psi: Ket, layout: SubsystemLayout) -> bool:
-    from .metrics import is_maximally_entangled
-
-    return is_maximally_entangled(psi, layout, (layout.labels[0],))
 
 
 def run_bipartite_establishment(d: int, resource: ResourceState) -> ProtocolTranscript:

@@ -16,18 +16,12 @@ from qswitch_lab import (
     channels_equal,
     choi,
     classical_flag_encodings,
-    coincidence_extensions,
-    controlled_choice,
     cyclic_switch,
     dfs_phase_encodings,
     erasing_channel,
-    fidelity_with_ket,
     fixed_configuration_baseline,
     fourier_basis,
-    ghz_ket,
-    k_closed_form,
     k_multiline,
-    k_multiline_enumerated,
     necessity_sweep,
     privacy_report,
     projective_measure,
@@ -35,10 +29,10 @@ from qswitch_lab import (
     run_bipartite_establishment,
     run_ghz_distribution,
     run_private_dit,
-    target_sector_restriction,
     ResourceState,
 )
-from qswitch_lab.cli import main as cli_main
+from qswitch_lab import cli
+from qswitch_lab.cli import CHECKS, main as cli_main
 
 from conftest import random_density, random_unitary
 
@@ -49,62 +43,62 @@ def report(criterion, ok, detail):
     assert ok, line
 
 
-def test_criterion_01_coincidence_identity():
+def _rows_read_closed_form(monkeypatch, rows):
+    """Negative control: swap K^(N) in the check table for the erasing channel
+    onto |0...0> and report whether every (row, d, n) then reads a distance
+    above 1e-10, i.e. no row compares a side with itself."""
+    monkeypatch.setattr(cli, "k_multiline", lambda d, n: erasing_channel(d ** (n + 1), 0))
+    return all(CHECKS[name].distance(d, n) > 1e-10 for name, d, n in rows)
+
+
+def test_criterion_01_coincidence_identity(monkeypatch):
     t0 = time.perf_counter()
     worst = 0.0
     for d in (2, 3, 4):
-        closed = k_closed_form(d)
-        order = cyclic_switch([erasing_channel(d, j) for j in range(d)])
-        choice = target_sector_restriction(controlled_choice(coincidence_extensions(d)), d)
-        for other in (order, choice):
-            worst = max(worst, channels_equal(other, closed, 1e-10).distance)
+        for name in ("order", "choice"):
+            worst = max(worst, CHECKS[name].distance(d, 1))
     elapsed = time.perf_counter() - t0
+    caught = _rows_read_closed_form(monkeypatch, [("order", 2, 1), ("choice", 2, 1)])
     report(
         "criterion 1 (order/choice/closed-form coincidence, d=2,3,4)",
-        worst <= 1e-10 and elapsed < 5.0,
-        f"max Choi distance {worst:.3e} (tol 1e-10), runtime {elapsed:.2f}s (< 5s)",
+        worst <= 1e-10 and elapsed < 5.0 and caught,
+        f"max Choi distance {worst:.3e} (tol 1e-10), runtime {elapsed:.2f}s (< 5s), "
+        f"swapped closed form detected {caught}",
     )
 
 
-def test_criterion_02_brute_force_oracle_equivalence():
+def test_criterion_02_brute_force_oracle_equivalence(monkeypatch):
     t0 = time.perf_counter()
     worst = 0.0
     for d in (2, 3, 4):
-        enum = cyclic_switch([erasing_channel(d, j) for j in range(d)])  # d^d tuples
-        worst = max(worst, channels_equal(k_closed_form(d), enum, 1e-10).distance)
+        worst = max(worst, CHECKS["order"].distance(d, 1))  # d^d tuples
     for n in (1, 2):
-        enum = k_multiline_enumerated([erasing_channel(2, j) for j in range(2)], n)
-        worst = max(worst, channels_equal(k_multiline(2, n), enum, 1e-10).distance)
+        worst = max(worst, CHECKS["multiline-enumeration"].distance(2, n))
     elapsed = time.perf_counter() - t0
+    rows = [("order", 2, 1), ("multiline-enumeration", 2, 1), ("multiline-enumeration", 2, 2)]
+    caught = _rows_read_closed_form(monkeypatch, rows)
     report(
         "criterion 2 (closed forms vs tuple enumerations)",
-        worst <= 1e-10 and elapsed < 30.0,
-        f"max Choi distance {worst:.3e} (tol 1e-10), runtime {elapsed:.2f}s (< 30s)",
+        worst <= 1e-10 and elapsed < 30.0 and caught,
+        f"max Choi distance {worst:.3e} (tol 1e-10), runtime {elapsed:.2f}s (< 30s), "
+        f"swapped closed form detected {caught}",
     )
 
 
-def test_criterion_03_noiseless_subspace_preservation():
+def test_criterion_03_noiseless_subspace_preservation(monkeypatch):
     worst = 0.0
     for d in (2, 3, 4, 5):
-        k = k_closed_form(d)
-        layout = SubsystemLayout((d, d), ("A", "C"))
-        for x in range(d):
-            phi = ghz_ket(d, 2, x)
-            out = apply(k, phi.density(layout), ("A", "C"))
-            worst = max(worst, 1.0 - fidelity_with_ket(out, phi))
+        worst = max(worst, CHECKS["noiseless"].distance(d, 1))
     for d in (2, 3):
         for n in (1, 2, 3):
-            k = k_multiline(d, n)
-            labels = tuple(f"B{i}" for i in range(1, n + 1)) + ("C",)
-            layout = SubsystemLayout((d,) * (n + 1), labels)
-            for x in range(d):
-                g = ghz_ket(d, n + 1, x)
-                out = apply(k, g.density(layout), labels)
-                worst = max(worst, 1.0 - fidelity_with_ket(out, g))
+            worst = max(worst, CHECKS["multiline-noiseless"].distance(d, n))
+    caught = _rows_read_closed_form(
+        monkeypatch, [("noiseless", 2, 1), ("multiline-noiseless", 2, 2)]
+    )
     report(
         "criterion 3 (noiseless-subspace preservation incl. multiline)",
-        worst <= 1e-10,
-        f"max infidelity {worst:.3e} (tol 1e-10)",
+        worst <= 1e-10 and caught,
+        f"max infidelity {worst:.3e} (tol 1e-10), swapped closed form detected {caught}",
     )
 
 
@@ -242,7 +236,7 @@ def test_criterion_09_property_suites():
     worst_tp, worst_choi, worst_remix, worst_fourier, worst_meas = 0.0, 0.0, 0.0, 0.0, 0.0
     for d in (2, 3, 4):
         layout = SubsystemLayout((d, d), ("A", "C"))
-        k = k_closed_form(d)
+        k = k_multiline(d, 1)
         for _ in range(200):
             rho = random_density(d * d, rng, layout)
             out = apply(k, rho, ("A", "C"))

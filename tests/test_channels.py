@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qswitch_lab import (
+    ChoiMatrix,
     KrausChannel,
     SubsystemLayout,
     apply,
@@ -11,7 +12,7 @@ from qswitch_lab import (
     choi,
     erasing_channel,
     identity_channel,
-    maximally_entangled_ket,
+    ghz_ket,
     remix,
     tensor,
     vacuum_extend,
@@ -48,6 +49,14 @@ class TestKrausChannel:
         ops = (np.eye(2, dtype=complex), np.eye(3, dtype=complex))
         with pytest.raises(ValueError, match="shape"):
             KrausChannel(ops, 2, 2)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
+    def test_rejects_non_finite_operator(self, bad):
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = bad
+        with pytest.raises(ValueError, match="trace preserving"):
+            KrausChannel((k,), 2, 2)
 
 
 class TestErasingChannel:
@@ -125,6 +134,11 @@ class TestVacuumExtend:
         with pytest.raises(ValueError, match="amplitudes"):
             vacuum_extend(erasing_channel(2, 0), [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        with pytest.raises(ValueError, match="norm"):
+            vacuum_extend(erasing_channel(2, 0), [bad, 1.0])
+
 
 class TestCanonicalize:
     def test_fixed_point(self):
@@ -169,7 +183,7 @@ class TestApply:
 
     def test_erase_half_of_bell_pair(self):
         layout = SubsystemLayout((2, 2), ("A", "C"))
-        rho = maximally_entangled_ket(2).density(layout)
+        rho = ghz_ket(2, 2).density(layout)
         out = apply(erasing_channel(2, 0), rho, ("A",))
         kraus = erasing_channel(2, 0).kraus
         full = [np.kron(k, np.eye(2)) for k in kraus]
@@ -197,7 +211,7 @@ class TestApply:
 class TestChoi:
     def test_identity_channel_choi(self):
         c = choi(identity_channel(2))
-        phi = maximally_entangled_ket(2).amplitudes
+        phi = ghz_ket(2, 2).amplitudes
         assert np.allclose(c.entries, 2.0 * np.outer(phi, phi.conj()), atol=1e-12)
 
     def test_erasing_choi_matches_oracle(self):
@@ -212,6 +226,13 @@ class TestChoi:
         mixed = remix(ch, u)
         dist = np.linalg.norm(choi(ch).entries - choi(mixed).entries)
         assert dist < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        m = choi(identity_channel(2)).entries.copy()
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            ChoiMatrix(m, 2, 2)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_choi_positive_and_unit_marginal(self, d):

@@ -1,23 +1,17 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qswitch_lab.cli import main
-from qswitch_lab.numeric import policy
+from qswitch_lab.numeric import NumericPolicy, policy
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
-
-
-@pytest.fixture(autouse=True)
-def restore_policy():
-    saved = (policy.spectral_tol, policy.max_dim)
-    yield
-    policy.spectral_tol, policy.max_dim = saved
 
 
 class TestVerify:
@@ -47,6 +41,79 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--d", "2", "--n", "2"])
         assert result.exit_code == 0, result.output
         assert "multiline" in result.output
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_line_count_is_usage_error(self, runner, n):
+        result = runner.invoke(main, ["verify", "--d", "2", "--n", n])
+        assert result.exit_code == 2
+        assert "--n must be at least 1" in result.output
+
+
+_ORDER = "[PASS] closed form vs order enumeration (d={d})"
+_CHOICE = "[PASS] coincidence: choice vs order (d={d})"
+_NOISELESS = "[PASS] noiseless subspace preserved (d={d}, all phases)"
+_ROUND_TRIP = "[PASS] rank-one decomposition round-trip (d={d})"
+# every line of `verify`, in order, with the distance figure masked
+_VERIFY_OUTPUT = {
+    ("--d", "2", "--n", "2"): [
+        _ORDER, _CHOICE, _NOISELESS, _ROUND_TRIP,
+        "[PASS] multiline closed form vs enumeration (d={d}, N=2)",
+        "[PASS] multiline noiseless subspace (d={d}, N=2)",
+        "6/6 checks passed",
+    ],
+    ("--d", "3"): [_ORDER, _CHOICE, _NOISELESS, _ROUND_TRIP, "4/4 checks passed"],
+    ("--d", "4"): [_ORDER, _CHOICE, _NOISELESS, _ROUND_TRIP, "4/4 checks passed"],
+    ("--d", "3", "--n", "2"): [
+        _ORDER, _CHOICE, _NOISELESS, _ROUND_TRIP,
+        "[PASS] multiline noiseless subspace (d={d}, N=2)",
+        "5/5 checks passed",
+    ],
+    ("--d", "2", "--choice-amplitudes", "random-seeded"): [
+        _ORDER,
+        "[PASS] random extensions: choice differs from order (d={d})",
+        _NOISELESS, _ROUND_TRIP,
+        "4/4 checks passed",
+    ],
+}
+
+
+class TestVerifyOutput:
+    """The text of `verify`; distances are masked because round-off values
+    such as 3.331e-16 depend on the numpy/BLAS build."""
+
+    @pytest.mark.parametrize("args", list(_VERIFY_OUTPUT), ids=" ".join)
+    def test_lines_verdicts_and_tally(self, runner, args):
+        result = runner.invoke(main, ["verify", *args])
+        assert result.exit_code == 0, result.output
+        d = args[1]
+        masked = [
+            re.sub(r": distance \S+ \(tol 1\.0e-10\)$", "", ln)
+            for ln in result.output.splitlines()
+        ]
+        assert masked == [ln.format(d=d) for ln in _VERIFY_OUTPUT[args]]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--d", "5"), "Error: cyclic enumeration is capped at 4 channels, got 5"),
+            (
+                ("--d", "9", "--n", "3"),
+                "Error: multiline verification needs total dimension 6561, above the "
+                "configured limit of 4096",
+            ),
+            (
+                ("--d", "2", "--n", "10"),
+                "Error: 10-line coincidence channel as a Kraus list needs 2047 operators "
+                "of dimension 2048 (137372 MB), above the storage limit of 268 MB "
+                "(max_dim 4096 squared)",
+            ),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",
+    )
+    def test_guard_failures(self, runner, args, message):
+        result = runner.invoke(main, ["verify", *args])
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == message
 
 
 class TestRun:
@@ -215,6 +282,13 @@ class TestSweep:
             else:
                 assert val < 1 - 1e-9
 
+    def test_protocol_value_error_is_usage_error(self, runner):
+        result = runner.invoke(
+            main, ["sweep", "ghz", "--d", "2", "--receivers", "0", "--alpha", "0:1:3"]
+        )
+        assert result.exit_code == 2
+        assert "at least one receiver" in result.output
+
     def test_malformed_grid_exit_2(self, runner):
         assert runner.invoke(main, ["sweep", "private-dit", "--alpha", "nope"]).exit_code == 2
         assert runner.invoke(main, ["sweep", "private-dit", "--alpha", "0:2:5"]).exit_code == 2
@@ -253,3 +327,27 @@ class TestDeterminism:
             main, ["run", "ghz", "--d", "2", "--receivers", "2", "--max-dim", "64"]
         )
         assert result.exit_code == 0, result.output
+
+
+class TestPolicyScope:
+    """Tolerance and guard overrides last only as long as their command."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["verify", "--d", "2", "--n", "2", "--tol", "1e-3", "--max-dim", "64"], 0),
+            (["verify", "--d", "2", "--tol", "1e-30", "--max-dim", "64"], 1),  # checks fail
+            (["verify", "--d", "5", "--tol", "1e-3", "--max-dim", "64"], 2),  # guard
+            (["run", "ghz", "--d", "2", "--receivers", "2", "--tol", "1e-3", "--max-dim", "64"], 0),
+            (["run", "private-dit", "--d", "2", "--x", "7", "--tol", "1e-3"], 2),
+            (["run", "ghz", "--d", "3", "--receivers", "2"], 2),  # QSWITCH_MAX_DIM alone
+            (["sweep", "bipartite", "--d", "2", "--alpha", "0:1:3", "--tol", "1e-3",
+              "--max-dim", "64"], 0),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_overrides_restored_after_each_command(self, runner, monkeypatch, args, code):
+        monkeypatch.setenv("QSWITCH_MAX_DIM", "32")
+        result = runner.invoke(main, args)
+        assert result.exit_code == code, result.output
+        assert policy == NumericPolicy()

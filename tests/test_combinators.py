@@ -9,7 +9,6 @@ from qswitch_lab import (
     apply_coincidence,
     channels_equal,
     choi,
-    choice_two,
     coincidence_extensions,
     controlled_choice,
     cyclic_switch,
@@ -17,13 +16,10 @@ from qswitch_lab import (
     fidelity_with_ket,
     ghz_ket,
     identity_channel,
-    k_closed_form,
     k_multiline,
     k_multiline_enumerated,
-    maximally_entangled_ket,
     policy,
     remix,
-    switch_two,
     t_decomposition,
     target_sector_restriction,
     tensor,
@@ -39,17 +35,19 @@ def two_qudit_layout(d, labels=("A", "C")):
 
 
 class TestSwitchTwo:
+    """Order control of two channels: ``cyclic_switch`` with a qubit control."""
+
     def test_identity_channels_give_identity(self, rng):
-        sw = switch_two(identity_channel(2), identity_channel(2))
+        sw = cyclic_switch([identity_channel(2), identity_channel(2)])
         rho = random_density(4, rng, two_qudit_layout(2))
         out = apply(sw, rho, ("A", "C"))
         assert np.abs(out.entries - rho.entries).max() < 1e-12
 
     def test_noiseless_subspace_on_bell_state(self):
-        sw = switch_two(erasing_channel(2, 0), erasing_channel(2, 1))
-        rho = maximally_entangled_ket(2).density(two_qudit_layout(2))
+        sw = cyclic_switch([erasing_channel(2, 0), erasing_channel(2, 1)])
+        rho = ghz_ket(2, 2).density(two_qudit_layout(2))
         out = apply(sw, rho, ("A", "C"))
-        assert fidelity_with_ket(out, maximally_entangled_ket(2)) > 1 - 1e-12
+        assert fidelity_with_ket(out, ghz_ket(2, 2)) > 1 - 1e-12
 
     def test_plus_plus_input_matches_enumeration_oracle(self):
         # brute-force oracle: direct Kraus sums from the defining formula
@@ -66,11 +64,11 @@ class TestSwitchTwo:
         rho_in = tensor(plus, plus).density(two_qudit_layout(2))
         oracle = sum(K @ rho_in.entries @ K.conj().T for K in ops)
 
-        sw = switch_two(e, f)
+        sw = cyclic_switch([e, f])
         out = apply(sw, rho_in, ("A", "C"))
         assert np.abs(out.entries - oracle).max() < 1e-14
 
-        phi = maximally_entangled_ket(2).amplitudes
+        phi = ghz_ket(2, 2).amplitudes
         expected = 0.5 * np.outer(phi, phi.conj())
         expected[0, 0] += 0.25
         expected[3, 3] += 0.25
@@ -78,30 +76,32 @@ class TestSwitchTwo:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="equal dimension"):
-            switch_two(erasing_channel(2, 0), erasing_channel(3, 0))
+            cyclic_switch([erasing_channel(2, 0), erasing_channel(3, 0)])
 
     def test_representation_independence(self, rng):
         e, f = erasing_channel(2, 0), erasing_channel(2, 1)
-        sw = switch_two(e, f)
+        sw = cyclic_switch([e, f])
         for _ in range(20):
             e2 = remix(e, random_unitary(2, rng))
             f2 = remix(f, random_unitary(2, rng))
-            sw2 = switch_two(e2, f2)
+            sw2 = cyclic_switch([e2, f2])
             assert channels_equal(sw, sw2, 1e-12).equal
 
 
 class TestChoiceTwo:
+    """Choice control of two extended channels: ``controlled_choice`` of two."""
+
     def test_matches_switch_on_target_sector(self):
         e_ext, f_ext = coincidence_extensions(2)
-        ch = choice_two(e_ext, f_ext)
+        ch = controlled_choice([e_ext, f_ext])
         restricted = target_sector_restriction(ch, 2)
-        sw = switch_two(erasing_channel(2, 0), erasing_channel(2, 1))
+        sw = cyclic_switch([erasing_channel(2, 0), erasing_channel(2, 1)])
         cmp = channels_equal(restricted, sw)
         assert cmp.equal, cmp.distance
 
     def test_controlled_identity(self, rng):
         ext = vacuum_extend(identity_channel(2), [1.0])
-        ch = choice_two(ext, ext)
+        ch = controlled_choice([ext, ext])
         layout = SubsystemLayout((3, 2), ("T", "C"))
         rho = random_density(6, rng, layout)
         out = apply(ch, rho, ("T", "C"))
@@ -109,7 +109,7 @@ class TestChoiceTwo:
 
     def test_vacuum_control_sector_fixed(self):
         e_ext, f_ext = coincidence_extensions(2)
-        ch = choice_two(e_ext, f_ext)
+        ch = controlled_choice([e_ext, f_ext])
         layout = SubsystemLayout((3, 2), ("T", "C"))
         from qswitch_lab import basis_ket
 
@@ -124,19 +124,14 @@ class TestChoiceTwo:
             vacuum_extend(erasing_channel(2, j), [1 / np.sqrt(2), 1 / np.sqrt(2)])
             for j in range(2)
         ]
-        a = target_sector_restriction(choice_two(*coincidence), 2)
-        b = target_sector_restriction(choice_two(*uniform), 2)
+        a = target_sector_restriction(controlled_choice(coincidence), 2)
+        b = target_sector_restriction(controlled_choice(uniform), 2)
         cmp = channels_equal(a, b, 1e-10)
         assert not cmp.equal
         assert cmp.distance > 1e-6
 
 
 class TestCyclicSwitch:
-    def test_d2_equals_switch_two(self):
-        e, f = erasing_channel(2, 0), erasing_channel(2, 1)
-        cmp = channels_equal(cyclic_switch([e, f]), switch_two(e, f), 1e-12)
-        assert cmp.equal and cmp.distance == 0.0
-
     @pytest.mark.parametrize("d,count", [(2, 3), (3, 7), (4, 13)])
     def test_nonzero_kraus_count(self, d, count):
         sw = cyclic_switch([erasing_channel(d, j) for j in range(d)])
@@ -175,11 +170,6 @@ class TestControlledChoice:
         cmp = channels_equal(restricted, order, 1e-10)
         assert cmp.equal, cmp.distance
 
-    def test_d2_matches_choice_two(self):
-        exts = coincidence_extensions(2)
-        cmp = channels_equal(controlled_choice(exts), choice_two(*exts), 1e-12)
-        assert cmp.equal
-
     def test_generic_amplitudes_differ_from_order_control(self, rng):
         d = 2
         exts = []
@@ -200,23 +190,23 @@ class TestClosedForm:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_equals_cyclic_switch(self, d):
         order = cyclic_switch([erasing_channel(d, j) for j in range(d)])
-        cmp = channels_equal(k_closed_form(d), order, 1e-12)
+        cmp = channels_equal(k_multiline(d, 1), order, 1e-12)
         assert cmp.equal, cmp.distance
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_fixes_phased_maximally_entangled_states(self, d):
-        k = k_closed_form(d)
+        k = k_multiline(d, 1)
         for x in range(d):
             phi = ghz_ket(d, 2, x)
             out = apply(k, phi.density(two_qudit_layout(d)), ("A", "C"))
             assert fidelity_with_ket(out, phi) >= 1 - 1e-10
 
     def test_plus_plus_value_matches_switch_example(self):
-        k = k_closed_form(2)
+        k = k_multiline(2, 1)
         plus = Ket.normalized([1, 1])
         rho = tensor(plus, plus).density(two_qudit_layout(2))
         out = apply(k, rho, ("A", "C"))
-        phi = maximally_entangled_ket(2).amplitudes
+        phi = ghz_ket(2, 2).amplitudes
         expected = 0.5 * np.outer(phi, phi.conj())
         expected[0, 0] += 0.25
         expected[3, 3] += 0.25
@@ -224,7 +214,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_output_support_on_diagonal_span(self, d, rng):
-        k = k_closed_form(d)
+        k = k_multiline(d, 1)
         layout = two_qudit_layout(d)
         diag_idx = [j * d + j for j in range(d)]
         off = [i for i in range(d * d) if i not in diag_idx]
@@ -238,8 +228,19 @@ class TestClosedForm:
 
 class TestMultiline:
     def test_n1_reduces_to_closed_form(self):
-        cmp = channels_equal(k_multiline(2, 1), k_closed_form(2), 1e-12)
-        assert cmp.equal and cmp.distance == 0.0
+        # {P0} + {|j><l| (x) |j><j| : l != j}, P0 = sum_j |jj><jj|, in this order
+        for d in (2, 3):
+            e = np.eye(d, dtype=complex)
+            p0 = sum(np.outer(np.kron(e[j], e[j]), np.kron(e[j], e[j])) for j in range(d))
+            ops = [p0] + [
+                np.kron(np.outer(e[j], e[l]), np.outer(e[j], e[j]))
+                for j in range(d)
+                for l in range(d)
+                if l != j
+            ]
+            k = k_multiline(d, 1)
+            assert len(k.kraus) == len(ops)
+            assert all(np.array_equal(a, b) for a, b in zip(k.kraus, ops))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_enumeration_oracle(self, n):
@@ -360,43 +361,6 @@ class TestApplyCoincidence:
             apply_coincidence(rho, ("C",))
 
 
-class TestControlledChannelSpec:
-    def test_order_spec_builds_cyclic_switch(self):
-        from qswitch_lab import ControlledChannelSpec
-
-        chans = tuple(erasing_channel(3, j) for j in range(3))
-        spec = ControlledChannelSpec(3, "order", chans)
-        cmp = channels_equal(spec.build(), k_closed_form(3), 1e-12)
-        assert cmp.equal
-
-    def test_choice_spec_builds_controlled_choice(self):
-        from qswitch_lab import ControlledChannelSpec
-
-        exts = tuple(coincidence_extensions(2))
-        spec = ControlledChannelSpec(2, "choice", exts)
-        cmp = channels_equal(spec.build(), controlled_choice(list(exts)), 1e-12)
-        assert cmp.equal
-
-    def test_multiline_order_spec(self):
-        from qswitch_lab import ControlledChannelSpec
-
-        chans = tuple(erasing_channel(2, j) for j in range(2))
-        spec = ControlledChannelSpec(2, "order", chans, n_lines=2)
-        cmp = channels_equal(spec.build(), k_multiline(2, 2), 1e-10)
-        assert cmp.equal
-
-    def test_validation(self):
-        from qswitch_lab import ControlledChannelSpec
-
-        chans = tuple(erasing_channel(2, j) for j in range(2))
-        with pytest.raises(ValueError, match="mode"):
-            ControlledChannelSpec(2, "parallel", chans)
-        with pytest.raises(ValueError, match="exactly"):
-            ControlledChannelSpec(3, "order", chans)
-        with pytest.raises(ValueError, match="ExtendedChannel"):
-            ControlledChannelSpec(2, "choice", chans)
-
-
 class TestTDecomposition:
     def test_coincidence_extensions_give_basis_vectors(self):
         d = 3
@@ -463,7 +427,7 @@ class TestCombinatorChannelProperties:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_trace_preservation_and_choi_positivity(self, d, rng):
         built = [
-            k_closed_form(d),
+            k_multiline(d, 1),
             cyclic_switch([erasing_channel(d, j) for j in range(d)]),
             target_sector_restriction(controlled_choice(coincidence_extensions(d)), d),
         ]

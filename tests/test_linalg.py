@@ -12,7 +12,6 @@ from qswitch_lab import (
     fourier_basis,
     fourier_ket,
     ghz_ket,
-    maximally_entangled_ket,
     partial_trace,
     permute_basis,
     policy,
@@ -185,7 +184,7 @@ class TestTensor:
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
         layout = SubsystemLayout((2, 2), ("A", "C"))
-        rho = maximally_entangled_ket(2).density(layout)
+        rho = ghz_ket(2, 2).density(layout)
         red = partial_trace(rho, ("A",))
         assert np.allclose(red.entries, np.eye(2) / 2, atol=1e-12)
 
@@ -254,7 +253,7 @@ class TestFourier:
 class TestSchmidt:
     def test_bell_state(self):
         layout = SubsystemLayout((2, 2), ("A", "C"))
-        dec = schmidt_decomposition(maximally_entangled_ket(2), layout, ("A",))
+        dec = schmidt_decomposition(ghz_ket(2, 2), layout, ("A",))
         assert np.allclose(dec.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
 
     def test_product_state(self):
@@ -297,14 +296,14 @@ class TestSchmidt:
     def test_empty_side_rejected(self):
         layout = SubsystemLayout((2, 2), ("A", "B"))
         with pytest.raises(ValueError, match="nonempty"):
-            schmidt_decomposition(maximally_entangled_ket(2), layout, ("A", "B"))
+            schmidt_decomposition(ghz_ket(2, 2), layout, ("A", "B"))
 
 
 class TestMeasurement:
     def test_bell_fourier_branches(self):
         # direct projector-arithmetic oracle: p = <f_m|_C rho |f_m>_C trace
         layout = SubsystemLayout((2, 2), ("A", "C"))
-        rho = maximally_entangled_ket(2).density(layout)
+        rho = ghz_ket(2, 2).density(layout)
         branches = projective_measure(rho, fourier_basis(2), "C")
         plus = Ket.normalized([1, 1])
         minus = Ket.normalized([1, -1])
@@ -326,8 +325,8 @@ class TestMeasurement:
         branches = projective_measure(rho, fourier_basis(2), "C")
         for b in branches:
             assert abs(b.probability - 0.5) < 1e-12
-        assert fidelity_with_ket(branches[0].state, maximally_entangled_ket(2, 0)) > 1 - 1e-12
-        assert fidelity_with_ket(branches[1].state, maximally_entangled_ket(2, 1)) > 1 - 1e-12
+        assert fidelity_with_ket(branches[0].state, ghz_ket(2, 2, 0)) > 1 - 1e-12
+        assert fidelity_with_ket(branches[1].state, ghz_ket(2, 2, 1)) > 1 - 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_completeness_on_random_states(self, d, rng):
@@ -342,7 +341,7 @@ class TestMeasurement:
 
     def test_non_orthonormal_basis_rejected(self):
         layout = SubsystemLayout((2, 2), ("A", "C"))
-        rho = maximally_entangled_ket(2).density(layout)
+        rho = ghz_ket(2, 2).density(layout)
         skew = [basis_ket(2, 0), Ket.normalized([1.0, 0.3])]
         with pytest.raises(ValueError, match="Gram deviation"):
             projective_measure(rho, skew, "C")
@@ -446,3 +445,12 @@ class TestEmbeddedUnitaries:
         rho = random_density(4, rng, SubsystemLayout((2, 2), ("A", "B")))
         with pytest.raises(ValueError, match="not unitary"):
             apply_unitary(rho, np.array([[1, 1], [0, 1]], dtype=complex), ("A",))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_unitary(self, bad, rng):
+        rho = random_density(4, rng, SubsystemLayout((2, 2), ("A", "B")))
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_unitary(rho, u, ("A",))

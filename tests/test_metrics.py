@@ -12,7 +12,6 @@ from qswitch_lab import (
     ghz_ket,
     helstrom_error,
     is_maximally_entangled,
-    maximally_entangled_ket,
     mutual_information,
     policy,
     tensor,
@@ -40,7 +39,7 @@ def spin_flip_oracle(rho):
 
 class TestConcurrence:
     def test_bell_state(self):
-        rho = maximally_entangled_ket(2).density(SubsystemLayout((2, 2), ("A", "B")))
+        rho = ghz_ket(2, 2).density(SubsystemLayout((2, 2), ("A", "B")))
         assert abs(concurrence_2qubit(rho) - 1.0) < 1e-10
 
     def test_product_state(self):
@@ -74,13 +73,13 @@ class TestGGM:
         assert abs(ggm(ghz_ket(3, 4), layout) - 2 / 3) < 1e-12
 
     def test_product_across_one_cut(self):
-        psi = tensor(maximally_entangled_ket(2), basis_ket(2, 0))
+        psi = tensor(ghz_ket(2, 2), basis_ket(2, 0))
         layout = SubsystemLayout((2, 2, 2), ("A", "B", "C"))
         assert ggm(psi, layout) < 1e-12
 
     def test_invariant_under_local_unitaries(self, rng):
         layout = SubsystemLayout((2, 2, 2), ("A", "B", "C"))
-        for base in (ghz_ket(2, 3), tensor(maximally_entangled_ket(2), basis_ket(2, 0))):
+        for base in (ghz_ket(2, 3), tensor(ghz_ket(2, 2), basis_ket(2, 0))):
             ref = ggm(base, layout)
             for _ in range(50):
                 us = [random_unitary(2, rng) for _ in range(3)]

@@ -13,16 +13,14 @@ from qswitch_lab import (
     clone_extend_unitary,
     clone_permutation,
     concurrence_2qubit,
-    correction_unitary,
     decode_summary,
     dfs_phase_encodings,
     fixed_configuration_baseline,
     ghz_ket,
-    maximally_entangled_ket,
     mutual_information,
     necessity_sweep,
     permute_basis,
-    phase_encoding_unitary,
+    phase_unitary,
     policy,
     privacy_report,
     run_bipartite_establishment,
@@ -90,20 +88,25 @@ def oracle_bipartite_branch_states(alpha):
 
 class TestLocalUnitaries:
     def test_phase_encoding_identity_and_z(self):
-        assert np.allclose(phase_encoding_unitary(0, 3).entries, np.eye(3))
-        assert np.allclose(phase_encoding_unitary(1, 2).entries, np.diag([1, -1]))
+        assert np.allclose(phase_unitary(0, 3).entries, np.eye(3))
+        assert np.allclose(phase_unitary(1, 2).entries, np.diag([1, -1]))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_phase_encoding_generates_phased_family(self, d):
-        phi0 = maximally_entangled_ket(d)
+        phi0 = ghz_ket(d, 2)
         for x in range(d):
-            u = phase_encoding_unitary(x, d).entries
+            u = phase_unitary(x, d).entries
             rotated = np.kron(u, np.eye(d)) @ phi0.amplitudes
             assert np.abs(rotated - ghz_ket(d, 2, x).amplitudes).max() < 1e-12
 
     def test_correction_is_z_power_for_qubits(self):
-        assert np.allclose(correction_unitary(0, 2).entries, np.eye(2))
-        assert np.allclose(correction_unitary(1, 2).entries, np.diag([1, -1]))
+        assert np.allclose(phase_unitary(0, 2).entries, np.eye(2))
+        assert np.allclose(phase_unitary(1, 2).entries, np.diag([1, -1]))
+
+    @pytest.mark.parametrize("k,d", [(3, 3), (-1, 2), (2, 2)])
+    def test_phase_index_out_of_range(self, k, d):
+        with pytest.raises(ValueError, match="out of range"):
+            phase_unitary(k, d)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_correction_restores_zero_branch(self, d):
@@ -112,8 +115,8 @@ class TestLocalUnitaries:
             cond = np.zeros(d * d, dtype=complex)
             for j in range(d):
                 cond[j * d + j] = np.exp(-2j * np.pi * j * m / d) / np.sqrt(d)
-            fixed = np.kron(np.eye(d), correction_unitary(m, d).entries) @ cond
-            assert abs(abs(np.vdot(maximally_entangled_ket(d).amplitudes, fixed)) - 1.0) < 1e-12
+            fixed = np.kron(np.eye(d), phase_unitary(m, d).entries) @ cond
+            assert abs(abs(np.vdot(ghz_ket(d, 2).amplitudes, fixed)) - 1.0) < 1e-12
 
     def test_clone_unitary_on_basis(self):
         v = clone_extend_unitary(2, 1).entries
@@ -153,7 +156,7 @@ class TestLocalUnitaries:
 
     def test_clone_builds_ghz_from_pair(self):
         layout = SubsystemLayout((2, 2, 2), ("A", "A1", "C"))
-        rho = tensor(maximally_entangled_ket(2), basis_ket(2, 0)).density(
+        rho = tensor(ghz_ket(2, 2), basis_ket(2, 0)).density(
             SubsystemLayout((2, 2, 2), ("A", "C", "A1"))
         ).reorder(("A", "A1", "C"))
         from qswitch_lab import apply_unitary
@@ -202,7 +205,7 @@ class TestPrivateDit:
 
     def test_explicit_resource_roundtrip(self):
         layout = SubsystemLayout((2, 2), ("A", "C"))
-        res = ResourceState.explicit(maximally_entangled_ket(2).density(layout))
+        res = ResourceState.explicit(ghz_ket(2, 2).density(layout))
         t = run_private_dit(2, 1, res)
         assert abs(t.metrics["success_probability"] - 1.0) < 1e-10
 
@@ -287,7 +290,7 @@ class TestBipartite:
     def test_branch_fidelity_matches_oracle(self):
         alpha = 0.1
         t = run_bipartite_establishment(2, ResourceState.from_schmidt((alpha, 1 - alpha)))
-        phi = maximally_entangled_ket(2).amplitudes
+        phi = ghz_ket(2, 2).amplitudes
         for b, (p, v) in zip(t.branches, oracle_bipartite_branch_states(alpha)):
             assert abs(b.probability - p) < 1e-12
             assert abs(b.metrics["fidelity"] - abs(np.vdot(phi, v)) ** 2) < 1e-12
