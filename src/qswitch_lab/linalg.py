@@ -178,42 +178,55 @@ class Operator:
         return bool(np.abs(gram - np.eye(self.cols)).max() <= tol)
 
 
-# below this dimension the PSD check decomposes the full matrix: locating the
-# support costs about as much as the eigenvalues themselves
+# at or below this dimension the checks and ``to_ket`` use the whole matrix:
+# locating the support costs about as much as the decomposition itself
 _SUPPORT_MIN_DIM = 16
 
 
-def _min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a square matrix, found on its support.
+def _support_block(m: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """The support of a square matrix and the block of ``m`` on it.
 
     The support is every index whose row or column holds an exactly nonzero
-    entry.  The other rows and columns are exactly zero and contribute only
-    zero eigenvalues, so the minimum is that of the support block, capped at
-    0 when the support is smaller than the matrix.  The caller has checked
-    the unit trace, so the support is never empty.
+    entry; a NaN or infinite entry is nonzero, so it stays in.  The support
+    is None, and the block ``m`` itself, at or below ``_SUPPORT_MIN_DIM`` and
+    when the support is every index.
     """
     n = m.shape[0]
     if n > _SUPPORT_MIN_DIM:
         nz = m != 0
         support = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
         if support.size < n:
-            return min(float(np.linalg.eigvalsh(m[np.ix_(support, support)])[0]), 0.0)
-    return float(np.linalg.eigvalsh(m)[0])
+            return support, m[np.ix_(support, support)]
+    return None, m
+
+
+def _min_eigenvalue(block: np.ndarray, n: int) -> float:
+    """Smallest eigenvalue of an n x n matrix, from its support block.
+
+    The rows and columns outside the block are exactly zero and add only zero
+    eigenvalues, so the minimum is that of the block, capped at 0 when the
+    block is smaller than the matrix.
+    """
+    low = float(np.linalg.eigvalsh(block)[0])
+    return min(low, 0.0) if block.shape[0] < n else low
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite matrix with a layout.
 
-    Construction checks all three properties.  Positivity is decided on the
-    support, the indices whose row or column is not exactly zero: the rows
-    and columns left out add only zero eigenvalues, so the check is exact,
-    and a low-rank state in a large space costs a decomposition of its
-    support only.
+    Construction finds the support once, the indices whose row or column is
+    not exactly zero, and decides all three properties on the support block.
+    Every nonzero entry lies inside that block, so the Hermiticity residual
+    and the trace are those of the whole matrix, and the rows and columns
+    left out add only zero eigenvalues: the checks are exact.  ``to_ket``
+    decomposes the same block.  A low-rank state in a large space therefore
+    costs a decomposition of its support only.
     """
 
     entries: np.ndarray
     layout: SubsystemLayout
+    _support: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -224,18 +237,21 @@ class DensityMatrix:
                 f"matrix dimension {m.shape[0]} does not match layout "
                 f"dims {self.layout.dims} (product {self.layout.total_dim})"
             )
+        support, b = _support_block(m)
         # each check is written to fail on NaN, which compares False both
-        # ways; a NaN or infinite entry already makes ``herm`` NaN
-        herm = np.abs(m - m.conj().T).max()
+        # ways; a NaN or infinite entry already makes ``herm`` NaN.  An empty
+        # support (the zero matrix) fails on the trace.
+        herm = np.abs(b - b.conj().T).max() if b.size else 0.0
         if not herm <= policy.structural_tol:
             raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
-        tr = m.trace()
+        tr = b.trace()
         if not abs(tr - 1.0) <= policy.structural_tol:
             raise ValueError(f"trace is {tr!r}, not 1")
-        min_eig = _min_eigenvalue(m)
+        min_eig = _min_eigenvalue(b, m.shape[0])
         if not min_eig >= policy.psd_floor:
             raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "entries", _readonly(m))
+        object.__setattr__(self, "_support", support)
 
     @property
     def dim(self) -> int:
@@ -250,12 +266,19 @@ class DensityMatrix:
         return self.purity() >= 1.0 - tol
 
     def to_ket(self, tol: float | None = None) -> Ket:
-        """Extract the state vector of a pure density matrix (phase arbitrary)."""
+        """Extract the state vector of a pure density matrix (phase arbitrary).
+
+        The ket is the top eigenvector of the support block, embedded in zeros.
+        """
         tol = policy.spectral_tol if tol is None else tol
         if not self.is_pure(tol):
             raise ValueError(f"state is mixed (purity {self.purity():.6f}); no ket exists")
-        vals, vecs = np.linalg.eigh(self.entries)
-        return Ket.normalized(vecs[:, -1])
+        support = self._support
+        if support is None:
+            return Ket.normalized(np.linalg.eigh(self.entries)[1][:, -1])
+        v = np.zeros(self.dim, dtype=complex)
+        v[support] = np.linalg.eigh(self.entries[np.ix_(support, support)])[1][:, -1]
+        return Ket.normalized(v)
 
     def relabel(self, mapping: dict[str, str]) -> "DensityMatrix":
         return DensityMatrix(self.entries, self.layout.relabel(mapping))

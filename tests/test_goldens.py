@@ -4,7 +4,7 @@
 and the sha256 of its bytes.  The test regenerates all of them through the
 CLI in one fresh interpreter with one BLAS thread, the way the pins were
 taken, and compares the hashes.  ``goldens.tar.xz`` next to this file holds
-the pinned bytes themselves (about 25 kB for 105 MB of output), so a
+the pinned bytes themselves (about 22 kB for 105 MB of output), so a
 mismatch names the first line that differs.
 
 To re-pin, run ``python tests/test_goldens.py``: it regenerates every
@@ -52,7 +52,7 @@ GOLDENS = {
     "sweep_bip.csv": (("sweep", "bipartite") + _ALPHA, "f36a4d0fe3c08064dda7770ca24673d12464116db0ee7ccb1d92a5e76f19611c"),
     "sweep_ghz.csv": (("sweep", "ghz") + _ALPHA, "f36a4d0fe3c08064dda7770ca24673d12464116db0ee7ccb1d92a5e76f19611c"),
     "fixed_d3.json": (("run", "fixed-baseline", "--d", "3"), "6affcd9857a4b238fa66314a5fbdf683e95bac95614348e15cb17f9ad025c63d"),
-    "ghz_d5_n2.json": (("run", "ghz", "--d", "5", "--receivers", "2"), "36a05d222880f7003f84a2edbb687a66b28e62dded616f8e14d43e9434962c2f"),
+    "ghz_d5_n2.json": (("run", "ghz", "--d", "5", "--receivers", "2"), "f1d78d1d5dcb9b7396b2d0ed10893788da78e0b96d7ba877b7cb7f4f19597e70"),
     "ghz_d2_n5.json": (("run", "ghz", "--d", "2", "--receivers", "5"), "9afc90247948ec2003104b7d0774555095cec6fe9116889e24f8b6b515fb3044"),
 }
 

@@ -21,7 +21,7 @@ from qswitch_lab import (
     tensor_all,
     trace_distance,
 )
-from qswitch_lab.linalg import _min_eigenvalue
+from qswitch_lab.linalg import _SUPPORT_MIN_DIM, _min_eigenvalue, _support_block
 
 from conftest import naive_partial_trace, random_density, random_ket, random_unitary
 
@@ -94,6 +94,11 @@ def padded_state(n, support, eigenvalues, rng):
     return m
 
 
+def support_min_eigenvalue(m):
+    """The minimum eigenvalue as construction finds it, on the support block."""
+    return _min_eigenvalue(_support_block(m)[1], m.shape[0])
+
+
 class TestSupportPSD:
     @pytest.mark.parametrize("n", [4, 16, 17, 40, 64])
     def test_padded_blocks_match_full_decomposition(self, n, rng):
@@ -109,7 +114,7 @@ class TestSupportPSD:
                 lam = [lowest, *(rest * (1.0 - lowest) / rest.sum())]
             m = padded_state(n, support, lam, rng)
             full_min = float(np.linalg.eigvalsh(m)[0])
-            assert abs(_min_eigenvalue(m) - full_min) < 1e-14
+            assert abs(support_min_eigenvalue(m) - full_min) < 1e-14
             if full_min < policy.psd_floor:
                 with pytest.raises(ValueError, match="not positive semidefinite"):
                     DensityMatrix(m, layout)
@@ -134,7 +139,7 @@ class TestSupportPSD:
     def test_full_support_state(self, rng):
         rho = random_density(32, rng, SubsystemLayout((2, 16), ("A", "B")))
         assert np.all(rho.entries != 0)
-        assert _min_eigenvalue(rho.entries) == float(np.linalg.eigvalsh(rho.entries)[0])
+        assert support_min_eigenvalue(rho.entries) == float(np.linalg.eigvalsh(rho.entries)[0])
         m = padded_state(32, np.arange(32), np.r_[-1e-6, np.full(31, (1 + 1e-6) / 31)], rng)
         with pytest.raises(ValueError, match="not positive semidefinite"):
             DensityMatrix(m, SubsystemLayout((32,), ("A",)))
@@ -143,6 +148,117 @@ class TestSupportPSD:
         rho = random_density(12, rng)
         assert abs(rho.purity() - np.trace(rho.entries @ rho.entries).real) < 1e-15
         assert basis_ket(20, 7).density().purity() == 1.0
+
+
+def full_matrix_verdict(m):
+    """The whole-matrix check, in the constructor's order: error text or None."""
+    herm = np.abs(m - m.conj().T).max()
+    if not herm <= policy.structural_tol:
+        return f"not Hermitian: max asymmetry {herm:.3e}"
+    if not abs(m.trace() - 1.0) <= policy.structural_tol:
+        return "trace is"
+    min_eig = float(np.linalg.eigvalsh(m)[0])
+    if not min_eig >= policy.psd_floor:
+        return f"not positive semidefinite: min eigenvalue {min_eig:.3e}"
+    return None
+
+
+def constructor_verdict(m):
+    try:
+        DensityMatrix(m, SubsystemLayout((m.shape[0],), ("A",)))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def random_padded_state(n, rng, k=6):
+    """A valid rank-k state, zero outside k random indices, and those indices."""
+    support = np.sort(rng.choice(n, size=k, replace=False))
+    lam = rng.random(k)
+    return padded_state(n, support, lam / lam.sum(), rng), support
+
+
+class TestSupportChecks:
+    """Hermiticity, trace and positivity decided on the support block."""
+
+    @pytest.mark.parametrize("n", [17, 40, 300])
+    @pytest.mark.parametrize("case", ["valid", "asymmetric", "one-sided", "trace", "negative"])
+    def test_same_verdict_and_residual_as_full_matrix(self, n, case, rng):
+        m, support = random_padded_state(n, rng)
+        i, j = support[1], support[4]
+        if case == "asymmetric":
+            m[i, j] += 1e-9
+        elif case == "one-sided":
+            # the only nonzero of column k, whose row is zero: k joins the
+            # support through its column
+            k = next(k for k in range(n) if k not in support)
+            m[i, k] = 1e-9
+            support = np.sort(np.append(support, k))
+        elif case == "trace":
+            m[i, i] += 1e-9
+        elif case == "negative":
+            m = padded_state(n, support, [-1e-6, 0.1, 0.2, 0.2, 0.2, 0.3 + 1e-6], rng)
+        found, block = _support_block(m)
+        assert np.array_equal(found, support)
+        assert np.abs(block - block.conj().T).max() == np.abs(m - m.conj().T).max()
+        expected = full_matrix_verdict(m)
+        got = constructor_verdict(m)
+        if expected == "trace is":  # the repr of the trace may differ in its last bit
+            assert got.startswith(expected)
+        else:
+            assert got == expected
+        assert (got is None) == (case == "valid")
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan])
+    @pytest.mark.parametrize("where", ["inside", "outside"])
+    def test_non_finite_entries_rejected(self, bad, where, rng):
+        m, support = random_padded_state(40, rng)
+        k = support[2] if where == "inside" else next(
+            i for i in range(40) if i not in support
+        )
+        m[k, k] = bad
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(m, SubsystemLayout((40,), ("A",)))
+
+    @pytest.mark.parametrize("n", [4, 17, 300])
+    def test_zero_matrix_fails_on_trace(self, n):
+        with pytest.raises(ValueError, match="trace is .*0j.*, not 1"):
+            DensityMatrix(np.zeros((n, n)), SubsystemLayout((n,), ("A",)))
+
+    def test_support_kept_only_above_threshold(self, rng):
+        small = DensityMatrix(np.diag([1.0] + [0.0] * 15), SubsystemLayout((16,), ("A",)))
+        assert small._support is None
+        m, support = random_padded_state(17, rng)
+        assert np.array_equal(DensityMatrix(m, SubsystemLayout((17,), ("A",)))._support, support)
+        assert random_density(20, rng)._support is None  # full support
+
+
+def assert_same_ket_up_to_phase(a, b):
+    overlap = np.vdot(b, a)
+    assert abs(abs(overlap) - 1.0) <= policy.spectral_tol
+    assert np.abs(a - (overlap / abs(overlap)) * b).max() <= policy.spectral_tol
+
+
+class TestToKet:
+    @pytest.mark.parametrize("n,k", [(8, 3), (17, 1), (17, 5), (40, 7), (300, 4)])
+    def test_support_ket_matches_full_eigh(self, n, k, rng):
+        for _ in range(5):
+            support = np.sort(rng.choice(n, size=k, replace=False))
+            psi = np.zeros(n, dtype=complex)
+            psi[support] = random_ket(k, rng).amplitudes
+            rho = DensityMatrix(np.outer(psi, psi.conj()), SubsystemLayout((n,), ("A",)))
+            got = rho.to_ket().amplitudes
+            full = np.linalg.eigh(rho.entries)[1][:, -1]
+            assert_same_ket_up_to_phase(got, full)
+            assert_same_ket_up_to_phase(got, psi)
+            if n > _SUPPORT_MIN_DIM:  # the ket is embedded in exact zeros
+                assert np.all(got[np.setdiff1d(np.arange(n), support)] == 0)
+
+    def test_mixed_state_has_no_ket(self, rng):
+        m, _ = random_padded_state(40, rng)
+        with pytest.raises(ValueError, match="mixed"):
+            DensityMatrix(m, SubsystemLayout((40,), ("A",))).to_ket()
 
 
 class TestTensor:

@@ -363,6 +363,27 @@ class TestGHZ:
         monkeypatch.setattr(protocols, "permute_basis", self._dense_clone)
         assert parts() == fast
 
+    def test_to_ket_decomposes_only_the_support(self, monkeypatch):
+        # every state after the clone lies in span{|j>_A|j..j>_B|j>_C}, so each
+        # ket is read from a d x d block, not from the d^(N+2) or d^(N+1) matrix
+        eigh, to_ket = np.linalg.eigh, DensityMatrix.to_ket
+        shapes, calls = [], []
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        def counting_to_ket(self, *args, **kwargs):
+            calls.append(self.dim)
+            return to_ket(self, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(DensityMatrix, "to_ket", counting_to_ket)
+        t = run_ghz_distribution(3, 3, ResourceState.maximally_entangled(3))
+        assert calls == [3**5] + [3**4] * 3  # the transmitted state, then each branch
+        assert shapes == [(3, 3)] * len(calls)
+        assert t.metrics["maximally_entangled_all_branches"]
+
     def test_resource_guard(self):
         with pytest.raises(ResourceGuardError, match="limit"):
             run_ghz_distribution(9, 3, ResourceState.maximally_entangled(9))
