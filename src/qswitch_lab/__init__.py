@@ -38,7 +38,6 @@ from .linalg import (
     Ket,
     MeasurementBranch,
     Operator,
-    SchmidtDecomposition,
     SubsystemLayout,
     apply_unitary,
     basis_ket,
@@ -49,9 +48,8 @@ from .linalg import (
     partial_trace,
     permute_basis,
     projective_measure,
-    schmidt_decomposition,
+    schmidt_coefficients,
     tensor,
-    tensor_all,
     trace_distance,
 )
 from .metrics import (

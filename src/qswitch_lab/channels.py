@@ -8,7 +8,8 @@ reported alongside every verdict.
 The Choi matrix uses the unnormalized convention ``C = (id (x) ch)(Omega)``
 with ``Omega = sum_{k,l} |kk><ll|``, so ``trace(C) = in_dim`` and the
 partial trace of ``C`` over the output factor equals the identity for a
-trace-preserving channel.
+trace-preserving channel.  Its positivity is decided on its support, as for
+``linalg.DensityMatrix``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from .linalg import (
     DensityMatrix,
     _coincidence_embedded,
     _conjugate_embedded,
+    _min_eigenvalue,
     _readonly,
+    _support_block,
 )
 from .numeric import guard_dimension, policy
 
@@ -240,7 +243,7 @@ class ChoiMatrix:
             raise ValueError(f"Choi matrix must be {n}x{n}")
         if not np.isfinite(m).all():  # eigvalsh does not converge on them
             raise ValueError("Choi matrix has NaN or infinite entries")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
+        min_eig = _min_eigenvalue(_support_block(m)[1], n)
         if not min_eig >= policy.psd_floor:
             raise ValueError(f"Choi matrix not PSD: min eigenvalue {min_eig:.3e}")
         red = np.einsum(

@@ -15,8 +15,9 @@ Subcommands
     Evaluate a protocol over a grid of resource Schmidt spectra and write
     the resulting table as CSV.
 
-Flags may also be supplied through a flat JSON config file (``--config``);
-explicit flags override file values.  The environment variable
+Flags may also be supplied through a flat JSON config file (``--config``):
+its values go through each flag's own type and choices, and explicit flags
+override them.  The environment variable
 ``QSWITCH_MAX_DIM`` overrides the default resource guard, and ``--max-dim``
 overrides both.
 """
@@ -64,9 +65,9 @@ _EXIT_CONFIG = 2
 class RunConfig:
     """Resolved configuration of one CLI invocation.
 
-    Mirrors the flags one-to-one; values fall back to the flat JSON config
-    file and then to the defaults below.  Serialization round-trips
-    bit-exactly through :meth:`to_json` / :meth:`from_json`.
+    Mirrors the flags one-to-one; a flag left unset takes the default below.
+    Serialization round-trips bit-exactly through :meth:`to_json` /
+    :meth:`from_json`.
     """
 
     command: str
@@ -84,18 +85,8 @@ class RunConfig:
     choice_amplitudes: str = "coincidence"
 
     @classmethod
-    def resolve(cls, command: str, config_path: str | None, **flags) -> "RunConfig":
-        merged = _load_config(config_path)
-        unknown = set(merged) - {f.name for f in fields(cls)}
-        if unknown:
-            raise click.UsageError(f"unknown config keys {sorted(unknown)}")
-        for key, val in flags.items():
-            if val is not None:
-                merged[key] = val
-        try:
-            return cls(command=command, **merged)
-        except TypeError as exc:
-            raise click.UsageError(str(exc))
+    def resolve(cls, command: str, **flags) -> "RunConfig":
+        return cls(command=command, **{k: v for k, v in flags.items() if v is not None})
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -105,9 +96,16 @@ class RunConfig:
         return cls(**json.loads(text))
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
+    """Make the values of a ``--config`` file the command's flag defaults.
+
+    ``--config`` is eager, so this runs before the other flags are read;
+    click then converts and checks each file value with its flag's own type
+    and choices, and an explicit flag still overrides the file.  Keys are
+    the :class:`RunConfig` fields; those another command uses are ignored.
+    """
     if not path:
-        return {}
+        return path
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -115,7 +113,17 @@ def _load_config(path: str | None) -> dict:
         raise click.UsageError(f"cannot read config file {path}: {exc}")
     if not isinstance(cfg, dict):
         raise click.UsageError("config file must hold a flat JSON object")
-    return cfg
+    unknown = set(cfg) - {f.name for f in fields(RunConfig)} - {"command"}
+    if unknown:
+        raise click.UsageError(f"unknown config keys {sorted(unknown)}")
+    ctx.default_map = {**(ctx.default_map or {}), **cfg}
+    return path
+
+
+_config_option = click.option(
+    "--config", type=str, default=None, is_eager=True, expose_value=False,
+    callback=_load_config, help="Flat JSON config file; explicit flags override it.",
+)
 
 
 def _apply_guards(ctx: click.Context, cfg: RunConfig) -> None:
@@ -133,9 +141,9 @@ def _apply_guards(ctx: click.Context, cfg: RunConfig) -> None:
         except ValueError:
             raise click.UsageError(f"QSWITCH_MAX_DIM must be an integer, got {env!r}")
     if cfg.max_dim is not None:
-        policy.max_dim = int(cfg.max_dim)
+        policy.max_dim = cfg.max_dim
     if cfg.tol is not None:
-        policy.spectral_tol = float(cfg.tol)
+        policy.spectral_tol = cfg.tol
 
 
 def _parse_resource(spec: str, d: int) -> ResourceState:
@@ -274,7 +282,7 @@ CHECKS = {
 
 @main.command()
 @click.option("--d", "d", type=int, default=None, help="Qudit dimension (>= 2).")
-@click.option("--n", "n_lines", type=int, default=None, help="Also check N transmission lines.")
+@click.option("--n", type=int, default=None, help="Also check N transmission lines.")
 @click.option(
     "--choice-amplitudes",
     type=click.Choice(["coincidence", "random-seeded"]),
@@ -283,22 +291,15 @@ CHECKS = {
 )
 @click.option("--tol", type=float, default=None, help="Override the spectral tolerance.")
 @click.option("--max-dim", "max_dim", type=int, default=None, help="Override the resource guard.")
-@click.option("--config", "config_path", type=str, default=None, help="Flat JSON config file.")
+@_config_option
 @click.pass_context
-def verify(ctx, d, n_lines, choice_amplitudes, tol, max_dim, config_path):
+def verify(ctx, d, n, choice_amplitudes, tol, max_dim):
     """Numerically certify the channel identities for one dimension."""
     cfg = RunConfig.resolve(
-        "verify",
-        config_path,
-        d=d,
-        n=n_lines,
-        choice_amplitudes=choice_amplitudes,
-        tol=tol,
-        max_dim=max_dim,
+        "verify", d=d, n=n, choice_amplitudes=choice_amplitudes, tol=tol, max_dim=max_dim
     )
     _apply_guards(ctx, cfg)
-    d = int(cfg.d)
-    n_lines = None if cfg.n is None else int(cfg.n)
+    d, n_lines = cfg.d, cfg.n
     if d < 2:
         raise click.UsageError("--d must be at least 2")
     if n_lines is not None and n_lines < 1:
@@ -348,33 +349,22 @@ def verify(ctx, d, n_lines, choice_amplitudes, tol, max_dim, config_path):
     default=None,
     help="Encoding family for fixed-baseline.",
 )
-@click.option("--out", "out_path", type=str, default=None, help="Output file path.")
-@click.option("--format", "fmt_kind", type=click.Choice(["json", "csv"]), default=None)
+@click.option("--out", type=str, default=None, help="Output file path.")
+@click.option("--format", type=click.Choice(["json", "csv"]), default=None)
 @click.option("--tol", type=float, default=None)
 @click.option("--max-dim", "max_dim", type=int, default=None)
-@click.option("--config", "config_path", type=str, default=None)
+@_config_option
 @click.pass_context
-def run(ctx, protocol, d, x, receivers, resource, encodings, out_path, fmt_kind, tol, max_dim, config_path):
+def run(ctx, protocol, d, x, receivers, resource, encodings, out, format, tol, max_dim):
     """Run one protocol and emit its transcript or metric row."""
     cfg = RunConfig.resolve(
-        "run",
-        config_path,
-        d=d,
-        x=x,
-        receivers=receivers,
-        resource=resource,
-        encodings=encodings,
-        out=out_path,
-        format=fmt_kind,
-        tol=tol,
-        max_dim=max_dim,
+        "run", d=d, x=x, receivers=receivers, resource=resource, encodings=encodings,
+        out=out, format=format, tol=tol, max_dim=max_dim,
     )
     _apply_guards(ctx, cfg)
-    d = int(cfg.d)
+    d, out_path = cfg.d, cfg.out
     if d < 2:
         raise click.UsageError("--d must be at least 2")
-    fmt_kind = cfg.format
-    out_path = cfg.out
 
     try:
         if protocol == "fixed-baseline":
@@ -397,7 +387,7 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out_path, fmt_kind,
         res = _parse_resource(cfg.resource, d)
         privacy = None
         if protocol == "private-dit":
-            x = int(cfg.x)
+            x = cfg.x
             if not 0 <= x < d:
                 raise ValueError(f"message {x} out of range for dimension {d}")
             ensemble = [run_private_dit(d, msg, res) for msg in range(d)]
@@ -406,7 +396,7 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out_path, fmt_kind,
         elif protocol == "bipartite":
             transcript = run_bipartite_establishment(d, res)
         else:
-            transcript = run_ghz_distribution(d, int(cfg.receivers), res)
+            transcript = run_ghz_distribution(d, cfg.receivers, res)
     except ValueError as exc:  # a ResourceGuardError too
         raise click.UsageError(str(exc))
 
@@ -422,7 +412,7 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out_path, fmt_kind,
             f"privacy_max_outcome_tv: {serialize.fmt(privacy['max_pairwise_outcome_tv'])}"
         )
     if out_path:
-        if fmt_kind == "json":
+        if cfg.format == "json":
             payload = serialize.transcript_to_dict(
                 transcript, header={"command": "run", "protocol": protocol}
             )
@@ -450,40 +440,32 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out_path, fmt_kind,
 @main.command()
 @click.argument("protocol", type=click.Choice(["private-dit", "bipartite", "ghz"]))
 @click.option("--d", "d", type=int, default=None, help="Qudit dimension (only 2 for --alpha grids).")
-@click.option("--alpha", "alpha_spec", type=str, default=None, help="Grid START:END:POINTS.")
+@click.option("--alpha", type=str, default=None, help="Grid START:END:POINTS.")
 @click.option("--receivers", type=int, default=None)
-@click.option("--out", "out_path", type=str, default=None)
+@click.option("--out", type=str, default=None)
 @click.option("--tol", type=float, default=None)
 @click.option("--max-dim", "max_dim", type=int, default=None)
-@click.option("--config", "config_path", type=str, default=None)
+@_config_option
 @click.pass_context
-def sweep(ctx, protocol, d, alpha_spec, receivers, out_path, tol, max_dim, config_path):
+def sweep(ctx, protocol, d, alpha, receivers, out, tol, max_dim):
     """Sweep a protocol metric over resource Schmidt spectra (CSV output)."""
     cfg = RunConfig.resolve(
-        "sweep",
-        config_path,
-        d=d,
-        alpha=alpha_spec,
-        receivers=receivers,
-        out=out_path,
-        tol=tol,
-        max_dim=max_dim,
+        "sweep", d=d, alpha=alpha, receivers=receivers, out=out, tol=tol, max_dim=max_dim
     )
     _apply_guards(ctx, cfg)
-    d = int(cfg.d)
+    d = cfg.d
     if d != 2:
         raise click.UsageError("--alpha grids parameterize two-level spectra; use --d 2")
     spectra = _parse_alpha(cfg.alpha)
     try:
-        table = necessity_sweep(protocol, d, spectra, n_receivers=int(cfg.receivers))
+        table = necessity_sweep(protocol, d, spectra, n_receivers=cfg.receivers)
     except ValueError as exc:  # a ResourceGuardError too
         raise click.UsageError(str(exc))
 
     lines = serialize.sweep_csv_lines(table)
-    out_path = cfg.out
-    if out_path:
-        serialize.write_text(out_path, lines)
-        click.echo(f"wrote {out_path}")
+    if cfg.out:
+        serialize.write_text(cfg.out, lines)
+        click.echo(f"wrote {cfg.out}")
     else:
         for ln in lines:
             click.echo(ln)

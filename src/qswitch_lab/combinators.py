@@ -85,17 +85,21 @@ def cyclic_switch(channels: list[KrausChannel]) -> KrausChannel:
     if any(c.in_dim != d or not c.is_square() for c in channels):
         raise ValueError("all channels must be square with equal dimension")
     guard_dimension(d * n, "cyclic switch")
-    ops = []
-    for tup in product(*[range(c.n_kraus) for c in channels]):
-        s = np.zeros((d * n, d * n), dtype=complex)
-        for j in range(n):
-            prod_op = np.eye(d, dtype=complex)
-            for k in range(n):
-                c = (j + k) % n
-                prod_op = prod_op @ channels[c].kraus[tup[c]]
-            s += np.kron(prod_op, _proj(n, j))
-        ops.append(s)
-    return KrausChannel(tuple(_drop_zero(ops)), d * n, d * n)
+    # channel c's Kraus operators lie on broadcast axis c, so one product
+    # chain forms the branch for every tuple of picks at once, and the tuple
+    # axes flatten in C order, which is itertools.product order
+    stacks = []
+    for c, ch in enumerate(channels):
+        shape = [1] * n + [d, d]
+        shape[c] = ch.n_kraus
+        stacks.append(np.stack(ch.kraus).reshape(shape))
+    ops = np.zeros(tuple(ch.n_kraus for ch in channels) + (d, n, d, n), dtype=complex)
+    for j in range(n):
+        prod_op = stacks[j]
+        for k in range(1, n):
+            prod_op = prod_op @ stacks[(j + k) % n]
+        ops[..., :, j, :, j] = prod_op  # the block of control value j
+    return KrausChannel(tuple(_drop_zero(list(ops.reshape(-1, d * n, d * n)))), d * n, d * n)
 
 
 def controlled_choice(channels: list[ExtendedChannel]) -> KrausChannel:

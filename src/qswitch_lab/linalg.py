@@ -8,11 +8,16 @@ leftmost factor is the most significant one (``numpy.kron`` convention).
 Everything here is a pure function of its inputs.  In particular,
 measurement is exact branch enumeration: :func:`projective_measure` returns
 every outcome with its probability, never a sample, so downstream protocol
-runs are deterministic.
+runs are deterministic.  The constant kets (:func:`basis_ket`,
+:func:`fourier_basis`, :func:`ghz_ket`) are built once per process, and
+:func:`schmidt_coefficients` gives the Schmidt spectrum of a cut without
+forming the Schmidt vectors.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -71,9 +76,6 @@ class SubsystemLayout:
 
     def positions(self, labels: Iterable[str]) -> list[int]:
         return [self.index_of(lbl) for lbl in labels]
-
-    def dim_of(self, label: str) -> int:
-        return self.dims[self.index_of(label)]
 
     def keep(self, labels: Iterable[str]) -> "SubsystemLayout":
         """Sub-layout of the given labels, in original relative order."""
@@ -159,9 +161,6 @@ class Operator:
     @property
     def cols(self) -> int:
         return self.entries.shape[1]
-
-    def adjoint(self) -> "Operator":
-        return Operator(self.entries.conj().T)
 
     def __matmul__(self, other):
         if isinstance(other, Operator):
@@ -281,7 +280,14 @@ class DensityMatrix:
         return Ket.normalized(v)
 
     def relabel(self, mapping: dict[str, str]) -> "DensityMatrix":
-        return DensityMatrix(self.entries, self.layout.relabel(mapping))
+        """The same state under renamed labels.
+
+        The entries and dims are unchanged, so are the verdicts: the result
+        shares the validated entries and support and is not checked again.
+        """
+        out = copy.copy(self)
+        object.__setattr__(out, "layout", self.layout.relabel(mapping))
+        return out
 
     def reorder(self, new_labels: Sequence[str]) -> "DensityMatrix":
         """Permute tensor factors into the given label order."""
@@ -301,7 +307,11 @@ class DensityMatrix:
 # Standard vectors and bases
 # ---------------------------------------------------------------------------
 
+# The cached builders depend only on their integer arguments and return
+# immutable kets (frozen, read-only amplitudes), so each is built once.
 
+
+@functools.cache
 def basis_ket(dim: int, index: int) -> Ket:
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
@@ -324,10 +334,12 @@ def fourier_ket(d: int, m: int) -> Ket:
     return Ket(np.exp(2j * np.pi * j * m / d) / np.sqrt(d))
 
 
-def fourier_basis(d: int) -> list[Ket]:
-    return [fourier_ket(d, m) for m in range(d)]
+@functools.cache
+def fourier_basis(d: int) -> tuple[Ket, ...]:
+    return tuple(fourier_ket(d, m) for m in range(d))
 
 
+@functools.cache
 def ghz_ket(d: int, parties: int, phase_index: int = 0) -> Ket:
     """(1/sqrt(d)) sum_j exp(2*pi*i*j*x/d) |j>^(x parties).
 
@@ -367,13 +379,6 @@ def tensor(a, b):
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         return np.kron(a, b)
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
-def tensor_all(*factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = tensor(out, f)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -586,27 +591,19 @@ def projective_measure(
 
 
 # ---------------------------------------------------------------------------
-# Schmidt decomposition and distances
+# Schmidt coefficients and distances
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    coefficients: np.ndarray  # descending, nonnegative
-    left: list[Ket]
-    right: list[Ket]
-    left_labels: tuple[str, ...]
-    right_labels: tuple[str, ...]
-
-
-def schmidt_decomposition(
+def schmidt_coefficients(
     psi: Ket, layout: SubsystemLayout, left_labels: Sequence[str]
-) -> SchmidtDecomposition:
-    """Schmidt form of a pure state across the given bipartition.
+) -> np.ndarray:
+    """Schmidt coefficients of a pure state across the given bipartition.
 
     ``left_labels`` picks one side of the cut (in layout order); the other
-    side is the complement.  Coefficients are returned in descending order
-    and their squares sum to one.
+    side is the complement.  The coefficients come back as a read-only
+    array in descending order; their squares sum to one.  The Schmidt
+    vectors are not formed.
     """
     if psi.dim != layout.total_dim:
         raise ValueError("ket dimension does not match layout")
@@ -623,14 +620,11 @@ def schmidt_decomposition(
     mat = t.transpose(lpos + rpos).reshape(
         math.prod(layout.dims[p] for p in lpos), math.prod(layout.dims[p] for p in rpos)
     )
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return SchmidtDecomposition(
-        coefficients=_readonly(s.astype(complex)).real,
-        left=[Ket.normalized(u[:, k]) for k in range(len(s))],
-        right=[Ket.normalized(vh[k, :]) for k in range(len(s))],
-        left_labels=tuple(left),
-        right_labels=tuple(right),
-    )
+    # the full decomposition, not compute_uv=False: another LAPACK driver
+    # can move the singular values by an ulp
+    s = np.linalg.svd(mat, full_matrices=False)[1]
+    s.setflags(write=False)
+    return s
 
 
 def _clamp(val: float, what: str, hi: float = 1.0) -> float:

@@ -3,7 +3,9 @@
 Concurrence for two qubits, the generalized geometric measure (GGM) for
 pure multipartite states, maximal-entanglement tests, the Helstrom error
 for binary state discrimination, and classical mutual information for
-scoring decode tables.  Entropies are in bits (base-2 logarithms).
+scoring decode tables.  Entropies are in bits (base-2 logarithms).  The
+pure-state measures read only Schmidt coefficients
+(``linalg.schmidt_coefficients``), never Schmidt vectors.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityMatrix, Ket, SubsystemLayout, _clamp, schmidt_decomposition
+from .linalg import DensityMatrix, Ket, SubsystemLayout, _clamp, schmidt_coefficients
 from .numeric import ResourceGuardError, policy
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
 def concurrence_2qubit(rho: DensityMatrix) -> float:
@@ -32,11 +35,10 @@ def concurrence_2qubit(rho: DensityMatrix) -> float:
     """
     if rho.dim != 4:
         raise ValueError(f"concurrence is defined for two qubits, got dimension {rho.dim}")
-    yy = np.kron(_SIGMA_Y, _SIGMA_Y)
     vals, vecs = np.linalg.eigh(rho.entries)
     vals = np.where(vals < 1e-15, 0.0, vals)
     sqrt_rho = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    lams = np.linalg.svd(sqrt_rho @ yy @ sqrt_rho.conj(), compute_uv=False)
+    lams = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
@@ -69,8 +71,8 @@ def bipartition_reports(psi: Ket, layout: SubsystemLayout) -> list[BipartitionRe
                 continue
             left = tuple(layout.labels[p] for p in left_pos)
             right = tuple(l for l in layout.labels if l not in left)
-            dec = schmidt_decomposition(psi, layout, left)
-            reports.append(BipartitionReport((left, right), float(dec.coefficients[0] ** 2)))
+            top = schmidt_coefficients(psi, layout, left)[0]
+            reports.append(BipartitionReport((left, right), float(top**2)))
     return reports
 
 
@@ -91,9 +93,8 @@ def is_maximally_entangled(
 ) -> bool:
     """True iff all Schmidt coefficients across the cut equal 1/sqrt(m)."""
     tol = policy.spectral_tol if tol is None else float(tol)
-    dec = schmidt_decomposition(psi, layout, left_labels)
-    m = len(dec.coefficients)
-    return bool(np.abs(dec.coefficients - 1.0 / np.sqrt(m)).max() <= tol)
+    coeffs = schmidt_coefficients(psi, layout, left_labels)
+    return bool(np.abs(coeffs - 1.0 / np.sqrt(len(coeffs))).max() <= tol)
 
 
 def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) -> float:

@@ -30,6 +30,7 @@ needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,6 +64,7 @@ from .numeric import guard_dimension, policy
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # depends only on its integers and is immutable: built once
 def phase_unitary(k: int, d: int) -> Operator:
     """Diagonal phase gate diag(exp(2*pi*i*j*k/d)); for d = 2 it is Z^k.
 
@@ -106,19 +108,23 @@ def clone_extend_unitary(d: int, n_copies: int) -> Operator:
     return Operator(u)
 
 
+@functools.cache
 def clone_permutation(d: int, n_copies: int) -> np.ndarray:
     """Index map of the fan-out |k, a_1, ..., a_n> -> |k, a_1 + k, ..., a_n + k>.
 
     ``perm[i]`` is the basis index that ``clone_extend_unitary(d, n_copies)``
     sends basis index ``i`` to; the protocols apply it with
-    ``linalg.permute_basis`` and the dense unitary is its test oracle.
+    ``linalg.permute_basis`` and the dense unitary is its test oracle.  The
+    array is read-only.
     """
     if d < 2 or n_copies < 1:
         raise ValueError("need d >= 2 and at least one copy")
     shape = (d,) * (n_copies + 1)
     digits = np.indices(shape).reshape(n_copies + 1, -1)  # digits[0]: source register
     k = digits[0]
-    return np.ravel_multi_index((k, *((digits[1:] + k) % d)), shape)
+    perm = np.ravel_multi_index((k, *((digits[1:] + k) % d)), shape)
+    perm.setflags(write=False)
+    return perm
 
 
 # ---------------------------------------------------------------------------

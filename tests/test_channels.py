@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,20 @@ from qswitch_lab import (
     canonicalize_extension,
     channels_equal,
     choi,
+    cyclic_switch,
     erasing_channel,
     identity_channel,
     ghz_ket,
+    k_multiline,
+    policy,
     remix,
     tensor,
     vacuum_extend,
     Ket,
     DensityMatrix,
 )
+
+from qswitch_lab.linalg import _min_eigenvalue, _support_block
 
 from conftest import random_density, random_unitary
 
@@ -240,6 +247,41 @@ class TestChoi:
             c = choi(ch)
             assert np.linalg.eigvalsh(c.entries)[0] >= -1e-10
             assert abs(np.trace(c.entries) - d) < 1e-10
+
+
+def sparse_channels(d):
+    """Channels whose Choi matrices (d^2 or more squared) have a strict support."""
+    return [
+        ("erasing", erasing_channel(d * d, 0)),
+        ("order", cyclic_switch([erasing_channel(d, j) for j in range(d)])),
+        ("multiline", k_multiline(d, 1)),
+    ]
+
+
+class TestChoiSupport:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_same_verdict_and_minimum_as_full_eigvalsh(self, d):
+        for name, ch in sparse_channels(d):
+            m = choi(ch).entries  # constructed, so the support check passed
+            support, block = _support_block(m)
+            assert support is not None and support.size < m.shape[0], name
+            full = float(np.linalg.eigvalsh(m)[0])
+            assert full >= policy.psd_floor
+            assert abs(_min_eigenvalue(block, m.shape[0]) - full) <= 1e-14, name
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_negative_eigenvalue_inside_support_raises_same_text(self, d):
+        for name, ch in sparse_channels(d):
+            m = np.array(choi(ch).entries)
+            support, block = _support_block(m)
+            w, v = np.linalg.eigh(block)
+            w[0] = -1e-6  # inside the support, every other eigenvalue kept
+            m[np.ix_(support, support)] = (v * w) @ v.conj().T
+            full = float(np.linalg.eigvalsh(m)[0])
+            expected = f"Choi matrix not PSD: min eigenvalue {full:.3e}"
+            assert expected.endswith("-1.000e-06")
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                ChoiMatrix(m, ch.in_dim, ch.out_dim)
 
 
 class TestChannelEquality:

@@ -240,6 +240,31 @@ class TestRun:
         assert result.exit_code == 2
         assert "turbo" in result.output
 
+    def test_config_value_of_wrong_type_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"d": "abc"}))
+        result = runner.invoke(main, ["verify", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--d'" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_config_value_outside_choices_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"choice_amplitudes": "bogus"}))
+        result = runner.invoke(main, ["verify", "--d", "2", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--choice-amplitudes'" in result.output
+        assert "checks passed" not in result.output
+
+    def test_config_values_apply_and_flags_override_them(self, runner, tmp_path):
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"d": 3, "n": 2, "choice_amplitudes": "random-seeded"}))
+        result = runner.invoke(main, ["verify", "--config", str(cfg), "--d", "2"])
+        assert result.exit_code == 0, result.output
+        assert "random extensions: choice differs from order (d=2)" in result.output
+        assert "multiline noiseless subspace (d=2, N=2)" in result.output
+        assert "(d=3" not in result.output
+
 
 class TestSweep:
     def test_private_dit_grid(self, runner, tmp_path):

@@ -1,0 +1,99 @@
+"""Closed-form oracles for the necessity sweep and the protocol metrics.
+
+For the resource sum_j sqrt(lambda_j) |j>_A |j>_C every term stays, after the
+clone, in the decoherence-free span {|j>_A |j..j>_B |j>_C}, where the
+coincidence channel acts as the identity.  So each printed metric has a
+closed form that uses none of the library's linear algebra:
+
+* the sweep metric (private-dit worst-case success, bipartite and GHZ mean
+  fidelity) is (sum_j sqrt(lambda_j))^2 / d;
+* the pre-measurement GGM of the transmitted state is 1 - max_j lambda_j;
+* the d = 2 average output concurrence is 2 sqrt(lambda_0 lambda_1).
+
+By Cauchy-Schwarz (sum_j sqrt(lambda_j))^2 <= d, with equality only at the
+uniform spectrum, which is the sweep's "perfect only at uniform" verdict.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qswitch_lab import (
+    ResourceState,
+    necessity_sweep,
+    policy,
+    run_bipartite_establishment,
+    run_ghz_distribution,
+)
+from qswitch_lab.cli import _parse_alpha
+
+SWEEPS = [("private-dit", 1), ("bipartite", 1), ("ghz", 2)]
+
+
+def closed_form_metric(lam) -> float:
+    return sum(math.sqrt(x) for x in lam) ** 2 / len(lam)
+
+
+def cli_grid() -> list[tuple[float, float]]:
+    """The spectra of `sweep --d 2 --alpha 0:1:101`."""
+    return _parse_alpha("0:1:101")
+
+
+def dirichlet_spectra(d: int, count: int, seed: int) -> list[tuple[float, ...]]:
+    rng = np.random.default_rng(seed)
+    spectra = [tuple(float(x) for x in rng.dirichlet(np.ones(d))) for _ in range(count)]
+    return spectra + [(1.0 / d,) * d]
+
+
+def is_uniform(lam) -> bool:
+    return max(abs(x - 1.0 / len(lam)) for x in lam) <= policy.structural_tol
+
+
+@pytest.mark.parametrize("protocol,receivers", SWEEPS)
+@pytest.mark.parametrize(
+    "d,spectra",
+    [(2, cli_grid()), (3, dirichlet_spectra(3, 12, seed=31))],
+    ids=["d2-cli-grid", "d3-dirichlet"],
+)
+def test_sweep_metric_is_closed_form(protocol, receivers, d, spectra):
+    table = necessity_sweep(protocol, d, spectra, n_receivers=receivers)
+    assert len(table["rows"]) == len(spectra)
+    for row, lam in zip(table["rows"], spectra):
+        assert abs(row["metric"] - closed_form_metric(lam)) <= policy.structural_tol, lam
+        # perfect exactly at the uniform spectrum, as Cauchy-Schwarz says
+        assert row["is_perfect"] == is_uniform(lam), lam
+    assert table["summary"]["perfect_only_at_uniform"]
+    assert len(table["summary"]["perfect_rows"]) == 1
+
+
+@pytest.mark.parametrize(
+    "d,spectra", [(2, cli_grid()), (3, dirichlet_spectra(3, 12, seed=32))],
+    ids=["d2-cli-grid", "d3-dirichlet"],
+)
+@pytest.mark.parametrize("receivers", [1, 2])
+def test_pre_measurement_ggm_is_one_minus_top_weight(d, spectra, receivers):
+    for lam in spectra:
+        resource = ResourceState.from_schmidt(lam)
+        if receivers == 1:
+            t = run_bipartite_establishment(d, resource)
+        else:
+            t = run_ghz_distribution(d, receivers, resource)
+        expected = 1.0 - max(lam)
+        assert abs(t.metrics["pre_measurement_ggm"] - expected) <= policy.spectral_tol, lam
+
+
+def test_d2_average_output_concurrence_is_closed_form():
+    for lam in cli_grid():
+        t = run_bipartite_establishment(2, ResourceState.from_schmidt(lam))
+        expected = 2.0 * math.sqrt(lam[0] * lam[1])
+        assert abs(t.metrics["average_output_concurrence"] - expected) <= policy.spectral_tol, lam
+
+
+def test_closed_form_reaches_one_only_at_uniform():
+    # the oracle itself: below 1 by more than the sweep's perfection margin
+    # everywhere on the grids except at the uniform spectrum
+    for lam in cli_grid() + dirichlet_spectra(3, 12, seed=31):
+        value = closed_form_metric(lam)
+        assert value <= 1.0 + policy.structural_tol
+        assert (value >= 1.0 - 1e-9) == is_uniform(lam), lam

@@ -131,7 +131,54 @@ class TestChoiceTwo:
         assert cmp.distance > 1e-6
 
 
+def loop_cyclic_switch(channels):
+    """Reference enumeration: one Kraus pick per channel, in itertools.product
+    order; the control-j branch is the product starting with channel j, and
+    zero operators are dropped."""
+    from itertools import product
+
+    n, d = len(channels), channels[0].in_dim
+    ops = []
+    for tup in product(*[range(c.n_kraus) for c in channels]):
+        s = np.zeros((d * n, d * n), dtype=complex)
+        for j in range(n):
+            prod_op = np.eye(d, dtype=complex)
+            for k in range(n):
+                c = (j + k) % n
+                prod_op = prod_op @ channels[c].kraus[tup[c]]
+            proj = np.zeros((n, n))
+            proj[j, j] = 1.0
+            s += np.kron(prod_op, proj)
+        ops.append(s)
+    return [k for k in ops if np.abs(k).max() > policy.zero_operator_tol]
+
+
+def random_unitary_channel(d, n_kraus, rng):
+    p = rng.dirichlet(np.ones(n_kraus))
+    return KrausChannel(tuple(np.sqrt(pk) * random_unitary(d, rng) for pk in p), d, d)
+
+
 class TestCyclicSwitch:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_erasing_channels_equal_loop_reference_exactly(self, d):
+        chans = [erasing_channel(d, j) for j in range(d)]
+        got = cyclic_switch(chans).kraus
+        want = loop_cyclic_switch(chans)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):  # operator by operator, in order
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize(
+        "d,counts", [(2, (1, 3)), (3, (2, 1, 3)), (2, (2, 2, 2, 2)), (4, (3, 2))]
+    )
+    def test_random_unitary_channels_equal_loop_reference(self, d, counts, rng):
+        chans = [random_unitary_channel(d, k, rng) for k in counts]
+        got = cyclic_switch(chans).kraus
+        want = loop_cyclic_switch(chans)
+        assert len(got) == len(want) == int(np.prod(counts))
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-14
+
     @pytest.mark.parametrize("d,count", [(2, 3), (3, 7), (4, 13)])
     def test_nonzero_kraus_count(self, d, count):
         sw = cyclic_switch([erasing_channel(d, j) for j in range(d)])

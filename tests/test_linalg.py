@@ -16,11 +16,11 @@ from qswitch_lab import (
     permute_basis,
     policy,
     projective_measure,
-    schmidt_decomposition,
+    schmidt_coefficients,
     tensor,
-    tensor_all,
     trace_distance,
 )
+from qswitch_lab import linalg
 from qswitch_lab.linalg import _SUPPORT_MIN_DIM, _min_eigenvalue, _support_block
 
 from conftest import naive_partial_trace, random_density, random_ket, random_unitary
@@ -36,11 +36,6 @@ class TestTypes:
     def test_ket_raw_allows_subnormalized(self):
         k = Ket.raw(np.array([0.5, 0.0]))
         assert abs(k.norm() - 0.5) < 1e-15
-
-    def test_operator_double_adjoint_exact(self, rng):
-        m = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-        op = Operator(m)
-        assert np.array_equal(op.adjoint().adjoint().entries, op.entries)
 
     def test_density_matrix_invariants_enforced(self):
         layout = SubsystemLayout((2,), ("A",))
@@ -261,6 +256,54 @@ class TestToKet:
             DensityMatrix(m, SubsystemLayout((40,), ("A",))).to_ket()
 
 
+class TestRelabel:
+    @pytest.mark.parametrize("padded", [False, True], ids=["full-support", "padded"])
+    def test_shares_entries_and_support_without_a_check(self, padded, rng, monkeypatch):
+        layout = SubsystemLayout((2, 20), ("A", "B"))
+        if padded:
+            rho = DensityMatrix(random_padded_state(40, rng)[0], layout)
+            assert rho._support is not None
+        else:
+            rho = random_density(40, rng, layout)
+        calls = []
+        real = linalg._support_block
+        monkeypatch.setattr(linalg, "_support_block", lambda m: calls.append(m) or real(m))
+        out = rho.relabel({"A": "Z"})
+        assert calls == []  # no DensityMatrix check ran
+        assert out.entries is rho.entries
+        assert out._support is rho._support
+        assert out.layout == SubsystemLayout((2, 20), ("Z", "B"))
+        assert rho.layout.labels == ("A", "B")  # the original keeps its labels
+
+    def test_rejects_a_mapping_that_duplicates_a_label(self, rng):
+        rho = random_density(4, rng, SubsystemLayout((2, 2), ("A", "B")))
+        with pytest.raises(ValueError, match="duplicate"):
+            rho.relabel({"A": "B"})
+
+
+class TestCachedConstants:
+    @pytest.mark.parametrize(
+        "build,args",
+        [(basis_ket, (3, 1)), (ghz_ket, (3, 2)), (ghz_ket, (2, 3, 1))],
+        ids=["basis_ket", "ghz_ket", "ghz_ket-phased"],
+    )
+    def test_ket_built_once_and_read_only(self, build, args):
+        ket = build(*args)
+        assert build(*args) is ket
+        with pytest.raises(ValueError, match="read-only"):
+            ket.amplitudes[0] = 0.0
+        with pytest.raises(AttributeError):
+            ket.amplitudes = np.zeros(ket.dim)
+
+    def test_fourier_basis_built_once_and_read_only(self):
+        fb = fourier_basis(4)
+        assert fourier_basis(4) is fb
+        assert isinstance(fb, tuple) and len(fb) == 4
+        for ket in fb:
+            with pytest.raises(ValueError, match="read-only"):
+                ket.amplitudes[0] = 0.0
+
+
 class TestTensor:
     def test_basis_bookkeeping(self):
         out = tensor(basis_ket(2, 0), basis_ket(2, 1))
@@ -369,50 +412,60 @@ class TestFourier:
 class TestSchmidt:
     def test_bell_state(self):
         layout = SubsystemLayout((2, 2), ("A", "C"))
-        dec = schmidt_decomposition(ghz_ket(2, 2), layout, ("A",))
-        assert np.allclose(dec.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
+        coeffs = schmidt_coefficients(ghz_ket(2, 2), layout, ("A",))
+        assert np.allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-12)
 
     def test_product_state(self):
         layout = SubsystemLayout((2, 2), ("A", "B"))
-        dec = schmidt_decomposition(tensor(basis_ket(2, 0), basis_ket(2, 0)), layout, ("A",))
-        assert abs(dec.coefficients[0] - 1.0) < 1e-12
-        assert abs(dec.coefficients[1]) < 1e-12
+        coeffs = schmidt_coefficients(tensor(basis_ket(2, 0), basis_ket(2, 0)), layout, ("A",))
+        assert abs(coeffs[0] - 1.0) < 1e-12
+        assert abs(coeffs[1]) < 1e-12
 
     def test_prepared_schmidt_form(self):
         layout = SubsystemLayout((2, 2), ("A", "B"))
         psi = Ket(np.array([np.sqrt(0.25), 0, 0, np.sqrt(0.75)]))
-        dec = schmidt_decomposition(psi, layout, ("A",))
-        assert np.allclose(dec.coefficients, [np.sqrt(0.75), np.sqrt(0.25)], atol=1e-12)
+        coeffs = schmidt_coefficients(psi, layout, ("A",))
+        assert np.allclose(coeffs, [np.sqrt(0.75), np.sqrt(0.25)], atol=1e-12)
 
-    def test_squares_sum_to_one_and_reconstruction(self, rng):
+    def test_squares_sum_to_one_and_match_svd(self, rng):
         layout = SubsystemLayout((2, 3, 2), ("A", "B", "C"))
         for _ in range(10):
             psi = random_ket(12, rng)
-            dec = schmidt_decomposition(psi, layout, ("A", "C"))
-            assert abs((dec.coefficients**2).sum() - 1.0) < 1e-12
-            rebuilt = np.zeros(12, dtype=complex)
-            for c, l, r in zip(dec.coefficients, dec.left, dec.right):
-                term = c * np.kron(l.amplitudes, r.amplitudes)
-                # left side is (A, C); re-embed into (A, B, C) axis order
-                t = term.reshape(2, 2, 3).transpose(0, 2, 1).reshape(-1)
-                rebuilt += t
-            assert np.linalg.norm(rebuilt - psi.amplitudes) < 1e-10
+            coeffs = schmidt_coefficients(psi, layout, ("A", "C"))
+            assert abs((coeffs**2).sum() - 1.0) < 1e-12
+            # the amplitude tensor (A, B, C) as the (A, C | B) matrix
+            mat = psi.amplitudes.reshape(2, 3, 2).transpose(0, 2, 1).reshape(4, 3)
+            assert np.array_equal(coeffs, np.linalg.svd(mat, full_matrices=False)[1])
+            assert np.all(np.diff(coeffs) <= 0)
+
+    def test_coefficients_are_read_only(self):
+        layout = SubsystemLayout((2, 2), ("A", "C"))
+        coeffs = schmidt_coefficients(ghz_ket(2, 2), layout, ("A",))
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs[0] = 0.0
 
     def test_coefficients_invariant_under_local_unitaries(self, rng):
         layout = SubsystemLayout((3, 4), ("A", "B"))
         for _ in range(20):
             psi = random_ket(12, rng)
-            base = schmidt_decomposition(psi, layout, ("A",)).coefficients
+            base = schmidt_coefficients(psi, layout, ("A",))
             u = random_unitary(3, rng)
             v = random_unitary(4, rng)
             rotated = Ket(np.kron(u, v) @ psi.amplitudes)
-            rot = schmidt_decomposition(rotated, layout, ("A",)).coefficients
+            rot = schmidt_coefficients(rotated, layout, ("A",))
             assert np.abs(base - rot).max() < 1e-10
 
     def test_empty_side_rejected(self):
         layout = SubsystemLayout((2, 2), ("A", "B"))
         with pytest.raises(ValueError, match="nonempty"):
-            schmidt_decomposition(ghz_ket(2, 2), layout, ("A", "B"))
+            schmidt_coefficients(ghz_ket(2, 2), layout, ("A", "B"))
+
+    def test_bad_arguments_rejected(self):
+        layout = SubsystemLayout((2, 2), ("A", "B"))
+        with pytest.raises(ValueError, match="does not match"):
+            schmidt_coefficients(ghz_ket(2, 3), layout, ("A",))
+        with pytest.raises(ValueError, match="unknown labels"):
+            schmidt_coefficients(ghz_ket(2, 2), layout, ("Z",))
 
 
 class TestMeasurement:

@@ -154,6 +154,16 @@ class TestLocalUnitaries:
             perm = clone_permutation(d, n)
             assert np.array_equal(u.argmax(axis=0), perm)
 
+    def test_gates_built_once_and_read_only(self):
+        gate = phase_unitary(1, 3)
+        assert phase_unitary(1, 3) is gate
+        with pytest.raises(ValueError, match="read-only"):
+            gate.entries[0, 0] = 0.0
+        perm = clone_permutation(3, 2)
+        assert clone_permutation(3, 2) is perm
+        with pytest.raises(ValueError, match="read-only"):
+            perm[0] = 1
+
     def test_clone_builds_ghz_from_pair(self):
         layout = SubsystemLayout((2, 2, 2), ("A", "A1", "C"))
         rho = tensor(ghz_ket(2, 2), basis_ket(2, 0)).density(
@@ -331,7 +341,7 @@ class TestGHZ:
 
     @staticmethod
     def _dense_clone(rho, perm, acting_on):
-        d = rho.layout.dim_of(acting_on[0])
+        d = rho.layout.dims[rho.layout.index_of(acting_on[0])]
         return apply_unitary(rho, clone_extend_unitary(d, len(acting_on) - 1), acting_on)
 
     @pytest.mark.parametrize(
