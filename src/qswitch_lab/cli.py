@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import click
@@ -66,8 +66,6 @@ class RunConfig:
     """Resolved configuration of one CLI invocation.
 
     Mirrors the flags one-to-one; a flag left unset takes the default below.
-    Serialization round-trips bit-exactly through :meth:`to_json` /
-    :meth:`from_json`.
     """
 
     command: str
@@ -87,13 +85,6 @@ class RunConfig:
     @classmethod
     def resolve(cls, command: str, **flags) -> "RunConfig":
         return cls(command=command, **{k: v for k, v in flags.items() if v is not None})
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
 
 
 def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
@@ -376,7 +367,7 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out, format, tol, m
             if out_path:
                 serialize.write_text(
                     out_path,
-                    serialize.dumps_json(
+                    serialize.json_chunks(
                         {"schema": serialize.SCHEMA, "header": {"protocol": protocol, "d": d,
                                                                 "encodings": family},
                          "metrics": serialize._plain(report)}
@@ -424,10 +415,10 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out, format, tol, m
                         f"{i},{j}": v for (i, j), v in privacy["helstrom_errors"].items()
                     },
                 }
-            serialize.write_text(out_path, serialize.dumps_json(payload))
+            serialize.write_text(out_path, serialize.json_chunks(payload))
         else:
             cols, row = serialize.transcript_metric_row(transcript)
-            serialize.write_text(out_path, [",".join(cols), ",".join(row)])
+            serialize.write_text(out_path, [",".join(cols) + "\n", ",".join(row) + "\n"])
         click.echo(f"wrote {out_path}")
     ctx.exit(0)
 
@@ -464,7 +455,7 @@ def sweep(ctx, protocol, d, alpha, receivers, out, tol, max_dim):
 
     lines = serialize.sweep_csv_lines(table)
     if cfg.out:
-        serialize.write_text(cfg.out, lines)
+        serialize.write_text(cfg.out, [ln + "\n" for ln in lines])
         click.echo(f"wrote {cfg.out}")
     else:
         for ln in lines:

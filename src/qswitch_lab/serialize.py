@@ -3,21 +3,22 @@
 Density matrices carry their layout, and no timestamps or other run-varying
 data ever enter the payload, so identical configurations produce
 byte-identical files.  :func:`transcript_to_dict` keeps every matrix's
-``entries`` as its complex ``ndarray``; :func:`dumps_json` writes each one
-as nested ``[re, im]`` pairs, byte for byte what
-``json.dumps(..., sort_keys=True, indent=2)`` writes for those nested lists
-(:func:`complex_pairs`), but renders the matrices itself: the rest of the
-payload goes through ``json`` with a placeholder in place of each matrix,
-and each matrix block is spliced in, its distinct floats formatted once.
-CSV numbers are formatted with 12 significant digits and a ``.`` decimal
-separator, independent of locale.
+``entries`` as its complex ``ndarray``.  :func:`json_chunks` yields, piece
+by piece, what ``json.dumps(..., sort_keys=True, indent=2)`` writes when each
+matrix is given as nested ``[re, im]`` lists: the rest of the payload goes
+through ``json`` with a placeholder in place of each matrix, and each matrix
+follows one row at a time.  A row of +0.0 is text built once per matrix; the
+other rows are formatted, each distinct float once.  :func:`write_text`
+writes the pieces as they come, so the whole text is never held in memory;
+:func:`dumps_json` joins them.  CSV numbers are formatted with 12
+significant digits and a ``.`` decimal separator, independent of locale.
 """
 
 from __future__ import annotations
 
 import json
 from functools import partial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,12 +38,6 @@ def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.12g}"
-
-
-def complex_pairs(arr: np.ndarray):
-    """Nested lists of [re, im] pairs: the JSON form of a complex array."""
-    a = np.asarray(arr, dtype=complex)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def density_to_dict(dm: DensityMatrix) -> dict:
@@ -94,9 +89,9 @@ def _plain(obj):
     return obj
 
 
-def dumps_json(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, with every
-    2-d ``ndarray`` in the payload written as its :func:`complex_pairs`."""
+def json_chunks(payload: dict) -> Iterator[str]:
+    """The text of :func:`dumps_json`, in pieces: the ``json`` text around
+    the matrices, then each matrix one row at a time."""
     marker = _MARKER
     while True:
         matrices = []
@@ -106,13 +101,18 @@ def dumps_json(payload: dict) -> str:
         if len(pieces) == len(matrices) + 1:
             break
         marker += "@"
-    out = [pieces[0]]
-    for m, piece in zip(matrices, pieces[1:]):
-        line = out[-1][out[-1].rfind("\n") + 1:]
-        out.append(_render_matrix(m, len(line) - len(line.lstrip(" "))))
-        out.append(piece)
-    out.append("\n")
-    return "".join(out)
+    yield pieces[0]
+    for m, before, piece in zip(matrices, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        yield from _matrix_rows(m, len(line) - len(line.lstrip(" ")))
+        yield piece
+    yield "\n"
+
+
+def dumps_json(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, with every
+    2-d ``ndarray`` in the payload written as its nested ``[re, im]`` lists."""
+    return "".join(json_chunks(payload))
 
 
 def _take_matrix(matrices: list, marker: str, obj):
@@ -123,28 +123,32 @@ def _take_matrix(matrices: list, marker: str, obj):
     return marker
 
 
-def _render_matrix(m: np.ndarray, indent: int) -> str:
-    """``json`` text of ``complex_pairs(m)`` as a value on a line indented by
-    ``indent`` spaces."""
+def _matrix_rows(m: np.ndarray, indent: int) -> Iterator[str]:
+    """``json`` text of the nested ``[re, im]`` lists of ``m`` as a value on
+    a line indented by ``indent`` spaces, one row at a time."""
+    n_rows, n_cols = m.shape
     # the float bit patterns, re and im interleaved: equal bits, equal text,
     # and -0.0 stays apart from 0.0 (json writes them differently)
-    bits = np.ascontiguousarray(m, dtype=complex).view(np.int64).reshape(-1)
-    distinct, inverse = np.unique(bits, return_inverse=True)
+    bits = np.ascontiguousarray(m, dtype=complex).view(np.int64)
+    pad = ["\n" + " " * (indent + k) for k in (0, 2, 4, 6)]
+    row_open, row_close = "[" + pad[2] + "[" + pad[3], pad[2] + "]" + pad[1] + "]"
+    in_pair, between_pairs = "," + pad[3], pad[2] + "]," + pad[2] + "[" + pad[3]
+    zero_row = row_open + between_pairs.join(["0.0" + in_pair + "0.0"] * n_cols) + row_close
+    # only the rows holding a float other than +0.0 are formatted
+    live = np.flatnonzero(bits.any(axis=1))
+    distinct, inverse = np.unique(bits[live].reshape(-1), return_inverse=True)
     # json itself formats the distinct floats (repr, NaN, Infinity)
     text = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
-    pad = ["\n" + " " * (indent + k) for k in (0, 2, 4, 6)]
-    open_pair, close_pair = "[" + pad[3], pad[2] + "]"
-    # [opening, re, sep, im, sep, re, ..., im, closing]
-    parts = np.empty(2 * bits.size + 1, dtype=object)
-    parts[0] = "[" + pad[1] + "[" + pad[2] + open_pair
-    parts[1::2] = np.array(text, dtype=object)[inverse]
-    parts[2::4] = "," + pad[3]
-    after_pair = parts[4::4]  # a view
-    after_pair[:] = close_pair + "," + pad[2] + open_pair
-    after_pair[m.shape[1] - 1::m.shape[1]] = (
-        close_pair + pad[1] + "]," + pad[1] + "[" + pad[2] + open_pair)
-    after_pair[-1] = close_pair + pad[1] + "]" + pad[0] + "]"
-    return "".join(parts.tolist())
+    # per row: [opening, re, sep, im, sep, re, ..., im, closing]
+    parts = np.empty((live.size, 4 * n_cols + 1), dtype=object)
+    parts[:, 0], parts[:, 2::4], parts[:, 4::4], parts[:, -1] = (
+        row_open, in_pair, between_pairs, row_close)
+    parts[:, 1::2] = np.array(text, dtype=object)[inverse].reshape(live.size, 2 * n_cols)
+    rows = dict(zip(live.tolist(), parts))
+    for r in range(n_rows):
+        yield ("," if r else "[") + pad[1]
+        yield "".join(rows[r].tolist()) if r in rows else zero_row
+    yield pad[0] + "]"
 
 
 def transcript_metric_row(t: ProtocolTranscript) -> tuple[list[str], list[str]]:
@@ -178,10 +182,15 @@ def sweep_csv_lines(table: dict) -> list[str]:
     return lines
 
 
-def write_text(path: str, lines: Iterable[str] | str) -> None:
-    if isinstance(lines, str):
-        data = lines
-    else:
-        data = "\n".join(lines) + "\n"
+def write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` as they come.
+
+    The first chunk is taken before the file is opened, so a payload that
+    :func:`json_chunks` cannot serialize raises without touching ``path``.
+    """
+    chunks = iter(chunks)
+    first = next(chunks, "")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(data)
+        fh.write(first)
+        for chunk in chunks:
+            fh.write(chunk)

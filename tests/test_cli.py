@@ -223,16 +223,6 @@ class TestRun:
         )
         assert "0.933012701892" in over.output
 
-    def test_config_round_trips_exactly(self):
-        from qswitch_lab.cli import RunConfig
-
-        cfg = RunConfig(
-            command="run", d=3, x=2, resource="schmidt:0.1,0.2,0.7", tol=1.7e-10
-        )
-        again = RunConfig.from_json(cfg.to_json())
-        assert again == cfg
-        assert again.to_json() == cfg.to_json()
-
     def test_unknown_config_keys_rejected(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"d": 2, "turbo": True}))
