@@ -37,7 +37,6 @@ from .linalg import (
     DensityMatrix,
     Ket,
     MeasurementBranch,
-    Operator,
     SubsystemLayout,
     apply_unitary,
     basis_ket,

@@ -271,9 +271,6 @@ class ChannelComparison:
     distance: float
     tol: float
 
-    def __bool__(self) -> bool:
-        return self.equal
-
 
 def channels_equal(a: KrausChannel, b: KrausChannel, tol: float | None = None) -> ChannelComparison:
     """Choi-based equality test; the Frobenius distance is always reported."""

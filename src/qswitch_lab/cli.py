@@ -24,9 +24,10 @@ overrides both.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import click
@@ -43,7 +44,7 @@ from .combinators import (
     t_decomposition,
     target_sector_restriction,
 )
-from .linalg import fidelity_with_ket, ghz_ket, SubsystemLayout
+from .linalg import DensityMatrix, SubsystemLayout, fidelity_with_ket, ghz_ket
 from .numeric import ResourceGuardError, guard_dimension, policy
 from .protocols import (
     ResourceState,
@@ -58,33 +59,6 @@ from .protocols import (
 )
 
 _EXIT_CHECK_FAILED = 1
-_EXIT_CONFIG = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration of one CLI invocation.
-
-    Mirrors the flags one-to-one; a flag left unset takes the default below.
-    """
-
-    command: str
-    d: int = 2
-    x: int = 0
-    receivers: int = 2
-    resource: str = "max"
-    encodings: str = "dfs-phase"
-    alpha: str = "0:1:11"
-    out: str | None = None
-    format: str = "json"
-    tol: float | None = None
-    max_dim: int | None = None
-    n: int | None = None
-    choice_amplitudes: str = "coincidence"
-
-    @classmethod
-    def resolve(cls, command: str, **flags) -> "RunConfig":
-        return cls(command=command, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
@@ -93,7 +67,9 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     ``--config`` is eager, so this runs before the other flags are read;
     click then converts and checks each file value with its flag's own type
     and choices, and an explicit flag still overrides the file.  Keys are
-    the :class:`RunConfig` fields; those another command uses are ignored.
+    the flag names of any command (as their Python names, e.g. ``max_dim``)
+    plus ``command``; those another command uses are ignored, and a null
+    value leaves the flag at its default.
     """
     if not path:
         return path
@@ -104,37 +80,66 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
         raise click.UsageError(f"cannot read config file {path}: {exc}")
     if not isinstance(cfg, dict):
         raise click.UsageError("config file must hold a flat JSON object")
-    unknown = set(cfg) - {f.name for f in fields(RunConfig)} - {"command"}
+    keys = {
+        p.name for cmd in main.commands.values() for p in cmd.params
+        if isinstance(p, click.Option) and p.expose_value
+    }
+    unknown = set(cfg) - keys - {"command"}
     if unknown:
         raise click.UsageError(f"unknown config keys {sorted(unknown)}")
-    ctx.default_map = {**(ctx.default_map or {}), **cfg}
+    for key, value in cfg.items():
+        if not isinstance(value, (str, int, float, bool, type(None))):
+            raise click.UsageError(
+                f"config key {key!r} must be a string, number, boolean or null, "
+                f"got {type(value).__name__}"
+            )
+    ctx.default_map = {
+        **(ctx.default_map or {}), **{k: v for k, v in cfg.items() if v is not None}
+    }
     return path
 
 
-_config_option = click.option(
-    "--config", type=str, default=None, is_eager=True, expose_value=False,
-    callback=_load_config, help="Flat JSON config file; explicit flags override it.",
-)
+def _policy_options(command: Callable) -> Callable:
+    """Add ``--tol``, ``--max-dim`` and ``--config`` to a command.
+
+    The tolerance and guard overrides hold until the command ends.  The
+    guard is ``--max-dim`` (from the flag or the config file), else the
+    environment variable ``QSWITCH_MAX_DIM``, else the policy default.
+    """
+
+    @click.option("--tol", type=float, default=None, help="Override the spectral tolerance.")
+    @click.option("--max-dim", type=int, default=None, help="Override the resource guard.")
+    @click.option(
+        "--config", type=str, default=None, is_eager=True, expose_value=False,
+        callback=_load_config, help="Flat JSON config file; explicit flags override it.",
+    )
+    @click.pass_context
+    @functools.wraps(command)
+    def scoped(ctx: click.Context, tol: float | None, max_dim: int | None, **params):
+        saved = (policy.max_dim, policy.spectral_tol)
+
+        def restore() -> None:
+            policy.max_dim, policy.spectral_tol = saved
+
+        ctx.call_on_close(restore)  # runs on return, on ctx.exit and on errors alike
+        env = os.environ.get("QSWITCH_MAX_DIM")
+        if env is not None:
+            try:
+                policy.max_dim = int(env)
+            except ValueError:
+                raise click.UsageError(f"QSWITCH_MAX_DIM must be an integer, got {env!r}")
+        if max_dim is not None:
+            policy.max_dim = max_dim
+        if tol is not None:
+            policy.spectral_tol = tol
+        return command(ctx, **params)
+
+    return scoped
 
 
-def _apply_guards(ctx: click.Context, cfg: RunConfig) -> None:
-    """Apply the guard and tolerance overrides until the command ends."""
-    saved = (policy.max_dim, policy.spectral_tol)
-
-    def restore() -> None:
-        policy.max_dim, policy.spectral_tol = saved
-
-    ctx.call_on_close(restore)  # runs on return, on ctx.exit and on errors alike
-    env = os.environ.get("QSWITCH_MAX_DIM")
-    if env is not None:
-        try:
-            policy.max_dim = int(env)
-        except ValueError:
-            raise click.UsageError(f"QSWITCH_MAX_DIM must be an integer, got {env!r}")
-    if cfg.max_dim is not None:
-        policy.max_dim = cfg.max_dim
-    if cfg.tol is not None:
-        policy.spectral_tol = cfg.tol
+# the options more than one command declares
+_d_option = functools.partial(click.option, "--d", type=int, default=2)
+_receivers_option = click.option("--receivers", type=int, default=2, help="Receiver count for ghz.")
 
 
 def _parse_resource(spec: str, d: int) -> ResourceState:
@@ -156,13 +161,11 @@ def _parse_resource(spec: str, d: int) -> ResourceState:
             entries = np.asarray(
                 [[complex(re, im) for re, im in row] for row in payload["entries"]]
             )
-            from .linalg import DensityMatrix
-
             dm = DensityMatrix(
                 entries,
                 SubsystemLayout(tuple(payload["dims"]), tuple(payload["labels"])),
             )
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise click.UsageError(f"cannot load resource state from {path}: {exc}")
         return ResourceState.explicit(dm)
     raise click.UsageError(f"unknown resource spec {spec!r} (use max | schmidt:... | file:PATH)")
@@ -272,49 +275,41 @@ CHECKS = {
 
 
 @main.command()
-@click.option("--d", "d", type=int, default=None, help="Qudit dimension (>= 2).")
+@_d_option(help="Qudit dimension (>= 2).")
 @click.option("--n", type=int, default=None, help="Also check N transmission lines.")
 @click.option(
     "--choice-amplitudes",
     type=click.Choice(["coincidence", "random-seeded"]),
-    default=None,
+    default="coincidence",
     help="Extension amplitudes for the order/choice comparison.",
 )
-@click.option("--tol", type=float, default=None, help="Override the spectral tolerance.")
-@click.option("--max-dim", "max_dim", type=int, default=None, help="Override the resource guard.")
-@_config_option
-@click.pass_context
-def verify(ctx, d, n, choice_amplitudes, tol, max_dim):
+@_policy_options
+def verify(ctx, d, n, choice_amplitudes):
     """Numerically certify the channel identities for one dimension."""
-    cfg = RunConfig.resolve(
-        "verify", d=d, n=n, choice_amplitudes=choice_amplitudes, tol=tol, max_dim=max_dim
-    )
-    _apply_guards(ctx, cfg)
-    d, n_lines = cfg.d, cfg.n
     if d < 2:
         raise click.UsageError("--d must be at least 2")
-    if n_lines is not None and n_lines < 1:
+    if n is not None and n < 1:
         raise click.UsageError("--n must be at least 1")
     tolerance = policy.spectral_tol
 
-    choice = "choice" if cfg.choice_amplitudes == "coincidence" else "random-choice"
+    choice = "choice" if choice_amplitudes == "coincidence" else "random-choice"
     rows = [("order", 1), (choice, 1), ("noiseless", 1), ("round-trip", 1)]
-    if n_lines is not None:
-        if d == 2 and n_lines <= 2:
-            rows.append(("multiline-enumeration", n_lines))
-        rows.append(("multiline-noiseless", n_lines))
+    if n is not None:
+        if d == 2 and n <= 2:
+            rows.append(("multiline-enumeration", n))
+        rows.append(("multiline-noiseless", n))
     try:
         guard_dimension(d * d, "verification")
-        if n_lines is not None:
-            guard_dimension(d ** (n_lines + 1), "multiline verification")
-        results = [(CHECKS[name], n, CHECKS[name].distance(d, n)) for name, n in rows]
+        if n is not None:
+            guard_dimension(d ** (n + 1), "multiline verification")
+        results = [(CHECKS[name], lines, CHECKS[name].distance(d, lines)) for name, lines in rows]
     except ResourceGuardError as exc:
         raise click.UsageError(str(exc))
 
     failed = 0
-    for check, n, dist in results:
+    for check, lines, dist in results:
         ok = (dist <= tolerance) == check.equal
-        verdict, label = "PASS" if ok else "FAIL", check.label.format(d=d, n=n)
+        verdict, label = "PASS" if ok else "FAIL", check.label.format(d=d, n=lines)
         click.echo(f"[{verdict}] {label}: distance {dist:.3e} (tol {tolerance:.1e})")
         failed += 0 if ok else 1
     click.echo(f"{len(results) - failed}/{len(results)} checks passed")
@@ -330,55 +325,44 @@ def verify(ctx, d, n, choice_amplitudes, tol, max_dim):
 @click.argument(
     "protocol", type=click.Choice(["private-dit", "bipartite", "ghz", "fixed-baseline"])
 )
-@click.option("--d", "d", type=int, default=None, help="Qudit dimension (>= 2).")
-@click.option("--x", "x", type=int, default=None, help="Message value for private-dit.")
-@click.option("--receivers", type=int, default=None, help="Receiver count for ghz.")
-@click.option("--resource", type=str, default=None, help="max | schmidt:l0,l1,... | file:PATH")
+@_d_option(help="Qudit dimension (>= 2).")
+@click.option("--x", type=int, default=0, help="Message value for private-dit.")
+@_receivers_option
+@click.option("--resource", type=str, default="max", help="max | schmidt:l0,l1,... | file:PATH")
 @click.option(
     "--encodings",
     type=click.Choice(["dfs-phase", "classical-flag"]),
-    default=None,
+    default="dfs-phase",
     help="Encoding family for fixed-baseline.",
 )
 @click.option("--out", type=str, default=None, help="Output file path.")
-@click.option("--format", type=click.Choice(["json", "csv"]), default=None)
-@click.option("--tol", type=float, default=None)
-@click.option("--max-dim", "max_dim", type=int, default=None)
-@_config_option
-@click.pass_context
-def run(ctx, protocol, d, x, receivers, resource, encodings, out, format, tol, max_dim):
+@click.option("--format", type=click.Choice(["json", "csv"]), default="json")
+@_policy_options
+def run(ctx, protocol, d, x, receivers, resource, encodings, out, format):
     """Run one protocol and emit its transcript or metric row."""
-    cfg = RunConfig.resolve(
-        "run", d=d, x=x, receivers=receivers, resource=resource, encodings=encodings,
-        out=out, format=format, tol=tol, max_dim=max_dim,
-    )
-    _apply_guards(ctx, cfg)
-    d, out_path = cfg.d, cfg.out
     if d < 2:
         raise click.UsageError("--d must be at least 2")
 
     try:
         if protocol == "fixed-baseline":
-            family = cfg.encodings
-            enc = dfs_phase_encodings(d) if family == "dfs-phase" else classical_flag_encodings(d)
+            enc = dfs_phase_encodings(d) if encodings == "dfs-phase" else classical_flag_encodings(d)
             report = fixed_configuration_baseline(d, enc)
             for key in sorted(report):
                 click.echo(f"{key}: {serialize.fmt(report[key])}")
-            if out_path:
+            if out:
                 serialize.write_text(
-                    out_path,
+                    out,
                     serialize.json_chunks(
                         {"schema": serialize.SCHEMA, "header": {"protocol": protocol, "d": d,
-                                                                "encodings": family},
+                                                                "encodings": encodings},
                          "metrics": serialize._plain(report)}
                     ),
                 )
             ctx.exit(0)
 
-        res = _parse_resource(cfg.resource, d)
+        res = _parse_resource(resource, d)
         privacy = None
         if protocol == "private-dit":
-            x = cfg.x
             if not 0 <= x < d:
                 raise ValueError(f"message {x} out of range for dimension {d}")
             ensemble = [run_private_dit(d, msg, res) for msg in range(d)]
@@ -387,7 +371,7 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out, format, tol, m
         elif protocol == "bipartite":
             transcript = run_bipartite_establishment(d, res)
         else:
-            transcript = run_ghz_distribution(d, cfg.receivers, res)
+            transcript = run_ghz_distribution(d, receivers, res)
     except ValueError as exc:  # a ResourceGuardError too
         raise click.UsageError(str(exc))
 
@@ -402,8 +386,8 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out, format, tol, m
         click.echo(
             f"privacy_max_outcome_tv: {serialize.fmt(privacy['max_pairwise_outcome_tv'])}"
         )
-    if out_path:
-        if cfg.format == "json":
+    if out:
+        if format == "json":
             payload = serialize.transcript_to_dict(
                 transcript, header={"command": "run", "protocol": protocol}
             )
@@ -415,11 +399,11 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out, format, tol, m
                         f"{i},{j}": v for (i, j), v in privacy["helstrom_errors"].items()
                     },
                 }
-            serialize.write_text(out_path, serialize.json_chunks(payload))
+            serialize.write_text(out, serialize.json_chunks(payload))
         else:
             cols, row = serialize.transcript_metric_row(transcript)
-            serialize.write_text(out_path, [",".join(cols) + "\n", ",".join(row) + "\n"])
-        click.echo(f"wrote {out_path}")
+            serialize.write_text(out, [",".join(cols) + "\n", ",".join(row) + "\n"])
+        click.echo(f"wrote {out}")
     ctx.exit(0)
 
 
@@ -430,33 +414,25 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out, format, tol, m
 
 @main.command()
 @click.argument("protocol", type=click.Choice(["private-dit", "bipartite", "ghz"]))
-@click.option("--d", "d", type=int, default=None, help="Qudit dimension (only 2 for --alpha grids).")
-@click.option("--alpha", type=str, default=None, help="Grid START:END:POINTS.")
-@click.option("--receivers", type=int, default=None)
-@click.option("--out", type=str, default=None)
-@click.option("--tol", type=float, default=None)
-@click.option("--max-dim", "max_dim", type=int, default=None)
-@_config_option
-@click.pass_context
-def sweep(ctx, protocol, d, alpha, receivers, out, tol, max_dim):
+@_d_option(help="Qudit dimension (only 2 for --alpha grids).")
+@click.option("--alpha", type=str, default="0:1:11", help="Grid START:END:POINTS.")
+@_receivers_option
+@click.option("--out", type=str, default=None, help="Output file path.")
+@_policy_options
+def sweep(ctx, protocol, d, alpha, receivers, out):
     """Sweep a protocol metric over resource Schmidt spectra (CSV output)."""
-    cfg = RunConfig.resolve(
-        "sweep", d=d, alpha=alpha, receivers=receivers, out=out, tol=tol, max_dim=max_dim
-    )
-    _apply_guards(ctx, cfg)
-    d = cfg.d
     if d != 2:
         raise click.UsageError("--alpha grids parameterize two-level spectra; use --d 2")
-    spectra = _parse_alpha(cfg.alpha)
+    spectra = _parse_alpha(alpha)
     try:
-        table = necessity_sweep(protocol, d, spectra, n_receivers=cfg.receivers)
+        table = necessity_sweep(protocol, d, spectra, n_receivers=receivers)
     except ValueError as exc:  # a ResourceGuardError too
         raise click.UsageError(str(exc))
 
     lines = serialize.sweep_csv_lines(table)
-    if cfg.out:
-        serialize.write_text(cfg.out, [ln + "\n" for ln in lines])
-        click.echo(f"wrote {cfg.out}")
+    if out:
+        serialize.write_text(out, [ln + "\n" for ln in lines])
+        click.echo(f"wrote {out}")
     else:
         for ln in lines:
             click.echo(ln)

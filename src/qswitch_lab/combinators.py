@@ -37,7 +37,7 @@ from .channels import (
     restrict_channel,
     vacuum_extend,
 )
-from .linalg import Ket, Operator
+from .linalg import Ket, _readonly
 from .numeric import ResourceGuardError, guard_dimension, policy
 
 _ENUM_MAX_CHANNELS = 4          # cap for the d^d tuple enumerations
@@ -284,17 +284,17 @@ class TDecomposition:
     alone preserves probability on the corresponding control branch.
     """
 
-    t0: Operator
+    t0: np.ndarray
     v: list[Ket]
-    remainder_weights: dict[int, Operator]
+    remainder_weights: dict[int, np.ndarray]
     d: int
 
     def reconstructed_channel(self) -> KrausChannel:
         """Kraus form of t0 plus the spectral square roots of the remainders."""
         d = self.d
-        ops = [self.t0.entries]
+        ops = [self.t0]
         for j, w in self.remainder_weights.items():
-            vals, vecs = np.linalg.eigh(w.entries)
+            vals, vecs = np.linalg.eigh(w)
             ket_jj = np.kron(_basis_column(d, j), _basis_column(d, j))
             for mu, col in zip(vals, vecs.T):
                 if mu < policy.zero_operator_tol:
@@ -316,7 +316,7 @@ def t_decomposition(channels: list[ExtendedChannel]) -> TDecomposition:
         raise ValueError("need d extensions of d-dimensional channels")
     vs: list[Ket] = []
     t0 = np.zeros((d * d, d * d), dtype=complex)
-    remainders: dict[int, Operator] = {}
+    remainders: dict[int, np.ndarray] = {}
     for j, ext in enumerate(channels):
         _require_erasing_to(ext.base, j)
         canon = canonicalize_extension(ext)
@@ -328,8 +328,8 @@ def t_decomposition(channels: list[ExtendedChannel]) -> TDecomposition:
             raise ValueError(f"extracted vector {j} has norm above 1")
         vs.append(Ket.raw(vj))
         t0 += np.kron(np.outer(_basis_column(d, j), vj.conj()), _proj(d, j))
-        remainders[j] = Operator(np.eye(d, dtype=complex) - np.outer(vj, vj.conj()))
-    return TDecomposition(Operator(t0), vs, remainders, d)
+        remainders[j] = _readonly(np.eye(d, dtype=complex) - np.outer(vj, vj.conj()))
+    return TDecomposition(_readonly(t0), vs, remainders, d)
 
 
 def _require_erasing_to(ch: KrausChannel, j: int) -> None:

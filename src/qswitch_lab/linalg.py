@@ -1,9 +1,10 @@
 """Dense complex linear algebra over multi-qudit Hilbert spaces.
 
-Kets, operators and density matrices are thin immutable wrappers around
-``numpy`` arrays.  Composite systems carry a :class:`SubsystemLayout` that
-assigns a dimension and a unique role label to every tensor factor; the
-leftmost factor is the most significant one (``numpy.kron`` convention).
+Kets and density matrices are thin immutable wrappers around ``numpy``
+arrays; operators and gates are plain arrays, read-only where cached.
+Composite systems carry a :class:`SubsystemLayout` that assigns a dimension
+and a unique role label to every tensor factor; the leftmost factor is the
+most significant one (``numpy.kron`` convention).
 
 Everything here is a pure function of its inputs.  In particular,
 measurement is exact branch enumeration: :func:`projective_measure` returns
@@ -90,10 +91,6 @@ class SubsystemLayout:
         return SubsystemLayout(self.dims, tuple(mapping.get(l, l) for l in self.labels))
 
 
-def single(dim: int, label: str = "A") -> SubsystemLayout:
-    return SubsystemLayout((dim,), (label,))
-
-
 @dataclass(frozen=True)
 class Ket:
     """Pure-state amplitude vector.
@@ -138,43 +135,8 @@ class Ket:
 
     def density(self, layout: SubsystemLayout | None = None) -> "DensityMatrix":
         if layout is None:
-            layout = single(self.dim)
+            layout = SubsystemLayout((self.dim,), ("A",))
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), layout)
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Dense complex matrix, not necessarily square."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError("operator entries must be a 2-d array")
-        object.__setattr__(self, "entries", _readonly(m))
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            return Operator(self.entries @ other.entries)
-        if isinstance(other, Ket):
-            return Ket.raw(self.entries @ other.amplitudes)
-        return NotImplemented
-
-    def is_unitary(self, tol: float | None = None) -> bool:
-        if self.rows != self.cols:
-            return False
-        tol = policy.spectral_tol if tol is None else tol
-        gram = self.entries.conj().T @ self.entries
-        return bool(np.abs(gram - np.eye(self.cols)).max() <= tol)
 
 
 # at or below this dimension the checks and ``to_ket`` use the whole matrix:
@@ -364,8 +326,8 @@ def ghz_ket(d: int, parties: int, phase_index: int = 0) -> Ket:
 def tensor(a, b):
     """Kronecker product; the left operand is the most significant factor.
 
-    Accepts kets, operators, raw arrays or density matrices (whose layouts
-    are concatenated).  Mixed ket/operator input is rejected.
+    Accepts two kets, two arrays or two density matrices (whose layouts are
+    concatenated); any other pair is rejected.
     """
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         return DensityMatrix(
@@ -374,8 +336,6 @@ def tensor(a, b):
         )
     if isinstance(a, Ket) and isinstance(b, Ket):
         return Ket.raw(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(np.kron(a.entries, b.entries))
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         return np.kron(a, b)
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
@@ -491,19 +451,19 @@ def _coincidence_embedded(
     return _embedded(entries, dims, positions, collapse)
 
 
-def apply_unitary(rho: DensityMatrix, u: Operator | np.ndarray, acting_on: Sequence[str]) -> DensityMatrix:
+def apply_unitary(rho: DensityMatrix, u: np.ndarray, acting_on: Sequence[str]) -> DensityMatrix:
     """Conjugate by a unitary on the addressed labels, identity elsewhere."""
-    op = u if isinstance(u, Operator) else Operator(u)
+    u = np.asarray(u, dtype=complex)
     positions = rho.layout.positions(acting_on)
     acted_dim = math.prod(rho.layout.dims[p] for p in positions)
-    if op.entries.shape != (acted_dim, acted_dim):
+    if u.shape != (acted_dim, acted_dim):
         raise ValueError(
-            f"unitary of shape {op.entries.shape} cannot act on labels {tuple(acting_on)} "
+            f"unitary of shape {u.shape} cannot act on labels {tuple(acting_on)} "
             f"with total dimension {acted_dim}"
         )
-    if not op.is_unitary():
+    if not np.abs(u.conj().T @ u - np.eye(acted_dim)).max() <= policy.spectral_tol:  # NaN too
         raise ValueError("operator is not unitary within tolerance")
-    out = _conjugate_embedded(rho.entries, rho.layout.dims, positions, [op.entries])
+    out = _conjugate_embedded(rho.entries, rho.layout.dims, positions, [u])
     return DensityMatrix(out, rho.layout)
 
 

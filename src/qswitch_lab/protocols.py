@@ -40,8 +40,8 @@ from .channels import apply_coincidence
 from .linalg import (
     DensityMatrix,
     Ket,
-    Operator,
     SubsystemLayout,
+    _readonly,
     apply_unitary,
     basis_ket,
     fidelity_with_ket,
@@ -54,7 +54,8 @@ from .linalg import (
     trace_distance,
 )
 from .metrics import (
-    concurrence_2qubit, ggm, helstrom_error, is_maximally_entangled, total_variation,
+    concurrence_2qubit, ggm, helstrom_error, is_maximally_entangled, mutual_information,
+    total_variation,
 )
 from .numeric import guard_dimension, policy
 
@@ -65,7 +66,7 @@ from .numeric import guard_dimension, policy
 
 
 @functools.cache  # depends only on its integers and is immutable: built once
-def phase_unitary(k: int, d: int) -> Operator:
+def phase_unitary(k: int, d: int) -> np.ndarray:
     """Diagonal phase gate diag(exp(2*pi*i*j*k/d)); for d = 2 it is Z^k.
 
     The sender encodes message k with it on her half of the canonical
@@ -73,14 +74,15 @@ def phase_unitary(k: int, d: int) -> Operator:
     family.  The receiver applies it for the controller's Fourier outcome k:
     with the +-sign Fourier convention that outcome leaves phases
     exp(-2*pi*i*j*k/d) on the |j...j> components, which the gate undoes.
+    The array is read-only.
     """
     if not 0 <= k < d:
         raise ValueError(f"phase index {k} out of range for dimension {d}")
     j = np.arange(d)
-    return Operator(np.diag(np.exp(2j * np.pi * j * k / d)))
+    return _readonly(np.diag(np.exp(2j * np.pi * j * k / d)))
 
 
-def clone_extend_unitary(d: int, n_copies: int) -> Operator:
+def clone_extend_unitary(d: int, n_copies: int) -> np.ndarray:
     """Basis-copy unitary on 1 + n_copies qudits: |k>|0..0> -> |k>^(n+1).
 
     Completed to a full unitary by cyclic addition on each ancilla register
@@ -105,7 +107,7 @@ def clone_extend_unitary(d: int, n_copies: int) -> Operator:
         for dg in out_digits:
             out = out * d + dg
         u[out, idx] = 1.0
-    return Operator(u)
+    return u
 
 
 @functools.cache
@@ -148,9 +150,9 @@ class ResourceState:
     @classmethod
     def from_schmidt(cls, spectrum) -> "ResourceState":
         spec = tuple(float(s) for s in spectrum)
-        if any(s < -policy.structural_tol for s in spec):
+        if not all(s >= -policy.structural_tol for s in spec):  # rejects NaN too
             raise ValueError("Schmidt spectrum entries must be nonnegative")
-        if abs(sum(spec) - 1.0) > policy.structural_tol:
+        if not abs(sum(spec) - 1.0) <= policy.structural_tol:
             raise ValueError(f"Schmidt spectrum sums to {sum(spec)!r}, not 1")
         return cls("schmidt_spectrum", len(spec), spectrum=spec)
 
@@ -322,8 +324,6 @@ def decode_summary(transcripts: list[ProtocolTranscript]) -> dict:
         for mb in range(d):
             for mc in range(d):
                 table[x, (mb + mc) % d] += joint[mb, mc] / d
-    from .metrics import mutual_information
-
     return {
         "joint_pmf": table.tolist(),
         "mutual_information_bits": mutual_information(table),

@@ -145,6 +145,27 @@ class TestRun:
         )
         assert bad.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],  # no object at the top
+            {"labels": ["A", "C"], "dims": [2, 2], "entries": np.eye(4).tolist()},  # no pairs
+            {"labels": ["A", "C"], "dims": 2, "entries": [[[1.0, 0.0]]]},
+        ],
+        ids=["top-level-list", "bare-numbers", "scalar-dims"],
+    )
+    def test_malformed_file_resource_is_usage_error(self, runner, tmp_path, payload):
+        path = tmp_path / "resource.json"
+        path.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["run", "bipartite", "--d", "2", "--resource", f"file:{path}"])
+        assert result.exit_code == 2, result.output
+        assert "cannot load resource state" in result.output
+
+    def test_nan_schmidt_spectrum_is_usage_error(self, runner):
+        result = runner.invoke(main, ["run", "bipartite", "--d", "2", "--resource", "schmidt:nan,1"])
+        assert result.exit_code == 2, result.output
+        assert "Schmidt spectrum entries must be nonnegative" in result.output
+
     def test_private_dit_skewed_resource(self, runner):
         result = runner.invoke(
             main,
@@ -230,6 +251,43 @@ class TestRun:
         assert result.exit_code == 2
         assert "turbo" in result.output
 
+    def test_every_flag_name_is_a_config_key(self, runner, tmp_path):
+        cfg = tmp_path / "all.json"
+        cfg.write_text(json.dumps({
+            "command": "verify", "d": 2, "n": 1, "choice_amplitudes": "coincidence",
+            "tol": 1e-10, "max_dim": 4096, "x": 0, "receivers": 2, "resource": "max",
+            "encodings": "dfs-phase", "alpha": "0:1:11", "out": str(tmp_path / "unused"),
+            "format": "json",
+        }))
+        result = runner.invoke(main, ["verify", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert "multiline noiseless subspace (d=2, N=1)" in result.output
+
+    @pytest.mark.parametrize("key", ["config", "protocol", "max-dim", "turbo"])
+    def test_other_config_keys_rejected(self, runner, tmp_path, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: "x"}))
+        result = runner.invoke(main, ["run", "bipartite", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert f"unknown config keys ['{key}']" in result.output
+
+    @pytest.mark.parametrize(
+        "key, value", [("d", [2, 3]), ("receivers", {"a": 1})], ids=["list", "object"]
+    )
+    def test_non_scalar_config_value_is_usage_error(self, runner, tmp_path, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: value}))
+        result = runner.invoke(main, ["run", "ghz", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert f"config key '{key}' must be a string, number, boolean or null" in result.output
+
+    def test_null_config_value_leaves_the_default(self, runner, tmp_path):
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps({"d": None, "x": None, "resource": None}))
+        result = runner.invoke(main, ["run", "private-dit", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert result.output == runner.invoke(main, ["run", "private-dit"]).output
+
     def test_config_value_of_wrong_type_is_usage_error(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"d": "abc"}))
@@ -254,6 +312,39 @@ class TestRun:
         assert "random extensions: choice differs from order (d=2)" in result.output
         assert "multiline noiseless subspace (d=2, N=2)" in result.output
         assert "(d=3" not in result.output
+
+
+@pytest.mark.parametrize("command", ["verify", "run", "sweep"])
+def test_policy_flags_in_help(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    for flag in ("--tol", "--max-dim", "--config"):
+        assert flag in result.output
+
+
+# each pair: a command left at its defaults, then with them spelled out
+_DEFAULTS = [
+    (
+        ["run", "bipartite", "--d", "3", "--format", "csv"],
+        ["--x", "0", "--receivers", "2", "--resource", "max", "--encodings", "dfs-phase"],
+    ),
+    (["run", "ghz"], ["--d", "2", "--receivers", "2", "--resource", "max", "--format", "json"]),
+    (["sweep", "bipartite"], ["--d", "2", "--alpha", "0:1:11", "--receivers", "2"]),
+    (["verify"], ["--d", "2", "--choice-amplitudes", "coincidence"]),
+]
+
+
+@pytest.mark.parametrize("args, spelled", _DEFAULTS, ids=lambda v: " ".join(v))
+def test_defaults_equal_the_spelled_out_flags(runner, tmp_path, args, spelled):
+    outputs = []
+    for extra in ([], spelled):
+        out = tmp_path / f"out{len(outputs)}"
+        out_flag = [] if args[0] == "verify" else ["--out", str(out)]
+        result = runner.invoke(main, [*args, *extra, *out_flag])
+        assert result.exit_code == 0, result.output
+        text = result.output.replace(str(out), "OUT")
+        outputs.append((text, out.read_bytes() if out_flag else b""))
+    assert outputs[0] == outputs[1]
 
 
 class TestSweep:

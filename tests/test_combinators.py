@@ -421,7 +421,7 @@ class TestTDecomposition:
         p0 = np.zeros((d * d, d * d), dtype=complex)
         for j in range(d):
             p0[j * d + j, j * d + j] = 1.0
-        assert np.allclose(dec.t0.entries, p0, atol=1e-12)
+        assert np.allclose(dec.t0, p0, atol=1e-12)
 
     def test_reconstruction_for_canonical_extensions(self):
         d = 2
@@ -445,7 +445,7 @@ class TestTDecomposition:
         ext1 = vacuum_extend(erasing_channel(2, 1), [0.0, 1.0])
         dec = t_decomposition([ext0, ext1])
         assert dec.v[0].norm() < 1.0 - 1e-6
-        evals = np.linalg.eigvalsh(dec.remainder_weights[0].entries)
+        evals = np.linalg.eigvalsh(dec.remainder_weights[0])
         assert evals.min() > 1e-6
         target = target_sector_restriction(controlled_choice([ext0, ext1]), 2)
         cmp = channels_equal(dec.reconstructed_channel(), target, 1e-10)

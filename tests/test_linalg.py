@@ -4,7 +4,6 @@ import pytest
 from qswitch_lab import (
     DensityMatrix,
     Ket,
-    Operator,
     SubsystemLayout,
     apply_unitary,
     basis_ket,
@@ -312,8 +311,8 @@ class TestTensor:
         assert np.allclose(out.amplitudes, expected)
 
     def test_identity_case(self):
-        out = tensor(Operator(np.eye(2)), Operator(np.eye(3)))
-        assert np.array_equal(out.entries, np.eye(6))
+        out = tensor(np.eye(2), np.eye(3))
+        assert np.array_equal(out, np.eye(6))
 
     def test_uniform_superposition(self):
         plus = Ket.normalized([1.0, 1.0])
@@ -337,7 +336,7 @@ class TestTensor:
 
     def test_mixed_types_rejected(self):
         with pytest.raises(TypeError):
-            tensor(basis_ket(2, 0), Operator(np.eye(2)))
+            tensor(basis_ket(2, 0), np.eye(2))
 
 
 class TestPartialTrace:
