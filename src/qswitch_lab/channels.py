@@ -1,6 +1,8 @@
 """Kraus channels: construction, application, Choi matrices, equality.
 
-A channel is stored as its list of Kraus operators.  Channel identity is
+A channel is stored as one read-only stack of its Kraus operators, shape
+``(n_kraus, out_dim, in_dim)``, and every list is built by array
+operations on that stack.  Channel identity is
 always decided through the Choi matrix (two Kraus lists describe the same
 channel iff their Choi matrices coincide), with the Frobenius distance
 reported alongside every verdict.
@@ -14,7 +16,9 @@ trace-preserving channel.  Its positivity is decided on its support, as for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,44 +32,56 @@ from .linalg import (
 )
 from .numeric import guard_dimension, policy
 
-import math
-from typing import Sequence
-
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Trace-preserving completely positive map given by Kraus operators."""
+    """Trace-preserving completely positive map given by Kraus operators.
 
-    kraus: tuple[np.ndarray, ...]
-    in_dim: int
-    out_dim: int
+    ``kraus`` is taken as any sequence of equal-shape matrices (or a 3-D
+    array) and stored as one read-only ``(n_kraus, out_dim, in_dim)`` array;
+    the dimensions are read off its shape.
+    """
+
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(_readonly(np.asarray(k, dtype=complex)) for k in self.kraus)
-        if not ops:
+        try:
+            ops = _readonly(self.kraus)
+        except ValueError as exc:  # ragged shapes, among others
+            raise ValueError(f"Kraus operators must be matrices of one shape: {exc}") from exc
+        if not ops.shape or ops.shape[0] == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (self.out_dim, self.in_dim):
-                raise ValueError(
-                    f"Kraus operator shape {k.shape} != (out_dim, in_dim) = "
-                    f"({self.out_dim}, {self.in_dim})"
-                )
-        total = sum(k.conj().T @ k for k in ops)
-        dev = np.abs(total - np.eye(self.in_dim)).max()
+        if ops.ndim != 3:
+            raise ValueError(f"Kraus operators must be matrices, got a stack of shape {ops.shape}")
+        flat = ops.reshape(-1, ops.shape[2])  # sum_i K_i^dag K_i = flat^dag flat
+        dev = np.abs(flat.conj().T @ flat - np.eye(ops.shape[2])).max()
         if not dev <= policy.spectral_tol:  # rejects NaN too
             raise ValueError(f"not trace preserving: max |sum K^dag K - I| = {dev:.3e}")
         object.__setattr__(self, "kraus", ops)
 
     @property
     def n_kraus(self) -> int:
-        return len(self.kraus)
+        return self.kraus.shape[0]
+
+    @property
+    def out_dim(self) -> int:
+        return self.kraus.shape[1]
+
+    @property
+    def in_dim(self) -> int:
+        return self.kraus.shape[2]
 
     def is_square(self) -> bool:
         return self.in_dim == self.out_dim
 
 
+def _drop_zero(ops: np.ndarray) -> np.ndarray:
+    """The operators of a stack whose largest entry is above the zero tolerance."""
+    return ops[np.abs(ops).max(axis=(1, 2)) > policy.zero_operator_tol]
+
+
 def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel((np.eye(d, dtype=complex),), d, d)
+    return KrausChannel(np.eye(d, dtype=complex)[None])
 
 
 def erasing_channel(d: int, j: int) -> KrausChannel:
@@ -75,12 +91,9 @@ def erasing_channel(d: int, j: int) -> KrausChannel:
     """
     if not 0 <= j < d:
         raise ValueError(f"target index {j} out of range for dimension {d}")
-    ops = []
-    for i in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[j, i] = 1.0
-        ops.append(m)
-    return KrausChannel(tuple(ops), d, d)
+    ops = np.zeros((d, d, d), dtype=complex)
+    ops[np.arange(d), j, np.arange(d)] = 1.0
+    return KrausChannel(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +140,10 @@ def vacuum_extend(base: KrausChannel, amplitudes) -> ExtendedChannel:
     if not abs(nrm - 1.0) <= policy.spectral_tol:  # rejects NaN too
         raise ValueError(f"amplitude vector norm is {nrm!r}, not 1")
     d = base.in_dim
-    ops = []
-    for k, a in zip(base.kraus, alpha):
-        m = np.zeros((d + 1, d + 1), dtype=complex)
-        m[:d, :d] = k
-        m[d, d] = a
-        ops.append(m)
-    realized = KrausChannel(tuple(ops), d + 1, d + 1)
+    ops = np.zeros((base.n_kraus, d + 1, d + 1), dtype=complex)
+    ops[:, :d, :d] = base.kraus
+    ops[:, d, d] = alpha
+    realized = KrausChannel(ops)
     return ExtendedChannel(base, _readonly(alpha), realized)
 
 
@@ -161,10 +171,7 @@ def remix(ch: KrausChannel, unitary: np.ndarray) -> KrausChannel:
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (ch.n_kraus, ch.n_kraus):
         raise ValueError("remixing unitary must be square over the Kraus index")
-    new_ops = tuple(
-        sum(u[m, i] * ch.kraus[i] for i in range(ch.n_kraus)) for m in range(ch.n_kraus)
-    )
-    return KrausChannel(new_ops, ch.in_dim, ch.out_dim)
+    return KrausChannel(np.tensordot(u, ch.kraus, axes=1))
 
 
 def canonicalize_extension(ext: ExtendedChannel) -> ExtendedChannel:
@@ -202,7 +209,7 @@ def apply(ch: KrausChannel, rho: DensityMatrix, acting_on: Sequence[str]) -> Den
             f"channel input dimension {ch.in_dim} does not match labels "
             f"{tuple(acting_on)} with total dimension {acted_dim}"
         )
-    out = _conjugate_embedded(rho.entries, rho.layout.dims, positions, list(ch.kraus))
+    out = _conjugate_embedded(rho.entries, rho.layout.dims, positions, ch.kraus)
     return DensityMatrix(out, rho.layout)
 
 
@@ -257,12 +264,8 @@ class ChoiMatrix:
 
 def choi(ch: KrausChannel) -> ChoiMatrix:
     """Choi matrix sum_i |K_i>><<K_i| with |K>> = sum_k |k> (x) K|k>."""
-    n = ch.in_dim * ch.out_dim
-    c = np.zeros((n, n), dtype=complex)
-    for k in ch.kraus:
-        v = k.T.reshape(-1)
-        c += np.outer(v, v.conj())
-    return ChoiMatrix(c, ch.in_dim, ch.out_dim)
+    vecs = ch.kraus.transpose(0, 2, 1).reshape(ch.n_kraus, -1)  # row i is |K_i>>
+    return ChoiMatrix(vecs.T @ vecs.conj(), ch.in_dim, ch.out_dim)
 
 
 @dataclass(frozen=True)
@@ -289,7 +292,5 @@ def restrict_channel(ch: KrausChannel, keep_indices: Sequence[int]) -> KrausChan
     Valid only when the channel maps the subspace into itself; this is
     checked through the trace-preservation test of the compressed operators.
     """
-    idx = list(keep_indices)
-    ops = tuple(k[np.ix_(idx, idx)] for k in ch.kraus)
-    ops = tuple(k for k in ops if np.abs(k).max() > policy.zero_operator_tol)
-    return KrausChannel(ops, len(idx), len(idx))
+    idx = np.asarray(keep_indices, dtype=int)
+    return KrausChannel(_drop_zero(ch.kraus[:, idx[:, None], idx]))

@@ -16,10 +16,11 @@ Subcommands
     the resulting table as CSV.
 
 Flags may also be supplied through a flat JSON config file (``--config``):
-its values go through each flag's own type and choices, and explicit flags
-override them.  The environment variable
-``QSWITCH_MAX_DIM`` overrides the default resource guard, and ``--max-dim``
-overrides both.
+its values go through each flag's own type and choices, an integer flag takes
+only a JSON integer and no flag a JSON boolean, and explicit flags override
+them.  The environment variable ``QSWITCH_MAX_DIM`` overrides the default
+resource guard; it is read only when neither ``--max-dim`` nor the config
+file sets ``max_dim``.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     and choices, and an explicit flag still overrides the file.  Keys are
     the flag names of any command (as their Python names, e.g. ``max_dim``)
     plus ``command``; those another command uses are ignored, and a null
-    value leaves the flag at its default.
+    value leaves the flag at its default.  A value is as strict as the flag:
+    an integer flag takes only a JSON integer (not 3.9, nor 3.0), and no
+    flag takes a JSON boolean.
     """
     if not path:
         return path
@@ -80,19 +83,21 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
         raise click.UsageError(f"cannot read config file {path}: {exc}")
     if not isinstance(cfg, dict):
         raise click.UsageError("config file must hold a flat JSON object")
-    keys = {
-        p.name for cmd in main.commands.values() for p in cmd.params
+    options = {
+        p.name: p for cmd in main.commands.values() for p in cmd.params
         if isinstance(p, click.Option) and p.expose_value
     }
-    unknown = set(cfg) - keys - {"command"}
+    unknown = set(cfg) - set(options) - {"command"}
     if unknown:
         raise click.UsageError(f"unknown config keys {sorted(unknown)}")
     for key, value in cfg.items():
-        if not isinstance(value, (str, int, float, bool, type(None))):
+        if isinstance(value, bool) or not isinstance(value, (str, int, float, type(None))):
             raise click.UsageError(
-                f"config key {key!r} must be a string, number, boolean or null, "
-                f"got {type(value).__name__}"
+                f"config key {key!r} must be a string, number or null, got {type(value).__name__}"
             )
+        int_option = key in options and isinstance(options[key].type, click.types.IntParamType)
+        if isinstance(value, float) and int_option:
+            raise click.UsageError(f"config key {key!r} must be an integer, got {value!r}")
     ctx.default_map = {
         **(ctx.default_map or {}), **{k: v for k, v in cfg.items() if v is not None}
     }
@@ -123,9 +128,9 @@ def _policy_options(command: Callable) -> Callable:
 
         ctx.call_on_close(restore)  # runs on return, on ctx.exit and on errors alike
         env = os.environ.get("QSWITCH_MAX_DIM")
-        if env is not None:
+        if max_dim is None and env is not None:
             try:
-                policy.max_dim = int(env)
+                max_dim = int(env)
             except ValueError:
                 raise click.UsageError(f"QSWITCH_MAX_DIM must be an integer, got {env!r}")
         if max_dim is not None:

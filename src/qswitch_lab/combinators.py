@@ -24,6 +24,7 @@ Factor order throughout: target(s) first, control last.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -32,6 +33,7 @@ import numpy as np
 from .channels import (
     ExtendedChannel,
     KrausChannel,
+    _drop_zero,
     canonicalize_extension,
     erasing_channel,
     restrict_channel,
@@ -44,20 +46,30 @@ _ENUM_MAX_CHANNELS = 4          # cap for the d^d tuple enumerations
 _MULTILINE_ENUM_MAX = (2, 2)    # (d, N) cap for the d^(dN) enumeration
 
 
-def _basis_column(d: int, i: int) -> np.ndarray:
-    v = np.zeros(d, dtype=complex)
-    v[i] = 1.0
-    return v
+def _enumerated_count(channels: list, what: str) -> int:
+    """The number of channels of a tuple enumeration: at least one, at most the cap."""
+    n = len(channels)
+    if n == 0:
+        raise ValueError("need at least one channel")
+    if n > _ENUM_MAX_CHANNELS:
+        raise ResourceGuardError(
+            f"{what} enumeration is capped at {_ENUM_MAX_CHANNELS} channels, got {n}"
+        )
+    return n
 
 
-def _proj(d: int, j: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[j, j] = 1.0
-    return m
+def _on_own_axis(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """Put the leading (Kraus) axis of stack c on broadcast axis c of n.
 
-
-def _drop_zero(ops: list[np.ndarray]) -> list[np.ndarray]:
-    return [k for k in ops if np.abs(k).max() > policy.zero_operator_tol]
+    A broadcast product of the results then forms every tuple of picks, one
+    per stack, at once, and the n tuple axes flatten in C order, which is
+    itertools.product order.
+    """
+    n = len(stacks)
+    return [
+        s.reshape((1,) * c + (s.shape[0],) + (1,) * (n - 1 - c) + s.shape[1:])
+        for c, s in enumerate(stacks)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -74,32 +86,19 @@ def cyclic_switch(channels: list[KrausChannel]) -> KrausChannel:
     dropped.  Enumeration grows as the product of Kraus counts, so the
     number of channels is capped at 4; use :func:`k_multiline` beyond.
     """
-    n = len(channels)
-    if n == 0:
-        raise ValueError("need at least one channel")
-    if n > _ENUM_MAX_CHANNELS:
-        raise ResourceGuardError(
-            f"cyclic enumeration is capped at {_ENUM_MAX_CHANNELS} channels, got {n}"
-        )
+    n = _enumerated_count(channels, "cyclic")
     d = channels[0].in_dim
     if any(c.in_dim != d or not c.is_square() for c in channels):
         raise ValueError("all channels must be square with equal dimension")
     guard_dimension(d * n, "cyclic switch")
-    # channel c's Kraus operators lie on broadcast axis c, so one product
-    # chain forms the branch for every tuple of picks at once, and the tuple
-    # axes flatten in C order, which is itertools.product order
-    stacks = []
-    for c, ch in enumerate(channels):
-        shape = [1] * n + [d, d]
-        shape[c] = ch.n_kraus
-        stacks.append(np.stack(ch.kraus).reshape(shape))
+    stacks = _on_own_axis([ch.kraus for ch in channels])
     ops = np.zeros(tuple(ch.n_kraus for ch in channels) + (d, n, d, n), dtype=complex)
     for j in range(n):
         prod_op = stacks[j]
         for k in range(1, n):
             prod_op = prod_op @ stacks[(j + k) % n]
         ops[..., :, j, :, j] = prod_op  # the block of control value j
-    return KrausChannel(tuple(_drop_zero(list(ops.reshape(-1, d * n, d * n)))), d * n, d * n)
+    return KrausChannel(_drop_zero(ops.reshape(-1, d * n, d * n)))
 
 
 def controlled_choice(channels: list[ExtendedChannel]) -> KrausChannel:
@@ -111,30 +110,20 @@ def controlled_choice(channels: list[ExtendedChannel]) -> KrausChannel:
     extended target (d+1) (x) d-level control.  Enumeration capped like
     :func:`cyclic_switch`.
     """
-    n = len(channels)
-    if n == 0:
-        raise ValueError("need at least one channel")
-    if n > _ENUM_MAX_CHANNELS:
-        raise ResourceGuardError(
-            f"choice enumeration is capped at {_ENUM_MAX_CHANNELS} channels, got {n}"
-        )
+    n = _enumerated_count(channels, "choice")
     d = channels[0].target_dim
     if any(c.target_dim != d for c in channels):
         raise ValueError("all extended channels must share the target dimension")
     dd = d + 1
     guard_dimension(dd * n, "controlled choice")
-    ops = []
-    for tup in product(*[range(c.realized.n_kraus) for c in channels]):
-        t = np.zeros((dd * n, dd * n), dtype=complex)
-        for j in range(n):
-            coeff = 1.0 + 0.0j
-            for l in range(n):
-                if l != j:
-                    coeff *= channels[l].amplitudes[tup[l]]
-            if coeff != 0:
-                t += coeff * np.kron(channels[j].realized.kraus[tup[j]], _proj(n, j))
-        ops.append(t)
-    return KrausChannel(tuple(_drop_zero(ops)), dd * n, dd * n)
+    stacks = _on_own_axis([c.realized.kraus for c in channels])
+    amps = _on_own_axis([c.amplitudes for c in channels])
+    ops = np.zeros(tuple(c.realized.n_kraus for c in channels) + (dd, n, dd, n), dtype=complex)
+    for j in range(n):
+        # the other channels' vacuum amplitudes, multiplied in channel order
+        coeff = math.prod((amps[l] for l in range(n) if l != j), start=np.ones((1,) * n))
+        ops[..., :, j, :, j] = coeff[..., None, None] * stacks[j]  # control value j
+    return KrausChannel(_drop_zero(ops.reshape(-1, dd * n, dd * n)))
 
 
 def coincidence_extensions(d: int) -> list[ExtendedChannel]:
@@ -143,12 +132,7 @@ def coincidence_extensions(d: int) -> list[ExtendedChannel]:
     These are precisely the extensions for which the controlled choice
     coincides with the controlled order on the message sector.
     """
-    exts = []
-    for l in range(d):
-        alpha = np.zeros(d, dtype=complex)
-        alpha[l] = 1.0
-        exts.append(vacuum_extend(erasing_channel(d, l), alpha))
-    return exts
+    return [vacuum_extend(erasing_channel(d, l), np.eye(d)[l]) for l in range(d)]
 
 
 def target_sector_restriction(ch: KrausChannel, d: int, n_targets: int = 1) -> KrausChannel:
@@ -161,15 +145,9 @@ def target_sector_restriction(ch: KrausChannel, d: int, n_targets: int = 1) -> K
     control_dim = ch.in_dim // (d + 1) ** n_targets
     if control_dim * (d + 1) ** n_targets != ch.in_dim:
         raise ValueError("channel dimension is not (d+1)^n_targets * control_dim")
-    dims = [d + 1] * n_targets + [control_dim]
-    keep = []
-    for idx in product(*[range(s) for s in dims]):
-        if all(idx[t] < d for t in range(n_targets)):
-            flat = 0
-            for s, i in zip(dims, idx):
-                flat = flat * s + i
-            keep.append(flat)
-    return restrict_channel(ch, keep)
+    # the digits of every basis index in C order, i.e. flat index order
+    digits = np.indices((d + 1,) * n_targets + (control_dim,)).reshape(n_targets + 1, -1)
+    return restrict_channel(ch, np.flatnonzero((digits[:n_targets] < d).all(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,29 +183,15 @@ def k_multiline(d: int, n_lines: int) -> KrausChannel:
             f"operators of dimension {dim} ({need / 1e6:.0f} MB), above the storage "
             f"limit of {cap / 1e6:.0f} MB (max_dim {policy.max_dim} squared)"
         )
-
-    def chain(j: int) -> np.ndarray:
-        v = np.ones(1, dtype=complex)
-        for _ in range(n_lines):
-            v = np.kron(v, _basis_column(d, j))
-        return v
-
-    p0 = np.zeros((dim, dim), dtype=complex)
-    for j in range(d):
-        v = np.kron(chain(j), _basis_column(d, j))
-        p0 += np.outer(v, v.conj())
-    ops = [p0]
-    for j in range(d):
-        ket = np.kron(chain(j), _basis_column(d, j))
-        for y in product(range(d), repeat=n_lines):
-            if y == (j,) * n_lines:
-                continue
-            bra = np.ones(1, dtype=complex)
-            for yn in y:
-                bra = np.kron(bra, _basis_column(d, yn))
-            bra = np.kron(bra, _basis_column(d, j))
-            ops.append(np.outer(ket, bra.conj()))
-    return KrausChannel(tuple(ops), dim, dim)
+    span = np.arange(d) * ((dim - 1) // (d - 1))  # c_j = |j>^N |j>
+    ops = np.zeros((n_kraus, dim, dim), dtype=complex)
+    ops[0, span, span] = 1.0  # P0^N
+    # then |c_j><y, j| for j ascending, y ascending, skipping y = (j, ..., j)
+    j, y = np.divmod(np.arange(d ** (n_lines + 1)), d**n_lines)
+    cols = y * d + j
+    rest = cols != span[j]
+    ops[np.arange(1, n_kraus), span[j[rest]], cols[rest]] = 1.0
+    return KrausChannel(ops)
 
 
 def k_multiline_enumerated(channels: list[KrausChannel], n_lines: int) -> KrausChannel:
@@ -248,10 +212,10 @@ def k_multiline_enumerated(channels: list[KrausChannel], n_lines: int) -> KrausC
     dim = t**n_lines * d
     guard_dimension(dim, "multiline enumeration")
     counts = [c.n_kraus for c in channels]
-    ops = []
-    for tup in product(*[range(counts[l]) for l in range(d) for _ in range(n_lines)]):
+    tuples = list(product(*[range(counts[l]) for l in range(d) for _ in range(n_lines)]))
+    ops = np.zeros((len(tuples), t**n_lines, d, t**n_lines, d), dtype=complex)
+    for op, tup in zip(ops, tuples):
         idx = np.array(tup).reshape(d, n_lines)  # idx[l, n]: Kraus pick of channel l on line n
-        kop = np.zeros((dim, dim), dtype=complex)
         for j in range(d):
             per_line = []
             for n in range(n_lines):
@@ -263,9 +227,8 @@ def k_multiline_enumerated(channels: list[KrausChannel], n_lines: int) -> KrausC
             full = per_line[0]
             for n in range(1, n_lines):
                 full = np.kron(full, per_line[n])
-            kop += np.kron(full, _proj(d, j))
-        ops.append(kop)
-    return KrausChannel(tuple(_drop_zero(ops)), dim, dim)
+            op[:, j, :, j] = full  # the block of control value j
+    return KrausChannel(_drop_zero(ops.reshape(-1, dim, dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +253,20 @@ class TDecomposition:
     d: int
 
     def reconstructed_channel(self) -> KrausChannel:
-        """Kraus form of t0 plus the spectral square roots of the remainders."""
+        """Kraus form of t0 plus the spectral square roots of the remainders.
+
+        Eigenpair (mu, u) of remainder j above the zero tolerance gives the
+        operator sqrt(mu) |jj><u, j|, in order of j and then of mu.
+        """
         d = self.d
-        ops = [self.t0]
-        for j, w in self.remainder_weights.items():
-            vals, vecs = np.linalg.eigh(w)
-            ket_jj = np.kron(_basis_column(d, j), _basis_column(d, j))
-            for mu, col in zip(vals, vecs.T):
-                if mu < policy.zero_operator_tol:
-                    continue
-                bra = np.kron(col.conj(), _basis_column(d, j).conj())
-                ops.append(np.sqrt(mu) * np.outer(ket_jj, bra))
-        return KrausChannel(tuple(_drop_zero(ops)), d * d, d * d)
+        js = np.array(list(self.remainder_weights))
+        vals, vecs = np.linalg.eigh(np.stack(list(self.remainder_weights.values())))
+        r, k = np.nonzero(vals >= policy.zero_operator_tol)  # eigenpair k of remainder js[r]
+        bras = np.sqrt(vals[r, k])[:, None] * vecs[r, :, k].conj()  # sqrt(mu) <u|
+        ops = np.zeros((1 + len(r), d, d, d, d), dtype=complex)
+        ops[0] = self.t0.reshape(d, d, d, d)
+        ops[np.arange(1, 1 + len(r)), js[r], js[r], :, js[r]] = bras
+        return KrausChannel(_drop_zero(ops.reshape(-1, d * d, d * d)))
 
 
 def t_decomposition(channels: list[ExtendedChannel]) -> TDecomposition:
@@ -315,26 +280,26 @@ def t_decomposition(channels: list[ExtendedChannel]) -> TDecomposition:
     if any(c.target_dim != d for c in channels):
         raise ValueError("need d extensions of d-dimensional channels")
     vs: list[Ket] = []
-    t0 = np.zeros((d * d, d * d), dtype=complex)
+    t0 = np.zeros((d, d, d, d), dtype=complex)
     remainders: dict[int, np.ndarray] = {}
     for j, ext in enumerate(channels):
         _require_erasing_to(ext.base, j)
-        canon = canonicalize_extension(ext)
-        first = canon.base.kraus[0]
-        vj = first.conj().T @ _basis_column(d, j)  # first = |j><v_j|
-        if np.linalg.norm(first - np.outer(_basis_column(d, j), vj.conj())) > policy.spectral_tol:
+        first = canonicalize_extension(ext).base.kraus[0]
+        vj = first[j].conj()  # first = |j><v_j|
+        if np.linalg.norm(np.delete(first, j, axis=0)) > policy.spectral_tol:
             raise ValueError(f"channel {j} is not an erasing channel onto |{j}>")
         if np.linalg.norm(vj) > 1.0 + policy.structural_tol:
             raise ValueError(f"extracted vector {j} has norm above 1")
         vs.append(Ket.raw(vj))
-        t0 += np.kron(np.outer(_basis_column(d, j), vj.conj()), _proj(d, j))
+        t0[j, j, :, j] = first[j]  # |j><v_j| (x) |j><j|
         remainders[j] = _readonly(np.eye(d, dtype=complex) - np.outer(vj, vj.conj()))
-    return TDecomposition(_readonly(t0), vs, remainders, d)
+    return TDecomposition(_readonly(t0.reshape(d * d, d * d)), vs, remainders, d)
 
 
 def _require_erasing_to(ch: KrausChannel, j: int) -> None:
     """Check that a channel sends every input to |j><j| (erasing channel)."""
-    d = ch.in_dim
-    img = sum(k @ (np.eye(d, dtype=complex) / d) @ k.conj().T for k in ch.kraus)
-    if np.abs(img - _proj(d, j)).max() > policy.spectral_tol:
+    flat = ch.kraus.transpose(1, 0, 2).reshape(ch.out_dim, -1)
+    img = flat @ flat.conj().T / ch.in_dim  # sum_i K_i (I/d) K_i^dag
+    img[j, j] -= 1.0  # minus |j><j|
+    if np.abs(img).max() > policy.spectral_tol:
         raise ValueError(f"channel is not information-erasing onto |{j}>")

@@ -404,15 +404,13 @@ def _conjugate_embedded(
 
     ``positions`` fixes the correspondence between the operators' tensor
     factors and the subsystems they act on; the operators must be square
-    with dimension equal to the product of the addressed subsystem dims.
+    with dimension equal to the product of the addressed subsystem dims,
+    which the callers check.
     """
 
     def kraus_sum(t: np.ndarray) -> np.ndarray:
-        m = t.shape[0]
         out = np.zeros_like(t)
         for K in ops:
-            if K.shape != (m, m):
-                raise ValueError(f"operator shape {K.shape} does not match acted dimension {m}")
             t1 = np.tensordot(K, t, axes=(1, 0))          # (i, q, l, r)
             t2 = np.tensordot(t1, K.conj(), axes=(2, 1))  # (i, q, r, k)
             out += t2.transpose(0, 1, 3, 2)

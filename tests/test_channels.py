@@ -50,12 +50,34 @@ class TestKrausChannel:
     def test_requires_trace_preservation(self):
         half = [np.eye(2, dtype=complex) * 0.5]
         with pytest.raises(ValueError, match="trace preserving"):
-            KrausChannel(tuple(half), 2, 2)
+            KrausChannel(tuple(half))
 
     def test_requires_consistent_shapes(self):
         ops = (np.eye(2, dtype=complex), np.eye(3, dtype=complex))
         with pytest.raises(ValueError, match="shape"):
-            KrausChannel(ops, 2, 2)
+            KrausChannel(ops)
+
+    def test_requires_matrices(self):
+        with pytest.raises(ValueError, match="at least one"):
+            KrausChannel(())
+        with pytest.raises(ValueError, match="must be matrices"):
+            KrausChannel((np.array([1.0, 0.0]),))
+        with pytest.raises(ValueError, match="must be matrices"):
+            KrausChannel(np.eye(2)[None, None])
+
+    def test_kraus_is_one_read_only_stack(self):
+        iso = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])  # an isometry 2 -> 3
+        ops = [iso]
+        ch = KrausChannel(ops)
+        assert ch.kraus.ndim == 3 and ch.kraus.shape == (1, 3, 2)
+        assert ch.kraus.dtype == complex
+        assert (ch.n_kraus, ch.out_dim, ch.in_dim) == (1, 3, 2) and not ch.is_square()
+        assert not ch.kraus.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ch.kraus[0, 0, 0] = 2.0
+        iso[0, 0] = 5.0  # the channel holds its own copy
+        assert ch.kraus[0, 0, 0] == 1.0
+        assert erasing_channel(3, 1).kraus.shape == (3, 3, 3)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
@@ -63,7 +85,7 @@ class TestKrausChannel:
         k = np.eye(2, dtype=complex)
         k[0, 1] = bad
         with pytest.raises(ValueError, match="trace preserving"):
-            KrausChannel((k,), 2, 2)
+            KrausChannel((k,))
 
 
 class TestErasingChannel:
@@ -233,6 +255,25 @@ class TestChoi:
         mixed = remix(ch, u)
         dist = np.linalg.norm(choi(ch).entries - choi(mixed).entries)
         assert dist < 1e-12
+
+    @pytest.mark.parametrize(
+        "n_kraus, in_dim, out_dim",
+        [
+            (n, i, o)
+            for n in range(1, 6)
+            for i, o in [(2, 2), (3, 3), (2, 3), (3, 2)]
+            if n * o >= i  # room for an isometry
+        ],
+    )
+    def test_random_channel_matches_oracle(self, n_kraus, in_dim, out_dim, rng):
+        # the columns of a random isometry, cut into n_kraus blocks of rows
+        g = rng.normal(size=(n_kraus * out_dim, in_dim)) + 1j * rng.normal(
+            size=(n_kraus * out_dim, in_dim)
+        )
+        ch = KrausChannel(np.linalg.qr(g)[0].reshape(n_kraus, out_dim, in_dim))
+        c = choi(ch)
+        assert (c.in_dim, c.out_dim) == (in_dim, out_dim)
+        assert np.abs(c.entries - oracle_choi(ch.kraus, in_dim, out_dim)).max() <= 1e-14
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
     def test_rejects_non_finite_entries(self, bad):

@@ -279,7 +279,35 @@ class TestRun:
         cfg.write_text(json.dumps({key: value}))
         result = runner.invoke(main, ["run", "ghz", "--config", str(cfg)])
         assert result.exit_code == 2, result.output
-        assert f"config key '{key}' must be a string, number, boolean or null" in result.output
+        assert f"config key '{key}' must be a string, number or null" in result.output
+
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            (["run", "bipartite"], {"d": 3.9}, "config key 'd' must be an integer, got 3.9"),
+            (["run", "ghz"], {"receivers": 2.0}, "config key 'receivers' must be an integer"),
+            (["verify"], {"max_dim": 64.0}, "config key 'max_dim' must be an integer"),
+            (["run", "private-dit"], {"x": True}, "key 'x' must be a string, number or null"),
+            (["verify"], {"tol": True}, "key 'tol' must be a string, number or null, got bool"),
+            (["run", "private-dit"], {"resource": False}, "key 'resource' must be a string"),
+        ],
+        ids=["float-d", "whole-float-receivers", "float-max-dim", "bool-x", "bool-tol",
+             "bool-resource"],
+    )
+    def test_config_value_as_strict_as_flag(self, runner, tmp_path, command, cfg, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        result = runner.invoke(main, command + ["--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert policy == NumericPolicy()
+
+    def test_config_accepts_integer_for_float_flag(self, runner, tmp_path):
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps({"tol": 1}))
+        result = runner.invoke(main, ["verify", "--d", "2", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "(tol 1.0e+00)" in result.output
 
     def test_null_config_value_leaves_the_default(self, runner, tmp_path):
         cfg = tmp_path / "null.json"
@@ -433,6 +461,28 @@ class TestDeterminism:
             main, ["run", "ghz", "--d", "2", "--receivers", "2", "--max-dim", "64"]
         )
         assert result.exit_code == 0, result.output
+
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_env_var_ignored_when_max_dim_is_set(self, runner, monkeypatch, tmp_path, source):
+        monkeypatch.setenv("QSWITCH_MAX_DIM", "abc")
+        args = ["run", "bipartite"]
+        if source == "flag":
+            args += ["--max-dim", "64"]
+        else:
+            path = tmp_path / "guard.json"
+            path.write_text(json.dumps({"max_dim": 64}))
+            args += ["--config", str(path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        unset = runner.invoke(main, ["run", "bipartite"], env={"QSWITCH_MAX_DIM": None})
+        assert result.output == unset.output
+
+    def test_bad_env_var_alone_is_usage_error(self, runner, monkeypatch):
+        monkeypatch.setenv("QSWITCH_MAX_DIM", "abc")
+        result = runner.invoke(main, ["run", "bipartite"])
+        assert result.exit_code == 2
+        assert "QSWITCH_MAX_DIM must be an integer, got 'abc'" in result.output
 
 
 class TestPolicyScope:

@@ -6,14 +6,21 @@ coincidence channel acts as the identity.  So each printed metric has a
 closed form that uses none of the library's linear algebra:
 
 * the sweep metric (private-dit worst-case success, bipartite and GHZ mean
-  fidelity) is (sum_j sqrt(lambda_j))^2 / d;
+  fidelity) is (sum_j sqrt(lambda_j))^2 / d, and so is the GHZ worst-branch
+  fidelity;
 * the pre-measurement GGM of the transmitted state is 1 - max_j lambda_j;
-* the d = 2 average output concurrence is 2 sqrt(lambda_0 lambda_1).
+* the d = 2 average output concurrence is 2 sqrt(lambda_0 lambda_1);
+* the private-dit joint outcome distribution is
+  p(m_B, m_C) = |sum_j sqrt(lambda_j) w^(j (x - m_B - m_C))|^2 / d^2 with
+  w = exp(2 pi i / d);
+* the controller's outcomes are uniform, and his reduced state does not
+  depend on the message (pairwise trace distance 0).
 
 By Cauchy-Schwarz (sum_j sqrt(lambda_j))^2 <= d, with equality only at the
 uniform spectrum, which is the sweep's "perfect only at uniform" verdict.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -23,8 +30,10 @@ from qswitch_lab import (
     ResourceState,
     necessity_sweep,
     policy,
+    privacy_report,
     run_bipartite_establishment,
     run_ghz_distribution,
+    run_private_dit,
 )
 from qswitch_lab.cli import _parse_alpha
 
@@ -97,3 +106,44 @@ def test_closed_form_reaches_one_only_at_uniform():
         value = closed_form_metric(lam)
         assert value <= 1.0 + policy.structural_tol
         assert (value >= 1.0 - 1e-9) == is_uniform(lam), lam
+
+
+def closed_form_joint_pmf(lam, x: int) -> np.ndarray:
+    """p(m_B, m_C) = |sum_j sqrt(lambda_j) w^(j (x - m_B - m_C))|^2 / d^2."""
+    d = len(lam)
+    pmf = np.zeros((d, d))
+    for mb in range(d):
+        for mc in range(d):
+            amp = sum(
+                math.sqrt(lam[j]) * cmath.exp(2j * math.pi * j * (x - mb - mc) / d)
+                for j in range(d)
+            )
+            pmf[mb, mc] = abs(amp) ** 2 / d**2
+    return pmf
+
+
+GHZ_SIZES = [(2, 1), (2, 3), (3, 2), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_private_dit_distributions_and_privacy_are_closed_form(d):
+    for lam in dirichlet_spectra(d, 4, seed=40 + d):
+        resource = ResourceState.from_schmidt(lam)
+        ensemble = [run_private_dit(d, x, resource) for x in range(d)]
+        for x, t in enumerate(ensemble):
+            joint = np.asarray(t.metrics["joint_pmf"])
+            assert np.abs(joint - closed_form_joint_pmf(lam, x)).max() <= policy.structural_tol
+            charlie = np.asarray(t.metrics["charlie_pmf"])
+            assert np.abs(charlie - 1.0 / d).max() <= policy.structural_tol, (lam, x)
+        report = privacy_report(ensemble)
+        assert 0.0 <= report["max_pairwise_trace_distance"] <= policy.structural_tol, lam
+
+
+@pytest.mark.parametrize("d,receivers", GHZ_SIZES)
+def test_ghz_charlie_pmf_and_fidelity_min_are_closed_form(d, receivers):
+    for lam in dirichlet_spectra(d, 4, seed=50 + 10 * d + receivers):
+        t = run_ghz_distribution(d, receivers, ResourceState.from_schmidt(lam))
+        charlie = np.asarray(t.metrics["charlie_pmf"])
+        assert np.abs(charlie - 1.0 / d).max() <= policy.structural_tol, lam
+        expected = closed_form_metric(lam)
+        assert abs(t.metrics["fidelity_min"] - expected) <= policy.structural_tol, lam

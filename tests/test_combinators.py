@@ -1,3 +1,6 @@
+from functools import reduce
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -135,8 +138,6 @@ def loop_cyclic_switch(channels):
     """Reference enumeration: one Kraus pick per channel, in itertools.product
     order; the control-j branch is the product starting with channel j, and
     zero operators are dropped."""
-    from itertools import product
-
     n, d = len(channels), channels[0].in_dim
     ops = []
     for tup in product(*[range(c.n_kraus) for c in channels]):
@@ -155,7 +156,7 @@ def loop_cyclic_switch(channels):
 
 def random_unitary_channel(d, n_kraus, rng):
     p = rng.dirichlet(np.ones(n_kraus))
-    return KrausChannel(tuple(np.sqrt(pk) * random_unitary(d, rng) for pk in p), d, d)
+    return KrausChannel(tuple(np.sqrt(pk) * random_unitary(d, rng) for pk in p))
 
 
 class TestCyclicSwitch:
@@ -208,7 +209,55 @@ class TestCyclicSwitch:
             assert channels_equal(base, cyclic_switch(mixed), 1e-12).equal
 
 
+def loop_controlled_choice(channels):
+    """Reference enumeration: one Kraus pick per extended channel, in
+    itertools.product order; the control-j branch is channel j's pick
+    weighted by the other picks' vacuum amplitudes, and zero operators are
+    dropped."""
+    n, dd = len(channels), channels[0].realized.in_dim
+    ops = []
+    for tup in product(*[range(c.realized.n_kraus) for c in channels]):
+        t = np.zeros((dd * n, dd * n), dtype=complex)
+        for j in range(n):
+            coeff = 1.0 + 0.0j
+            for l in range(n):
+                if l != j:
+                    coeff *= channels[l].amplitudes[tup[l]]
+            proj = np.zeros((n, n))
+            proj[j, j] = 1.0
+            t += coeff * np.kron(channels[j].realized.kraus[tup[j]], proj)
+        ops.append(t)
+    return [k for k in ops if np.abs(k).max() > policy.zero_operator_tol]
+
+
+def random_extensions(d, rng):
+    exts = []
+    for l in range(d):
+        a = rng.normal(size=d) + 1j * rng.normal(size=d)
+        exts.append(vacuum_extend(erasing_channel(d, l), a / np.linalg.norm(a)))
+    return exts
+
+
 class TestControlledChoice:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_coincidence_extensions_equal_loop_reference_exactly(self, d):
+        exts = coincidence_extensions(d)
+        got = controlled_choice(exts).kraus
+        want = loop_controlled_choice(exts)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):  # operator by operator, in order
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_random_amplitudes_equal_loop_reference(self, d, rng):
+        exts = random_extensions(d, rng)
+        got = controlled_choice(exts).kraus
+        want = loop_controlled_choice(exts)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-14
+
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_coincidence_with_order_control(self, d):
         choice = controlled_choice(coincidence_extensions(d))
@@ -219,10 +268,7 @@ class TestControlledChoice:
 
     def test_generic_amplitudes_differ_from_order_control(self, rng):
         d = 2
-        exts = []
-        for l in range(d):
-            a = rng.normal(size=d) + 1j * rng.normal(size=d)
-            exts.append(vacuum_extend(erasing_channel(d, l), a / np.linalg.norm(a)))
+        exts = random_extensions(d, rng)
         restricted = target_sector_restriction(controlled_choice(exts), d)
         order = cyclic_switch([erasing_channel(d, j) for j in range(d)])
         cmp = channels_equal(restricted, order, 1e-10)
@@ -288,6 +334,26 @@ class TestMultiline:
             k = k_multiline(d, 1)
             assert len(k.kraus) == len(ops)
             assert all(np.array_equal(a, b) for a, b in zip(k.kraus, ops))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_n2_list_equals_kron_construction(self, d):
+        # {P0^2} + {|jjj><y1 y2 j| : (y1, y2) != (j, j)}, P0^2 = sum_j |jjj><jjj|
+        e = np.eye(d, dtype=complex)
+
+        def ket(*digits):
+            return reduce(np.kron, [e[i] for i in digits])
+
+        p0 = sum(np.outer(ket(j, j, j), ket(j, j, j)) for j in range(d))
+        ops = [p0] + [
+            np.outer(ket(j, j, j), ket(y1, y2, j))
+            for j in range(d)
+            for y1, y2 in product(range(d), repeat=2)
+            if (y1, y2) != (j, j)
+        ]
+        k = k_multiline(d, 2)
+        assert k.n_kraus == len(ops) == d * (d * d - 1) + 1
+        for a, b in zip(k.kraus, ops):  # operator by operator, in order
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_enumeration_oracle(self, n):
@@ -408,6 +474,28 @@ class TestApplyCoincidence:
             apply_coincidence(rho, ("C",))
 
 
+class TestTargetSectorRestriction:
+    @pytest.mark.parametrize("d, n_targets, control_dim", [(2, 1, 2), (2, 2, 3), (3, 2, 2)])
+    def test_keeps_message_sector_in_basis_order(self, d, n_targets, control_dim, rng):
+        # a diagonal unitary leaves every basis subset invariant
+        dims = (d + 1,) * n_targets + (control_dim,)
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=int(np.prod(dims))))
+        restricted = target_sector_restriction(
+            KrausChannel(np.diag(phases)[None]), d, n_targets
+        )
+        keep = [
+            flat
+            for flat, idx in enumerate(product(*[range(s) for s in dims]))
+            if all(i < d for i in idx[:n_targets])
+        ]
+        assert len(keep) == d**n_targets * control_dim
+        assert np.array_equal(restricted.kraus[0], np.diag(phases[keep]))
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="n_targets"):
+            target_sector_restriction(identity_channel(7), 2, 2)
+
+
 class TestTDecomposition:
     def test_coincidence_extensions_give_basis_vectors(self):
         d = 3
@@ -440,7 +528,7 @@ class TestTDecomposition:
             np.array([[0.0, 1 / np.sqrt(2)], [0.0, 0.0]]),
             np.array([[0.0, 1 / np.sqrt(2)], [0.0, 0.0]]),
         ]
-        base = KrausChannel(tuple(np.asarray(o, dtype=complex) for o in ops), 2, 2)
+        base = KrausChannel(tuple(np.asarray(o, dtype=complex) for o in ops))
         ext0 = vacuum_extend(base, [0.0, 1.0, 0.0])
         ext1 = vacuum_extend(erasing_channel(2, 1), [0.0, 1.0])
         dec = t_decomposition([ext0, ext1])
