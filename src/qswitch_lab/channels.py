@@ -24,8 +24,8 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
-    _coincidence_embedded,
-    _conjugate_embedded,
+    _coincidence,
+    _conjugate,
     _min_eigenvalue,
     _readonly,
     _support_block,
@@ -209,8 +209,7 @@ def apply(ch: KrausChannel, rho: DensityMatrix, acting_on: Sequence[str]) -> Den
             f"channel input dimension {ch.in_dim} does not match labels "
             f"{tuple(acting_on)} with total dimension {acted_dim}"
         )
-    out = _conjugate_embedded(rho.entries, rho.layout.dims, positions, ch.kraus)
-    return DensityMatrix(out, rho.layout)
+    return _conjugate(rho, positions, ch.kraus)
 
 
 def apply_coincidence(rho: DensityMatrix, acting_on: Sequence[str]) -> DensityMatrix:
@@ -220,7 +219,8 @@ def apply_coincidence(rho: DensityMatrix, acting_on: Sequence[str]) -> DensityMa
     the input factors of ``k_multiline(d, N)`` in order; all of them must
     have the same dimension d >= 2.  The result equals
     ``apply(k_multiline(d, N), rho, acting_on)`` bit for bit, from the
-    channel's closed action instead of its d(d^N - 1) + 1 Kraus operators.
+    channel's closed action on the state's support block instead of its
+    d(d^N - 1) + 1 Kraus operators.
     """
     positions = rho.layout.positions(acting_on)
     acted = tuple(rho.layout.dims[p] for p in positions)
@@ -231,8 +231,7 @@ def apply_coincidence(rho: DensityMatrix, acting_on: Sequence[str]) -> DensityMa
             f"dimension d >= 2; labels {tuple(acting_on)} have dims {acted}"
         )
     guard_dimension(d ** len(acted), f"{len(acted) - 1}-line coincidence channel")
-    out = _coincidence_embedded(rho.entries, rho.layout.dims, positions)
-    return DensityMatrix(out, rho.layout)
+    return _coincidence(rho, positions)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import click
 import numpy as np
 
 from . import serialize
-from .channels import apply as channel_apply, channels_equal, erasing_channel, vacuum_extend
+from .channels import apply_coincidence, channels_equal, erasing_channel, vacuum_extend
 from .combinators import (
     coincidence_extensions,
     controlled_choice,
@@ -230,14 +230,17 @@ def _choice_vs_closed_form(d: int, extensions: list) -> float:
 
 
 def _noiseless_infidelity(d: int, n: int) -> float:
-    """Worst infidelity of K^(N) over the phased GHZ family of N targets and control."""
-    k = k_multiline(d, n)
+    """Worst infidelity of K^(N) over the phased GHZ family of N targets and control.
+
+    K^(N) acts through its closed action, ``apply_coincidence``; tier-1 tests
+    it against the Kraus list of ``k_multiline``, its oracle, bit for bit.
+    """
     labels = tuple(f"B{i}" for i in range(1, n + 1)) + ("C",)
     layout = SubsystemLayout((d,) * (n + 1), labels)
     worst = 0.0
     for x in range(d):
         g = ghz_ket(d, n + 1, x)
-        out = channel_apply(k, g.density(layout), labels)
+        out = apply_coincidence(g.density(layout), labels)
         worst = max(worst, 1.0 - fidelity_with_ket(out, g))
     return worst
 

@@ -1,10 +1,14 @@
 """Dense complex linear algebra over multi-qudit Hilbert spaces.
 
-Kets and density matrices are thin immutable wrappers around ``numpy``
-arrays; operators and gates are plain arrays, read-only where cached.
-Composite systems carry a :class:`SubsystemLayout` that assigns a dimension
-and a unique role label to every tensor factor; the leftmost factor is the
-most significant one (``numpy.kron`` convention).
+Kets are thin immutable wrappers around ``numpy`` arrays; operators and gates
+are plain arrays, read-only where cached.  A density matrix is stored as its
+support block: the indices whose row or column holds a nonzero entry, and
+the matrix on them.  Every step maps a support block to a support block, so
+a low-rank state in a large space costs its support only; the whole matrix
+is built only on request.  Composite systems carry a
+:class:`SubsystemLayout` that assigns a dimension and a unique role label to
+every tensor factor; the leftmost factor is the most significant one
+(``numpy.kron`` convention).
 
 Everything here is a pure function of its inputs.  In particular,
 measurement is exact branch enumeration: :func:`projective_measure` returns
@@ -17,11 +21,10 @@ forming the Schmidt vectors.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -134,12 +137,18 @@ class Ket:
         return float(np.linalg.norm(self.amplitudes))
 
     def density(self, layout: SubsystemLayout | None = None) -> "DensityMatrix":
+        """|psi><psi|, its block the outer product of the nonzero amplitudes."""
         if layout is None:
             layout = SubsystemLayout((self.dim,), ("A",))
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), layout)
+        _check_dim(self.dim, layout)
+        a = self.amplitudes
+        # a small state keeps the whole outer product, its signed zeros too
+        support = None if self.dim <= _SUPPORT_MIN_DIM else np.flatnonzero(a)
+        v = a if support is None else a[support]
+        return DensityMatrix._of_block(layout, support, np.outer(v, v.conj()))
 
 
-# at or below this dimension the checks and ``to_ket`` use the whole matrix:
+# at or below this dimension a state keeps its whole matrix as its block:
 # locating the support costs about as much as the decomposition itself
 _SUPPORT_MIN_DIM = 16
 
@@ -161,6 +170,29 @@ def _support_block(m: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     return None, m
 
 
+def _trimmed(
+    support: np.ndarray | None, block: np.ndarray, n: int
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """``_support_block`` of an n x n matrix given by its block on ``support``.
+
+    ``support`` holds ascending indices and may be larger than the support;
+    every entry outside it is zero.  None stands for every index, with
+    ``block`` the whole matrix.  At or below ``_SUPPORT_MIN_DIM`` the block is
+    scattered into the whole matrix.
+    """
+    if support is None:
+        return _support_block(block)
+    if n <= _SUPPORT_MIN_DIM:
+        m = np.zeros((n, n), dtype=complex)
+        m[support[:, None], support] = block
+        return None, m
+    nz = block != 0
+    keep = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+    if keep.size < support.size:
+        support, block = support[keep], block[keep[:, None], keep]
+    return (None, block) if support.size == n else (support, block)
+
+
 def _min_eigenvalue(block: np.ndarray, n: int) -> float:
     """Smallest eigenvalue of an n x n matrix, from its support block.
 
@@ -172,33 +204,73 @@ def _min_eigenvalue(block: np.ndarray, n: int) -> float:
     return min(low, 0.0) if block.shape[0] < n else low
 
 
-@dataclass(frozen=True)
+def _check_dim(n: int, layout: SubsystemLayout) -> None:
+    if n != layout.total_dim:
+        raise ValueError(
+            f"matrix dimension {n} does not match layout "
+            f"dims {layout.dims} (product {layout.total_dim})"
+        )
+
+
+@dataclass(frozen=True, init=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite matrix with a layout.
 
-    Construction finds the support once, the indices whose row or column is
-    not exactly zero, and decides all three properties on the support block.
-    Every nonzero entry lies inside that block, so the Hermiticity residual
-    and the trace are those of the whole matrix, and the rows and columns
-    left out add only zero eigenvalues: the checks are exact.  ``to_ket``
-    decomposes the same block.  A low-rank state in a large space therefore
-    costs a decomposition of its support only.
+    A state is its layout, its ``support`` (the ascending indices whose row
+    or column holds an exactly nonzero entry) and its ``block``, the
+    read-only matrix on the support; every other entry is zero.  At or below
+    ``_SUPPORT_MIN_DIM``, and when the support is every index, ``support`` is
+    None and ``block`` is the whole matrix.  ``entries``, the whole matrix,
+    is built only on request.
+
+    ``DensityMatrix(entries, layout)`` finds the support of a whole matrix.
+    The steps of this module map a support block to a support block, and
+    each checked output is checked once, on its block: every nonzero entry
+    lies inside it, so the Hermiticity residual and the trace are those of
+    the whole matrix, and the rows and columns left out add only zero
+    eigenvalues.  The checks are exact, and a low-rank state in a large space
+    costs its support only.
     """
 
-    entries: np.ndarray
     layout: SubsystemLayout
-    _support: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    support: np.ndarray | None
+    block: np.ndarray
 
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+    def __init__(self, entries, layout: SubsystemLayout):
+        m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        if m.shape[0] != self.layout.total_dim:
-            raise ValueError(
-                f"matrix dimension {m.shape[0]} does not match layout "
-                f"dims {self.layout.dims} (product {self.layout.total_dim})"
-            )
-        support, b = _support_block(m)
+        _check_dim(m.shape[0], layout)
+        support, block = _support_block(m)
+        if block is entries:  # the caller keeps its own array
+            block = block.copy()
+        self._set(layout, support, block)
+        self.__post_init__()
+
+    @classmethod
+    def _of_block(cls, layout: SubsystemLayout, support, block: np.ndarray) -> "DensityMatrix":
+        """The checked state with ``block`` on ``support`` (as for ``_trimmed``)."""
+        out = cls._unchecked(layout, *_trimmed(support, block, layout.total_dim))
+        out.__post_init__()
+        return out
+
+    @classmethod
+    def _unchecked(cls, layout: SubsystemLayout, support, block: np.ndarray) -> "DensityMatrix":
+        """The state with exactly this support and block, not checked."""
+        out = object.__new__(cls)
+        out._set(layout, support, block)
+        return out
+
+    def _set(self, layout, support, block) -> None:
+        for a in (support, block):
+            if a is not None:
+                a.setflags(write=False)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "block", block)
+
+    def __post_init__(self):
+        b = self.block
         # each check is written to fail on NaN, which compares False both
         # ways; a NaN or infinite entry already makes ``herm`` NaN.  An empty
         # support (the zero matrix) fails on the trace.
@@ -208,19 +280,27 @@ class DensityMatrix:
         tr = b.trace()
         if not abs(tr - 1.0) <= policy.structural_tol:
             raise ValueError(f"trace is {tr!r}, not 1")
-        min_eig = _min_eigenvalue(b, m.shape[0])
+        min_eig = _min_eigenvalue(b, self.dim)
         if not min_eig >= policy.psd_floor:
             raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
-        object.__setattr__(self, "entries", _readonly(m))
-        object.__setattr__(self, "_support", support)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.layout.total_dim
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The whole matrix, read-only; built on each request when a support is held."""
+        if self.support is None:
+            return self.block
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        m[np.ix_(self.support, self.support)] = self.block
+        m.setflags(write=False)
+        return m
 
     def purity(self) -> float:
         # sum of |rho_ij|^2, which is Tr rho^2 for Hermitian rho
-        return float(np.vdot(self.entries, self.entries).real)
+        return float(np.vdot(self.block, self.block).real)
 
     def is_pure(self, tol: float | None = None) -> bool:
         tol = policy.spectral_tol if tol is None else tol
@@ -234,35 +314,84 @@ class DensityMatrix:
         tol = policy.spectral_tol if tol is None else tol
         if not self.is_pure(tol):
             raise ValueError(f"state is mixed (purity {self.purity():.6f}); no ket exists")
-        support = self._support
-        if support is None:
-            return Ket.normalized(np.linalg.eigh(self.entries)[1][:, -1])
+        top = np.linalg.eigh(self.block)[1][:, -1]
+        if self.support is None:
+            return Ket.normalized(top)
         v = np.zeros(self.dim, dtype=complex)
-        v[support] = np.linalg.eigh(self.entries[np.ix_(support, support)])[1][:, -1]
+        v[self.support] = top
         return Ket.normalized(v)
 
     def relabel(self, mapping: dict[str, str]) -> "DensityMatrix":
-        """The same state under renamed labels.
-
-        The entries and dims are unchanged, so are the verdicts: the result
-        shares the validated entries and support and is not checked again.
-        """
-        out = copy.copy(self)
-        object.__setattr__(out, "layout", self.layout.relabel(mapping))
-        return out
+        """The same state under renamed labels, sharing the support block."""
+        return DensityMatrix._unchecked(self.layout.relabel(mapping), self.support, self.block)
 
     def reorder(self, new_labels: Sequence[str]) -> "DensityMatrix":
         """Permute tensor factors into the given label order."""
         if sorted(new_labels) != sorted(self.layout.labels):
             raise ValueError(f"{new_labels} is not a permutation of {self.layout.labels}")
         perm = self.layout.positions(new_labels)
-        n = self.layout.n_subsystems
-        t = self.entries.reshape(self.layout.dims * 2)
-        t = t.transpose(perm + [n + p for p in perm])
-        new_layout = SubsystemLayout(
-            tuple(self.layout.dims[p] for p in perm), tuple(new_labels)
-        )
-        return DensityMatrix(t.reshape(self.dim, self.dim), new_layout)
+        dims = self.layout.dims
+        new_layout = SubsystemLayout(tuple(dims[p] for p in perm), tuple(new_labels))
+        return _remapped(self, new_layout, _split(self, perm)[0])
+
+
+@functools.cache
+def _offsets(dims: tuple[int, ...], positions: tuple[int, ...]) -> np.ndarray:
+    """Full-index offset of each basis state of the factors at ``positions``
+    (in that order, first most significant); read-only."""
+    off = np.zeros(1, dtype=np.intp)
+    for p in positions:
+        off = (off[:, None] + math.prod(dims[p + 1:]) * np.arange(dims[p])).reshape(-1)
+    off.setflags(write=False)
+    return off
+
+
+def _per_layout(plan):
+    """Call ``plan(dims, positions, support)`` as ``plan(rho, positions)``.
+
+    The plan of a whole-matrix state (support None) depends only on the
+    layout, so it is kept, read-only, for the most recent layouts: the many
+    small states of a sweep share their plans.
+    """
+
+    @functools.lru_cache(maxsize=64)
+    def whole(dims, positions):
+        out = plan(dims, positions, None)
+        for a in out:
+            a.setflags(write=False)
+        return out
+
+    def planned(rho: DensityMatrix, positions: Sequence[int]):
+        if rho.support is None:
+            return whole(rho.layout.dims, tuple(positions))
+        return plan(rho.layout.dims, tuple(positions), rho.support)
+
+    return planned
+
+
+def _split_plan(dims, positions, support) -> tuple[np.ndarray, np.ndarray]:
+    """For every support index: its index over the factors at ``positions``
+    (in that order, first most significant) and the rest of it, the full
+    index with those factors' digits 0."""
+    index = np.arange(math.prod(dims)) if support is None else support
+    digits = np.unravel_index(index, dims)
+    acted = np.zeros_like(index)
+    for p in positions:
+        acted = acted * dims[p] + digits[p]
+    return acted, index - _offsets(dims, positions)[acted]
+
+
+_split = _per_layout(_split_plan)
+
+
+def _remapped(rho: DensityMatrix, layout: SubsystemLayout, indices: np.ndarray) -> DensityMatrix:
+    """``rho`` with the entries of support index k moved to ``indices[k]``.
+
+    Moving entries changes no verdict, so the result is not checked again.
+    """
+    order = np.argsort(indices)
+    support = None if rho.support is None else indices[order]
+    return DensityMatrix._unchecked(layout, support, rho.block[order[:, None], order])
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +456,17 @@ def tensor(a, b):
     """Kronecker product; the left operand is the most significant factor.
 
     Accepts two kets, two arrays or two density matrices (whose layouts are
-    concatenated); any other pair is rejected.
+    concatenated, and whose blocks are multiplied on the product support);
+    any other pair is rejected.
     """
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(
-            np.kron(a.entries, b.entries),
-            SubsystemLayout(a.layout.dims + b.layout.dims, a.layout.labels + b.layout.labels),
-        )
+        layout = SubsystemLayout(a.layout.dims + b.layout.dims, a.layout.labels + b.layout.labels)
+        support = None
+        if a.support is not None or b.support is not None:
+            index_a = np.arange(a.dim) if a.support is None else a.support
+            index_b = np.arange(b.dim) if b.support is None else b.support
+            support = (index_a[:, None] * b.dim + index_b).reshape(-1)
+        return DensityMatrix._of_block(layout, support, np.kron(a.block, b.block))
     if isinstance(a, Ket) and isinstance(b, Ket):
         return Ket.raw(np.kron(a.amplitudes, b.amplitudes))
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
@@ -352,101 +485,123 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     if not keep:
         raise ValueError("must keep at least one subsystem")
     keep_pos = sorted(rho.layout.positions(keep))
-    dims = rho.layout.dims
-    n = len(dims)
-    t = rho.entries.reshape(dims * 2)
-    ket_idx = list(range(n))
-    bra_idx = [i + n if i in keep_pos else i for i in range(n)]
-    out_idx = keep_pos + [i + n for i in keep_pos]
-    reduced = np.einsum(t, ket_idx + bra_idx, out_idx)
-    kept_labels = [rho.layout.labels[p] for p in keep_pos]
-    new_layout = rho.layout.keep(kept_labels)
-    dim = new_layout.total_dim
-    return DensityMatrix(reduced.reshape(dim, dim), new_layout)
+    support, reduced = _summed(rho, _trace_terms(rho, keep_pos))
+    new_layout = rho.layout.keep([rho.layout.labels[p] for p in keep_pos])
+    return DensityMatrix._of_block(new_layout, None if rho.support is None else support, reduced)
 
 
-def _embedded(
-    entries: np.ndarray,
-    dims: Sequence[int],
-    positions: Sequence[int],
-    kernel: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Run ``kernel`` on rho with the addressed factors moved to the front.
+def _summed(rho: DensityMatrix, terms) -> tuple[np.ndarray, np.ndarray]:
+    """The output support of a plan of terms and the block they sum to.
 
-    The kernel sees rho as an ``(m, r, m, r)`` tensor: ``m`` indexes the
-    subsystems at ``positions`` (in that order, first most significant) and
-    ``r`` the rest in layout order.  Its ``(m, r, m, r)`` result is moved
-    back to the layout order.
+    ``terms`` is the output support and each term as its place in the
+    output block (rows, cols) and in the input block (rows, cols), in the
+    order the terms are added.  Each output entry starts at +0.0; a term
+    between indices outside the support is zero and left out, which changes
+    no sum.
     """
-    n = len(dims)
-    positions = list(positions)
-    rest = [p for p in range(n) if p not in positions]
-    perm = positions + rest
-    pdims = [dims[p] for p in perm]
-    m = math.prod(dims[p] for p in positions)
-    r = math.prod(dims[p] for p in rest) if rest else 1
-    t = entries.reshape(tuple(dims) * 2)
-    t = t.transpose(perm + [n + p for p in perm]).reshape(m, r, m, r)
-    out = kernel(t).reshape(tuple(pdims) * 2)
-    inv = list(np.argsort(perm))
-    out = out.transpose(inv + [n + i for i in inv])
-    full = math.prod(dims)
-    return out.reshape(full, full)
+    support, rows, cols, src_rows, src_cols = terms
+    block = np.zeros((support.size, support.size), dtype=complex)
+    np.add.at(block, (rows, cols), rho.block[src_rows, src_cols])  # in order, repeats too
+    return support, block
 
 
-def _conjugate_embedded(
-    entries: np.ndarray,
-    dims: Sequence[int],
-    positions: Sequence[int],
-    ops: Sequence[np.ndarray],
-) -> np.ndarray:
+def _pairs_by(key: np.ndarray, among: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (i, j) of ``among`` with ``key[i] == key[j]``, by ascending key."""
+    among = among[np.argsort(key[among], kind="stable")]
+    i, j = np.nonzero(key[among, None] == key[among])
+    return among[i], among[j]
+
+
+def _trace_plan(dims, keep_pos, support) -> tuple[np.ndarray, ...]:
+    """The terms of the partial trace onto ``keep_pos``: each (kept, kept')
+    entry sums the block over the traced-out index, ascending, as the sum
+    over the whole matrix runs."""
+    kept = _split_plan(dims, keep_pos, support)[0]
+    traced = _split_plan(dims, tuple(p for p in range(len(dims)) if p not in keep_pos), support)[0]
+    out_support, row = np.unique(kept, return_inverse=True)
+    i, j = _pairs_by(traced, np.arange(traced.size))
+    return out_support, row[i], row[j], i, j
+
+
+_trace_terms = _per_layout(_trace_plan)
+
+
+def _grid_plan(dims, positions, support) -> tuple[np.ndarray, ...]:
+    """Where ``_compact`` puts each support index, and its grid in full indices.
+
+    The grid is (acted basis state, rest-index occurring in the support).
+    Returns each support index's flat place in it, the occurring
+    rest-indices (ascending), and the grid's places and full indices in
+    ascending full-index order.
+    """
+    acted, rest = _split_plan(dims, positions, support)
+    rest, col = np.unique(rest, return_inverse=True)
+    index = (_offsets(dims, positions)[:, None] + rest).reshape(-1)
+    order = np.argsort(index)
+    return acted * rest.size + col, rest, order, index[order]
+
+
+_grid = _per_layout(_grid_plan)
+
+
+def _compact(rho: DensityMatrix, flat: np.ndarray, m: int, r: int) -> np.ndarray:
+    """rho on its grid (``_grid``) as an ``(m, r, m, r)`` tensor: with every
+    rest-index present, rho with the addressed factors moved to the front."""
+    t = np.zeros((m * r, m * r), dtype=complex)
+    t[flat[:, None], flat] = rho.block
+    return t.reshape(m, r, m, r)
+
+
+def _conjugate(rho: DensityMatrix, positions: Sequence[int], ops: np.ndarray) -> DensityMatrix:
     """sum_i (K_i on `positions`, identity elsewhere) rho (...)^dagger.
 
     ``positions`` fixes the correspondence between the operators' tensor
     factors and the subsystems they act on; the operators must be square
     with dimension equal to the product of the addressed subsystem dims,
-    which the callers check.
+    which the callers check.  The two ``tensordot``s per operator contract
+    the acted axis of the compacted tensor (``_compact``) over its full
+    length, as they would on the whole matrix.
     """
+    flat, rest, order, index = _grid(rho, positions)
+    t = _compact(rho, flat, ops.shape[-1], rest.size)
+    out = np.zeros_like(t)
+    for K in ops:
+        t1 = np.tensordot(K, t, axes=(1, 0))          # (i, q, l, r)
+        t2 = np.tensordot(t1, K.conj(), axes=(2, 1))  # (i, q, r, k)
+        out += t2.transpose(0, 1, 3, 2)
+    out = out.reshape(index.size, index.size)[order[:, None], order]
+    return DensityMatrix._of_block(rho.layout, None if rho.support is None else index, out)
 
-    def kraus_sum(t: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(t)
-        for K in ops:
-            t1 = np.tensordot(K, t, axes=(1, 0))          # (i, q, l, r)
-            t2 = np.tensordot(t1, K.conj(), axes=(2, 1))  # (i, q, r, k)
-            out += t2.transpose(0, 1, 3, 2)
-        return out
 
-    return _embedded(entries, dims, positions, kraus_sum)
+def _coincidence_plan(dims, positions, support) -> tuple[np.ndarray, ...]:
+    """The terms of ``_coincidence``: the span entries, then the collapse
+    terms by ascending acted index, the order of the Kraus list."""
+    d = dims[positions[0]]
+    acted, rest = _split_plan(dims, positions, support)
+    span = (acted % d) * ((d ** len(positions) - 1) // (d - 1))  # c_j, j the control digit
+    out_support, row = np.unique(rest + _offsets(dims, positions)[span], return_inverse=True)
+    kept = np.flatnonzero(acted == span)
+    moved_i, moved_j = _pairs_by(acted, np.flatnonzero(acted != span))
+    i = np.concatenate([np.repeat(kept, kept.size), moved_i])
+    j = np.concatenate([np.tile(kept, kept.size), moved_j])
+    return out_support, row[i], row[j], i, j
 
 
-def _coincidence_embedded(
-    entries: np.ndarray, dims: Sequence[int], positions: Sequence[int]
-) -> np.ndarray:
+_coincidence_terms = _per_layout(_coincidence_plan)
+
+
+def _coincidence(rho: DensityMatrix, positions: Sequence[int]) -> DensityMatrix:
     """The N-line coincidence channel on `positions`, identity elsewhere.
 
     ``positions`` addresses N targets and then the control, all of one
     dimension d >= 2.  The output is P rho P on span{c_j = |j>^N|j>} plus,
     for each control value j and every other acted basis state a whose
     control digit is j, the block <a| rho |a> on the other subsystems moved
-    onto |c_j><c_j|.  Terms are accumulated in the order of the Kraus list
-    of ``k_multiline`` (the projector, then j ascending, then a ascending),
-    so the result equals the Kraus application bit for bit.
+    onto |c_j><c_j|.  Each output entry takes its terms in the order of the
+    Kraus list of ``k_multiline`` (the projector, then a ascending), so the
+    result equals the Kraus application bit for bit.
     """
-    d = dims[positions[0]]
-
-    def collapse(t: np.ndarray) -> np.ndarray:
-        m, r = t.shape[0], t.shape[1]
-        span = np.arange(d) * ((m - 1) // (d - 1))  # c_j = j (1 + d + ... + d^N)
-        block = np.ix_(span, np.arange(r), span, np.arange(r))
-        out = np.zeros_like(t)
-        out[block] += t[block]
-        for j, c in enumerate(span):
-            for a in range(j, m, d):  # acted indices whose control digit is j
-                if a != c:
-                    out[c, :, c, :] += t[a, :, a, :]
-        return out
-
-    return _embedded(entries, dims, positions, collapse)
+    return DensityMatrix._of_block(rho.layout, *_summed(rho, _coincidence_terms(rho, positions)))
 
 
 def apply_unitary(rho: DensityMatrix, u: np.ndarray, acting_on: Sequence[str]) -> DensityMatrix:
@@ -461,17 +616,17 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, acting_on: Sequence[str]) -
         )
     if not np.abs(u.conj().T @ u - np.eye(acted_dim)).max() <= policy.spectral_tol:  # NaN too
         raise ValueError("operator is not unitary within tolerance")
-    out = _conjugate_embedded(rho.entries, rho.layout.dims, positions, [u])
-    return DensityMatrix(out, rho.layout)
+    return _conjugate(rho, positions, u[None])
 
 
 def permute_basis(rho: DensityMatrix, perm: Sequence[int], acting_on: Sequence[str]) -> DensityMatrix:
     """Conjugate by the basis permutation |a> -> |perm[a]> on the addressed labels.
 
-    Equals ``apply_unitary`` with the permutation matrix, but moves entries
-    instead of multiplying by it.  ``perm`` indexes the basis of the
-    addressed labels in the order given (first most significant) and must be
-    a permutation of ``range(m)``, m the product of their dimensions.
+    Equals ``apply_unitary`` with the permutation matrix, but moves the
+    support's indices and entries instead of multiplying by it.  ``perm``
+    indexes the basis of the addressed labels in the order given (first most
+    significant) and must be a permutation of ``range(m)``, m the product of
+    their dimensions.
     """
     positions = rho.layout.positions(acting_on)
     acted_dim = math.prod(rho.layout.dims[p] for p in positions)
@@ -485,12 +640,9 @@ def permute_basis(rho: DensityMatrix, perm: Sequence[int], acting_on: Sequence[s
             f"index map is not a permutation of the {acted_dim} basis states "
             f"of labels {tuple(acting_on)}"
         )
-
-    def gather(t: np.ndarray) -> np.ndarray:
-        return t[src][:, :, src]
-
-    out = _embedded(rho.entries, rho.layout.dims, positions, gather)
-    return DensityMatrix(out, rho.layout)
+    acted, rest = _split(rho, positions)
+    moved = rest + _offsets(rho.layout.dims, tuple(positions))[perm[acted]]
+    return _remapped(rho, rho.layout, moved)
 
 
 @dataclass(frozen=True)
@@ -508,7 +660,11 @@ def projective_measure(
     Returns every branch: ``(outcome index, probability, post-measurement
     state on the remaining labels)``.  Probabilities sum to one; branches
     with probability below the null threshold are kept in the list with a
-    ``None`` state so that transcripts stay complete.
+    ``None`` state so that transcripts stay complete.  Each branch block is
+    contracted from the compacted tensor (``_compact``) over the measured
+    factor's full dimension, and its trace is summed over the whole
+    diagonal, zeros in place, so numpy groups every sum as for the whole
+    matrix.
     """
     pos = rho.layout.index_of(subsystem)
     s = rho.layout.dims[pos]
@@ -519,31 +675,41 @@ def projective_measure(
     mat = np.column_stack([k.amplitudes for k in basis])
     gram = mat.conj().T @ mat
     dev = np.abs(gram - np.eye(s)).max()
-    if dev > policy.spectral_tol:
+    if not dev <= policy.spectral_tol:  # NaN and inf too
         raise ValueError(f"measurement basis is not orthonormal: max Gram deviation {dev:.3e}")
 
-    dims = rho.layout.dims
-    n = len(dims)
-    t = rho.entries.reshape(dims * 2)
+    flat, rest, _, _ = _grid(rho, [pos])
+    t = _compact(rho, flat, s, rest.size)
     remaining = [l for i, l in enumerate(rho.layout.labels) if i != pos]
     new_layout = rho.layout.keep(remaining)
     out_dim = new_layout.total_dim
+    low = math.prod(rho.layout.dims[pos + 1:])
+    rest = (rest // (s * low)) * low + rest % low  # drop the measured digit
+    # the second contraction reads its matrix in the memory order the whole
+    # state gives it, Fortran order when no factor follows the measured one
+    # and C order otherwise: BLAS rounds the two differently
+    bra = 1
+    if low == 1:
+        t, bra = t.transpose(0, 1, 3, 2), 2
 
     branches: list[MeasurementBranch] = []
     for k, ket_k in enumerate(basis):
         v = ket_k.amplitudes
-        t1 = np.tensordot(v.conj(), t, axes=(0, pos))
-        # after removing ket axis `pos`, the bra axis of the measured factor
-        # sits at index (n - 1) + pos
-        t2 = np.tensordot(v, t1, axes=(0, n - 1 + pos))
-        block = t2.reshape(out_dim, out_dim)
-        p = float(np.real(np.trace(block)))
+        t1 = np.tensordot(v.conj(), t, axes=(0, 0))  # (q, l, r) or (q, r, l)
+        t2 = np.tensordot(v, t1, axes=(0, bra))      # (q, r)
+        support, block = _trimmed(None if rho.support is None else rest, t2, out_dim)
+        diagonal = block.diagonal()
+        if support is not None:
+            diagonal = np.zeros(out_dim, dtype=complex)
+            diagonal[support] = block.diagonal()
+        p = float(np.real(diagonal.sum()))
         if p < policy.null_branch_tol:
             branches.append(MeasurementBranch(k, 0.0, None))
         else:
-            branches.append(MeasurementBranch(k, p, DensityMatrix(block / p, new_layout)))
+            state = DensityMatrix._of_block(new_layout, support, block / p)
+            branches.append(MeasurementBranch(k, p, state))
     total = sum(b.probability for b in branches)
-    if abs(total - 1.0) > policy.spectral_tol:
+    if not abs(total - 1.0) <= policy.spectral_tol:  # NaN too
         raise ValueError(f"branch probabilities sum to {total!r}, not 1")
     return branches
 
@@ -605,4 +771,14 @@ def fidelity_with_ket(rho: DensityMatrix, psi: Ket) -> float:
     if rho.dim != psi.dim:
         raise ValueError("dimension mismatch")
     v = psi.amplitudes
-    return _clamp(float(np.real(v.conj() @ rho.entries @ v)), "fidelity")
+    if rho.support is None:
+        u = v.conj() @ rho.block
+    else:
+        # the support columns over every row: each sum runs over the whole
+        # index range and so groups its terms as the product with the whole
+        # matrix does
+        cols = np.zeros((rho.dim, rho.support.size), dtype=complex)
+        cols[rho.support] = rho.block
+        u = np.zeros(rho.dim, dtype=complex)
+        u[rho.support] = v.conj() @ cols
+    return _clamp(float(np.real(u @ v)), "fidelity")

@@ -180,7 +180,7 @@ class ResourceState:
             for j, lam in enumerate(self.spectrum):
                 amps[j * d + j] = math.sqrt(max(lam, 0.0))
             return Ket(amps).density(layout)
-        return DensityMatrix(self.explicit_state.entries, layout)
+        return self.explicit_state.relabel(dict(zip(self.explicit_state.layout.labels, labels)))
 
 
 @dataclass(frozen=True)
@@ -379,7 +379,8 @@ def _establishment_run(
     fidelities = []
     weighted_sum = 0.0
     all_max_ent = True
-    avg_state = np.zeros((d ** (n_receivers + 1),) * 2, dtype=complex)
+    # only the qubit pair reads the branch average, for its concurrence
+    avg_state = np.zeros((4, 4), dtype=complex) if (d, n_receivers) == (2, 1) else None
     for cb in projective_measure(sent, fb, "C"):
         charlie_pmf[cb.outcome] = cb.probability
         if cb.state is None:
@@ -389,7 +390,8 @@ def _establishment_run(
         fid = fidelity_with_ket(corrected, target)
         fidelities.append(fid)
         weighted_sum += cb.probability * fid
-        avg_state += cb.probability * corrected.entries
+        if avg_state is not None:
+            avg_state += cb.probability * corrected.entries
         branch_metrics = {"fidelity": fid}
         if corrected.is_pure():
             branch_metrics["maximally_entangled"] = is_max_ent = is_maximally_entangled(
@@ -412,7 +414,7 @@ def _establishment_run(
         metrics["pre_measurement_ggm"] = float(pre_ggm)
     if ggm_skipped is not None:
         metrics["pre_measurement_ggm_skipped"] = ggm_skipped
-    if d == 2 and n_receivers == 1:
+    if avg_state is not None:
         out_layout = SubsystemLayout((d, d), ("A", recv_labels[0]))
         metrics["average_output_concurrence"] = concurrence_2qubit(
             DensityMatrix(avg_state, out_layout)

@@ -2,15 +2,17 @@
 
 Density matrices carry their layout, and no timestamps or other run-varying
 data ever enter the payload, so identical configurations produce
-byte-identical files.  :func:`transcript_to_dict` keeps every matrix's
-``entries`` as its complex ``ndarray``.  :func:`json_chunks` yields, piece
-by piece, what ``json.dumps(..., sort_keys=True, indent=2)`` writes when each
-matrix is given as nested ``[re, im]`` lists: the rest of the payload goes
-through ``json`` with a placeholder in place of each matrix, and each matrix
-follows one row at a time.  A row of +0.0 is text built once per matrix; the
-other rows are formatted, each distinct float once.  :func:`write_text`
-writes the pieces as they come, so the whole text is never held in memory;
-:func:`dumps_json` joins them.  CSV numbers are formatted with 12
+byte-identical files.  :func:`transcript_to_dict` keeps every state as its
+``DensityMatrix`` under ``entries``.  :func:`json_chunks` yields, piece by
+piece, what ``json.dumps(..., sort_keys=True, indent=2)`` writes when each
+matrix (a state or a 2-d ``ndarray``) is given as nested ``[re, im]`` lists:
+the rest of the payload goes through ``json`` with a placeholder in place of
+each matrix, and each matrix follows one row at a time.  A row of +0.0 is
+text built once per matrix; the other rows are formatted, each distinct
+float once.  A state is read from its support block: every row outside the
+support is the zero row, so its whole matrix is never built.
+:func:`write_text` writes the pieces as they come, so the whole text is never
+held in memory; :func:`dumps_json` joins them.  CSV numbers are formatted with 12
 significant digits and a ``.`` decimal separator, independent of locale.
 """
 
@@ -44,7 +46,7 @@ def density_to_dict(dm: DensityMatrix) -> dict:
     return {
         "labels": list(dm.layout.labels),
         "dims": list(dm.layout.dims),
-        "entries": dm.entries,
+        "entries": dm,
     }
 
 
@@ -116,27 +118,45 @@ def dumps_json(payload: dict) -> str:
 
 
 def _take_matrix(matrices: list, marker: str, obj):
-    """``json`` default hook: stand the marker in for a 2-d array."""
-    if not (isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size):
+    """``json`` default hook: stand the marker in for a state or a 2-d array."""
+    if not (isinstance(obj, DensityMatrix)
+            or isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     matrices.append(obj)
     return marker
 
 
-def _matrix_rows(m: np.ndarray, indent: int) -> Iterator[str]:
-    """``json`` text of the nested ``[re, im]`` lists of ``m`` as a value on
-    a line indented by ``indent`` spaces, one row at a time."""
-    n_rows, n_cols = m.shape
-    # the float bit patterns, re and im interleaved: equal bits, equal text,
-    # and -0.0 stays apart from 0.0 (json writes them differently)
+def _live_rows(m) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Shape of ``m`` (a state or a 2-d array), the rows holding a float other
+    than +0.0, and their float bit patterns, re and im interleaved.
+
+    Equal bits give equal text, and -0.0 stays apart from 0.0 (json writes
+    them differently).  A state's rows come from its support block.
+    """
+    if isinstance(m, DensityMatrix) and m.support is not None:
+        block = np.ascontiguousarray(m.block).view(np.int64)  # (k, 2k)
+        held = block.any(axis=1)
+        bits = np.zeros((held.sum(), m.dim, 2), dtype=np.int64)
+        bits[:, m.support] = block[held].reshape(bits.shape[0], -1, 2)
+        return m.dim, m.dim, m.support[held], bits.reshape(bits.shape[0], -1)
+    if isinstance(m, DensityMatrix):
+        m = m.block
     bits = np.ascontiguousarray(m, dtype=complex).view(np.int64)
+    live = np.flatnonzero(bits.any(axis=1))
+    return m.shape[0], m.shape[1], live, bits[live]
+
+
+def _matrix_rows(m, indent: int) -> Iterator[str]:
+    """``json`` text of the nested ``[re, im]`` lists of ``m`` (a state or a
+    2-d array) as a value on a line indented by ``indent`` spaces, one row at
+    a time."""
+    n_rows, n_cols, live, bits = _live_rows(m)
     pad = ["\n" + " " * (indent + k) for k in (0, 2, 4, 6)]
     row_open, row_close = "[" + pad[2] + "[" + pad[3], pad[2] + "]" + pad[1] + "]"
     in_pair, between_pairs = "," + pad[3], pad[2] + "]," + pad[2] + "[" + pad[3]
     zero_row = row_open + between_pairs.join(["0.0" + in_pair + "0.0"] * n_cols) + row_close
     # only the rows holding a float other than +0.0 are formatted
-    live = np.flatnonzero(bits.any(axis=1))
-    distinct, inverse = np.unique(bits[live].reshape(-1), return_inverse=True)
+    distinct, inverse = np.unique(bits.reshape(-1), return_inverse=True)
     # json itself formats the distinct floats (repr, NaN, Infinity)
     text = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
     # per row: [opening, re, sep, im, sep, re, ..., im, closing]

@@ -44,10 +44,15 @@ def report(criterion, ok, detail):
 
 
 def _rows_read_closed_form(monkeypatch, rows):
-    """Negative control: swap K^(N) in the check table for the erasing channel
-    onto |0...0> and report whether every (row, d, n) then reads a distance
-    above 1e-10, i.e. no row compares a side with itself."""
+    """Negative control: swap K^(N) in the check table, as a Kraus list and
+    as the closed action, for the erasing channel onto |0...0> and report
+    whether every (row, d, n) then reads a distance above 1e-10, i.e. no row
+    compares a side with itself."""
     monkeypatch.setattr(cli, "k_multiline", lambda d, n: erasing_channel(d ** (n + 1), 0))
+    monkeypatch.setattr(
+        cli, "apply_coincidence",
+        lambda rho, labels: apply(erasing_channel(rho.dim, 0), rho, labels),
+    )
     return all(CHECKS[name].distance(d, n) > 1e-10 for name, d, n in rows)
 
 

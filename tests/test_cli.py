@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qswitch_lab.cli import main
+from qswitch_lab import SubsystemLayout, apply, fidelity_with_ket, ghz_ket, k_multiline
+from qswitch_lab.cli import CHECKS, main
 from qswitch_lab.numeric import NumericPolicy, policy
 
 
@@ -31,11 +32,29 @@ class TestVerify:
         assert result.exit_code == 2
         assert "limit" in result.output
 
-    def test_kraus_storage_guard_is_config_error(self, runner):
-        # dimension 2048 passes the dimension guard; the Kraus list would need ~137 GB
+    def test_d2_n10_runs_past_the_kraus_storage_limit(self, runner):
+        # dimension 2048 passes the dimension guard; the noiseless row applies
+        # the closed action, not the Kraus list of ~137 GB
         result = runner.invoke(main, ["verify", "--d", "2", "--n", "10"])
-        assert result.exit_code == 2
-        assert "storage limit" in result.output
+        assert result.exit_code == 0, result.output
+        assert "multiline noiseless subspace (d=2, N=10)" in result.output
+
+    @pytest.mark.parametrize(
+        "d,n", [(d, n) for d in (2, 3, 4) for n in (1, 2, 3) if (d, n) != (4, 3)]
+    )
+    def test_noiseless_row_equals_the_kraus_path(self, d, n):
+        # the row applies the closed action; its oracle is the Kraus list (at
+        # (4, 3) that list is 265 MB, so it is left out)
+        labels = tuple(f"B{i}" for i in range(1, n + 1)) + ("C",)
+        layout = SubsystemLayout((d,) * (n + 1), labels)
+        k = k_multiline(d, n)
+        worst = 0.0
+        for x in range(d):
+            g = ghz_ket(d, n + 1, x)
+            worst = max(worst, 1.0 - fidelity_with_ket(apply(k, g.density(layout), labels), g))
+        assert CHECKS["multiline-noiseless"].distance(d, n) == worst
+        if n == 1:
+            assert CHECKS["noiseless"].distance(d, n) == worst
 
     def test_multiline_checks(self, runner):
         result = runner.invoke(main, ["verify", "--d", "2", "--n", "2"])
@@ -66,6 +85,11 @@ _VERIFY_OUTPUT = {
     ("--d", "3", "--n", "2"): [
         _ORDER, _CHOICE, _NOISELESS, _ROUND_TRIP,
         "[PASS] multiline noiseless subspace (d={d}, N=2)",
+        "5/5 checks passed",
+    ],
+    ("--d", "2", "--n", "10"): [
+        _ORDER, _CHOICE, _NOISELESS, _ROUND_TRIP,
+        "[PASS] multiline noiseless subspace (d={d}, N=10)",
         "5/5 checks passed",
     ],
     ("--d", "2", "--choice-amplitudes", "random-seeded"): [
@@ -102,10 +126,9 @@ class TestVerifyOutput:
                 "configured limit of 4096",
             ),
             (
-                ("--d", "2", "--n", "10"),
-                "Error: 10-line coincidence channel as a Kraus list needs 2047 operators "
-                "of dimension 2048 (137372 MB), above the storage limit of 268 MB "
-                "(max_dim 4096 squared)",
+                ("--d", "2", "--n", "12"),
+                "Error: multiline verification needs total dimension 8192, above the "
+                "configured limit of 4096",
             ),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else "",

@@ -14,7 +14,12 @@ closed form that uses none of the library's linear algebra:
   p(m_B, m_C) = |sum_j sqrt(lambda_j) w^(j (x - m_B - m_C))|^2 / d^2 with
   w = exp(2 pi i / d);
 * the controller's outcomes are uniform, and his reduced state does not
-  depend on the message (pairwise trace distance 0).
+  depend on the message (pairwise trace distance 0);
+* the transmitted GHZ state is sum_j sqrt(lambda_j) e^(i phi_j) |j..j>, a
+  ket on d basis states.
+
+The GHZ checks run up to the sizes the default guard admits at most, where
+every state is held as its d-index support block.
 
 By Cauchy-Schwarz (sum_j sqrt(lambda_j))^2 <= d, with equality only at the
 uniform spectrum, which is the sweep's "perfect only at uniform" verdict.
@@ -147,3 +152,32 @@ def test_ghz_charlie_pmf_and_fidelity_min_are_closed_form(d, receivers):
         assert np.abs(charlie - 1.0 / d).max() <= policy.structural_tol, lam
         expected = closed_form_metric(lam)
         assert abs(t.metrics["fidelity_min"] - expected) <= policy.structural_tol, lam
+
+
+GUARD_CEILING = [(2, 10), (3, 5), (4, 4), (5, 3)]
+
+
+@pytest.mark.parametrize("d,receivers", GUARD_CEILING)
+def test_ghz_at_the_guard_ceiling_is_closed_form(d, receivers):
+    for lam in dirichlet_spectra(d, 2, seed=70 + 10 * d + receivers):
+        t = run_ghz_distribution(d, receivers, ResourceState.from_schmidt(lam))
+        expected = closed_form_metric(lam)
+        assert abs(t.metrics["fidelity_mean"] - expected) <= policy.structural_tol, lam
+        assert abs(t.metrics["fidelity_min"] - expected) <= policy.structural_tol, lam
+        charlie = np.asarray(t.metrics["charlie_pmf"])
+        assert np.abs(charlie - 1.0 / d).max() <= policy.structural_tol, lam
+        assert t.metrics["maximally_entangled_all_branches"] == is_uniform(lam), lam
+        ggm = 1.0 - max(lam)
+        if receivers + 2 <= policy.max_ggm_parties:
+            assert abs(t.metrics["pre_measurement_ggm"] - ggm) <= policy.spectral_tol, lam
+            continue
+        # past the bipartition cap the transcript records the skip; the GGM
+        # is read here from the ket, whose every cut has top weight max_j lambda_j
+        assert "pre_measurement_ggm" not in t.metrics
+        assert t.metrics["pre_measurement_ggm_skipped"].startswith(f"{receivers + 2} parties")
+        psi = t.stage("transmitted").to_ket().amplitudes
+        span = np.arange(d) * ((psi.size - 1) // (d - 1))  # the index of |j..j>
+        assert np.array_equal(np.flatnonzero(psi), span)
+        weights = np.abs(psi[span]) ** 2
+        assert np.abs(weights - np.asarray(lam)).max() <= policy.structural_tol, lam
+        assert abs(1.0 - weights.max() - ggm) <= policy.structural_tol, lam

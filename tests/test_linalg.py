@@ -19,7 +19,6 @@ from qswitch_lab import (
     tensor,
     trace_distance,
 )
-from qswitch_lab import linalg
 from qswitch_lab.linalg import _SUPPORT_MIN_DIM, _min_eigenvalue, _support_block
 
 from conftest import naive_partial_trace, random_density, random_ket, random_unitary
@@ -222,10 +221,13 @@ class TestSupportChecks:
 
     def test_support_kept_only_above_threshold(self, rng):
         small = DensityMatrix(np.diag([1.0] + [0.0] * 15), SubsystemLayout((16,), ("A",)))
-        assert small._support is None
+        assert small.support is None and small.block.shape == (16, 16)
         m, support = random_padded_state(17, rng)
-        assert np.array_equal(DensityMatrix(m, SubsystemLayout((17,), ("A",)))._support, support)
-        assert random_density(20, rng)._support is None  # full support
+        rho = DensityMatrix(m, SubsystemLayout((17,), ("A",)))
+        assert np.array_equal(rho.support, support)
+        assert np.array_equal(rho.block, m[np.ix_(support, support)])
+        assert np.array_equal(rho.entries, m)
+        assert random_density(20, rng).support is None  # full support
 
 
 def assert_same_ket_up_to_phase(a, b):
@@ -261,16 +263,16 @@ class TestRelabel:
         layout = SubsystemLayout((2, 20), ("A", "B"))
         if padded:
             rho = DensityMatrix(random_padded_state(40, rng)[0], layout)
-            assert rho._support is not None
+            assert rho.support is not None
         else:
             rho = random_density(40, rng, layout)
         calls = []
-        real = linalg._support_block
-        monkeypatch.setattr(linalg, "_support_block", lambda m: calls.append(m) or real(m))
+        real = DensityMatrix.__post_init__
+        monkeypatch.setattr(DensityMatrix, "__post_init__", lambda dm: calls.append(dm) or real(dm))
         out = rho.relabel({"A": "Z"})
         assert calls == []  # no DensityMatrix check ran
-        assert out.entries is rho.entries
-        assert out._support is rho._support
+        assert out.block is rho.block
+        assert out.support is rho.support
         assert out.layout == SubsystemLayout((2, 20), ("Z", "B"))
         assert rho.layout.labels == ("A", "B")  # the original keeps its labels
 
@@ -513,6 +515,18 @@ class TestMeasurement:
         skew = [basis_ket(2, 0), Ket.normalized([1.0, 0.3])]
         with pytest.raises(ValueError, match="Gram deviation"):
             projective_measure(rho, skew, "C")
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_basis_rejected_before_any_branch(self, bad, monkeypatch):
+        rho = ghz_ket(2, 2).density(SubsystemLayout((2, 2), ("A", "C")))
+        built = []
+        check = DensityMatrix.__post_init__
+        monkeypatch.setattr(DensityMatrix, "__post_init__", lambda dm: built.append(dm) or check(dm))
+        basis = [Ket.raw([bad, 0.0]), Ket.raw([0.0, 1.0])]
+        with pytest.raises(ValueError, match="measurement basis is not orthonormal"):
+            projective_measure(rho, basis, "C")
+        assert built == []
 
 
 class TestDistances:

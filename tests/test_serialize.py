@@ -2,8 +2,9 @@
 ``json`` encoder.
 
 The oracle is the encoder ``dumps_json`` used to call on the whole payload:
-``json.dumps(..., sort_keys=True, indent=2)`` with every matrix written out
-as the nested ``[re, im]`` lists of ``complex_pairs``.
+``json.dumps(..., sort_keys=True, indent=2)`` with every matrix (a state's
+whole ``entries``, or an array) written out as the nested ``[re, im]`` lists
+of ``complex_pairs``.
 """
 
 import json
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from qswitch_lab import (
+    DensityMatrix,
     ResourceState,
     dfs_phase_encodings,
     fixed_configuration_baseline,
@@ -34,6 +36,8 @@ def complex_pairs(arr: np.ndarray):
 
 def _oracle(payload) -> str:
     def lists(obj):
+        if isinstance(obj, DensityMatrix):
+            return complex_pairs(obj.entries)
         if isinstance(obj, np.ndarray):
             return complex_pairs(obj)
         if isinstance(obj, dict):
@@ -99,10 +103,12 @@ class TestProtocolTranscripts:
         _assert_oracle_and_file(payload, tmp_path)
 
     def test_entries_stay_the_state_arrays(self):
-        t = run_ghz_distribution(2, 2, ResourceState.maximally_entangled(2))
+        # each state goes to the renderer as itself, its support block
+        # unexpanded
+        t = run_ghz_distribution(3, 2, ResourceState.maximally_entangled(3))
         payload = transcript_to_dict(t)
         for stage, out in zip(t.stages, payload["stages"]):
-            assert out["state"]["entries"] is stage.state.entries
+            assert out["state"]["entries"] is stage.state
 
 
 class TestSyntheticMatrices:
