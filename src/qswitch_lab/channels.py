@@ -28,7 +28,7 @@ from .linalg import (
     _conjugate,
     _min_eigenvalue,
     _readonly,
-    _support_block,
+    _trimmed,
 )
 from .numeric import guard_dimension, policy
 
@@ -249,7 +249,7 @@ class ChoiMatrix:
             raise ValueError(f"Choi matrix must be {n}x{n}")
         if not np.isfinite(m).all():  # eigvalsh does not converge on them
             raise ValueError("Choi matrix has NaN or infinite entries")
-        min_eig = _min_eigenvalue(_support_block(m)[1], n)
+        min_eig = _min_eigenvalue(_trimmed(np.arange(n), m, n)[1], n)
         if not min_eig >= policy.psd_floor:
             raise ValueError(f"Choi matrix not PSD: min eigenvalue {min_eig:.3e}")
         red = np.einsum(

@@ -2,13 +2,13 @@
 
 Kets are thin immutable wrappers around ``numpy`` arrays; operators and gates
 are plain arrays, read-only where cached.  A density matrix is stored as its
-support block: the indices whose row or column holds a nonzero entry, and
-the matrix on them.  Every step maps a support block to a support block, so
-a low-rank state in a large space costs its support only; the whole matrix
-is built only on request.  Composite systems carry a
-:class:`SubsystemLayout` that assigns a dimension and a unique role label to
-every tensor factor; the leftmost factor is the most significant one
-(``numpy.kron`` convention).
+support block: the ascending indices whose row or column holds a nonzero
+entry (every index for a small matrix), and the matrix on them.  Every step
+maps a support block to a support block, so a low-rank state in a large
+space costs its support only; the whole matrix is built only on request.
+Composite systems carry a :class:`SubsystemLayout` that assigns a dimension
+and a unique role label to every tensor factor; the leftmost factor is the
+most significant one (``numpy.kron`` convention).
 
 Everything here is a pure function of its inputs.  In particular,
 measurement is exact branch enumeration: :func:`projective_measure` returns
@@ -143,8 +143,8 @@ class Ket:
         _check_dim(self.dim, layout)
         a = self.amplitudes
         # a small state keeps the whole outer product, its signed zeros too
-        support = None if self.dim <= _SUPPORT_MIN_DIM else np.flatnonzero(a)
-        v = a if support is None else a[support]
+        support = np.arange(self.dim) if self.dim <= _SUPPORT_MIN_DIM else np.flatnonzero(a)
+        v = a[support]
         return DensityMatrix._of_block(layout, support, np.outer(v, v.conj()))
 
 
@@ -153,44 +153,27 @@ class Ket:
 _SUPPORT_MIN_DIM = 16
 
 
-def _support_block(m: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """The support of a square matrix and the block of ``m`` on it.
-
-    The support is every index whose row or column holds an exactly nonzero
-    entry; a NaN or infinite entry is nonzero, so it stays in.  The support
-    is None, and the block ``m`` itself, at or below ``_SUPPORT_MIN_DIM`` and
-    when the support is every index.
-    """
-    n = m.shape[0]
-    if n > _SUPPORT_MIN_DIM:
-        nz = m != 0
-        support = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
-        if support.size < n:
-            return support, m[np.ix_(support, support)]
-    return None, m
-
-
-def _trimmed(
-    support: np.ndarray | None, block: np.ndarray, n: int
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """``_support_block`` of an n x n matrix given by its block on ``support``.
+def _trimmed(support: np.ndarray, block: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The support of an n x n matrix given by its block on ``support``, and
+    the block on it; ``_trimmed(np.arange(n), m, n)`` for a whole matrix ``m``.
 
     ``support`` holds ascending indices and may be larger than the support;
-    every entry outside it is zero.  None stands for every index, with
-    ``block`` the whole matrix.  At or below ``_SUPPORT_MIN_DIM`` the block is
-    scattered into the whole matrix.
+    every entry outside it is zero.  The support is every index whose row or
+    column holds an exactly nonzero entry; a NaN or infinite entry is
+    nonzero, so it stays in.  At or below ``_SUPPORT_MIN_DIM`` the support is
+    every index and the block the whole matrix, its signed zeros kept.
     """
-    if support is None:
-        return _support_block(block)
     if n <= _SUPPORT_MIN_DIM:
+        if support.size == n:
+            return support, block
         m = np.zeros((n, n), dtype=complex)
         m[support[:, None], support] = block
-        return None, m
+        return np.arange(n), m
     nz = block != 0
     keep = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
     if keep.size < support.size:
         support, block = support[keep], block[keep[:, None], keep]
-    return (None, block) if support.size == n else (support, block)
+    return support, block
 
 
 def _min_eigenvalue(block: np.ndarray, n: int) -> float:
@@ -219,9 +202,9 @@ class DensityMatrix:
     A state is its layout, its ``support`` (the ascending indices whose row
     or column holds an exactly nonzero entry) and its ``block``, the
     read-only matrix on the support; every other entry is zero.  At or below
-    ``_SUPPORT_MIN_DIM``, and when the support is every index, ``support`` is
-    None and ``block`` is the whole matrix.  ``entries``, the whole matrix,
-    is built only on request.
+    ``_SUPPORT_MIN_DIM`` the support is every index, ``np.arange(dim)``, and
+    ``block`` the whole matrix.  ``entries``, the whole matrix, is built only
+    on request.
 
     ``DensityMatrix(entries, layout)`` finds the support of a whole matrix.
     The steps of this module map a support block to a support block, and
@@ -233,15 +216,16 @@ class DensityMatrix:
     """
 
     layout: SubsystemLayout
-    support: np.ndarray | None
+    support: np.ndarray
     block: np.ndarray
 
     def __init__(self, entries, layout: SubsystemLayout):
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        _check_dim(m.shape[0], layout)
-        support, block = _support_block(m)
+        n = m.shape[0]
+        _check_dim(n, layout)
+        support, block = _trimmed(np.arange(n), m, n)
         if block is entries:  # the caller keeps its own array
             block = block.copy()
         self._set(layout, support, block)
@@ -263,8 +247,7 @@ class DensityMatrix:
 
     def _set(self, layout, support, block) -> None:
         for a in (support, block):
-            if a is not None:
-                a.setflags(write=False)
+            a.setflags(write=False)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "block", block)
@@ -290,8 +273,9 @@ class DensityMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The whole matrix, read-only; built on each request when a support is held."""
-        if self.support is None:
+        """The whole matrix, read-only; built on each request unless the
+        block is the whole matrix."""
+        if self.support.size == self.dim:
             return self.block
         m = np.zeros((self.dim, self.dim), dtype=complex)
         m[np.ix_(self.support, self.support)] = self.block
@@ -315,8 +299,6 @@ class DensityMatrix:
         if not self.is_pure(tol):
             raise ValueError(f"state is mixed (purity {self.purity():.6f}); no ket exists")
         top = np.linalg.eigh(self.block)[1][:, -1]
-        if self.support is None:
-            return Ket.normalized(top)
         v = np.zeros(self.dim, dtype=complex)
         v[self.support] = top
         return Ket.normalized(v)
@@ -349,20 +331,20 @@ def _offsets(dims: tuple[int, ...], positions: tuple[int, ...]) -> np.ndarray:
 def _per_layout(plan):
     """Call ``plan(dims, positions, support)`` as ``plan(rho, positions)``.
 
-    The plan of a whole-matrix state (support None) depends only on the
+    The plan of a state whose support is every index depends only on the
     layout, so it is kept, read-only, for the most recent layouts: the many
     small states of a sweep share their plans.
     """
 
     @functools.lru_cache(maxsize=64)
     def whole(dims, positions):
-        out = plan(dims, positions, None)
+        out = plan(dims, positions, np.arange(math.prod(dims)))
         for a in out:
             a.setflags(write=False)
         return out
 
     def planned(rho: DensityMatrix, positions: Sequence[int]):
-        if rho.support is None:
+        if rho.support.size == rho.dim:
             return whole(rho.layout.dims, tuple(positions))
         return plan(rho.layout.dims, tuple(positions), rho.support)
 
@@ -373,12 +355,11 @@ def _split_plan(dims, positions, support) -> tuple[np.ndarray, np.ndarray]:
     """For every support index: its index over the factors at ``positions``
     (in that order, first most significant) and the rest of it, the full
     index with those factors' digits 0."""
-    index = np.arange(math.prod(dims)) if support is None else support
-    digits = np.unravel_index(index, dims)
-    acted = np.zeros_like(index)
+    digits = np.unravel_index(support, dims)
+    acted = np.zeros_like(support)
     for p in positions:
         acted = acted * dims[p] + digits[p]
-    return acted, index - _offsets(dims, positions)[acted]
+    return acted, support - _offsets(dims, positions)[acted]
 
 
 _split = _per_layout(_split_plan)
@@ -390,8 +371,7 @@ def _remapped(rho: DensityMatrix, layout: SubsystemLayout, indices: np.ndarray) 
     Moving entries changes no verdict, so the result is not checked again.
     """
     order = np.argsort(indices)
-    support = None if rho.support is None else indices[order]
-    return DensityMatrix._unchecked(layout, support, rho.block[order[:, None], order])
+    return DensityMatrix._unchecked(layout, indices[order], rho.block[order[:, None], order])
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +441,7 @@ def tensor(a, b):
     """
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         layout = SubsystemLayout(a.layout.dims + b.layout.dims, a.layout.labels + b.layout.labels)
-        support = None
-        if a.support is not None or b.support is not None:
-            index_a = np.arange(a.dim) if a.support is None else a.support
-            index_b = np.arange(b.dim) if b.support is None else b.support
-            support = (index_a[:, None] * b.dim + index_b).reshape(-1)
+        support = (a.support[:, None] * b.dim + b.support).reshape(-1)
         return DensityMatrix._of_block(layout, support, np.kron(a.block, b.block))
     if isinstance(a, Ket) and isinstance(b, Ket):
         return Ket.raw(np.kron(a.amplitudes, b.amplitudes))
@@ -487,7 +463,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     keep_pos = sorted(rho.layout.positions(keep))
     support, reduced = _summed(rho, _trace_terms(rho, keep_pos))
     new_layout = rho.layout.keep([rho.layout.labels[p] for p in keep_pos])
-    return DensityMatrix._of_block(new_layout, None if rho.support is None else support, reduced)
+    return DensityMatrix._of_block(new_layout, support, reduced)
 
 
 def _summed(rho: DensityMatrix, terms) -> tuple[np.ndarray, np.ndarray]:
@@ -570,7 +546,7 @@ def _conjugate(rho: DensityMatrix, positions: Sequence[int], ops: np.ndarray) ->
         t2 = np.tensordot(t1, K.conj(), axes=(2, 1))  # (i, q, r, k)
         out += t2.transpose(0, 1, 3, 2)
     out = out.reshape(index.size, index.size)[order[:, None], order]
-    return DensityMatrix._of_block(rho.layout, None if rho.support is None else index, out)
+    return DensityMatrix._of_block(rho.layout, index, out)
 
 
 def _coincidence_plan(dims, positions, support) -> tuple[np.ndarray, ...]:
@@ -697,11 +673,9 @@ def projective_measure(
         v = ket_k.amplitudes
         t1 = np.tensordot(v.conj(), t, axes=(0, 0))  # (q, l, r) or (q, r, l)
         t2 = np.tensordot(v, t1, axes=(0, bra))      # (q, r)
-        support, block = _trimmed(None if rho.support is None else rest, t2, out_dim)
-        diagonal = block.diagonal()
-        if support is not None:
-            diagonal = np.zeros(out_dim, dtype=complex)
-            diagonal[support] = block.diagonal()
+        support, block = _trimmed(rest, t2, out_dim)
+        diagonal = np.zeros(out_dim, dtype=complex)
+        diagonal[support] = block.diagonal()
         p = float(np.real(diagonal.sum()))
         if p < policy.null_branch_tol:
             branches.append(MeasurementBranch(k, 0.0, None))
@@ -771,14 +745,10 @@ def fidelity_with_ket(rho: DensityMatrix, psi: Ket) -> float:
     if rho.dim != psi.dim:
         raise ValueError("dimension mismatch")
     v = psi.amplitudes
-    if rho.support is None:
-        u = v.conj() @ rho.block
-    else:
-        # the support columns over every row: each sum runs over the whole
-        # index range and so groups its terms as the product with the whole
-        # matrix does
-        cols = np.zeros((rho.dim, rho.support.size), dtype=complex)
-        cols[rho.support] = rho.block
-        u = np.zeros(rho.dim, dtype=complex)
-        u[rho.support] = v.conj() @ cols
+    # the support columns over every row: each sum runs over the whole index
+    # range and so groups its terms as the product with the whole matrix does
+    cols = np.zeros((rho.dim, rho.support.size), dtype=complex)
+    cols[rho.support] = rho.block
+    u = np.zeros(rho.dim, dtype=complex)
+    u[rho.support] = v.conj() @ cols
     return _clamp(float(np.real(u @ v)), "fidelity")

@@ -285,13 +285,7 @@ def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
     reduced states, the worst total-variation distance between his outcome
     distributions, and the equal-prior Helstrom error for every pair.
     """
-    if not transcripts:
-        raise ValueError("need at least one transcript")
-    d = transcripts[0].params["d"]
-    res = transcripts[0].params["resource"]
-    for t in transcripts:
-        if t.params["d"] != d or t.params["resource"] != res:
-            raise ValueError("transcripts must share dimension and resource")
+    _shared_dimension(transcripts)
     charlie_states = [partial_trace(t.stage("transmitted"), ("C",)) for t in transcripts]
     pmfs = [np.asarray(t.metrics["charlie_pmf"]) for t in transcripts]
     n = len(transcripts)
@@ -312,11 +306,27 @@ def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
     }
 
 
-def decode_summary(transcripts: list[ProtocolTranscript]) -> dict:
-    """Decode table over a uniform message ensemble: p(x, x_hat) and its MI."""
+def _shared_dimension(transcripts: list[ProtocolTranscript]) -> int:
+    """The dimension d of a nonempty list of transcripts of one d and resource."""
+    if not transcripts:
+        raise ValueError("need at least one transcript")
     d = transcripts[0].params["d"]
-    if len(transcripts) != d:
-        raise ValueError(f"need one transcript per message value, got {len(transcripts)}")
+    res = transcripts[0].params["resource"]
+    for t in transcripts:
+        if t.params["d"] != d or t.params["resource"] != res:
+            raise ValueError("transcripts must share dimension and resource")
+    return d
+
+
+def decode_summary(transcripts: list[ProtocolTranscript]) -> dict:
+    """Decode table over a uniform message ensemble: p(x, x_hat) and its MI.
+
+    The transcripts share d and the resource and carry each message 0..d-1 once.
+    """
+    d = _shared_dimension(transcripts)
+    messages = sorted(t.params["x"] for t in transcripts)
+    if messages != list(range(d)):
+        raise ValueError(f"need one transcript per message value 0..{d - 1}, got {messages}")
     table = np.zeros((d, d))
     for t in transcripts:
         x = t.params["x"]
@@ -482,8 +492,9 @@ def fixed_configuration_baseline(d: int, encoded_states: list[DensityMatrix]) ->
         for j in range(i + 1, n):
             min_td = min(min_td, trace_distance(marginals[i], marginals[j]))
 
-    success = _discrimination_success([m.entries for m in marginals])
     bound = (1.0 + min_td) / 2.0
+    # two messages: the Helstrom measurement attains the bound
+    success = bound if n == 2 else _discrimination_success([m.entries for m in marginals])
 
     if success >= 1.0 - policy.spectral_tol and min_td < 1.0 - policy.spectral_tol:
         raise RuntimeError(
@@ -499,16 +510,11 @@ def fixed_configuration_baseline(d: int, encoded_states: list[DensityMatrix]) ->
 
 
 def _discrimination_success(states: list[np.ndarray]) -> float:
-    """Equal-prior discrimination success of the realized decoder.
-
-    Two hypotheses: the Helstrom measurement, success (1 + T)/2.  More: the
-    square-root (pretty good) measurement, always achievable and perfect
-    exactly when the states are orthogonal.
+    """Equal-prior success of the square-root (pretty good) measurement on
+    more than two states: always achievable, and perfect exactly when the
+    states are orthogonal.
     """
     n = len(states)
-    if n == 2:
-        eigs = np.linalg.eigvalsh(states[0] - states[1])
-        return float((1.0 + 0.5 * np.abs(eigs).sum()) / 2.0)
     avg = sum(states) / n
     vals, vecs = np.linalg.eigh(avg)
     inv_sqrt = np.zeros_like(avg)

@@ -133,14 +133,12 @@ def _live_rows(m) -> tuple[int, int, np.ndarray, np.ndarray]:
     Equal bits give equal text, and -0.0 stays apart from 0.0 (json writes
     them differently).  A state's rows come from its support block.
     """
-    if isinstance(m, DensityMatrix) and m.support is not None:
+    if isinstance(m, DensityMatrix):
         block = np.ascontiguousarray(m.block).view(np.int64)  # (k, 2k)
         held = block.any(axis=1)
         bits = np.zeros((held.sum(), m.dim, 2), dtype=np.int64)
         bits[:, m.support] = block[held].reshape(bits.shape[0], -1, 2)
         return m.dim, m.dim, m.support[held], bits.reshape(bits.shape[0], -1)
-    if isinstance(m, DensityMatrix):
-        m = m.block
     bits = np.ascontiguousarray(m, dtype=complex).view(np.int64)
     live = np.flatnonzero(bits.any(axis=1))
     return m.shape[0], m.shape[1], live, bits[live]

@@ -25,7 +25,7 @@ from qswitch_lab import (
     DensityMatrix,
 )
 
-from qswitch_lab.linalg import _min_eigenvalue, _support_block
+from qswitch_lab.linalg import _min_eigenvalue, _trimmed
 
 from conftest import random_density, random_unitary
 
@@ -304,8 +304,10 @@ class TestChoiSupport:
     def test_same_verdict_and_minimum_as_full_eigvalsh(self, d):
         for name, ch in sparse_channels(d):
             m = choi(ch).entries  # constructed, so the support check passed
-            support, block = _support_block(m)
-            assert support is not None and support.size < m.shape[0], name
+            n = m.shape[0]
+            support, block = _trimmed(np.arange(n), m, n)
+            assert support.size < n, name
+            assert np.array_equal(block, m[np.ix_(support, support)]), name
             full = float(np.linalg.eigvalsh(m)[0])
             assert full >= policy.psd_floor
             assert abs(_min_eigenvalue(block, m.shape[0]) - full) <= 1e-14, name
@@ -314,7 +316,8 @@ class TestChoiSupport:
     def test_negative_eigenvalue_inside_support_raises_same_text(self, d):
         for name, ch in sparse_channels(d):
             m = np.array(choi(ch).entries)
-            support, block = _support_block(m)
+            n = m.shape[0]
+            support, block = _trimmed(np.arange(n), m, n)
             w, v = np.linalg.eigh(block)
             w[0] = -1e-6  # inside the support, every other eigenvalue kept
             m[np.ix_(support, support)] = (v * w) @ v.conj().T

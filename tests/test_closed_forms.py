@@ -42,7 +42,7 @@ from qswitch_lab import (
 )
 from qswitch_lab.cli import _parse_alpha
 
-SWEEPS = [("private-dit", 1), ("bipartite", 1), ("ghz", 2)]
+SWEEPS = [("private-dit", 1), ("bipartite", 1), ("ghz", 2), ("ghz", 3)]
 
 
 def closed_form_metric(lam) -> float:

@@ -19,7 +19,7 @@ from qswitch_lab import (
     tensor,
     trace_distance,
 )
-from qswitch_lab.linalg import _SUPPORT_MIN_DIM, _min_eigenvalue, _support_block
+from qswitch_lab.linalg import _SUPPORT_MIN_DIM, _min_eigenvalue, _trimmed
 
 from conftest import naive_partial_trace, random_density, random_ket, random_unitary
 
@@ -89,7 +89,8 @@ def padded_state(n, support, eigenvalues, rng):
 
 def support_min_eigenvalue(m):
     """The minimum eigenvalue as construction finds it, on the support block."""
-    return _min_eigenvalue(_support_block(m)[1], m.shape[0])
+    n = m.shape[0]
+    return _min_eigenvalue(_trimmed(np.arange(n), m, n)[1], n)
 
 
 class TestSupportPSD:
@@ -191,7 +192,7 @@ class TestSupportChecks:
             m[i, i] += 1e-9
         elif case == "negative":
             m = padded_state(n, support, [-1e-6, 0.1, 0.2, 0.2, 0.2, 0.3 + 1e-6], rng)
-        found, block = _support_block(m)
+        found, block = _trimmed(np.arange(n), m, n)
         assert np.array_equal(found, support)
         assert np.abs(block - block.conj().T).max() == np.abs(m - m.conj().T).max()
         expected = full_matrix_verdict(m)
@@ -221,13 +222,13 @@ class TestSupportChecks:
 
     def test_support_kept_only_above_threshold(self, rng):
         small = DensityMatrix(np.diag([1.0] + [0.0] * 15), SubsystemLayout((16,), ("A",)))
-        assert small.support is None and small.block.shape == (16, 16)
+        assert np.array_equal(small.support, np.arange(16)) and small.block.shape == (16, 16)
         m, support = random_padded_state(17, rng)
         rho = DensityMatrix(m, SubsystemLayout((17,), ("A",)))
         assert np.array_equal(rho.support, support)
         assert np.array_equal(rho.block, m[np.ix_(support, support)])
         assert np.array_equal(rho.entries, m)
-        assert random_density(20, rng).support is None  # full support
+        assert np.array_equal(random_density(20, rng).support, np.arange(20))  # full support
 
 
 def assert_same_ket_up_to_phase(a, b):
@@ -263,7 +264,7 @@ class TestRelabel:
         layout = SubsystemLayout((2, 20), ("A", "B"))
         if padded:
             rho = DensityMatrix(random_padded_state(40, rng)[0], layout)
-            assert rho.support is not None
+            assert rho.support.size < rho.dim
         else:
             rho = random_density(40, rng, layout)
         calls = []

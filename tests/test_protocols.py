@@ -265,6 +265,21 @@ class TestPrivacy:
         assert abs(summary["mutual_information_bits"] - np.log2(d)) < 1e-9
         assert summary["min_success"] > 1 - 1e-9
 
+    def test_decode_table_rejects_an_empty_ensemble(self):
+        with pytest.raises(ValueError, match="at least one transcript"):
+            decode_summary([])
+
+    def test_decode_table_rejects_a_repeated_message(self):
+        t0 = run_private_dit(2, 0, ResourceState.maximally_entangled(2))
+        with pytest.raises(ValueError, match=r"one transcript per message value 0\.\.1, got \[0, 0\]"):
+            decode_summary([t0, t0])
+
+    def test_decode_table_rejects_mixed_resources(self):
+        ts = [run_private_dit(2, 0, ResourceState.maximally_entangled(2)),
+              run_private_dit(2, 1, ResourceState.from_schmidt((0.7, 0.3)))]
+        with pytest.raises(ValueError, match="share dimension and resource"):
+            decode_summary(ts)
+
     def test_mismatched_transcripts_rejected(self):
         a = run_private_dit(2, 0, ResourceState.maximally_entangled(2))
         b = run_private_dit(2, 1, ResourceState.from_schmidt((0.25, 0.75)))
@@ -438,7 +453,7 @@ class TestFixedBaseline:
         for _ in range(50):
             enc = [random_density(4, rng, layout) for _ in range(2)]
             rep = fixed_configuration_baseline(2, enc)
-            assert rep["bob_success"] <= rep["bob_success_upper_bound"] + 1e-9
+            assert rep["bob_success"] == rep["bob_success_upper_bound"]
 
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError, match="one encoded state"):

@@ -8,8 +8,8 @@ unitary, the Kraus list of ``k_multiline`` and the receiver's correction, and
 ``tensordot``s over the measured axis of the whole tensor for the
 measurement (``np.einsum`` would round differently from these BLAS
 products).  For every stage and branch, the support and block of the
-library's state must equal what ``_support_block`` finds on the reference
-matrix, bit for bit.
+library's state must equal what ``_trimmed`` finds on the reference matrix,
+bit for bit.
 """
 
 import math
@@ -31,7 +31,7 @@ from qswitch_lab import (
     run_ghz_distribution,
     run_private_dit,
 )
-from qswitch_lab.linalg import _support_block
+from qswitch_lab.linalg import _trimmed
 
 
 def dense_embedded(m, dims, positions, kernel):
@@ -152,10 +152,12 @@ def resource(d, kind):
 
 
 def assert_support_block_of(state, dense):
-    support, block = _support_block(dense)
-    assert (state.support is None) == (support is None)
-    if support is not None:
-        assert np.array_equal(state.support, support)
+    n = dense.shape[0]
+    support, block = _trimmed(np.arange(n), dense, n)
+    # every step hands back an ascending index array
+    assert isinstance(state.support, np.ndarray) and state.support.dtype.kind == "i"
+    assert np.all(np.diff(state.support) > 0)
+    assert np.array_equal(state.support, support)
     assert np.array_equal(state.block, block)
 
 
@@ -207,7 +209,7 @@ def test_guard_ceiling_run_holds_only_support_blocks(d, n):
         tracemalloc.stop()
     assert peak < 64e6
     states = [s.state for s in t.stages[1:]] + [b.state for b in t.branches]
-    assert all(s.support is not None and s.support.size == d for s in states)
+    assert all(s.support.size == d for s in states)
     assert t.metrics["fidelity_min"] > 1 - 1e-10
     assert t.metrics["maximally_entangled_all_branches"]
 
