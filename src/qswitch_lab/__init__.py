@@ -15,7 +15,6 @@ from .channels import (
     KrausChannel,
     apply,
     apply_coincidence,
-    canonicalize_extension,
     channels_equal,
     choi,
     erasing_channel,

@@ -75,11 +75,6 @@ class KrausChannel:
         return self.in_dim == self.out_dim
 
 
-def _drop_zero(ops: np.ndarray) -> np.ndarray:
-    """The operators of a stack whose largest entry is above the zero tolerance."""
-    return ops[np.abs(ops).max(axis=(1, 2)) > policy.zero_operator_tol]
-
-
 def identity_channel(d: int) -> KrausChannel:
     return KrausChannel(np.eye(d, dtype=complex)[None])
 
@@ -147,46 +142,12 @@ def vacuum_extend(base: KrausChannel, amplitudes) -> ExtendedChannel:
     return ExtendedChannel(base, _readonly(alpha), realized)
 
 
-def _householder_to_e0(alpha: np.ndarray) -> np.ndarray:
-    """Unitary built from one Householder reflection mapping alpha to e_0.
-
-    A global phase is absorbed first so the reflection lands exactly on
-    e_0 rather than on a phase multiple of it.
-    """
-    n = alpha.shape[0]
-    phase = np.exp(-1j * np.angle(alpha[0])) if abs(alpha[0]) > 0 else 1.0
-    a = phase * alpha
-    e0 = np.zeros(n, dtype=complex)
-    e0[0] = 1.0
-    w = a - e0
-    wn = np.linalg.norm(w)
-    if wn < 1e-14:
-        return phase * np.eye(n, dtype=complex)
-    h = np.eye(n, dtype=complex) - 2.0 * np.outer(w, w.conj()) / (wn * wn)
-    return h * phase
-
-
 def remix(ch: KrausChannel, unitary: np.ndarray) -> KrausChannel:
     """Change Kraus representation: K'_m = sum_i U[m, i] K_i (same channel)."""
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (ch.n_kraus, ch.n_kraus):
         raise ValueError("remixing unitary must be square over the Kraus index")
     return KrausChannel(np.tensordot(u, ch.kraus, axes=1))
-
-
-def canonicalize_extension(ext: ExtendedChannel) -> ExtendedChannel:
-    """Rewrite an extension so its amplitude vector becomes (1, 0, ..., 0).
-
-    The Kraus list is remixed by a single Householder reflection; the
-    realized channel (and hence its Choi matrix) is unchanged.
-    """
-    u = _householder_to_e0(ext.amplitudes)
-    new_base = remix(ext.base, u)
-    new_alpha = u @ ext.amplitudes
-    new_alpha[0] = new_alpha[0].real  # exact up to rounding; pin to 1
-    new_alpha = np.where(np.abs(new_alpha) < 1e-13, 0.0, new_alpha)
-    new_alpha[0] = 1.0
-    return vacuum_extend(new_base, new_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +245,3 @@ def channels_equal(a: KrausChannel, b: KrausChannel, tol: float | None = None) -
     dist = float(np.linalg.norm(choi(a).entries - choi(b).entries))
     return ChannelComparison(dist <= tol, dist, tol)
 
-
-def restrict_channel(ch: KrausChannel, keep_indices: Sequence[int]) -> KrausChannel:
-    """Compress a channel onto an invariant subspace (given basis indices).
-
-    Valid only when the channel maps the subspace into itself; this is
-    checked through the trace-preservation test of the compressed operators.
-    """
-    idx = np.asarray(keep_indices, dtype=int)
-    return KrausChannel(_drop_zero(ch.kraus[:, idx[:, None], idx]))

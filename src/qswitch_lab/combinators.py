@@ -14,7 +14,10 @@ For d mutually orthogonal information-erasing channels (the j-th erasing to
 the message sector, to one and the same channel with the closed Kraus form
 ``{P0} + {|j><l| (x) |j><j| : l != j}`` where ``P0 = sum_j |jj><jj|``.  The
 brute-force tuple enumerations are kept (with hard caps) as oracles against
-the closed forms.  The closed-form Kraus list :func:`k_multiline` (``N = 1``
+the closed forms; the N-line oracle is the cyclic switch of the channels'
+N-fold tensor powers.  The rank-one decomposition of the choice reads each
+channel's vacuum interference operator ``F_j = sum_i conj(alpha_i) K_i``.
+The closed-form Kraus list :func:`k_multiline` (``N = 1``
 for a single line) is itself a capped oracle: the protocols apply the
 channel through ``channels.apply_coincidence``, which uses its closed action
 and builds no Kraus list.
@@ -26,19 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .channels import (
-    ExtendedChannel,
-    KrausChannel,
-    _drop_zero,
-    canonicalize_extension,
-    erasing_channel,
-    restrict_channel,
-    vacuum_extend,
-)
+from .channels import ExtendedChannel, KrausChannel, erasing_channel, vacuum_extend
 from .linalg import Ket, _readonly
 from .numeric import ResourceGuardError, guard_dimension, policy
 
@@ -56,6 +50,11 @@ def _enumerated_count(channels: list, what: str) -> int:
             f"{what} enumeration is capped at {_ENUM_MAX_CHANNELS} channels, got {n}"
         )
     return n
+
+
+def _drop_zero(ops: np.ndarray) -> np.ndarray:
+    """The operators of a stack whose largest entry is above the zero tolerance."""
+    return ops[np.abs(ops).max(axis=(1, 2)) > policy.zero_operator_tol]
 
 
 def _on_own_axis(stacks: list[np.ndarray]) -> list[np.ndarray]:
@@ -139,15 +138,18 @@ def target_sector_restriction(ch: KrausChannel, d: int, n_targets: int = 1) -> K
     """Compress a combinator on extended targets to the message sector.
 
     Drops the vacuum level of each of the ``n_targets`` extended (d+1)-level
-    factors, keeping the control factor whole.  Vacuum extensions map the
-    message sector into itself, so the compression is a channel.
+    factors, keeping the control factor whole.  The compression is a channel
+    only when ``ch`` maps the message sector into itself, as vacuum
+    extensions do; the trace-preservation test of the compressed operators
+    checks this.
     """
     control_dim = ch.in_dim // (d + 1) ** n_targets
     if control_dim * (d + 1) ** n_targets != ch.in_dim:
         raise ValueError("channel dimension is not (d+1)^n_targets * control_dim")
     # the digits of every basis index in C order, i.e. flat index order
     digits = np.indices((d + 1,) * n_targets + (control_dim,)).reshape(n_targets + 1, -1)
-    return restrict_channel(ch, np.flatnonzero((digits[:n_targets] < d).all(axis=0)))
+    keep = np.flatnonzero((digits[:n_targets] < d).all(axis=0))
+    return KrausChannel(_drop_zero(ch.kraus[:, keep[:, None], keep]))
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +199,16 @@ def k_multiline(d: int, n_lines: int) -> KrausChannel:
 def k_multiline_enumerated(channels: list[KrausChannel], n_lines: int) -> KrausChannel:
     """Brute-force N-line order combinator; oracle for :func:`k_multiline`.
 
-    Enumerates one Kraus index per (channel, line) pair, so the tuple space
-    has size prod(n_kraus)^N; hard-capped at d = 2, N <= 2.
+    The cyclic switch of the channels' N-fold tensor powers: channel c acts
+    as itself on each of the N lines at once.  In a tensor power, line 0 is
+    the most significant factor of the matrix indices and of the Kraus
+    index.  The Kraus count is prod(n_kraus)^N, so (d, N) is hard-capped at
+    (2, 2).
     """
     d = len(channels)
-    if (d, n_lines) > _MULTILINE_ENUM_MAX:
+    if d == 0 or n_lines < 1:
+        raise ValueError("need at least one channel and at least one line")
+    if d > _MULTILINE_ENUM_MAX[0] or n_lines > _MULTILINE_ENUM_MAX[1]:
         raise ResourceGuardError(
             f"multiline enumeration capped at (d, N) <= {_MULTILINE_ENUM_MAX}, "
             f"got ({d}, {n_lines})"
@@ -209,26 +216,20 @@ def k_multiline_enumerated(channels: list[KrausChannel], n_lines: int) -> KrausC
     t = channels[0].in_dim
     if any(c.in_dim != t or not c.is_square() for c in channels):
         raise ValueError("all channels must be square with equal dimension")
-    dim = t**n_lines * d
-    guard_dimension(dim, "multiline enumeration")
-    counts = [c.n_kraus for c in channels]
-    tuples = list(product(*[range(counts[l]) for l in range(d) for _ in range(n_lines)]))
-    ops = np.zeros((len(tuples), t**n_lines, d, t**n_lines, d), dtype=complex)
-    for op, tup in zip(ops, tuples):
-        idx = np.array(tup).reshape(d, n_lines)  # idx[l, n]: Kraus pick of channel l on line n
-        for j in range(d):
-            per_line = []
-            for n in range(n_lines):
-                prod_op = np.eye(t, dtype=complex)
-                for k in range(d):
-                    c = (j + k) % d
-                    prod_op = prod_op @ channels[c].kraus[idx[c, n]]
-                per_line.append(prod_op)
-            full = per_line[0]
-            for n in range(1, n_lines):
-                full = np.kron(full, per_line[n])
-            op[:, j, :, j] = full  # the block of control value j
-    return KrausChannel(_drop_zero(ops.reshape(-1, dim, dim)))
+    guard_dimension(t**n_lines * d, "multiline enumeration")
+    return cyclic_switch([KrausChannel(_tensor_power(c.kraus, n_lines)) for c in channels])
+
+
+def _tensor_power(ops: np.ndarray, n: int) -> np.ndarray:
+    """The Kraus stack of the n-fold tensor power of a channel, by one broadcast.
+
+    Copy c of the stack sits on axes (c, n + c, 2n + c) of 3n, so the product
+    holds K_{i_0} (x) ... (x) K_{i_{n-1}} at [i_0..i_{n-1}, a_0..a_{n-1},
+    b_0..b_{n-1}], which flattens with line 0 most significant.
+    """
+    sizes = np.repeat(ops.shape, n)
+    copies = [ops.reshape(np.where(np.arange(3 * n) % n == c, sizes, 1)) for c in range(n)]
+    return math.prod(copies).reshape(np.asarray(ops.shape) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +243,16 @@ class TDecomposition:
 
     On the message sector the channel splits into a single coherent Kraus
     operator ``t0 = sum_j |j><v_j| (x) |j><j|`` plus classical remainder
-    terms weighted by ``I - |v_j><v_j|``.  The vectors ``v_j`` may be
-    sub-normalized; they have unit norm exactly when the coherent part
-    alone preserves probability on the corresponding control branch.
+    terms weighted by ``I - |v_j><v_j|``, held as one read-only ``(d, d, d)``
+    array indexed by j.  ``|j><v_j|`` is the vacuum interference operator of
+    channel j.  The vectors ``v_j`` may be sub-normalized; they have unit
+    norm exactly when the coherent part alone preserves probability on the
+    corresponding control branch.
     """
 
     t0: np.ndarray
     v: list[Ket]
-    remainder_weights: dict[int, np.ndarray]
+    remainder_weights: np.ndarray
     d: int
 
     def reconstructed_channel(self) -> KrausChannel:
@@ -259,41 +262,41 @@ class TDecomposition:
         operator sqrt(mu) |jj><u, j|, in order of j and then of mu.
         """
         d = self.d
-        js = np.array(list(self.remainder_weights))
-        vals, vecs = np.linalg.eigh(np.stack(list(self.remainder_weights.values())))
-        r, k = np.nonzero(vals >= policy.zero_operator_tol)  # eigenpair k of remainder js[r]
-        bras = np.sqrt(vals[r, k])[:, None] * vecs[r, :, k].conj()  # sqrt(mu) <u|
-        ops = np.zeros((1 + len(r), d, d, d, d), dtype=complex)
+        vals, vecs = np.linalg.eigh(self.remainder_weights)
+        j, k = np.nonzero(vals >= policy.zero_operator_tol)  # eigenpair k of remainder j
+        bras = np.sqrt(vals[j, k])[:, None] * vecs[j, :, k].conj()  # sqrt(mu) <u|
+        ops = np.zeros((1 + len(j), d, d, d, d), dtype=complex)
         ops[0] = self.t0.reshape(d, d, d, d)
-        ops[np.arange(1, 1 + len(r)), js[r], js[r], :, js[r]] = bras
+        ops[np.arange(1, 1 + len(j)), j, j, :, j] = bras
         return KrausChannel(_drop_zero(ops.reshape(-1, d * d, d * d)))
 
 
 def t_decomposition(channels: list[ExtendedChannel]) -> TDecomposition:
     """Extract the rank-one decomposition of a d-ary choice of erasing channels.
 
-    Each extension is first canonicalized (amplitude vector rotated to
-    (1, 0, ..., 0) by a Householder remix); ``v_j`` is then read off the
-    first base Kraus operator of channel j, which has the form |j><v_j|.
+    ``v_j`` is read off the vacuum interference operator of channel j,
+    ``F_j = sum_i conj(alpha_i) K_i``, which for a channel erasing onto |j>
+    has the form |j><v_j| (Chiribella & Kristjansson, Proc. R. Soc. A 475,
+    20180903 (2019)).
     """
     d = len(channels)
     if any(c.target_dim != d for c in channels):
         raise ValueError("need d extensions of d-dimensional channels")
-    vs: list[Ket] = []
+    vs = np.zeros((d, d), dtype=complex)
     t0 = np.zeros((d, d, d, d), dtype=complex)
-    remainders: dict[int, np.ndarray] = {}
     for j, ext in enumerate(channels):
         _require_erasing_to(ext.base, j)
-        first = canonicalize_extension(ext).base.kraus[0]
-        vj = first[j].conj()  # first = |j><v_j|
-        if np.linalg.norm(np.delete(first, j, axis=0)) > policy.spectral_tol:
+        f = np.tensordot(ext.amplitudes.conj(), ext.base.kraus, axes=1)  # F_j = |j><v_j|
+        if np.linalg.norm(np.delete(f, j, axis=0)) > policy.spectral_tol:
             raise ValueError(f"channel {j} is not an erasing channel onto |{j}>")
-        if np.linalg.norm(vj) > 1.0 + policy.structural_tol:
+        vs[j] = f[j].conj()
+        if np.linalg.norm(vs[j]) > 1.0 + policy.structural_tol:
             raise ValueError(f"extracted vector {j} has norm above 1")
-        vs.append(Ket.raw(vj))
-        t0[j, j, :, j] = first[j]  # |j><v_j| (x) |j><j|
-        remainders[j] = _readonly(np.eye(d, dtype=complex) - np.outer(vj, vj.conj()))
-    return TDecomposition(_readonly(t0.reshape(d * d, d * d)), vs, remainders, d)
+        t0[j, j, :, j] = f[j]  # |j><v_j| (x) |j><j|
+    remainders = np.eye(d) - vs[:, :, None] * vs[:, None, :].conj()
+    return TDecomposition(
+        _readonly(t0.reshape(d * d, d * d)), [Ket.raw(v) for v in vs], _readonly(remainders), d
+    )
 
 
 def _require_erasing_to(ch: KrausChannel, j: int) -> None:

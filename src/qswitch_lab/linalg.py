@@ -64,7 +64,7 @@ class SubsystemLayout:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate labels in layout: {self.labels}")
 
-    @property
+    @functools.cached_property
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
@@ -79,6 +79,9 @@ class SubsystemLayout:
             raise ValueError(f"unknown label {label!r}; layout has {self.labels}") from None
 
     def positions(self, labels: Iterable[str]) -> list[int]:
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"repeated labels in {labels}")
         return [self.index_of(lbl) for lbl in labels]
 
     def keep(self, labels: Iterable[str]) -> "SubsystemLayout":

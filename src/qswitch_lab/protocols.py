@@ -134,18 +134,20 @@ def clone_permutation(d: int, n_copies: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResourceState:
-    """Initial sender-controller state: maximal, Schmidt spectrum, or explicit."""
+    """Initial sender-controller state on labels ("A", "C"), and its name.
 
-    kind: str
-    d: int
-    spectrum: tuple[float, ...] | None = None
-    explicit_state: DensityMatrix | None = None
+    The name is what a transcript records: ``"max"``, ``"schmidt:"`` and the
+    spectrum, or ``"explicit"``.
+    """
+
+    name: str
+    rho: DensityMatrix
 
     @classmethod
     def maximally_entangled(cls, d: int) -> "ResourceState":
-        return cls("maximally_entangled", d)
+        return cls("max", ghz_ket(d, 2).density(SubsystemLayout((d, d), ("A", "C"))))
 
     @classmethod
     def from_schmidt(cls, spectrum) -> "ResourceState":
@@ -154,33 +156,27 @@ class ResourceState:
             raise ValueError("Schmidt spectrum entries must be nonnegative")
         if not abs(sum(spec) - 1.0) <= policy.structural_tol:
             raise ValueError(f"Schmidt spectrum sums to {sum(spec)!r}, not 1")
-        return cls("schmidt_spectrum", len(spec), spectrum=spec)
+        d = len(spec)
+        amps = np.zeros(d * d, dtype=complex)
+        for j, lam in enumerate(spec):
+            amps[j * d + j] = math.sqrt(max(lam, 0.0))
+        rho = Ket(amps).density(SubsystemLayout((d, d), ("A", "C")))
+        return cls("schmidt:" + ",".join(f"{s:.12g}" for s in spec), rho)
 
     @classmethod
     def explicit(cls, state: DensityMatrix) -> "ResourceState":
         if state.layout.n_subsystems != 2 or state.layout.dims[0] != state.layout.dims[1]:
             raise ValueError("explicit resource must be a two-qudit state of equal dimensions")
-        return cls("explicit", state.layout.dims[0], explicit_state=state)
+        return cls("explicit", state.relabel(dict(zip(state.layout.labels, ("A", "C")))))
 
-    def describe(self) -> str:
-        if self.kind == "maximally_entangled":
-            return "max"
-        if self.kind == "schmidt_spectrum":
-            return "schmidt:" + ",".join(f"{s:.12g}" for s in self.spectrum)
-        return "explicit"
+    @property
+    def d(self) -> int:
+        return self.rho.layout.dims[0]
 
-    def state(self, d: int, labels: tuple[str, str] = ("A", "C")) -> DensityMatrix:
+    def state(self, d: int) -> DensityMatrix:
         if d != self.d:
             raise ValueError(f"resource has dimension {self.d}, protocol asked for {d}")
-        layout = SubsystemLayout((d, d), labels)
-        if self.kind == "maximally_entangled":
-            return ghz_ket(d, 2).density(layout)
-        if self.kind == "schmidt_spectrum":
-            amps = np.zeros(d * d, dtype=complex)
-            for j, lam in enumerate(self.spectrum):
-                amps[j * d + j] = math.sqrt(max(lam, 0.0))
-            return Ket(amps).density(layout)
-        return self.explicit_state.relabel(dict(zip(self.explicit_state.layout.labels, labels)))
+        return self.rho
 
 
 @dataclass(frozen=True)
@@ -271,7 +267,7 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
     }
     return ProtocolTranscript(
         "private-dit",
-        {"d": d, "x": x, "resource": resource.describe()},
+        {"d": d, "x": x, "resource": resource.name},
         stages,
         branches,
         metrics,
@@ -297,7 +293,7 @@ def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
             tv = total_variation(pmfs[i], pmfs[j])
             max_td = max(max_td, td)
             max_tv = max(max_tv, tv)
-            helstrom[(i, j)] = helstrom_error(charlie_states[i], charlie_states[j], 0.5)
+            helstrom[(i, j)] = 0.5 * (1.0 - td)  # the equal-prior Helstrom error
     return {
         "max_pairwise_trace_distance": max_td,
         "max_pairwise_outcome_tv": max_tv,
@@ -431,7 +427,7 @@ def _establishment_run(
         )
     return ProtocolTranscript(
         protocol_id,
-        {"d": d, "receivers": n_receivers, "resource": resource.describe()},
+        {"d": d, "receivers": n_receivers, "resource": resource.name},
         stages,
         branches,
         metrics,
@@ -564,7 +560,7 @@ def necessity_sweep(
         resource = ResourceState.from_schmidt(spec)
         if resource.d != d:
             raise ValueError(f"spectrum {spec} has {resource.d} entries, expected {d}")
-        lam = np.asarray(resource.spectrum)
+        lam = np.asarray(spec, dtype=float)
         row = {
             "spectrum": tuple(float(s) for s in lam),
             "top_schmidt_gap": float(lam.max() - 1.0 / d),

@@ -9,7 +9,6 @@ from qswitch_lab import (
     SubsystemLayout,
     apply,
     basis_ket,
-    canonicalize_extension,
     channels_equal,
     choi,
     cyclic_switch,
@@ -167,41 +166,6 @@ class TestVacuumExtend:
     def test_non_finite_amplitudes_rejected(self, bad):
         with pytest.raises(ValueError, match="norm"):
             vacuum_extend(erasing_channel(2, 0), [bad, 1.0])
-
-
-class TestCanonicalize:
-    def test_fixed_point(self):
-        ext = vacuum_extend(erasing_channel(2, 0), [1.0, 0.0])
-        canon = canonicalize_extension(ext)
-        assert np.allclose(canon.amplitudes, [1.0, 0.0])
-        dist = np.linalg.norm(choi(canon.realized).entries - choi(ext.realized).entries)
-        assert dist < 1e-12
-
-    @pytest.mark.parametrize(
-        "alpha",
-        [
-            [1 / np.sqrt(2), 1 / np.sqrt(2)],
-            [0.0, 1.0],
-            [0.6, 0.8j],
-        ],
-    )
-    def test_choi_preserved_and_amplitudes_reset(self, alpha):
-        ext = vacuum_extend(erasing_channel(2, 0), alpha)
-        canon = canonicalize_extension(ext)
-        assert np.allclose(canon.amplitudes, [1.0, 0.0], atol=1e-12)
-        dist = np.linalg.norm(choi(canon.realized).entries - choi(ext.realized).entries)
-        assert dist < 1e-10
-
-    def test_random_amplitudes_many_kraus(self, rng):
-        base = erasing_channel(4, 2)
-        for _ in range(10):
-            a = rng.normal(size=4) + 1j * rng.normal(size=4)
-            a /= np.linalg.norm(a)
-            ext = vacuum_extend(base, a)
-            canon = canonicalize_extension(ext)
-            assert np.allclose(canon.amplitudes, [1, 0, 0, 0], atol=1e-12)
-            dist = np.linalg.norm(choi(canon.realized).entries - choi(ext.realized).entries)
-            assert dist < 1e-10
 
 
 class TestApply:

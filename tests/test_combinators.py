@@ -423,6 +423,38 @@ class TestMultiline:
     def test_enumeration_cap(self):
         with pytest.raises(ResourceGuardError, match="capped"):
             k_multiline_enumerated([erasing_channel(3, j) for j in range(3)], 2)
+        # each of d and N is capped, not the pair in lexicographic order
+        with pytest.raises(ResourceGuardError, match="capped"):
+            k_multiline_enumerated([erasing_channel(2, 0)], 3)
+
+    def test_enumeration_needs_a_line(self):
+        with pytest.raises(ValueError, match="at least one line"):
+            k_multiline_enumerated([erasing_channel(2, j) for j in range(2)], 0)
+
+    @pytest.mark.parametrize("d,n", [(1, 2), (2, 1), (2, 2)])
+    def test_enumeration_of_unitaries_is_block_diagonal(self, d, n, rng):
+        # one Kraus operator per channel: block j is the n-th tensor power of
+        # U_j U_{j+1} ... U_{j-1}, so channel j acts last on every line; a
+        # swap of the lines inside each power shows at d = 1 (at d = 2 two cancel)
+        us = [random_unitary(2, rng) for _ in range(d)]
+        enum = k_multiline_enumerated([KrausChannel(u[None]) for u in us], n)
+        expected = np.zeros((2**n, d, 2**n, d), dtype=complex)
+        for j in range(d):
+            cyc = reduce(np.matmul, [us[(j + k) % d] for k in range(d)])
+            expected[:, j, :, j] = reduce(np.kron, [cyc] * n)
+        assert enum.n_kraus == 1
+        assert np.abs(enum.kraus[0] - expected.reshape(2**n * d, -1)).max() <= 1e-12
+
+    def test_single_line_enumeration_is_the_cyclic_switch(self, rng):
+        for channels in (
+            [erasing_channel(2, j) for j in range(2)],
+            [remix(erasing_channel(2, j), random_unitary(2, rng)) for j in range(2)],
+            [KrausChannel(random_unitary(3, rng)[None])],
+        ):
+            enum, switch = k_multiline_enumerated(channels, 1), cyclic_switch(channels)
+            assert enum.n_kraus == switch.n_kraus
+            for a, b in zip(enum.kraus, switch.kraus):  # operator by operator
+                assert np.array_equal(a, b)
 
 
 class TestApplyCoincidence:
@@ -551,6 +583,13 @@ class TestTDecomposition:
             target = target_sector_restriction(controlled_choice(exts), d)
             cmp = channels_equal(dec.reconstructed_channel(), target, 1e-10)
             assert cmp.equal, cmp.distance
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_coincidence_round_trip_is_exact(self, d):
+        # F_j = sum_i conj(alpha_i) K_i is read without any rounding here
+        dec = t_decomposition(coincidence_extensions(d))
+        target = target_sector_restriction(controlled_choice(coincidence_extensions(d)), d)
+        assert channels_equal(dec.reconstructed_channel(), target).distance == 0.0
 
     def test_non_erasing_channel_rejected(self):
         ext = vacuum_extend(identity_channel(2), [1.0])

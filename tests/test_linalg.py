@@ -5,12 +5,15 @@ from qswitch_lab import (
     DensityMatrix,
     Ket,
     SubsystemLayout,
+    apply,
+    apply_coincidence,
     apply_unitary,
     basis_ket,
     fidelity_with_ket,
     fourier_basis,
     fourier_ket,
     ghz_ket,
+    identity_channel,
     partial_trace,
     permute_basis,
     policy,
@@ -91,6 +94,23 @@ def support_min_eigenvalue(m):
     """The minimum eigenvalue as construction finds it, on the support block."""
     n = m.shape[0]
     return _min_eigenvalue(_trimmed(np.arange(n), m, n)[1], n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho: partial_trace(rho, ["A", "A"]),
+        lambda rho: permute_basis(rho, [1, 0, 3, 2], ("A", "A")),
+        lambda rho: apply_coincidence(rho, ("A", "A", "C")),
+        lambda rho: apply_unitary(rho, np.eye(4), ("A", "A")),
+        lambda rho: apply(identity_channel(4), rho, ("A", "A")),
+    ],
+    ids=["partial_trace", "permute_basis", "apply_coincidence", "apply_unitary", "apply"],
+)
+def test_repeated_labels_rejected(call):
+    ghz3 = ghz_ket(2, 3).density(SubsystemLayout((2, 2, 2), ("A", "B", "C")))
+    with pytest.raises(ValueError, match="repeated labels"):
+        call(ghz3)
 
 
 class TestSupportPSD:

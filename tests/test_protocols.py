@@ -17,8 +17,10 @@ from qswitch_lab import (
     dfs_phase_encodings,
     fixed_configuration_baseline,
     ghz_ket,
+    helstrom_error,
     mutual_information,
     necessity_sweep,
+    partial_trace,
     permute_basis,
     phase_unitary,
     policy,
@@ -256,6 +258,17 @@ class TestPrivacy:
             ts = [run_private_dit(2, x, res) for x in range(2)]
             rep = privacy_report(ts)
             assert rep["max_pairwise_trace_distance"] <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_helstrom_errors_read_off_the_trace_distance(self, d, rng):
+        for res in (
+            ResourceState.maximally_entangled(d),
+            ResourceState.from_schmidt(rng.dirichlet(np.ones(d))),
+        ):
+            ts = [run_private_dit(d, x, res) for x in range(d)]
+            marginals = [partial_trace(t.stage("transmitted"), ("C",)) for t in ts]
+            for (i, j), err in privacy_report(ts)["helstrom_errors"].items():
+                assert err == helstrom_error(marginals[i], marginals[j], 0.5)
 
     def test_decode_table_mutual_information(self):
         d = 3
