@@ -33,7 +33,7 @@ from .linalg import (
 from .numeric import guard_dimension, policy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Trace-preserving completely positive map given by Kraus operators.
 
@@ -96,7 +96,7 @@ def erasing_channel(d: int, j: int) -> KrausChannel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtendedChannel:
     """A channel enlarged with a vacuum sector.
 
@@ -195,7 +195,7 @@ def apply_coincidence(rho: DensityMatrix, acting_on: Sequence[str]) -> DensityMa
     return _coincidence(rho, positions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Unnormalized Choi matrix; factor order is input (x) output."""
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -46,7 +47,7 @@ from .combinators import (
     target_sector_restriction,
 )
 from .linalg import DensityMatrix, SubsystemLayout, fidelity_with_ket, ghz_ket
-from .numeric import ResourceGuardError, guard_dimension, policy
+from .numeric import guard_dimension, policy
 from .protocols import (
     ResourceState,
     classical_flag_encodings,
@@ -104,6 +105,13 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     return path
 
 
+def _check_tol(ctx: click.Context, param: click.Parameter, tol: float | None) -> float | None:
+    """``--tol`` (from the flag or the config file) must be finite and positive."""
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise click.BadParameter(f"must be finite and positive, got {tol!r}", ctx, param)
+    return tol
+
+
 def _policy_options(command: Callable) -> Callable:
     """Add ``--tol``, ``--max-dim`` and ``--config`` to a command.
 
@@ -112,7 +120,10 @@ def _policy_options(command: Callable) -> Callable:
     environment variable ``QSWITCH_MAX_DIM``, else the policy default.
     """
 
-    @click.option("--tol", type=float, default=None, help="Override the spectral tolerance.")
+    @click.option(
+        "--tol", type=float, default=None, callback=_check_tol,
+        help="Override the spectral tolerance (finite, > 0).",
+    )
     @click.option("--max-dim", type=int, default=None, help="Override the resource guard.")
     @click.option(
         "--config", type=str, default=None, is_eager=True, expose_value=False,
@@ -311,7 +322,7 @@ def verify(ctx, d, n, choice_amplitudes):
         if n is not None:
             guard_dimension(d ** (n + 1), "multiline verification")
         results = [(CHECKS[name], lines, CHECKS[name].distance(d, lines)) for name, lines in rows]
-    except ResourceGuardError as exc:
+    except ValueError as exc:  # a ResourceGuardError too
         raise click.UsageError(str(exc))
 
     failed = 0
@@ -351,66 +362,45 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out, format):
     if d < 2:
         raise click.UsageError("--d must be at least 2")
 
+    transcript = privacy = None
     try:
         if protocol == "fixed-baseline":
-            enc = dfs_phase_encodings(d) if encodings == "dfs-phase" else classical_flag_encodings(d)
-            report = fixed_configuration_baseline(d, enc)
-            for key in sorted(report):
-                click.echo(f"{key}: {serialize.fmt(report[key])}")
-            if out:
-                serialize.write_text(
-                    out,
-                    serialize.json_chunks(
-                        {"schema": serialize.SCHEMA, "header": {"protocol": protocol, "d": d,
-                                                                "encodings": encodings},
-                         "metrics": serialize._plain(report)}
-                    ),
-                )
-            ctx.exit(0)
-
-        res = _parse_resource(resource, d)
-        privacy = None
-        if protocol == "private-dit":
-            if not 0 <= x < d:
-                raise ValueError(f"message {x} out of range for dimension {d}")
-            ensemble = [run_private_dit(d, msg, res) for msg in range(d)]
-            transcript = ensemble[x]
-            privacy = privacy_report(ensemble)
-        elif protocol == "bipartite":
-            transcript = run_bipartite_establishment(d, res)
+            header = {"protocol": protocol, "d": d, "encodings": encodings}
+            encode = dfs_phase_encodings if encodings == "dfs-phase" else classical_flag_encodings
+            metrics = fixed_configuration_baseline(d, encode(d))
         else:
-            transcript = run_ghz_distribution(d, receivers, res)
+            header = {"command": "run", "protocol": protocol}
+            res = _parse_resource(resource, d)
+            if protocol == "private-dit":
+                if not 0 <= x < d:
+                    raise ValueError(f"message {x} out of range for dimension {d}")
+                ensemble = [run_private_dit(d, msg, res) for msg in range(d)]
+                transcript = ensemble[x]
+                privacy = privacy_report(ensemble)
+            elif protocol == "bipartite":
+                transcript = run_bipartite_establishment(d, res)
+            else:
+                transcript = run_ghz_distribution(d, receivers, res)
+            metrics = transcript.metrics
     except ValueError as exc:  # a ResourceGuardError too
         raise click.UsageError(str(exc))
 
-    for key in sorted(transcript.metrics):
-        val = transcript.metrics[key]
-        if isinstance(val, (int, float, bool)):
-            click.echo(f"{key}: {serialize.fmt(val)}")
+    for key, val in serialize.scalar_metrics(metrics).items():
+        click.echo(f"{key}: {serialize.fmt(val)}")
     if privacy is not None:
-        click.echo(
-            f"privacy_max_trace_distance: {serialize.fmt(privacy['max_pairwise_trace_distance'])}"
-        )
-        click.echo(
-            f"privacy_max_outcome_tv: {serialize.fmt(privacy['max_pairwise_outcome_tv'])}"
-        )
+        for key in ("trace_distance", "outcome_tv"):
+            click.echo(f"privacy_max_{key}: {serialize.fmt(privacy[f'max_pairwise_{key}'])}")
     if out:
-        if format == "json":
-            payload = serialize.transcript_to_dict(
-                transcript, header={"command": "run", "protocol": protocol}
-            )
-            if privacy is not None:
-                payload["privacy"] = {
-                    "max_pairwise_trace_distance": privacy["max_pairwise_trace_distance"],
-                    "max_pairwise_outcome_tv": privacy["max_pairwise_outcome_tv"],
-                    "helstrom_errors": {
-                        f"{i},{j}": v for (i, j), v in privacy["helstrom_errors"].items()
-                    },
-                }
-            serialize.write_text(out, serialize.json_chunks(payload))
+        if format == "csv":
+            cols, row = (serialize.metric_row(header, metrics) if transcript is None
+                         else serialize.transcript_metric_row(transcript))
+            chunks = [",".join(cols) + "\n", ",".join(row) + "\n"]
         else:
-            cols, row = serialize.transcript_metric_row(transcript)
-            serialize.write_text(out, [",".join(cols) + "\n", ",".join(row) + "\n"])
+            chunks = serialize.json_chunks(
+                serialize.report_to_dict(header, metrics) if transcript is None
+                else serialize.transcript_to_dict(transcript, header, privacy)
+            )
+        serialize.write_text(out, chunks)
         click.echo(f"wrote {out}")
     ctx.exit(0)
 

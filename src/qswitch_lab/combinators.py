@@ -237,7 +237,7 @@ def _tensor_power(ops: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TDecomposition:
     """Rank-one structure of a choice combinator of erasing channels.
 

@@ -97,7 +97,7 @@ class SubsystemLayout:
         return SubsystemLayout(self.dims, tuple(mapping.get(l, l) for l in self.labels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ket:
     """Pure-state amplitude vector.
 
@@ -198,7 +198,7 @@ def _check_dim(n: int, layout: SubsystemLayout) -> None:
         )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite matrix with a layout.
 
@@ -624,7 +624,7 @@ def permute_basis(rho: DensityMatrix, perm: Sequence[int], acting_on: Sequence[s
     return _remapped(rho, rho.layout, moved)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementBranch:
     outcome: int
     probability: float

@@ -87,26 +87,20 @@ def clone_extend_unitary(d: int, n_copies: int) -> np.ndarray:
 
     Completed to a full unitary by cyclic addition on each ancilla register
     (|k, a_1, ..., a_n> -> |k, a_1 + k, ..., a_n + k> mod d), the qudit
-    generalization of a CNOT fan-out.
+    generalization of a CNOT fan-out: sum_k |k><k| (x) (X^k)^(x n), X the
+    cyclic shift |a> -> |a + 1 mod d>.
     """
     if d < 2 or n_copies < 1:
         raise ValueError("need d >= 2 and at least one copy")
     dim = d ** (n_copies + 1)
     guard_dimension(dim, "cloning unitary")
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    block = dim // d
     u = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        digits = []
-        rem = idx
-        for _ in range(n_copies + 1):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()  # digits[0] is the source register
-        k = digits[0]
-        out_digits = [k] + [(a + k) % d for a in digits[1:]]
-        out = 0
-        for dg in out_digits:
-            out = out * d + dg
-        u[out, idx] = 1.0
+    for k in range(d):
+        # |k><k| (x) (X^k)^(x n) is the k-th diagonal block
+        power = functools.reduce(np.kron, [np.linalg.matrix_power(shift, k)] * n_copies)
+        u[k * block:(k + 1) * block, k * block:(k + 1) * block] = power
     return u
 
 
@@ -179,13 +173,13 @@ class ResourceState:
         return self.rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageRecord:
     name: str
     state: DensityMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Branch:
     controller_outcome: int
     probability: float
@@ -195,7 +189,7 @@ class Branch:
     metrics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolTranscript:
     protocol_id: str
     params: dict

@@ -2,11 +2,16 @@
 
 Density matrices carry their layout, and no timestamps or other run-varying
 data ever enter the payload, so identical configurations produce
-byte-identical files.  :func:`transcript_to_dict` keeps every state as its
-``DensityMatrix`` under ``entries``.  :func:`json_chunks` yields, piece by
-piece, what ``json.dumps(..., sort_keys=True, indent=2)`` writes when each
-matrix (a state or a 2-d ``ndarray``) is given as nested ``[re, im]`` lists:
-the rest of the payload goes through ``json`` with a placeholder in place of
+byte-identical files.  Metric values go in as the protocols produce them,
+plain ``bool``, ``int`` and ``float``, so a flag is written ``true`` or
+``false``; a numpy bool or integer raises instead of being converted.
+:func:`transcript_to_dict` keeps every state as its ``DensityMatrix`` under
+``entries``; :func:`report_to_dict` is the payload of a report with no
+states.  :func:`scalar_metrics` selects the metrics that ``run`` prints and
+puts in its CSV row.  :func:`json_chunks` yields, piece by piece, what
+``json.dumps(..., sort_keys=True, indent=2)`` writes when each matrix (a
+state or a 2-d ``ndarray``) is given as nested ``[re, im]`` lists: the rest
+of the payload goes through ``json`` with a placeholder in place of
 each matrix, and each matrix follows one row at a time.  A row of +0.0 is
 text built once per matrix; the other rows are formatted, each distinct
 float once.  A state is read from its support block: every row outside the
@@ -50,10 +55,19 @@ def density_to_dict(dm: DensityMatrix) -> dict:
     }
 
 
-def transcript_to_dict(t: ProtocolTranscript, header: dict | None = None) -> dict:
-    return {
-        "schema": SCHEMA,
-        "header": header or {},
+def report_to_dict(header: dict, metrics: dict) -> dict:
+    """The JSON payload of a report that holds no states: header and metrics."""
+    return {"schema": SCHEMA, "header": header, "metrics": metrics}
+
+
+def transcript_to_dict(
+    t: ProtocolTranscript, header: dict | None = None, privacy: dict | None = None
+) -> dict:
+    """The JSON payload of a transcript; ``privacy`` is a
+    :func:`~qswitch_lab.protocols.privacy_report`, written with its maxima and
+    its Helstrom errors keyed ``"i,j"``."""
+    payload = {
+        **report_to_dict(header or {}, t.metrics),
         "protocol": t.protocol_id,
         "params": t.params,
         "stages": [{"name": s.name, "state": density_to_dict(s.state)} for s in t.stages],
@@ -61,34 +75,21 @@ def transcript_to_dict(t: ProtocolTranscript, header: dict | None = None) -> dic
             {
                 "controller_outcome": b.controller_outcome,
                 "probability": b.probability,
-                "receiver_outcomes": list(b.receiver_outcomes)
-                if b.receiver_outcomes is not None
-                else None,
+                "receiver_outcomes": b.receiver_outcomes,  # json writes a tuple as a list
                 "decoded": b.decoded,
                 "null": b.state is None,
-                "metrics": _plain(b.metrics),
+                "metrics": b.metrics,
             }
             for b in t.branches
         ],
-        "metrics": _plain(t.metrics),
     }
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays into JSON-friendly values."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+    if privacy is not None:
+        payload["privacy"] = {
+            "max_pairwise_trace_distance": privacy["max_pairwise_trace_distance"],
+            "max_pairwise_outcome_tv": privacy["max_pairwise_outcome_tv"],
+            "helstrom_errors": {f"{i},{j}": v for (i, j), v in privacy["helstrom_errors"].items()},
+        }
+    return payload
 
 
 def json_chunks(payload: dict) -> Iterator[str]:
@@ -169,19 +170,23 @@ def _matrix_rows(m, indent: int) -> Iterator[str]:
     yield pad[0] + "]"
 
 
+def scalar_metrics(metrics: dict) -> dict:
+    """The metrics that are one number or flag, by sorted key: what ``run``
+    prints and what its CSV row holds."""
+    return {k: metrics[k] for k in sorted(metrics) if isinstance(metrics[k], (bool, int, float))}
+
+
+def metric_row(lead: dict, metrics: dict) -> tuple[list[str], list[str]]:
+    """Flat (header, row) pair: the ``lead`` columns in their order, then the
+    scalar metrics."""
+    scalars = scalar_metrics(metrics)
+    return [*lead, *scalars], [*map(str, lead.values()), *map(fmt, scalars.values())]
+
+
 def transcript_metric_row(t: ProtocolTranscript) -> tuple[list[str], list[str]]:
-    """Flat (header, row) pair of the transcript's scalar metrics."""
-    cols = ["protocol"]
-    row = [t.protocol_id]
-    for k in sorted(t.params):
-        cols.append(k)
-        row.append(str(t.params[k]))
-    for k in sorted(t.metrics):
-        v = t.metrics[k]
-        if isinstance(v, (bool, int, float, np.floating, np.integer, np.bool_)):
-            cols.append(k)
-            row.append(fmt(v))
-    return cols, row
+    """Flat (header, row) pair: the protocol, the sorted params and the
+    transcript's scalar metrics."""
+    return metric_row({"protocol": t.protocol_id, **dict(sorted(t.params.items()))}, t.metrics)
 
 
 def sweep_csv_lines(table: dict) -> list[str]:

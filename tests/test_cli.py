@@ -249,6 +249,51 @@ class TestRun:
         assert len(lines) == 2
         assert "fidelity_mean" in lines[0]
 
+    def test_json_flags_load_as_booleans(self, runner, tmp_path):
+        out = tmp_path / "t.json"
+        result = runner.invoke(main, ["run", "bipartite", "--d", "2", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(out.read_text())
+        assert payload["metrics"]["maximally_entangled_all_branches"] is True
+        assert [b["metrics"]["maximally_entangled"] for b in payload["branches"]] == [True, True]
+
+    @pytest.mark.parametrize("encodings, leak", [("dfs-phase", False), ("classical-flag", True)])
+    def test_fixed_baseline_json(self, runner, tmp_path, encodings, leak):
+        out = tmp_path / "fixed.json"
+        args = ["run", "fixed-baseline", "--d", "2", "--encodings", encodings, "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.output.endswith(f"wrote {out}\n")
+        payload = json.loads(out.read_text())
+        assert sorted(payload) == ["header", "metrics", "schema"]
+        assert payload["header"] == {"protocol": "fixed-baseline", "d": 2, "encodings": encodings}
+        assert payload["metrics"]["leak_certified"] is leak
+
+    def test_fixed_baseline_csv_row(self, runner, tmp_path):
+        out = tmp_path / "fixed.csv"
+        result = runner.invoke(
+            main, ["run", "fixed-baseline", "--d", "2", "--format", "csv", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output.endswith(f"wrote {out}\n")
+        assert out.read_text() == (
+            "protocol,d,encodings,bob_success,bob_success_upper_bound,leak_certified,"
+            "min_pairwise_charlie_trace_distance\n"
+            "fixed-baseline,2,dfs-phase,0.5,0.5,false,0\n"
+        )
+
+    def test_stdout_lines_are_the_csv_metric_columns(self, runner, tmp_path):
+        # one selection of scalar metrics serves both outputs
+        for protocol in ("bipartite", "fixed-baseline"):
+            out = tmp_path / f"{protocol}.csv"
+            result = runner.invoke(
+                main, ["run", protocol, "--d", "3", "--format", "csv", "--out", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+            printed = [ln.split(": ")[0] for ln in result.output.splitlines()[:-1]]
+            header = out.read_text().splitlines()[0].split(",")
+            assert header[-len(printed):] == printed
+
     def test_invalid_params_exit_2(self, runner):
         assert runner.invoke(main, ["run", "private-dit", "--d", "2", "--x", "5"]).exit_code == 2
         assert runner.invoke(main, ["run", "private-dit", "--d", "1"]).exit_code == 2
@@ -506,6 +551,37 @@ class TestDeterminism:
         result = runner.invoke(main, ["run", "bipartite"])
         assert result.exit_code == 2
         assert "QSWITCH_MAX_DIM must be an integer, got 'abc'" in result.output
+
+
+class TestTolerance:
+    """``--tol`` is finite and positive, from the flag or the config file."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "-0.0"])
+    @pytest.mark.parametrize(
+        "command",
+        [["verify", "--d", "2"], ["run", "bipartite"], ["sweep", "bipartite", "--alpha", "0:1:3"]],
+        ids=["verify", "run", "sweep"],
+    )
+    def test_flag_rejected(self, runner, command, value):
+        result = runner.invoke(main, [*command, "--tol", value])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--tol': must be finite and positive" in result.output
+        assert policy == NumericPolicy()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1", "0"])
+    def test_config_value_rejected(self, runner, tmp_path, value):
+        path = tmp_path / "tol.json"
+        path.write_text('{"tol": %s}' % value)
+        result = runner.invoke(main, ["verify", "--d", "2", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "'--tol': must be finite and positive" in result.output
+
+    def test_value_error_in_a_verify_row_is_usage_error(self, runner):
+        # at d = 3 a fidelity exceeds 1 by more than so small a tolerance
+        result = runner.invoke(main, ["verify", "--d", "3", "--tol", "1e-300"])
+        assert result.exit_code == 2, result.output
+        assert "outside [0, 1] beyond the spectral tolerance" in result.output.splitlines()[-1]
+        assert policy == NumericPolicy()
 
 
 class TestPolicyScope:

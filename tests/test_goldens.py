@@ -36,11 +36,11 @@ _CSV = ("--format", "csv")
 _ALPHA = ("--receivers", "2", "--d", "2", "--alpha", "0:1:101")
 
 GOLDENS = {
-    "ghz_d3_n3.json": (_GHZ_D3_N3, "613be0d465e2daaa7c60c5594f8700043b9872500acbd2722fba0d0f9c532185"),
-    "ghz_d4_n2.json": (_GHZ_D4_N2, "f78e40515621a75684e611a3eb946ba681c4cb9df450e247298e0095b2e65d1d"),
-    "ghz_d2_n4.json": (_GHZ_D2_N4, "f0cab689940f5a90aab5318d25e1146a248ca00c467541209b1efa7d6785033a"),
+    "ghz_d3_n3.json": (_GHZ_D3_N3, "951428ca20380bfd6d072ea28a3299d487b5b4113e896c74719665170b343141"),
+    "ghz_d4_n2.json": (_GHZ_D4_N2, "401011ce79b011eefe92528c263cbede7769789d68332377af399c9876ecb4d3"),
+    "ghz_d2_n4.json": (_GHZ_D2_N4, "bd7fd7ffd9c29026ab6961223813d63f61783534bf8f179a595724f61af564ce"),
     "pd8.json": (_PD8, "028e6e5f954930efdb5da5970d4d7e5d46c9a6d77b1147b0193b745d4a4b848c"),
-    "bip3.json": (_BIP3, "fb88faed571d90383069f3ed08b96749a6e77597951891f9ac7afcdfd8eb4460"),
+    "bip3.json": (_BIP3, "b3bd04109b0f6c408b84a835c82abeb146b21864b13d33ce0d476e2043c37612"),
     "pdskew.json": (_PDSKEW, "7afa500b0259db8b4589da6397507c8f708bc4e41b8bb6d6b8afe8a4dcc7fd88"),
     "ghz_d3_n3.csv": (_GHZ_D3_N3 + _CSV, "01d2f078683c31526df7ae49881caaa8cffa43c44e8eba857a9f786241074648"),
     "ghz_d4_n2.csv": (_GHZ_D4_N2 + _CSV, "fcee5bc68f34fb1967b04fb6b1f6a9003d647fea290ace6ded3bcb92a88dba8e"),
@@ -51,9 +51,9 @@ GOLDENS = {
     "sweep_pd.csv": (("sweep", "private-dit") + _ALPHA, "155aa4fe7b32d7cbea802715c4a36d9662281d353d1f5403051e0408a33058b0"),
     "sweep_bip.csv": (("sweep", "bipartite") + _ALPHA, "f36a4d0fe3c08064dda7770ca24673d12464116db0ee7ccb1d92a5e76f19611c"),
     "sweep_ghz.csv": (("sweep", "ghz") + _ALPHA, "f36a4d0fe3c08064dda7770ca24673d12464116db0ee7ccb1d92a5e76f19611c"),
-    "fixed_d3.json": (("run", "fixed-baseline", "--d", "3"), "6affcd9857a4b238fa66314a5fbdf683e95bac95614348e15cb17f9ad025c63d"),
-    "ghz_d5_n2.json": (("run", "ghz", "--d", "5", "--receivers", "2"), "f1d78d1d5dcb9b7396b2d0ed10893788da78e0b96d7ba877b7cb7f4f19597e70"),
-    "ghz_d2_n5.json": (("run", "ghz", "--d", "2", "--receivers", "5"), "9afc90247948ec2003104b7d0774555095cec6fe9116889e24f8b6b515fb3044"),
+    "fixed_d3.json": (("run", "fixed-baseline", "--d", "3"), "b08199d397e7a84c8e798ad2b28afa36e10c79944583bf19b5bb30a786794fdf"),
+    "ghz_d5_n2.json": (("run", "ghz", "--d", "5", "--receivers", "2"), "5585166043f04b6bcf707b4f2fcc525d7cac5a2be88601ff2911b3785288e7fa"),
+    "ghz_d2_n5.json": (("run", "ghz", "--d", "2", "--receivers", "5"), "0aa3d4ec672fc58e4e7c74d58977cdeded34c0a32622808ebad05e80d57f45ed"),
 }
 
 # runs each argument list through the CLI's own entry point; a nonzero exit

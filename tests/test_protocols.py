@@ -32,6 +32,7 @@ from qswitch_lab import (
     trace_distance,
 )
 
+import qswitch_lab
 from qswitch_lab import protocols
 from qswitch_lab.serialize import dumps_json, transcript_to_dict
 
@@ -526,3 +527,49 @@ class TestNecessitySweep:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             necessity_sweep("teleport", 2, [(0.5, 0.5)])
+
+
+# ---------------------------------------------------------------------------
+# Equality of the array-holding types
+# ---------------------------------------------------------------------------
+
+
+def _array_holders() -> dict:
+    """Two separately built, equal-valued instances of each array-holding type."""
+
+    def build() -> dict:
+        t = run_bipartite_establishment(2, ResourceState.maximally_entangled(2))
+        rho = t.stage("resource")
+        ext = qswitch_lab.coincidence_extensions(2)
+        channel = qswitch_lab.erasing_channel(2, 0)
+        return {
+            "Ket": tensor(basis_ket(2, 0), basis_ket(2, 1)),
+            "DensityMatrix": rho,
+            "MeasurementBranch": qswitch_lab.projective_measure(
+                rho, qswitch_lab.fourier_basis(2), "C")[0],
+            "KrausChannel": channel,
+            "ExtendedChannel": ext[0],
+            "ChoiMatrix": qswitch_lab.choi(channel),
+            "TDecomposition": qswitch_lab.t_decomposition(ext),
+            "StageRecord": t.stages[0],
+            "Branch": t.branches[0],
+            "ProtocolTranscript": t,
+        }
+
+    first, second = build(), build()
+    return {name: (first[name], second[name]) for name in first}
+
+
+@pytest.mark.parametrize("name", sorted(_array_holders()))
+def test_array_holding_types_compare_by_identity(name):
+    a, b = _array_holders()[name]
+    assert type(a).__name__ == name
+    # a generated __eq__ would compare the arrays and raise; identity does not
+    assert a == a and not a == b and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_layout_keeps_value_equality():
+    a = SubsystemLayout((2, 3), ("A", "C"))
+    b = SubsystemLayout((2, 3), ("A", "C"))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1

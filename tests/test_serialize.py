@@ -25,7 +25,13 @@ from qswitch_lab import (
     run_private_dit,
 )
 from qswitch_lab import serialize
-from qswitch_lab.serialize import dumps_json, json_chunks, transcript_to_dict, write_text
+from qswitch_lab.serialize import (
+    dumps_json,
+    json_chunks,
+    report_to_dict,
+    transcript_to_dict,
+    write_text,
+)
 
 
 def complex_pairs(arr: np.ndarray):
@@ -62,45 +68,58 @@ def _assert_oracle_and_file(payload, tmp_path) -> None:
     assert path.read_bytes() == dumps_json(payload).encode()
 
 
-def _cli_payload(t, protocol, privacy=None):
-    """The payload ``qswitch-lab run --out`` writes."""
-    payload = transcript_to_dict(t, header={"command": "run", "protocol": protocol})
-    if privacy is not None:
-        payload["privacy"] = {
-            "max_pairwise_trace_distance": privacy["max_pairwise_trace_distance"],
-            "max_pairwise_outcome_tv": privacy["max_pairwise_outcome_tv"],
-            "helstrom_errors": {f"{i},{j}": v for (i, j), v in privacy["helstrom_errors"].items()},
-        }
-    return payload
-
-
 class TestProtocolTranscripts:
     @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 2)])
     def test_ghz(self, d, n, tmp_path):
         t = run_ghz_distribution(d, n, ResourceState.maximally_entangled(d))
-        _assert_oracle_and_file(_cli_payload(t, "ghz"), tmp_path)
+        header = {"command": "run", "protocol": "ghz"}
+        _assert_oracle_and_file(transcript_to_dict(t, header), tmp_path)
 
     def test_bipartite(self, tmp_path):
         t = run_bipartite_establishment(3, ResourceState.maximally_entangled(3))
-        _assert_oracle_and_file(_cli_payload(t, "bipartite"), tmp_path)
+        header = {"command": "run", "protocol": "bipartite"}
+        _assert_oracle_and_file(transcript_to_dict(t, header), tmp_path)
 
     @pytest.mark.parametrize("with_privacy", [False, True])
     def test_private_dit_d8(self, with_privacy, tmp_path):
         res = ResourceState.maximally_entangled(8)
         ensemble = [run_private_dit(8, x, res) for x in range(8)]
         privacy = privacy_report(ensemble) if with_privacy else None
-        _assert_oracle_and_file(_cli_payload(ensemble[3], "private-dit", privacy), tmp_path)
+        header = {"command": "run", "protocol": "private-dit"}
+        _assert_oracle_and_file(transcript_to_dict(ensemble[3], header, privacy), tmp_path)
 
     def test_skewed_schmidt_resource(self, tmp_path):
         t = run_private_dit(3, 2, ResourceState.from_schmidt([0.2, 0.3, 0.5]))
-        _assert_oracle_and_file(_cli_payload(t, "private-dit"), tmp_path)
+        header = {"command": "run", "protocol": "private-dit"}
+        _assert_oracle_and_file(transcript_to_dict(t, header), tmp_path)
 
     def test_fixed_baseline_payload_has_no_matrix(self, tmp_path):
         report = fixed_configuration_baseline(3, dfs_phase_encodings(3))
-        payload = {"schema": serialize.SCHEMA,
-                   "header": {"protocol": "fixed-baseline", "d": 3, "encodings": "dfs-phase"},
-                   "metrics": serialize._plain(report)}
-        _assert_oracle_and_file(payload, tmp_path)
+        header = {"protocol": "fixed-baseline", "d": 3, "encodings": "dfs-phase"}
+        _assert_oracle_and_file(report_to_dict(header, report), tmp_path)
+
+    def test_flags_load_as_booleans(self):
+        t = run_bipartite_establishment(3, ResourceState.maximally_entangled(3))
+        payload = json.loads(dumps_json(transcript_to_dict(t)))
+        assert payload["metrics"]["maximally_entangled_all_branches"] is True
+        for branch in payload["branches"]:
+            assert branch["metrics"]["maximally_entangled"] is True
+            assert branch["null"] is False
+        report = fixed_configuration_baseline(3, dfs_phase_encodings(3))
+        payload = json.loads(dumps_json(report_to_dict({}, report)))
+        assert payload["metrics"]["leak_certified"] is False
+
+    def test_privacy_block_keys_each_pair(self):
+        res = ResourceState.maximally_entangled(3)
+        ensemble = [run_private_dit(3, x, res) for x in range(3)]
+        privacy = privacy_report(ensemble)
+        block = transcript_to_dict(ensemble[0], privacy=privacy)["privacy"]
+        assert block["helstrom_errors"] == {
+            f"{i},{j}": v for (i, j), v in privacy["helstrom_errors"].items()
+        }
+        assert sorted(block["helstrom_errors"]) == ["0,1", "0,2", "1,2"]
+        assert block["max_pairwise_trace_distance"] == privacy["max_pairwise_trace_distance"]
+        assert block["max_pairwise_outcome_tv"] == privacy["max_pairwise_outcome_tv"]
 
     def test_entries_stay_the_state_arrays(self):
         # each state goes to the renderer as itself, its support block
@@ -154,7 +173,7 @@ class TestSyntheticMatrices:
         _assert_oracle({"header": {"note": mark}})
 
     def test_unserializable_objects_still_raise(self):
-        for obj in (np.int64(3), np.zeros(3), np.zeros((0, 0)), object()):
+        for obj in (np.int64(3), np.bool_(True), np.zeros(3), np.zeros((0, 0)), object()):
             with pytest.raises(TypeError, match="not JSON serializable"):
                 dumps_json({"x": obj})
 
@@ -224,7 +243,7 @@ class TestWriteText:
     def test_ghz_transcript_streams_in_a_fraction_of_its_size(self, tmp_path):
         # the transcript as a whole text would take about twice the file size
         t = run_ghz_distribution(3, 3, ResourceState.maximally_entangled(3))
-        payload = _cli_payload(t, "ghz")
+        payload = transcript_to_dict(t, {"command": "run", "protocol": "ghz"})
         path = tmp_path / "ghz.json"
         tracemalloc.start()
         try:
