@@ -25,7 +25,9 @@ file sets ``max_dim``.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import math
 import os
@@ -394,7 +396,9 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out, format):
         if format == "csv":
             cols, row = (serialize.metric_row(header, metrics) if transcript is None
                          else serialize.transcript_metric_row(transcript))
-            chunks = [",".join(cols) + "\n", ",".join(row) + "\n"]
+            text = io.StringIO()  # a cell holding a comma is quoted
+            csv.writer(text, lineterminator="\n").writerows([cols, row])
+            chunks = [text.getvalue()]
         else:
             chunks = serialize.json_chunks(
                 serialize.report_to_dict(header, metrics) if transcript is None

@@ -6,6 +6,9 @@ support block: the ascending indices whose row or column holds a nonzero
 entry (every index for a small matrix), and the matrix on them.  Every step
 maps a support block to a support block, so a low-rank state in a large
 space costs its support only; the whole matrix is built only on request.
+The index plan of a step (where each support index goes) is kept per
+dimensions, addressed factors and support, so states that share a support
+share one plan.
 Composite systems carry a :class:`SubsystemLayout` that assigns a dimension
 and a unique role label to every tensor factor; the leftmost factor is the
 most significant one (``numpy.kron`` convention).
@@ -334,23 +337,24 @@ def _offsets(dims: tuple[int, ...], positions: tuple[int, ...]) -> np.ndarray:
 def _per_layout(plan):
     """Call ``plan(dims, positions, support)`` as ``plan(rho, positions)``.
 
-    The plan of a state whose support is every index depends only on the
-    layout, so it is kept, read-only, for the most recent layouts: the many
-    small states of a sweep share their plans.
+    A plan depends only on the dimensions, the positions and the support, so
+    it is kept, read-only, for the most recent of them: the many small states
+    of a sweep share their plans, and so do the messages of a private dit
+    (one support) and the branches of a GHZ run.
     """
 
     @functools.lru_cache(maxsize=64)
-    def whole(dims, positions):
-        out = plan(dims, positions, np.arange(math.prod(dims)))
+    def kept(dims, positions, support):
+        out = plan(dims, positions, np.frombuffer(support, dtype=np.intp))
         for a in out:
             a.setflags(write=False)
         return out
 
     def planned(rho: DensityMatrix, positions: Sequence[int]):
-        if rho.support.size == rho.dim:
-            return whole(rho.layout.dims, tuple(positions))
-        return plan(rho.layout.dims, tuple(positions), rho.support)
+        support = np.asarray(rho.support, dtype=np.intp).tobytes()
+        return kept(rho.layout.dims, tuple(positions), support)
 
+    planned.cache_info, planned.cache_clear = kept.cache_info, kept.cache_clear
     return planned
 
 
@@ -537,17 +541,20 @@ def _conjugate(rho: DensityMatrix, positions: Sequence[int], ops: np.ndarray) ->
     ``positions`` fixes the correspondence between the operators' tensor
     factors and the subsystems they act on; the operators must be square
     with dimension equal to the product of the addressed subsystem dims,
-    which the callers check.  The two ``tensordot``s per operator contract
-    the acted axis of the compacted tensor (``_compact``) over its full
-    length, as they would on the whole matrix.
+    which the callers check.  The two products per operator contract the
+    acted axis of the compacted tensor (``_compact``) over its full length,
+    as they would on the whole matrix; each is the ``np.dot``, on the same
+    operands in the same memory order, that ``np.tensordot(K, t, (1, 0))``
+    and ``np.tensordot(t1, K.conj(), (2, 1))`` call, so it rounds as they do.
     """
     flat, rest, order, index = _grid(rho, positions)
-    t = _compact(rho, flat, ops.shape[-1], rest.size)
+    m, r = ops.shape[-1], rest.size
+    t = _compact(rho, flat, m, r)
     out = np.zeros_like(t)
     for K in ops:
-        t1 = np.tensordot(K, t, axes=(1, 0))          # (i, q, l, r)
-        t2 = np.tensordot(t1, K.conj(), axes=(2, 1))  # (i, q, r, k)
-        out += t2.transpose(0, 1, 3, 2)
+        t1 = np.dot(K, t.reshape(m, -1)).reshape(m, r, m, r)  # (i, q, l, r)
+        t2 = np.dot(t1.transpose(0, 1, 3, 2).reshape(-1, m), K.conj().T)  # (i q r, k)
+        out += t2.reshape(m, r, r, m).transpose(0, 1, 3, 2)
     out = out.reshape(index.size, index.size)[order[:, None], order]
     return DensityMatrix._of_block(rho.layout, index, out)
 
@@ -667,16 +674,20 @@ def projective_measure(
     # the second contraction reads its matrix in the memory order the whole
     # state gives it, Fortran order when no factor follows the measured one
     # and C order otherwise: BLAS rounds the two differently
-    bra = 1
+    bra = (1, 0, 2)
     if low == 1:
-        t, bra = t.transpose(0, 1, 3, 2), 2
+        t, bra = t.transpose(0, 1, 3, 2), (2, 0, 1)
+    # each product is the ``np.dot`` that ``np.tensordot(v.conj(), t, (0, 0))``
+    # and ``np.tensordot(v, t1, (0, bra[0]))`` call, on the same operands;
+    # the first one's matrix is the same for every basis vector
+    rows = t.reshape(s, -1)
 
     branches: list[MeasurementBranch] = []
     for k, ket_k in enumerate(basis):
         v = ket_k.amplitudes
-        t1 = np.tensordot(v.conj(), t, axes=(0, 0))  # (q, l, r) or (q, r, l)
-        t2 = np.tensordot(v, t1, axes=(0, bra))      # (q, r)
-        support, block = _trimmed(rest, t2, out_dim)
+        t1 = np.dot(v.conj().reshape(1, s), rows).reshape(t.shape[1:])  # (q, l, r) or (q, r, l)
+        t2 = np.dot(v.reshape(1, s), t1.transpose(bra).reshape(s, -1))  # (1, q r)
+        support, block = _trimmed(rest, t2.reshape(rest.size, rest.size), out_dim)
         diagonal = np.zeros(out_dim, dtype=complex)
         diagonal[support] = block.diagonal()
         p = float(np.real(diagonal.sum()))

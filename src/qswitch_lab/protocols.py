@@ -230,6 +230,8 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
     stages.append(StageRecord("transmitted", rho2))
 
     fb = fourier_basis(d)
+    kets = [k.amplitudes for k in fb]
+    bras = [v.conj() for v in kets]
     joint = np.zeros((d, d))
     branches: list[Branch] = []
     charlie_pmf = np.zeros(d)
@@ -238,11 +240,12 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
         if cb.state is None:
             branches.append(Branch(cb.outcome, 0.0, None, None, None))
             continue
-        # receiver's state is a single-qudit system; enumerate his outcomes
-        # directly from the basis amplitudes
-        for mb, amp_ket in enumerate(fb):
-            v = amp_ket.amplitudes
-            p = float(np.real(v.conj() @ cb.state.entries @ v)) * cb.probability
+        # the receiver's state is a single-qudit system; each outcome's
+        # probability is one vector product with the basis amplitudes (a
+        # product with the stacked bras would round differently)
+        m = cb.state.entries
+        for mb, (bra, v) in enumerate(zip(bras, kets)):
+            p = float(np.real(bra @ m @ v)) * cb.probability
             p = max(p, 0.0)
             joint[mb, cb.outcome] = p
             decoded = (mb + cb.outcome) % d

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -248,6 +249,17 @@ class TestRun:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2
         assert "fidelity_mean" in lines[0]
+
+    def test_csv_cell_with_a_comma_reads_back(self, runner, tmp_path):
+        out = tmp_path / "skew.csv"
+        spec = "schmidt:0.2,0.3,0.5"
+        args = ["run", "private-dit", "--d", "3", "--resource", spec, "--format", "csv"]
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with open(out, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert len(row) == len(header)
+        assert dict(zip(header, row))["resource"] == spec
 
     def test_json_flags_load_as_booleans(self, runner, tmp_path):
         out = tmp_path / "t.json"

@@ -47,7 +47,7 @@ GOLDENS = {
     "ghz_d2_n4.csv": (_GHZ_D2_N4 + _CSV, "01ce71963b625570d884874d7d26aa313e354bd3cbedd21864ad014c59a53a2d"),
     "pd8.csv": (_PD8 + _CSV, "43f4b1fc2d7d015678a22fdfce349dfd7f7c6c1015f99dc17dce68948fe56a8c"),
     "bip3.csv": (_BIP3 + _CSV, "84ffc237c28442c0db122860c132f7b02b14038828d825dbe7ca0536f43645a1"),
-    "pdskew.csv": (_PDSKEW + _CSV, "900f227496c7515d75b3f22c367f36acea5bc0e355c4e328c925b66c23af7ba7"),
+    "pdskew.csv": (_PDSKEW + _CSV, "38c8a293f5c622a29968bce55e6929cd88d7b6ef4f9f41980b626bfd438bd9e5"),
     "sweep_pd.csv": (("sweep", "private-dit") + _ALPHA, "155aa4fe7b32d7cbea802715c4a36d9662281d353d1f5403051e0408a33058b0"),
     "sweep_bip.csv": (("sweep", "bipartite") + _ALPHA, "f36a4d0fe3c08064dda7770ca24673d12464116db0ee7ccb1d92a5e76f19611c"),
     "sweep_ghz.csv": (("sweep", "ghz") + _ALPHA, "f36a4d0fe3c08064dda7770ca24673d12464116db0ee7ccb1d92a5e76f19611c"),

@@ -9,7 +9,9 @@ unitary, the Kraus list of ``k_multiline`` and the receiver's correction, and
 measurement (``np.einsum`` would round differently from these BLAS
 products).  For every stage and branch, the support and block of the
 library's state must equal what ``_trimmed`` finds on the reference matrix,
-bit for bit.
+bit for bit.  The same references check the library's direct ``np.dot``
+products on a seeded mixed state with a partial support, and the last tests
+check that states sharing a support share their kept index plans.
 """
 
 import math
@@ -20,6 +22,8 @@ import pytest
 
 from qswitch_lab import (
     DensityMatrix,
+    Ket,
+    KrausChannel,
     ResourceState,
     SubsystemLayout,
     clone_extend_unitary,
@@ -28,9 +32,11 @@ from qswitch_lab import (
     k_multiline,
     phase_unitary,
     policy,
+    projective_measure,
     run_ghz_distribution,
     run_private_dit,
 )
+from qswitch_lab import channels, linalg
 from qswitch_lab.linalg import _trimmed
 
 
@@ -224,3 +230,73 @@ def test_entries_are_built_on_request_and_read_only():
     for a in (whole, state.block, state.support):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+
+
+def partial_support_state(dims, size, rank, seed):
+    """A seeded mixed state of the given rank whose support is ``size``
+    random indices of a space larger than ``_SUPPORT_MIN_DIM``."""
+    rng = np.random.default_rng(seed)
+    n = math.prod(dims)
+    g = np.zeros((n, rank), dtype=complex)
+    on = rng.choice(n, size=size, replace=False)
+    g[on] = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+    m = g @ g.conj().T
+    m /= m.trace()
+    return DensityMatrix(m, SubsystemLayout(dims, ("A", "B", "C")))
+
+
+def test_kraus_products_equal_the_tensordot_path_on_a_partial_support():
+    rho = partial_support_state((3, 2, 3), 7, 3, seed=7)
+    assert 0 < rho.support.size < rho.dim
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=(27, 9)) + 1j * rng.normal(size=(27, 9))
+    ch = KrausChannel(np.linalg.qr(g)[0].reshape(3, 9, 9))  # three Kraus operators
+    out = channels.apply(ch, rho, ("C", "A"))
+    assert_support_block_of(out, dense_conjugate(rho.entries, rho.layout.dims, [2, 0], ch.kraus))
+
+
+@pytest.mark.parametrize("label,low", [("C", 1), ("B", 3), ("A", 6)])
+def test_measurement_products_equal_the_tensordot_path_on_a_partial_support(label, low):
+    rho = partial_support_state((3, 2, 3), 7, 3, seed=9)
+    pos = rho.layout.index_of(label)
+    assert math.prod(rho.layout.dims[pos + 1:]) == low
+    s = rho.layout.dims[pos]
+    rng = np.random.default_rng(10)
+    g = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+    basis = [Ket(v) for v in np.linalg.qr(g)[0].T]
+    branches = projective_measure(rho, basis, label)
+    dense = dense_measure(rho.entries, rho.layout.dims, pos, basis)
+    for branch, m in zip(branches, dense, strict=True):
+        assert (branch.state is None) == (m is None)
+        if m is not None:
+            assert_support_block_of(branch.state, m)
+
+
+PLANS = (linalg._split, linalg._grid, linalg._trace_terms, linalg._coincidence_terms)
+
+
+def test_private_dit_messages_share_their_plans():
+    res = ResourceState.maximally_entangled(10)
+    for plan in PLANS:
+        plan.cache_clear()
+    run_private_dit(10, 0, res)
+    built = [plan.cache_info().misses for plan in PLANS]
+    for x in range(1, 10):
+        run_private_dit(10, x, res)
+    # every message has the one support of the resource: nine runs build nothing
+    assert [plan.cache_info().misses for plan in PLANS] == built
+    # and no plan was built twice
+    assert [plan.cache_info().currsize for plan in PLANS] == built
+    state = run_private_dit(10, 3, res).stage("transmitted")
+    for a in linalg._grid(state, [1]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_ghz_branches_share_their_correction_plan():
+    linalg._grid.cache_clear()
+    t = run_ghz_distribution(3, 3, ResourceState.maximally_entangled(3))
+    supports = {b.state.support.tobytes() for b in t.branches}
+    assert len(t.branches) == 3 and len(supports) == 1
+    # the three corrections look up one plan: built once, then found twice
+    assert linalg._grid.cache_info().hits >= len(t.branches) - 1
