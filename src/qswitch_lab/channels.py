@@ -76,6 +76,8 @@ class KrausChannel:
 
 
 def identity_channel(d: int) -> KrausChannel:
+    """The identity channel on d levels; no caller in the package, it stays
+    as public channel API, the unit of channel composition."""
     return KrausChannel(np.eye(d, dtype=complex)[None])
 
 
@@ -143,7 +145,11 @@ def vacuum_extend(base: KrausChannel, amplitudes) -> ExtendedChannel:
 
 
 def remix(ch: KrausChannel, unitary: np.ndarray) -> KrausChannel:
-    """Change Kraus representation: K'_m = sum_i U[m, i] K_i (same channel)."""
+    """Change Kraus representation: K'_m = sum_i U[m, i] K_i (same channel).
+
+    No caller in the package; it stays as public channel API, the freedom
+    that Choi-based equality (:func:`channels_equal`) is insensitive to.
+    """
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (ch.n_kraus, ch.n_kraus):
         raise ValueError("remixing unitary must be square over the Kraus index")
@@ -159,7 +165,10 @@ def apply(ch: KrausChannel, rho: DensityMatrix, acting_on: Sequence[str]) -> Den
     """Apply the channel to the addressed labels, identity elsewhere.
 
     ``acting_on`` is ordered: its k-th label corresponds to the k-th tensor
-    factor of the channel's input space.
+    factor of the channel's input space.  No caller in the package: the
+    protocols use :func:`apply_coincidence`.  It stays as the general Kraus
+    action of the public API and as the reference that tests compare
+    ``apply_coincidence`` with, bit for bit.
     """
     if not ch.is_square():
         raise ValueError("only square channels can be embedded with identity padding")

@@ -25,9 +25,7 @@ file sets ``max_dim``.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -40,6 +38,7 @@ import numpy as np
 from . import serialize
 from .channels import apply_coincidence, channels_equal, erasing_channel, vacuum_extend
 from .combinators import (
+    _MULTILINE_ENUM_MAX,
     coincidence_extensions,
     controlled_choice,
     cyclic_switch,
@@ -259,8 +258,9 @@ def _noiseless_infidelity(d: int, n: int) -> float:
 
 
 def _round_trip_distance(d: int, n: int) -> float:
-    dec = t_decomposition(coincidence_extensions(d))
-    target = target_sector_restriction(controlled_choice(coincidence_extensions(d)), d)
+    extensions = coincidence_extensions(d)
+    dec = t_decomposition(extensions)
+    target = target_sector_restriction(controlled_choice(extensions), d)
     return channels_equal(dec.reconstructed_channel(), target).distance
 
 
@@ -316,7 +316,7 @@ def verify(ctx, d, n, choice_amplitudes):
     choice = "choice" if choice_amplitudes == "coincidence" else "random-choice"
     rows = [("order", 1), (choice, 1), ("noiseless", 1), ("round-trip", 1)]
     if n is not None:
-        if d == 2 and n <= 2:
+        if d <= _MULTILINE_ENUM_MAX[0] and n <= _MULTILINE_ENUM_MAX[1]:
             rows.append(("multiline-enumeration", n))
         rows.append(("multiline-noiseless", n))
     try:
@@ -396,9 +396,7 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out, format):
         if format == "csv":
             cols, row = (serialize.metric_row(header, metrics) if transcript is None
                          else serialize.transcript_metric_row(transcript))
-            text = io.StringIO()  # a cell holding a comma is quoted
-            csv.writer(text, lineterminator="\n").writerows([cols, row])
-            chunks = [text.getvalue()]
+            chunks = [serialize.csv_text([cols, row])]
         else:
             chunks = serialize.json_chunks(
                 serialize.report_to_dict(header, metrics) if transcript is None
@@ -431,13 +429,12 @@ def sweep(ctx, protocol, d, alpha, receivers, out):
     except ValueError as exc:  # a ResourceGuardError too
         raise click.UsageError(str(exc))
 
-    lines = serialize.sweep_csv_lines(table)
+    text = serialize.csv_text(serialize.sweep_csv_lines(table))
     if out:
-        serialize.write_text(out, [ln + "\n" for ln in lines])
+        serialize.write_text(out, [text])
         click.echo(f"wrote {out}")
     else:
-        for ln in lines:
-            click.echo(ln)
+        click.echo(text, nl=False)
     s = table["summary"]
     click.echo(
         f"perfect rows: {len(s['perfect_rows'])}; only at uniform spectrum: "

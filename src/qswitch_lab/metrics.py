@@ -36,6 +36,8 @@ def concurrence_2qubit(rho: DensityMatrix) -> float:
     if rho.dim != 4:
         raise ValueError(f"concurrence is defined for two qubits, got dimension {rho.dim}")
     vals, vecs = np.linalg.eigh(rho.entries)
+    # a floor for the square root, not a check: rho passed its positivity
+    # check when built, and no verdict compares against this floor
     vals = np.where(vals < 1e-15, 0.0, vals)
     sqrt_rho = (vecs * np.sqrt(vals)) @ vecs.conj().T
     lams = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
@@ -109,7 +111,8 @@ def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) -> float
 
 
 def mutual_information(joint_pmf) -> float:
-    """Shannon mutual information of a joint pmf, in bits (0 log 0 := 0)."""
+    """Shannon mutual information of a joint pmf, in bits (0 log 0 := 0);
+    round-off below 0 reads 0, and below ``-spectral_tol`` raises."""
     p = np.asarray(joint_pmf, dtype=float)
     if p.ndim != 2:
         raise ValueError("joint pmf must be a matrix")
@@ -126,7 +129,7 @@ def mutual_information(joint_pmf) -> float:
         for j in range(p.shape[1]):
             if p[i, j] > 0.0:
                 mi += p[i, j] * np.log2(p[i, j] / (px[i] * py[j]))
-    return float(max(mi, 0.0))
+    return _clamp(float(mi), "mutual information", np.inf)
 
 
 def total_variation(p, q) -> float:

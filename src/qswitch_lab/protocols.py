@@ -31,6 +31,7 @@ needed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +42,7 @@ from .linalg import (
     DensityMatrix,
     Ket,
     SubsystemLayout,
+    _clamp,
     _readonly,
     apply_unitary,
     basis_ket,
@@ -88,7 +90,9 @@ def clone_extend_unitary(d: int, n_copies: int) -> np.ndarray:
     Completed to a full unitary by cyclic addition on each ancilla register
     (|k, a_1, ..., a_n> -> |k, a_1 + k, ..., a_n + k> mod d), the qudit
     generalization of a CNOT fan-out: sum_k |k><k| (x) (X^k)^(x n), X the
-    cyclic shift |a> -> |a + 1 mod d>.
+    cyclic shift |a> -> |a + 1 mod d>.  No caller in the package: the
+    protocols apply :func:`clone_permutation`.  It stays as the dense
+    reference that tests compare the permutation with, bit for bit.
     """
     if d < 2 or n_copies < 1:
         raise ValueError("need d >= 2 and at least one copy")
@@ -152,8 +156,7 @@ class ResourceState:
             raise ValueError(f"Schmidt spectrum sums to {sum(spec)!r}, not 1")
         d = len(spec)
         amps = np.zeros(d * d, dtype=complex)
-        for j, lam in enumerate(spec):
-            amps[j * d + j] = math.sqrt(max(lam, 0.0))
+        amps[:: d + 1] = np.sqrt(np.maximum(spec, 0.0))  # sqrt(lam_j) on |jj>
         rho = Ket(amps).density(SubsystemLayout((d, d), ("A", "C")))
         return cls("schmidt:" + ",".join(f"{s:.12g}" for s in spec), rho)
 
@@ -216,8 +219,15 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
     coincidence channel (sender side relabeled to the receiver), then
     enumerate the controller's and receiver's Fourier measurements.  The
     decode rule is x_hat = (m_receiver + m_controller) mod d, matching the
-    +-sign Fourier convention.
+    +-sign Fourier convention.  A receiver outcome probability below zero
+    by round-off reads 0; one below ``-policy.spectral_tol`` raises.
     """
+    return _private_dit(d, x, resource)[0]
+
+
+def _private_dit(d: int, x: int, resource: ResourceState) -> tuple[ProtocolTranscript, list]:
+    """The transcript and the controller's measurement branches, each with
+    its state (the transcript keeps it only on live receiver branches)."""
     if not 0 <= x < d:
         raise ValueError(f"message {x} out of range for dimension {d}")
     rho0 = resource.state(d)
@@ -235,7 +245,8 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
     joint = np.zeros((d, d))
     branches: list[Branch] = []
     charlie_pmf = np.zeros(d)
-    for cb in projective_measure(rho2, fb, "C"):
+    measured = projective_measure(rho2, fb, "C")
+    for cb in measured:
         charlie_pmf[cb.outcome] = cb.probability
         if cb.state is None:
             branches.append(Branch(cb.outcome, 0.0, None, None, None))
@@ -245,8 +256,8 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
         # product with the stacked bras would round differently)
         m = cb.state.entries
         for mb, (bra, v) in enumerate(zip(bras, kets)):
-            p = float(np.real(bra @ m @ v)) * cb.probability
-            p = max(p, 0.0)
+            p = _clamp(float(np.real(bra @ m @ v)) * cb.probability,
+                       "receiver outcome probability", math.inf)
             joint[mb, cb.outcome] = p
             decoded = (mb + cb.outcome) % d
             branches.append(
@@ -262,13 +273,8 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
         "joint_pmf": joint.tolist(),
         "branch_probability_total": float(joint.sum()),
     }
-    return ProtocolTranscript(
-        "private-dit",
-        {"d": d, "x": x, "resource": resource.name},
-        stages,
-        branches,
-        metrics,
-    )
+    params = {"d": d, "x": x, "resource": resource.name}
+    return ProtocolTranscript("private-dit", params, stages, branches, metrics), measured
 
 
 def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
@@ -281,20 +287,14 @@ def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
     _shared_dimension(transcripts)
     charlie_states = [partial_trace(t.stage("transmitted"), ("C",)) for t in transcripts]
     pmfs = [np.asarray(t.metrics["charlie_pmf"]) for t in transcripts]
-    n = len(transcripts)
-    max_td, max_tv = 0.0, 0.0
-    helstrom = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            td = trace_distance(charlie_states[i], charlie_states[j])
-            tv = total_variation(pmfs[i], pmfs[j])
-            max_td = max(max_td, td)
-            max_tv = max(max_tv, tv)
-            helstrom[(i, j)] = 0.5 * (1.0 - td)  # the equal-prior Helstrom error
+    pairs = list(itertools.combinations(range(len(transcripts)), 2))
+    tds = {(i, j): trace_distance(charlie_states[i], charlie_states[j]) for i, j in pairs}
+    tvs = [total_variation(pmfs[i], pmfs[j]) for i, j in pairs]
     return {
-        "max_pairwise_trace_distance": max_td,
-        "max_pairwise_outcome_tv": max_tv,
-        "helstrom_errors": helstrom,
+        "max_pairwise_trace_distance": max([0.0, *tds.values()]),
+        "max_pairwise_outcome_tv": max([0.0, *tvs]),
+        # the equal-prior Helstrom errors
+        "helstrom_errors": {pair: 0.5 * (1.0 - td) for pair, td in tds.items()},
         "charlie_pmfs": [p.tolist() for p in pmfs],
     }
 
@@ -349,9 +349,8 @@ def _establishment_run(
     rho0 = resource.state(d)
     stages = [StageRecord("resource", rho0)]
 
-    ancilla = basis_ket(d, 0).density(SubsystemLayout((d,), (send_labels[0],)))
-    extended = tensor(rho0, ancilla)
-    for lbl in send_labels[1:]:
+    extended = rho0
+    for lbl in send_labels:  # a |0> ancilla per receiver
         extended = tensor(extended, basis_ket(d, 0).density(SubsystemLayout((d,), (lbl,))))
     extended = extended.reorder(("A",) + send_labels + ("C",))
     stages.append(StageRecord("extended", extended))
@@ -479,15 +478,10 @@ def fixed_configuration_baseline(d: int, encoded_states: list[DensityMatrix]) ->
     control_label = encoded_states[0].layout.labels[1]
     marginals = [partial_trace(st, (control_label,)) for st in encoded_states]
 
-    n = len(marginals)
-    min_td = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            min_td = min(min_td, trace_distance(marginals[i], marginals[j]))
-
+    min_td = min([1.0, *itertools.starmap(trace_distance, itertools.combinations(marginals, 2))])
     bound = (1.0 + min_td) / 2.0
     # two messages: the Helstrom measurement attains the bound
-    success = bound if n == 2 else _discrimination_success([m.entries for m in marginals])
+    success = bound if d == 2 else _discrimination_success([m.entries for m in marginals])
 
     if success >= 1.0 - policy.spectral_tol and min_td < 1.0 - policy.spectral_tol:
         raise RuntimeError(
@@ -511,6 +505,8 @@ def _discrimination_success(states: list[np.ndarray]) -> float:
     avg = sum(states) / n
     vals, vecs = np.linalg.eigh(avg)
     inv_sqrt = np.zeros_like(avg)
+    # a pseudo-inverse cut, not a check: no verdict compares against it, and
+    # as ``policy.spectral_tol`` it would let ``--tol`` move the success
     for lam, col in zip(vals, vecs.T):
         if lam > 1e-13:
             inv_sqrt += np.outer(col, col.conj()) / math.sqrt(lam)
@@ -536,6 +532,12 @@ def classical_flag_encodings(d: int) -> list[DensityMatrix]:
 # ---------------------------------------------------------------------------
 # Necessity sweeps
 # ---------------------------------------------------------------------------
+
+# certification thresholds: part of the claim a sweep certifies, not numeric
+# tolerances of a computation, so ``policy`` and ``--tol`` leave them fixed
+_PERFECT_SLACK = 1e-9    # a metric at or above 1 - this is perfect
+_UNIFORM_SLACK = 1e-9    # a spectrum with every entry this close to 1/d is uniform
+_MONOTONE_SLACK = 1e-12  # a rise of at most this along the gap order is monotone
 
 
 def necessity_sweep(
@@ -565,10 +567,10 @@ def necessity_sweep(
         if d == 2:
             row["resource_concurrence"] = float(2.0 * math.sqrt(max(lam[0] * lam[1], 0.0)))
         if protocol == "private-dit":
-            runs = [run_private_dit(d, x, resource) for x in range(d)]
-            row["metric"] = min(t.metrics["success_probability"] for t in runs)
+            transcripts, measured = zip(*(_private_dit(d, x, resource) for x in range(d)))
+            row["metric"] = min(t.metrics["success_probability"] for t in transcripts)
             if d == 2:
-                row["optimal_decode_success"] = _optimal_two_state_success(runs)
+                row["optimal_decode_success"] = _optimal_two_state_success(*measured)
         elif protocol == "bipartite":
             row["metric"] = run_bipartite_establishment(d, resource).metrics["fidelity_mean"]
         elif protocol == "ghz":
@@ -577,48 +579,31 @@ def necessity_sweep(
             ]
         else:
             raise ValueError(f"unknown protocol tag {protocol!r}")
-        row["is_perfect"] = bool(row["metric"] >= 1.0 - 1e-9)
+        row["is_perfect"] = bool(row["metric"] >= 1.0 - _PERFECT_SLACK)
         rows.append(row)
 
-    uniform_rows = [
-        i
-        for i, r in enumerate(rows)
-        if max(abs(s - 1.0 / d) for s in r["spectrum"]) <= 1e-9
-    ]
+    uniform_rows = [i for i, r in enumerate(rows)
+                    if max(abs(s - 1.0 / d) for s in r["spectrum"]) <= _UNIFORM_SLACK]
     perfect_rows = [i for i, r in enumerate(rows) if r["is_perfect"]]
-    order = sorted(range(len(rows)), key=lambda i: rows[i]["top_schmidt_gap"])
-    metrics_by_gap = [rows[i]["metric"] for i in order]
-    monotone = all(
-        metrics_by_gap[i] + 1e-12 >= metrics_by_gap[i + 1]
-        for i in range(len(metrics_by_gap) - 1)
-    )
+    by_gap = [r["metric"] for r in sorted(rows, key=lambda r: r["top_schmidt_gap"])]
     summary = {
-        "perfect_only_at_uniform": set(perfect_rows) == set(uniform_rows) and bool(perfect_rows)
-        if uniform_rows
-        else not perfect_rows,
+        # with no uniform row: true iff no row is perfect
+        "perfect_only_at_uniform": set(perfect_rows) == set(uniform_rows),
         "perfect_rows": perfect_rows,
-        "monotone_in_entanglement": monotone,
+        "monotone_in_entanglement": all(
+            a + _MONOTONE_SLACK >= b for a, b in zip(by_gap, by_gap[1:])),
     }
     return {"protocol": protocol, "d": d, "rows": rows, "summary": summary}
 
 
-def _optimal_two_state_success(runs: list[ProtocolTranscript]) -> float:
-    """Best two-state decode averaged over the controller's announcement."""
-    d = runs[0].params["d"]
-    fb = fourier_basis(d)
+def _optimal_two_state_success(measured0: list, measured1: list) -> float:
+    """Best two-state decode averaged over the controller's announcement,
+    from the controller's measurement branches for messages 0 and 1."""
     total = 0.0
-    branch_states = []
-    for t in runs:
-        per_mc = {}
-        for cb in projective_measure(t.stage("transmitted"), fb, "C"):
-            per_mc[cb.outcome] = (cb.probability, cb.state)
-        branch_states.append(per_mc)
-    for mc in range(d):
-        p0, s0 = branch_states[0][mc]
-        p1, s1 = branch_states[1][mc]
-        if s0 is None or s1 is None:
+    for b0, b1 in zip(measured0, measured1):
+        if b0.state is None or b1.state is None:
             continue
-        weight = 0.5 * (p0 + p1)
-        err = helstrom_error(s0, s1, p0 * 0.5 / weight)
+        weight = 0.5 * (b0.probability + b1.probability)
+        err = helstrom_error(b0.state, b1.state, b0.probability * 0.5 / weight)
         total += weight * (1.0 - err)
     return float(total)

@@ -18,11 +18,14 @@ float once.  A state is read from its support block: every row outside the
 support is the zero row, so its whole matrix is never built.
 :func:`write_text` writes the pieces as they come, so the whole text is never
 held in memory; :func:`dumps_json` joins them.  CSV numbers are formatted with 12
-significant digits and a ``.`` decimal separator, independent of locale.
+significant digits and a ``.`` decimal separator, independent of locale, and
+every CSV text, a ``run`` row or a sweep table, is written by :func:`csv_text`.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from functools import partial
 from typing import Iterable, Iterator
@@ -189,20 +192,22 @@ def transcript_metric_row(t: ProtocolTranscript) -> tuple[list[str], list[str]]:
     return metric_row({"protocol": t.protocol_id, **dict(sorted(t.params.items()))}, t.metrics)
 
 
-def sweep_csv_lines(table: dict) -> list[str]:
-    """CSV rendering of a necessity-sweep table, deterministic row order."""
+def sweep_csv_lines(table: dict) -> list[list[str]]:
+    """CSV lines of a necessity-sweep table as cells: the header, then one
+    line per row in the table's order."""
     rows = table["rows"]
-    d = table["d"]
-    cols = [f"lambda_{j}" for j in range(d)]
     extra = [k for k in ("metric", "top_schmidt_gap", "resource_concurrence",
                          "optimal_decode_success", "is_perfect") if k in rows[0]]
-    header = ",".join(cols + extra)
-    lines = [header]
-    for r in rows:
-        cells = [fmt(s) for s in r["spectrum"]]
-        cells += [fmt(r[k]) for k in extra]
-        lines.append(",".join(cells))
-    return lines
+    header = [f"lambda_{j}" for j in range(table["d"])] + extra
+    return [header] + [[fmt(v) for v in (*r["spectrum"], *(r[k] for k in extra))] for r in rows]
+
+
+def csv_text(lines: Iterable[list[str]]) -> str:
+    """CSV text of ``lines`` of cells, each line ending in ``\\n``; a cell
+    holding a comma, a quote or a line break is quoted."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(lines)
+    return text.getvalue()
 
 
 def write_text(path: str, chunks: Iterable[str]) -> None:

@@ -30,6 +30,15 @@ def random_unitary(dim, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def bell_phase_flip_mixture(eps):
+    """(1 - eps)|Phi+><Phi+| + eps|Phi-><Phi-|: at eps = -1e-11 its minimum
+    eigenvalue passes the psd floor, and a private dit sent with it as the
+    resource gives two receiver probabilities of about -5e-12."""
+    phi_p = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    phi_m = np.array([1, 0, 0, -1]) / np.sqrt(2)
+    return (1 - eps) * np.outer(phi_p, phi_p) + eps * np.outer(phi_m, phi_m)
+
+
 def naive_partial_trace(entries, dims, keep):
     """Index-summation oracle: loop over all computational indices."""
     from itertools import product

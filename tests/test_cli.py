@@ -10,6 +10,8 @@ from qswitch_lab import SubsystemLayout, apply, fidelity_with_ket, ghz_ket, k_mu
 from qswitch_lab.cli import CHECKS, main
 from qswitch_lab.numeric import NumericPolicy, policy
 
+from conftest import bell_phase_flip_mixture
+
 
 @pytest.fixture
 def runner():
@@ -168,6 +170,19 @@ class TestRun:
             main, ["run", "private-dit", "--d", "2", "--resource", "file:/nonexistent.json"]
         )
         assert bad.exit_code == 2
+
+    def test_negative_receiver_probability_past_tol_exits_2(self, runner, tmp_path):
+        path = tmp_path / "resource.json"
+        entries = bell_phase_flip_mixture(-1e-11).tolist()
+        path.write_text(json.dumps({
+            "labels": ["A", "C"], "dims": [2, 2],
+            "entries": [[[v, 0.0] for v in row] for row in entries],
+        }))
+        args = ["run", "private-dit", "--d", "2", "--resource", f"file:{path}"]
+        assert runner.invoke(main, args).exit_code == 0
+        result = runner.invoke(main, [*args, "--tol", "1e-12"])
+        assert result.exit_code == 2, result.output
+        assert "receiver outcome probability is -4.99" in result.output
 
     @pytest.mark.parametrize(
         "payload",
@@ -470,6 +485,18 @@ class TestSweep:
         assert "metric" in header and "is_perfect" in header
         perfect = [ln for ln in lines[1:] if ln.endswith("true")]
         assert len(perfect) == 1 and perfect[0].startswith("0.5,")
+
+    @pytest.mark.parametrize("protocol", ["private-dit", "ghz"])
+    def test_file_holds_the_stdout_table(self, runner, tmp_path, protocol):
+        args = ["sweep", protocol, "--d", "2", "--alpha", "0:1:21"]
+        printed = runner.invoke(main, args)
+        assert printed.exit_code == 0, printed.output
+        out = tmp_path / "s.csv"
+        written = runner.invoke(main, [*args, "--out", str(out)])
+        assert written.exit_code == 0, written.output
+        table, summary = printed.output.rsplit("\n", 2)[:2]
+        assert out.read_bytes() == (table + "\n").encode()
+        assert written.output == f"wrote {out}\n{summary}\n"
 
     def test_degenerate_grid(self, runner):
         result = runner.invoke(main, ["sweep", "bipartite", "--d", "2", "--alpha", "0.5:0.5:1"])

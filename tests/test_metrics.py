@@ -203,6 +203,16 @@ class TestMutualInformation:
         assert abs(oracle - (1 - h_quarter)) < 1e-12
         assert abs(mutual_information(p) - oracle) < 1e-12
 
+    def test_negative_round_off_bounded_by_spectral_tol(self, monkeypatch):
+        # a product pmf summing to 1 + 5e-11 has mutual information
+        # -log2(1 + 5e-11), about -7.2e-11: within the default spectral
+        # tolerance it reads 0.0, past a tighter one it raises
+        p = np.outer([0.3, 0.7], [0.6, 0.4]) * (1 + 5e-11)
+        assert mutual_information(p) == 0.0
+        monkeypatch.setattr(policy, "spectral_tol", 6e-11)
+        with pytest.raises(ValueError, match="mutual information is -7.2"):
+            mutual_information(p)
+
     def test_invalid_pmf(self):
         with pytest.raises(ValueError, match="sums"):
             mutual_information(np.array([[0.5, 0.2], [0.1, 0.1]]))

@@ -36,7 +36,7 @@ import qswitch_lab
 from qswitch_lab import protocols
 from qswitch_lab.serialize import dumps_json, transcript_to_dict
 
-from conftest import random_density, random_ket
+from conftest import bell_phase_flip_mixture, random_density, random_ket
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +65,29 @@ def oracle_private_bit_success(alpha, x):
 
 def oracle_closed_form(alpha):
     return (1 + 2 * np.sqrt(alpha * (1 - alpha))) / 2
+
+
+def oracle_optimal_two_state_success(runs):
+    """Best two-message decode averaged over the controller's announcement,
+    from a second controller measurement of each run's ``transmitted`` stage."""
+    d = runs[0].params["d"]
+    fb = qswitch_lab.fourier_basis(d)
+    branch_states = []
+    for t in runs:
+        per_mc = {}
+        for cb in qswitch_lab.projective_measure(t.stage("transmitted"), fb, "C"):
+            per_mc[cb.outcome] = (cb.probability, cb.state)
+        branch_states.append(per_mc)
+    total = 0.0
+    for mc in range(d):
+        p0, s0 = branch_states[0][mc]
+        p1, s1 = branch_states[1][mc]
+        if s0 is None or s1 is None:
+            continue
+        weight = 0.5 * (p0 + p1)
+        err = helstrom_error(s0, s1, p0 * 0.5 / weight)
+        total += weight * (1.0 - err)
+    return float(total)
 
 
 def oracle_bipartite_branch_states(alpha):
@@ -234,6 +257,19 @@ class TestPrivateDit:
     def test_non_finite_schmidt_spectrum_rejected(self, spectrum):
         with pytest.raises(ValueError, match="Schmidt spectrum"):
             ResourceState.from_schmidt(spectrum)
+
+    def test_negative_receiver_probability_bounded_by_spectral_tol(self, monkeypatch):
+        # within the default spectral tolerance the two probabilities of
+        # -5e-12 read 0.0 (the bits the run gave before the bound), past a
+        # tighter one they raise
+        rho = DensityMatrix(bell_phase_flip_mixture(-1e-11), SubsystemLayout((2, 2), ("A", "C")))
+        res = ResourceState.explicit(rho)
+        joint = run_private_dit(2, 0, res).metrics["joint_pmf"]
+        live, zero = "0x1.000000000afe9p-1", "0x0.0p+0"
+        assert [[v.hex() for v in row] for row in joint] == [[live, zero], [zero, live]]
+        monkeypatch.setattr(policy, "spectral_tol", 1e-12)
+        with pytest.raises(ValueError, match="receiver outcome probability is -4.99"):
+            run_private_dit(2, 0, res)
 
     def test_transcript_stages_are_recorded(self):
         t = run_private_dit(2, 0, ResourceState.maximally_entangled(2))
@@ -499,6 +535,33 @@ class TestNecessitySweep:
         for row in table["rows"]:
             # the constructive decode achieves the binary Helstrom bound here
             assert abs(row["optimal_decode_success"] - row["metric"]) < 1e-9
+
+    @pytest.mark.parametrize("spectra", [
+        [(a, 1 - a) for a in np.linspace(0, 1, 101)],
+        [(0.97, 0.03), (1 - 1e-7, 1e-7)],
+    ], ids=["grid-101", "skewed"])
+    def test_optimal_decode_equals_remeasuring_oracle(self, spectra):
+        table = necessity_sweep("private-dit", 2, spectra)
+        for spec, row in zip(spectra, table["rows"]):
+            res = ResourceState.from_schmidt(spec)
+            runs = [run_private_dit(2, x, res) for x in range(2)]
+            assert row["optimal_decode_success"] == oracle_optimal_two_state_success(runs)
+
+    @pytest.mark.parametrize("d, spectra", [
+        (2, [(0.5, 0.5), (0.7, 0.3), (1.0, 0.0)]),
+        (3, [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2)]),
+    ])
+    def test_private_dit_row_measures_once_per_message(self, d, spectra, monkeypatch):
+        calls = []
+        measure = protocols.projective_measure
+
+        def counted(*args):
+            calls.append(args)
+            return measure(*args)
+
+        monkeypatch.setattr(protocols, "projective_measure", counted)
+        necessity_sweep("private-dit", d, spectra)
+        assert len(calls) == d * len(spectra)
 
     def test_bipartite_product_resource_is_useless(self):
         table = necessity_sweep("bipartite", 2, [(0.0, 1.0), (1.0, 0.0)])
