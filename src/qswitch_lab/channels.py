@@ -233,6 +233,7 @@ class ChoiMatrix:
 
 def choi(ch: KrausChannel) -> ChoiMatrix:
     """Choi matrix sum_i |K_i>><<K_i| with |K>> = sum_k |k> (x) K|k>."""
+    guard_dimension(ch.in_dim * ch.out_dim, "Choi matrix")
     vecs = ch.kraus.transpose(0, 2, 1).reshape(ch.n_kraus, -1)  # row i is |K_i>>
     return ChoiMatrix(vecs.T @ vecs.conj(), ch.in_dim, ch.out_dim)
 

@@ -38,7 +38,6 @@ import numpy as np
 from . import serialize
 from .channels import apply_coincidence, channels_equal, erasing_channel, vacuum_extend
 from .combinators import (
-    _MULTILINE_ENUM_MAX,
     coincidence_extensions,
     controlled_choice,
     cyclic_switch,
@@ -62,6 +61,9 @@ from .protocols import (
 )
 
 _EXIT_CHECK_FAILED = 1
+# (d, N) up to which `verify --n` prints the N-line enumeration row: a choice
+# of output, not of memory (the size guard admits (3, 2) too)
+_ENUMERATION_ROW_MAX = (2, 2)
 
 
 def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
@@ -316,7 +318,7 @@ def verify(ctx, d, n, choice_amplitudes):
     choice = "choice" if choice_amplitudes == "coincidence" else "random-choice"
     rows = [("order", 1), (choice, 1), ("noiseless", 1), ("round-trip", 1)]
     if n is not None:
-        if d <= _MULTILINE_ENUM_MAX[0] and n <= _MULTILINE_ENUM_MAX[1]:
+        if d <= _ENUMERATION_ROW_MAX[0] and n <= _ENUMERATION_ROW_MAX[1]:
             rows.append(("multiline-enumeration", n))
         rows.append(("multiline-noiseless", n))
     try:

@@ -13,14 +13,15 @@ For d mutually orthogonal information-erasing channels (the j-th erasing to
 |j>) both constructions collapse, after restricting the choice combinator to
 the message sector, to one and the same channel with the closed Kraus form
 ``{P0} + {|j><l| (x) |j><j| : l != j}`` where ``P0 = sum_j |jj><jj|``.  The
-brute-force tuple enumerations are kept (with hard caps) as oracles against
-the closed forms; the N-line oracle is the cyclic switch of the channels'
-N-fold tensor powers.  The rank-one decomposition of the choice reads each
-channel's vacuum interference operator ``F_j = sum_i conj(alpha_i) K_i``.
-The closed-form Kraus list :func:`k_multiline` (``N = 1``
-for a single line) is itself a capped oracle: the protocols apply the
-channel through ``channels.apply_coincidence``, which uses its closed action
-and builds no Kraus list.
+brute-force tuple enumerations are kept as oracles against the closed forms;
+the N-line oracle is the cyclic switch of the channels' N-fold tensor powers.
+The rank-one decomposition of the choice reads each channel's vacuum
+interference operator ``F_j = sum_i conj(alpha_i) K_i``.  The closed-form
+Kraus list :func:`k_multiline` (``N = 1`` for a single line) is itself an
+oracle: the protocols apply the channel through
+``channels.apply_coincidence``, which uses its closed action and builds no
+Kraus list.  Each operator stack is sized by ``numeric.guard_dimension``
+before it is built; a tuple enumeration holds the product of the Kraus counts.
 
 Factor order throughout: target(s) first, control last.
 """
@@ -34,22 +35,7 @@ import numpy as np
 
 from .channels import ExtendedChannel, KrausChannel, erasing_channel, vacuum_extend
 from .linalg import Ket, _readonly
-from .numeric import ResourceGuardError, guard_dimension, policy
-
-_ENUM_MAX_CHANNELS = 4          # cap for the d^d tuple enumerations
-_MULTILINE_ENUM_MAX = (2, 2)    # (d, N) cap for the d^(dN) enumeration
-
-
-def _enumerated_count(channels: list, what: str) -> int:
-    """The number of channels of a tuple enumeration: at least one, at most the cap."""
-    n = len(channels)
-    if n == 0:
-        raise ValueError("need at least one channel")
-    if n > _ENUM_MAX_CHANNELS:
-        raise ResourceGuardError(
-            f"{what} enumeration is capped at {_ENUM_MAX_CHANNELS} channels, got {n}"
-        )
-    return n
+from .numeric import guard_dimension, policy
 
 
 def _drop_zero(ops: np.ndarray) -> np.ndarray:
@@ -82,14 +68,16 @@ def cyclic_switch(channels: list[KrausChannel]) -> KrausChannel:
     Kraus operators are indexed by one Kraus choice per channel; the branch
     for control value j is the operator product over the cyclic order
     starting (and ending) so that channel j acts last.  Zero operators are
-    dropped.  Enumeration grows as the product of Kraus counts, so the
-    number of channels is capped at 4; use :func:`k_multiline` beyond.
+    dropped.  The stack holds one operator per tuple, the product of the
+    Kraus counts: d erasing channels give d^d operators of dimension d^2,
+    admitted up to d = 5 at the default dimension limit.
     """
-    n = _enumerated_count(channels, "cyclic")
-    d = channels[0].in_dim
+    if not channels:
+        raise ValueError("need at least one channel")
+    n, d = len(channels), channels[0].in_dim
     if any(c.in_dim != d or not c.is_square() for c in channels):
         raise ValueError("all channels must be square with equal dimension")
-    guard_dimension(d * n, "cyclic switch")
+    guard_dimension(d * n, "cyclic switch", math.prod(ch.n_kraus for ch in channels))
     stacks = _on_own_axis([ch.kraus for ch in channels])
     ops = np.zeros(tuple(ch.n_kraus for ch in channels) + (d, n, d, n), dtype=complex)
     for j in range(n):
@@ -106,15 +94,16 @@ def controlled_choice(channels: list[ExtendedChannel]) -> KrausChannel:
     Kraus operators are indexed by one Kraus choice per channel; the branch
     for control value j applies channel j's (extended) operator weighted by
     the product of the other channels' vacuum amplitudes.  Acts on the
-    extended target (d+1) (x) d-level control.  Enumeration capped like
-    :func:`cyclic_switch`.
+    extended target (d+1) (x) d-level control.  The stack is sized like
+    that of :func:`cyclic_switch`.
     """
-    n = _enumerated_count(channels, "choice")
-    d = channels[0].target_dim
+    if not channels:
+        raise ValueError("need at least one channel")
+    n, d = len(channels), channels[0].target_dim
     if any(c.target_dim != d for c in channels):
         raise ValueError("all extended channels must share the target dimension")
     dd = d + 1
-    guard_dimension(dd * n, "controlled choice")
+    guard_dimension(dd * n, "controlled choice", math.prod(c.realized.n_kraus for c in channels))
     stacks = _on_own_axis([c.realized.kraus for c in channels])
     amps = _on_own_axis([c.amplitudes for c in channels])
     ops = np.zeros(tuple(c.realized.n_kraus for c in channels) + (dd, n, dd, n), dtype=complex)
@@ -153,7 +142,7 @@ def target_sector_restriction(ch: KrausChannel, d: int, n_targets: int = 1) -> K
 
 
 # ---------------------------------------------------------------------------
-# Closed forms as Kraus lists (capped oracles)
+# Closed forms as Kraus lists (oracles)
 # ---------------------------------------------------------------------------
 
 
@@ -168,23 +157,13 @@ def k_multiline(d: int, n_lines: int) -> KrausChannel:
     Identity on any spectator system is the caller's job via
     ``apply(..., acting_on)``.
 
-    The list holds d(d^N - 1) + 1 dense operators, so besides the total
-    dimension it is capped by its storage: at most that of one operator at
-    the dimension limit (``policy.max_dim``), checked before anything is
-    allocated.
+    The list holds d(d^N - 1) + 1 dense operators of dimension d^(N+1).
     """
     if d < 2 or n_lines < 1:
         raise ValueError("need d >= 2 and at least one line")
     dim = d ** (n_lines + 1)
-    guard_dimension(dim, f"{n_lines}-line coincidence channel")
     n_kraus = d * (d**n_lines - 1) + 1
-    need, cap = n_kraus * dim * dim * 16, policy.max_dim**2 * 16
-    if need > cap:
-        raise ResourceGuardError(
-            f"{n_lines}-line coincidence channel as a Kraus list needs {n_kraus} "
-            f"operators of dimension {dim} ({need / 1e6:.0f} MB), above the storage "
-            f"limit of {cap / 1e6:.0f} MB (max_dim {policy.max_dim} squared)"
-        )
+    guard_dimension(dim, f"{n_lines}-line coincidence channel", n_kraus)
     span = np.arange(d) * ((dim - 1) // (d - 1))  # c_j = |j>^N |j>
     ops = np.zeros((n_kraus, dim, dim), dtype=complex)
     ops[0, span, span] = 1.0  # P0^N
@@ -202,21 +181,15 @@ def k_multiline_enumerated(channels: list[KrausChannel], n_lines: int) -> KrausC
     The cyclic switch of the channels' N-fold tensor powers: channel c acts
     as itself on each of the N lines at once.  In a tensor power, line 0 is
     the most significant factor of the matrix indices and of the Kraus
-    index.  The Kraus count is prod(n_kraus)^N, so (d, N) is hard-capped at
-    (2, 2).
+    index.  A power holds n_kraus^N operators and the switch prod(n_kraus)^N:
+    for d erasing channels the default limit admits (3, 2), not (3, 3), (4, 2).
     """
-    d = len(channels)
-    if d == 0 or n_lines < 1:
+    if not channels or n_lines < 1:
         raise ValueError("need at least one channel and at least one line")
-    if d > _MULTILINE_ENUM_MAX[0] or n_lines > _MULTILINE_ENUM_MAX[1]:
-        raise ResourceGuardError(
-            f"multiline enumeration capped at (d, N) <= {_MULTILINE_ENUM_MAX}, "
-            f"got ({d}, {n_lines})"
-        )
     t = channels[0].in_dim
     if any(c.in_dim != t or not c.is_square() for c in channels):
         raise ValueError("all channels must be square with equal dimension")
-    guard_dimension(t**n_lines * d, "multiline enumeration")
+    guard_dimension(t**n_lines, "tensor power stack", sum(c.n_kraus**n_lines for c in channels))
     return cyclic_switch([KrausChannel(_tensor_power(c.kraus, n_lines)) for c in channels])
 
 

@@ -148,14 +148,17 @@ class Ket:
             layout = SubsystemLayout((self.dim,), ("A",))
         _check_dim(self.dim, layout)
         a = self.amplitudes
-        # a small state keeps the whole outer product, its signed zeros too
+        # a small state keeps the whole outer product, its signed zeros too;
+        # this saves time only, see _SUPPORT_MIN_DIM
         support = np.arange(self.dim) if self.dim <= _SUPPORT_MIN_DIM else np.flatnonzero(a)
         v = a[support]
         return DensityMatrix._of_block(layout, support, np.outer(v, v.conj()))
 
 
-# at or below this dimension a state keeps its whole matrix as its block:
-# locating the support costs about as much as the decomposition itself
+# at or below this dimension a state keeps its whole matrix as its block and
+# skips the support scan.  For speed only: at 0 every golden keeps its bytes,
+# but `_trimmed` scans every small block, and a 101-point d = 2 sweep's protocol
+# work took 8.6 % longer (0.421 -> 0.457 s CPU, 14 pairs, 1 BLAS thread, 2 vCPU)
 _SUPPORT_MIN_DIM = 16
 
 

@@ -7,6 +7,8 @@ module-level :data:`policy` instance is consulted by all modules; callers
 that need different tolerances either pass an explicit ``tol`` argument or
 set the policy fields.  Each CLI command sets ``max_dim`` and
 ``spectral_tol`` from its flags and restores them when it ends.
+:func:`guard_dimension` is the one size rule; a dense site calls it with what
+it is about to allocate, before allocating.
 """
 
 from __future__ import annotations
@@ -32,9 +34,17 @@ class NumericPolicy:
 policy = NumericPolicy()
 
 
-def guard_dimension(dim: int, what: str) -> None:
+def guard_dimension(dim: int, what: str, count: int = 1) -> None:
+    """Refuse ``count`` matrices of dimension ``dim`` holding more entries
+    than one ``max_dim`` x ``max_dim`` matrix: ``count * dim**2 > max_dim**2``."""
     if dim > policy.max_dim:
         raise ResourceGuardError(
             f"{what} needs total dimension {dim}, above the configured "
             f"limit of {policy.max_dim}"
+        )
+    need, cap = count * dim * dim * 16, policy.max_dim**2 * 16
+    if need > cap:
+        raise ResourceGuardError(
+            f"{what} needs {count} matrices of dimension {dim} ({need / 1e6:.3g} MB), "
+            f"above the {cap / 1e6:.3g} MB of one matrix at the limit of {policy.max_dim}"
         )

@@ -145,6 +145,7 @@ class ResourceState:
 
     @classmethod
     def maximally_entangled(cls, d: int) -> "ResourceState":
+        guard_dimension(d * d, "resource")
         return cls("max", ghz_ket(d, 2).density(SubsystemLayout((d, d), ("A", "C"))))
 
     @classmethod
@@ -155,6 +156,7 @@ class ResourceState:
         if not abs(sum(spec) - 1.0) <= policy.structural_tol:
             raise ValueError(f"Schmidt spectrum sums to {sum(spec)!r}, not 1")
         d = len(spec)
+        guard_dimension(d * d, "resource")
         amps = np.zeros(d * d, dtype=complex)
         amps[:: d + 1] = np.sqrt(np.maximum(spec, 0.0))  # sqrt(lam_j) on |jj>
         rho = Ket(amps).density(SubsystemLayout((d, d), ("A", "C")))
@@ -228,6 +230,7 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
 def _private_dit(d: int, x: int, resource: ResourceState) -> tuple[ProtocolTranscript, list]:
     """The transcript and the controller's measurement branches, each with
     its state (the transcript keeps it only on live receiver branches)."""
+    guard_dimension(d * d, "private-dit")
     if not 0 <= x < d:
         raise ValueError(f"message {x} out of range for dimension {d}")
     rho0 = resource.state(d)

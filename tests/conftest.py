@@ -1,12 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qswitch_lab import DensityMatrix, Ket, SubsystemLayout
+from qswitch_lab import DensityMatrix, Ket, ResourceGuardError, SubsystemLayout
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def refused_before_allocating(call, match):
+    """Check that ``call()`` raises ResourceGuardError matching ``match``
+    while tracemalloc sees a peak under 16 MB: the refusal comes before the
+    allocation it refuses (each case refuses hundreds of MB or more)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match=match):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 def random_density(dim, rng, layout=None):

@@ -59,13 +59,13 @@ def _rows_read_closed_form(monkeypatch, rows):
 def test_criterion_01_coincidence_identity(monkeypatch):
     t0 = time.perf_counter()
     worst = 0.0
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 5):
         for name in ("order", "choice"):
             worst = max(worst, CHECKS[name].distance(d, 1))
     elapsed = time.perf_counter() - t0
     caught = _rows_read_closed_form(monkeypatch, [("order", 2, 1), ("choice", 2, 1)])
     report(
-        "criterion 1 (order/choice/closed-form coincidence, d=2,3,4)",
+        "criterion 1 (order/choice/closed-form coincidence, d=2,3,4,5)",
         worst <= 1e-10 and elapsed < 5.0 and caught,
         f"max Choi distance {worst:.3e} (tol 1e-10), runtime {elapsed:.2f}s (< 5s), "
         f"swapped closed form detected {caught}",
@@ -75,7 +75,7 @@ def test_criterion_01_coincidence_identity(monkeypatch):
 def test_criterion_02_brute_force_oracle_equivalence(monkeypatch):
     t0 = time.perf_counter()
     worst = 0.0
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 5):
         worst = max(worst, CHECKS["order"].distance(d, 1))  # d^d tuples
     for n in (1, 2):
         worst = max(worst, CHECKS["multiline-enumeration"].distance(2, n))

@@ -6,6 +6,7 @@ import pytest
 from qswitch_lab import (
     ChoiMatrix,
     KrausChannel,
+    ResourceGuardError,
     SubsystemLayout,
     apply,
     basis_ket,
@@ -202,6 +203,14 @@ class TestApply:
 
 
 class TestChoi:
+    def test_dimension_guard(self, monkeypatch):
+        # the Choi matrix of a 4-level channel has dimension 16
+        monkeypatch.setattr(policy, "max_dim", 16)
+        assert choi(identity_channel(4)).entries.shape == (16, 16)
+        monkeypatch.setattr(policy, "max_dim", 15)
+        with pytest.raises(ResourceGuardError, match="Choi matrix needs total dimension 16,"):
+            choi(identity_channel(4))
+
     def test_identity_channel_choi(self):
         c = choi(identity_channel(2))
         phi = ghz_ket(2, 2).amplitudes

@@ -85,6 +85,7 @@ _VERIFY_OUTPUT = {
     ],
     ("--d", "3"): [_ORDER, _CHOICE, _NOISELESS, _ROUND_TRIP, "4/4 checks passed"],
     ("--d", "4"): [_ORDER, _CHOICE, _NOISELESS, _ROUND_TRIP, "4/4 checks passed"],
+    ("--d", "5"): [_ORDER, _CHOICE, _NOISELESS, _ROUND_TRIP, "4/4 checks passed"],
     ("--d", "3", "--n", "2"): [
         _ORDER, _CHOICE, _NOISELESS, _ROUND_TRIP,
         "[PASS] multiline noiseless subspace (d={d}, N=2)",
@@ -122,7 +123,11 @@ class TestVerifyOutput:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (("--d", "5"), "Error: cyclic enumeration is capped at 4 channels, got 5"),
+            (
+                ("--d", "6"),
+                "Error: cyclic switch needs 46656 matrices of dimension 36 (967 MB), above "
+                "the 268 MB of one matrix at the limit of 4096",
+            ),
             (
                 ("--d", "9", "--n", "3"),
                 "Error: multiline verification needs total dimension 6561, above the "
@@ -225,6 +230,13 @@ class TestRun:
         assert "fidelity_mean: 1\n" in result.output
         assert "fidelity_min: 1\n" in result.output
         assert "pre_measurement_ggm" not in result.output
+
+    def test_resource_guarded_before_the_run(self, runner):
+        result = runner.invoke(main, ["run", "private-dit", "--d", "65"])
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == (
+            "Error: resource needs total dimension 4225, above the configured limit of 4096"
+        )
 
     def test_fixed_baseline(self, runner):
         result = runner.invoke(main, ["run", "fixed-baseline", "--d", "2"])

@@ -42,7 +42,7 @@ from qswitch_lab import (
 )
 from qswitch_lab.cli import _parse_alpha
 
-SWEEPS = [("private-dit", 1), ("bipartite", 1), ("ghz", 2), ("ghz", 3)]
+SWEEPS = [("private-dit", 1), ("bipartite", 1), ("ghz", 2), ("ghz", 3), ("ghz", 4), ("ghz", 5)]
 
 
 def closed_form_metric(lam) -> float:
@@ -85,7 +85,7 @@ def test_sweep_metric_is_closed_form(protocol, receivers, d, spectra):
     "d,spectra", [(2, cli_grid()), (3, dirichlet_spectra(3, 12, seed=32))],
     ids=["d2-cli-grid", "d3-dirichlet"],
 )
-@pytest.mark.parametrize("receivers", [1, 2])
+@pytest.mark.parametrize("receivers", [1, 2, 4])  # 4 receivers: 6 parties, the GGM cap
 def test_pre_measurement_ggm_is_one_minus_top_weight(d, spectra, receivers):
     for lam in spectra:
         resource = ResourceState.from_schmidt(lam)

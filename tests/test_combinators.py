@@ -30,7 +30,7 @@ from qswitch_lab import (
     Ket,
 )
 
-from conftest import random_density, random_ket, random_unitary
+from conftest import random_density, random_ket, random_unitary, refused_before_allocating
 
 
 def two_qudit_layout(d, labels=("A", "C")):
@@ -180,7 +180,7 @@ class TestCyclicSwitch:
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-14
 
-    @pytest.mark.parametrize("d,count", [(2, 3), (3, 7), (4, 13)])
+    @pytest.mark.parametrize("d,count", [(2, 3), (3, 7), (4, 13), (5, 21)])
     def test_nonzero_kraus_count(self, d, count):
         sw = cyclic_switch([erasing_channel(d, j) for j in range(d)])
         assert sw.n_kraus == count  # 1 + d*(d-1)
@@ -198,8 +198,26 @@ class TestCyclicSwitch:
             cyclic_switch([])
 
     def test_enumeration_cap(self):
-        with pytest.raises(ResourceGuardError, match="capped"):
-            cyclic_switch([erasing_channel(5, j) for j in range(5)])
+        # 6^6 tuples of 36^2 entries (967 MB) against one 4096^2 matrix (268 MB)
+        erasing = [erasing_channel(6, j) for j in range(6)]
+        refused_before_allocating(
+            lambda: cyclic_switch(erasing), "cyclic switch needs 46656 matrices of dimension 36 "
+        )
+        extended = coincidence_extensions(6)
+        refused_before_allocating(
+            lambda: controlled_choice(extended),
+            "controlled choice needs 46656 matrices of dimension 42 ",
+        )
+
+    def test_size_rule_boundary(self, monkeypatch):
+        # two qubit channels give 4 operators of dimension 4, 4 * 4^2 entries:
+        # admitted at 8^2, refused at 7^2 though dimension 4 is below 7
+        channels = [erasing_channel(2, j) for j in range(2)]
+        monkeypatch.setattr(policy, "max_dim", 8)
+        assert cyclic_switch(channels).n_kraus == 3
+        monkeypatch.setattr(policy, "max_dim", 7)
+        with pytest.raises(ResourceGuardError, match="needs 4 matrices of dimension 4 "):
+            cyclic_switch(channels)
 
     def test_order_mode_representation_independence(self, rng):
         chans = [erasing_channel(3, j) for j in range(3)]
@@ -355,10 +373,13 @@ class TestMultiline:
         for a, b in zip(k.kraus, ops):  # operator by operator, in order
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_matches_enumeration_oracle(self, n):
-        enum = k_multiline_enumerated([erasing_channel(2, j) for j in range(2)], n)
-        cmp = channels_equal(k_multiline(2, n), enum, 1e-10)
+    # (3, 2) is 729 tuples of dimension 27: the size rule admits it
+    @pytest.mark.parametrize(
+        "d,n", [pytest.param(2, 1, id="1"), pytest.param(2, 2, id="2"), pytest.param(3, 2, id="d3-2")]
+    )
+    def test_matches_enumeration_oracle(self, d, n):
+        enum = k_multiline_enumerated([erasing_channel(d, j) for j in range(d)], n)
+        cmp = channels_equal(k_multiline(d, n), enum, 1e-10)
         assert cmp.equal, cmp.distance
 
     def test_preserves_padded_ghz4(self):
@@ -411,21 +432,31 @@ class TestMultiline:
     def test_storage_cap_before_allocation(self):
         # 511 operators of 512^2: about 2.1 GB against the 268 MB of one
         # operator at the default dimension limit
-        with pytest.raises(ResourceGuardError, match="storage limit"):
-            k_multiline(2, 8)
+        refused_before_allocating(
+            lambda: k_multiline(2, 8), "needs 511 matrices of dimension 512 "
+        )
 
     def test_storage_cap_boundary(self, monkeypatch):
         monkeypatch.setattr(policy, "max_dim", 16)
         assert k_multiline(2, 1).n_kraus == 3  # 3 * 4^2 <= 16^2
-        with pytest.raises(ResourceGuardError, match="storage limit"):
+        with pytest.raises(ResourceGuardError, match="needs 7 matrices of dimension 8 "):
             k_multiline(2, 2)  # dimension 8 passes, 7 * 8^2 > 16^2 does not
 
     def test_enumeration_cap(self):
-        with pytest.raises(ResourceGuardError, match="capped"):
-            k_multiline_enumerated([erasing_channel(3, j) for j in range(3)], 2)
-        # each of d and N is capped, not the pair in lexicographic order
-        with pytest.raises(ResourceGuardError, match="capped"):
-            k_multiline_enumerated([erasing_channel(2, 0)], 3)
+        for d, n, message in [
+            (3, 3, "cyclic switch needs 19683 matrices of dimension 81 "),  # 2.1 GB
+            (4, 2, "cyclic switch needs 65536 matrices of dimension 64 "),  # 4.3 GB
+        ]:
+            erasing = [erasing_channel(d, j) for j in range(d)]
+            refused_before_allocating(lambda: k_multiline_enumerated(erasing, n), message)
+
+    def test_tensor_power_refused_before_the_switch(self):
+        # one qubit channel at N = 12: 2^12 operators of 4096^2 (1.1 TB)
+        qubit = [erasing_channel(2, 0)]
+        refused_before_allocating(
+            lambda: k_multiline_enumerated(qubit, 12),
+            "tensor power stack needs 4096 matrices of dimension 4096 ",
+        )
 
     def test_enumeration_needs_a_line(self):
         with pytest.raises(ValueError, match="at least one line"):

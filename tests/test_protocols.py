@@ -36,7 +36,12 @@ import qswitch_lab
 from qswitch_lab import protocols
 from qswitch_lab.serialize import dumps_json, transcript_to_dict
 
-from conftest import bell_phase_flip_mixture, random_density, random_ket
+from conftest import (
+    bell_phase_flip_mixture,
+    random_density,
+    random_ket,
+    refused_before_allocating,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +257,21 @@ class TestPrivateDit:
     def test_resource_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             run_private_dit(3, 0, ResourceState.maximally_entangled(2))
+
+    def test_resource_guarded_before_its_ket(self):
+        # the resource is a d^2-dim state: d = 65 gives 4225 > 4096
+        message = "resource needs total dimension 4225, above the configured limit of 4096"
+        refused_before_allocating(lambda: ResourceState.maximally_entangled(65), message)
+        refused_before_allocating(lambda: ResourceState.from_schmidt([1 / 65] * 65), message)
+
+    def test_private_dit_guarded_on_entry(self):
+        # an explicit resource passes no classmethod guard; the run refuses
+        # it before the encoding builds anything of the 4225-dim state
+        layout = SubsystemLayout((65, 65), ("A", "C"))
+        res = ResourceState.explicit(ghz_ket(65, 2).density(layout))
+        refused_before_allocating(
+            lambda: run_private_dit(65, 0, res), "private-dit needs total dimension 4225"
+        )
 
     @pytest.mark.parametrize("spectrum", [(np.nan, 1.0), (0.5, np.nan), (np.inf, 0.0)])
     def test_non_finite_schmidt_spectrum_rejected(self, spectrum):
