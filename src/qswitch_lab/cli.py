@@ -120,7 +120,9 @@ def _policy_options(command: Callable) -> Callable:
 
     The tolerance and guard overrides hold until the command ends.  The
     guard is ``--max-dim`` (from the flag or the config file), else the
-    environment variable ``QSWITCH_MAX_DIM``, else the policy default.
+    environment variable ``QSWITCH_MAX_DIM``, else the policy default.  A
+    ``ValueError`` from the library (a ``ResourceGuardError`` too) ends the
+    command as a usage error, exit 2.
     """
 
     @click.option(
@@ -151,7 +153,10 @@ def _policy_options(command: Callable) -> Callable:
             policy.max_dim = max_dim
         if tol is not None:
             policy.spectral_tol = tol
-        return command(ctx, **params)
+        try:
+            return command(ctx, **params)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
 
     return scoped
 
@@ -321,13 +326,10 @@ def verify(ctx, d, n, choice_amplitudes):
         if d <= _ENUMERATION_ROW_MAX[0] and n <= _ENUMERATION_ROW_MAX[1]:
             rows.append(("multiline-enumeration", n))
         rows.append(("multiline-noiseless", n))
-    try:
-        guard_dimension(d * d, "verification")
-        if n is not None:
-            guard_dimension(d ** (n + 1), "multiline verification")
-        results = [(CHECKS[name], lines, CHECKS[name].distance(d, lines)) for name, lines in rows]
-    except ValueError as exc:  # a ResourceGuardError too
-        raise click.UsageError(str(exc))
+    guard_dimension(d * d, "verification")
+    if n is not None:
+        guard_dimension(d ** (n + 1), "multiline verification")
+    results = [(CHECKS[name], lines, CHECKS[name].distance(d, lines)) for name, lines in rows]
 
     failed = 0
     for check, lines, dist in results:
@@ -367,27 +369,24 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out, format):
         raise click.UsageError("--d must be at least 2")
 
     transcript = privacy = None
-    try:
-        if protocol == "fixed-baseline":
-            header = {"protocol": protocol, "d": d, "encodings": encodings}
-            encode = dfs_phase_encodings if encodings == "dfs-phase" else classical_flag_encodings
-            metrics = fixed_configuration_baseline(d, encode(d))
+    if protocol == "fixed-baseline":
+        header = {"protocol": protocol, "d": d, "encodings": encodings}
+        encode = dfs_phase_encodings if encodings == "dfs-phase" else classical_flag_encodings
+        metrics = fixed_configuration_baseline(d, encode(d))
+    else:
+        header = {"command": "run", "protocol": protocol}
+        res = _parse_resource(resource, d)
+        if protocol == "private-dit":
+            if not 0 <= x < d:
+                raise ValueError(f"message {x} out of range for dimension {d}")
+            ensemble = [run_private_dit(d, msg, res) for msg in range(d)]
+            transcript = ensemble[x]
+            privacy = privacy_report(ensemble)
+        elif protocol == "bipartite":
+            transcript = run_bipartite_establishment(d, res)
         else:
-            header = {"command": "run", "protocol": protocol}
-            res = _parse_resource(resource, d)
-            if protocol == "private-dit":
-                if not 0 <= x < d:
-                    raise ValueError(f"message {x} out of range for dimension {d}")
-                ensemble = [run_private_dit(d, msg, res) for msg in range(d)]
-                transcript = ensemble[x]
-                privacy = privacy_report(ensemble)
-            elif protocol == "bipartite":
-                transcript = run_bipartite_establishment(d, res)
-            else:
-                transcript = run_ghz_distribution(d, receivers, res)
-            metrics = transcript.metrics
-    except ValueError as exc:  # a ResourceGuardError too
-        raise click.UsageError(str(exc))
+            transcript = run_ghz_distribution(d, receivers, res)
+        metrics = transcript.metrics
 
     for key, val in serialize.scalar_metrics(metrics).items():
         click.echo(f"{key}: {serialize.fmt(val)}")
@@ -425,11 +424,7 @@ def sweep(ctx, protocol, d, alpha, receivers, out):
     """Sweep a protocol metric over resource Schmidt spectra (CSV output)."""
     if d != 2:
         raise click.UsageError("--alpha grids parameterize two-level spectra; use --d 2")
-    spectra = _parse_alpha(alpha)
-    try:
-        table = necessity_sweep(protocol, d, spectra, n_receivers=receivers)
-    except ValueError as exc:  # a ResourceGuardError too
-        raise click.UsageError(str(exc))
+    table = necessity_sweep(protocol, d, _parse_alpha(alpha), n_receivers=receivers)
 
     text = serialize.csv_text(serialize.sweep_csv_lines(table))
     if out:

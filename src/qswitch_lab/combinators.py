@@ -28,6 +28,7 @@ Factor order throughout: target(s) first, control last.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,22 @@ from .numeric import guard_dimension, policy
 def _drop_zero(ops: np.ndarray) -> np.ndarray:
     """The operators of a stack whose largest entry is above the zero tolerance."""
     return ops[np.abs(ops).max(axis=(1, 2)) > policy.zero_operator_tol]
+
+
+def _control_diagonal(counts: list[int], dim: int, block) -> KrausChannel:
+    """One operator per tuple of picks, block-diagonal in an n-level control.
+
+    ``block(j)`` is control value j's ``dim`` x ``dim`` block of every
+    operator, broadcast over the n tuple axes.  Each block goes into the stack
+    and is tested for zeros there, so no temporary exceeds one block.
+    """
+    n = len(counts)
+    ops = np.zeros(tuple(counts) + (dim, n, dim, n), dtype=complex)
+    live = np.zeros(tuple(counts), dtype=bool)
+    for j in range(n):
+        ops[..., :, j, :, j] = blk = block(j)
+        live |= np.abs(blk).max(axis=(-2, -1)) > policy.zero_operator_tol
+    return KrausChannel(ops.reshape(-1, dim * n, dim * n)[live.ravel()])
 
 
 def _on_own_axis(stacks: list[np.ndarray]) -> list[np.ndarray]:
@@ -79,13 +96,10 @@ def cyclic_switch(channels: list[KrausChannel]) -> KrausChannel:
         raise ValueError("all channels must be square with equal dimension")
     guard_dimension(d * n, "cyclic switch", math.prod(ch.n_kraus for ch in channels))
     stacks = _on_own_axis([ch.kraus for ch in channels])
-    ops = np.zeros(tuple(ch.n_kraus for ch in channels) + (d, n, d, n), dtype=complex)
-    for j in range(n):
-        prod_op = stacks[j]
-        for k in range(1, n):
-            prod_op = prod_op @ stacks[(j + k) % n]
-        ops[..., :, j, :, j] = prod_op  # the block of control value j
-    return KrausChannel(_drop_zero(ops.reshape(-1, d * n, d * n)))
+    return _control_diagonal(  # channel j acts last on control value j
+        [ch.n_kraus for ch in channels], d,
+        lambda j: functools.reduce(np.matmul, stacks[j:] + stacks[:j]),
+    )
 
 
 def controlled_choice(channels: list[ExtendedChannel]) -> KrausChannel:
@@ -106,12 +120,13 @@ def controlled_choice(channels: list[ExtendedChannel]) -> KrausChannel:
     guard_dimension(dd * n, "controlled choice", math.prod(c.realized.n_kraus for c in channels))
     stacks = _on_own_axis([c.realized.kraus for c in channels])
     amps = _on_own_axis([c.amplitudes for c in channels])
-    ops = np.zeros(tuple(c.realized.n_kraus for c in channels) + (dd, n, dd, n), dtype=complex)
-    for j in range(n):
+
+    def block(j: int) -> np.ndarray:
         # the other channels' vacuum amplitudes, multiplied in channel order
         coeff = math.prod((amps[l] for l in range(n) if l != j), start=np.ones((1,) * n))
-        ops[..., :, j, :, j] = coeff[..., None, None] * stacks[j]  # control value j
-    return KrausChannel(_drop_zero(ops.reshape(-1, dd * n, dd * n)))
+        return coeff[..., None, None] * stacks[j]
+
+    return _control_diagonal([c.realized.n_kraus for c in channels], dd, block)
 
 
 def coincidence_extensions(d: int) -> list[ExtendedChannel]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -699,7 +700,8 @@ def projective_measure(
         else:
             state = DensityMatrix._of_block(new_layout, support, block / p)
             branches.append(MeasurementBranch(k, p, state))
-    total = sum(b.probability for b in branches)
+    # left to right on every Python: 3.12's builtin sum() of floats is compensated
+    total = functools.reduce(operator.add, (b.probability for b in branches), 0.0)
     if not abs(total - 1.0) <= policy.spectral_tol:  # NaN too
         raise ValueError(f"branch probabilities sum to {total!r}, not 1")
     return branches

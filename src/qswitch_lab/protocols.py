@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,8 +154,9 @@ class ResourceState:
         spec = tuple(float(s) for s in spectrum)
         if not all(s >= -policy.structural_tol for s in spec):  # rejects NaN too
             raise ValueError("Schmidt spectrum entries must be nonnegative")
-        if not abs(sum(spec) - 1.0) <= policy.structural_tol:
-            raise ValueError(f"Schmidt spectrum sums to {sum(spec)!r}, not 1")
+        total = functools.reduce(operator.add, spec, 0.0)  # left to right on every Python
+        if not abs(total - 1.0) <= policy.structural_tol:
+            raise ValueError(f"Schmidt spectrum sums to {total!r}, not 1")
         d = len(spec)
         guard_dimension(d * d, "resource")
         amps = np.zeros(d * d, dtype=complex)
@@ -247,10 +249,8 @@ def _private_dit(d: int, x: int, resource: ResourceState) -> tuple[ProtocolTrans
     bras = [v.conj() for v in kets]
     joint = np.zeros((d, d))
     branches: list[Branch] = []
-    charlie_pmf = np.zeros(d)
     measured = projective_measure(rho2, fb, "C")
     for cb in measured:
-        charlie_pmf[cb.outcome] = cb.probability
         if cb.state is None:
             branches.append(Branch(cb.outcome, 0.0, None, None, None))
             continue
@@ -262,17 +262,13 @@ def _private_dit(d: int, x: int, resource: ResourceState) -> tuple[ProtocolTrans
             p = _clamp(float(np.real(bra @ m @ v)) * cb.probability,
                        "receiver outcome probability", math.inf)
             joint[mb, cb.outcome] = p
-            decoded = (mb + cb.outcome) % d
-            branches.append(
-                Branch(cb.outcome, p, (mb,), decoded, None if p < policy.null_branch_tol else cb.state)
-            )
+            branches.append(Branch(cb.outcome, p, (mb,), (mb + cb.outcome) % d,
+                                   None if p < policy.null_branch_tol else cb.state))
 
-    success = float(
-        sum(joint[mb, mc] for mb in range(d) for mc in range(d) if (mb + mc) % d == x)
-    )
+    success = float(sum(joint[mb, (x - mb) % d] for mb in range(d)))  # the cells decoding to x
     metrics = {
         "success_probability": success,
-        "charlie_pmf": charlie_pmf.tolist(),
+        "charlie_pmf": [cb.probability for cb in measured],
         "joint_pmf": joint.tolist(),
         "branch_probability_total": float(joint.sum()),
     }
@@ -306,12 +302,9 @@ def _shared_dimension(transcripts: list[ProtocolTranscript]) -> int:
     """The dimension d of a nonempty list of transcripts of one d and resource."""
     if not transcripts:
         raise ValueError("need at least one transcript")
-    d = transcripts[0].params["d"]
-    res = transcripts[0].params["resource"]
-    for t in transcripts:
-        if t.params["d"] != d or t.params["resource"] != res:
-            raise ValueError("transcripts must share dimension and resource")
-    return d
+    if len({(t.params["d"], t.params["resource"]) for t in transcripts}) > 1:
+        raise ValueError("transcripts must share dimension and resource")
+    return transcripts[0].params["d"]
 
 
 def decode_summary(transcripts: list[ProtocolTranscript]) -> dict:
@@ -367,62 +360,52 @@ def _establishment_run(
 
     # the pre-measurement GGM is an optional diagnostic: past the bipartition
     # cap it is skipped with a recorded reason instead of aborting the run
-    pre_ggm = ggm_skipped = None
+    metrics = {}
     if sent.is_pure():
         parties = sent.layout.n_subsystems
         if parties > policy.max_ggm_parties:
-            ggm_skipped = (
+            metrics["pre_measurement_ggm_skipped"] = (
                 f"{parties} parties exceed the bipartition cap of {policy.max_ggm_parties}"
             )
         else:
-            pre_ggm = ggm(sent.to_ket(), sent.layout)
+            metrics["pre_measurement_ggm"] = ggm(sent.to_ket(), sent.layout)
 
     target = ghz_ket(d, n_receivers + 1)
-    fb = fourier_basis(d)
+    measured = projective_measure(sent, fourier_basis(d), "C")
     branches: list[Branch] = []
-    charlie_pmf = np.zeros(d)
-    fidelities = []
-    weighted_sum = 0.0
-    all_max_ent = True
-    # only the qubit pair reads the branch average, for its concurrence
-    avg_state = np.zeros((4, 4), dtype=complex) if (d, n_receivers) == (2, 1) else None
-    for cb in projective_measure(sent, fb, "C"):
-        charlie_pmf[cb.outcome] = cb.probability
+    for cb in measured:
         if cb.state is None:
             branches.append(Branch(cb.outcome, 0.0, None, None, None))
             continue
         corrected = apply_unitary(cb.state, phase_unitary(cb.outcome, d), (recv_labels[0],))
-        fid = fidelity_with_ket(corrected, target)
-        fidelities.append(fid)
-        weighted_sum += cb.probability * fid
-        if avg_state is not None:
-            avg_state += cb.probability * corrected.entries
-        branch_metrics = {"fidelity": fid}
+        branch_metrics = {"fidelity": fidelity_with_ket(corrected, target)}
         if corrected.is_pure():
-            branch_metrics["maximally_entangled"] = is_max_ent = is_maximally_entangled(
+            branch_metrics["maximally_entangled"] = is_maximally_entangled(
                 corrected.to_ket(), corrected.layout, (corrected.layout.labels[0],)
             )
-            all_max_ent = all_max_ent and is_max_ent
-        else:
-            all_max_ent = False
-        branches.append(
-            Branch(cb.outcome, cb.probability, (), None, corrected, branch_metrics)
-        )
+        branches.append(Branch(cb.outcome, cb.probability, (), None, corrected, branch_metrics))
 
-    metrics = {
-        "fidelity_mean": float(weighted_sum),
-        "fidelity_min": float(min(fidelities)) if fidelities else 0.0,
-        "charlie_pmf": charlie_pmf.tolist(),
-        "maximally_entangled_all_branches": bool(all_max_ent),
-    }
-    if pre_ggm is not None:
-        metrics["pre_measurement_ggm"] = float(pre_ggm)
-    if ggm_skipped is not None:
-        metrics["pre_measurement_ggm_skipped"] = ggm_skipped
-    if avg_state is not None:
-        out_layout = SubsystemLayout((d, d), ("A", recv_labels[0]))
+    # every figure of merit is read off the measurement and the live branches;
+    # each sum runs left to right on every Python, which a builtin sum() of
+    # floats does not (3.12's is compensated)
+    live = [b for b in branches if b.state is not None]
+    fidelity_mean = 0.0
+    for b in live:
+        fidelity_mean += b.probability * b.metrics["fidelity"]
+    metrics.update(
+        fidelity_mean=fidelity_mean,
+        fidelity_min=min((b.metrics["fidelity"] for b in live), default=0.0),
+        charlie_pmf=[cb.probability for cb in measured],
+        # a mixed branch state has no "maximally_entangled" entry
+        maximally_entangled_all_branches=all(
+            b.metrics.get("maximally_entangled", False) for b in live),
+    )
+    if (d, n_receivers) == (2, 1):  # only the qubit pair reads the branch average
+        avg_state = np.zeros((4, 4), dtype=complex)
+        for b in live:
+            avg_state += b.probability * b.state.entries
         metrics["average_output_concurrence"] = concurrence_2qubit(
-            DensityMatrix(avg_state, out_layout)
+            DensityMatrix(avg_state, SubsystemLayout((d, d), ("A", recv_labels[0])))
         )
     return ProtocolTranscript(
         protocol_id,
@@ -522,12 +505,14 @@ def _discrimination_success(states: list[np.ndarray]) -> float:
 
 def dfs_phase_encodings(d: int) -> list[DensityMatrix]:
     """The phased maximally entangled family as target-control encodings."""
+    guard_dimension(d * d, "encodings")
     layout = SubsystemLayout((d, d), ("T", "C"))
     return [ghz_ket(d, 2, x).density(layout) for x in range(d)]
 
 
 def classical_flag_encodings(d: int) -> list[DensityMatrix]:
     """Encodings that copy the message into the control: |0>(x)|x>."""
+    guard_dimension(d * d, "encodings")
     layout = SubsystemLayout((d, d), ("T", "C"))
     return [tensor(basis_ket(d, 0), basis_ket(d, x)).density(layout) for x in range(d)]
 

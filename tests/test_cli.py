@@ -238,6 +238,16 @@ class TestRun:
             "Error: resource needs total dimension 4225, above the configured limit of 4096"
         )
 
+    @pytest.mark.parametrize("encodings", ["dfs-phase", "classical-flag"])
+    def test_fixed_baseline_guarded(self, runner, encodings):
+        result = runner.invoke(
+            main, ["run", "fixed-baseline", "--d", "65", "--encodings", encodings]
+        )
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == (
+            "Error: encodings needs total dimension 4225, above the configured limit of 4096"
+        )
+
     def test_fixed_baseline(self, runner):
         result = runner.invoke(main, ["run", "fixed-baseline", "--d", "2"])
         assert result.exit_code == 0, result.output

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -208,6 +209,23 @@ class TestCyclicSwitch:
             lambda: controlled_choice(extended),
             "controlled choice needs 46656 matrices of dimension 42 ",
         )
+
+    @pytest.mark.parametrize("combination", ["order", "choice"])
+    def test_peak_near_the_stack(self, combination):
+        # 5^5 operators of dimension 25 (31 MB) or 30 (45 MB): each control
+        # block goes into the stack as it is formed and is tested for zeros
+        # there, so the build peaks within 1.2x of the stack, not at 1.5x
+        if combination == "order":
+            channels, build, dim = [erasing_channel(5, j) for j in range(5)], cyclic_switch, 25
+        else:
+            channels, build, dim = coincidence_extensions(5), controlled_choice, 30
+        tracemalloc.start()
+        try:
+            assert build(channels).n_kraus == 21
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 5**5 * dim**2 * 16, peak
 
     def test_size_rule_boundary(self, monkeypatch):
         # two qubit channels give 4 operators of dimension 4, 4 * 4^2 entries:

@@ -493,6 +493,46 @@ class TestGHZ:
             run_ghz_distribution(2, 0, ResourceState.maximally_entangled(2))
 
 
+class TestDerivedMetrics:
+    """A run's figures of merit are functions of its controller measurement
+    and its branch records, to the bit: the mean is the left-to-right sum,
+    on every Python (3.12's builtin ``sum()`` of floats is compensated)."""
+
+    @staticmethod
+    def _dirichlet_resource(d, seed):
+        return ResourceState.from_schmidt(np.random.default_rng(seed).dirichlet(np.ones(d)))
+
+    @staticmethod
+    def _controller_pmf(t, d):
+        measured = qswitch_lab.projective_measure(
+            t.stage("transmitted"), qswitch_lab.fourier_basis(d), "C"
+        )
+        return [cb.probability for cb in measured]
+
+    # a compensated sum differs from the left-to-right one in 5 of these 48
+    # runs: (3, 1) and (3, 2) at seed 5, (5, 1) at seeds 1, 4 and 5
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (5, 1), (2, 3), (3, 2), (4, 2)])
+    def test_establishment_metrics_from_records(self, d, n, seed):
+        t = run_ghz_distribution(d, n, self._dirichlet_resource(d, seed))
+        live = [b for b in t.branches if b.state is not None]
+        mean = 0.0
+        for b in live:
+            mean += b.probability * b.metrics["fidelity"]
+        assert t.metrics["fidelity_mean"] == mean
+        assert t.metrics["fidelity_min"] == min(b.metrics["fidelity"] for b in live)
+        assert t.metrics["charlie_pmf"] == self._controller_pmf(t, d)
+        assert t.metrics["maximally_entangled_all_branches"] == all(
+            b.metrics.get("maximally_entangled", False) for b in live
+        )
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_private_dit_controller_pmf_from_measurement(self, d, seed):
+        t = run_private_dit(d, d - 1, self._dirichlet_resource(d, seed))
+        assert t.metrics["charlie_pmf"] == self._controller_pmf(t, d)
+
+
 # ---------------------------------------------------------------------------
 # Fixed-configuration baseline
 # ---------------------------------------------------------------------------
@@ -528,6 +568,13 @@ class TestFixedBaseline:
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError, match="one encoded state"):
             fixed_configuration_baseline(2, dfs_phase_encodings(3))
+
+    @pytest.mark.parametrize("encode", [dfs_phase_encodings, classical_flag_encodings])
+    def test_encodings_guarded_before_building(self, encode):
+        # d target-control states of dimension d^2: d = 65 gives 4225 > 4096
+        refused_before_allocating(
+            lambda: encode(65), "encodings needs total dimension 4225, above the configured limit"
+        )
 
 
 # ---------------------------------------------------------------------------
