@@ -57,7 +57,8 @@ def _control_diagonal(counts: list[int], dim: int, block) -> KrausChannel:
     for j in range(n):
         ops[..., :, j, :, j] = blk = block(j)
         live |= np.abs(blk).max(axis=(-2, -1)) > policy.zero_operator_tol
-    return KrausChannel(ops.reshape(-1, dim * n, dim * n)[live.ravel()])
+    ops = ops.reshape(-1, dim * n, dim * n)
+    return KrausChannel(ops if live.all() else ops[live.ravel()])  # no copy when all live
 
 
 def _on_own_axis(stacks: list[np.ndarray]) -> list[np.ndarray]:

@@ -692,8 +692,10 @@ def projective_measure(
         t1 = np.dot(v.conj().reshape(1, s), rows).reshape(t.shape[1:])  # (q, l, r) or (q, r, l)
         t2 = np.dot(v.reshape(1, s), t1.transpose(bra).reshape(s, -1))  # (1, q r)
         support, block = _trimmed(rest, t2.reshape(rest.size, rest.size), out_dim)
-        diagonal = np.zeros(out_dim, dtype=complex)
-        diagonal[support] = block.diagonal()
+        diagonal = block.diagonal()
+        if support.size < out_dim:  # a trimmed block: the zeros go in place
+            diagonal = np.zeros(out_dim, dtype=complex)
+            diagonal[support] = block.diagonal()
         p = float(np.real(diagonal.sum()))
         if p < policy.null_branch_tol:
             branches.append(MeasurementBranch(k, 0.0, None))
@@ -764,10 +766,13 @@ def fidelity_with_ket(rho: DensityMatrix, psi: Ket) -> float:
     if rho.dim != psi.dim:
         raise ValueError("dimension mismatch")
     v = psi.amplitudes
-    # the support columns over every row: each sum runs over the whole index
-    # range and so groups its terms as the product with the whole matrix does
-    cols = np.zeros((rho.dim, rho.support.size), dtype=complex)
-    cols[rho.support] = rho.block
-    u = np.zeros(rho.dim, dtype=complex)
-    u[rho.support] = v.conj() @ cols
+    if rho.support.size == rho.dim:  # the whole matrix, in C order as a copy has it
+        u = v.conj() @ np.ascontiguousarray(rho.block)
+    else:
+        # the support columns over every row: each sum runs over the whole index
+        # range and so groups its terms as the product with the whole matrix does
+        cols = np.zeros((rho.dim, rho.support.size), dtype=complex)
+        cols[rho.support] = rho.block
+        u = np.zeros(rho.dim, dtype=complex)
+        u[rho.support] = v.conj() @ cols
     return _clamp(float(np.real(u @ v)), "fidelity")

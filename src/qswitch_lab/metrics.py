@@ -121,7 +121,7 @@ def mutual_information(joint_pmf) -> float:
     total = p.sum()
     if abs(total - 1.0) > policy.spectral_tol:
         raise ValueError(f"pmf sums to {total!r}, not 1")
-    p = np.clip(p, 0.0, None)
+    p = np.clip(p, 0.0, None) / total  # a sum off 1 within the check must not push mi below 0
     px = p.sum(axis=1)
     py = p.sum(axis=0)
     mi = 0.0

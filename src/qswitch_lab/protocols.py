@@ -335,9 +335,12 @@ def decode_summary(transcripts: list[ProtocolTranscript]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _establishment_run(
-    d: int, n_receivers: int, resource: ResourceState, protocol_id: str
-) -> ProtocolTranscript:
+def _establishment_core(d: int, n_receivers: int, resource: ResourceState, protocol_id: str):
+    """The measured core of a run: its stages, the controller's measurement,
+    the corrected branches with their fidelities and the branch-averaged
+    fidelity, all a sweep row needs; the transcript adds the diagnostics."""
+    if n_receivers < 1:
+        raise ValueError("need at least one receiver")
     guard_dimension(d ** (n_receivers + 2), protocol_id)
     send_labels = tuple(f"A{i}" for i in range(1, n_receivers + 1))
     recv_labels = tuple(f"B{i}" for i in range(1, n_receivers + 1))
@@ -358,8 +361,32 @@ def _establishment_run(
     sent = sent.relabel(dict(zip(send_labels, recv_labels)))
     stages.append(StageRecord("transmitted", sent))
 
+    target = ghz_ket(d, n_receivers + 1)
+    measured = projective_measure(sent, fourier_basis(d), "C")
+    branches: list[Branch] = []
+    # left to right on every Python, which a builtin sum() of floats is not
+    # (3.12's is compensated)
+    fidelity_mean = 0.0
+    for cb in measured:
+        if cb.state is None:
+            branches.append(Branch(cb.outcome, 0.0, None, None, None))
+            continue
+        corrected = apply_unitary(cb.state, phase_unitary(cb.outcome, d), (recv_labels[0],))
+        f = fidelity_with_ket(corrected, target)
+        fidelity_mean += cb.probability * f
+        branches.append(Branch(cb.outcome, cb.probability, (), None, corrected, {"fidelity": f}))
+    return stages, measured, branches, fidelity_mean
+
+
+def _establishment_run(
+    d: int, n_receivers: int, resource: ResourceState, protocol_id: str
+) -> ProtocolTranscript:
+    """The measured core, and the diagnostics read off its stages and branches."""
+    stages, measured, branches, fidelity_mean = _establishment_core(
+        d, n_receivers, resource, protocol_id)
     # the pre-measurement GGM is an optional diagnostic: past the bipartition
     # cap it is skipped with a recorded reason instead of aborting the run
+    sent = stages[-1].state
     metrics = {}
     if sent.is_pure():
         parties = sent.layout.n_subsystems
@@ -370,33 +397,16 @@ def _establishment_run(
         else:
             metrics["pre_measurement_ggm"] = ggm(sent.to_ket(), sent.layout)
 
-    target = ghz_ket(d, n_receivers + 1)
-    measured = projective_measure(sent, fourier_basis(d), "C")
-    branches: list[Branch] = []
-    for cb in measured:
-        if cb.state is None:
-            branches.append(Branch(cb.outcome, 0.0, None, None, None))
-            continue
-        corrected = apply_unitary(cb.state, phase_unitary(cb.outcome, d), (recv_labels[0],))
-        branch_metrics = {"fidelity": fidelity_with_ket(corrected, target)}
-        if corrected.is_pure():
-            branch_metrics["maximally_entangled"] = is_maximally_entangled(
-                corrected.to_ket(), corrected.layout, (corrected.layout.labels[0],)
-            )
-        branches.append(Branch(cb.outcome, cb.probability, (), None, corrected, branch_metrics))
-
-    # every figure of merit is read off the measurement and the live branches;
-    # each sum runs left to right on every Python, which a builtin sum() of
-    # floats does not (3.12's is compensated)
     live = [b for b in branches if b.state is not None]
-    fidelity_mean = 0.0
     for b in live:
-        fidelity_mean += b.probability * b.metrics["fidelity"]
+        if b.state.is_pure():  # a mixed branch state has no "maximally_entangled" entry
+            b.metrics["maximally_entangled"] = is_maximally_entangled(
+                b.state.to_ket(), b.state.layout, (b.state.layout.labels[0],)
+            )
     metrics.update(
         fidelity_mean=fidelity_mean,
         fidelity_min=min((b.metrics["fidelity"] for b in live), default=0.0),
         charlie_pmf=[cb.probability for cb in measured],
-        # a mixed branch state has no "maximally_entangled" entry
         maximally_entangled_all_branches=all(
             b.metrics.get("maximally_entangled", False) for b in live),
     )
@@ -405,15 +415,10 @@ def _establishment_run(
         for b in live:
             avg_state += b.probability * b.state.entries
         metrics["average_output_concurrence"] = concurrence_2qubit(
-            DensityMatrix(avg_state, SubsystemLayout((d, d), ("A", recv_labels[0])))
+            DensityMatrix(avg_state, live[0].state.layout)
         )
-    return ProtocolTranscript(
-        protocol_id,
-        {"d": d, "receivers": n_receivers, "resource": resource.name},
-        stages,
-        branches,
-        metrics,
-    )
+    params = {"d": d, "receivers": n_receivers, "resource": resource.name}
+    return ProtocolTranscript(protocol_id, params, stages, branches, metrics)
 
 
 def run_bipartite_establishment(d: int, resource: ResourceState) -> ProtocolTranscript:
@@ -433,8 +438,6 @@ def run_ghz_distribution(d: int, n_receivers: int, resource: ResourceState) -> P
     coincidence channel; only the first receiver needs to apply the
     correction.  N = 1 reproduces the bipartite transcript metrics.
     """
-    if n_receivers < 1:
-        raise ValueError("need at least one receiver")
     return _establishment_run(d, n_receivers, resource, "ghz")
 
 
@@ -534,13 +537,14 @@ def necessity_sweep(
     """Protocol quality across a grid of resource Schmidt spectra.
 
     One row per spectrum with the protocol metric (worst-case success for
-    the private dit, branch-averaged target fidelity otherwise), the
-    resource's top-Schmidt gap above uniform, its concurrence when d = 2,
-    and a per-row perfection flag.  The summary certifies whether the
-    metric reaches 1 only at the uniform spectrum and whether it is
-    monotone in the resource entanglement.  Encodings are fixed to the
-    constructive family (phase encodings on the noiseless span), so this is
-    construction-family necessity, not an optimization over all encodings.
+    the private dit, branch-averaged target fidelity otherwise, from the
+    run's measured core alone), the resource's top-Schmidt gap above uniform,
+    its concurrence when d = 2, and a per-row perfection flag.  The summary
+    certifies whether the metric reaches 1 only at the uniform spectrum and
+    whether it is monotone in the resource entanglement.  Encodings are
+    fixed to the constructive family (phase encodings on the noiseless
+    span), so this is construction-family necessity, not an optimization
+    over all encodings.
     """
     rows = []
     for spec in spectra:
@@ -559,12 +563,9 @@ def necessity_sweep(
             row["metric"] = min(t.metrics["success_probability"] for t in transcripts)
             if d == 2:
                 row["optimal_decode_success"] = _optimal_two_state_success(*measured)
-        elif protocol == "bipartite":
-            row["metric"] = run_bipartite_establishment(d, resource).metrics["fidelity_mean"]
-        elif protocol == "ghz":
-            row["metric"] = run_ghz_distribution(d, n_receivers, resource).metrics[
-                "fidelity_mean"
-            ]
+        elif protocol in ("bipartite", "ghz"):  # the measured core, no diagnostics
+            receivers = n_receivers if protocol == "ghz" else 1
+            row["metric"] = _establishment_core(d, receivers, resource, protocol)[3]
         else:
             raise ValueError(f"unknown protocol tag {protocol!r}")
         row["is_perfect"] = bool(row["metric"] >= 1.0 - _PERFECT_SLACK)

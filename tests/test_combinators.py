@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from functools import reduce
 from itertools import product
@@ -293,6 +294,22 @@ class TestControlledChoice:
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-14
 
+    def test_all_live_stack_is_not_copied(self):
+        # random amplitudes leave every one of the 4^4 operators of dimension
+        # 20 (1.6 MB) live: the stack goes to the channel as built, without a
+        # fancy-index copy, so the build peaks near 3x the stack (4.07x with
+        # the copy), and the operators keep their bytes
+        exts = random_extensions(4, np.random.default_rng(7))  # verify's seed
+        tracemalloc.start()
+        try:
+            kraus = controlled_choice(exts).kraus
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kraus.shape == (256, 20, 20)
+        assert peak <= 3.5 * kraus.nbytes, peak / kraus.nbytes
+        assert hashlib.sha256(kraus.tobytes()).hexdigest() == (
+            "fe830fec2b7ffeafbcf7af0f116069ace525d89dffc73113fdd71b1799e077a1")
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_coincidence_with_order_control(self, d):

@@ -204,14 +204,25 @@ class TestMutualInformation:
         assert abs(mutual_information(p) - oracle) < 1e-12
 
     def test_negative_round_off_bounded_by_spectral_tol(self, monkeypatch):
-        # a product pmf summing to 1 + 5e-11 has mutual information
-        # -log2(1 + 5e-11), about -7.2e-11: within the default spectral
-        # tolerance it reads 0.0, past a tighter one it raises
-        p = np.outer([0.3, 0.7], [0.6, 0.4]) * (1 + 5e-11)
+        # this product pmf sums to exactly 1.0 and its mutual information
+        # rounds to about -2.5e-16: within the default spectral tolerance it
+        # reads 0.0, past a tighter one it raises
+        p = np.outer([0.1, 0.9], [0.4, 0.6])
+        assert p.sum() == 1.0
         assert mutual_information(p) == 0.0
-        monkeypatch.setattr(policy, "spectral_tol", 6e-11)
-        with pytest.raises(ValueError, match="mutual information is -7.2"):
+        monkeypatch.setattr(policy, "spectral_tol", 1e-16)
+        with pytest.raises(ValueError, match="mutual information is -2.4"):
             mutual_information(p)
+
+    @pytest.mark.parametrize("scale", [1 + 5e-11, 1 + 0.9e-10, 1 - 0.9e-10])
+    def test_sum_within_tolerance_is_normalized(self, scale):
+        # a pmf the sum check admits is normalized before the logs: a product
+        # pmf off 1 by up to the tolerance once gave about -1.44 x (sum - 1)
+        # and raised; now it gives the bits of the pmf that sums to 1.0
+        exact = np.outer([0.3, 0.7], [0.6, 0.4])
+        assert exact.sum() == 1.0
+        assert mutual_information(exact * scale) == mutual_information(exact)
+        assert 0.0 <= mutual_information(exact * scale) < 1e-15
 
     def test_invalid_pmf(self):
         with pytest.raises(ValueError, match="sums"):

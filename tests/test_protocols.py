@@ -630,6 +630,30 @@ class TestNecessitySweep:
         necessity_sweep("private-dit", d, spectra)
         assert len(calls) == d * len(spectra)
 
+    D3_SPECTRA = [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2), (0.6, 0.4, 0.0), (1.0, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("protocol,d,n", [
+        ("bipartite", 2, 1), ("ghz", 2, 2), ("ghz", 2, 3), ("ghz", 2, 4),
+        ("bipartite", 3, 1), ("ghz", 3, 2),
+    ])
+    def test_establishment_row_runs_only_the_measured_core(self, protocol, d, n, monkeypatch):
+        spectra = [(a, 1 - a) for a in np.linspace(0, 1, 11)] if d == 2 else self.D3_SPECTRA
+        resources = [ResourceState.from_schmidt(spec) for spec in spectra]
+        full = [run_bipartite_establishment(d, res) if protocol == "bipartite"
+                else run_ghz_distribution(d, n, res) for res in resources]
+
+        def unread(*args):
+            raise AssertionError("a sweep row computed a transcript diagnostic")
+
+        for name in ("ggm", "is_maximally_entangled", "concurrence_2qubit"):
+            monkeypatch.setattr(protocols, name, unread)
+        with pytest.raises(AssertionError, match="diagnostic"):  # the transcript computes them
+            run_ghz_distribution(d, n, resources[0])
+        table = necessity_sweep(protocol, d, spectra, n_receivers=n)
+        assert [row["metric"] for row in table["rows"]] == [t.metrics["fidelity_mean"] for t in full]
+        with pytest.raises(ValueError, match="at least one receiver"):
+            necessity_sweep("ghz", d, spectra, n_receivers=0)
+
     def test_bipartite_product_resource_is_useless(self):
         table = necessity_sweep("bipartite", 2, [(0.0, 1.0), (1.0, 0.0)])
         for row in table["rows"]:

@@ -27,6 +27,7 @@ from qswitch_lab import (
     ResourceState,
     SubsystemLayout,
     clone_extend_unitary,
+    fidelity_with_ket,
     fourier_basis,
     ghz_ket,
     k_multiline,
@@ -37,7 +38,9 @@ from qswitch_lab import (
     run_private_dit,
 )
 from qswitch_lab import channels, linalg
-from qswitch_lab.linalg import _trimmed
+from qswitch_lab.linalg import _clamp, _trimmed
+
+from conftest import random_density, random_ket
 
 
 def dense_embedded(m, dims, positions, kernel):
@@ -270,6 +273,70 @@ def test_measurement_products_equal_the_tensordot_path_on_a_partial_support(labe
         assert (branch.state is None) == (m is None)
         if m is not None:
             assert_support_block_of(branch.state, m)
+
+
+# full-support states of dimension 4, 8 and 16, and trimmed states of
+# dimension 40 whose measured block is trimmed too (outcome dimension 20)
+KERNEL_STATES = [((2, 2), None), ((2, 2, 2), None), ((2, 2, 4), None), ((2, 4, 5), 9)]
+
+
+def kernel_state(dims, size, seed):
+    if size is None:
+        rng = np.random.default_rng(seed)
+        labels = ("A", "B", "C")[:len(dims)]
+        return random_density(math.prod(dims), rng, SubsystemLayout(dims, labels))
+    return partial_support_state(dims, size, 3, seed)
+
+
+def whole_range_fidelity(rho, psi):
+    """``fidelity_with_ket`` as it was for every support: the support
+    columns scattered over every row, the product scattered back."""
+    v = psi.amplitudes
+    cols = np.zeros((rho.dim, rho.support.size), dtype=complex)
+    cols[rho.support] = rho.block
+    u = np.zeros(rho.dim, dtype=complex)
+    u[rho.support] = v.conj() @ cols
+    return _clamp(float(np.real(u @ v)), "fidelity")
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize("dims,size", KERNEL_STATES)
+def test_fidelity_kernel_equals_the_whole_range_formula(dims, size, seed):
+    rho = kernel_state(dims, size, seed)
+    assert (rho.support.size == rho.dim) == (size is None)
+    psi = random_ket(rho.dim, np.random.default_rng(seed + 100))
+    fortran = DensityMatrix._unchecked(rho.layout, rho.support, np.asfortranarray(rho.block))
+    for state in (rho, fortran):  # a block in either memory order
+        assert fidelity_with_ket(state, psi) == whole_range_fidelity(state, psi)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize("dims,size", KERNEL_STATES)
+def test_measurement_kernel_equals_the_whole_range_formula(dims, size, seed, monkeypatch):
+    rho = kernel_state(dims, size, seed)
+    blocks = []  # what ``_trimmed`` hands back, in call order
+
+    def recording(support, block, n):
+        blocks.append(_trimmed(support, block, n))
+        return blocks[-1]
+
+    monkeypatch.setattr(linalg, "_trimmed", recording)
+    for label in rho.layout.labels:
+        s = rho.layout.dims[rho.layout.index_of(label)]
+        g = np.random.default_rng(seed).normal(size=(s, s, 2)) @ [1, 1j]
+        branches = projective_measure(rho, [Ket(v) for v in np.linalg.qr(g)[0].T], label)
+        out_dim = rho.dim // s
+        for branch in branches:
+            support, block = blocks.pop(0)  # the branch block, then its state's
+            assert (support.size == out_dim) == (out_dim <= 16)
+            # the trace over the whole diagonal, its zeros in place
+            diagonal = np.zeros(out_dim, dtype=complex)
+            diagonal[support] = block.diagonal()
+            p = float(np.real(diagonal.sum()))
+            assert branch.probability == (0.0 if branch.state is None else p)
+            if branch.state is not None:
+                blocks.pop(0)
+        assert not blocks
 
 
 PLANS = (linalg._split, linalg._grid, linalg._trace_terms, linalg._coincidence_terms)
