@@ -63,7 +63,6 @@ from .protocols import (
     Branch,
     ProtocolTranscript,
     ResourceState,
-    StageRecord,
     classical_flag_encodings,
     clone_extend_unitary,
     clone_permutation,

@@ -53,8 +53,11 @@ class KrausChannel:
             raise ValueError("a channel needs at least one Kraus operator")
         if ops.ndim != 3:
             raise ValueError(f"Kraus operators must be matrices, got a stack of shape {ops.shape}")
-        flat = ops.reshape(-1, ops.shape[2])  # sum_i K_i^dag K_i = flat^dag flat
-        dev = np.abs(flat.conj().T @ flat - np.eye(ops.shape[2])).max()
+        # sum_i K_i^dag K_i = flat^dag flat, over row chunks of 16 MB: no whole conjugate copy
+        flat = ops.reshape(-1, ops.shape[2])
+        step = 2**20 // max(ops.shape[2], 1)
+        gram = sum(f.conj().T @ f for f in (flat[i:i + step] for i in range(0, len(flat), step)))
+        dev = np.abs(gram - np.eye(ops.shape[2])).max()
         if not dev <= policy.spectral_tol:  # rejects NaN too
             raise ValueError(f"not trace preserving: max |sum K^dag K - I| = {dev:.3e}")
         object.__setattr__(self, "kraus", ops)

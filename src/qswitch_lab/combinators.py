@@ -57,6 +57,7 @@ def _control_diagonal(counts: list[int], dim: int, block) -> KrausChannel:
     for j in range(n):
         ops[..., :, j, :, j] = blk = block(j)
         live |= np.abs(blk).max(axis=(-2, -1)) > policy.zero_operator_tol
+    ops.setflags(write=False)  # the channel keeps a read-only stack without a copy
     ops = ops.reshape(-1, dim * n, dim * n)
     return KrausChannel(ops if live.all() else ops[live.ravel()])  # no copy when all live
 

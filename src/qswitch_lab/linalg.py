@@ -36,6 +36,13 @@ from .numeric import policy
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only complex array: ``a`` itself if it is one and no
+    writeable array shares its memory, else a copy."""
+    base = a
+    while isinstance(base, np.ndarray) and base.dtype == complex and not base.flags.writeable:
+        if base.base is None:
+            return a
+        base = base.base
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out

@@ -20,12 +20,13 @@ here (``combinators.k_multiline`` is the oracle it is tested against).
 Likewise the clone fan-out is applied as the basis permutation
 ``clone_permutation`` through ``linalg.permute_basis``, with the dense
 ``clone_extend_unitary`` as its oracle.  All runs are pure functions
-returning a :class:`ProtocolTranscript` with the state after every stage and
-every measurement branch.  The pre-measurement GGM of a GHZ run is skipped,
-with the reason recorded in the metrics, past ``policy.max_ggm_parties``.  A
-fixed-configuration baseline and necessity sweeps over non-uniform Schmidt
-spectra probe why coherent control and maximal resource entanglement are
-needed.
+returning a :class:`ProtocolTranscript`, the one record of a run: the state
+after every stage by name, the controller's measurement and every branch;
+one step of every pipeline transmits and measures.  The pre-measurement GGM
+of a GHZ run is skipped, with the reason recorded in the metrics, past
+``policy.max_ggm_parties``.  A fixed-configuration baseline and necessity
+sweeps over non-uniform Schmidt spectra probe why coherent control and
+maximal resource entanglement are needed.
 """
 
 from __future__ import annotations
@@ -181,12 +182,6 @@ class ResourceState:
 
 
 @dataclass(frozen=True, eq=False)
-class StageRecord:
-    name: str
-    state: DensityMatrix
-
-
-@dataclass(frozen=True, eq=False)
 class Branch:
     controller_outcome: int
     probability: float
@@ -198,17 +193,25 @@ class Branch:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolTranscript:
+    """One run: ``stages`` maps each stage name to its state, in pipeline
+    order; ``measured`` holds the controller's measurement branches, each
+    with its state, and stays out of the JSON and the repr."""
+
     protocol_id: str
     params: dict
-    stages: list[StageRecord]
+    stages: dict[str, DensityMatrix]
     branches: list[Branch]
     metrics: dict
+    measured: list = field(repr=False)
 
-    def stage(self, name: str) -> DensityMatrix:
-        for rec in self.stages:
-            if rec.name == name:
-                return rec.state
-        raise KeyError(f"no stage named {name!r}; have {[r.name for r in self.stages]}")
+
+def _transmit_and_measure(stages: dict, d: int, senders: tuple, receivers: tuple) -> list:
+    """Send the senders of the last stage through the coincidence channel with
+    the controller C, relabel them to the receivers, record the result as
+    the ``transmitted`` stage and measure C in the Fourier basis."""
+    sent = apply_coincidence(next(reversed(stages.values())), senders + ("C",))
+    stages["transmitted"] = sent = sent.relabel(dict(zip(senders, receivers)))
+    return projective_measure(sent, fourier_basis(d), "C")
 
 
 # ---------------------------------------------------------------------------
@@ -226,30 +229,17 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
     +-sign Fourier convention.  A receiver outcome probability below zero
     by round-off reads 0; one below ``-policy.spectral_tol`` raises.
     """
-    return _private_dit(d, x, resource)[0]
-
-
-def _private_dit(d: int, x: int, resource: ResourceState) -> tuple[ProtocolTranscript, list]:
-    """The transcript and the controller's measurement branches, each with
-    its state (the transcript keeps it only on live receiver branches)."""
     guard_dimension(d * d, "private-dit")
     if not 0 <= x < d:
         raise ValueError(f"message {x} out of range for dimension {d}")
     rho0 = resource.state(d)
-    stages = [StageRecord("resource", rho0)]
+    stages = {"resource": rho0, "encoded": apply_unitary(rho0, phase_unitary(x, d), ("A",))}
+    measured = _transmit_and_measure(stages, d, ("A",), ("B",))
 
-    rho1 = apply_unitary(rho0, phase_unitary(x, d), ("A",))
-    stages.append(StageRecord("encoded", rho1))
-
-    rho2 = apply_coincidence(rho1, ("A", "C")).relabel({"A": "B"})
-    stages.append(StageRecord("transmitted", rho2))
-
-    fb = fourier_basis(d)
-    kets = [k.amplitudes for k in fb]
+    kets = [k.amplitudes for k in fourier_basis(d)]
     bras = [v.conj() for v in kets]
     joint = np.zeros((d, d))
     branches: list[Branch] = []
-    measured = projective_measure(rho2, fb, "C")
     for cb in measured:
         if cb.state is None:
             branches.append(Branch(cb.outcome, 0.0, None, None, None))
@@ -273,7 +263,7 @@ def _private_dit(d: int, x: int, resource: ResourceState) -> tuple[ProtocolTrans
         "branch_probability_total": float(joint.sum()),
     }
     params = {"d": d, "x": x, "resource": resource.name}
-    return ProtocolTranscript("private-dit", params, stages, branches, metrics), measured
+    return ProtocolTranscript("private-dit", params, stages, branches, metrics, measured)
 
 
 def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
@@ -284,7 +274,7 @@ def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
     distributions, and the equal-prior Helstrom error for every pair.
     """
     _shared_dimension(transcripts)
-    charlie_states = [partial_trace(t.stage("transmitted"), ("C",)) for t in transcripts]
+    charlie_states = [partial_trace(t.stages["transmitted"], ("C",)) for t in transcripts]
     pmfs = [np.asarray(t.metrics["charlie_pmf"]) for t in transcripts]
     pairs = list(itertools.combinations(range(len(transcripts)), 2))
     tds = {(i, j): trace_distance(charlie_states[i], charlie_states[j]) for i, j in pairs}
@@ -299,9 +289,12 @@ def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
 
 
 def _shared_dimension(transcripts: list[ProtocolTranscript]) -> int:
-    """The dimension d of a nonempty list of transcripts of one d and resource."""
+    """The dimension d of a nonempty private-dit ensemble of one d and resource."""
     if not transcripts:
         raise ValueError("need at least one transcript")
+    kinds = sorted({t.protocol_id for t in transcripts})
+    if kinds != ["private-dit"]:
+        raise ValueError(f"need private-dit transcripts only, got {kinds}")
     if len({(t.params["d"], t.params["resource"]) for t in transcripts}) > 1:
         raise ValueError("transcripts must share dimension and resource")
     return transcripts[0].params["d"]
@@ -337,8 +330,8 @@ def decode_summary(transcripts: list[ProtocolTranscript]) -> dict:
 
 def _establishment_core(d: int, n_receivers: int, resource: ResourceState, protocol_id: str):
     """The measured core of a run: its stages, the controller's measurement,
-    the corrected branches with their fidelities and the branch-averaged
-    fidelity, all a sweep row needs; the transcript adds the diagnostics."""
+    the corrected branches with their fidelities and, as its one metric, the
+    branch-averaged fidelity, all a sweep row needs."""
     if n_receivers < 1:
         raise ValueError("need at least one receiver")
     guard_dimension(d ** (n_receivers + 2), protocol_id)
@@ -346,23 +339,18 @@ def _establishment_core(d: int, n_receivers: int, resource: ResourceState, proto
     recv_labels = tuple(f"B{i}" for i in range(1, n_receivers + 1))
 
     rho0 = resource.state(d)
-    stages = [StageRecord("resource", rho0)]
-
-    extended = rho0
-    for lbl in send_labels:  # a |0> ancilla per receiver
-        extended = tensor(extended, basis_ket(d, 0).density(SubsystemLayout((d,), (lbl,))))
-    extended = extended.reorder(("A",) + send_labels + ("C",))
-    stages.append(StageRecord("extended", extended))
-
-    cloned = permute_basis(extended, clone_permutation(d, n_receivers), ("A",) + send_labels)
-    stages.append(StageRecord("cloned", cloned))
-
-    sent = apply_coincidence(cloned, send_labels + ("C",))
-    sent = sent.relabel(dict(zip(send_labels, recv_labels)))
-    stages.append(StageRecord("transmitted", sent))
+    # one |0..0> state holds the ancilla of every receiver
+    ancillas = basis_ket(d ** n_receivers, 0).density(
+        SubsystemLayout((d,) * n_receivers, send_labels))
+    extended = tensor(rho0, ancillas).reorder(("A",) + send_labels + ("C",))
+    stages = {
+        "resource": rho0,
+        "extended": extended,
+        "cloned": permute_basis(extended, clone_permutation(d, n_receivers), ("A",) + send_labels),
+    }
+    measured = _transmit_and_measure(stages, d, send_labels, recv_labels)
 
     target = ghz_ket(d, n_receivers + 1)
-    measured = projective_measure(sent, fourier_basis(d), "C")
     branches: list[Branch] = []
     # left to right on every Python, which a builtin sum() of floats is not
     # (3.12's is compensated)
@@ -375,38 +363,38 @@ def _establishment_core(d: int, n_receivers: int, resource: ResourceState, proto
         f = fidelity_with_ket(corrected, target)
         fidelity_mean += cb.probability * f
         branches.append(Branch(cb.outcome, cb.probability, (), None, corrected, {"fidelity": f}))
-    return stages, measured, branches, fidelity_mean
+    params = {"d": d, "receivers": n_receivers, "resource": resource.name}
+    metrics = {"fidelity_mean": fidelity_mean}
+    return ProtocolTranscript(protocol_id, params, stages, branches, metrics, measured)
 
 
 def _establishment_run(
     d: int, n_receivers: int, resource: ResourceState, protocol_id: str
 ) -> ProtocolTranscript:
-    """The measured core, and the diagnostics read off its stages and branches."""
-    stages, measured, branches, fidelity_mean = _establishment_core(
-        d, n_receivers, resource, protocol_id)
+    """The measured core, with the diagnostics read off its stages and
+    branches added to its record."""
+    t = _establishment_core(d, n_receivers, resource, protocol_id)
     # the pre-measurement GGM is an optional diagnostic: past the bipartition
     # cap it is skipped with a recorded reason instead of aborting the run
-    sent = stages[-1].state
-    metrics = {}
+    sent = t.stages["transmitted"]
     if sent.is_pure():
         parties = sent.layout.n_subsystems
         if parties > policy.max_ggm_parties:
-            metrics["pre_measurement_ggm_skipped"] = (
+            t.metrics["pre_measurement_ggm_skipped"] = (
                 f"{parties} parties exceed the bipartition cap of {policy.max_ggm_parties}"
             )
         else:
-            metrics["pre_measurement_ggm"] = ggm(sent.to_ket(), sent.layout)
+            t.metrics["pre_measurement_ggm"] = ggm(sent.to_ket(), sent.layout)
 
-    live = [b for b in branches if b.state is not None]
+    live = [b for b in t.branches if b.state is not None]
     for b in live:
         if b.state.is_pure():  # a mixed branch state has no "maximally_entangled" entry
             b.metrics["maximally_entangled"] = is_maximally_entangled(
                 b.state.to_ket(), b.state.layout, (b.state.layout.labels[0],)
             )
-    metrics.update(
-        fidelity_mean=fidelity_mean,
+    t.metrics.update(
         fidelity_min=min((b.metrics["fidelity"] for b in live), default=0.0),
-        charlie_pmf=[cb.probability for cb in measured],
+        charlie_pmf=[cb.probability for cb in t.measured],
         maximally_entangled_all_branches=all(
             b.metrics.get("maximally_entangled", False) for b in live),
     )
@@ -414,11 +402,10 @@ def _establishment_run(
         avg_state = np.zeros((4, 4), dtype=complex)
         for b in live:
             avg_state += b.probability * b.state.entries
-        metrics["average_output_concurrence"] = concurrence_2qubit(
+        t.metrics["average_output_concurrence"] = concurrence_2qubit(
             DensityMatrix(avg_state, live[0].state.layout)
         )
-    params = {"d": d, "receivers": n_receivers, "resource": resource.name}
-    return ProtocolTranscript(protocol_id, params, stages, branches, metrics)
+    return t
 
 
 def run_bipartite_establishment(d: int, resource: ResourceState) -> ProtocolTranscript:
@@ -559,13 +546,13 @@ def necessity_sweep(
         if d == 2:
             row["resource_concurrence"] = float(2.0 * math.sqrt(max(lam[0] * lam[1], 0.0)))
         if protocol == "private-dit":
-            transcripts, measured = zip(*(_private_dit(d, x, resource) for x in range(d)))
-            row["metric"] = min(t.metrics["success_probability"] for t in transcripts)
+            runs = [run_private_dit(d, x, resource) for x in range(d)]
+            row["metric"] = min(t.metrics["success_probability"] for t in runs)
             if d == 2:
-                row["optimal_decode_success"] = _optimal_two_state_success(*measured)
+                row["optimal_decode_success"] = _optimal_two_state_success(*runs)
         elif protocol in ("bipartite", "ghz"):  # the measured core, no diagnostics
-            receivers = n_receivers if protocol == "ghz" else 1
-            row["metric"] = _establishment_core(d, receivers, resource, protocol)[3]
+            t = _establishment_core(d, n_receivers if protocol == "ghz" else 1, resource, protocol)
+            row["metric"] = t.metrics["fidelity_mean"]
         else:
             raise ValueError(f"unknown protocol tag {protocol!r}")
         row["is_perfect"] = bool(row["metric"] >= 1.0 - _PERFECT_SLACK)
@@ -585,11 +572,11 @@ def necessity_sweep(
     return {"protocol": protocol, "d": d, "rows": rows, "summary": summary}
 
 
-def _optimal_two_state_success(measured0: list, measured1: list) -> float:
+def _optimal_two_state_success(t0: ProtocolTranscript, t1: ProtocolTranscript) -> float:
     """Best two-state decode averaged over the controller's announcement,
-    from the controller's measurement branches for messages 0 and 1."""
+    from the controller's measurement of the runs for messages 0 and 1."""
     total = 0.0
-    for b0, b1 in zip(measured0, measured1):
+    for b0, b1 in zip(t0.measured, t1.measured):
         if b0.state is None or b1.state is None:
             continue
         weight = 0.5 * (b0.probability + b1.probability)

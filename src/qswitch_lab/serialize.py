@@ -73,7 +73,7 @@ def transcript_to_dict(
         **report_to_dict(header or {}, t.metrics),
         "protocol": t.protocol_id,
         "params": t.params,
-        "stages": [{"name": s.name, "state": density_to_dict(s.state)} for s in t.stages],
+        "stages": [{"name": n, "state": density_to_dict(s)} for n, s in t.stages.items()],
         "branches": [
             {
                 "controller_outcome": b.controller_outcome,

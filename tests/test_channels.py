@@ -79,6 +79,19 @@ class TestKrausChannel:
         assert ch.kraus[0, 0, 0] == 1.0
         assert erasing_channel(3, 1).kraus.shape == (3, 3, 3)
 
+    def test_stack_copied_unless_nothing_writeable_shares_it(self):
+        frozen = erasing_channel(3, 1).kraus  # read-only, owning its memory
+        assert KrausChannel(frozen).kraus is frozen
+        writeable = frozen.copy()
+        view = writeable[:]
+        view.setflags(write=False)  # read-only, but a writeable array shares it
+        for given in (writeable, view):
+            ch = KrausChannel(given)
+            assert ch.kraus is not given
+            writeable[0, 1, 0] = 5.0  # mutated after construction
+            assert np.array_equal(ch.kraus, frozen)
+            writeable[0, 1, 0] = 1.0
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
     def test_rejects_non_finite_operator(self, bad):

@@ -175,7 +175,7 @@ def test_ghz_at_the_guard_ceiling_is_closed_form(d, receivers):
         # is read here from the ket, whose every cut has top weight max_j lambda_j
         assert "pre_measurement_ggm" not in t.metrics
         assert t.metrics["pre_measurement_ggm_skipped"].startswith(f"{receivers + 2} parties")
-        psi = t.stage("transmitted").to_ket().amplitudes
+        psi = t.stages["transmitted"].to_ket().amplitudes
         span = np.arange(d) * ((psi.size - 1) // (d - 1))  # the index of |j..j>
         assert np.array_equal(np.flatnonzero(psi), span)
         weights = np.abs(psi[span]) ** 2

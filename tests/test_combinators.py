@@ -297,8 +297,8 @@ class TestControlledChoice:
     def test_all_live_stack_is_not_copied(self):
         # random amplitudes leave every one of the 4^4 operators of dimension
         # 20 (1.6 MB) live: the stack goes to the channel as built, without a
-        # fancy-index copy, so the build peaks near 3x the stack (4.07x with
-        # the copy), and the operators keep their bytes
+        # fancy-index copy or a read-only copy, so the build peaks near 2x the
+        # stack, and the operators keep their bytes
         exts = random_extensions(4, np.random.default_rng(7))  # verify's seed
         tracemalloc.start()
         try:
@@ -307,9 +307,26 @@ class TestControlledChoice:
         finally:
             tracemalloc.stop()
         assert kraus.shape == (256, 20, 20)
-        assert peak <= 3.5 * kraus.nbytes, peak / kraus.nbytes
+        assert peak <= 2.5 * kraus.nbytes, peak / kraus.nbytes
         assert hashlib.sha256(kraus.tobytes()).hexdigest() == (
             "fe830fec2b7ffeafbcf7af0f116069ace525d89dffc73113fdd71b1799e077a1")
+
+    def test_all_live_d5_stack_peaks_near_itself(self):
+        # all 5^5 operators of dimension 30 (45 MB) live: the channel keeps
+        # the frozen stack and sums K^dag K over 16 MB row chunks, so the
+        # build peaks within 1.5x of the stack, and the operators keep their
+        # bytes
+        exts = random_extensions(5, np.random.default_rng(7))  # verify's seed
+        tracemalloc.start()
+        try:
+            kraus = controlled_choice(exts).kraus
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kraus.shape == (3125, 30, 30)
+        assert peak <= 1.5 * kraus.nbytes, peak / kraus.nbytes
+        assert hashlib.sha256(kraus.tobytes()).hexdigest() == (
+            "be43ce4888230b31ba417521ebe1457274d78dcd3d029d68ae2efa3d91388ed9")
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_coincidence_with_order_control(self, d):

@@ -80,7 +80,7 @@ def oracle_optimal_two_state_success(runs):
     branch_states = []
     for t in runs:
         per_mc = {}
-        for cb in qswitch_lab.projective_measure(t.stage("transmitted"), fb, "C"):
+        for cb in qswitch_lab.projective_measure(t.stages["transmitted"], fb, "C"):
             per_mc[cb.outcome] = (cb.probability, cb.state)
         branch_states.append(per_mc)
     total = 0.0
@@ -293,8 +293,8 @@ class TestPrivateDit:
 
     def test_transcript_stages_are_recorded(self):
         t = run_private_dit(2, 0, ResourceState.maximally_entangled(2))
-        assert [s.name for s in t.stages] == ["resource", "encoded", "transmitted"]
-        assert t.stage("transmitted").layout.labels == ("B", "C")
+        assert list(t.stages) == ["resource", "encoded", "transmitted"]
+        assert t.stages["transmitted"].layout.labels == ("B", "C")
 
 
 class TestPrivacy:
@@ -323,7 +323,7 @@ class TestPrivacy:
             ResourceState.from_schmidt(rng.dirichlet(np.ones(d))),
         ):
             ts = [run_private_dit(d, x, res) for x in range(d)]
-            marginals = [partial_trace(t.stage("transmitted"), ("C",)) for t in ts]
+            marginals = [partial_trace(t.stages["transmitted"], ("C",)) for t in ts]
             for (i, j), err in privacy_report(ts)["helstrom_errors"].items():
                 assert err == helstrom_error(marginals[i], marginals[j], 0.5)
 
@@ -356,6 +356,22 @@ class TestPrivacy:
         with pytest.raises(ValueError, match="share"):
             privacy_report([a, b])
 
+    @pytest.mark.parametrize("report", [privacy_report, decode_summary])
+    def test_ensemble_holds_private_dit_runs_only(self, report):
+        # each ensemble shares d and the resource, so only the protocol
+        # check tells it from a private-dit ensemble
+        res = ResourceState.maximally_entangled(2)
+        ghz = run_ghz_distribution(2, 2, res)
+        bip = run_bipartite_establishment(2, res)
+        for ensemble, kinds in [
+            ([ghz, ghz], "['ghz']"),
+            ([run_private_dit(2, 0, res), ghz], "['ghz', 'private-dit']"),
+            ([bip, bip], "['bipartite']"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                report(ensemble)
+            assert str(err.value) == f"need private-dit transcripts only, got {kinds}"
+
 
 # ---------------------------------------------------------------------------
 # Entanglement establishment
@@ -366,6 +382,7 @@ class TestBipartite:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_perfect_at_maximal_entanglement(self, d):
         t = run_bipartite_establishment(d, ResourceState.maximally_entangled(d))
+        assert list(t.stages) == ["resource", "extended", "cloned", "transmitted"]
         assert t.metrics["fidelity_min"] > 1 - 1e-10
         for b in t.branches:
             assert b.metrics["fidelity"] > 1 - 1e-10
@@ -455,7 +472,7 @@ class TestGHZ:
         # instead: every state bit for bit, and the metrics
         def parts():
             t = run_ghz_distribution(5, 2, ResourceState.maximally_entangled(5))
-            states = [s.state for s in t.stages]
+            states = list(t.stages.values())
             states += [b.state for b in t.branches if b.state is not None]
             return [s.entries.tobytes() for s in states], repr(t.metrics)
 
@@ -505,7 +522,7 @@ class TestDerivedMetrics:
     @staticmethod
     def _controller_pmf(t, d):
         measured = qswitch_lab.projective_measure(
-            t.stage("transmitted"), qswitch_lab.fourier_basis(d), "C"
+            t.stages["transmitted"], qswitch_lab.fourier_basis(d), "C"
         )
         return [cb.probability for cb in measured]
 
@@ -531,6 +548,48 @@ class TestDerivedMetrics:
     def test_private_dit_controller_pmf_from_measurement(self, d, seed):
         t = run_private_dit(d, d - 1, self._dirichlet_resource(d, seed))
         assert t.metrics["charlie_pmf"] == self._controller_pmf(t, d)
+
+
+class TestRecord:
+    """The transcript is the one record of a run: it carries the controller's
+    measurement of its ``transmitted`` stage, which the JSON and the repr
+    leave out."""
+
+    RUNS = {
+        "private-dit": lambda d, res: run_private_dit(d, d - 1, res),
+        "bipartite": run_bipartite_establishment,
+        "ghz": lambda d, res: run_ghz_distribution(d, 3 if d < 4 else 2, res),
+    }
+
+    # at the maximal resource a private-dit run drops the controller
+    # branch's state from its null receiver branches; the record keeps it
+    @pytest.mark.parametrize("skewed", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("protocol", sorted(RUNS))
+    def test_measured_is_the_controller_measurement(self, protocol, d, skewed):
+        res = (ResourceState.from_schmidt(np.random.default_rng(d).dirichlet(np.ones(d)))
+               if skewed else ResourceState.maximally_entangled(d))
+        t = self.RUNS[protocol](d, res)
+        fresh = qswitch_lab.projective_measure(
+            t.stages["transmitted"], qswitch_lab.fourier_basis(d), "C")
+        assert len(t.measured) == len(fresh) == d
+        for got, want in zip(t.measured, fresh):
+            assert got.outcome == want.outcome
+            assert np.float64(got.probability).tobytes() == np.float64(want.probability).tobytes()
+            assert (got.state is None) == (want.state is None)
+            if want.state is not None:
+                assert got.state.layout == want.state.layout
+                assert np.array_equal(got.state.support, want.state.support)
+                assert got.state.block.tobytes() == want.state.block.tobytes()
+
+    @pytest.mark.parametrize("protocol", sorted(RUNS))
+    def test_measured_stays_out_of_json_and_repr(self, protocol):
+        t = self.RUNS[protocol](2, ResourceState.maximally_entangled(2))
+        assert t.measured
+        assert set(transcript_to_dict(t)) == {
+            "schema", "header", "metrics", "protocol", "params", "stages", "branches"}
+        assert "measured" not in dumps_json(transcript_to_dict(t))
+        assert "measured" not in repr(t) and "MeasurementBranch" not in repr(t)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +752,7 @@ def _array_holders() -> dict:
 
     def build() -> dict:
         t = run_bipartite_establishment(2, ResourceState.maximally_entangled(2))
-        rho = t.stage("resource")
+        rho = t.stages["resource"]
         ext = qswitch_lab.coincidence_extensions(2)
         channel = qswitch_lab.erasing_channel(2, 0)
         return {
@@ -705,7 +764,6 @@ def _array_holders() -> dict:
             "ExtendedChannel": ext[0],
             "ChoiMatrix": qswitch_lab.choi(channel),
             "TDecomposition": qswitch_lab.t_decomposition(ext),
-            "StageRecord": t.stages[0],
             "Branch": t.branches[0],
             "ProtocolTranscript": t,
         }

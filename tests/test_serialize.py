@@ -126,8 +126,8 @@ class TestProtocolTranscripts:
         # unexpanded
         t = run_ghz_distribution(3, 2, ResourceState.maximally_entangled(3))
         payload = transcript_to_dict(t)
-        for stage, out in zip(t.stages, payload["stages"]):
-            assert out["state"]["entries"] is stage.state
+        for (name, state), out in zip(t.stages.items(), payload["stages"]):
+            assert out["name"] == name and out["state"]["entries"] is state
 
 
 class TestSyntheticMatrices:

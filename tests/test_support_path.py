@@ -180,9 +180,9 @@ def test_ghz_stages_and_branches_equal_the_whole_matrix_path(d, n, kind):
     res, rho0 = resource(d, kind)
     t = run_ghz_distribution(d, n, res)
     stages, branches = reference_establishment(d, n, rho0)
-    assert [s.name for s in t.stages] == ["resource", "extended", "cloned", "transmitted"]
-    for record, dense in zip(t.stages, stages):
-        assert_support_block_of(record.state, dense)
+    assert list(t.stages) == ["resource", "extended", "cloned", "transmitted"]
+    for state, dense in zip(t.stages.values(), stages):
+        assert_support_block_of(state, dense)
     assert len(t.branches) == len(branches)
     for branch, dense in zip(t.branches, branches):
         assert (branch.state is None) == (dense is None)
@@ -197,8 +197,8 @@ def test_private_dit_stages_and_branches_equal_the_whole_matrix_path(d, kind):
     x = d // 2
     t = run_private_dit(d, x, res)
     stages, branches = reference_private_dit(d, x, rho0)
-    for record, dense in zip(t.stages, stages):
-        assert_support_block_of(record.state, dense)
+    for state, dense in zip(t.stages.values(), stages):
+        assert_support_block_of(state, dense)
     for branch in t.branches:  # d per controller outcome, sharing its state
         dense = branches[branch.controller_outcome]
         if branch.state is not None:
@@ -217,7 +217,7 @@ def test_guard_ceiling_run_holds_only_support_blocks(d, n):
     finally:
         tracemalloc.stop()
     assert peak < 64e6
-    states = [s.state for s in t.stages[1:]] + [b.state for b in t.branches]
+    states = [*t.stages.values()][1:] + [b.state for b in t.branches]
     assert all(s.support.size == d for s in states)
     assert t.metrics["fidelity_min"] > 1 - 1e-10
     assert t.metrics["maximally_entangled_all_branches"]
@@ -225,7 +225,7 @@ def test_guard_ceiling_run_holds_only_support_blocks(d, n):
 
 def test_entries_are_built_on_request_and_read_only():
     t = run_ghz_distribution(3, 2, ResourceState.maximally_entangled(3))
-    state = t.stage("transmitted")
+    state = t.stages["transmitted"]
     whole = state.entries
     assert whole.shape == (81, 81) and whole is not state.entries
     assert np.array_equal(whole[np.ix_(state.support, state.support)], state.block)
@@ -354,7 +354,7 @@ def test_private_dit_messages_share_their_plans():
     assert [plan.cache_info().misses for plan in PLANS] == built
     # and no plan was built twice
     assert [plan.cache_info().currsize for plan in PLANS] == built
-    state = run_private_dit(10, 3, res).stage("transmitted")
+    state = run_private_dit(10, 3, res).stages["transmitted"]
     for a in linalg._grid(state, [1]):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
