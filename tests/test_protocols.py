@@ -558,7 +558,7 @@ class TestRecord:
     RUNS = {
         "private-dit": lambda d, res: run_private_dit(d, d - 1, res),
         "bipartite": run_bipartite_establishment,
-        "ghz": lambda d, res: run_ghz_distribution(d, 3 if d < 4 else 2, res),
+        "ghz": lambda d, res: run_ghz_distribution(d, 3, res),
     }
 
     # at the maximal resource a private-dit run drops the controller
