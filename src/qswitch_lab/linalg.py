@@ -13,6 +13,15 @@ Composite systems carry a :class:`SubsystemLayout` that assigns a dimension
 and a unique role label to every tensor factor; the leftmost factor is the
 most significant one (``numpy.kron`` convention).
 
+A ``DensityMatrix`` may also hold a stack: R states of one layout and one
+support, its block of shape ``(R, k, k)``.  Each step has one kernel, which
+works on the last two axes of a block and so takes a stack as it takes a
+state: the checks decide every row and raise the first failing row's
+message, a measurement gives each row its probability and null rule, and
+every product reads each row in the memory order of a lone state's, so a
+row rounds as a run of its own.  A stack whose rows do not all hold
+nonzeros on its whole trimmed support raises ``_SupportsDiffer``.
+
 Everything here is a pure function of its inputs.  In particular,
 measurement is exact branch enumeration: :func:`projective_measure` returns
 every outcome with its probability, never a sample, so downstream protocol
@@ -26,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -154,13 +162,22 @@ class Ket:
         """|psi><psi|, its block the outer product of the nonzero amplitudes."""
         if layout is None:
             layout = SubsystemLayout((self.dim,), ("A",))
-        _check_dim(self.dim, layout)
-        a = self.amplitudes
-        # a small state keeps the whole outer product, its signed zeros too;
-        # this saves time only, see _SUPPORT_MIN_DIM
-        support = np.arange(self.dim) if self.dim <= _SUPPORT_MIN_DIM else np.flatnonzero(a)
-        v = a[support]
-        return DensityMatrix._of_block(layout, support, np.outer(v, v.conj()))
+        return _densities(self.amplitudes, layout)
+
+
+def _densities(amplitudes: np.ndarray, layout: SubsystemLayout) -> "DensityMatrix":
+    """|psi><psi| of a ket's amplitudes, or the stack of them over rows of
+    amplitudes, on the indices where some row is nonzero."""
+    dim = amplitudes.shape[-1]
+    _check_dim(dim, layout)
+    # a small state keeps the whole outer product, its signed zeros too;
+    # this saves time only, see _SUPPORT_MIN_DIM
+    if dim <= _SUPPORT_MIN_DIM:
+        support = np.arange(dim)
+    else:
+        support = np.flatnonzero((amplitudes != 0).reshape(-1, dim).any(axis=0))
+    v = amplitudes[..., support]
+    return DensityMatrix._of_block(layout, support, v[..., :, None] * v.conj()[..., None, :])
 
 
 # at or below this dimension a state keeps its whole matrix as its block and
@@ -168,6 +185,17 @@ class Ket:
 # but `_trimmed` scans every small block, and a 101-point d = 2 sweep's protocol
 # work took 8.6 % longer (0.421 -> 0.457 s CPU, 14 pairs, 1 BLAS thread, 2 vCPU)
 _SUPPORT_MIN_DIM = 16
+
+
+class _SupportsDiffer(ValueError):
+    """The rows of a stack do not all hold nonzeros on its whole support."""
+
+
+def _occupied(block: np.ndarray) -> np.ndarray:
+    """Per row of a block (or of each block of a stack), whether the index
+    holds an exactly nonzero entry in its row or its column."""
+    nz = block != 0
+    return nz.any(axis=-1) | nz.any(axis=-2)
 
 
 def _trimmed(support: np.ndarray, block: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,30 +206,65 @@ def _trimmed(support: np.ndarray, block: np.ndarray, n: int) -> tuple[np.ndarray
     every entry outside it is zero.  The support is every index whose row or
     column holds an exactly nonzero entry; a NaN or infinite entry is
     nonzero, so it stays in.  At or below ``_SUPPORT_MIN_DIM`` the support is
-    every index and the block the whole matrix, its signed zeros kept.
+    every index and the block the whole matrix, its signed zeros kept.  A
+    stack of blocks keeps every index that some row holds.
     """
     if n <= _SUPPORT_MIN_DIM:
         if support.size == n:
             return support, block
-        m = np.zeros((n, n), dtype=complex)
-        m[support[:, None], support] = block
+        m = np.zeros(block.shape[:-2] + (n, n), dtype=complex)
+        m[..., support[:, None], support] = block
         return np.arange(n), m
-    nz = block != 0
-    keep = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+    held = _occupied(block)
+    keep = np.flatnonzero(held.reshape(-1) if held.size == support.size else held.any(axis=0))
     if keep.size < support.size:
-        support, block = support[keep], block[keep[:, None], keep]
+        support, block = support[keep], block[..., keep[:, None], keep]
     return support, block
 
 
-def _min_eigenvalue(block: np.ndarray, n: int) -> float:
-    """Smallest eigenvalue of an n x n matrix, from its support block.
+def _min_eigenvalue(block: np.ndarray, n: int):
+    """Smallest eigenvalue of an n x n matrix, from its support block (of
+    each matrix of a stack of blocks).
 
     The rows and columns outside the block are exactly zero and add only zero
     eigenvalues, so the minimum is that of the block, capped at 0 when the
     block is smaller than the matrix.
     """
-    low = float(np.linalg.eigvalsh(block)[0])
-    return min(low, 0.0) if block.shape[0] < n else low
+    low = np.linalg.eigvalsh(block)[..., 0]
+    return np.minimum(low, 0.0) if block.shape[-1] < n else low
+
+
+def _every(verdicts) -> bool:
+    """Whether every verdict of a stack holds; a state's one verdict is read
+    as it is, which is faster than a reduction."""
+    return bool(verdicts.all() if verdicts.ndim else verdicts)
+
+
+def _check(block: np.ndarray, n: int) -> None:
+    """Decide a block, or every row of a stack of blocks: Hermitian, unit
+    trace, positive semidefinite.  A failing stack raises the message of its
+    first failing row, checked on its own.
+
+    Each check is written to fail on NaN, which compares False both ways; a
+    NaN or infinite entry fails the residual, and past it every entry is
+    finite.  An empty support (the zero matrix) fails on the trace.
+    """
+    tol = policy.structural_tol
+    herm = np.abs(block - block.conj().swapaxes(-1, -2)).max() if block.size else 0.0
+    if herm <= tol and block.size:
+        ok = ((abs(block.trace(axis1=-2, axis2=-1) - 1.0) <= tol)
+              & (_min_eigenvalue(block, n) >= policy.psd_floor))
+        if _every(ok):
+            return
+    if block.ndim == 3:
+        for row in block:
+            _check(row, n)
+    if not herm <= tol:
+        raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
+    tr = block.trace()
+    if not abs(tr - 1.0) <= tol:
+        raise ValueError(f"trace is {tr!r}, not 1")
+    raise ValueError(f"not positive semidefinite: min eigenvalue {_min_eigenvalue(block, n):.3e}")
 
 
 def _check_dim(n: int, layout: SubsystemLayout) -> None:
@@ -221,7 +284,9 @@ class DensityMatrix:
     read-only matrix on the support; every other entry is zero.  At or below
     ``_SUPPORT_MIN_DIM`` the support is every index, ``np.arange(dim)``, and
     ``block`` the whole matrix.  ``entries``, the whole matrix, is built only
-    on request.
+    on request.  The steps of this module also take a stack of states of one
+    layout and support, held as the same type with a block of shape
+    ``(R, k, k)``; the public constructor builds states only.
 
     ``DensityMatrix(entries, layout)`` finds the support of a whole matrix.
     The steps of this module map a support block to a support block, and
@@ -250,9 +315,14 @@ class DensityMatrix:
 
     @classmethod
     def _of_block(cls, layout: SubsystemLayout, support, block: np.ndarray) -> "DensityMatrix":
-        """The checked state with ``block`` on ``support`` (as for ``_trimmed``)."""
+        """The checked state with ``block`` on ``support`` (as for ``_trimmed``),
+        or the checked stack with a block of shape ``(R, k, k)``, whose rows
+        must each hold the whole support when it is trimmed."""
         out = cls._unchecked(layout, *_trimmed(support, block, layout.total_dim))
         out.__post_init__()
+        if block.ndim == 3 and len(block) > 1 and out.dim > _SUPPORT_MIN_DIM:
+            if not _occupied(out.block).all():
+                raise _SupportsDiffer("the rows of a stack hold different supports")
         return out
 
     @classmethod
@@ -263,26 +333,14 @@ class DensityMatrix:
         return out
 
     def _set(self, layout, support, block) -> None:
-        for a in (support, block):
-            a.setflags(write=False)
+        support.setflags(write=False)
+        block.setflags(write=False)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "block", block)
 
     def __post_init__(self):
-        b = self.block
-        # each check is written to fail on NaN, which compares False both
-        # ways; a NaN or infinite entry already makes ``herm`` NaN.  An empty
-        # support (the zero matrix) fails on the trace.
-        herm = np.abs(b - b.conj().T).max() if b.size else 0.0
-        if not herm <= policy.structural_tol:
-            raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
-        tr = b.trace()
-        if not abs(tr - 1.0) <= policy.structural_tol:
-            raise ValueError(f"trace is {tr!r}, not 1")
-        min_eig = _min_eigenvalue(b, self.dim)
-        if not min_eig >= policy.psd_floor:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+        _check(self.block, self.dim)
 
     @property
     def dim(self) -> int:
@@ -290,12 +348,12 @@ class DensityMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The whole matrix, read-only; built on each request unless the
-        block is the whole matrix."""
+        """The whole matrix (of each row of a stack), read-only; built on
+        each request unless the block is the whole matrix."""
         if self.support.size == self.dim:
             return self.block
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        m[np.ix_(self.support, self.support)] = self.block
+        m = np.zeros(self.block.shape[:-2] + (self.dim, self.dim), dtype=complex)
+        m[..., self.support[:, None], self.support] = self.block
         m.setflags(write=False)
         return m
 
@@ -389,7 +447,7 @@ def _remapped(rho: DensityMatrix, layout: SubsystemLayout, indices: np.ndarray) 
     Moving entries changes no verdict, so the result is not checked again.
     """
     order = np.argsort(indices)
-    return DensityMatrix._unchecked(layout, indices[order], rho.block[order[:, None], order])
+    return DensityMatrix._unchecked(layout, indices[order], rho.block[..., order[:, None], order])
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +512,8 @@ def tensor(a, b):
     """Kronecker product; the left operand is the most significant factor.
 
     Accepts two kets, two arrays or two density matrices (whose layouts are
-    concatenated, and whose blocks are multiplied on the product support);
-    any other pair is rejected.
+    concatenated, and whose blocks are multiplied on the product support;
+    the left one may be a stack); any other pair is rejected.
     """
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         layout = SubsystemLayout(a.layout.dims + b.layout.dims, a.layout.labels + b.layout.labels)
@@ -494,8 +552,8 @@ def _summed(rho: DensityMatrix, terms) -> tuple[np.ndarray, np.ndarray]:
     no sum.
     """
     support, rows, cols, src_rows, src_cols = terms
-    block = np.zeros((support.size, support.size), dtype=complex)
-    np.add.at(block, (rows, cols), rho.block[src_rows, src_cols])  # in order, repeats too
+    block = np.zeros(rho.block.shape[:-2] + (support.size, support.size), dtype=complex)
+    np.add.at(block, (..., rows, cols), rho.block[..., src_rows, src_cols])  # in order, repeats too
     return support, block
 
 
@@ -539,11 +597,13 @@ _grid = _per_layout(_grid_plan)
 
 
 def _compact(rho: DensityMatrix, flat: np.ndarray, m: int, r: int) -> np.ndarray:
-    """rho on its grid (``_grid``) as an ``(m, r, m, r)`` tensor: with every
-    rest-index present, rho with the addressed factors moved to the front."""
-    t = np.zeros((m * r, m * r), dtype=complex)
-    t[flat[:, None], flat] = rho.block
-    return t.reshape(m, r, m, r)
+    """rho on its grid (``_grid``) as an ``(m, r, m, r)`` tensor (each row of
+    a stack as one): with every rest-index present, rho with the addressed
+    factors moved to the front."""
+    lead = rho.block.shape[:-2]
+    t = np.zeros(lead + (m * r, m * r), dtype=complex)
+    t[..., flat[:, None], flat] = rho.block
+    return t.reshape(lead + (m, r, m, r))
 
 
 def _conjugate(rho: DensityMatrix, positions: Sequence[int], ops: np.ndarray) -> DensityMatrix:
@@ -554,19 +614,22 @@ def _conjugate(rho: DensityMatrix, positions: Sequence[int], ops: np.ndarray) ->
     with dimension equal to the product of the addressed subsystem dims,
     which the callers check.  The two products per operator contract the
     acted axis of the compacted tensor (``_compact``) over its full length,
-    as they would on the whole matrix; each is the ``np.dot``, on the same
+    as they would on the whole matrix; each is the product, on the same
     operands in the same memory order, that ``np.tensordot(K, t, (1, 0))``
-    and ``np.tensordot(t1, K.conj(), (2, 1))`` call, so it rounds as they do.
+    and ``np.tensordot(t1, K.conj(), (2, 1))`` compute with ``np.dot``, so it
+    rounds as they do (``np.matmul`` over a C-ordered stack multiplies each
+    row as ``np.dot`` does).
     """
     flat, rest, order, index = _grid(rho, positions)
     m, r = ops.shape[-1], rest.size
     t = _compact(rho, flat, m, r)
+    lead = t.shape[:-4]
     out = np.zeros_like(t)
     for K in ops:
-        t1 = np.dot(K, t.reshape(m, -1)).reshape(m, r, m, r)  # (i, q, l, r)
-        t2 = np.dot(t1.transpose(0, 1, 3, 2).reshape(-1, m), K.conj().T)  # (i q r, k)
-        out += t2.reshape(m, r, r, m).transpose(0, 1, 3, 2)
-    out = out.reshape(index.size, index.size)[order[:, None], order]
+        t1 = (K @ t.reshape(lead + (m, -1))).reshape(t.shape)  # (i, q, l, r)
+        t2 = t1.swapaxes(-1, -2).reshape(lead + (-1, m)) @ K.conj().T  # (i q r, k)
+        out += t2.reshape(lead + (m, r, r, m)).swapaxes(-1, -2)
+    out = out.reshape(lead + (index.size, index.size))[..., order[:, None], order]
     return DensityMatrix._of_block(rho.layout, index, out)
 
 
@@ -657,11 +720,26 @@ def projective_measure(
     Returns every branch: ``(outcome index, probability, post-measurement
     state on the remaining labels)``.  Probabilities sum to one; branches
     with probability below the null threshold are kept in the list with a
-    ``None`` state so that transcripts stay complete.  Each branch block is
+    ``None`` state so that transcripts stay complete (``_measured``).
+    """
+    return _branches(_measured(rho, basis, subsystem))
+
+
+def _branches(outcomes: list) -> list[MeasurementBranch]:
+    """The branches of a state's measurement (``_measured``)."""
+    return [MeasurementBranch(k, float(p), state) for k, (p, _, state) in enumerate(outcomes)]
+
+
+def _measured(rho: DensityMatrix, basis: Sequence[Ket], subsystem: str) -> list[tuple]:
+    """Measure one labeled factor of a state, or of every row of a stack.
+
+    Returns per outcome the probability (0.0 for a null branch; one per row
+    of a stack), whether the branch is live, and the state of a live branch
+    (the stack of the live rows' states), or None.  Each branch block is
     contracted from the compacted tensor (``_compact``) over the measured
     factor's full dimension, and its trace is summed over the whole
     diagonal, zeros in place, so numpy groups every sum as for the whole
-    matrix.
+    matrix.  Each row's probabilities must sum to one.
     """
     pos = rho.layout.index_of(subsystem)
     s = rho.layout.dims[pos]
@@ -676,7 +754,9 @@ def projective_measure(
         raise ValueError(f"measurement basis is not orthonormal: max Gram deviation {dev:.3e}")
 
     flat, rest, _, _ = _grid(rho, [pos])
-    t = _compact(rho, flat, s, rest.size)
+    t = _compact(rho, flat, s, rest.size)  # (p, q, l, r) of each row
+    lead = t.shape[:-4]
+    n_rows = math.prod(lead)
     remaining = [l for i, l in enumerate(rho.layout.labels) if i != pos]
     new_layout = rho.layout.keep(remaining)
     out_dim = new_layout.total_dim
@@ -685,35 +765,43 @@ def projective_measure(
     # the second contraction reads its matrix in the memory order the whole
     # state gives it, Fortran order when no factor follows the measured one
     # and C order otherwise: BLAS rounds the two differently
-    bra = (1, 0, 2)
     if low == 1:
-        t, bra = t.transpose(0, 1, 3, 2), (2, 0, 1)
+        t = t.swapaxes(-1, -2)  # (p, q, r, l)
     # each product is the ``np.dot`` that ``np.tensordot(v.conj(), t, (0, 0))``
-    # and ``np.tensordot(v, t1, (0, bra[0]))`` call, on the same operands;
+    # and ``np.tensordot(v, t1, (0, l))`` call on a row, on the same operands;
     # the first one's matrix is the same for every basis vector
-    rows = t.reshape(s, -1)
+    rows = t.reshape(lead + (s, -1))
 
-    branches: list[MeasurementBranch] = []
-    for k, ket_k in enumerate(basis):
+    outcomes = []
+    total = 0.0
+    for ket_k in basis:
         v = ket_k.amplitudes
-        t1 = np.dot(v.conj().reshape(1, s), rows).reshape(t.shape[1:])  # (q, l, r) or (q, r, l)
-        t2 = np.dot(v.reshape(1, s), t1.transpose(bra).reshape(s, -1))  # (1, q r)
-        support, block = _trimmed(rest, t2.reshape(rest.size, rest.size), out_dim)
-        diagonal = block.diagonal()
+        t1 = (v.conj().reshape(1, s) @ rows).reshape(lead + t.shape[-3:])
+        if low == 1:
+            t1 = t1.swapaxes(-1, -2)  # (q, l, r)
+        t1 = t1.swapaxes(-3, -2)  # (l, q, r)
+        t2 = v.reshape(1, s) @ t1.reshape(lead + (s, -1))  # (1, q r)
+        support, block = _trimmed(rest, t2.reshape(lead + (rest.size, rest.size)), out_dim)
+        diagonal = block.diagonal(axis1=-2, axis2=-1)
         if support.size < out_dim:  # a trimmed block: the zeros go in place
-            diagonal = np.zeros(out_dim, dtype=complex)
-            diagonal[support] = block.diagonal()
-        p = float(np.real(diagonal.sum()))
-        if p < policy.null_branch_tol:
-            branches.append(MeasurementBranch(k, 0.0, None))
-        else:
-            state = DensityMatrix._of_block(new_layout, support, block / p)
-            branches.append(MeasurementBranch(k, p, state))
-    # left to right on every Python: 3.12's builtin sum() of floats is compensated
-    total = functools.reduce(operator.add, (b.probability for b in branches), 0.0)
-    if not abs(total - 1.0) <= policy.spectral_tol:  # NaN too
-        raise ValueError(f"branch probabilities sum to {total!r}, not 1")
-    return branches
+            diagonal = np.zeros(lead + (out_dim,), dtype=complex)
+            diagonal[..., support] = block.diagonal(axis1=-2, axis2=-1)
+        p = diagonal.sum(axis=-1).real
+        live = ~(p < policy.null_branch_tol)
+        n_live = np.count_nonzero(live)
+        state = None
+        if n_live == n_rows:
+            state = DensityMatrix._of_block(new_layout, support, block / p[..., None, None])
+        elif n_live:  # some rows of a stack
+            state = DensityMatrix._of_block(new_layout, support, block[live] / p[live, None, None])
+        if n_live < n_rows:
+            p = np.where(live, p, 0.0)
+        outcomes.append((p, live, state))
+        total = total + p  # left to right, as the branches come
+    summed = abs(total - 1.0) <= policy.spectral_tol  # NaN too
+    if not _every(summed):
+        raise ValueError(f"branch probabilities sum to {float(total[~summed][0])!r}, not 1")
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -753,11 +841,22 @@ def schmidt_coefficients(
     return s
 
 
-def _clamp(val: float, what: str, hi: float = 1.0) -> float:
-    """Clamp into [0, hi]; an excursion beyond ``spectral_tol`` is an error."""
-    if not -policy.spectral_tol <= val <= hi + policy.spectral_tol:
-        raise ValueError(f"{what} is {val!r}, outside [0, {hi:g}] beyond the spectral tolerance")
-    return min(max(val, 0.0), hi)
+def _clamp(val, what: str, hi: float = 1.0):
+    """Clamp a float, or each entry of an array, into [0, hi]; an excursion
+    beyond ``spectral_tol`` is an error, raised for the first one."""
+    tol = policy.spectral_tol
+    if not isinstance(val, np.ndarray) or not val.ndim:
+        val = float(val)
+        if not -tol <= val <= hi + tol:  # NaN too
+            raise ValueError(
+                f"{what} is {val!r}, outside [0, {hi:g}] beyond the spectral tolerance")
+        return min(max(val, 0.0), hi)
+    low, high = val.min(), val.max()  # NaN too
+    if not (-tol <= low and high <= hi + tol):
+        return _clamp(val[~((-tol <= val) & (val <= hi + tol))][0], what, hi)  # raises
+    if low < 0.0 or hi < high:
+        val = np.where(val < 0.0, 0.0, np.where(hi < val, hi, val))  # as min(max(v, 0.0), hi)
+    return val
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -768,18 +867,21 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return _clamp(float(0.5 * np.abs(eigs).sum()), "trace distance")
 
 
-def fidelity_with_ket(rho: DensityMatrix, psi: Ket) -> float:
-    """<psi| rho |psi>, the fidelity with a pure target."""
+def fidelity_with_ket(rho: DensityMatrix, psi: Ket):
+    """<psi| rho |psi>, the fidelity with a pure target: a float, or an
+    array of one per row of a stack."""
     if rho.dim != psi.dim:
         raise ValueError("dimension mismatch")
     v = psi.amplitudes
+    lead = rho.block.shape[:-2]
     if rho.support.size == rho.dim:  # the whole matrix, in C order as a copy has it
         u = v.conj() @ np.ascontiguousarray(rho.block)
     else:
         # the support columns over every row: each sum runs over the whole index
         # range and so groups its terms as the product with the whole matrix does
-        cols = np.zeros((rho.dim, rho.support.size), dtype=complex)
-        cols[rho.support] = rho.block
-        u = np.zeros(rho.dim, dtype=complex)
-        u[rho.support] = v.conj() @ cols
-    return _clamp(float(np.real(u @ v)), "fidelity")
+        cols = np.zeros(lead + (rho.dim, rho.support.size), dtype=complex)
+        cols[..., rho.support, :] = rho.block
+        u = np.zeros(lead + (rho.dim,), dtype=complex)
+        u[..., rho.support] = v.conj() @ cols
+    # a (1, n) by (n, 1) product is the vector dot ``u @ v`` of one row
+    return _clamp((u[..., None, :] @ v[:, None])[..., 0, 0].real, "fidelity")

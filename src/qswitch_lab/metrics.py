@@ -105,9 +105,15 @@ def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) -> float
         raise ValueError(f"prior {p0} out of [0, 1]")
     if rho0.dim != rho1.dim:
         raise ValueError("dimension mismatch")
-    eigs = np.linalg.eigvalsh(p0 * rho0.entries - (1.0 - p0) * rho1.entries)
-    err = 0.5 * (1.0 - np.abs(eigs).sum())
-    return _clamp(float(err), "Helstrom error", 0.5)
+    return float(_helstrom_errors(rho0.entries[None], rho1.entries[None], np.array([p0]))[0])
+
+
+def _helstrom_errors(m0: np.ndarray, m1: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """The Helstrom error of each row: whole matrices ``m0[i]`` (prior
+    ``p0[i]``) and ``m1[i]``, one stacked ``eigvalsh``."""
+    p0 = p0[:, None, None]
+    eigs = np.linalg.eigvalsh(p0 * m0 - (1.0 - p0) * m1)
+    return _clamp(0.5 * (1.0 - np.abs(eigs).sum(axis=-1)), "Helstrom error", 0.5)
 
 
 def mutual_information(joint_pmf) -> float:

@@ -22,9 +22,11 @@ Likewise the clone fan-out is applied as the basis permutation
 ``clone_extend_unitary`` as its oracle.  All runs are pure functions
 returning a :class:`ProtocolTranscript`, the one record of a run: the state
 after every stage by name, the controller's measurement and every branch;
-one step of every pipeline transmits and measures.  The pre-measurement GGM
-of a GHZ run is skipped, with the reason recorded in the metrics, past
-``policy.max_ggm_parties``.  A fixed-configuration baseline and necessity
+one step of every pipeline transmits and measures.  Each pipeline takes a
+resource state or a stack of them (``linalg``), so a necessity sweep runs
+its rows of one resource support together.  The
+pre-measurement GGM of a GHZ run is skipped, with the reason recorded in the
+metrics, past ``policy.max_ggm_parties``.  A fixed-configuration baseline and necessity
 sweeps over non-uniform Schmidt spectra probe why coherent control and
 maximal resource entanglement are needed.
 """
@@ -44,7 +46,11 @@ from .linalg import (
     DensityMatrix,
     Ket,
     SubsystemLayout,
+    _SupportsDiffer,
+    _branches,
     _clamp,
+    _densities,
+    _measured,
     _readonly,
     apply_unitary,
     basis_ket,
@@ -53,12 +59,11 @@ from .linalg import (
     ghz_ket,
     partial_trace,
     permute_basis,
-    projective_measure,
     tensor,
     trace_distance,
 )
 from .metrics import (
-    concurrence_2qubit, ggm, helstrom_error, is_maximally_entangled, mutual_information,
+    _helstrom_errors, concurrence_2qubit, ggm, is_maximally_entangled, mutual_information,
     total_variation,
 )
 from .numeric import guard_dimension, policy
@@ -152,18 +157,8 @@ class ResourceState:
 
     @classmethod
     def from_schmidt(cls, spectrum) -> "ResourceState":
-        spec = tuple(float(s) for s in spectrum)
-        if not all(s >= -policy.structural_tol for s in spec):  # rejects NaN too
-            raise ValueError("Schmidt spectrum entries must be nonnegative")
-        total = functools.reduce(operator.add, spec, 0.0)  # left to right on every Python
-        if not abs(total - 1.0) <= policy.structural_tol:
-            raise ValueError(f"Schmidt spectrum sums to {total!r}, not 1")
-        d = len(spec)
-        guard_dimension(d * d, "resource")
-        amps = np.zeros(d * d, dtype=complex)
-        amps[:: d + 1] = np.sqrt(np.maximum(spec, 0.0))  # sqrt(lam_j) on |jj>
-        rho = Ket(amps).density(SubsystemLayout((d, d), ("A", "C")))
-        return cls("schmidt:" + ",".join(f"{s:.12g}" for s in spec), rho)
+        spec = _schmidt_spectrum(spectrum)
+        return cls("schmidt:" + ",".join(f"{s:.12g}" for s in spec), _schmidt_states(spec))
 
     @classmethod
     def explicit(cls, state: DensityMatrix) -> "ResourceState":
@@ -179,6 +174,30 @@ class ResourceState:
         if d != self.d:
             raise ValueError(f"resource has dimension {self.d}, protocol asked for {d}")
         return self.rho
+
+
+def _schmidt_spectrum(spectrum) -> tuple[float, ...]:
+    """A Schmidt spectrum as floats, checked: nonnegative within the
+    structural tolerance, and summing to 1."""
+    spec = tuple(float(s) for s in spectrum)
+    if not all(s >= -policy.structural_tol for s in spec):  # rejects NaN too
+        raise ValueError("Schmidt spectrum entries must be nonnegative")
+    total = functools.reduce(operator.add, spec, 0.0)  # left to right on every Python
+    if not abs(total - 1.0) <= policy.structural_tol:
+        raise ValueError(f"Schmidt spectrum sums to {total!r}, not 1")
+    return spec
+
+
+def _schmidt_states(spectra) -> DensityMatrix:
+    """The resource sum_j sqrt(lam_j) |jj> on ("A", "C") of a checked
+    spectrum, or the stack of them over checked spectra of one length d."""
+    spectra = np.asarray(spectra, dtype=float)
+    d = spectra.shape[-1]
+    guard_dimension(d * d, "resource")
+    amps = np.zeros(spectra.shape[:-1] + (d * d,), dtype=complex)
+    amps[..., :: d + 1] = np.sqrt(np.maximum(spectra, 0.0))  # sqrt(lam_j) on |jj>
+    kets = [Ket(a).amplitudes for a in amps.reshape(-1, d * d)]  # each checked
+    return _densities(np.array(kets).reshape(amps.shape), SubsystemLayout((d, d), ("A", "C")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,12 +225,13 @@ class ProtocolTranscript:
 
 
 def _transmit_and_measure(stages: dict, d: int, senders: tuple, receivers: tuple) -> list:
-    """Send the senders of the last stage through the coincidence channel with
-    the controller C, relabel them to the receivers, record the result as
-    the ``transmitted`` stage and measure C in the Fourier basis."""
+    """Send the senders of the last stage (a stack) through the coincidence
+    channel with the controller C, relabel them to the receivers, record the
+    result as the ``transmitted`` stage and measure C in the Fourier basis
+    (``linalg._measured``)."""
     sent = apply_coincidence(next(reversed(stages.values())), senders + ("C",))
     stages["transmitted"] = sent = sent.relabel(dict(zip(senders, receivers)))
-    return projective_measure(sent, fourier_basis(d), "C")
+    return _measured(sent, fourier_basis(d), "C")
 
 
 # ---------------------------------------------------------------------------
@@ -232,38 +252,53 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
     guard_dimension(d * d, "private-dit")
     if not 0 <= x < d:
         raise ValueError(f"message {x} out of range for dimension {d}")
-    rho0 = resource.state(d)
-    stages = {"resource": rho0, "encoded": apply_unitary(rho0, phase_unitary(x, d), ("A",))}
-    measured = _transmit_and_measure(stages, d, ("A",), ("B",))
-
-    kets = [k.amplitudes for k in fourier_basis(d)]
-    bras = [v.conj() for v in kets]
-    joint = np.zeros((d, d))
+    stages, measured, joint = _private_dit_stack(d, x, resource.state(d))
+    measured = _branches(measured)
     branches: list[Branch] = []
     for cb in measured:
         if cb.state is None:
             branches.append(Branch(cb.outcome, 0.0, None, None, None))
             continue
-        # the receiver's state is a single-qudit system; each outcome's
-        # probability is one vector product with the basis amplitudes (a
-        # product with the stacked bras would round differently)
-        m = cb.state.entries
-        for mb, (bra, v) in enumerate(zip(bras, kets)):
-            p = _clamp(float(np.real(bra @ m @ v)) * cb.probability,
-                       "receiver outcome probability", math.inf)
-            joint[mb, cb.outcome] = p
+        for mb in range(d):
+            p = float(joint[mb, cb.outcome])
             branches.append(Branch(cb.outcome, p, (mb,), (mb + cb.outcome) % d,
                                    None if p < policy.null_branch_tol else cb.state))
-
-    success = float(sum(joint[mb, (x - mb) % d] for mb in range(d)))  # the cells decoding to x
     metrics = {
-        "success_probability": success,
+        "success_probability": float(_decoded(joint, x)),
         "charlie_pmf": [cb.probability for cb in measured],
         "joint_pmf": joint.tolist(),
         "branch_probability_total": float(joint.sum()),
     }
     params = {"d": d, "x": x, "resource": resource.name}
     return ProtocolTranscript("private-dit", params, stages, branches, metrics, measured)
+
+
+def _private_dit_stack(d: int, x: int, rho0: DensityMatrix) -> tuple:
+    """The private-dit pipeline over a resource state, or a stack of them: its
+    stages, the controller's measurement and the joint pmf ``joint[m_B, m_C]``
+    (of each row)."""
+    stages = {"resource": rho0, "encoded": apply_unitary(rho0, phase_unitary(x, d), ("A",))}
+    measured = _transmit_and_measure(stages, d, ("A",), ("B",))
+    kets = np.array([k.amplitudes for k in fourier_basis(d)])[:, None, None, :]  # (m_B, 1, 1, d)
+    probs = np.zeros(rho0.block.shape[:-2] + (d, d))  # [(row,) m_C, m_B]
+    for mc, (p, live, state) in enumerate(measured):
+        if state is None:
+            continue
+        # the receiver's state is a single-qudit system; each outcome's
+        # probability is one vector-matrix product with the basis amplitudes
+        # per row (a matrix product with the stacked bras would round
+        # differently), then a (1, d) by (d, 1) product, the vector dot
+        inner = np.matmul(np.matmul(kets.conj(), state.entries), kets.swapaxes(-1, -2))
+        probs[live, mc] = np.real(inner[..., 0, 0]).T * p[live, None]
+    probs = _clamp(probs, "receiver outcome probability", math.inf)
+    return stages, measured, np.ascontiguousarray(probs.swapaxes(-1, -2))
+
+
+def _decoded(joint: np.ndarray, x: int):
+    """The probability of decoding x: the sum of the cells of ``joint[..., m_B,
+    m_C]`` with m_B + m_C = x mod d, left to right."""
+    d = joint.shape[-1]
+    return functools.reduce(operator.add, (joint[..., mb, (x - mb) % d] for mb in range(d)), 0.0)
 
 
 def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
@@ -289,15 +324,20 @@ def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
 
 
 def _shared_dimension(transcripts: list[ProtocolTranscript]) -> int:
-    """The dimension d of a nonempty private-dit ensemble of one d and resource."""
+    """The dimension d of a nonempty private-dit ensemble of one d and one
+    resource state: its support and block, whatever its name."""
     if not transcripts:
         raise ValueError("need at least one transcript")
     kinds = sorted({t.protocol_id for t in transcripts})
     if kinds != ["private-dit"]:
         raise ValueError(f"need private-dit transcripts only, got {kinds}")
-    if len({(t.params["d"], t.params["resource"]) for t in transcripts}) > 1:
-        raise ValueError("transcripts must share dimension and resource")
-    return transcripts[0].params["d"]
+    d, first = transcripts[0].params["d"], transcripts[0].stages["resource"]
+    for t in transcripts:
+        rho = t.stages["resource"]
+        if t.params["d"] != d or not (np.array_equal(rho.support, first.support)
+                                      and np.array_equal(rho.block, first.block)):
+            raise ValueError("transcripts must share dimension and resource")
+    return d
 
 
 def decode_summary(transcripts: list[ProtocolTranscript]) -> dict:
@@ -332,13 +372,32 @@ def _establishment_core(d: int, n_receivers: int, resource: ResourceState, proto
     """The measured core of a run: its stages, the controller's measurement,
     the corrected branches with their fidelities and, as its one metric, the
     branch-averaged fidelity, all a sweep row needs."""
+    stages, measured, corrected, fidelity_mean = _establishment_stack(
+        d, n_receivers, resource.state(d), protocol_id)
+    measured = _branches(measured)
+    branches: list[Branch] = []
+    for cb, (state, f) in zip(measured, corrected):
+        if cb.state is None:
+            branches.append(Branch(cb.outcome, 0.0, None, None, None))
+            continue
+        branches.append(Branch(cb.outcome, cb.probability, (), None, state, {"fidelity": f}))
+    params = {"d": d, "receivers": n_receivers, "resource": resource.name}
+    metrics = {"fidelity_mean": float(fidelity_mean)}
+    return ProtocolTranscript(protocol_id, params, stages, branches, metrics, measured)
+
+
+def _establishment_stack(
+    d: int, n_receivers: int, rho0: DensityMatrix, protocol_id: str
+) -> tuple:
+    """The measured core over a resource state, or a stack of them: its
+    stages, the controller's measurement, per outcome the corrected state of
+    a live branch (of the live rows) and its fidelity, and the
+    branch-averaged fidelity (of each row)."""
     if n_receivers < 1:
         raise ValueError("need at least one receiver")
     guard_dimension(d ** (n_receivers + 2), protocol_id)
     send_labels = tuple(f"A{i}" for i in range(1, n_receivers + 1))
     recv_labels = tuple(f"B{i}" for i in range(1, n_receivers + 1))
-
-    rho0 = resource.state(d)
     # one |0..0> state holds the ancilla of every receiver
     ancillas = basis_ket(d ** n_receivers, 0).density(
         SubsystemLayout((d,) * n_receivers, send_labels))
@@ -351,21 +410,19 @@ def _establishment_core(d: int, n_receivers: int, resource: ResourceState, proto
     measured = _transmit_and_measure(stages, d, send_labels, recv_labels)
 
     target = ghz_ket(d, n_receivers + 1)
-    branches: list[Branch] = []
+    corrected = []
     # left to right on every Python, which a builtin sum() of floats is not
     # (3.12's is compensated)
-    fidelity_mean = 0.0
-    for cb in measured:
-        if cb.state is None:
-            branches.append(Branch(cb.outcome, 0.0, None, None, None))
+    fidelity_mean = np.zeros(rho0.block.shape[:-2])
+    for k, (p, live, state) in enumerate(measured):
+        if state is None:
+            corrected.append((None, None))
             continue
-        corrected = apply_unitary(cb.state, phase_unitary(cb.outcome, d), (recv_labels[0],))
-        f = fidelity_with_ket(corrected, target)
-        fidelity_mean += cb.probability * f
-        branches.append(Branch(cb.outcome, cb.probability, (), None, corrected, {"fidelity": f}))
-    params = {"d": d, "receivers": n_receivers, "resource": resource.name}
-    metrics = {"fidelity_mean": fidelity_mean}
-    return ProtocolTranscript(protocol_id, params, stages, branches, metrics, measured)
+        state = apply_unitary(state, phase_unitary(k, d), (recv_labels[0],))
+        f = fidelity_with_ket(state, target)
+        fidelity_mean[live] += p[live] * f
+        corrected.append((state, f))
+    return stages, measured, corrected, fidelity_mean
 
 
 def _establishment_run(
@@ -512,10 +569,18 @@ def classical_flag_encodings(d: int) -> list[DensityMatrix]:
 # ---------------------------------------------------------------------------
 
 # certification thresholds: part of the claim a sweep certifies, not numeric
-# tolerances of a computation, so ``policy`` and ``--tol`` leave them fixed
+# tolerances of a computation, so ``policy`` and ``--tol`` leave them fixed.
+# A spectrum is uniform when its closed-form deficit is at most the
+# perfection slack, so that the two verdicts are on one scale
 _PERFECT_SLACK = 1e-9    # a metric at or above 1 - this is perfect
-_UNIFORM_SLACK = 1e-9    # a spectrum with every entry this close to 1/d is uniform
 _MONOTONE_SLACK = 1e-12  # a rise of at most this along the gap order is monotone
+
+
+def _uniformity_deficit(spectrum) -> float:
+    """1 - (sum_j sqrt(lam_j))^2 / d, the closed-form deficit of each sweep
+    metric: by Cauchy-Schwarz 0 only at the uniform spectrum."""
+    roots = functools.reduce(operator.add, (math.sqrt(max(s, 0.0)) for s in spectrum), 0.0)
+    return 1.0 - roots * roots / len(spectrum)
 
 
 def necessity_sweep(
@@ -531,35 +596,40 @@ def necessity_sweep(
     whether it is monotone in the resource entanglement.  Encodings are
     fixed to the constructive family (phase encodings on the noiseless
     span), so this is construction-family necessity, not an optimization
-    over all encodings.
+    over all encodings.  The resources of one support run as one stack,
+    each row to the bit as a run of its own.
     """
+    if protocol not in ("private-dit", "bipartite", "ghz"):
+        raise ValueError(f"unknown protocol tag {protocol!r}")
+    specs = [_schmidt_spectrum(spec) for spec in spectra]
+    for spec, checked in zip(spectra, specs):
+        if len(checked) != d:
+            raise ValueError(f"spectrum {spec} has {len(checked)} entries, expected {d}")
+    n_receivers = n_receivers if protocol == "ghz" else 1
+    by_support: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        by_support.setdefault(tuple(s > 0.0 for s in spec), []).append(i)
+    measures: dict[int, dict] = {}
+    for members in by_support.values():
+        group = [specs[i] for i in members]
+        try:
+            found = _stack_measures(protocol, d, n_receivers, _schmidt_states(group))
+        except _SupportsDiffer:  # later states part ways on the support: one row a stack
+            found = [m for spec in group
+                     for m in _stack_measures(protocol, d, n_receivers, _schmidt_states([spec]))]
+        measures.update(zip(members, found))
+
     rows = []
-    for spec in spectra:
-        resource = ResourceState.from_schmidt(spec)
-        if resource.d != d:
-            raise ValueError(f"spectrum {spec} has {resource.d} entries, expected {d}")
-        lam = np.asarray(spec, dtype=float)
-        row = {
-            "spectrum": tuple(float(s) for s in lam),
-            "top_schmidt_gap": float(lam.max() - 1.0 / d),
-        }
+    for i, spec in enumerate(specs):
+        row = {"spectrum": spec, "top_schmidt_gap": float(max(spec) - 1.0 / d)}
         if d == 2:
-            row["resource_concurrence"] = float(2.0 * math.sqrt(max(lam[0] * lam[1], 0.0)))
-        if protocol == "private-dit":
-            runs = [run_private_dit(d, x, resource) for x in range(d)]
-            row["metric"] = min(t.metrics["success_probability"] for t in runs)
-            if d == 2:
-                row["optimal_decode_success"] = _optimal_two_state_success(*runs)
-        elif protocol in ("bipartite", "ghz"):  # the measured core, no diagnostics
-            t = _establishment_core(d, n_receivers if protocol == "ghz" else 1, resource, protocol)
-            row["metric"] = t.metrics["fidelity_mean"]
-        else:
-            raise ValueError(f"unknown protocol tag {protocol!r}")
+            row["resource_concurrence"] = float(2.0 * math.sqrt(max(spec[0] * spec[1], 0.0)))
+        row.update(measures[i])
         row["is_perfect"] = bool(row["metric"] >= 1.0 - _PERFECT_SLACK)
         rows.append(row)
 
-    uniform_rows = [i for i, r in enumerate(rows)
-                    if max(abs(s - 1.0 / d) for s in r["spectrum"]) <= _UNIFORM_SLACK]
+    uniform_rows = [i for i, spec in enumerate(specs)
+                    if _uniformity_deficit(spec) <= _PERFECT_SLACK]
     perfect_rows = [i for i, r in enumerate(rows) if r["is_perfect"]]
     by_gap = [r["metric"] for r in sorted(rows, key=lambda r: r["top_schmidt_gap"])]
     summary = {
@@ -572,14 +642,32 @@ def necessity_sweep(
     return {"protocol": protocol, "d": d, "rows": rows, "summary": summary}
 
 
-def _optimal_two_state_success(t0: ProtocolTranscript, t1: ProtocolTranscript) -> float:
-    """Best two-state decode averaged over the controller's announcement,
-    from the controller's measurement of the runs for messages 0 and 1."""
-    total = 0.0
-    for b0, b1 in zip(t0.measured, t1.measured):
-        if b0.state is None or b1.state is None:
+def _stack_measures(protocol: str, d: int, n_receivers: int, rho0: DensityMatrix) -> list[dict]:
+    """The sweep measures of each row of a stack of resources: the metric,
+    and for a private bit the optimal decode."""
+    if protocol != "private-dit":  # the measured core, no diagnostics
+        mean = _establishment_stack(d, n_receivers, rho0, protocol)[3]
+        return [{"metric": float(f)} for f in mean]
+    runs = [_private_dit_stack(d, x, rho0) for x in range(d)]
+    worst = functools.reduce(np.minimum, (_decoded(joint, x) for x, (*_, joint) in enumerate(runs)))
+    rows = [{"metric": float(m)} for m in worst]
+    if d == 2:
+        for row, s in zip(rows, _optimal_two_state_success(runs[0][1], runs[1][1])):
+            row["optimal_decode_success"] = float(s)
+    return rows
+
+
+def _optimal_two_state_success(measured0: list, measured1: list) -> np.ndarray:
+    """Each row's best two-state decode averaged over the controller's
+    announcement, from his measurements of the stacks for messages 0 and 1:
+    one stacked Helstrom error per outcome."""
+    total = np.zeros(len(measured0[0][0]))
+    for (p0, live0, s0), (p1, live1, s1) in zip(measured0, measured1):
+        both = live0 & live1
+        if not both.any():
             continue
-        weight = 0.5 * (b0.probability + b1.probability)
-        err = helstrom_error(b0.state, b1.state, b0.probability * 0.5 / weight)
-        total += weight * (1.0 - err)
-    return float(total)
+        weight = 0.5 * (p0[both] + p1[both])
+        err = _helstrom_errors(s0.entries[both[live0]], s1.entries[both[live1]],
+                               p0[both] * 0.5 / weight)
+        total[both] += weight * (1.0 - err)
+    return total

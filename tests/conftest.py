@@ -93,3 +93,12 @@ def naive_partial_trace(entries, dims, keep):
                 acc += entries[flat(row), flat(col)]
             out[kflat(krow), kflat(kcol)] = acc
     return out
+
+
+def assert_rows_equal(stack, states):
+    """Each row of a stack has the bits of the state computed on its own."""
+    assert len(stack.block) == len(states)
+    for i, state in enumerate(states):
+        assert stack.layout == state.layout
+        assert np.array_equal(stack.support, state.support)
+        assert np.array_equal(stack.block[i], state.block)

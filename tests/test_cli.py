@@ -520,6 +520,14 @@ class TestSweep:
         assert out.read_bytes() == (table + "\n").encode()
         assert written.output == f"wrote {out}\n{summary}\n"
 
+    @pytest.mark.parametrize("protocol", ["private-dit", "bipartite"])
+    def test_near_uniform_perfect_rows_read_uniform(self, runner, protocol):
+        # 0.49999 is 1e-5 from uniform: its deficit, about 2e-10, is perfect
+        result = runner.invoke(main, ["sweep", protocol, "--d", "2", "--alpha", "0.49999:0.5:2"])
+        assert result.exit_code == 0, result.output
+        assert result.output.endswith(
+            "perfect rows: 2; only at uniform spectrum: True; monotone in entanglement: True\n")
+
     def test_degenerate_grid(self, runner):
         result = runner.invoke(main, ["sweep", "bipartite", "--d", "2", "--alpha", "0.5:0.5:1"])
         assert result.exit_code == 0, result.output

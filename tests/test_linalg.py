@@ -22,9 +22,12 @@ from qswitch_lab import (
     tensor,
     trace_distance,
 )
+from qswitch_lab import linalg
 from qswitch_lab.linalg import _SUPPORT_MIN_DIM, _min_eigenvalue, _trimmed
 
-from conftest import naive_partial_trace, random_density, random_ket, random_unitary
+from conftest import (
+    assert_rows_equal, naive_partial_trace, random_density, random_ket, random_unitary,
+)
 
 
 class TestTypes:
@@ -657,3 +660,104 @@ class TestEmbeddedUnitaries:
         u[0, 1] = bad
         with pytest.raises(ValueError, match="not unitary"):
             apply_unitary(rho, u, ("A",))
+
+
+def stack_of(states):
+    """One stack of states that share a layout and a support, unchecked."""
+    rho = states[0]
+    return DensityMatrix._unchecked(rho.layout, rho.support, np.array([s.block for s in states]))
+
+
+class TestStacks:
+    """A stack of states of one layout and support runs through each step's
+    one kernel; every row gets the verdict, the branches and the bits of a
+    run of its own."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("n", [4, 17])
+    @pytest.mark.parametrize("case", ["nan", "trace", "negative"])
+    def test_failing_row_raises_its_own_message(self, n, case, rng):
+        support = np.arange(n) if n <= _SUPPORT_MIN_DIM else np.array([1, 4, 6, 9, 12, 16])
+        rows = [padded_state(n, support, np.full(support.size, 1.0 / support.size), rng)
+                for _ in range(3)]
+        bad = rows[1]
+        if case == "nan":
+            bad[support[2], support[2]] = np.nan
+        elif case == "trace":
+            bad[support[0], support[0]] += 1e-9
+        else:
+            bad[:] = padded_state(n, support, [-1e-6] + [(1 + 1e-6) / (support.size - 1)]
+                                  * (support.size - 1), rng)
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(bad, SubsystemLayout((n,), ("A",)))
+        blocks = np.array([m[np.ix_(support, support)] for m in rows])
+        with pytest.raises(ValueError) as stacked:
+            DensityMatrix._of_block(SubsystemLayout((n,), ("A",)), support, blocks)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_first_failing_row_decides(self, rng):
+        # row 1 fails on positivity, row 2 on Hermiticity: row 1's message
+        n = 4
+        good = padded_state(n, np.arange(n), [0.25] * 4, rng)
+        negative = padded_state(n, np.arange(n), [-1e-6, 0.3, 0.3, 0.4 + 1e-6], rng)
+        asymmetric = good.copy()
+        asymmetric[0, 1] += 1e-9
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            DensityMatrix._of_block(SubsystemLayout((n,), ("A",)), np.arange(n),
+                                    np.array([good, negative, asymmetric]))
+
+    def test_branch_null_in_one_row_live_in_another(self):
+        layout = SubsystemLayout((2, 2), ("A", "C"))
+        states = [tensor(basis_ket(2, 0), basis_ket(2, 0)).density(layout),
+                  tensor(basis_ket(2, 0), Ket.normalized([1.0, 1.0])).density(layout)]
+        basis = [basis_ket(2, 0), basis_ket(2, 1)]
+        outcomes = linalg._measured(stack_of(states), basis, "C")
+        alone = [projective_measure(s, basis, "C") for s in states]
+        for k, (p, live, branch) in enumerate(outcomes):
+            assert [float(q) for q in p] == [a[k].probability for a in alone]
+            assert list(live) == [a[k].state is not None for a in alone]
+            assert_rows_equal(branch, [a[k].state for a in alone if a[k].state is not None])
+        assert list(outcomes[1][1]) == [False, True]  # null for row 0 only
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 2), (2, 2, 2, 2, 2)])
+    def test_rows_equal_lone_runs_in_every_step(self, dims, rng):
+        labels = tuple(f"L{i}" for i in range(len(dims)))
+        layout = SubsystemLayout(dims, labels)
+        states = [random_density(layout.total_dim, rng, layout) for _ in range(3)]
+        stack = stack_of(states)
+        d = dims[0]
+        u = random_unitary(d * dims[1], rng)
+        perm = rng.permutation(d * dims[1])
+        ancilla = random_density(2, rng, SubsystemLayout((2,), ("Z",)))
+        steps = [
+            lambda rho: tensor(rho, ancilla),
+            lambda rho: rho.reorder(labels[::-1]),
+            lambda rho: permute_basis(rho, perm, labels[:2]),
+            lambda rho: apply_unitary(rho, u, labels[1::-1]),
+            lambda rho: partial_trace(rho, labels[1:]),
+        ]
+        if dims[1] == d:
+            steps.append(lambda rho: apply_coincidence(rho, labels[:2]))
+        for step in steps:
+            assert_rows_equal(step(stack), [step(s) for s in states])
+        psi = random_ket(layout.total_dim, rng)
+        assert [float(f) for f in fidelity_with_ket(stack, psi)] == [
+            fidelity_with_ket(s, psi) for s in states]
+        basis = [Ket(v) for v in random_unitary(dims[-1], rng).T]
+        for k, (p, live, branch) in enumerate(linalg._measured(stack, basis, labels[-1])):
+            alone = [projective_measure(s, basis, labels[-1])[k] for s in states]
+            assert [float(q) for q in p] == [a.probability for a in alone]
+            assert live.all()
+            assert_rows_equal(branch, [a.state for a in alone])
+
+    def test_rows_that_part_ways_on_the_support_raise(self, rng):
+        n = 20
+        rows = np.zeros((2, n, n), dtype=complex)
+        rows[0, 3, 3] = rows[1, 5, 5] = 1.0
+        with pytest.raises(linalg._SupportsDiffer):
+            DensityMatrix._of_block(SubsystemLayout((n,), ("A",)), np.arange(n), rows)
+        # one support: one stack
+        rows[0, 5, 5], rows[0, 3, 3] = 0.5, 0.5
+        rows[1, 3, 3], rows[1, 5, 5] = 0.25, 0.75
+        stack = DensityMatrix._of_block(SubsystemLayout((n,), ("A",)), np.arange(n), rows)
+        assert list(stack.support) == [3, 5]

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -33,10 +35,11 @@ from qswitch_lab import (
 )
 
 import qswitch_lab
-from qswitch_lab import protocols
+from qswitch_lab import linalg, protocols
 from qswitch_lab.serialize import dumps_json, transcript_to_dict
 
 from conftest import (
+    assert_rows_equal,
     bell_phase_flip_mixture,
     random_density,
     random_ket,
@@ -355,6 +358,18 @@ class TestPrivacy:
         b = run_private_dit(2, 1, ResourceState.from_schmidt((0.25, 0.75)))
         with pytest.raises(ValueError, match="share"):
             privacy_report([a, b])
+
+    @pytest.mark.parametrize("report", [privacy_report, decode_summary])
+    def test_ensemble_compares_resource_states_not_names(self, report):
+        maximal = ResourceState.explicit(ResourceState.maximally_entangled(2).rho)
+        skewed = ResourceState.explicit(ResourceState.from_schmidt((0.9, 0.1)).rho)
+        assert maximal.name == skewed.name == "explicit"
+        with pytest.raises(ValueError, match="share dimension and resource"):
+            report([run_private_dit(2, 0, maximal), run_private_dit(2, 1, skewed)])
+        named = (maximal, ResourceState.maximally_entangled(2))
+        same = [run_private_dit(2, x, res) for x, res in enumerate(named)]
+        report(same)  # one state under two names
+        assert [t.params["resource"] for t in same] == ["explicit", "max"]
 
     @pytest.mark.parametrize("report", [privacy_report, decode_summary])
     def test_ensemble_holds_private_dit_runs_only(self, report):
@@ -678,16 +693,19 @@ class TestNecessitySweep:
         (3, [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2)]),
     ])
     def test_private_dit_row_measures_once_per_message(self, d, spectra, monkeypatch):
-        calls = []
-        measure = protocols.projective_measure
+        rows = []  # the rows of each measured stack
+        measure = protocols._measured
 
-        def counted(*args):
-            calls.append(args)
-            return measure(*args)
+        def counted(rho, *args):
+            rows.append(len(rho.block))
+            return measure(rho, *args)
 
-        monkeypatch.setattr(protocols, "projective_measure", counted)
+        monkeypatch.setattr(protocols, "_measured", counted)
         necessity_sweep("private-dit", d, spectra)
-        assert len(calls) == d * len(spectra)
+        # one stack per resource support, measured once per message over all
+        # its rows: the decode makes no second measurement
+        supports = Counter(tuple(s > 0 for s in spec) for spec in spectra)
+        assert sorted(rows) == sorted(n for n in supports.values() for _ in range(d))
 
     D3_SPECTRA = [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2), (0.6, 0.4, 0.0), (1.0, 0.0, 0.0)]
 
@@ -740,6 +758,105 @@ class TestNecessitySweep:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             necessity_sweep("teleport", 2, [(0.5, 0.5)])
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6])
+    @pytest.mark.parametrize("protocol,kwargs", [
+        ("private-dit", {}), ("bipartite", {}), ("ghz", {"n_receivers": 2}),
+    ])
+    def test_near_uniform_perfect_rows_read_uniform(self, eps, protocol, kwargs):
+        # the metric's deficit is about 2 eps^2, well inside the perfection
+        # slack, and so is the spectrum's closed-form deficit
+        spectra = [(0.5 + eps, 0.5 - eps), (0.5, 0.5), (0.6, 0.4)]
+        table = necessity_sweep(protocol, 2, spectra, **kwargs)
+        assert table["summary"]["perfect_rows"] == [0, 1]
+        assert table["summary"]["perfect_only_at_uniform"]
+
+
+def _by_support(spectra) -> list[list]:
+    """The spectra grouped as a sweep stacks them: by which entries are nonzero."""
+    groups = {}
+    for spec in spectra:
+        groups.setdefault(tuple(s > 0 for s in spec), []).append(spec)
+    return list(groups.values())
+
+
+class TestStackedSweep:
+    """A sweep runs the resources of one support as one stack; each row's
+    stages, branches and metrics equal a run of its own, to the bit."""
+
+    GRID = [(a, 1 - a) for a in np.linspace(0, 1, 101)]
+    ENDS = [(0.0, 1.0), (1.0, 0.0)] + [(a, 1 - a) for a in np.linspace(0.1, 0.9, 5)]
+    D3 = TestNecessitySweep.D3_SPECTRA
+    D5 = [(0.5, 0.0, 0.3, 0.2, 0.0), (0.1, 0.0, 0.6, 0.3, 0.0), (0.0, 0.25, 0.25, 0.25, 0.25),
+          (0.2,) * 5, (1.0, 0.0, 0.0, 0.0, 0.0), (0.3, 0.0, 0.0, 0.0, 0.7)]
+
+    @pytest.mark.parametrize("protocol,d,n,spectra", [
+        ("bipartite", 2, 1, GRID), ("ghz", 2, 2, GRID),
+        ("ghz", 2, 3, ENDS), ("ghz", 2, 4, ENDS), ("ghz", 2, 5, ENDS),
+        ("bipartite", 3, 1, D3), ("ghz", 3, 2, D3),
+    ], ids=["bipartite-grid", "ghz2-grid", "ghz3-ends", "ghz4-ends", "ghz5-ends",
+            "bipartite-d3", "ghz2-d3"])
+    def test_establishment_rows_equal_lone_runs(self, protocol, d, n, spectra):
+        for group in _by_support(spectra):
+            lone = [protocols._establishment_core(d, n, ResourceState.from_schmidt(spec), protocol)
+                    for spec in group]
+            stages, measured, corrected, mean = protocols._establishment_stack(
+                d, n, protocols._schmidt_states(group), protocol)
+            for name, stack in stages.items():
+                assert_rows_equal(stack, [t.stages[name] for t in lone])
+            for k, ((p, live, state), (fixed, f)) in enumerate(zip(measured, corrected)):
+                assert np.array_equal(p, [t.measured[k].probability for t in lone])
+                assert list(live) == [t.measured[k].state is not None for t in lone]
+                kept = [t for t in lone if t.measured[k].state is not None]
+                if kept:
+                    assert_rows_equal(state, [t.measured[k].state for t in kept])
+                    assert_rows_equal(fixed, [t.branches[k].state for t in kept])
+                    assert np.array_equal(f, [t.branches[k].metrics["fidelity"] for t in kept])
+            assert np.array_equal(mean, [t.metrics["fidelity_mean"] for t in lone])
+        table = necessity_sweep(protocol, d, spectra, n_receivers=n)
+        full = [run_ghz_distribution(d, n, ResourceState.from_schmidt(spec)) for spec in spectra]
+        assert np.array_equal([r["metric"] for r in table["rows"]],
+                              [t.metrics["fidelity_mean"] for t in full])
+
+    @pytest.mark.parametrize("d,spectra", [(2, GRID), (3, D3), (5, D5)], ids=["grid", "d3", "d5"])
+    def test_private_dit_rows_equal_lone_runs(self, d, spectra):
+        for group in _by_support(spectra):
+            stack = protocols._schmidt_states(group)
+            for x in range(d):
+                lone = [run_private_dit(d, x, ResourceState.from_schmidt(spec)) for spec in group]
+                stages, measured, joint = protocols._private_dit_stack(d, x, stack)
+                for name, rows in stages.items():
+                    assert_rows_equal(rows, [t.stages[name] for t in lone])
+                for k, (p, live, state) in enumerate(measured):
+                    assert np.array_equal(p, [t.measured[k].probability for t in lone])
+                    kept = [t.measured[k].state for t in lone if t.measured[k].state is not None]
+                    assert list(live) == [t.measured[k].state is not None for t in lone]
+                    if kept:
+                        assert_rows_equal(state, kept)
+                assert np.array_equal(joint, [t.metrics["joint_pmf"] for t in lone])
+        table = necessity_sweep("private-dit", d, spectra)
+        worst = [min(run_private_dit(d, x, ResourceState.from_schmidt(spec)).metrics[
+            "success_probability"] for x in range(d)) for spec in spectra]
+        assert np.array_equal([r["metric"] for r in table["rows"]], worst)
+
+    def test_rows_that_part_ways_run_one_per_stack(self, monkeypatch):
+        spectra = self.GRID[5::10]  # interior: one support
+        full = [run_bipartite_establishment(2, ResourceState.from_schmidt(spec))
+                for spec in spectra]
+        sizes = []
+        stacked = protocols._establishment_stack
+
+        def parting(d, n, rho0, protocol_id):  # as if a later state's support differed by row
+            sizes.append(len(rho0.block))
+            if len(rho0.block) > 1:
+                raise linalg._SupportsDiffer("the rows of a stack hold different supports")
+            return stacked(d, n, rho0, protocol_id)
+
+        monkeypatch.setattr(protocols, "_establishment_stack", parting)
+        table = necessity_sweep("bipartite", 2, spectra)
+        assert sorted(sizes) == [1] * len(spectra) + [len(spectra)]
+        assert np.array_equal([r["metric"] for r in table["rows"]],
+                              [t.metrics["fidelity_mean"] for t in full])
 
 
 # ---------------------------------------------------------------------------
