@@ -17,10 +17,13 @@ A ``DensityMatrix`` may also hold a stack: R states of one layout and one
 support, its block of shape ``(R, k, k)``.  Each step has one kernel, which
 works on the last two axes of a block and so takes a stack as it takes a
 state: the checks decide every row and raise the first failing row's
-message, a measurement gives each row its probability and null rule, and
-every product reads each row in the memory order of a lone state's, so a
-row rounds as a run of its own.  A stack whose rows do not all hold
-nonzeros on its whole trimmed support raises ``_SupportsDiffer``.
+message, and every product reads each row in the memory order of a lone
+state's, so a row rounds as a run of its own.  A measurement of a stack
+gives per outcome one ``MeasurementBranch`` that holds each row's
+probability and the stack of the rows' states.  A stack whose rows do not
+all hold nonzeros on its whole trimmed support raises ``_SupportsDiffer``,
+and so does one with a branch null in some rows only: a stack's branch is
+null in every row or in none.
 
 Everything here is a pure function of its inputs.  In particular,
 measurement is exact branch enumeration: :func:`projective_measure` returns
@@ -182,13 +185,16 @@ def _densities(amplitudes: np.ndarray, layout: SubsystemLayout) -> "DensityMatri
 
 # at or below this dimension a state keeps its whole matrix as its block and
 # skips the support scan.  For speed only: at 0 every golden keeps its bytes,
-# but `_trimmed` scans every small block, and a 101-point d = 2 sweep's protocol
-# work took 8.6 % longer (0.421 -> 0.457 s CPU, 14 pairs, 1 BLAS thread, 2 vCPU)
+# but `_trimmed` scans every small block, and the benchmark's `dense-protocols`
+# `run_ref` rose from 4.75 to 5.49 (medians of 4 order-alternating 6 s pairs,
+# slower in 4 of 4; 1 BLAS thread, 2 vCPU), while `sweep-small` fell only
+# from 6.40 to 6.24
 _SUPPORT_MIN_DIM = 16
 
 
 class _SupportsDiffer(ValueError):
-    """The rows of a stack do not all hold nonzeros on its whole support."""
+    """The rows of a stack do not all hold nonzeros on its whole support, or
+    a branch of its measurement is null in some rows only."""
 
 
 def _occupied(block: np.ndarray) -> np.ndarray:
@@ -545,16 +551,17 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
 def _summed(rho: DensityMatrix, terms) -> tuple[np.ndarray, np.ndarray]:
     """The output support of a plan of terms and the block they sum to.
 
-    ``terms`` is the output support and each term as its place in the
-    output block (rows, cols) and in the input block (rows, cols), in the
-    order the terms are added.  Each output entry starts at +0.0; a term
-    between indices outside the support is zero and left out, which changes
-    no sum.
+    ``terms`` is the output support and each term as its flat place in the
+    output block (row * k + col, k the support size) and its place in the
+    input block (rows, cols), in the order the terms are added.  Each output
+    entry starts at +0.0; a term between indices outside the support is zero
+    and left out, which changes no sum.
     """
-    support, rows, cols, src_rows, src_cols = terms
-    block = np.zeros(rho.block.shape[:-2] + (support.size, support.size), dtype=complex)
-    np.add.at(block, (..., rows, cols), rho.block[..., src_rows, src_cols])  # in order, repeats too
-    return support, block
+    support, out, src_rows, src_cols = terms
+    lead = rho.block.shape[:-2]
+    block = np.zeros(lead + (support.size * support.size,), dtype=complex)
+    np.add.at(block, (..., out), rho.block[..., src_rows, src_cols])  # in order, repeats too
+    return support, block.reshape(lead + (support.size, support.size))
 
 
 def _pairs_by(key: np.ndarray, among: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -572,7 +579,7 @@ def _trace_plan(dims, keep_pos, support) -> tuple[np.ndarray, ...]:
     traced = _split_plan(dims, tuple(p for p in range(len(dims)) if p not in keep_pos), support)[0]
     out_support, row = np.unique(kept, return_inverse=True)
     i, j = _pairs_by(traced, np.arange(traced.size))
-    return out_support, row[i], row[j], i, j
+    return out_support, row[i] * out_support.size + row[j], i, j
 
 
 _trace_terms = _per_layout(_trace_plan)
@@ -644,7 +651,7 @@ def _coincidence_plan(dims, positions, support) -> tuple[np.ndarray, ...]:
     moved_i, moved_j = _pairs_by(acted, np.flatnonzero(acted != span))
     i = np.concatenate([np.repeat(kept, kept.size), moved_i])
     j = np.concatenate([np.tile(kept, kept.size), moved_j])
-    return out_support, row[i], row[j], i, j
+    return out_support, row[i] * out_support.size + row[j], i, j
 
 
 _coincidence_terms = _per_layout(_coincidence_plan)
@@ -707,39 +714,31 @@ def permute_basis(rho: DensityMatrix, perm: Sequence[int], acting_on: Sequence[s
 
 @dataclass(frozen=True, eq=False)
 class MeasurementBranch:
+    """One outcome of a measurement: of a state, its probability (a float)
+    and post-measurement state; of a stack, each row's probability (an
+    array) and the stack of the rows' states.  ``state`` is None for a null
+    (zero-probability) branch."""
+
     outcome: int
-    probability: float
-    state: DensityMatrix | None  # None marks a zero-probability (null) branch
+    probability: float | np.ndarray
+    state: DensityMatrix | None
 
 
 def projective_measure(
     rho: DensityMatrix, basis: Sequence[Ket], subsystem: str
 ) -> list[MeasurementBranch]:
-    """Measure one labeled factor in the given orthonormal basis.
+    """Measure one labeled factor of a state, or of every row of a stack, in
+    the given orthonormal basis.
 
     Returns every branch: ``(outcome index, probability, post-measurement
-    state on the remaining labels)``.  Probabilities sum to one; branches
-    with probability below the null threshold are kept in the list with a
-    ``None`` state so that transcripts stay complete (``_measured``).
-    """
-    return _branches(_measured(rho, basis, subsystem))
-
-
-def _branches(outcomes: list) -> list[MeasurementBranch]:
-    """The branches of a state's measurement (``_measured``)."""
-    return [MeasurementBranch(k, float(p), state) for k, (p, _, state) in enumerate(outcomes)]
-
-
-def _measured(rho: DensityMatrix, basis: Sequence[Ket], subsystem: str) -> list[tuple]:
-    """Measure one labeled factor of a state, or of every row of a stack.
-
-    Returns per outcome the probability (0.0 for a null branch; one per row
-    of a stack), whether the branch is live, and the state of a live branch
-    (the stack of the live rows' states), or None.  Each branch block is
-    contracted from the compacted tensor (``_compact``) over the measured
-    factor's full dimension, and its trace is summed over the whole
-    diagonal, zeros in place, so numpy groups every sum as for the whole
-    matrix.  Each row's probabilities must sum to one.
+    state on the remaining labels)``.  Each row's probabilities sum to one;
+    a branch below the null threshold is kept in the list with probability
+    0.0 and a ``None`` state so that transcripts stay complete.  A stack's
+    branch is null in every row or in none; one null in some rows only
+    raises ``_SupportsDiffer``.  Each branch block is contracted from the
+    compacted tensor (``_compact``) over the measured factor's full
+    dimension, and its trace is summed over the whole diagonal, zeros in
+    place, so numpy groups every sum as for the whole matrix.
     """
     pos = rho.layout.index_of(subsystem)
     s = rho.layout.dims[pos]
@@ -756,7 +755,6 @@ def _measured(rho: DensityMatrix, basis: Sequence[Ket], subsystem: str) -> list[
     flat, rest, _, _ = _grid(rho, [pos])
     t = _compact(rho, flat, s, rest.size)  # (p, q, l, r) of each row
     lead = t.shape[:-4]
-    n_rows = math.prod(lead)
     remaining = [l for i, l in enumerate(rho.layout.labels) if i != pos]
     new_layout = rho.layout.keep(remaining)
     out_dim = new_layout.total_dim
@@ -772,9 +770,9 @@ def _measured(rho: DensityMatrix, basis: Sequence[Ket], subsystem: str) -> list[
     # the first one's matrix is the same for every basis vector
     rows = t.reshape(lead + (s, -1))
 
-    outcomes = []
+    branches = []
     total = 0.0
-    for ket_k in basis:
+    for k, ket_k in enumerate(basis):
         v = ket_k.amplitudes
         t1 = (v.conj().reshape(1, s) @ rows).reshape(lead + t.shape[-3:])
         if low == 1:
@@ -787,21 +785,20 @@ def _measured(rho: DensityMatrix, basis: Sequence[Ket], subsystem: str) -> list[
             diagonal = np.zeros(lead + (out_dim,), dtype=complex)
             diagonal[..., support] = block.diagonal(axis1=-2, axis2=-1)
         p = diagonal.sum(axis=-1).real
-        live = ~(p < policy.null_branch_tol)
-        n_live = np.count_nonzero(live)
+        null = p < policy.null_branch_tol
         state = None
-        if n_live == n_rows:
+        if not null.any():
             state = DensityMatrix._of_block(new_layout, support, block / p[..., None, None])
-        elif n_live:  # some rows of a stack
-            state = DensityMatrix._of_block(new_layout, support, block[live] / p[live, None, None])
-        if n_live < n_rows:
-            p = np.where(live, p, 0.0)
-        outcomes.append((p, live, state))
+        elif not null.all():
+            raise _SupportsDiffer(f"branch {k} is null in some rows of the stack only")
+        else:
+            p = np.zeros_like(p)
+        branches.append(MeasurementBranch(k, p if lead else float(p), state))
         total = total + p  # left to right, as the branches come
     summed = abs(total - 1.0) <= policy.spectral_tol  # NaN too
     if not _every(summed):
         raise ValueError(f"branch probabilities sum to {float(total[~summed][0])!r}, not 1")
-    return outcomes
+    return branches
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityMatrix, Ket, SubsystemLayout, _clamp, schmidt_coefficients
+from .linalg import DensityMatrix, Ket, SubsystemLayout, _clamp, _every, schmidt_coefficients
 from .numeric import ResourceGuardError, policy
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -99,20 +99,20 @@ def is_maximally_entangled(
     return bool(np.abs(coeffs - 1.0 / np.sqrt(len(coeffs))).max() <= tol)
 
 
-def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) -> float:
-    """Minimal error probability for discriminating rho0 (prior p0) from rho1."""
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"prior {p0} out of [0, 1]")
+def helstrom_error(
+    rho0: DensityMatrix, rho1: DensityMatrix, p0: float | np.ndarray
+) -> float | np.ndarray:
+    """Minimal error probability for discriminating rho0 (prior p0) from rho1:
+    a float, or for two stacks an array of one per row, with one prior per
+    row; a prior outside [0, 1] (or NaN) in any row raises."""
+    p = np.asarray(p0, dtype=float)
+    ok = (0.0 <= p) & (p <= 1.0)  # NaN too
+    if not _every(ok):
+        raise ValueError(f"prior {p[~ok][0] if p.ndim else p0} out of [0, 1]")
     if rho0.dim != rho1.dim:
         raise ValueError("dimension mismatch")
-    return float(_helstrom_errors(rho0.entries[None], rho1.entries[None], np.array([p0]))[0])
-
-
-def _helstrom_errors(m0: np.ndarray, m1: np.ndarray, p0: np.ndarray) -> np.ndarray:
-    """The Helstrom error of each row: whole matrices ``m0[i]`` (prior
-    ``p0[i]``) and ``m1[i]``, one stacked ``eigvalsh``."""
-    p0 = p0[:, None, None]
-    eigs = np.linalg.eigvalsh(p0 * m0 - (1.0 - p0) * m1)
+    p = p[..., None, None]
+    eigs = np.linalg.eigvalsh(p * rho0.entries - (1.0 - p) * rho1.entries)
     return _clamp(0.5 * (1.0 - np.abs(eigs).sum(axis=-1)), "Helstrom error", 0.5)
 
 

@@ -22,9 +22,13 @@ Likewise the clone fan-out is applied as the basis permutation
 ``clone_extend_unitary`` as its oracle.  All runs are pure functions
 returning a :class:`ProtocolTranscript`, the one record of a run: the state
 after every stage by name, the controller's measurement and every branch;
-one step of every pipeline transmits and measures.  Each pipeline takes a
-resource state or a stack of them (``linalg``), so a necessity sweep runs
-its rows of one resource support together.  The
+one step of every pipeline transmits and measures, through
+``linalg.projective_measure``.  Each pipeline takes a resource state or a
+stack of them (``linalg``), so a necessity sweep runs its rows of one
+resource support together; a stack's measurement holds each row's
+probability and the stack of the rows' states per outcome, and a branch
+null in some rows only raises ``_SupportsDiffer``, on which the sweep runs
+that group one row a stack.  The
 pre-measurement GGM of a GHZ run is skipped, with the reason recorded in the
 metrics, past ``policy.max_ggm_parties``.  A fixed-configuration baseline and necessity
 sweeps over non-uniform Schmidt spectra probe why coherent control and
@@ -47,10 +51,8 @@ from .linalg import (
     Ket,
     SubsystemLayout,
     _SupportsDiffer,
-    _branches,
     _clamp,
     _densities,
-    _measured,
     _readonly,
     apply_unitary,
     basis_ket,
@@ -59,11 +61,12 @@ from .linalg import (
     ghz_ket,
     partial_trace,
     permute_basis,
+    projective_measure,
     tensor,
     trace_distance,
 )
 from .metrics import (
-    _helstrom_errors, concurrence_2qubit, ggm, is_maximally_entangled, mutual_information,
+    concurrence_2qubit, ggm, helstrom_error, is_maximally_entangled, mutual_information,
     total_variation,
 )
 from .numeric import guard_dimension, policy
@@ -227,11 +230,10 @@ class ProtocolTranscript:
 def _transmit_and_measure(stages: dict, d: int, senders: tuple, receivers: tuple) -> list:
     """Send the senders of the last stage (a stack) through the coincidence
     channel with the controller C, relabel them to the receivers, record the
-    result as the ``transmitted`` stage and measure C in the Fourier basis
-    (``linalg._measured``)."""
+    result as the ``transmitted`` stage and measure C in the Fourier basis."""
     sent = apply_coincidence(next(reversed(stages.values())), senders + ("C",))
     stages["transmitted"] = sent = sent.relabel(dict(zip(senders, receivers)))
-    return _measured(sent, fourier_basis(d), "C")
+    return projective_measure(sent, fourier_basis(d), "C")
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +255,6 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
     if not 0 <= x < d:
         raise ValueError(f"message {x} out of range for dimension {d}")
     stages, measured, joint = _private_dit_stack(d, x, resource.state(d))
-    measured = _branches(measured)
     branches: list[Branch] = []
     for cb in measured:
         if cb.state is None:
@@ -281,15 +282,16 @@ def _private_dit_stack(d: int, x: int, rho0: DensityMatrix) -> tuple:
     measured = _transmit_and_measure(stages, d, ("A",), ("B",))
     kets = np.array([k.amplitudes for k in fourier_basis(d)])[:, None, None, :]  # (m_B, 1, 1, d)
     probs = np.zeros(rho0.block.shape[:-2] + (d, d))  # [(row,) m_C, m_B]
-    for mc, (p, live, state) in enumerate(measured):
-        if state is None:
+    for cb in measured:
+        if cb.state is None:
             continue
         # the receiver's state is a single-qudit system; each outcome's
         # probability is one vector-matrix product with the basis amplitudes
         # per row (a matrix product with the stacked bras would round
         # differently), then a (1, d) by (d, 1) product, the vector dot
-        inner = np.matmul(np.matmul(kets.conj(), state.entries), kets.swapaxes(-1, -2))
-        probs[live, mc] = np.real(inner[..., 0, 0]).T * p[live, None]
+        inner = np.matmul(np.matmul(kets.conj(), cb.state.entries), kets.swapaxes(-1, -2))
+        p = np.asarray(cb.probability)[..., None]
+        probs[..., cb.outcome, :] = np.real(inner[..., 0, 0]).T * p
     probs = _clamp(probs, "receiver outcome probability", math.inf)
     return stages, measured, np.ascontiguousarray(probs.swapaxes(-1, -2))
 
@@ -368,31 +370,13 @@ def decode_summary(transcripts: list[ProtocolTranscript]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _establishment_core(d: int, n_receivers: int, resource: ResourceState, protocol_id: str):
-    """The measured core of a run: its stages, the controller's measurement,
-    the corrected branches with their fidelities and, as its one metric, the
-    branch-averaged fidelity, all a sweep row needs."""
-    stages, measured, corrected, fidelity_mean = _establishment_stack(
-        d, n_receivers, resource.state(d), protocol_id)
-    measured = _branches(measured)
-    branches: list[Branch] = []
-    for cb, (state, f) in zip(measured, corrected):
-        if cb.state is None:
-            branches.append(Branch(cb.outcome, 0.0, None, None, None))
-            continue
-        branches.append(Branch(cb.outcome, cb.probability, (), None, state, {"fidelity": f}))
-    params = {"d": d, "receivers": n_receivers, "resource": resource.name}
-    metrics = {"fidelity_mean": float(fidelity_mean)}
-    return ProtocolTranscript(protocol_id, params, stages, branches, metrics, measured)
-
-
 def _establishment_stack(
     d: int, n_receivers: int, rho0: DensityMatrix, protocol_id: str
 ) -> tuple:
     """The measured core over a resource state, or a stack of them: its
     stages, the controller's measurement, per outcome the corrected state of
-    a live branch (of the live rows) and its fidelity, and the
-    branch-averaged fidelity (of each row)."""
+    a live branch and its fidelity, and the branch-averaged fidelity (of
+    each row), all a sweep row needs."""
     if n_receivers < 1:
         raise ValueError("need at least one receiver")
     guard_dimension(d ** (n_receivers + 2), protocol_id)
@@ -414,13 +398,13 @@ def _establishment_stack(
     # left to right on every Python, which a builtin sum() of floats is not
     # (3.12's is compensated)
     fidelity_mean = np.zeros(rho0.block.shape[:-2])
-    for k, (p, live, state) in enumerate(measured):
-        if state is None:
+    for cb in measured:
+        if cb.state is None:
             corrected.append((None, None))
             continue
-        state = apply_unitary(state, phase_unitary(k, d), (recv_labels[0],))
+        state = apply_unitary(cb.state, phase_unitary(cb.outcome, d), (recv_labels[0],))
         f = fidelity_with_ket(state, target)
-        fidelity_mean[live] += p[live] * f
+        fidelity_mean += cb.probability * f
         corrected.append((state, f))
     return stages, measured, corrected, fidelity_mean
 
@@ -428,30 +412,39 @@ def _establishment_stack(
 def _establishment_run(
     d: int, n_receivers: int, resource: ResourceState, protocol_id: str
 ) -> ProtocolTranscript:
-    """The measured core, with the diagnostics read off its stages and
-    branches added to its record."""
-    t = _establishment_core(d, n_receivers, resource, protocol_id)
+    """The measured core as a record, with the diagnostics read off its
+    stages and branches added to it."""
+    stages, measured, corrected, fidelity_mean = _establishment_stack(
+        d, n_receivers, resource.state(d), protocol_id)
+    branches: list[Branch] = []
+    for cb, (state, f) in zip(measured, corrected):
+        if cb.state is None:
+            branches.append(Branch(cb.outcome, 0.0, None, None, None))
+            continue
+        branches.append(Branch(cb.outcome, cb.probability, (), None, state, {"fidelity": f}))
+    params = {"d": d, "receivers": n_receivers, "resource": resource.name}
+    metrics = {"fidelity_mean": float(fidelity_mean)}
     # the pre-measurement GGM is an optional diagnostic: past the bipartition
     # cap it is skipped with a recorded reason instead of aborting the run
-    sent = t.stages["transmitted"]
+    sent = stages["transmitted"]
     if sent.is_pure():
         parties = sent.layout.n_subsystems
         if parties > policy.max_ggm_parties:
-            t.metrics["pre_measurement_ggm_skipped"] = (
+            metrics["pre_measurement_ggm_skipped"] = (
                 f"{parties} parties exceed the bipartition cap of {policy.max_ggm_parties}"
             )
         else:
-            t.metrics["pre_measurement_ggm"] = ggm(sent.to_ket(), sent.layout)
+            metrics["pre_measurement_ggm"] = ggm(sent.to_ket(), sent.layout)
 
-    live = [b for b in t.branches if b.state is not None]
+    live = [b for b in branches if b.state is not None]
     for b in live:
         if b.state.is_pure():  # a mixed branch state has no "maximally_entangled" entry
             b.metrics["maximally_entangled"] = is_maximally_entangled(
                 b.state.to_ket(), b.state.layout, (b.state.layout.labels[0],)
             )
-    t.metrics.update(
+    metrics.update(
         fidelity_min=min((b.metrics["fidelity"] for b in live), default=0.0),
-        charlie_pmf=[cb.probability for cb in t.measured],
+        charlie_pmf=[cb.probability for cb in measured],
         maximally_entangled_all_branches=all(
             b.metrics.get("maximally_entangled", False) for b in live),
     )
@@ -459,10 +452,10 @@ def _establishment_run(
         avg_state = np.zeros((4, 4), dtype=complex)
         for b in live:
             avg_state += b.probability * b.state.entries
-        t.metrics["average_output_concurrence"] = concurrence_2qubit(
+        metrics["average_output_concurrence"] = concurrence_2qubit(
             DensityMatrix(avg_state, live[0].state.layout)
         )
-    return t
+    return ProtocolTranscript(protocol_id, params, stages, branches, metrics, measured)
 
 
 def run_bipartite_establishment(d: int, resource: ResourceState) -> ProtocolTranscript:
@@ -661,13 +654,11 @@ def _optimal_two_state_success(measured0: list, measured1: list) -> np.ndarray:
     """Each row's best two-state decode averaged over the controller's
     announcement, from his measurements of the stacks for messages 0 and 1:
     one stacked Helstrom error per outcome."""
-    total = np.zeros(len(measured0[0][0]))
-    for (p0, live0, s0), (p1, live1, s1) in zip(measured0, measured1):
-        both = live0 & live1
-        if not both.any():
+    total = np.zeros(len(measured0[0].probability))
+    for b0, b1 in zip(measured0, measured1):
+        if b0.state is None or b1.state is None:
             continue
-        weight = 0.5 * (p0[both] + p1[both])
-        err = _helstrom_errors(s0.entries[both[live0]], s1.entries[both[live1]],
-                               p0[both] * 0.5 / weight)
-        total[both] += weight * (1.0 - err)
+        weight = 0.5 * (b0.probability + b1.probability)
+        err = helstrom_error(b0.state, b1.state, b0.probability * 0.5 / weight)
+        total += weight * (1.0 - err)
     return total

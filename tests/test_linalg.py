@@ -706,18 +706,19 @@ class TestStacks:
             DensityMatrix._of_block(SubsystemLayout((n,), ("A",)), np.arange(n),
                                     np.array([good, negative, asymmetric]))
 
-    def test_branch_null_in_one_row_live_in_another(self):
+    def test_branch_null_in_one_row_only_raises(self):
         layout = SubsystemLayout((2, 2), ("A", "C"))
         states = [tensor(basis_ket(2, 0), basis_ket(2, 0)).density(layout),
                   tensor(basis_ket(2, 0), Ket.normalized([1.0, 1.0])).density(layout)]
         basis = [basis_ket(2, 0), basis_ket(2, 1)]
-        outcomes = linalg._measured(stack_of(states), basis, "C")
         alone = [projective_measure(s, basis, "C") for s in states]
-        for k, (p, live, branch) in enumerate(outcomes):
-            assert [float(q) for q in p] == [a[k].probability for a in alone]
-            assert list(live) == [a[k].state is not None for a in alone]
-            assert_rows_equal(branch, [a[k].state for a in alone if a[k].state is not None])
-        assert list(outcomes[1][1]) == [False, True]  # null for row 0 only
+        assert [a[1].state is None for a in alone] == [True, False]  # null for row 0 only
+        with pytest.raises(linalg._SupportsDiffer, match="branch 1 is null in some rows"):
+            projective_measure(stack_of(states), basis, "C")
+        # null in every row: a null branch of the stack, zero in each row
+        both = projective_measure(stack_of([states[0], states[0]]), basis, "C")
+        assert both[1].state is None and both[1].probability.tolist() == [0.0, 0.0]
+        assert_rows_equal(both[0].state, [alone[0][0].state] * 2)
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 2), (2, 2, 2, 2, 2)])
     def test_rows_equal_lone_runs_in_every_step(self, dims, rng):
@@ -744,11 +745,11 @@ class TestStacks:
         assert [float(f) for f in fidelity_with_ket(stack, psi)] == [
             fidelity_with_ket(s, psi) for s in states]
         basis = [Ket(v) for v in random_unitary(dims[-1], rng).T]
-        for k, (p, live, branch) in enumerate(linalg._measured(stack, basis, labels[-1])):
+        for k, branch in enumerate(projective_measure(stack, basis, labels[-1])):
             alone = [projective_measure(s, basis, labels[-1])[k] for s in states]
-            assert [float(q) for q in p] == [a.probability for a in alone]
-            assert live.all()
-            assert_rows_equal(branch, [a.state for a in alone])
+            assert branch.outcome == k
+            assert np.array_equal(branch.probability, [a.probability for a in alone])
+            assert_rows_equal(branch.state, [a.state for a in alone])
 
     def test_rows_that_part_ways_on_the_support_raise(self, rng):
         n = 20

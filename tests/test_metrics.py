@@ -160,6 +160,33 @@ class TestHelstrom:
             assert abs(e1 - e2) < 1e-12
             assert e1 <= min(p, 1 - p) + 1e-12
 
+    @staticmethod
+    def stacks(rng, n_rows=5, n=3):
+        """Two stacks of random states of one layout, and their rows."""
+        from conftest import random_density
+
+        layout = SubsystemLayout((n,), ("A",))
+        rows = [[random_density(n, rng, layout) for _ in range(n_rows)] for _ in range(2)]
+        return [DensityMatrix._of_block(layout, np.arange(n), np.array([r.block for r in states]))
+                for states in rows], rows
+
+    def test_stacks_equal_per_row_calls(self, rng):
+        (s0, s1), (rows0, rows1) = self.stacks(rng)
+        priors = rng.uniform(size=len(rows0))
+        priors[0] = 0.5
+        errs = helstrom_error(s0, s1, priors)
+        alone = [helstrom_error(a, b, p) for a, b, p in zip(rows0, rows1, priors)]
+        assert all(type(e) is float for e in alone)
+        assert errs.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.2, np.nan])
+    def test_prior_out_of_range_in_any_row_raises(self, bad, rng):
+        (s0, s1), (rows0, rows1) = self.stacks(rng, n_rows=3)
+        with pytest.raises(ValueError, match=f"prior {bad} out of \\[0, 1\\]"):
+            helstrom_error(s0, s1, np.array([0.5, bad, 0.25]))
+        with pytest.raises(ValueError, match=f"prior {bad} out of \\[0, 1\\]"):
+            helstrom_error(rows0[0], rows1[0], bad)
+
     def test_drift_beyond_tolerance_raises(self):
         # valid states just above the PSD floor put the error 1.8e-10 below 0
         e = 0.9e-10

@@ -693,19 +693,27 @@ class TestNecessitySweep:
         (3, [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2)]),
     ])
     def test_private_dit_row_measures_once_per_message(self, d, spectra, monkeypatch):
-        rows = []  # the rows of each measured stack
-        measure = protocols._measured
+        rows, decoded = [], []  # the rows of each measured stack and of each decode
+        measure, helstrom = protocols.projective_measure, protocols.helstrom_error
 
         def counted(rho, *args):
             rows.append(len(rho.block))
             return measure(rho, *args)
 
-        monkeypatch.setattr(protocols, "_measured", counted)
+        def decode(rho0, rho1, p0):
+            decoded.append(len(p0))
+            return helstrom(rho0, rho1, p0)
+
+        monkeypatch.setattr(protocols, "projective_measure", counted)
+        monkeypatch.setattr(protocols, "helstrom_error", decode)
         necessity_sweep("private-dit", d, spectra)
         # one stack per resource support, measured once per message over all
-        # its rows: the decode makes no second measurement
+        # its rows: the decode makes no second measurement, and a private bit
+        # decodes each controller outcome of a stack in one call
         supports = Counter(tuple(s > 0 for s in spec) for spec in spectra)
         assert sorted(rows) == sorted(n for n in supports.values() for _ in range(d))
+        assert sorted(decoded) == (sorted(n for n in supports.values() for _ in range(d))
+                                   if d == 2 else [])
 
     D3_SPECTRA = [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2), (0.6, 0.4, 0.0), (1.0, 0.0, 0.0)]
 
@@ -798,20 +806,20 @@ class TestStackedSweep:
             "bipartite-d3", "ghz2-d3"])
     def test_establishment_rows_equal_lone_runs(self, protocol, d, n, spectra):
         for group in _by_support(spectra):
-            lone = [protocols._establishment_core(d, n, ResourceState.from_schmidt(spec), protocol)
+            lone = [protocols._establishment_run(d, n, ResourceState.from_schmidt(spec), protocol)
                     for spec in group]
             stages, measured, corrected, mean = protocols._establishment_stack(
                 d, n, protocols._schmidt_states(group), protocol)
             for name, stack in stages.items():
                 assert_rows_equal(stack, [t.stages[name] for t in lone])
-            for k, ((p, live, state), (fixed, f)) in enumerate(zip(measured, corrected)):
-                assert np.array_equal(p, [t.measured[k].probability for t in lone])
-                assert list(live) == [t.measured[k].state is not None for t in lone]
-                kept = [t for t in lone if t.measured[k].state is not None]
-                if kept:
-                    assert_rows_equal(state, [t.measured[k].state for t in kept])
-                    assert_rows_equal(fixed, [t.branches[k].state for t in kept])
-                    assert np.array_equal(f, [t.branches[k].metrics["fidelity"] for t in kept])
+            for k, (cb, (fixed, f)) in enumerate(zip(measured, corrected)):
+                assert cb.outcome == k
+                assert np.array_equal(cb.probability, [t.measured[k].probability for t in lone])
+                assert [t.measured[k].state is None for t in lone] == [cb.state is None] * len(lone)
+                if cb.state is not None:
+                    assert_rows_equal(cb.state, [t.measured[k].state for t in lone])
+                    assert_rows_equal(fixed, [t.branches[k].state for t in lone])
+                    assert np.array_equal(f, [t.branches[k].metrics["fidelity"] for t in lone])
             assert np.array_equal(mean, [t.metrics["fidelity_mean"] for t in lone])
         table = necessity_sweep(protocol, d, spectra, n_receivers=n)
         full = [run_ghz_distribution(d, n, ResourceState.from_schmidt(spec)) for spec in spectra]
@@ -827,12 +835,13 @@ class TestStackedSweep:
                 stages, measured, joint = protocols._private_dit_stack(d, x, stack)
                 for name, rows in stages.items():
                     assert_rows_equal(rows, [t.stages[name] for t in lone])
-                for k, (p, live, state) in enumerate(measured):
-                    assert np.array_equal(p, [t.measured[k].probability for t in lone])
-                    kept = [t.measured[k].state for t in lone if t.measured[k].state is not None]
-                    assert list(live) == [t.measured[k].state is not None for t in lone]
-                    if kept:
-                        assert_rows_equal(state, kept)
+                for k, cb in enumerate(measured):
+                    assert cb.outcome == k
+                    assert np.array_equal(cb.probability, [t.measured[k].probability for t in lone])
+                    states = [t.measured[k].state for t in lone]
+                    assert [s is None for s in states] == [cb.state is None] * len(lone)
+                    if cb.state is not None:
+                        assert_rows_equal(cb.state, states)
                 assert np.array_equal(joint, [t.metrics["joint_pmf"] for t in lone])
         table = necessity_sweep("private-dit", d, spectra)
         worst = [min(run_private_dit(d, x, ResourceState.from_schmidt(spec)).metrics[
@@ -841,22 +850,42 @@ class TestStackedSweep:
 
     def test_rows_that_part_ways_run_one_per_stack(self, monkeypatch):
         spectra = self.GRID[5::10]  # interior: one support
-        full = [run_bipartite_establishment(2, ResourceState.from_schmidt(spec))
-                for spec in spectra]
-        sizes = []
-        stacked = protocols._establishment_stack
+        resources = [ResourceState.from_schmidt(spec) for spec in spectra]
+        fidelities = [run_bipartite_establishment(2, res).metrics["fidelity_mean"]
+                      for res in resources]
+        worst = [min(run_private_dit(2, x, res).metrics["success_probability"] for x in range(2))
+                 for res in resources]
 
-        def parting(d, n, rho0, protocol_id):  # as if a later state's support differed by row
-            sizes.append(len(rho0.block))
-            if len(rho0.block) > 1:
-                raise linalg._SupportsDiffer("the rows of a stack hold different supports")
-            return stacked(d, n, rho0, protocol_id)
+        def parting(name, stack_of_args, why):
+            """Make ``protocols.<name>`` raise on a stack of more than one row,
+            as the step would if ``why``; returns the row counts it is called with."""
+            step, sizes = getattr(protocols, name), []
 
-        monkeypatch.setattr(protocols, "_establishment_stack", parting)
+            def patched(*args):
+                sizes.append(len(stack_of_args(args).block))
+                if sizes[-1] > 1:
+                    raise linalg._SupportsDiffer(why)
+                return step(*args)
+
+            monkeypatch.setattr(protocols, name, patched)
+            return sizes
+
+        sizes = parting("_establishment_stack", lambda args: args[2],
+                        "the rows of a stack hold different supports")
         table = necessity_sweep("bipartite", 2, spectra)
         assert sorted(sizes) == [1] * len(spectra) + [len(spectra)]
-        assert np.array_equal([r["metric"] for r in table["rows"]],
-                              [t.metrics["fidelity_mean"] for t in full])
+        assert np.array_equal([r["metric"] for r in table["rows"]], fidelities)
+        monkeypatch.undo()
+
+        # a branch of the controller's measurement null in some rows only
+        for protocol, lone in (("bipartite", fidelities), ("private-dit", worst)):
+            sizes = parting("projective_measure", lambda args: args[0],
+                            "branch 1 is null in some rows of the stack only")
+            table = necessity_sweep(protocol, 2, spectra)
+            per_row = 2 if protocol == "private-dit" else 1  # a private bit measures per message
+            assert sorted(sizes) == [1] * (per_row * len(spectra)) + [len(spectra)]
+            assert np.array_equal([r["metric"] for r in table["rows"]], lone)
+            monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
