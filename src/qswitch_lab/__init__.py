@@ -44,7 +44,6 @@ from .linalg import (
     fourier_ket,
     ghz_ket,
     partial_trace,
-    permute_basis,
     projective_measure,
     schmidt_coefficients,
     tensor,
@@ -65,7 +64,7 @@ from .protocols import (
     ResourceState,
     classical_flag_encodings,
     clone_extend_unitary,
-    clone_permutation,
+    clone_fan_out,
     decode_summary,
     dfs_phase_encodings,
     fixed_configuration_baseline,

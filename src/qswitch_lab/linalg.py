@@ -686,32 +686,6 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, acting_on: Sequence[str]) -
     return _conjugate(rho, positions, u[None])
 
 
-def permute_basis(rho: DensityMatrix, perm: Sequence[int], acting_on: Sequence[str]) -> DensityMatrix:
-    """Conjugate by the basis permutation |a> -> |perm[a]> on the addressed labels.
-
-    Equals ``apply_unitary`` with the permutation matrix, but moves the
-    support's indices and entries instead of multiplying by it.  ``perm``
-    indexes the basis of the addressed labels in the order given (first most
-    significant) and must be a permutation of ``range(m)``, m the product of
-    their dimensions.
-    """
-    positions = rho.layout.positions(acting_on)
-    acted_dim = math.prod(rho.layout.dims[p] for p in positions)
-    perm = np.asarray(perm)
-    src = np.full(acted_dim, -1)  # the output's a-th basis state comes from src[a]
-    if perm.shape == (acted_dim,) and perm.dtype.kind in "iu":
-        if ((perm >= 0) & (perm < acted_dim)).all():
-            src[perm] = np.arange(acted_dim)
-    if (src < 0).any():  # out of range, wrong length or type, or a repeated index
-        raise ValueError(
-            f"index map is not a permutation of the {acted_dim} basis states "
-            f"of labels {tuple(acting_on)}"
-        )
-    acted, rest = _split(rho, positions)
-    moved = rest + _offsets(rho.layout.dims, tuple(positions))[perm[acted]]
-    return _remapped(rho, rho.layout, moved)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementBranch:
     """One outcome of a measurement: of a state, its probability (a float)
@@ -839,21 +813,18 @@ def schmidt_coefficients(
 
 
 def _clamp(val, what: str, hi: float = 1.0):
-    """Clamp a float, or each entry of an array, into [0, hi]; an excursion
-    beyond ``spectral_tol`` is an error, raised for the first one."""
+    """Clamp a float, or each entry of an array, into [0, hi] as
+    ``min(max(v, 0.0), hi)`` does; an excursion beyond ``spectral_tol`` is an
+    error, raised for the first one.  A scalar comes back as a float."""
     tol = policy.spectral_tol
-    if not isinstance(val, np.ndarray) or not val.ndim:
-        val = float(val)
-        if not -tol <= val <= hi + tol:  # NaN too
-            raise ValueError(
-                f"{what} is {val!r}, outside [0, {hi:g}] beyond the spectral tolerance")
-        return min(max(val, 0.0), hi)
-    low, high = val.min(), val.max()  # NaN too
-    if not (-tol <= low and high <= hi + tol):
-        return _clamp(val[~((-tol <= val) & (val <= hi + tol))][0], what, hi)  # raises
-    if low < 0.0 or hi < high:
-        val = np.where(val < 0.0, 0.0, np.where(hi < val, hi, val))  # as min(max(v, 0.0), hi)
-    return val
+    val = np.asarray(val, dtype=float)
+    beyond = ~((-tol <= val) & (val <= hi + tol))  # NaN too
+    if beyond.any():
+        raise ValueError(f"{what} is {float(val[beyond][0])!r}, outside [0, {hi:g}] "
+                         "beyond the spectral tolerance")
+    # np.where keeps the -0.0 that min and max keep; np.clip leaves signed zeros unspecified
+    val = np.where(val < 0.0, 0.0, np.where(hi < val, hi, val))
+    return float(val) if val.ndim == 0 else val
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

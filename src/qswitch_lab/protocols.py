@@ -17,9 +17,9 @@ The sender's phase encoding and the receiver's correction are one gate,
 ``phase_unitary``.  The channel is applied through
 ``channels.apply_coincidence``, its closed action; no Kraus list is built
 here (``combinators.k_multiline`` is the oracle it is tested against).
-Likewise the clone fan-out is applied as the basis permutation
-``clone_permutation`` through ``linalg.permute_basis``, with the dense
-``clone_extend_unitary`` as its oracle.  All runs are pure functions
+Likewise the clone fan-out, a permutation of basis states, is applied by
+``clone_fan_out``, which moves the support's indices by their digits, with
+the dense ``clone_extend_unitary`` as its oracle.  All runs are pure functions
 returning a :class:`ProtocolTranscript`, the one record of a run: the state
 after every stage by name, the controller's measurement and every branch;
 one step of every pipeline transmits and measures, through
@@ -54,13 +54,13 @@ from .linalg import (
     _clamp,
     _densities,
     _readonly,
+    _remapped,
     apply_unitary,
     basis_ket,
     fidelity_with_ket,
     fourier_basis,
     ghz_ket,
     partial_trace,
-    permute_basis,
     projective_measure,
     tensor,
     trace_distance,
@@ -101,8 +101,8 @@ def clone_extend_unitary(d: int, n_copies: int) -> np.ndarray:
     (|k, a_1, ..., a_n> -> |k, a_1 + k, ..., a_n + k> mod d), the qudit
     generalization of a CNOT fan-out: sum_k |k><k| (x) (X^k)^(x n), X the
     cyclic shift |a> -> |a + 1 mod d>.  No caller in the package: the
-    protocols apply :func:`clone_permutation`.  It stays as the dense
-    reference that tests compare the permutation with, bit for bit.
+    protocols apply :func:`clone_fan_out`.  It stays as the dense reference
+    that tests compare the fan-out with, bit for bit.
     """
     if d < 2 or n_copies < 1:
         raise ValueError("need d >= 2 and at least one copy")
@@ -118,23 +118,31 @@ def clone_extend_unitary(d: int, n_copies: int) -> np.ndarray:
     return u
 
 
-@functools.cache
-def clone_permutation(d: int, n_copies: int) -> np.ndarray:
-    """Index map of the fan-out |k, a_1, ..., a_n> -> |k, a_1 + k, ..., a_n + k>.
+def clone_fan_out(rho: DensityMatrix, source: str, targets) -> DensityMatrix:
+    """Conjugate a state, or a stack, by the fan-out of ``source`` onto
+    ``targets``: |k, a_1, ..., a_n> -> |k, a_1 + k, ..., a_n + k> (mod d).
 
-    ``perm[i]`` is the basis index that ``clone_extend_unitary(d, n_copies)``
-    sends basis index ``i`` to; the protocols apply it with
-    ``linalg.permute_basis`` and the dense unitary is its test oracle.  The
-    array is read-only.
+    Equals ``apply_unitary`` with ``clone_extend_unitary(d, n)`` on
+    ``(source, *targets)``, but moves each support index by its digits
+    instead of multiplying, so it keeps every bit and builds nothing over the
+    basis.  The labels must be known and distinct, with at least one target,
+    all of one dimension d.
     """
-    if d < 2 or n_copies < 1:
-        raise ValueError("need d >= 2 and at least one copy")
-    shape = (d,) * (n_copies + 1)
-    digits = np.indices(shape).reshape(n_copies + 1, -1)  # digits[0]: source register
-    k = digits[0]
-    perm = np.ravel_multi_index((k, *((digits[1:] + k) % d)), shape)
-    perm.setflags(write=False)
-    return perm
+    targets = tuple(targets)
+    positions = rho.layout.positions((source,) + targets)
+    dims = rho.layout.dims
+    d = dims[positions[0]]
+    if not targets or any(dims[p] != d for p in positions):
+        raise ValueError(f"a fan-out needs a source and at least one target of one "
+                         f"dimension, got {(source,) + targets} of dimensions "
+                         f"{tuple(dims[p] for p in positions)}")
+    strides = [math.prod(dims[p + 1:]) for p in positions]
+    k = rho.support // strides[0] % d
+    moved = rho.support.copy()
+    for stride in strides[1:]:
+        a = rho.support // stride % d
+        moved += ((a + k) % d - a) * stride
+    return _remapped(rho, rho.layout, moved)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +397,7 @@ def _establishment_stack(
     stages = {
         "resource": rho0,
         "extended": extended,
-        "cloned": permute_basis(extended, clone_permutation(d, n_receivers), ("A",) + send_labels),
+        "cloned": clone_fan_out(extended, "A", send_labels),
     }
     measured = _transmit_and_measure(stages, d, send_labels, recv_labels)
 
@@ -567,6 +575,9 @@ def classical_flag_encodings(d: int) -> list[DensityMatrix]:
 # perfection slack, so that the two verdicts are on one scale
 _PERFECT_SLACK = 1e-9    # a metric at or above 1 - this is perfect
 _MONOTONE_SLACK = 1e-12  # a rise of at most this along the gap order is monotone
+# the most rows one stack of a sweep holds, so that its memory stays bounded
+# as the grid grows; at 101 or more every pinned grid is one stack
+_STACK_ROWS = 1024
 
 
 def _uniformity_deficit(spectrum) -> float:
@@ -589,8 +600,8 @@ def necessity_sweep(
     whether it is monotone in the resource entanglement.  Encodings are
     fixed to the constructive family (phase encodings on the noiseless
     span), so this is construction-family necessity, not an optimization
-    over all encodings.  The resources of one support run as one stack,
-    each row to the bit as a run of its own.
+    over all encodings.  The resources of one support run as stacks of at
+    most ``_STACK_ROWS`` rows, each row to the bit as a run of its own.
     """
     if protocol not in ("private-dit", "bipartite", "ghz"):
         raise ValueError(f"unknown protocol tag {protocol!r}")
@@ -603,7 +614,9 @@ def necessity_sweep(
     for i, spec in enumerate(specs):
         by_support.setdefault(tuple(s > 0.0 for s in spec), []).append(i)
     measures: dict[int, dict] = {}
-    for members in by_support.values():
+    stacks = [indices[i:i + _STACK_ROWS] for indices in by_support.values()
+              for i in range(0, len(indices), _STACK_ROWS)]
+    for members in stacks:
         group = [specs[i] for i in members]
         try:
             found = _stack_measures(protocol, d, n_receivers, _schmidt_states(group))

@@ -9,13 +9,13 @@ from qswitch_lab import (
     apply_coincidence,
     apply_unitary,
     basis_ket,
+    clone_fan_out,
     fidelity_with_ket,
     fourier_basis,
     fourier_ket,
     ghz_ket,
     identity_channel,
     partial_trace,
-    permute_basis,
     policy,
     projective_measure,
     schmidt_coefficients,
@@ -103,12 +103,12 @@ def support_min_eigenvalue(m):
     "call",
     [
         lambda rho: partial_trace(rho, ["A", "A"]),
-        lambda rho: permute_basis(rho, [1, 0, 3, 2], ("A", "A")),
+        lambda rho: clone_fan_out(rho, "A", ("A",)),
         lambda rho: apply_coincidence(rho, ("A", "A", "C")),
         lambda rho: apply_unitary(rho, np.eye(4), ("A", "A")),
         lambda rho: apply(identity_channel(4), rho, ("A", "A")),
     ],
-    ids=["partial_trace", "permute_basis", "apply_coincidence", "apply_unitary", "apply"],
+    ids=["partial_trace", "clone_fan_out", "apply_coincidence", "apply_unitary", "apply"],
 )
 def test_repeated_labels_rejected(call):
     ghz3 = ghz_ket(2, 3).density(SubsystemLayout((2, 2, 2), ("A", "B", "C")))
@@ -599,6 +599,24 @@ class TestDistances:
             fidelity_with_ket(rho, basis_ket(3, 0))
         assert fidelity_with_ket(rho, basis_ket(3, 1)) == 0.0
 
+    @pytest.mark.parametrize("hi", [1.0, 0.5, np.inf])
+    def test_clamp_is_min_max_for_scalars_and_arrays(self, hi):
+        tol = policy.spectral_tol
+        inside = [0.0, -0.0, -tol, -0.5 * tol, 0.3, hi, hi + 0.5 * tol, hi + tol]
+        inside = [v for v in inside if v != np.inf]
+        for v in inside:
+            out = linalg._clamp(np.float64(v), "x", hi)
+            assert type(out) is float and repr(out) == repr(min(max(v, 0.0), hi))
+        out = linalg._clamp(np.array(inside), "x", hi)
+        assert repr(out.tolist()) == repr([min(max(v, 0.0), hi) for v in inside])
+        for bad in (-2 * tol, hi + 2 * tol, np.nan):
+            if bad == np.inf:
+                continue
+            with pytest.raises(ValueError, match=f"x is {bad!r}, outside"):
+                linalg._clamp(bad, "x", hi)
+            with pytest.raises(ValueError, match=f"x is {bad!r}, outside"):
+                linalg._clamp(np.array([0.5 * hi if hi < np.inf else 1.0, bad, -1.0]), "x", hi)
+
 
 class TestEmbeddedUnitaries:
     def test_acts_on_addressed_factor_only(self, rng):
@@ -632,20 +650,6 @@ class TestEmbeddedUnitaries:
                     i = (a * 2 + b) * 2 + c
                     full[i, i] = -1.0 if (c == 1 and a == 1) else 1.0
         assert np.abs(out.entries - full @ rho.entries @ full.conj().T).max() < 1e-12
-
-    def test_permute_basis_rejects_non_permutation(self, rng):
-        rho = random_density(8, rng, SubsystemLayout((2, 2, 2), ("A", "B", "C")))
-        for bad in ([0, 1, 2, 2], [0, 1, 2], [0, 1, 2, 4], [[0, 1], [2, 3]]):
-            with pytest.raises(ValueError, match="not a permutation"):
-                permute_basis(rho, bad, ("C", "A"))
-
-    def test_permute_basis_matches_permutation_matrix(self, rng):
-        rho = random_density(12, rng, SubsystemLayout((2, 3, 2), ("A", "B", "C")))
-        perm = rng.permutation(4)
-        u = np.zeros((4, 4), dtype=complex)
-        u[perm, np.arange(4)] = 1.0
-        out = permute_basis(rho, perm, ("C", "A"))
-        assert out.entries.tobytes() == apply_unitary(rho, u, ("C", "A")).entries.tobytes()
 
     def test_rejects_non_unitary(self, rng):
         rho = random_density(4, rng, SubsystemLayout((2, 2), ("A", "B")))
@@ -728,12 +732,11 @@ class TestStacks:
         stack = stack_of(states)
         d = dims[0]
         u = random_unitary(d * dims[1], rng)
-        perm = rng.permutation(d * dims[1])
         ancilla = random_density(2, rng, SubsystemLayout((2,), ("Z",)))
         steps = [
             lambda rho: tensor(rho, ancilla),
             lambda rho: rho.reorder(labels[::-1]),
-            lambda rho: permute_basis(rho, perm, labels[:2]),
+            lambda rho: clone_fan_out(rho, labels[0], labels[1:2]),
             lambda rho: apply_unitary(rho, u, labels[1::-1]),
             lambda rho: partial_trace(rho, labels[1:]),
         ]

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,7 @@ from qswitch_lab import (
     basis_ket,
     classical_flag_encodings,
     clone_extend_unitary,
-    clone_permutation,
+    clone_fan_out,
     concurrence_2qubit,
     decode_summary,
     dfs_phase_encodings,
@@ -23,7 +24,6 @@ from qswitch_lab import (
     mutual_information,
     necessity_sweep,
     partial_trace,
-    permute_basis,
     phase_unitary,
     policy,
     privacy_report,
@@ -175,28 +175,59 @@ class TestLocalUnitaries:
         labels = ["S0", acted[0], "S1", *acted[1:], "S2"]
         dims = [2, d, 2 if d ** (n + 1) <= 16 else 1, *[d] * n, 2]
         rho = random_density(int(np.prod(dims)), rng, SubsystemLayout(tuple(dims), tuple(labels)))
-        perm = clone_permutation(d, n)
         u = clone_extend_unitary(d, n)
         for order in (acted, acted[::-1], [acted[-1], *acted[:-1]]):
-            fast = permute_basis(rho, perm, order)
+            fast = clone_fan_out(rho, order[0], order[1:])
             dense = apply_unitary(rho, u, order)
             assert fast.entries.tobytes() == dense.entries.tobytes()
 
     def test_clone_permutation_is_the_unitary_index_map(self):
+        # a diagonal state of distinct entries: the fan-out moves the entry of
+        # basis state i to the row where column i of the unitary holds its one
         for d, n in ((2, 1), (3, 2), (4, 2)):
             u = clone_extend_unitary(d, n)
-            perm = clone_permutation(d, n)
-            assert np.array_equal(u.argmax(axis=0), perm)
+            p = np.arange(1.0, u.shape[0] + 1)
+            labels = ("A",) + tuple(f"A{i}" for i in range(1, n + 1))
+            layout = SubsystemLayout((d,) * (n + 1), labels)
+            rho = DensityMatrix(np.diag(p / p.sum()), layout)
+            out = clone_fan_out(rho, "A", labels[1:])
+            assert np.array_equal(out.entries.diagonal()[u.argmax(axis=0)], rho.entries.diagonal())
+
+    def test_clone_fan_out_rejects_bad_labels(self):
+        rho = ghz_ket(2, 3).density(SubsystemLayout((2, 2, 2), ("A", "A1", "C")))
+        with pytest.raises(ValueError, match="unknown label"):
+            clone_fan_out(rho, "A", ("A9",))
+        with pytest.raises(ValueError, match="repeated labels"):
+            clone_fan_out(rho, "A", ("A1", "A"))
+        with pytest.raises(ValueError, match="at least one target"):
+            clone_fan_out(rho, "A", ())
+        mixed = tensor(basis_ket(2, 0), basis_ket(3, 0)).density(
+            SubsystemLayout((2, 3), ("A", "A1")))
+        with pytest.raises(ValueError, match="one dimension"):
+            clone_fan_out(mixed, "A", ("A1",))
+
+    def test_clone_fan_out_builds_nothing_over_the_basis(self):
+        # (2, 40): 2^42 basis states, 2 support indices; the GHZ resource with
+        # its 40 ancillas after it, cloned onto every ancilla
+        n = 40
+        rho = ghz_ket(2, 2).density(SubsystemLayout((2, 2), ("A", "C")))
+        for i in range(1, n + 1):
+            rho = tensor(rho, basis_ket(2, 0).density(SubsystemLayout((2,), (f"A{i}",))))
+        tracemalloc.start()
+        try:
+            out = clone_fan_out(rho, "A", [f"A{i}" for i in range(1, n + 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.support.tolist() == [0, 2 ** (n + 2) - 1]
+        assert np.array_equal(out.block, rho.block)
+        assert peak < 1 << 20
 
     def test_gates_built_once_and_read_only(self):
         gate = phase_unitary(1, 3)
         assert phase_unitary(1, 3) is gate
         with pytest.raises(ValueError, match="read-only"):
             gate[0, 0] = 0.0
-        perm = clone_permutation(3, 2)
-        assert clone_permutation(3, 2) is perm
-        with pytest.raises(ValueError, match="read-only"):
-            perm[0] = 1
 
     def test_clone_builds_ghz_from_pair(self):
         layout = SubsystemLayout((2, 2, 2), ("A", "A1", "C"))
@@ -462,9 +493,9 @@ class TestGHZ:
             assert abs(g.metrics[key] - b.metrics[key]) < 1e-12
 
     @staticmethod
-    def _dense_clone(rho, perm, acting_on):
-        d = rho.layout.dims[rho.layout.index_of(acting_on[0])]
-        return apply_unitary(rho, clone_extend_unitary(d, len(acting_on) - 1), acting_on)
+    def _dense_clone(rho, source, targets):
+        d = rho.layout.dims[rho.layout.index_of(source)]
+        return apply_unitary(rho, clone_extend_unitary(d, len(targets)), (source, *targets))
 
     @pytest.mark.parametrize(
         "protocol,d,n", [("ghz", 2, 4), ("ghz", 3, 3), ("ghz", 4, 2), ("bipartite", 3, 1)]
@@ -479,7 +510,7 @@ class TestGHZ:
             return dumps_json(transcript_to_dict(t)).encode()
 
         fast = payload()
-        monkeypatch.setattr(protocols, "permute_basis", self._dense_clone)
+        monkeypatch.setattr(protocols, "clone_fan_out", self._dense_clone)
         assert payload() == fast
 
     def test_largest_ghz_states_match_dense_clone_oracle(self, monkeypatch):
@@ -492,7 +523,7 @@ class TestGHZ:
             return [s.entries.tobytes() for s in states], repr(t.metrics)
 
         fast = parts()
-        monkeypatch.setattr(protocols, "permute_basis", self._dense_clone)
+        monkeypatch.setattr(protocols, "clone_fan_out", self._dense_clone)
         assert parts() == fast
 
     def test_to_ket_decomposes_only_the_support(self, monkeypatch):
@@ -847,6 +878,26 @@ class TestStackedSweep:
         worst = [min(run_private_dit(d, x, ResourceState.from_schmidt(spec)).metrics[
             "success_probability"] for x in range(d)) for spec in spectra]
         assert np.array_equal([r["metric"] for r in table["rows"]], worst)
+
+    def test_stacks_hold_at_most_the_row_cap(self, monkeypatch):
+        # a support group splits into stacks of at most `_STACK_ROWS` rows:
+        # the rows keep the bits of one stack, and the peak stays flat in
+        # the grid (about 7.5x from 16 to 128 rows without the cap)
+        cap, grid = 8, lambda n: [(a, 1 - a) for a in np.linspace(0.05, 0.95, n)]
+        one_stack = necessity_sweep("ghz", 2, grid(16 * cap), n_receivers=3)
+        monkeypatch.setattr(protocols, "_STACK_ROWS", cap)
+        assert repr(necessity_sweep("ghz", 2, grid(16 * cap), n_receivers=3)) == repr(one_stack)
+
+        def peak(rows):
+            spectra = grid(rows)
+            tracemalloc.start()
+            try:
+                necessity_sweep("ghz", 2, spectra, n_receivers=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16 * cap) <= 2 * peak(2 * cap)
 
     def test_rows_that_part_ways_run_one_per_stack(self, monkeypatch):
         spectra = self.GRID[5::10]  # interior: one support
