@@ -8,7 +8,8 @@ maps a support block to a support block, so a low-rank state in a large
 space costs its support only; the whole matrix is built only on request.
 The index plan of a step (where each support index goes) is kept per
 dimensions, addressed factors and support, so states that share a support
-share one plan.
+share one plan; it reads each digit of a support index off its stride, so no
+plan tabulates the basis and a layout may have any number of factors.
 Composite systems carry a :class:`SubsystemLayout` that assigns a dimension
 and a unique role label to every tensor factor; the leftmost factor is the
 most significant one (``numpy.kron`` convention).
@@ -23,7 +24,10 @@ gives per outcome one ``MeasurementBranch`` that holds each row's
 probability and the stack of the rows' states.  A stack whose rows do not
 all hold nonzeros on its whole trimmed support raises ``_SupportsDiffer``,
 and so does one with a branch null in some rows only: a stack's branch is
-null in every row or in none.
+null in every row or in none.  The live branches of one measurement that
+share a support are checked as one stack, each outcome's state its row;
+``apply_unitary`` takes one gate, or one per row of a stack; and
+``trace_distance`` takes two stacks, one ``eigvalsh`` call for all rows.
 
 Everything here is a pure function of its inputs.  In particular,
 measurement is exact branch enumeration: :func:`projective_measure` returns
@@ -31,7 +35,8 @@ every outcome with its probability, never a sample, so downstream protocol
 runs are deterministic.  The constant kets (:func:`basis_ket`,
 :func:`fourier_basis`, :func:`ghz_ket`) are built once per process, and
 :func:`schmidt_coefficients` gives the Schmidt spectrum of a cut without
-forming the Schmidt vectors.
+forming the Schmidt vectors, from a matrix on the ket's nonzero amplitudes
+grouped by their digits on each side of the cut.
 """
 
 from __future__ import annotations
@@ -222,7 +227,7 @@ def _trimmed(support: np.ndarray, block: np.ndarray, n: int) -> tuple[np.ndarray
         m[..., support[:, None], support] = block
         return np.arange(n), m
     held = _occupied(block)
-    keep = np.flatnonzero(held.reshape(-1) if held.size == support.size else held.any(axis=0))
+    keep = np.flatnonzero(held if held.ndim == 1 else held.reshape(-1, support.size).any(axis=0))
     if keep.size < support.size:
         support, block = support[keep], block[..., keep[:, None], keep]
     return support, block
@@ -262,7 +267,7 @@ def _check(block: np.ndarray, n: int) -> None:
               & (_min_eigenvalue(block, n) >= policy.psd_floor))
         if _every(ok):
             return
-    if block.ndim == 3:
+    if block.ndim > 2:
         for row in block:
             _check(row, n)
     if not herm <= tol:
@@ -322,11 +327,11 @@ class DensityMatrix:
     @classmethod
     def _of_block(cls, layout: SubsystemLayout, support, block: np.ndarray) -> "DensityMatrix":
         """The checked state with ``block`` on ``support`` (as for ``_trimmed``),
-        or the checked stack with a block of shape ``(R, k, k)``, whose rows
-        must each hold the whole support when it is trimmed."""
+        or the checked stack with a block of shape ``(*lead, k, k)``, whose
+        rows must each hold the whole support when it is trimmed."""
         out = cls._unchecked(layout, *_trimmed(support, block, layout.total_dim))
         out.__post_init__()
-        if block.ndim == 3 and len(block) > 1 and out.dim > _SUPPORT_MIN_DIM:
+        if block.ndim > 2 and out.dim > _SUPPORT_MIN_DIM:
             if not _occupied(out.block).all():
                 raise _SupportsDiffer("the rows of a stack hold different supports")
         return out
@@ -401,7 +406,8 @@ class DensityMatrix:
 @functools.cache
 def _offsets(dims: tuple[int, ...], positions: tuple[int, ...]) -> np.ndarray:
     """Full-index offset of each basis state of the factors at ``positions``
-    (in that order, first most significant); read-only."""
+    (in that order, first most significant), a table over the acted range;
+    read-only."""
     off = np.zeros(1, dtype=np.intp)
     for p in positions:
         off = (off[:, None] + math.prod(dims[p + 1:]) * np.arange(dims[p])).reshape(-1)
@@ -436,12 +442,16 @@ def _per_layout(plan):
 def _split_plan(dims, positions, support) -> tuple[np.ndarray, np.ndarray]:
     """For every support index: its index over the factors at ``positions``
     (in that order, first most significant) and the rest of it, the full
-    index with those factors' digits 0."""
-    digits = np.unravel_index(support, dims)
+    index with those factors' digits 0.  Each digit is read off its stride,
+    so no table spans the basis and any number of factors is taken."""
     acted = np.zeros_like(support)
+    rest = support.copy()
     for p in positions:
-        acted = acted * dims[p] + digits[p]
-    return acted, support - _offsets(dims, positions)[acted]
+        stride = math.prod(dims[p + 1:])
+        digit = support // stride % dims[p]
+        acted = acted * dims[p] + digit
+        rest -= digit * stride
+    return acted, rest
 
 
 _split = _per_layout(_split_plan)
@@ -454,6 +464,27 @@ def _remapped(rho: DensityMatrix, layout: SubsystemLayout, indices: np.ndarray) 
     """
     order = np.argsort(indices)
     return DensityMatrix._unchecked(layout, indices[order], rho.block[..., order[:, None], order])
+
+
+def _stacked(states: Sequence[DensityMatrix]) -> DensityMatrix:
+    """The stack of checked states (or stacks) of one layout, one per row, on
+    the union of their supports; not checked again.
+
+    Each row holds its state's entries, so a step that reads ``entries``
+    reads each state as it is.  States of one support keep their blocks as
+    they are, and such a stack goes through every step kernel.
+    """
+    first = states[0]
+    if len({rho.support.tobytes() for rho in states}) == 1:
+        return DensityMatrix._unchecked(first.layout, first.support,
+                                        np.stack([rho.block for rho in states]))
+    support = np.unique(np.concatenate([rho.support for rho in states]))
+    shape = (len(states),) + first.block.shape[:-2] + (support.size, support.size)
+    block = np.zeros(shape, dtype=complex)
+    for row, rho in zip(block, states):
+        at = np.searchsorted(support, rho.support)
+        row[..., at[:, None], at] = rho.block
+    return DensityMatrix._unchecked(first.layout, support, block)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +650,9 @@ def _conjugate(rho: DensityMatrix, positions: Sequence[int], ops: np.ndarray) ->
     ``positions`` fixes the correspondence between the operators' tensor
     factors and the subsystems they act on; the operators must be square
     with dimension equal to the product of the addressed subsystem dims,
-    which the callers check.  The two products per operator contract the
+    which the callers check; each operator may be one per row of a stack,
+    ``(*lead, m, m)`` with a lead that broadcasts to the stack's.  The two
+    products per operator contract the
     acted axis of the compacted tensor (``_compact``) over its full length,
     as they would on the whole matrix; each is the product, on the same
     operands in the same memory order, that ``np.tensordot(K, t, (1, 0))``
@@ -634,7 +667,7 @@ def _conjugate(rho: DensityMatrix, positions: Sequence[int], ops: np.ndarray) ->
     out = np.zeros_like(t)
     for K in ops:
         t1 = (K @ t.reshape(lead + (m, -1))).reshape(t.shape)  # (i, q, l, r)
-        t2 = t1.swapaxes(-1, -2).reshape(lead + (-1, m)) @ K.conj().T  # (i q r, k)
+        t2 = t1.swapaxes(-1, -2).reshape(lead + (-1, m)) @ K.conj().swapaxes(-1, -2)  # (i q r, k)
         out += t2.reshape(lead + (m, r, r, m)).swapaxes(-1, -2)
     out = out.reshape(lead + (index.size, index.size))[..., order[:, None], order]
     return DensityMatrix._of_block(rho.layout, index, out)
@@ -645,8 +678,11 @@ def _coincidence_plan(dims, positions, support) -> tuple[np.ndarray, ...]:
     terms by ascending acted index, the order of the Kraus list."""
     d = dims[positions[0]]
     acted, rest = _split_plan(dims, positions, support)
-    span = (acted % d) * ((d ** len(positions) - 1) // (d - 1))  # c_j, j the control digit
-    out_support, row = np.unique(rest + _offsets(dims, positions)[span], return_inverse=True)
+    j = acted % d  # the control digit
+    span = j * ((d ** len(positions) - 1) // (d - 1))  # c_j = |j>^N|j>
+    # every digit of c_j is j, so its full-index offset is j times the strides' sum
+    offset = j * sum(math.prod(dims[p + 1:]) for p in positions)
+    out_support, row = np.unique(rest + offset, return_inverse=True)
     kept = np.flatnonzero(acted == span)
     moved_i, moved_j = _pairs_by(acted, np.flatnonzero(acted != span))
     i = np.concatenate([np.repeat(kept, kept.size), moved_i])
@@ -672,16 +708,27 @@ def _coincidence(rho: DensityMatrix, positions: Sequence[int]) -> DensityMatrix:
 
 
 def apply_unitary(rho: DensityMatrix, u: np.ndarray, acting_on: Sequence[str]) -> DensityMatrix:
-    """Conjugate by a unitary on the addressed labels, identity elsewhere."""
+    """Conjugate a state, or a stack, by a unitary on the addressed labels,
+    identity elsewhere.
+
+    ``u`` is one gate, or one gate per row: a ``(*lead, m, m)`` stack whose
+    lead broadcasts to the stack's, so a stack of states may take a gate
+    each.  Every gate must be unitary within ``spectral_tol``.  Each row's
+    products are those of its gate on a lone state, so it rounds as one.
+    """
     u = np.asarray(u, dtype=complex)
     positions = rho.layout.positions(acting_on)
     acted_dim = math.prod(rho.layout.dims[p] for p in positions)
-    if u.shape != (acted_dim, acted_dim):
+    lead = rho.block.shape[:-2]
+    gates = u.shape[:-2]
+    if u.shape[-2:] != (acted_dim, acted_dim) or len(gates) > len(lead) or any(
+            g not in (1, r) for g, r in zip(gates[::-1], lead[::-1])):
         raise ValueError(
             f"unitary of shape {u.shape} cannot act on labels {tuple(acting_on)} "
-            f"with total dimension {acted_dim}"
+            f"with total dimension {acted_dim}" + (f" of a stack of shape {lead}" if lead else "")
         )
-    if not np.abs(u.conj().T @ u - np.eye(acted_dim)).max() <= policy.spectral_tol:  # NaN too
+    gram = u.conj().swapaxes(-1, -2) @ u
+    if not np.abs(gram - np.eye(acted_dim)).max() <= policy.spectral_tol:  # NaN too
         raise ValueError("operator is not unitary within tolerance")
     return _conjugate(rho, positions, u[None])
 
@@ -712,7 +759,9 @@ def projective_measure(
     raises ``_SupportsDiffer``.  Each branch block is contracted from the
     compacted tensor (``_compact``) over the measured factor's full
     dimension, and its trace is summed over the whole diagonal, zeros in
-    place, so numpy groups every sum as for the whole matrix.
+    place, so numpy groups every sum as for the whole matrix.  The live
+    branches of one support are checked as one stack, and each outcome's
+    state is its row of it.
     """
     pos = rho.layout.index_of(subsystem)
     s = rho.layout.dims[pos]
@@ -744,7 +793,7 @@ def projective_measure(
     # the first one's matrix is the same for every basis vector
     rows = t.reshape(lead + (s, -1))
 
-    branches = []
+    probabilities, live = [], {}  # live: support bytes -> [(outcome, support, block)]
     total = 0.0
     for k, ket_k in enumerate(basis):
         v = ket_k.amplitudes
@@ -760,19 +809,23 @@ def projective_measure(
             diagonal[..., support] = block.diagonal(axis1=-2, axis2=-1)
         p = diagonal.sum(axis=-1).real
         null = p < policy.null_branch_tol
-        state = None
         if not null.any():
-            state = DensityMatrix._of_block(new_layout, support, block / p[..., None, None])
+            live.setdefault(support.tobytes(), []).append((k, support, block / p[..., None, None]))
         elif not null.all():
             raise _SupportsDiffer(f"branch {k} is null in some rows of the stack only")
         else:
             p = np.zeros_like(p)
-        branches.append(MeasurementBranch(k, p if lead else float(p), state))
+        probabilities.append(p if lead else float(p))
         total = total + p  # left to right, as the branches come
+    states = [None] * s
+    for group in live.values():  # the live branches of one support: one check
+        stack = DensityMatrix._of_block(new_layout, group[0][1], np.stack([b for *_, b in group]))
+        for (k, *_), block in zip(group, stack.block):
+            states[k] = DensityMatrix._unchecked(new_layout, stack.support, block)
     summed = abs(total - 1.0) <= policy.spectral_tol  # NaN too
     if not _every(summed):
         raise ValueError(f"branch probabilities sum to {float(total[~summed][0])!r}, not 1")
-    return branches
+    return [MeasurementBranch(k, *branch) for k, branch in enumerate(zip(probabilities, states))]
 
 
 # ---------------------------------------------------------------------------
@@ -787,29 +840,71 @@ def schmidt_coefficients(
 
     ``left_labels`` picks one side of the cut (in layout order); the other
     side is the complement.  The coefficients come back as a read-only
-    array in descending order; their squares sum to one.  The Schmidt
-    vectors are not formed.
+    array in descending order, min(dim_left, dim_right) of them; their
+    squares sum to one.  The Schmidt vectors are not formed.
     """
     if psi.dim != layout.total_dim:
         raise ValueError("ket dimension does not match layout")
-    left = [l for l in layout.labels if l in set(left_labels)]
-    right = [l for l in layout.labels if l not in set(left_labels)]
     unknown = set(left_labels) - set(layout.labels)
     if unknown:
         raise ValueError(f"unknown labels {sorted(unknown)}")
-    if not left or not right:
+    left = [l in set(left_labels) for l in layout.labels]
+    if all(left) or not any(left):
         raise ValueError("both sides of the cut must be nonempty")
-    lpos = layout.positions(left)
-    rpos = layout.positions(right)
-    t = psi.amplitudes.reshape(layout.dims)
-    mat = t.transpose(lpos + rpos).reshape(
-        math.prod(layout.dims[p] for p in lpos), math.prod(layout.dims[p] for p in rpos)
-    )
+    [(_, mats)] = _cut_matrices(psi, layout, np.array([left]))
+    side = math.prod(d for d, on in zip(layout.dims, left) if on)
+    out = np.zeros(min(side, psi.dim // side))  # the rows and columns left out add zeros
     # the full decomposition, not compute_uv=False: another LAPACK driver
     # can move the singular values by an ulp
-    s = np.linalg.svd(mat, full_matrices=False)[1]
-    s.setflags(write=False)
-    return s
+    values = np.linalg.svd(mats[0], full_matrices=False)[1]
+    out[:values.size] = values
+    out.setflags(write=False)
+    return out
+
+
+def _cut_matrices(psi: Ket, layout: SubsystemLayout, left: np.ndarray) -> list:
+    """The matrix of a ket across each cut, read off the support's digits,
+    as stacks of one shape: ``(cuts, stack)`` pairs, ``cuts`` the rows of
+    ``left`` (one bool per factor, True on the left side) in the stack.
+
+    A matrix's rows are the distinct left-side indices of the nonzero
+    amplitudes (the left factors' digits, first most significant),
+    ascending, and its columns the right-side ones: at full support it is
+    the whole matrix across the cut, and otherwise the rows and columns left
+    out are zero and add only zero singular values.  The zero ket keeps its
+    index 0, a zero.
+    """
+    dims = np.array(layout.dims)
+    nonzero = np.flatnonzero(psi.amplitudes)
+    if not nonzero.size:
+        nonzero = np.zeros(1, dtype=np.intp)
+    strides = np.array([math.prod(layout.dims[p + 1:]) for p in range(dims.size)])
+    # each amplitude's index with the right factors' digits 0, and the rest:
+    # the left and right indices in the order of their digits
+    on_left = np.where(left, strides, 0) @ (nonzero // strides[:, None] % dims[:, None])
+    ranks, counts = _ranks(np.concatenate([on_left, nonzero - on_left]))
+    n = len(left)
+    rows, cols, n_rows, n_cols = ranks[:n], ranks[n:], counts[:n], counts[n:]
+    out = []
+    for shape in dict.fromkeys(zip(n_rows.tolist(), n_cols.tolist())):
+        cuts = np.flatnonzero((n_rows == shape[0]) & (n_cols == shape[1]))
+        mats = np.zeros((cuts.size,) + shape, dtype=complex)
+        mats[np.arange(cuts.size)[:, None], rows[cuts], cols[cuts]] = psi.amplitudes[nonzero]
+        out.append((cuts, mats))
+    return out
+
+
+def _ranks(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an integer array, each entry's rank among the row's
+    distinct values, ascending, and the number of distinct values."""
+    each = np.arange(index.shape[0])[:, None]
+    order = np.argsort(index, axis=-1, kind="stable")
+    ordered = index[each, order]
+    rank = np.zeros_like(index)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=-1, out=rank[:, 1:])
+    out = np.empty_like(rank)
+    out[each, order] = rank
+    return out, rank[:, -1] + 1
 
 
 def _clamp(val, what: str, hi: float = 1.0):
@@ -827,12 +922,13 @@ def _clamp(val, what: str, hi: float = 1.0):
     return float(val) if val.ndim == 0 else val
 
 
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(1/2) * trace norm of the difference; in [0, 1]."""
+def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarray:
+    """(1/2) * trace norm of the difference, in [0, 1]: a float, or for two
+    stacks an array of one per row, from one ``eigvalsh`` call."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     eigs = np.linalg.eigvalsh(rho.entries - sigma.entries)
-    return _clamp(float(0.5 * np.abs(eigs).sum()), "trace distance")
+    return _clamp(0.5 * np.abs(eigs).sum(axis=-1), "trace distance")
 
 
 def fidelity_with_ket(rho: DensityMatrix, psi: Ket):

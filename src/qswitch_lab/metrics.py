@@ -5,7 +5,9 @@ pure multipartite states, maximal-entanglement tests, the Helstrom error
 for binary state discrimination, and classical mutual information for
 scoring decode tables.  Entropies are in bits (base-2 logarithms).  The
 pure-state measures read only Schmidt coefficients
-(``linalg.schmidt_coefficients``), never Schmidt vectors.
+(``linalg.schmidt_coefficients``), never Schmidt vectors, each cut's from
+the support's digits; the GGM takes all cuts of one matrix shape in one
+stacked SVD.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityMatrix, Ket, SubsystemLayout, _clamp, _every, schmidt_coefficients
+from .linalg import (
+    DensityMatrix, Ket, SubsystemLayout, _clamp, _cut_matrices, _every, schmidt_coefficients,
+)
 from .numeric import ResourceGuardError, policy
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -55,7 +59,12 @@ class BipartitionReport:
 
 
 def bipartition_reports(psi: Ket, layout: SubsystemLayout) -> list[BipartitionReport]:
-    """Top squared Schmidt coefficient for every nonempty proper bipartition."""
+    """Top squared Schmidt coefficient for every nonempty proper bipartition.
+
+    Each cut's matrix is read off the support's digits
+    (``linalg._cut_matrices``), and the cuts of one matrix shape take one
+    stacked SVD, which computes each matrix as a call of its own does.
+    """
     n = layout.n_subsystems
     if n < 2:
         raise ValueError("need at least two subsystems")
@@ -64,18 +73,16 @@ def bipartition_reports(psi: Ket, layout: SubsystemLayout) -> list[BipartitionRe
             f"bipartition enumeration over {n} parties exceeds the cap of "
             f"{policy.max_ggm_parties}"
         )
-    reports = []
     # every unordered cut exactly once: the side containing the first label
-    for r in range(1, n):
-        for rest in combinations(range(1, n), r - 1):
-            left_pos = (0,) + rest
-            if len(left_pos) == n:
-                continue
-            left = tuple(layout.labels[p] for p in left_pos)
-            right = tuple(l for l in layout.labels if l not in left)
-            top = schmidt_coefficients(psi, layout, left)[0]
-            reports.append(BipartitionReport((left, right), float(top**2)))
-    return reports
+    lefts = [(0,) + rest for r in range(1, n) for rest in combinations(range(1, n), r - 1)]
+    cuts = [(tuple(layout.labels[p] for p in pos),
+             tuple(l for p, l in enumerate(layout.labels) if p not in pos)) for pos in lefts]
+    sides = np.array([[p in pos for p in range(n)] for pos in lefts])
+    top = np.zeros(len(cuts))
+    for members, mats in _cut_matrices(psi, layout, sides):
+        # the full decomposition, as in schmidt_coefficients
+        top[members] = np.linalg.svd(mats, full_matrices=False)[1][:, 0]
+    return [BipartitionReport(cut, float(s**2)) for cut, s in zip(cuts, top)]
 
 
 def ggm(psi: Ket, layout: SubsystemLayout) -> float:

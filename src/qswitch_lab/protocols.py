@@ -28,7 +28,12 @@ stack of them (``linalg``), so a necessity sweep runs its rows of one
 resource support together; a stack's measurement holds each row's
 probability and the stack of the rows' states per outcome, and a branch
 null in some rows only raises ``_SupportsDiffer``, on which the sweep runs
-that group one row a stack.  The
+that group one row a stack.  Within a run the live branches of one support
+are one stack too: they are corrected in one ``apply_unitary`` call, each
+with its own gate on its row, and scored in one ``fidelity_with_ket`` call,
+and a private dit reads every receiver probability in one broadcast
+product.  The privacy report and the fixed-order baseline take the trace
+distances of all their pairs in one call.  The
 pre-measurement GGM of a GHZ run is skipped, with the reason recorded in the
 metrics, past ``policy.max_ggm_parties``.  A fixed-configuration baseline and necessity
 sweeps over non-uniform Schmidt spectra probe why coherent control and
@@ -55,6 +60,7 @@ from .linalg import (
     _densities,
     _readonly,
     _remapped,
+    _stacked,
     apply_unitary,
     basis_ket,
     fidelity_with_ket,
@@ -288,18 +294,20 @@ def _private_dit_stack(d: int, x: int, rho0: DensityMatrix) -> tuple:
     (of each row)."""
     stages = {"resource": rho0, "encoded": apply_unitary(rho0, phase_unitary(x, d), ("A",))}
     measured = _transmit_and_measure(stages, d, ("A",), ("B",))
-    kets = np.array([k.amplitudes for k in fourier_basis(d)])[:, None, None, :]  # (m_B, 1, 1, d)
+    live = [cb for cb in measured if cb.state is not None]
+    states = np.stack([cb.state.entries for cb in live])  # [m_C, (row,)] of d x d
+    # (m_B, 1, (1,) 1, d): one bra per receiver outcome, broadcast over the branches
+    kets = np.array([k.amplitudes for k in fourier_basis(d)]).reshape(
+        (d,) + (1,) * (states.ndim - 1) + (d,))
+    # the receiver's state is a single-qudit system; each outcome's
+    # probability is one vector-matrix product with the basis amplitudes per
+    # branch and row (a matrix product with the stacked bras would round
+    # differently), then a (1, d) by (d, 1) product, the vector dot
+    inner = np.matmul(np.matmul(kets.conj(), states), kets.swapaxes(-1, -2))  # [m_B, m_C, (row)]
+    p = np.array([cb.probability for cb in live])
     probs = np.zeros(rho0.block.shape[:-2] + (d, d))  # [(row,) m_C, m_B]
-    for cb in measured:
-        if cb.state is None:
-            continue
-        # the receiver's state is a single-qudit system; each outcome's
-        # probability is one vector-matrix product with the basis amplitudes
-        # per row (a matrix product with the stacked bras would round
-        # differently), then a (1, d) by (d, 1) product, the vector dot
-        inner = np.matmul(np.matmul(kets.conj(), cb.state.entries), kets.swapaxes(-1, -2))
-        p = np.asarray(cb.probability)[..., None]
-        probs[..., cb.outcome, :] = np.real(inner[..., 0, 0]).T * p
+    outcomes = [cb.outcome for cb in live]
+    probs[..., outcomes, :] = np.moveaxis(np.real(inner[..., 0, 0]) * p, (0, 1), (-1, -2))
     probs = _clamp(probs, "receiver outcome probability", math.inf)
     return stages, measured, np.ascontiguousarray(probs.swapaxes(-1, -2))
 
@@ -322,7 +330,7 @@ def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
     charlie_states = [partial_trace(t.stages["transmitted"], ("C",)) for t in transcripts]
     pmfs = [np.asarray(t.metrics["charlie_pmf"]) for t in transcripts]
     pairs = list(itertools.combinations(range(len(transcripts)), 2))
-    tds = {(i, j): trace_distance(charlie_states[i], charlie_states[j]) for i, j in pairs}
+    tds = dict(zip(pairs, _pairwise_trace_distances(charlie_states)))
     tvs = [total_variation(pmfs[i], pmfs[j]) for i, j in pairs]
     return {
         "max_pairwise_trace_distance": max([0.0, *tds.values()]),
@@ -331,6 +339,18 @@ def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
         "helstrom_errors": {pair: 0.5 * (1.0 - td) for pair, td in tds.items()},
         "charlie_pmfs": [p.tolist() for p in pmfs],
     }
+
+
+def _pairwise_trace_distances(states: list[DensityMatrix]) -> list[float]:
+    """The trace distance of every pair of states of one layout, in the order
+    of ``itertools.combinations``: one stacked ``trace_distance`` call."""
+    first, second = np.triu_indices(len(states), 1)  # in that order
+    if not first.size:
+        return []
+    stack = _stacked(states)
+    rows = [DensityMatrix._unchecked(stack.layout, stack.support, stack.block[k])
+            for k in (first, second)]
+    return trace_distance(*rows).tolist()
 
 
 def _shared_dimension(transcripts: list[ProtocolTranscript]) -> int:
@@ -402,18 +422,29 @@ def _establishment_stack(
     measured = _transmit_and_measure(stages, d, send_labels, recv_labels)
 
     target = ghz_ket(d, n_receivers + 1)
-    corrected = []
+    corrected = [(None, None)] * len(measured)
+    by_support: dict[bytes, list] = {}
+    for cb in measured:
+        if cb.state is not None:
+            by_support.setdefault(cb.state.support.tobytes(), []).append(cb)
+    for group in by_support.values():  # the live branches of one support
+        # one stack, each branch its row with its own correction gate
+        stack = _stacked([cb.state for cb in group])
+        gates = np.array([phase_unitary(cb.outcome, d) for cb in group])
+        gates = gates.reshape((len(group),) + (1,) * (stack.block.ndim - 3) + (d, d))
+        states = apply_unitary(stack, gates, (recv_labels[0],))
+        fidelities = fidelity_with_ket(states, target)
+        if fidelities.ndim == 1:  # one state per branch: floats
+            fidelities = fidelities.tolist()
+        for cb, block, f in zip(group, states.block, fidelities):
+            state = DensityMatrix._unchecked(states.layout, states.support, block)
+            corrected[cb.outcome] = (state, f)
     # left to right on every Python, which a builtin sum() of floats is not
     # (3.12's is compensated)
     fidelity_mean = np.zeros(rho0.block.shape[:-2])
-    for cb in measured:
-        if cb.state is None:
-            corrected.append((None, None))
-            continue
-        state = apply_unitary(cb.state, phase_unitary(cb.outcome, d), (recv_labels[0],))
-        f = fidelity_with_ket(state, target)
-        fidelity_mean += cb.probability * f
-        corrected.append((state, f))
+    for cb, (_, f) in zip(measured, corrected):
+        if f is not None:
+            fidelity_mean += cb.probability * f
     return stages, measured, corrected, fidelity_mean
 
 
@@ -512,7 +543,7 @@ def fixed_configuration_baseline(d: int, encoded_states: list[DensityMatrix]) ->
     control_label = encoded_states[0].layout.labels[1]
     marginals = [partial_trace(st, (control_label,)) for st in encoded_states]
 
-    min_td = min([1.0, *itertools.starmap(trace_distance, itertools.combinations(marginals, 2))])
+    min_td = min([1.0, *_pairwise_trace_distances(marginals)])
     bound = (1.0 + min_td) / 2.0
     # two messages: the Helstrom measurement attains the bound
     success = bound if d == 2 else _discrimination_success([m.entries for m in marginals])

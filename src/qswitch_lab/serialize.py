@@ -215,10 +215,12 @@ def write_text(path: str, chunks: Iterable[str]) -> None:
 
     The first chunk is taken before the file is opened, so a payload that
     :func:`json_chunks` cannot serialize raises without touching ``path``.
+    The file is buffered by 1 MiB, so that the many rows of a large matrix,
+    each larger than the default 8 KiB buffer, are not a system call each.
     """
     chunks = iter(chunks)
     first = next(chunks, "")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "w", buffering=1 << 20, encoding="utf-8", newline="\n") as fh:
         fh.write(first)
         for chunk in chunks:
             fh.write(chunk)

@@ -26,6 +26,7 @@ from qswitch_lab import (
     KrausChannel,
     ResourceState,
     SubsystemLayout,
+    apply_unitary,
     clone_extend_unitary,
     fidelity_with_ket,
     fourier_basis,
@@ -314,11 +315,13 @@ def test_fidelity_kernel_equals_the_whole_range_formula(dims, size, seed):
 @pytest.mark.parametrize("dims,size", KERNEL_STATES)
 def test_measurement_kernel_equals_the_whole_range_formula(dims, size, seed, monkeypatch):
     rho = kernel_state(dims, size, seed)
-    blocks = []  # what ``_trimmed`` hands back, in call order
+    blocks = []  # each outcome's block as its products give it, in outcome order
 
     def recording(support, block, n):
-        blocks.append(_trimmed(support, block, n))
-        return blocks[-1]
+        out = _trimmed(support, block, n)
+        if block.ndim == 2:  # a branch block; the live branches' check takes a stack
+            blocks.append(out)
+        return out
 
     monkeypatch.setattr(linalg, "_trimmed", recording)
     for label in rho.layout.labels:
@@ -326,8 +329,8 @@ def test_measurement_kernel_equals_the_whole_range_formula(dims, size, seed, mon
         g = np.random.default_rng(seed).normal(size=(s, s, 2)) @ [1, 1j]
         branches = projective_measure(rho, [Ket(v) for v in np.linalg.qr(g)[0].T], label)
         out_dim = rho.dim // s
-        for branch in branches:
-            support, block = blocks.pop(0)  # the branch block, then its state's
+        assert len(blocks) == len(branches)
+        for branch, (support, block) in zip(branches, blocks):
             assert (support.size == out_dim) == (out_dim <= 16)
             # the trace over the whole diagonal, its zeros in place
             diagonal = np.zeros(out_dim, dtype=complex)
@@ -335,8 +338,9 @@ def test_measurement_kernel_equals_the_whole_range_formula(dims, size, seed, mon
             p = float(np.real(diagonal.sum()))
             assert branch.probability == (0.0 if branch.state is None else p)
             if branch.state is not None:
-                blocks.pop(0)
-        assert not blocks
+                assert np.array_equal(branch.state.support, support)
+                assert np.array_equal(branch.state.block, block / p)
+        blocks.clear()
 
 
 PLANS = (linalg._split, linalg._grid, linalg._trace_terms, linalg._coincidence_terms)
@@ -365,5 +369,12 @@ def test_ghz_branches_share_their_correction_plan():
     t = run_ghz_distribution(3, 3, ResourceState.maximally_entangled(3))
     supports = {b.state.support.tobytes() for b in t.branches}
     assert len(t.branches) == 3 and len(supports) == 1
-    # the three corrections look up one plan: built once, then found twice
-    assert linalg._grid.cache_info().hits >= len(t.branches) - 1
+    # the run's one stacked correction kept the plan that each branch's own
+    # correction looks up: three lookups, nothing built
+    kept = linalg._grid.cache_info()
+    for cb, b in zip(t.measured, t.branches):
+        alone = apply_unitary(cb.state, phase_unitary(cb.outcome, 3), ("B1",))
+        assert np.array_equal(alone.support, b.state.support)
+        assert np.array_equal(alone.block, b.state.block)
+    assert linalg._grid.cache_info().misses == kept.misses
+    assert linalg._grid.cache_info().hits == kept.hits + len(t.branches)
