@@ -14,20 +14,22 @@ Composite systems carry a :class:`SubsystemLayout` that assigns a dimension
 and a unique role label to every tensor factor; the leftmost factor is the
 most significant one (``numpy.kron`` convention).
 
-A ``DensityMatrix`` may also hold a stack: R states of one layout and one
-support, its block of shape ``(R, k, k)``.  Each step has one kernel, which
-works on the last two axes of a block and so takes a stack as it takes a
-state: the checks decide every row and raise the first failing row's
-message, and every product reads each row in the memory order of a lone
-state's, so a row rounds as a run of its own.  A measurement of a stack
+A ``DensityMatrix`` may also hold a stack: R states of one layout, held on
+the union of their supports, its block of shape ``(R, k, k)``; a row is
+zero outside its own support, and ``_row`` takes it out on that support
+again.  Each step has one kernel, which works on the last two axes of a
+block and so takes a stack as it takes a state: the checks decide every
+row and raise the first failing row's message, and every product reads
+each row in the memory order of a lone state's, so a row that holds the
+whole support rounds as a run of its own.  A row on part of it keeps its
+bits in the index moves and summed terms, but meets the BLAS products in a
+larger matrix, which may round them otherwise.  A measurement of a stack
 gives per outcome one ``MeasurementBranch`` that holds each row's
-probability and the stack of the rows' states.  A stack whose rows do not
-all hold nonzeros on its whole trimmed support raises ``_SupportsDiffer``,
-and so does one with a branch null in some rows only: a stack's branch is
-null in every row or in none.  The live branches of one measurement that
-share a support are checked as one stack, each outcome's state its row;
-``apply_unitary`` takes one gate, or one per row of a stack; and
-``trace_distance`` takes two stacks, one ``eigvalsh`` call for all rows.
+probability and the stack of the rows' states; a stack's branch is null in
+every row or in none.  The live branches of one measurement are checked as
+one stack, each outcome's state its row; ``apply_unitary`` takes one gate,
+or one per row of a stack; and ``trace_distance`` takes two stacks, one
+``eigvalsh`` call for all rows.
 
 Everything here is a pure function of its inputs.  In particular,
 measurement is exact branch enumeration: :func:`projective_measure` returns
@@ -197,18 +199,6 @@ def _densities(amplitudes: np.ndarray, layout: SubsystemLayout) -> "DensityMatri
 _SUPPORT_MIN_DIM = 16
 
 
-class _SupportsDiffer(ValueError):
-    """The rows of a stack do not all hold nonzeros on its whole support, or
-    a branch of its measurement is null in some rows only."""
-
-
-def _occupied(block: np.ndarray) -> np.ndarray:
-    """Per row of a block (or of each block of a stack), whether the index
-    holds an exactly nonzero entry in its row or its column."""
-    nz = block != 0
-    return nz.any(axis=-1) | nz.any(axis=-2)
-
-
 def _trimmed(support: np.ndarray, block: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The support of an n x n matrix given by its block on ``support``, and
     the block on it; ``_trimmed(np.arange(n), m, n)`` for a whole matrix ``m``.
@@ -226,8 +216,9 @@ def _trimmed(support: np.ndarray, block: np.ndarray, n: int) -> tuple[np.ndarray
         m = np.zeros(block.shape[:-2] + (n, n), dtype=complex)
         m[..., support[:, None], support] = block
         return np.arange(n), m
-    held = _occupied(block)
-    keep = np.flatnonzero(held if held.ndim == 1 else held.reshape(-1, support.size).any(axis=0))
+    nz = block != 0
+    held = (nz.any(axis=-1) | nz.any(axis=-2)).reshape(-1, support.size)
+    keep = np.flatnonzero(held.any(axis=0))
     if keep.size < support.size:
         support, block = support[keep], block[..., keep[:, None], keep]
     return support, block
@@ -254,7 +245,7 @@ def _every(verdicts) -> bool:
 def _check(block: np.ndarray, n: int) -> None:
     """Decide a block, or every row of a stack of blocks: Hermitian, unit
     trace, positive semidefinite.  A failing stack raises the message of its
-    first failing row, checked on its own.
+    first failing row, checked on its own support.
 
     Each check is written to fail on NaN, which compares False both ways; a
     NaN or infinite entry fails the residual, and past it every entry is
@@ -269,7 +260,7 @@ def _check(block: np.ndarray, n: int) -> None:
             return
     if block.ndim > 2:
         for row in block:
-            _check(row, n)
+            _check(_trimmed(np.arange(row.shape[-1]), row, n)[1], n)
     if not herm <= tol:
         raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
     tr = block.trace()
@@ -296,8 +287,9 @@ class DensityMatrix:
     ``_SUPPORT_MIN_DIM`` the support is every index, ``np.arange(dim)``, and
     ``block`` the whole matrix.  ``entries``, the whole matrix, is built only
     on request.  The steps of this module also take a stack of states of one
-    layout and support, held as the same type with a block of shape
-    ``(R, k, k)``; the public constructor builds states only.
+    layout, held as the same type on the union of their supports with a
+    block of shape ``(R, k, k)``; ``_row`` takes a row out on its own
+    support, and the public constructor builds states only.
 
     ``DensityMatrix(entries, layout)`` finds the support of a whole matrix.
     The steps of this module map a support block to a support block, and
@@ -327,13 +319,10 @@ class DensityMatrix:
     @classmethod
     def _of_block(cls, layout: SubsystemLayout, support, block: np.ndarray) -> "DensityMatrix":
         """The checked state with ``block`` on ``support`` (as for ``_trimmed``),
-        or the checked stack with a block of shape ``(*lead, k, k)``, whose
-        rows must each hold the whole support when it is trimmed."""
+        or the checked stack with a block of shape ``(*lead, k, k)``, on the
+        union of its rows' supports."""
         out = cls._unchecked(layout, *_trimmed(support, block, layout.total_dim))
         out.__post_init__()
-        if block.ndim > 2 and out.dim > _SUPPORT_MIN_DIM:
-            if not _occupied(out.block).all():
-                raise _SupportsDiffer("the rows of a stack hold different supports")
         return out
 
     @classmethod
@@ -342,6 +331,11 @@ class DensityMatrix:
         out = object.__new__(cls)
         out._set(layout, support, block)
         return out
+
+    def _row(self, k) -> "DensityMatrix":
+        """Row k of a stack, or the stack of the rows in an index array, on its
+        own support (as ``_trimmed`` finds it); not checked again."""
+        return DensityMatrix._unchecked(self.layout, *_trimmed(self.support, self.block[k], self.dim))
 
     def _set(self, layout, support, block) -> None:
         support.setflags(write=False)
@@ -403,18 +397,6 @@ class DensityMatrix:
         return _remapped(self, new_layout, _split(self, perm)[0])
 
 
-@functools.cache
-def _offsets(dims: tuple[int, ...], positions: tuple[int, ...]) -> np.ndarray:
-    """Full-index offset of each basis state of the factors at ``positions``
-    (in that order, first most significant), a table over the acted range;
-    read-only."""
-    off = np.zeros(1, dtype=np.intp)
-    for p in positions:
-        off = (off[:, None] + math.prod(dims[p + 1:]) * np.arange(dims[p])).reshape(-1)
-    off.setflags(write=False)
-    return off
-
-
 def _per_layout(plan):
     """Call ``plan(dims, positions, support)`` as ``plan(rho, positions)``.
 
@@ -471,8 +453,8 @@ def _stacked(states: Sequence[DensityMatrix]) -> DensityMatrix:
     the union of their supports; not checked again.
 
     Each row holds its state's entries, so a step that reads ``entries``
-    reads each state as it is.  States of one support keep their blocks as
-    they are, and such a stack goes through every step kernel.
+    reads each state as it is; states of one support keep their blocks as
+    they are.
     """
     first = states[0]
     if len({rho.support.tobytes() for rho in states}) == 1:
@@ -626,7 +608,10 @@ def _grid_plan(dims, positions, support) -> tuple[np.ndarray, ...]:
     """
     acted, rest = _split_plan(dims, positions, support)
     rest, col = np.unique(rest, return_inverse=True)
-    index = (_offsets(dims, positions)[:, None] + rest).reshape(-1)
+    index = np.zeros(1, dtype=np.intp)  # each acted basis state's full-index offset
+    for p in positions:
+        index = (index[:, None] + math.prod(dims[p + 1:]) * np.arange(dims[p])).reshape(-1)
+    index = (index[:, None] + rest).reshape(-1)
     order = np.argsort(index)
     return acted * rest.size + col, rest, order, index[order]
 
@@ -733,6 +718,14 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, acting_on: Sequence[str]) -
     return _conjugate(rho, positions, u[None])
 
 
+def _whole_trace(support: np.ndarray, block: np.ndarray, n: int):
+    """The trace of an n x n matrix (of each of a stack) from its block on
+    ``support``, summed over the whole diagonal with the zeros in place."""
+    diagonal = np.zeros(block.shape[:-2] + (n,), dtype=complex)
+    diagonal[..., support] = block.diagonal(axis1=-2, axis2=-1)
+    return diagonal.sum(axis=-1).real
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementBranch:
     """One outcome of a measurement: of a state, its probability (a float)
@@ -756,12 +749,11 @@ def projective_measure(
     a branch below the null threshold is kept in the list with probability
     0.0 and a ``None`` state so that transcripts stay complete.  A stack's
     branch is null in every row or in none; one null in some rows only
-    raises ``_SupportsDiffer``.  Each branch block is contracted from the
-    compacted tensor (``_compact``) over the measured factor's full
-    dimension, and its trace is summed over the whole diagonal, zeros in
-    place, so numpy groups every sum as for the whole matrix.  The live
-    branches of one support are checked as one stack, and each outcome's
-    state is its row of it.
+    raises.  Each branch block is contracted from the compacted tensor
+    (``_compact``) over the measured factor's full dimension, and its trace
+    is ``_whole_trace``, so numpy groups every sum as for the whole matrix.
+    The live branches are checked as one stack, and each outcome's state is
+    its row of it (``_row``).
     """
     pos = rho.layout.index_of(subsystem)
     s = rho.layout.dims[pos]
@@ -793,7 +785,7 @@ def projective_measure(
     # the first one's matrix is the same for every basis vector
     rows = t.reshape(lead + (s, -1))
 
-    probabilities, live = [], {}  # live: support bytes -> [(outcome, support, block)]
+    probabilities, live, blocks = [], [], []
     total = 0.0
     for k, ket_k in enumerate(basis):
         v = ket_k.amplitudes
@@ -802,26 +794,22 @@ def projective_measure(
             t1 = t1.swapaxes(-1, -2)  # (q, l, r)
         t1 = t1.swapaxes(-3, -2)  # (l, q, r)
         t2 = v.reshape(1, s) @ t1.reshape(lead + (s, -1))  # (1, q r)
-        support, block = _trimmed(rest, t2.reshape(lead + (rest.size, rest.size)), out_dim)
-        diagonal = block.diagonal(axis1=-2, axis2=-1)
-        if support.size < out_dim:  # a trimmed block: the zeros go in place
-            diagonal = np.zeros(lead + (out_dim,), dtype=complex)
-            diagonal[..., support] = block.diagonal(axis1=-2, axis2=-1)
-        p = diagonal.sum(axis=-1).real
+        block = t2.reshape(lead + (rest.size, rest.size))
+        p = _whole_trace(rest, block, out_dim)
         null = p < policy.null_branch_tol
         if not null.any():
-            live.setdefault(support.tobytes(), []).append((k, support, block / p[..., None, None]))
+            live.append(k)
+            blocks.append(block / p[..., None, None])
         elif not null.all():
-            raise _SupportsDiffer(f"branch {k} is null in some rows of the stack only")
+            raise ValueError(f"branch {k} is null in some rows of the stack only")
         else:
             p = np.zeros_like(p)
         probabilities.append(p if lead else float(p))
         total = total + p  # left to right, as the branches come
     states = [None] * s
-    for group in live.values():  # the live branches of one support: one check
-        stack = DensityMatrix._of_block(new_layout, group[0][1], np.stack([b for *_, b in group]))
-        for (k, *_), block in zip(group, stack.block):
-            states[k] = DensityMatrix._unchecked(new_layout, stack.support, block)
+    stack = DensityMatrix._of_block(new_layout, rest, np.stack(blocks)) if live else None
+    for i, k in enumerate(live):
+        states[k] = stack._row(i)
     summed = abs(total - 1.0) <= policy.spectral_tol  # NaN too
     if not _every(summed):
         raise ValueError(f"branch probabilities sum to {float(total[~summed][0])!r}, not 1")

@@ -26,18 +26,17 @@ one step of every pipeline transmits and measures, through
 ``linalg.projective_measure``.  Each pipeline takes a resource state or a
 stack of them (``linalg``), so a necessity sweep runs its rows of one
 resource support together; a stack's measurement holds each row's
-probability and the stack of the rows' states per outcome, and a branch
-null in some rows only raises ``_SupportsDiffer``, on which the sweep runs
-that group one row a stack.  Within a run the live branches of one support
-are one stack too: they are corrected in one ``apply_unitary`` call, each
-with its own gate on its row, and scored in one ``fidelity_with_ket`` call,
-and a private dit reads every receiver probability in one broadcast
-product.  The privacy report and the fixed-order baseline take the trace
-distances of all their pairs in one call.  The
-pre-measurement GGM of a GHZ run is skipped, with the reason recorded in the
-metrics, past ``policy.max_ggm_parties``.  A fixed-configuration baseline and necessity
-sweeps over non-uniform Schmidt spectra probe why coherent control and
-maximal resource entanglement are needed.
+probability and the stack of the rows' states per outcome.  Within a run
+the live branches are one stack too, on the union of their supports: they are
+corrected in one ``apply_unitary`` call, each with its own gate on its
+row, and scored in one ``fidelity_with_ket`` call, and a private dit reads
+every receiver probability in one broadcast product.  The privacy report
+and the fixed-order baseline take the trace distances of all their pairs
+in one call.  The pre-measurement GGM of a GHZ run is skipped, with the
+reason recorded in the metrics, past ``policy.max_ggm_parties``.  A
+fixed-configuration baseline and necessity sweeps over non-uniform Schmidt
+spectra probe why coherent control and maximal resource entanglement are
+needed.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .linalg import (
     DensityMatrix,
     Ket,
     SubsystemLayout,
-    _SupportsDiffer,
     _clamp,
     _densities,
     _readonly,
@@ -348,9 +346,7 @@ def _pairwise_trace_distances(states: list[DensityMatrix]) -> list[float]:
     if not first.size:
         return []
     stack = _stacked(states)
-    rows = [DensityMatrix._unchecked(stack.layout, stack.support, stack.block[k])
-            for k in (first, second)]
-    return trace_distance(*rows).tolist()
+    return trace_distance(stack._row(first), stack._row(second)).tolist()
 
 
 def _shared_dimension(transcripts: list[ProtocolTranscript]) -> int:
@@ -410,9 +406,9 @@ def _establishment_stack(
     guard_dimension(d ** (n_receivers + 2), protocol_id)
     send_labels = tuple(f"A{i}" for i in range(1, n_receivers + 1))
     recv_labels = tuple(f"B{i}" for i in range(1, n_receivers + 1))
-    # one |0..0> state holds the ancilla of every receiver
-    ancillas = basis_ket(d ** n_receivers, 0).density(
-        SubsystemLayout((d,) * n_receivers, send_labels))
+    # one |0..0> state holds the ancilla of every receiver: its one index
+    ancillas = DensityMatrix._of_block(SubsystemLayout((d,) * n_receivers, send_labels),
+                                       np.zeros(1, np.intp), np.ones((1, 1), complex))
     extended = tensor(rho0, ancillas).reorder(("A",) + send_labels + ("C",))
     stages = {
         "resource": rho0,
@@ -421,24 +417,20 @@ def _establishment_stack(
     }
     measured = _transmit_and_measure(stages, d, send_labels, recv_labels)
 
-    target = ghz_ket(d, n_receivers + 1)
+    # the live branches as one stack, each its row with its own correction
+    # gate; a Fourier measurement's branches share one support unless a sum
+    # cancels exactly, so each row keeps the bits of its own correction
+    live = [cb for cb in measured if cb.state is not None]
+    stack = _stacked([cb.state for cb in live])
+    gates = np.array([phase_unitary(cb.outcome, d) for cb in live])
+    gates = gates.reshape((len(live),) + (1,) * (stack.block.ndim - 3) + (d, d))
+    states = apply_unitary(stack, gates, (recv_labels[0],))
+    fidelities = fidelity_with_ket(states, ghz_ket(d, n_receivers + 1))
+    if fidelities.ndim == 1:  # one state per branch: floats
+        fidelities = fidelities.tolist()
     corrected = [(None, None)] * len(measured)
-    by_support: dict[bytes, list] = {}
-    for cb in measured:
-        if cb.state is not None:
-            by_support.setdefault(cb.state.support.tobytes(), []).append(cb)
-    for group in by_support.values():  # the live branches of one support
-        # one stack, each branch its row with its own correction gate
-        stack = _stacked([cb.state for cb in group])
-        gates = np.array([phase_unitary(cb.outcome, d) for cb in group])
-        gates = gates.reshape((len(group),) + (1,) * (stack.block.ndim - 3) + (d, d))
-        states = apply_unitary(stack, gates, (recv_labels[0],))
-        fidelities = fidelity_with_ket(states, target)
-        if fidelities.ndim == 1:  # one state per branch: floats
-            fidelities = fidelities.tolist()
-        for cb, block, f in zip(group, states.block, fidelities):
-            state = DensityMatrix._unchecked(states.layout, states.support, block)
-            corrected[cb.outcome] = (state, f)
+    for i, (cb, f) in enumerate(zip(live, fidelities)):
+        corrected[cb.outcome] = (states._row(i), f)
     # left to right on every Python, which a builtin sum() of floats is not
     # (3.12's is compensated)
     fidelity_mean = np.zeros(rho0.block.shape[:-2])
@@ -607,7 +599,7 @@ def classical_flag_encodings(d: int) -> list[DensityMatrix]:
 _PERFECT_SLACK = 1e-9    # a metric at or above 1 - this is perfect
 _MONOTONE_SLACK = 1e-12  # a rise of at most this along the gap order is monotone
 # the most rows one stack of a sweep holds, so that its memory stays bounded
-# as the grid grows; at 101 or more every pinned grid is one stack
+# as the grid grows; at 101 or more every pinned grid is one stack per support
 _STACK_ROWS = 1024
 
 
@@ -632,7 +624,9 @@ def necessity_sweep(
     fixed to the constructive family (phase encodings on the noiseless
     span), so this is construction-family necessity, not an optimization
     over all encodings.  The resources of one support run as stacks of at
-    most ``_STACK_ROWS`` rows, each row to the bit as a run of its own.
+    most ``_STACK_ROWS`` rows, each row to the bit as a run of its own: a
+    row held on a union of supports larger than its own would meet its BLAS
+    products in a larger matrix, which may round them otherwise.
     """
     if protocol not in ("private-dit", "bipartite", "ghz"):
         raise ValueError(f"unknown protocol tag {protocol!r}")
@@ -645,16 +639,11 @@ def necessity_sweep(
     for i, spec in enumerate(specs):
         by_support.setdefault(tuple(s > 0.0 for s in spec), []).append(i)
     measures: dict[int, dict] = {}
-    stacks = [indices[i:i + _STACK_ROWS] for indices in by_support.values()
-              for i in range(0, len(indices), _STACK_ROWS)]
-    for members in stacks:
-        group = [specs[i] for i in members]
-        try:
-            found = _stack_measures(protocol, d, n_receivers, _schmidt_states(group))
-        except _SupportsDiffer:  # later states part ways on the support: one row a stack
-            found = [m for spec in group
-                     for m in _stack_measures(protocol, d, n_receivers, _schmidt_states([spec]))]
-        measures.update(zip(members, found))
+    for indices in by_support.values():
+        for i in range(0, len(indices), _STACK_ROWS):
+            members = indices[i:i + _STACK_ROWS]
+            stack = _schmidt_states([specs[j] for j in members])
+            measures.update(zip(members, _stack_measures(protocol, d, n_receivers, stack)))
 
     rows = []
     for i, spec in enumerate(specs):

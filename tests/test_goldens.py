@@ -34,6 +34,7 @@ _BIP3 = ("run", "bipartite", "--d", "3")
 _PDSKEW = ("run", "private-dit", "--d", "3", "--x", "2", "--resource", "schmidt:0.2,0.3,0.5")
 _CSV = ("--format", "csv")
 _ALPHA = ("--receivers", "2", "--d", "2", "--alpha", "0:1:101")
+_SWEEP_BIP = "f36a4d0fe3c08064dda7770ca24673d12464116db0ee7ccb1d92a5e76f19611c"
 
 GOLDENS = {
     "ghz_d3_n3.json": (_GHZ_D3_N3, "951428ca20380bfd6d072ea28a3299d487b5b4113e896c74719665170b343141"),
@@ -49,8 +50,12 @@ GOLDENS = {
     "bip3.csv": (_BIP3 + _CSV, "84ffc237c28442c0db122860c132f7b02b14038828d825dbe7ca0536f43645a1"),
     "pdskew.csv": (_PDSKEW + _CSV, "38c8a293f5c622a29968bce55e6929cd88d7b6ef4f9f41980b626bfd438bd9e5"),
     "sweep_pd.csv": (("sweep", "private-dit") + _ALPHA, "155aa4fe7b32d7cbea802715c4a36d9662281d353d1f5403051e0408a33058b0"),
-    "sweep_bip.csv": (("sweep", "bipartite") + _ALPHA, "f36a4d0fe3c08064dda7770ca24673d12464116db0ee7ccb1d92a5e76f19611c"),
-    "sweep_ghz.csv": (("sweep", "ghz") + _ALPHA, "f36a4d0fe3c08064dda7770ca24673d12464116db0ee7ccb1d92a5e76f19611c"),
+    "sweep_bip.csv": (("sweep", "bipartite") + _ALPHA, _SWEEP_BIP),
+    "sweep_ghz.csv": (("sweep", "ghz") + _ALPHA, _SWEEP_BIP),
+    # three and four receivers: dimensions 32 and 64, past _SUPPORT_MIN_DIM,
+    # so the product endpoints run on a trimmed support
+    "sweep_ghz3.csv": (("sweep", "ghz", "--receivers", "3") + _ALPHA[2:], _SWEEP_BIP),
+    "sweep_ghz4.csv": (("sweep", "ghz", "--receivers", "4") + _ALPHA[2:], _SWEEP_BIP),
     "fixed_d3.json": (("run", "fixed-baseline", "--d", "3"), "b08199d397e7a84c8e798ad2b28afa36e10c79944583bf19b5bb30a786794fdf"),
     "ghz_d5_n2.json": (("run", "ghz", "--d", "5", "--receivers", "2"), "5585166043f04b6bcf707b4f2fcc525d7cac5a2be88601ff2911b3785288e7fa"),
     "ghz_d2_n5.json": (("run", "ghz", "--d", "2", "--receivers", "5"), "0aa3d4ec672fc58e4e7c74d58977cdeded34c0a32622808ebad05e80d57f45ed"),

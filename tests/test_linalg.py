@@ -23,7 +23,7 @@ from qswitch_lab import (
     trace_distance,
 )
 from qswitch_lab import linalg
-from qswitch_lab.linalg import _SUPPORT_MIN_DIM, _min_eigenvalue, _trimmed
+from qswitch_lab.linalg import _SUPPORT_MIN_DIM, _min_eigenvalue, _stacked, _trimmed
 
 from conftest import (
     assert_rows_equal, naive_partial_trace, random_density, random_ket, random_unitary,
@@ -699,6 +699,26 @@ class TestStacks:
             DensityMatrix._of_block(SubsystemLayout((n,), ("A",)), support, blocks)
         assert str(stacked.value) == str(alone.value)
 
+    @pytest.mark.parametrize("case", ["trace", "negative"])
+    def test_a_failing_row_on_part_of_the_union_raises_its_own_message(self, case, rng):
+        n = 20
+        layout = SubsystemLayout((n,), ("A",))
+        good = padded_state(n, np.arange(12), rng.dirichlet(np.ones(12)), rng)
+        on = np.array([1, 2, 3, 5, 6, 8, 9, 10, 14, 17])  # part of the union only
+        spectrum = rng.dirichlet(np.ones(on.size))
+        if case == "negative":
+            spectrum[0], spectrum[1] = -1e-6, spectrum[1] + spectrum[0] + 1e-6
+        bad = padded_state(n, on, spectrum, rng)
+        if case == "trace":
+            bad[on, on] *= 1 + 1e-8
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(bad, layout)
+        union = np.union1d(np.arange(12), on)
+        blocks = np.array([m[np.ix_(union, union)] for m in (good, bad)])
+        with pytest.raises(ValueError) as stacked:
+            DensityMatrix._of_block(layout, union, blocks)
+        assert str(stacked.value) == str(alone.value)
+
     def test_first_failing_row_decides(self, rng):
         # row 1 fails on positivity, row 2 on Hermiticity: row 1's message
         n = 4
@@ -717,7 +737,7 @@ class TestStacks:
         basis = [basis_ket(2, 0), basis_ket(2, 1)]
         alone = [projective_measure(s, basis, "C") for s in states]
         assert [a[1].state is None for a in alone] == [True, False]  # null for row 0 only
-        with pytest.raises(linalg._SupportsDiffer, match="branch 1 is null in some rows"):
+        with pytest.raises(ValueError, match="branch 1 is null in some rows"):
             projective_measure(stack_of(states), basis, "C")
         # null in every row: a null branch of the stack, zero in each row
         both = projective_measure(stack_of([states[0], states[0]]), basis, "C")
@@ -754,14 +774,62 @@ class TestStacks:
             assert np.array_equal(branch.probability, [a.probability for a in alone])
             assert_rows_equal(branch.state, [a.state for a in alone])
 
-    def test_rows_that_part_ways_on_the_support_raise(self, rng):
-        n = 20
-        rows = np.zeros((2, n, n), dtype=complex)
-        rows[0, 3, 3] = rows[1, 5, 5] = 1.0
-        with pytest.raises(linalg._SupportsDiffer):
-            DensityMatrix._of_block(SubsystemLayout((n,), ("A",)), np.arange(n), rows)
-        # one support: one stack
-        rows[0, 5, 5], rows[0, 3, 3] = 0.5, 0.5
-        rows[1, 3, 3], rows[1, 5, 5] = 0.25, 0.75
-        stack = DensityMatrix._of_block(SubsystemLayout((n,), ("A",)), np.arange(n), rows)
-        assert list(stack.support) == [3, 5]
+    @pytest.mark.parametrize("dims", [(3, 3, 2), (2, 2, 2, 3), (2, 2, 2, 2, 2)])
+    def test_rows_on_different_supports_run_on_their_union(self, dims, rng):
+        # past _SUPPORT_MIN_DIM: rows on nested and overlapping supports, held
+        # on their union, which the first row holds whole; each row taken out
+        # by _row is on its own support
+        labels = tuple(f"L{i}" for i in range(len(dims)))
+        layout = SubsystemLayout(dims, labels)
+        n = layout.total_dim
+        assert n > _SUPPORT_MIN_DIM
+        union = np.sort(rng.choice(n, size=8, replace=False))
+        states = []
+        for on in (union, union[:3], union[4:], union[[1, 6]]):
+            g = np.zeros((n, 2), dtype=complex)
+            g[on] = rng.normal(size=(on.size, 2)) + 1j * rng.normal(size=(on.size, 2))
+            m = g @ g.conj().T
+            states.append(DensityMatrix(m / m.trace(), layout))
+        stack = _stacked(states)
+        assert np.array_equal(stack.support, union)
+        assert np.array_equal(stack._row(np.array([1, 3])).support, union[[0, 1, 2, 6]])
+
+        def rows_equal(out, lone, exact=len(states)):
+            """Every row on its lone run's support, and the first ``exact``
+            rows with its bits too (the others within an ulp)."""
+            for i, state in enumerate(lone):
+                row = out._row(i)
+                assert row.layout == state.layout
+                assert np.array_equal(row.support, state.support)
+                assert np.allclose(row.block, state.block, rtol=0, atol=1e-15)
+                assert np.array_equal(row.block, state.block) or i >= exact
+
+        # the index moves and the summed terms: every row as a run of its own
+        ancilla = random_density(2, rng, SubsystemLayout((2,), ("Z",)))
+        steps = [
+            lambda rho: tensor(rho, ancilla),
+            lambda rho: rho.reorder(labels[::-1]),
+            lambda rho: partial_trace(rho, labels[1:]),
+        ]
+        if dims[1] == dims[0]:
+            steps += [lambda rho: clone_fan_out(rho, labels[0], labels[1:2]),
+                      lambda rho: apply_coincidence(rho, labels[:2])]
+        for step in steps:
+            rows_equal(step(stack), [step(s) for s in states])
+        # the BLAS products round the row that holds the union as a run of
+        # its own; a row on part of it sits in a larger matrix, which BLAS
+        # may round otherwise, so a sweep stacks the resources of one support
+        # (test_protocols.py::TestStackedSweep)
+        u = random_unitary(dims[0] * dims[1], rng)
+        rows_equal(apply_unitary(stack, u, labels[1::-1]),
+                   [apply_unitary(s, u, labels[1::-1]) for s in states], exact=1)
+        psi = random_ket(n, rng)
+        fidelities = fidelity_with_ket(stack, psi)
+        assert fidelities[0] == fidelity_with_ket(states[0], psi)
+        assert np.allclose(fidelities, [fidelity_with_ket(s, psi) for s in states], rtol=0, atol=1e-15)
+        basis = [Ket(v) for v in random_unitary(dims[-1], rng).T]
+        for k, branch in enumerate(projective_measure(stack, basis, labels[-1])):
+            alone = [projective_measure(s, basis, labels[-1])[k] for s in states]
+            assert branch.probability[0] == alone[0].probability
+            assert np.allclose(branch.probability, [a.probability for a in alone], rtol=0, atol=1e-15)
+            rows_equal(branch.state, [a.state for a in alone], exact=1)

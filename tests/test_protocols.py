@@ -35,7 +35,7 @@ from qswitch_lab import (
 )
 
 import qswitch_lab
-from qswitch_lab import linalg, protocols
+from qswitch_lab import protocols
 from qswitch_lab.serialize import dumps_json, transcript_to_dict
 
 from conftest import (
@@ -828,13 +828,18 @@ class TestStackedSweep:
     D3 = TestNecessitySweep.D3_SPECTRA
     D5 = [(0.5, 0.0, 0.3, 0.2, 0.0), (0.1, 0.0, 0.6, 0.3, 0.0), (0.0, 0.25, 0.25, 0.25, 0.25),
           (0.2,) * 5, (1.0, 0.0, 0.0, 0.0, 0.0), (0.3, 0.0, 0.0, 0.0, 0.7)]
+    # product and partial spectra beside each other: held on one union of
+    # supports, the (0, 0, 1) row's fidelity would round otherwise
+    D3_MIXED = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.5, 0.5), (0.2, 0.0, 0.8),
+                (0.5, 0.3, 0.2)]
 
     @pytest.mark.parametrize("protocol,d,n,spectra", [
         ("bipartite", 2, 1, GRID), ("ghz", 2, 2, GRID),
         ("ghz", 2, 3, ENDS), ("ghz", 2, 4, ENDS), ("ghz", 2, 5, ENDS),
         ("bipartite", 3, 1, D3), ("ghz", 3, 2, D3),
+        ("bipartite", 3, 1, D3_MIXED), ("ghz", 3, 2, D3_MIXED),
     ], ids=["bipartite-grid", "ghz2-grid", "ghz3-ends", "ghz4-ends", "ghz5-ends",
-            "bipartite-d3", "ghz2-d3"])
+            "bipartite-d3", "ghz2-d3", "bipartite-d3-mixed", "ghz2-d3-mixed"])
     def test_establishment_rows_equal_lone_runs(self, protocol, d, n, spectra):
         for group in _by_support(spectra):
             lone = [protocols._establishment_run(d, n, ResourceState.from_schmidt(spec), protocol)
@@ -857,7 +862,8 @@ class TestStackedSweep:
         assert np.array_equal([r["metric"] for r in table["rows"]],
                               [t.metrics["fidelity_mean"] for t in full])
 
-    @pytest.mark.parametrize("d,spectra", [(2, GRID), (3, D3), (5, D5)], ids=["grid", "d3", "d5"])
+    @pytest.mark.parametrize("d,spectra", [(2, GRID), (3, D3), (3, D3_MIXED), (5, D5)],
+                             ids=["grid", "d3", "d3-mixed", "d5"])
     def test_private_dit_rows_equal_lone_runs(self, d, spectra):
         for group in _by_support(spectra):
             stack = protocols._schmidt_states(group)
@@ -898,45 +904,6 @@ class TestStackedSweep:
                 tracemalloc.stop()
 
         assert peak(16 * cap) <= 2 * peak(2 * cap)
-
-    def test_rows_that_part_ways_run_one_per_stack(self, monkeypatch):
-        spectra = self.GRID[5::10]  # interior: one support
-        resources = [ResourceState.from_schmidt(spec) for spec in spectra]
-        fidelities = [run_bipartite_establishment(2, res).metrics["fidelity_mean"]
-                      for res in resources]
-        worst = [min(run_private_dit(2, x, res).metrics["success_probability"] for x in range(2))
-                 for res in resources]
-
-        def parting(name, stack_of_args, why):
-            """Make ``protocols.<name>`` raise on a stack of more than one row,
-            as the step would if ``why``; returns the row counts it is called with."""
-            step, sizes = getattr(protocols, name), []
-
-            def patched(*args):
-                sizes.append(len(stack_of_args(args).block))
-                if sizes[-1] > 1:
-                    raise linalg._SupportsDiffer(why)
-                return step(*args)
-
-            monkeypatch.setattr(protocols, name, patched)
-            return sizes
-
-        sizes = parting("_establishment_stack", lambda args: args[2],
-                        "the rows of a stack hold different supports")
-        table = necessity_sweep("bipartite", 2, spectra)
-        assert sorted(sizes) == [1] * len(spectra) + [len(spectra)]
-        assert np.array_equal([r["metric"] for r in table["rows"]], fidelities)
-        monkeypatch.undo()
-
-        # a branch of the controller's measurement null in some rows only
-        for protocol, lone in (("bipartite", fidelities), ("private-dit", worst)):
-            sizes = parting("projective_measure", lambda args: args[0],
-                            "branch 1 is null in some rows of the stack only")
-            table = necessity_sweep(protocol, 2, spectra)
-            per_row = 2 if protocol == "private-dit" else 1  # a private bit measures per message
-            assert sorted(sizes) == [1] * (per_row * len(spectra)) + [len(spectra)]
-            assert np.array_equal([r["metric"] for r in table["rows"]], lone)
-            monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------

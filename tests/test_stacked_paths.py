@@ -1,6 +1,6 @@
 """The stacked paths of one run against the per-item paths they replace.
 
-A run checks the live branches of one support as one stack, corrects and
+A run checks the live branches of a measurement as one stack, corrects and
 scores them in one call with a gate per row, reads a cut's Schmidt
 spectrum off the support's digits (all cuts of one shape in one SVD) and
 takes all trace distances of an ensemble in one ``eigvalsh``.  Each test
@@ -49,18 +49,19 @@ def random_basis(s, seed):
 
 def per_outcome_measure(rho, basis, label, monkeypatch):
     """The branches as a check per outcome gives them: each branch block the
-    products hand to ``_trimmed``, normalised and checked on its own by
-    ``_of_block``; a null branch is None."""
+    products hand to ``_whole_trace``, trimmed, normalised and checked on its
+    own by ``_of_block``; a null branch is None."""
     blocks = []
 
     def recording(support, block, n):
         blocks.append(_trimmed(support, block, n))
-        return blocks[-1]
+        return whole_trace(support, block, n)
 
+    whole_trace = linalg._whole_trace
     with monkeypatch.context() as m:
-        m.setattr(linalg, "_trimmed", recording)
+        m.setattr(linalg, "_whole_trace", recording)
         branches = projective_measure(rho, basis, label)
-    blocks = blocks[:len(branches)]  # the products' calls come before the check's
+    assert len(blocks) == len(branches)
     layout = rho.layout.keep([l for l in rho.layout.labels if l != label])
     alone = []
     for branch, (support, block) in zip(branches, blocks):
@@ -110,7 +111,8 @@ class TestGroupedBranchCheck:
 
     def test_live_branches_on_different_supports(self, monkeypatch):
         # A in {0, 1} times B of dimension 20: the two outcomes of measuring A
-        # leave states on disjoint supports of B, so two groups are checked
+        # leave states on disjoint supports of B, checked as one stack on
+        # their union
         rng = np.random.default_rng(23)
         sigma = [np.zeros((20, 20), dtype=complex) for _ in range(2)]
         for m, on in zip(sigma, (np.arange(0, 5), np.arange(7, 13))):
@@ -336,16 +338,30 @@ class TestStridePlans:
         # GHZ (2, 14): a table over the 2^16 basis states would hold 0.5 MB
         monkeypatch.setattr(policy, "max_dim", 2**17)
         res = ResourceState.maximally_entangled(2)
-        linalg._offsets.cache_clear()
+        plans = (linalg._split, linalg._grid, linalg._trace_terms, linalg._coincidence_terms)
+        for plan in plans:
+            plan.cache_clear()
         tracemalloc.start()
         try:
             run_ghz_distribution(2, 14, res)
             held = tracemalloc.get_traced_memory()[0]
-            linalg._offsets.cache_clear()
+            for plan in plans:
+                plan.cache_clear()
             held -= tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert held < 64e3
+
+    def test_the_ancilla_is_one_index(self, monkeypatch):
+        # the receivers' |0..0> is its one support index, not a cached ket
+        # over the 2^10 basis states
+        built = []
+        monkeypatch.setattr(protocols, "basis_ket", lambda *args: built.append(args))
+        t = run_ghz_distribution(2, 10, ResourceState.maximally_entangled(2))
+        assert built == []
+        ancilla = partial_trace(t.stages["extended"], [f"A{i}" for i in range(1, 11)])
+        assert ancilla.support.tolist() == [0] and np.isclose(ancilla.block[0, 0], 1, rtol=0)
+        assert t.stages["extended"].support.size == 2  # |00> and |11> on A, C, ancillas 0
 
     def test_partial_trace_past_64_factors(self):
         # numpy's unravel_index takes at most 64 dimensions (32 before numpy 2)

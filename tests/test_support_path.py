@@ -316,14 +316,13 @@ def test_fidelity_kernel_equals_the_whole_range_formula(dims, size, seed):
 def test_measurement_kernel_equals_the_whole_range_formula(dims, size, seed, monkeypatch):
     rho = kernel_state(dims, size, seed)
     blocks = []  # each outcome's block as its products give it, in outcome order
+    whole_trace = linalg._whole_trace
 
     def recording(support, block, n):
-        out = _trimmed(support, block, n)
-        if block.ndim == 2:  # a branch block; the live branches' check takes a stack
-            blocks.append(out)
-        return out
+        blocks.append(_trimmed(support, block, n))
+        return whole_trace(support, block, n)
 
-    monkeypatch.setattr(linalg, "_trimmed", recording)
+    monkeypatch.setattr(linalg, "_whole_trace", recording)
     for label in rho.layout.labels:
         s = rho.layout.dims[rho.layout.index_of(label)]
         g = np.random.default_rng(seed).normal(size=(s, s, 2)) @ [1, 1j]
