@@ -37,6 +37,7 @@ from .linalg import (
     Ket,
     MeasurementBranch,
     SubsystemLayout,
+    apply_phases,
     apply_unitary,
     basis_ket,
     fidelity_with_ket,

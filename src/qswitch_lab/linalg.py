@@ -22,20 +22,25 @@ block and so takes a stack as it takes a state: the checks decide every
 row and raise the first failing row's message, and every product reads
 each row in the memory order of a lone state's, so a row that holds the
 whole support rounds as a run of its own.  A row on part of it keeps its
-bits in the index moves and summed terms, but meets the BLAS products in a
-larger matrix, which may round them otherwise.  A measurement of a stack
-gives per outcome one ``MeasurementBranch`` that holds each row's
-probability and the stack of the rows' states; a stack's branch is null in
-every row or in none.  The live branches of one measurement are checked as
-one stack, each outcome's state its row; ``apply_unitary`` takes one gate,
-or one per row of a stack; and ``trace_distance`` takes two stacks, one
-``eigvalsh`` call for all rows.
+bits in the index moves and summed terms, and in the phase gates
+(``apply_phases``) and expectations (``fidelity_with_ket``): these multiply
+entry by entry from real products, which round alike on every CPU, and add
+left to right from +0.0 (``_sum_left``), with no BLAS call.  Only the BLAS
+products of ``apply_unitary`` and ``projective_measure`` meet it in a larger
+matrix, which may round them otherwise.  A measurement of a stack gives per
+outcome one ``MeasurementBranch`` that holds each row's probability and the
+stack of the rows' states; a stack's branch is null in every row or in none.
+The live branches of one measurement are checked as one stack, each
+outcome's state its row; ``apply_unitary`` and ``apply_phases`` take one
+gate, or one per row of a stack; and ``trace_distance`` takes two stacks,
+one ``eigvalsh`` call for all rows.
 
 Everything here is a pure function of its inputs.  In particular,
 measurement is exact branch enumeration: :func:`projective_measure` returns
 every outcome with its probability, never a sample, so downstream protocol
 runs are deterministic.  The constant kets (:func:`basis_ket`,
-:func:`fourier_basis`, :func:`ghz_ket`) are built once per process, and
+:func:`fourier_basis`) are built once per process, :func:`ghz_ket` on each
+call (its dense target grows as d^parties), and
 :func:`schmidt_coefficients` gives the Schmidt spectrum of a cut without
 forming the Schmidt vectors, from a matrix on the ket's nonzero amplitudes
 grouped by their digits on each side of the cut.
@@ -474,7 +479,8 @@ def _stacked(states: Sequence[DensityMatrix]) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 # The cached builders depend only on their integer arguments and return
-# immutable kets (frozen, read-only amplitudes), so each is built once.
+# immutable kets (frozen, read-only amplitudes), so each is built once;
+# ghz_ket is not kept, as its dense target grows as d^parties.
 
 
 @functools.cache
@@ -505,7 +511,6 @@ def fourier_basis(d: int) -> tuple[Ket, ...]:
     return tuple(fourier_ket(d, m) for m in range(d))
 
 
-@functools.cache
 def ghz_ket(d: int, parties: int, phase_index: int = 0) -> Ket:
     """(1/sqrt(d)) sum_j exp(2*pi*i*j*x/d) |j>^(x parties).
 
@@ -692,6 +697,11 @@ def _coincidence(rho: DensityMatrix, positions: Sequence[int]) -> DensityMatrix:
     return DensityMatrix._of_block(rho.layout, *_summed(rho, _coincidence_terms(rho, positions)))
 
 
+def _broadcasts(gates: tuple, lead: tuple) -> bool:
+    """Whether a lead of gates (or phase vectors) broadcasts to a stack's."""
+    return len(gates) <= len(lead) and all(g in (1, r) for g, r in zip(gates[::-1], lead[::-1]))
+
+
 def apply_unitary(rho: DensityMatrix, u: np.ndarray, acting_on: Sequence[str]) -> DensityMatrix:
     """Conjugate a state, or a stack, by a unitary on the addressed labels,
     identity elsewhere.
@@ -705,9 +715,7 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, acting_on: Sequence[str]) -
     positions = rho.layout.positions(acting_on)
     acted_dim = math.prod(rho.layout.dims[p] for p in positions)
     lead = rho.block.shape[:-2]
-    gates = u.shape[:-2]
-    if u.shape[-2:] != (acted_dim, acted_dim) or len(gates) > len(lead) or any(
-            g not in (1, r) for g, r in zip(gates[::-1], lead[::-1])):
+    if u.shape[-2:] != (acted_dim, acted_dim) or not _broadcasts(u.shape[:-2], lead):
         raise ValueError(
             f"unitary of shape {u.shape} cannot act on labels {tuple(acting_on)} "
             f"with total dimension {acted_dim}" + (f" of a stack of shape {lead}" if lead else "")
@@ -716,6 +724,50 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, acting_on: Sequence[str]) -
     if not np.abs(gram - np.eye(acted_dim)).max() <= policy.spectral_tol:  # NaN too
         raise ValueError("operator is not unitary within tolerance")
     return _conjugate(rho, positions, u[None])
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b of two complex arrays (broadcast), from real products and sums.
+
+    numpy's complex multiply fuses one product into its sum where its SIMD
+    dispatch has FMA and not below it; separate real products and sums round
+    alike on every CPU.
+    """
+    re = a.real * b.real
+    out = np.empty(re.shape, dtype=complex)
+    np.subtract(re, a.imag * b.imag, out=out.real)
+    np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
+    return out
+
+
+def apply_phases(rho: DensityMatrix, phases, label: str) -> DensityMatrix:
+    """Conjugate a state, or a stack, by the diagonal gate diag(g) on one
+    labeled factor, identity elsewhere: ``apply_unitary`` with ``np.diag(g)``,
+    up to rounding.
+
+    ``phases`` is one vector g, or one per row: a ``(*lead, m)`` stack whose
+    lead broadcasts to the stack's.  Every phase must have modulus 1 within
+    ``spectral_tol``.  Block entry (s, t) becomes rho_st * (g[a_s] *
+    conj(g[a_t])), a_s the factor's digit of support index s (``_split``),
+    with no BLAS call: products of the entry alone (``_product``), so a row
+    of a stack keeps the bits of its lone run, and an entry that is exactly
+    zero stays +0.0.
+    """
+    g = np.asarray(phases, dtype=complex)
+    pos = rho.layout.index_of(label)
+    m = rho.layout.dims[pos]
+    lead = rho.block.shape[:-2]
+    if not g.ndim or g.shape[-1] != m or not _broadcasts(g.shape[:-1], lead):
+        raise ValueError(
+            f"phases of shape {g.shape} cannot act on label {label!r} of dimension {m}"
+            + (f" of a stack of shape {lead}" if lead else "")
+        )
+    if not (np.abs(np.abs(g) - 1.0) <= policy.spectral_tol).all():  # NaN too
+        raise ValueError("phases are not of modulus 1 within tolerance")
+    at = g[..., _split(rho, [pos])[0]]
+    block = _product(rho.block, _product(at[..., :, None], at.conj()[..., None, :]))
+    np.add(block, 0.0, out=block)  # a -0.0 product reads +0.0, as a sum from +0.0 does
+    return DensityMatrix._of_block(rho.layout, rho.support, block)
 
 
 def _whole_trace(support: np.ndarray, block: np.ndarray, n: int):
@@ -919,21 +971,35 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarr
     return _clamp(0.5 * np.abs(eigs).sum(axis=-1), "trace distance")
 
 
+def _sum_left(terms: np.ndarray) -> np.ndarray:
+    """The sum over the last axis of ``terms`` (at least one term), from +0.0
+    and left to right.
+
+    ``np.cumsum`` adds in order, where numpy's ``sum`` over a contiguous axis
+    regroups its terms past 8 and 128.  In order, a zero term changes no
+    nonzero partial sum, so a row held on a larger support than its own
+    keeps the bits of its lone run; and adding the +0.0 start last gives
+    what adding it first gives, so an exactly zero sum is +0.0.
+    """
+    return np.cumsum(terms, axis=-1)[..., -1] + 0.0
+
+
+def _expectations(block: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re <v| block |v> over the last two axes of ``block``, ``v`` the ket's
+    amplitudes on the block's support (the two broadcast): the terms
+    Re(block_st * (conj(v_s) * v_t)), each product formed as ``_product``
+    forms it, in row-major order, added by ``_sum_left``, with no BLAS call."""
+    vr, vi = v.real, v.imag
+    wr = vr[..., :, None] * vr[..., None, :] + vi[..., :, None] * vi[..., None, :]
+    wi = vr[..., :, None] * vi[..., None, :] - vi[..., :, None] * vr[..., None, :]
+    terms = block.real * wr - block.imag * wi
+    return _sum_left(terms.reshape(terms.shape[:-2] + (-1,)))
+
+
 def fidelity_with_ket(rho: DensityMatrix, psi: Ket):
     """<psi| rho |psi>, the fidelity with a pure target: a float, or an
-    array of one per row of a stack."""
+    array of one per row of a stack.  The ket is read on the state's support
+    only (``_expectations``)."""
     if rho.dim != psi.dim:
         raise ValueError("dimension mismatch")
-    v = psi.amplitudes
-    lead = rho.block.shape[:-2]
-    if rho.support.size == rho.dim:  # the whole matrix, in C order as a copy has it
-        u = v.conj() @ np.ascontiguousarray(rho.block)
-    else:
-        # the support columns over every row: each sum runs over the whole index
-        # range and so groups its terms as the product with the whole matrix does
-        cols = np.zeros(lead + (rho.dim, rho.support.size), dtype=complex)
-        cols[..., rho.support, :] = rho.block
-        u = np.zeros(lead + (rho.dim,), dtype=complex)
-        u[..., rho.support] = v.conj() @ cols
-    # a (1, n) by (n, 1) product is the vector dot ``u @ v`` of one row
-    return _clamp((u[..., None, :] @ v[:, None])[..., 0, 0].real, "fidelity")
+    return _clamp(_expectations(rho.block, psi.amplitudes[rho.support]), "fidelity")

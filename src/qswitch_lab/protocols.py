@@ -14,26 +14,28 @@ Three constructive protocols are implemented:
   parallel lines; one receiver corrects.
 
 The sender's phase encoding and the receiver's correction are one gate,
-``phase_unitary``.  The channel is applied through
-``channels.apply_coincidence``, its closed action; no Kraus list is built
-here (``combinators.k_multiline`` is the oracle it is tested against).
-Likewise the clone fan-out, a permutation of basis states, is applied by
-``clone_fan_out``, which moves the support's indices by their digits, with
-the dense ``clone_extend_unitary`` as its oracle.  All runs are pure functions
-returning a :class:`ProtocolTranscript`, the one record of a run: the state
-after every stage by name, the controller's measurement and every branch;
-one step of every pipeline transmits and measures, through
+``phase_unitary``, applied as its diagonal by ``linalg.apply_phases``.  The
+channel is applied through ``channels.apply_coincidence``, its closed
+action; no Kraus list is built here (``combinators.k_multiline`` is the
+oracle it is tested against).  Likewise the clone fan-out, a permutation of
+basis states, is applied by ``clone_fan_out``, which moves the support's
+indices by their digits, with the dense ``clone_extend_unitary`` as its
+oracle.  All runs are pure functions returning a
+:class:`ProtocolTranscript`, the one record of a run: the state after every
+stage by name, the controller's measurement and every branch; one step of
+every pipeline transmits and measures, through
 ``linalg.projective_measure``.  Each pipeline takes a resource state or a
 stack of them (``linalg``), so a necessity sweep runs its rows of one
 resource support together; a stack's measurement holds each row's
-probability and the stack of the rows' states per outcome.  Within a run
-the live branches are one stack too, on the union of their supports: they are
-corrected in one ``apply_unitary`` call, each with its own gate on its
-row, and scored in one ``fidelity_with_ket`` call, and a private dit reads
-every receiver probability in one broadcast product.  The privacy report
-and the fixed-order baseline take the trace distances of all their pairs
-in one call.  The pre-measurement GGM of a GHZ run is skipped, with the
-reason recorded in the metrics, past ``policy.max_ggm_parties``.  A
+probability and the stack of the rows' states per outcome.  Within a run the
+live branches are one stack too, on the union of their supports: they are
+corrected in one ``apply_phases`` call, each with its own phases on its row,
+and scored in one ``fidelity_with_ket`` call, and a private dit reads every
+receiver probability in one elementwise product with the Fourier amplitudes,
+added left to right, as a fidelity is.  The privacy report and the
+fixed-order baseline take the trace distances of all their pairs in one
+call.  The pre-measurement GGM of a GHZ run is skipped, with the reason
+recorded in the metrics, past ``policy.max_ggm_parties``.  A
 fixed-configuration baseline and necessity sweeps over non-uniform Schmidt
 spectra probe why coherent control and maximal resource entanglement are
 needed.
@@ -56,10 +58,11 @@ from .linalg import (
     SubsystemLayout,
     _clamp,
     _densities,
+    _expectations,
     _readonly,
     _remapped,
     _stacked,
-    apply_unitary,
+    apply_phases,
     basis_ket,
     fidelity_with_ket,
     fourier_basis,
@@ -82,6 +85,14 @@ from .numeric import guard_dimension, policy
 
 
 @functools.cache  # depends only on its integers and is immutable: built once
+def phase_vector(k: int, d: int) -> np.ndarray:
+    """The phases exp(2*pi*i*j*k/d), j = 0..d-1, of ``phase_unitary``; read-only."""
+    if not 0 <= k < d:
+        raise ValueError(f"phase index {k} out of range for dimension {d}")
+    return _readonly(np.exp(2j * np.pi * np.arange(d) * k / d))
+
+
+@functools.cache
 def phase_unitary(k: int, d: int) -> np.ndarray:
     """Diagonal phase gate diag(exp(2*pi*i*j*k/d)); for d = 2 it is Z^k.
 
@@ -90,12 +101,10 @@ def phase_unitary(k: int, d: int) -> np.ndarray:
     family.  The receiver applies it for the controller's Fourier outcome k:
     with the +-sign Fourier convention that outcome leaves phases
     exp(-2*pi*i*j*k/d) on the |j...j> components, which the gate undoes.
-    The array is read-only.
+    The protocols apply it as its diagonal, ``phase_vector``, through
+    ``apply_phases``.  The array is read-only.
     """
-    if not 0 <= k < d:
-        raise ValueError(f"phase index {k} out of range for dimension {d}")
-    j = np.arange(d)
-    return _readonly(np.diag(np.exp(2j * np.pi * j * k / d)))
+    return _readonly(np.diag(phase_vector(k, d)))
 
 
 def clone_extend_unitary(d: int, n_copies: int) -> np.ndarray:
@@ -267,19 +276,20 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
     if not 0 <= x < d:
         raise ValueError(f"message {x} out of range for dimension {d}")
     stages, measured, joint = _private_dit_stack(d, x, resource.state(d))
+    pmf = joint.tolist()
     branches: list[Branch] = []
     for cb in measured:
         if cb.state is None:
             branches.append(Branch(cb.outcome, 0.0, None, None, None))
             continue
         for mb in range(d):
-            p = float(joint[mb, cb.outcome])
+            p = pmf[mb][cb.outcome]
             branches.append(Branch(cb.outcome, p, (mb,), (mb + cb.outcome) % d,
                                    None if p < policy.null_branch_tol else cb.state))
     metrics = {
         "success_probability": float(_decoded(joint, x)),
         "charlie_pmf": [cb.probability for cb in measured],
-        "joint_pmf": joint.tolist(),
+        "joint_pmf": pmf,
         "branch_probability_total": float(joint.sum()),
     }
     params = {"d": d, "x": x, "resource": resource.name}
@@ -290,22 +300,19 @@ def _private_dit_stack(d: int, x: int, rho0: DensityMatrix) -> tuple:
     """The private-dit pipeline over a resource state, or a stack of them: its
     stages, the controller's measurement and the joint pmf ``joint[m_B, m_C]``
     (of each row)."""
-    stages = {"resource": rho0, "encoded": apply_unitary(rho0, phase_unitary(x, d), ("A",))}
+    stages = {"resource": rho0, "encoded": apply_phases(rho0, phase_vector(x, d), "A")}
     measured = _transmit_and_measure(stages, d, ("A",), ("B",))
     live = [cb for cb in measured if cb.state is not None]
-    states = np.stack([cb.state.entries for cb in live])  # [m_C, (row,)] of d x d
-    # (m_B, 1, (1,) 1, d): one bra per receiver outcome, broadcast over the branches
-    kets = np.array([k.amplitudes for k in fourier_basis(d)]).reshape(
-        (d,) + (1,) * (states.ndim - 1) + (d,))
-    # the receiver's state is a single-qudit system; each outcome's
-    # probability is one vector-matrix product with the basis amplitudes per
-    # branch and row (a matrix product with the stacked bras would round
-    # differently), then a (1, d) by (d, 1) product, the vector dot
-    inner = np.matmul(np.matmul(kets.conj(), states), kets.swapaxes(-1, -2))  # [m_B, m_C, (row)]
+    states = _stacked([cb.state for cb in live])  # [m_C, (row,)] of the receiver's qudit
+    # [m_B, 1, (1,), k]: each receiver outcome's Fourier ket on the support,
+    # broadcast over the branches
+    kets = np.array([k.amplitudes for k in fourier_basis(d)])[:, states.support]
+    kets = kets.reshape((d,) + (1,) * (states.block.ndim - 2) + (-1,))
+    inner = _expectations(states.block, kets)  # [m_B, m_C, (row)]
     p = np.array([cb.probability for cb in live])
     probs = np.zeros(rho0.block.shape[:-2] + (d, d))  # [(row,) m_C, m_B]
     outcomes = [cb.outcome for cb in live]
-    probs[..., outcomes, :] = np.moveaxis(np.real(inner[..., 0, 0]) * p, (0, 1), (-1, -2))
+    probs[..., outcomes, :] = np.moveaxis(inner * p, (0, 1), (-1, -2))
     probs = _clamp(probs, "receiver outcome probability", math.inf)
     return stages, measured, np.ascontiguousarray(probs.swapaxes(-1, -2))
 
@@ -417,14 +424,14 @@ def _establishment_stack(
     }
     measured = _transmit_and_measure(stages, d, send_labels, recv_labels)
 
-    # the live branches as one stack, each its row with its own correction
-    # gate; a Fourier measurement's branches share one support unless a sum
-    # cancels exactly, so each row keeps the bits of its own correction
+    # the live branches as one stack, each its row with its own correction;
+    # the phases and the fidelity work entry by entry, so each row keeps the
+    # bits of its own correction on the union of the supports
     live = [cb for cb in measured if cb.state is not None]
     stack = _stacked([cb.state for cb in live])
-    gates = np.array([phase_unitary(cb.outcome, d) for cb in live])
-    gates = gates.reshape((len(live),) + (1,) * (stack.block.ndim - 3) + (d, d))
-    states = apply_unitary(stack, gates, (recv_labels[0],))
+    phases = np.array([phase_vector(cb.outcome, d) for cb in live])
+    phases = phases.reshape((len(live),) + (1,) * (stack.block.ndim - 3) + (d,))
+    states = apply_phases(stack, phases, recv_labels[0])
     fidelities = fidelity_with_ket(states, ghz_ket(d, n_receivers + 1))
     if fidelities.ndim == 1:  # one state per branch: floats
         fidelities = fidelities.tolist()

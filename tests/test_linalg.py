@@ -7,6 +7,7 @@ from qswitch_lab import (
     SubsystemLayout,
     apply,
     apply_coincidence,
+    apply_phases,
     apply_unitary,
     basis_ket,
     clone_fan_out,
@@ -23,7 +24,7 @@ from qswitch_lab import (
     trace_distance,
 )
 from qswitch_lab import linalg
-from qswitch_lab.linalg import _SUPPORT_MIN_DIM, _min_eigenvalue, _stacked, _trimmed
+from qswitch_lab.linalg import _SUPPORT_MIN_DIM, _min_eigenvalue, _stacked, _sum_left, _trimmed
 
 from conftest import (
     assert_rows_equal, naive_partial_trace, random_density, random_ket, random_unitary,
@@ -306,19 +307,27 @@ class TestRelabel:
             rho.relabel({"A": "B"})
 
 
+def assert_read_only(ket):
+    with pytest.raises(ValueError, match="read-only"):
+        ket.amplitudes[0] = 0.0
+    with pytest.raises(AttributeError):
+        ket.amplitudes = np.zeros(ket.dim)
+
+
 class TestCachedConstants:
-    @pytest.mark.parametrize(
-        "build,args",
-        [(basis_ket, (3, 1)), (ghz_ket, (3, 2)), (ghz_ket, (2, 3, 1))],
-        ids=["basis_ket", "ghz_ket", "ghz_ket-phased"],
-    )
+    @pytest.mark.parametrize("build,args", [(basis_ket, (3, 1))], ids=["basis_ket"])
     def test_ket_built_once_and_read_only(self, build, args):
         ket = build(*args)
         assert build(*args) is ket
-        with pytest.raises(ValueError, match="read-only"):
-            ket.amplitudes[0] = 0.0
-        with pytest.raises(AttributeError):
-            ket.amplitudes = np.zeros(ket.dim)
+        assert_read_only(ket)
+
+    @pytest.mark.parametrize("args", [(3, 2), (2, 3, 1)], ids=["ghz_ket", "ghz_ket-phased"])
+    def test_ghz_ket_built_per_call_and_read_only(self, args):
+        # a dense target grows as d^parties, so no process keeps one
+        ket = ghz_ket(*args)
+        again = ghz_ket(*args)
+        assert again is not ket and np.array_equal(again.amplitudes, ket.amplitudes)
+        assert_read_only(ket)
 
     def test_fourier_basis_built_once_and_read_only(self):
         fb = fourier_basis(4)
@@ -553,6 +562,30 @@ class TestMeasurement:
         assert built == []
 
 
+class TestLeftToRightSum:
+    """``_sum_left`` adds from +0.0 in order, where numpy's own ``sum`` over a
+    contiguous axis regroups its terms at 8 and at 128."""
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 127, 128, 129])
+    def test_equals_a_python_loop(self, n, rng):
+        terms = rng.normal(size=(4, n)) * 10.0 ** rng.integers(-12, 12, size=(4, n))
+        terms[:, ::3] = 0.0  # zeros between the terms
+        terms[1, 1::3] = -0.0
+        pairs = n // 2 * 2
+        terms[2, 1:pairs:2] = -terms[2, 0:pairs:2]  # partial sums that cancel to zero
+        for row, got in zip(terms, _sum_left(terms)):
+            total = 0.0
+            for x in row.tolist():
+                total += x
+            assert float(got).hex() == total.hex()
+        assert _sum_left(terms[0]).shape == ()
+
+    def test_a_sum_of_zeros_is_positive_zero(self):
+        for terms in ([-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0] * 130, [1.5, -1.5], [-1.5, 1.5]):
+            got = float(_sum_left(np.array(terms)))
+            assert got == 0.0 and np.copysign(1.0, got) == 1.0, terms
+
+
 class TestDistances:
     def test_self_distance_zero(self, rng):
         rho = random_density(4, rng, SubsystemLayout((4,), ("A",)))
@@ -752,12 +785,14 @@ class TestStacks:
         stack = stack_of(states)
         d = dims[0]
         u = random_unitary(d * dims[1], rng)
+        phases = np.exp(2j * np.pi * np.random.default_rng(7).random(dims[1]))
         ancilla = random_density(2, rng, SubsystemLayout((2,), ("Z",)))
         steps = [
             lambda rho: tensor(rho, ancilla),
             lambda rho: rho.reorder(labels[::-1]),
             lambda rho: clone_fan_out(rho, labels[0], labels[1:2]),
             lambda rho: apply_unitary(rho, u, labels[1::-1]),
+            lambda rho: apply_phases(rho, phases, labels[1]),
             lambda rho: partial_trace(rho, labels[1:]),
         ]
         if dims[1] == d:
@@ -804,12 +839,15 @@ class TestStacks:
                 assert np.allclose(row.block, state.block, rtol=0, atol=1e-15)
                 assert np.array_equal(row.block, state.block) or i >= exact
 
-        # the index moves and the summed terms: every row as a run of its own
+        # the index moves, the summed terms and the phases, which work entry
+        # by entry: every row as a run of its own
         ancilla = random_density(2, rng, SubsystemLayout((2,), ("Z",)))
+        phases = np.exp(2j * np.pi * np.random.default_rng(7).random(dims[1]))
         steps = [
             lambda rho: tensor(rho, ancilla),
             lambda rho: rho.reorder(labels[::-1]),
             lambda rho: partial_trace(rho, labels[1:]),
+            lambda rho: apply_phases(rho, phases, labels[1]),
         ]
         if dims[1] == dims[0]:
             steps += [lambda rho: clone_fan_out(rho, labels[0], labels[1:2]),
@@ -823,10 +861,11 @@ class TestStacks:
         u = random_unitary(dims[0] * dims[1], rng)
         rows_equal(apply_unitary(stack, u, labels[1::-1]),
                    [apply_unitary(s, u, labels[1::-1]) for s in states], exact=1)
+        # the fidelity adds its terms left to right, so the zeros of a row off
+        # its own support leave its bits as they are
         psi = random_ket(n, rng)
-        fidelities = fidelity_with_ket(stack, psi)
-        assert fidelities[0] == fidelity_with_ket(states[0], psi)
-        assert np.allclose(fidelities, [fidelity_with_ket(s, psi) for s in states], rtol=0, atol=1e-15)
+        assert [f.hex() for f in fidelity_with_ket(stack, psi).tolist()] == [
+            fidelity_with_ket(s, psi).hex() for s in states]
         basis = [Ket(v) for v in random_unitary(dims[-1], rng).T]
         for k, branch in enumerate(projective_measure(stack, basis, labels[-1])):
             alone = [projective_measure(s, basis, labels[-1])[k] for s in states]

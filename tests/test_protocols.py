@@ -315,14 +315,15 @@ class TestPrivateDit:
     def test_negative_receiver_probability_bounded_by_spectral_tol(self, monkeypatch):
         # within the default spectral tolerance the two probabilities of
         # -5e-12 read 0.0 (the bits the run gave before the bound), past a
-        # tighter one they raise
+        # tighter one they raise; the value is the left-to-right sum of the
+        # receiver's support terms
         rho = DensityMatrix(bell_phase_flip_mixture(-1e-11), SubsystemLayout((2, 2), ("A", "C")))
         res = ResourceState.explicit(rho)
         joint = run_private_dit(2, 0, res).metrics["joint_pmf"]
         live, zero = "0x1.000000000afe9p-1", "0x0.0p+0"
         assert [[v.hex() for v in row] for row in joint] == [[live, zero], [zero, live]]
         monkeypatch.setattr(policy, "spectral_tol", 1e-12)
-        with pytest.raises(ValueError, match="receiver outcome probability is -4.99"):
+        with pytest.raises(ValueError, match="receiver outcome probability is -5.000000413701853e-12"):
             run_private_dit(2, 0, res)
 
     def test_transcript_stages_are_recorded(self):

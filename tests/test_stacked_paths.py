@@ -1,7 +1,7 @@
 """The stacked paths of one run against the per-item paths they replace.
 
 A run checks the live branches of a measurement as one stack, corrects and
-scores them in one call with a gate per row, reads a cut's Schmidt
+scores them in one call with phases per row, reads a cut's Schmidt
 spectrum off the support's digits (all cuts of one shape in one SVD) and
 takes all trace distances of an ensemble in one ``eigvalsh``.  Each test
 here runs the same items one at a time, as the library did before, and asks
@@ -22,6 +22,7 @@ from qswitch_lab import (
     Ket,
     ResourceState,
     SubsystemLayout,
+    apply_phases,
     apply_unitary,
     fixed_configuration_baseline,
     ghz_ket,
@@ -207,10 +208,66 @@ class TestGatePerRow:
         t = run_ghz_distribution(d, n, ResourceState.maximally_entangled(d))
         target = ghz_ket(d, n + 1)
         for cb, b in zip(t.measured, t.branches, strict=True):
-            alone = apply_unitary(cb.state, protocols.phase_unitary(cb.outcome, d), ("B1",))
+            alone = apply_phases(cb.state, protocols.phase_vector(cb.outcome, d), "B1")
             assert_same_state(b.state, alone)
             assert b.metrics["fidelity"] == linalg.fidelity_with_ket(alone, target)
             assert type(b.metrics["fidelity"]) is float
+
+
+def random_phases(shape, seed):
+    return np.exp(2j * np.pi * np.random.default_rng(seed).random(shape))
+
+
+class TestPhases:
+    """``apply_phases`` against ``apply_unitary`` with the diagonal gate, its
+    oracle, within the spectral tolerance (their roundings differ)."""
+
+    def assert_close(self, got, want):
+        assert np.array_equal(got.support, want.support)
+        assert np.abs(got.block - want.block).max() <= policy.spectral_tol
+
+    @pytest.mark.parametrize("dims,size", KERNEL_STATES + [((3, 2, 3), 7)])
+    def test_equals_the_diagonal_unitary(self, dims, size):
+        rho = kernel_state(dims, size, 41)
+        for label, m in zip(rho.layout.labels, rho.layout.dims):
+            g = random_phases(m, 42)
+            self.assert_close(apply_phases(rho, g, label), apply_unitary(rho, np.diag(g), (label,)))
+
+    @pytest.mark.parametrize("dims,size", [((2, 2, 4), None), ((2, 4, 5), 9), ((3, 2, 3), 7)])
+    def test_phases_per_row_of_a_stack(self, dims, size):
+        states = shared_support_states(dims, size, 4, seed=43)
+        for label, m in zip(("A", "B", "C"), dims):
+            g = random_phases((4, m), 44)
+            out = apply_phases(_stacked(states), g, label)
+            lone = [apply_phases(s, gs, label) for s, gs in zip(states, g)]
+            for i, (state, gs) in enumerate(zip(states, g)):
+                assert_same_state(out._row(i), lone[i])  # each row as a lone run
+                self.assert_close(lone[i], apply_unitary(state, np.diag(gs), (label,)))
+
+    def test_a_zero_entry_stays_positive_zero(self):
+        # the encoding of pdskew.json: the factors exp(+-2*pi*i/3) have a
+        # negative real part, so a product with a zero entry is -0.0 before
+        # the +0.0 start
+        rho = ResourceState.from_schmidt([0.2, 0.3, 0.5]).rho  # a 9 x 9 block, mostly zeros
+        out = apply_phases(rho, protocols.phase_vector(2, 3), "A")
+        zeros = np.concatenate([out.block.real[out.block.real == 0], out.block.imag[out.block.imag == 0]])
+        assert zeros.size > 100 and not np.signbit(zeros).any()
+
+    def test_each_phase_is_checked(self):
+        states = shared_support_states((2, 2, 4), None, 3, seed=45)
+        for bad in (1.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="not of modulus 1"):
+                apply_phases(states[0], [1.0, bad], "A")
+        rows = np.ones((3, 2), dtype=complex)
+        rows[2, 1] = 1.1
+        with pytest.raises(ValueError, match="not of modulus 1"):
+            apply_phases(_stacked(states), rows, "A")
+        with pytest.raises(ValueError, match="cannot act"):  # one row too many
+            apply_phases(_stacked(states), np.ones((4, 2)), "A")
+        with pytest.raises(ValueError, match="cannot act"):  # the factor has dimension 4
+            apply_phases(states[0], np.ones(2), "C")
+        with pytest.raises(ValueError, match="cannot act"):  # a lone state takes one vector
+            apply_phases(states[0], np.ones((3, 2)), "A")
 
 
 def dense_schmidt(psi, layout, left):

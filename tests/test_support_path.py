@@ -4,14 +4,17 @@ Every protocol step maps a state's support block to a support block.  The
 reference here runs the protocols on whole matrices with the kernels the
 whole-matrix path used: ``np.kron`` and transposes for the tensor factors, two
 ``tensordot``s per operator on the ``(m, r, m, r)`` tensor for the clone
-unitary, the Kraus list of ``k_multiline`` and the receiver's correction, and
-``tensordot``s over the measured axis of the whole tensor for the
-measurement (``np.einsum`` would round differently from these BLAS
-products).  For every stage and branch, the support and block of the
-library's state must equal what ``_trimmed`` finds on the reference matrix,
-bit for bit.  The same references check the library's direct ``np.dot``
-products on a seeded mixed state with a partial support, and the last tests
-check that states sharing a support share their kept index plans.
+unitary and the Kraus list of ``k_multiline``, and ``tensordot``s over the
+measured axis of the whole tensor for the measurement (``np.einsum`` would
+round differently from these BLAS products).  The phase gates (the sender's
+encoding and the receiver's correction) multiply each entry of the whole
+matrix by its phase, as ``apply_phases`` does on the block.  For every stage
+and branch, the support and block of the library's state must equal what
+``_trimmed`` finds on the reference matrix, bit for bit.  The same
+references check the library's direct ``np.dot`` products on a seeded mixed
+state with a partial support; the fidelity is checked against a Python loop
+over its support terms, and the last tests check that states sharing a
+support share their kept index plans.
 """
 
 import math
@@ -26,20 +29,20 @@ from qswitch_lab import (
     KrausChannel,
     ResourceState,
     SubsystemLayout,
-    apply_unitary,
+    apply_phases,
     clone_extend_unitary,
     fidelity_with_ket,
     fourier_basis,
     ghz_ket,
     k_multiline,
-    phase_unitary,
     policy,
     projective_measure,
     run_ghz_distribution,
     run_private_dit,
 )
 from qswitch_lab import channels, linalg
-from qswitch_lab.linalg import _clamp, _trimmed
+from qswitch_lab.linalg import _clamp, _product, _trimmed
+from qswitch_lab.protocols import phase_vector
 
 from conftest import random_density, random_ket
 
@@ -70,6 +73,14 @@ def dense_conjugate(m, dims, positions, ops):
         return out
 
     return dense_embedded(m, dims, positions, kraus_sum)
+
+
+def dense_phases(m, dims, pos, g):
+    """The phase gate diag(g) on factor ``pos`` of the whole matrix: each
+    entry (s, t) times g[a_s] conj(g[a_t]), a_s the factor's digit of s, in
+    the order of ``apply_phases``, a zero entry +0.0."""
+    a = g[np.arange(m.shape[0]) // math.prod(dims[pos + 1:]) % dims[pos]]
+    return _product(m, _product(a[:, None], a.conj()[None, :])) + 0.0
 
 
 def dense_collapse(m, dims, positions):
@@ -131,14 +142,14 @@ def reference_establishment(d, n, rho0):
     cloned = dense_conjugate(extended, dims, range(n + 1), [clone_extend_unitary(d, n)])
     sent = dense_channel(cloned, dims, range(1, k))
     branches = [
-        None if b is None else dense_conjugate(b, dims[:-1], [1], [phase_unitary(c, d)])
+        None if b is None else dense_phases(b, dims[:-1], 1, phase_vector(c, d))
         for c, b in enumerate(dense_measure(sent, dims, k - 1, fourier_basis(d)))
     ]
     return [rho0, extended, cloned, sent], branches
 
 
 def reference_private_dit(d, x, rho0):
-    encoded = dense_conjugate(rho0, (d, d), [0], [phase_unitary(x, d)])
+    encoded = dense_phases(rho0, (d, d), 0, phase_vector(x, d))
     sent = dense_channel(encoded, (d, d), [0, 1])
     return [rho0, encoded, sent], dense_measure(sent, (d, d), 1, fourier_basis(d))
 
@@ -290,8 +301,8 @@ def kernel_state(dims, size, seed):
 
 
 def whole_range_fidelity(rho, psi):
-    """``fidelity_with_ket`` as it was for every support: the support
-    columns scattered over every row, the product scattered back."""
+    """``fidelity_with_ket`` as it was for every support, through BLAS: the
+    support columns scattered over every row, the product scattered back."""
     v = psi.amplitudes
     cols = np.zeros((rho.dim, rho.support.size), dtype=complex)
     cols[rho.support] = rho.block
@@ -300,15 +311,35 @@ def whole_range_fidelity(rho, psi):
     return _clamp(float(np.real(u @ v)), "fidelity")
 
 
+def loop_fidelity(rho, psi):
+    """<psi| rho |psi> as a Python loop over the support terms in row-major
+    order, each Re(rho_st * (conj(psi_s) psi_t)) in float arithmetic, added
+    left to right from +0.0."""
+    v = psi.amplitudes[rho.support]
+    vr, vi = v.real.tolist(), v.imag.tolist()
+    br, bi = rho.block.real.tolist(), rho.block.imag.tolist()
+    total = 0.0
+    for s in range(v.size):
+        for t in range(v.size):
+            wr = vr[s] * vr[t] + vi[s] * vi[t]  # conj(psi_s) psi_t
+            wi = vr[s] * vi[t] - vi[s] * vr[t]
+            total += br[s][t] * wr - bi[s][t] * wi
+    return _clamp(total, "fidelity")
+
+
 @pytest.mark.parametrize("seed", [11, 12])
 @pytest.mark.parametrize("dims,size", KERNEL_STATES)
 def test_fidelity_kernel_equals_the_whole_range_formula(dims, size, seed):
+    # the same bits as the loop over the support terms, and the old BLAS
+    # formula over the whole range within the spectral tolerance
     rho = kernel_state(dims, size, seed)
     assert (rho.support.size == rho.dim) == (size is None)
     psi = random_ket(rho.dim, np.random.default_rng(seed + 100))
     fortran = DensityMatrix._unchecked(rho.layout, rho.support, np.asfortranarray(rho.block))
     for state in (rho, fortran):  # a block in either memory order
-        assert fidelity_with_ket(state, psi) == whole_range_fidelity(state, psi)
+        f = fidelity_with_ket(state, psi)
+        assert f.hex() == loop_fidelity(state, psi).hex()
+        assert abs(f - whole_range_fidelity(state, psi)) <= policy.spectral_tol
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -364,16 +395,16 @@ def test_private_dit_messages_share_their_plans():
 
 
 def test_ghz_branches_share_their_correction_plan():
-    linalg._grid.cache_clear()
+    linalg._split.cache_clear()
     t = run_ghz_distribution(3, 3, ResourceState.maximally_entangled(3))
     supports = {b.state.support.tobytes() for b in t.branches}
     assert len(t.branches) == 3 and len(supports) == 1
-    # the run's one stacked correction kept the plan that each branch's own
-    # correction looks up: three lookups, nothing built
-    kept = linalg._grid.cache_info()
+    # the run's one stacked correction kept the digit plan that each branch's
+    # own correction looks up: three lookups, nothing built
+    kept = linalg._split.cache_info()
     for cb, b in zip(t.measured, t.branches):
-        alone = apply_unitary(cb.state, phase_unitary(cb.outcome, 3), ("B1",))
+        alone = apply_phases(cb.state, phase_vector(cb.outcome, 3), "B1")
         assert np.array_equal(alone.support, b.state.support)
         assert np.array_equal(alone.block, b.state.block)
-    assert linalg._grid.cache_info().misses == kept.misses
-    assert linalg._grid.cache_info().hits == kept.hits + len(t.branches)
+    assert linalg._split.cache_info().misses == kept.misses
+    assert linalg._split.cache_info().hits == kept.hits + len(t.branches)
