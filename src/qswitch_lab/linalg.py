@@ -19,17 +19,18 @@ the union of their supports, its block of shape ``(R, k, k)``; a row is
 zero outside its own support, and ``_row`` takes it out on that support
 again.  Each step has one kernel, which works on the last two axes of a
 block and so takes a stack as it takes a state: the checks decide every
-row and raise the first failing row's message, and every product reads
-each row in the memory order of a lone state's, so a row that holds the
-whole support rounds as a run of its own.  A row on part of it keeps its
-bits in the index moves and summed terms, and in the phase gates
-(``apply_phases``) and expectations (``fidelity_with_ket``): these multiply
-entry by entry from real products, which round alike on every CPU, and add
-left to right from +0.0 (``_sum_left``), with no BLAS call.  Only the BLAS
-products of ``apply_unitary`` and ``projective_measure`` meet it in a larger
-matrix, which may round them otherwise.  A measurement of a stack gives per
-outcome one ``MeasurementBranch`` that holds each row's probability and the
-stack of the rows' states; a stack's branch is null in every row or in none.
+row and raise the first failing row's message.  The index moves, the summed
+terms (``_added``), the phase gates (``apply_phases``), the expectations
+(``fidelity_with_ket``) and the measurement (``projective_measure``)
+multiply entry by entry from real products (``_product``), which round
+alike on every CPU, and add in order from +0.0, with no BLAS call; so a row
+keeps the bits of its lone run on any union of supports, on any CPU.  Only
+the BLAS products of ``apply_unitary`` read each row in the memory order of
+a lone state's, so that a row that holds the whole support rounds as a run
+of its own, and meet a row on part of it in a larger matrix, which may round
+them otherwise.  A measurement of a stack gives per outcome one
+``MeasurementBranch`` that holds each row's probability and the stack of the
+rows' states; a stack's branch is null in every row or in none.
 The live branches of one measurement are checked as one stack, each
 outcome's state its row; ``apply_unitary`` and ``apply_phases`` take one
 gate, or one per row of a stack; and ``trace_distance`` takes two stacks,
@@ -147,12 +148,7 @@ class Ket:
         amps = _readonly(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
         object.__setattr__(self, "amplitudes", amps)
         if self._checked:
-            nrm = np.linalg.norm(amps)
-            if not abs(nrm - 1.0) <= policy.structural_tol:  # rejects NaN too
-                raise ValueError(
-                    f"ket norm is {nrm!r}, not 1; use Ket.normalized or Ket.raw "
-                    "for explicit unnormalized construction"
-                )
+            _check_norms(amps)
 
     @classmethod
     def normalized(cls, amplitudes) -> "Ket":
@@ -180,6 +176,17 @@ class Ket:
         return _densities(self.amplitudes, layout)
 
 
+def _check_norms(amplitudes: np.ndarray) -> None:
+    """Check that a ket's amplitudes, or every row of a stack of them, have
+    unit Euclidean norm within the structural tolerance; the first row that
+    fails raises the message its own ``Ket`` raises."""
+    norms = np.sqrt((amplitudes.conj() * amplitudes).real.sum(axis=-1))
+    bad = ~(abs(norms - 1.0) <= policy.structural_tol)  # rejects NaN too
+    if bad.any():
+        raise ValueError(f"ket norm is {float(norms[bad][0])!r}, not 1; use Ket.normalized "
+                         "or Ket.raw for explicit unnormalized construction")
+
+
 def _densities(amplitudes: np.ndarray, layout: SubsystemLayout) -> "DensityMatrix":
     """|psi><psi| of a ket's amplitudes, or the stack of them over rows of
     amplitudes, on the indices where some row is nonzero."""
@@ -192,7 +199,8 @@ def _densities(amplitudes: np.ndarray, layout: SubsystemLayout) -> "DensityMatri
     else:
         support = np.flatnonzero((amplitudes != 0).reshape(-1, dim).any(axis=0))
     v = amplitudes[..., support]
-    return DensityMatrix._of_block(layout, support, v[..., :, None] * v.conj()[..., None, :])
+    outer = _product(v[..., :, None], v.conj()[..., None, :])  # no fused multiply-add
+    return DensityMatrix._of_block(layout, support, outer)
 
 
 # at or below this dimension a state keeps its whole matrix as its block and
@@ -576,10 +584,19 @@ def _summed(rho: DensityMatrix, terms) -> tuple[np.ndarray, np.ndarray]:
     and left out, which changes no sum.
     """
     support, out, src_rows, src_cols = terms
-    lead = rho.block.shape[:-2]
-    block = np.zeros(lead + (support.size * support.size,), dtype=complex)
-    np.add.at(block, (..., out), rho.block[..., src_rows, src_cols])  # in order, repeats too
-    return support, block.reshape(lead + (support.size, support.size))
+    block = _added(rho.block[..., src_rows, src_cols], out, support.size ** 2)
+    return support, block.reshape(block.shape[:-1] + (support.size, support.size))
+
+
+def _added(terms: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
+    """Each term on the last axis of ``terms`` added into its cell of a
+    ``(..., size)`` array that starts at +0.0, in order, repeats too (one
+    ``np.add.at`` over a flat index, faster than an ``Ellipsis`` one)."""
+    lead = terms.shape[:-1]
+    rows = math.prod(lead)
+    out = np.zeros(rows * size, dtype=terms.dtype)
+    np.add.at(out, (np.arange(rows)[:, None] * size + cells).reshape(-1), terms.reshape(-1))
+    return out.reshape(lead + (size,))
 
 
 def _pairs_by(key: np.ndarray, among: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -604,7 +621,7 @@ _trace_terms = _per_layout(_trace_plan)
 
 
 def _grid_plan(dims, positions, support) -> tuple[np.ndarray, ...]:
-    """Where ``_compact`` puts each support index, and its grid in full indices.
+    """Where ``_conjugate`` puts each support index, and its grid in full indices.
 
     The grid is (acted basis state, rest-index occurring in the support).
     Returns each support index's flat place in it, the occurring
@@ -624,16 +641,6 @@ def _grid_plan(dims, positions, support) -> tuple[np.ndarray, ...]:
 _grid = _per_layout(_grid_plan)
 
 
-def _compact(rho: DensityMatrix, flat: np.ndarray, m: int, r: int) -> np.ndarray:
-    """rho on its grid (``_grid``) as an ``(m, r, m, r)`` tensor (each row of
-    a stack as one): with every rest-index present, rho with the addressed
-    factors moved to the front."""
-    lead = rho.block.shape[:-2]
-    t = np.zeros(lead + (m * r, m * r), dtype=complex)
-    t[..., flat[:, None], flat] = rho.block
-    return t.reshape(lead + (m, r, m, r))
-
-
 def _conjugate(rho: DensityMatrix, positions: Sequence[int], ops: np.ndarray) -> DensityMatrix:
     """sum_i (K_i on `positions`, identity elsewhere) rho (...)^dagger.
 
@@ -642,18 +649,19 @@ def _conjugate(rho: DensityMatrix, positions: Sequence[int], ops: np.ndarray) ->
     with dimension equal to the product of the addressed subsystem dims,
     which the callers check; each operator may be one per row of a stack,
     ``(*lead, m, m)`` with a lead that broadcasts to the stack's.  The two
-    products per operator contract the
-    acted axis of the compacted tensor (``_compact``) over its full length,
-    as they would on the whole matrix; each is the product, on the same
+    products per operator contract the acted axis of rho on its grid
+    (``_grid``), an ``(m, r, m, r)`` tensor, over its full length, as they
+    would on the whole matrix; each is the product, on the same
     operands in the same memory order, that ``np.tensordot(K, t, (1, 0))``
     and ``np.tensordot(t1, K.conj(), (2, 1))`` compute with ``np.dot``, so it
     rounds as they do (``np.matmul`` over a C-ordered stack multiplies each
     row as ``np.dot`` does).
     """
     flat, rest, order, index = _grid(rho, positions)
-    m, r = ops.shape[-1], rest.size
-    t = _compact(rho, flat, m, r)
-    lead = t.shape[:-4]
+    m, r, lead = ops.shape[-1], rest.size, rho.block.shape[:-2]
+    t = np.zeros(lead + (m * r, m * r), dtype=complex)
+    t[..., flat[:, None], flat] = rho.block
+    t = t.reshape(lead + (m, r, m, r))
     out = np.zeros_like(t)
     for K in ops:
         t1 = (K @ t.reshape(lead + (m, -1))).reshape(t.shape)  # (i, q, l, r)
@@ -770,12 +778,20 @@ def apply_phases(rho: DensityMatrix, phases, label: str) -> DensityMatrix:
     return DensityMatrix._of_block(rho.layout, rho.support, block)
 
 
-def _whole_trace(support: np.ndarray, block: np.ndarray, n: int):
-    """The trace of an n x n matrix (of each of a stack) from its block on
-    ``support``, summed over the whole diagonal with the zeros in place."""
-    diagonal = np.zeros(block.shape[:-2] + (n,), dtype=complex)
-    diagonal[..., support] = block.diagonal(axis1=-2, axis2=-1)
-    return diagonal.sum(axis=-1).real
+def _measure_plan(dims, positions, support) -> tuple[np.ndarray, ...]:
+    """The terms of measuring the factor at ``positions``: the output support
+    (each support index with the factor's digit dropped, ascending), each
+    support index's digit of the factor (``_split_plan``), and the flat
+    output cell (row * k + col, k the output support size) of every block
+    entry, in row-major order."""
+    [pos] = positions
+    acted, rest = _split_plan(dims, positions, support)
+    low = math.prod(dims[pos + 1:])
+    out_support, row = np.unique(rest // (dims[pos] * low) * low + rest % low, return_inverse=True)
+    return out_support, acted, (row[:, None] * out_support.size + row).reshape(-1)
+
+
+_measure_terms = _per_layout(_measure_plan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -801,11 +817,15 @@ def projective_measure(
     a branch below the null threshold is kept in the list with probability
     0.0 and a ``None`` state so that transcripts stay complete.  A stack's
     branch is null in every row or in none; one null in some rows only
-    raises.  Each branch block is contracted from the compacted tensor
-    (``_compact``) over the measured factor's full dimension, and its trace
-    is ``_whole_trace``, so numpy groups every sum as for the whole matrix.
-    The live branches are checked as one stack, and each outcome's state is
-    its row of it (``_row``).
+    raises.  All branch blocks come from one pass over the support entries,
+    with no BLAS call: entry (s, t) adds ``_product(rho_st, conj(v_k[a_s])
+    v_k[a_t])`` into the entry of the other digits of s and t in the block
+    of outcome k, a_s the measured digit of s (``_measure_terms``); each
+    block entry adds its terms in row-major order from +0.0 (``_added``),
+    and each probability is its block's diagonal added left to right from
+    +0.0 (``_sum_left``).  So a row of a stack keeps the bits of its lone run
+    on any union of supports.  The live branches are checked as one stack,
+    and each outcome's state is its row of it (``_row``).
     """
     pos = rho.layout.index_of(subsystem)
     s = rho.layout.dims[pos]
@@ -819,52 +839,32 @@ def projective_measure(
     if not dev <= policy.spectral_tol:  # NaN and inf too
         raise ValueError(f"measurement basis is not orthonormal: max Gram deviation {dev:.3e}")
 
-    flat, rest, _, _ = _grid(rho, [pos])
-    t = _compact(rho, flat, s, rest.size)  # (p, q, l, r) of each row
-    lead = t.shape[:-4]
-    remaining = [l for i, l in enumerate(rho.layout.labels) if i != pos]
-    new_layout = rho.layout.keep(remaining)
-    out_dim = new_layout.total_dim
-    low = math.prod(rho.layout.dims[pos + 1:])
-    rest = (rest // (s * low)) * low + rest % low  # drop the measured digit
-    # the second contraction reads its matrix in the memory order the whole
-    # state gives it, Fortran order when no factor follows the measured one
-    # and C order otherwise: BLAS rounds the two differently
-    if low == 1:
-        t = t.swapaxes(-1, -2)  # (p, q, r, l)
-    # each product is the ``np.dot`` that ``np.tensordot(v.conj(), t, (0, 0))``
-    # and ``np.tensordot(v, t1, (0, l))`` call on a row, on the same operands;
-    # the first one's matrix is the same for every basis vector
-    rows = t.reshape(lead + (s, -1))
+    support, acted, cells = _measure_terms(rho, [pos])
+    lead = rho.block.shape[:-2]
+    v = mat.T[:, acted]  # each outcome's amplitude at each support index's digit
+    w = _product(v.conj()[:, :, None], v[:, None, :]).reshape((s,) + (1,) * len(lead) + (-1,))
+    terms = _product(rho.block.reshape(lead + (-1,)), w)  # (outcome, *lead, s t)
+    blocks = _added(terms, cells, support.size ** 2).reshape(terms.shape[:-1] + (support.size,) * 2)
+    p = _sum_left(blocks.real.diagonal(axis1=-2, axis2=-1))  # (outcome, *lead)
 
-    probabilities, live, blocks = [], [], []
-    total = 0.0
-    for k, ket_k in enumerate(basis):
-        v = ket_k.amplitudes
-        t1 = (v.conj().reshape(1, s) @ rows).reshape(lead + t.shape[-3:])
-        if low == 1:
-            t1 = t1.swapaxes(-1, -2)  # (q, l, r)
-        t1 = t1.swapaxes(-3, -2)  # (l, q, r)
-        t2 = v.reshape(1, s) @ t1.reshape(lead + (s, -1))  # (1, q r)
-        block = t2.reshape(lead + (rest.size, rest.size))
-        p = _whole_trace(rest, block, out_dim)
-        null = p < policy.null_branch_tol
-        if not null.any():
-            live.append(k)
-            blocks.append(block / p[..., None, None])
-        elif not null.all():
-            raise ValueError(f"branch {k} is null in some rows of the stack only")
-        else:
-            p = np.zeros_like(p)
-        probabilities.append(p if lead else float(p))
-        total = total + p  # left to right, as the branches come
+    null = (p < policy.null_branch_tol).reshape(s, -1)
+    some = null.any(axis=1) & ~null.all(axis=1)
+    if some.any():
+        raise ValueError(f"branch {np.flatnonzero(some)[0]} is null in some rows of the stack only")
+    p[null[:, 0]] = 0.0
+    live = np.flatnonzero(~null[:, 0])
+    remaining = [l for i, l in enumerate(rho.layout.labels) if i != pos]
     states = [None] * s
-    stack = DensityMatrix._of_block(new_layout, rest, np.stack(blocks)) if live else None
-    for i, k in enumerate(live):
-        states[k] = stack._row(i)
+    if live.size:
+        stack = DensityMatrix._of_block(rho.layout.keep(remaining), support,
+                                        blocks[live] / p[live][..., None, None])
+        for i, k in enumerate(live.tolist()):
+            states[k] = stack._row(i)
+    total = _sum_left(np.moveaxis(p, 0, -1))  # left to right, as the branches come
     summed = abs(total - 1.0) <= policy.spectral_tol  # NaN too
     if not _every(summed):
         raise ValueError(f"branch probabilities sum to {float(total[~summed][0])!r}, not 1")
+    probabilities = list(p) if lead else p.tolist()
     return [MeasurementBranch(k, *branch) for k, branch in enumerate(zip(probabilities, states))]
 
 

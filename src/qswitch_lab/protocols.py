@@ -25,8 +25,8 @@ oracle.  All runs are pure functions returning a
 stage by name, the controller's measurement and every branch; one step of
 every pipeline transmits and measures, through
 ``linalg.projective_measure``.  Each pipeline takes a resource state or a
-stack of them (``linalg``), so a necessity sweep runs its rows of one
-resource support together; a stack's measurement holds each row's
+stack of them (``linalg``), so a necessity sweep runs its rows together,
+whatever their supports; a stack's measurement holds each row's
 probability and the stack of the rows' states per outcome.  Within a run the
 live branches are one stack too, on the union of their supports: they are
 corrected in one ``apply_phases`` call, each with its own phases on its row,
@@ -54,8 +54,8 @@ import numpy as np
 from .channels import apply_coincidence
 from .linalg import (
     DensityMatrix,
-    Ket,
     SubsystemLayout,
+    _check_norms,
     _clamp,
     _densities,
     _expectations,
@@ -220,8 +220,8 @@ def _schmidt_states(spectra) -> DensityMatrix:
     guard_dimension(d * d, "resource")
     amps = np.zeros(spectra.shape[:-1] + (d * d,), dtype=complex)
     amps[..., :: d + 1] = np.sqrt(np.maximum(spectra, 0.0))  # sqrt(lam_j) on |jj>
-    kets = [Ket(a).amplitudes for a in amps.reshape(-1, d * d)]  # each checked
-    return _densities(np.array(kets).reshape(amps.shape), SubsystemLayout((d, d), ("A", "C")))
+    _check_norms(amps)  # every row in one call, as a Ket checks its own
+    return _densities(amps, SubsystemLayout((d, d), ("A", "C")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -606,7 +606,7 @@ def classical_flag_encodings(d: int) -> list[DensityMatrix]:
 _PERFECT_SLACK = 1e-9    # a metric at or above 1 - this is perfect
 _MONOTONE_SLACK = 1e-12  # a rise of at most this along the gap order is monotone
 # the most rows one stack of a sweep holds, so that its memory stays bounded
-# as the grid grows; at 101 or more every pinned grid is one stack per support
+# as the grid grows; every pinned grid (101 rows) is one stack
 _STACK_ROWS = 1024
 
 
@@ -630,10 +630,11 @@ def necessity_sweep(
     whether it is monotone in the resource entanglement.  Encodings are
     fixed to the constructive family (phase encodings on the noiseless
     span), so this is construction-family necessity, not an optimization
-    over all encodings.  The resources of one support run as stacks of at
-    most ``_STACK_ROWS`` rows, each row to the bit as a run of its own: a
-    row held on a union of supports larger than its own would meet its BLAS
-    products in a larger matrix, which may round them otherwise.
+    over all encodings.  The resources run as stacks of at most
+    ``_STACK_ROWS`` rows, in grid order and whatever their supports, each
+    row to the bit as a run of its own: every step of the measured core
+    works entry by entry, so a row held on a union of supports larger than
+    its own keeps its bits.
     """
     if protocol not in ("private-dit", "bipartite", "ghz"):
         raise ValueError(f"unknown protocol tag {protocol!r}")
@@ -642,16 +643,10 @@ def necessity_sweep(
         if len(checked) != d:
             raise ValueError(f"spectrum {spec} has {len(checked)} entries, expected {d}")
     n_receivers = n_receivers if protocol == "ghz" else 1
-    by_support: dict[tuple, list[int]] = {}
-    for i, spec in enumerate(specs):
-        by_support.setdefault(tuple(s > 0.0 for s in spec), []).append(i)
-    measures: dict[int, dict] = {}
-    for indices in by_support.values():
-        for i in range(0, len(indices), _STACK_ROWS):
-            members = indices[i:i + _STACK_ROWS]
-            stack = _schmidt_states([specs[j] for j in members])
-            measures.update(zip(members, _stack_measures(protocol, d, n_receivers, stack)))
-
+    measures = []
+    for i in range(0, len(specs), _STACK_ROWS):
+        stack = _schmidt_states(specs[i:i + _STACK_ROWS])
+        measures += _stack_measures(protocol, d, n_receivers, stack)
     rows = []
     for i, spec in enumerate(specs):
         row = {"spectrum": spec, "top_schmidt_gap": float(max(spec) - 1.0 / d)}

@@ -187,7 +187,7 @@ class TestRun:
         assert runner.invoke(main, args).exit_code == 0
         result = runner.invoke(main, [*args, "--tol", "1e-12"])
         assert result.exit_code == 2, result.output
-        assert "receiver outcome probability is -5.000000413701853e-12" in result.output
+        assert "receiver outcome probability is -5.0000004137018526e-12" in result.output
 
     @pytest.mark.parametrize(
         "payload",

@@ -1,5 +1,4 @@
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,7 +38,6 @@ from qswitch_lab import protocols
 from qswitch_lab.serialize import dumps_json, transcript_to_dict
 
 from conftest import (
-    assert_rows_equal,
     bell_phase_flip_mixture,
     random_density,
     random_ket,
@@ -323,7 +321,7 @@ class TestPrivateDit:
         live, zero = "0x1.000000000afe9p-1", "0x0.0p+0"
         assert [[v.hex() for v in row] for row in joint] == [[live, zero], [zero, live]]
         monkeypatch.setattr(policy, "spectral_tol", 1e-12)
-        with pytest.raises(ValueError, match="receiver outcome probability is -5.000000413701853e-12"):
+        with pytest.raises(ValueError, match="receiver outcome probability is -5.0000004137018526e-12"):
             run_private_dit(2, 0, res)
 
     def test_transcript_stages_are_recorded(self):
@@ -739,13 +737,11 @@ class TestNecessitySweep:
         monkeypatch.setattr(protocols, "projective_measure", counted)
         monkeypatch.setattr(protocols, "helstrom_error", decode)
         necessity_sweep("private-dit", d, spectra)
-        # one stack per resource support, measured once per message over all
-        # its rows: the decode makes no second measurement, and a private bit
+        # one stack of every row, whatever their supports, measured once per
+        # message: the decode makes no second measurement, and a private bit
         # decodes each controller outcome of a stack in one call
-        supports = Counter(tuple(s > 0 for s in spec) for spec in spectra)
-        assert sorted(rows) == sorted(n for n in supports.values() for _ in range(d))
-        assert sorted(decoded) == (sorted(n for n in supports.values() for _ in range(d))
-                                   if d == 2 else [])
+        assert rows == [len(spectra)] * d
+        assert decoded == ([len(spectra)] * d if d == 2 else [])
 
     D3_SPECTRA = [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2), (0.6, 0.4, 0.0), (1.0, 0.0, 0.0)]
 
@@ -812,25 +808,29 @@ class TestNecessitySweep:
         assert table["summary"]["perfect_only_at_uniform"]
 
 
-def _by_support(spectra) -> list[list]:
-    """The spectra grouped as a sweep stacks them: by which entries are nonzero."""
-    groups = {}
-    for spec in spectra:
-        groups.setdefault(tuple(s > 0 for s in spec), []).append(spec)
-    return list(groups.values())
+def assert_rows_on_own_supports(stack, states):
+    """Each row of a stack, taken out on its own support, has the support and
+    the bits of the state computed on its own."""
+    assert len(stack.block) == len(states)
+    for i, state in enumerate(states):
+        row = stack._row(i)
+        assert row.layout == state.layout
+        assert np.array_equal(row.support, state.support)
+        assert np.array_equal(row.block, state.block)
 
 
 class TestStackedSweep:
-    """A sweep runs the resources of one support as one stack; each row's
-    stages, branches and metrics equal a run of its own, to the bit."""
+    """A sweep runs its resources as one stack, whatever their supports; each
+    row's stages, branches and metrics equal a run of its own, to the bit."""
 
     GRID = [(a, 1 - a) for a in np.linspace(0, 1, 101)]
     ENDS = [(0.0, 1.0), (1.0, 0.0)] + [(a, 1 - a) for a in np.linspace(0.1, 0.9, 5)]
     D3 = TestNecessitySweep.D3_SPECTRA
     D5 = [(0.5, 0.0, 0.3, 0.2, 0.0), (0.1, 0.0, 0.6, 0.3, 0.0), (0.0, 0.25, 0.25, 0.25, 0.25),
           (0.2,) * 5, (1.0, 0.0, 0.0, 0.0, 0.0), (0.3, 0.0, 0.0, 0.0, 0.7)]
-    # product and partial spectra beside each other: held on one union of
-    # supports, the (0, 0, 1) row's fidelity would round otherwise
+    # product and partial spectra beside each other, held on one union of
+    # supports: through a BLAS product the (0, 0, 1) row's probabilities
+    # would round otherwise
     D3_MIXED = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.5, 0.5), (0.2, 0.0, 0.8),
                 (0.5, 0.3, 0.2)]
 
@@ -842,22 +842,21 @@ class TestStackedSweep:
     ], ids=["bipartite-grid", "ghz2-grid", "ghz3-ends", "ghz4-ends", "ghz5-ends",
             "bipartite-d3", "ghz2-d3", "bipartite-d3-mixed", "ghz2-d3-mixed"])
     def test_establishment_rows_equal_lone_runs(self, protocol, d, n, spectra):
-        for group in _by_support(spectra):
-            lone = [protocols._establishment_run(d, n, ResourceState.from_schmidt(spec), protocol)
-                    for spec in group]
-            stages, measured, corrected, mean = protocols._establishment_stack(
-                d, n, protocols._schmidt_states(group), protocol)
-            for name, stack in stages.items():
-                assert_rows_equal(stack, [t.stages[name] for t in lone])
-            for k, (cb, (fixed, f)) in enumerate(zip(measured, corrected)):
-                assert cb.outcome == k
-                assert np.array_equal(cb.probability, [t.measured[k].probability for t in lone])
-                assert [t.measured[k].state is None for t in lone] == [cb.state is None] * len(lone)
-                if cb.state is not None:
-                    assert_rows_equal(cb.state, [t.measured[k].state for t in lone])
-                    assert_rows_equal(fixed, [t.branches[k].state for t in lone])
-                    assert np.array_equal(f, [t.branches[k].metrics["fidelity"] for t in lone])
-            assert np.array_equal(mean, [t.metrics["fidelity_mean"] for t in lone])
+        lone = [protocols._establishment_run(d, n, ResourceState.from_schmidt(spec), protocol)
+                for spec in spectra]
+        stages, measured, corrected, mean = protocols._establishment_stack(
+            d, n, protocols._schmidt_states(spectra), protocol)
+        for name, stack in stages.items():
+            assert_rows_on_own_supports(stack, [t.stages[name] for t in lone])
+        for k, (cb, (fixed, f)) in enumerate(zip(measured, corrected)):
+            assert cb.outcome == k
+            assert np.array_equal(cb.probability, [t.measured[k].probability for t in lone])
+            assert [t.measured[k].state is None for t in lone] == [cb.state is None] * len(lone)
+            if cb.state is not None:
+                assert_rows_on_own_supports(cb.state, [t.measured[k].state for t in lone])
+                assert_rows_on_own_supports(fixed, [t.branches[k].state for t in lone])
+                assert np.array_equal(f, [t.branches[k].metrics["fidelity"] for t in lone])
+        assert np.array_equal(mean, [t.metrics["fidelity_mean"] for t in lone])
         table = necessity_sweep(protocol, d, spectra, n_receivers=n)
         full = [run_ghz_distribution(d, n, ResourceState.from_schmidt(spec)) for spec in spectra]
         assert np.array_equal([r["metric"] for r in table["rows"]],
@@ -866,28 +865,63 @@ class TestStackedSweep:
     @pytest.mark.parametrize("d,spectra", [(2, GRID), (3, D3), (3, D3_MIXED), (5, D5)],
                              ids=["grid", "d3", "d3-mixed", "d5"])
     def test_private_dit_rows_equal_lone_runs(self, d, spectra):
-        for group in _by_support(spectra):
-            stack = protocols._schmidt_states(group)
-            for x in range(d):
-                lone = [run_private_dit(d, x, ResourceState.from_schmidt(spec)) for spec in group]
-                stages, measured, joint = protocols._private_dit_stack(d, x, stack)
-                for name, rows in stages.items():
-                    assert_rows_equal(rows, [t.stages[name] for t in lone])
-                for k, cb in enumerate(measured):
-                    assert cb.outcome == k
-                    assert np.array_equal(cb.probability, [t.measured[k].probability for t in lone])
-                    states = [t.measured[k].state for t in lone]
-                    assert [s is None for s in states] == [cb.state is None] * len(lone)
-                    if cb.state is not None:
-                        assert_rows_equal(cb.state, states)
-                assert np.array_equal(joint, [t.metrics["joint_pmf"] for t in lone])
+        stack = protocols._schmidt_states(spectra)
+        for x in range(d):
+            lone = [run_private_dit(d, x, ResourceState.from_schmidt(spec)) for spec in spectra]
+            stages, measured, joint = protocols._private_dit_stack(d, x, stack)
+            for name, rows in stages.items():
+                assert_rows_on_own_supports(rows, [t.stages[name] for t in lone])
+            for k, cb in enumerate(measured):
+                assert cb.outcome == k
+                assert np.array_equal(cb.probability, [t.measured[k].probability for t in lone])
+                states = [t.measured[k].state for t in lone]
+                assert [s is None for s in states] == [cb.state is None] * len(lone)
+                if cb.state is not None:
+                    assert_rows_on_own_supports(cb.state, states)
+            assert np.array_equal(joint, [t.metrics["joint_pmf"] for t in lone])
         table = necessity_sweep("private-dit", d, spectra)
         worst = [min(run_private_dit(d, x, ResourceState.from_schmidt(spec)).metrics[
             "success_probability"] for x in range(d)) for spec in spectra]
         assert np.array_equal([r["metric"] for r in table["rows"]], worst)
 
+    @pytest.mark.parametrize("protocol,n,measures", [
+        ("private-dit", 1, 3), ("bipartite", 1, 1), ("ghz", 2, 1),
+    ])
+    def test_rows_on_different_supports_run_as_one_stack(self, protocol, n, measures, monkeypatch):
+        # D3_MIXED holds five rows on five supports: the sweep measures one
+        # stack of all five (once per message of a private dit), not a stack
+        # per support
+        rows, measure = [], protocols.projective_measure
+
+        def counted(rho, *args):
+            rows.append(len(rho.block))
+            return measure(rho, *args)
+
+        monkeypatch.setattr(protocols, "projective_measure", counted)
+        assert len({tuple(s > 0 for s in spec) for spec in self.D3_MIXED}) == 5
+        necessity_sweep(protocol, 3, self.D3_MIXED, n_receivers=n)
+        assert rows == [len(self.D3_MIXED)] * measures
+
+    def test_a_stack_raises_the_first_failing_rows_ket_message(self):
+        # (1 + 3t, -t, -t, -t) passes the spectrum check, but its amplitudes,
+        # the roots of the entries clipped at 0, have norm about 1 + 1.5t
+        def ket_message(spec):
+            amps = np.zeros(16, dtype=complex)
+            amps[::5] = np.sqrt(np.maximum(spec, 0.0))
+            with pytest.raises(ValueError) as own:
+                Ket(amps)
+            return str(own.value)
+
+        first, second = [(1 + 3 * t, -t, -t, -t) for t in (0.9e-12, 0.8e-12)]
+        assert ket_message(first) != ket_message(second)
+        for spectra, failing in (([(0.25,) * 4, first, second], first),
+                                 ([second, (0.25,) * 4, first], second)):
+            with pytest.raises(ValueError) as grouped:
+                necessity_sweep("bipartite", 4, spectra)
+            assert str(grouped.value) == ket_message(failing)
+
     def test_stacks_hold_at_most_the_row_cap(self, monkeypatch):
-        # a support group splits into stacks of at most `_STACK_ROWS` rows:
+        # a sweep splits into stacks of at most `_STACK_ROWS` rows:
         # the rows keep the bits of one stack, and the peak stays flat in
         # the grid (about 7.5x from 16 to 128 rows without the cap)
         cap, grid = 8, lambda n: [(a, 1 - a) for a in np.linspace(0.05, 0.95, n)]

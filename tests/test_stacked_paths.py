@@ -36,7 +36,7 @@ from qswitch_lab import (
     trace_distance,
 )
 from qswitch_lab import linalg, protocols
-from qswitch_lab.linalg import _stacked, _trimmed
+from qswitch_lab.linalg import _stacked
 from qswitch_lab.metrics import bipartition_reports, is_maximally_entangled
 
 from conftest import random_density, random_ket, random_unitary
@@ -50,26 +50,29 @@ def random_basis(s, seed):
 
 def per_outcome_measure(rho, basis, label, monkeypatch):
     """The branches as a check per outcome gives them: each branch block the
-    products hand to ``_whole_trace``, trimmed, normalised and checked on its
-    own by ``_of_block``; a null branch is None."""
-    blocks = []
+    kernel adds up (``_added``), trimmed, normalised and checked on its own
+    by ``_of_block``; a null branch is None."""
+    summed = []
 
-    def recording(support, block, n):
-        blocks.append(_trimmed(support, block, n))
-        return whole_trace(support, block, n)
+    def recording(terms, cells, size):
+        summed.append(added(terms, cells, size))
+        return summed[-1]
 
-    whole_trace = linalg._whole_trace
+    added = linalg._added
     with monkeypatch.context() as m:
-        m.setattr(linalg, "_whole_trace", recording)
+        m.setattr(linalg, "_added", recording)
         branches = projective_measure(rho, basis, label)
+    [blocks] = summed  # (outcome, *rows, k * k)
     assert len(blocks) == len(branches)
+    support = linalg._measure_terms(rho, [rho.layout.index_of(label)])[0]
     layout = rho.layout.keep([l for l in rho.layout.labels if l != label])
     alone = []
-    for branch, (support, block) in zip(branches, blocks):
+    for branch, block in zip(branches, blocks):
         if branch.state is None:
             alone.append(None)
             continue
         p = np.asarray(branch.probability)[..., None, None]
+        block = block.reshape(block.shape[:-1] + (support.size, support.size))
         alone.append(DensityMatrix._of_block(layout, support, block / p))
     return branches, alone
 
@@ -395,7 +398,8 @@ class TestStridePlans:
         # GHZ (2, 14): a table over the 2^16 basis states would hold 0.5 MB
         monkeypatch.setattr(policy, "max_dim", 2**17)
         res = ResourceState.maximally_entangled(2)
-        plans = (linalg._split, linalg._grid, linalg._trace_terms, linalg._coincidence_terms)
+        plans = (linalg._split, linalg._measure_terms, linalg._trace_terms,
+                 linalg._coincidence_terms)
         for plan in plans:
             plan.cache_clear()
         tracemalloc.start()

@@ -2,19 +2,21 @@
 
 Every protocol step maps a state's support block to a support block.  The
 reference here runs the protocols on whole matrices with the kernels the
-whole-matrix path used: ``np.kron`` and transposes for the tensor factors, two
-``tensordot``s per operator on the ``(m, r, m, r)`` tensor for the clone
-unitary and the Kraus list of ``k_multiline``, and ``tensordot``s over the
-measured axis of the whole tensor for the measurement (``np.einsum`` would
-round differently from these BLAS products).  The phase gates (the sender's
+whole-matrix path used: ``np.kron`` and transposes for the tensor factors, and
+two ``tensordot``s per operator on the ``(m, r, m, r)`` tensor for the clone
+unitary and the Kraus list of ``k_multiline`` (``np.einsum`` would round
+differently from these BLAS products).  The phase gates (the sender's
 encoding and the receiver's correction) multiply each entry of the whole
-matrix by its phase, as ``apply_phases`` does on the block.  For every stage
-and branch, the support and block of the library's state must equal what
-``_trimmed`` finds on the reference matrix, bit for bit.  The same
-references check the library's direct ``np.dot`` products on a seeded mixed
-state with a partial support; the fidelity is checked against a Python loop
-over its support terms, and the last tests check that states sharing a
-support share their kept index plans.
+matrix by its phase, as ``apply_phases`` does on the block, and the
+measurement adds each entry of the whole matrix times its basis weights into
+its branch entry, in the order ``projective_measure`` adds them on the block.
+For every stage and branch, the support and block of the library's state
+must equal what ``_trimmed`` finds on the reference matrix, bit for bit.  The
+same references check the library's direct ``np.dot`` products and its
+measurement on a seeded mixed state with a partial support; the fidelity and
+the measurement are checked against Python loops over their support terms,
+and the last tests check that states sharing a support share their kept
+index plans.
 """
 
 import math
@@ -112,7 +114,34 @@ def dense_channel(m, dims, positions):
 
 
 def dense_measure(m, dims, pos, basis):
-    """Every branch of measuring factor ``pos``: the normalised matrix or None."""
+    """Every branch of measuring factor ``pos``: the normalised matrix or None.
+
+    Branch entry (r, r') adds the entries ((a, r), (b, r')) of the whole
+    matrix times conj(v[a]) v[b], each a ``_product``, by a and then b from
+    +0.0; its probability adds the diagonal left to right from +0.0.
+    """
+    n, s = len(dims), dims[pos]
+    out_dim = m.shape[0] // s
+    t = np.moveaxis(m.reshape(tuple(dims) * 2), (pos, n + pos), (0, n))  # the measured axes first
+    t = t.reshape(s, out_dim, s, out_dim)
+    branches = []
+    for ket in basis:
+        v = ket.amplitudes
+        w = _product(v.conj()[:, None], v[None, :])
+        block = np.zeros((out_dim, out_dim), dtype=complex)
+        for a in range(s):
+            for b in range(s):
+                block = block + _product(t[a, :, b, :], w[a, b])
+        p = 0.0
+        for x in block.diagonal().real.tolist():
+            p += x
+        branches.append(None if p < policy.null_branch_tol else block / p)
+    return branches
+
+
+def tensordot_measure(m, dims, pos, basis):
+    """``dense_measure`` as the whole-matrix path computed it, through BLAS:
+    ``tensordot``s over the measured axis of the whole tensor."""
     n = len(dims)
     t = m.reshape(tuple(dims) * 2)
     out_dim = m.shape[0] // dims[pos]
@@ -271,7 +300,9 @@ def test_kraus_products_equal_the_tensordot_path_on_a_partial_support():
 
 
 @pytest.mark.parametrize("label,low", [("C", 1), ("B", 3), ("A", 6)])
-def test_measurement_products_equal_the_tensordot_path_on_a_partial_support(label, low):
+def test_measurement_equals_the_whole_matrix_formula_on_a_partial_support(label, low):
+    # the same bits as the elementwise formula on the whole matrix, and the
+    # tensordot products the measurement once used within the spectral tolerance
     rho = partial_support_state((3, 2, 3), 7, 3, seed=9)
     pos = rho.layout.index_of(label)
     assert math.prod(rho.layout.dims[pos + 1:]) == low
@@ -281,10 +312,12 @@ def test_measurement_products_equal_the_tensordot_path_on_a_partial_support(labe
     basis = [Ket(v) for v in np.linalg.qr(g)[0].T]
     branches = projective_measure(rho, basis, label)
     dense = dense_measure(rho.entries, rho.layout.dims, pos, basis)
-    for branch, m in zip(branches, dense, strict=True):
-        assert (branch.state is None) == (m is None)
+    blas = tensordot_measure(rho.entries, rho.layout.dims, pos, basis)
+    for branch, m, b in zip(branches, dense, blas, strict=True):
+        assert (branch.state is None) == (m is None) == (b is None)
         if m is not None:
             assert_support_block_of(branch.state, m)
+            assert np.abs(branch.state.entries - b).max() <= policy.spectral_tol
 
 
 # full-support states of dimension 4, 8 and 16, and trimmed states of
@@ -342,38 +375,65 @@ def test_fidelity_kernel_equals_the_whole_range_formula(dims, size, seed):
         assert abs(f - whole_range_fidelity(state, psi)) <= policy.spectral_tol
 
 
+def loop_measure(rho, basis, label):
+    """Each branch of measuring ``label`` as a Python loop over the support
+    entries in row-major order: entry (s, t) times conj(v[a_s]) v[a_t], a_s
+    the measured digit of index s, in float arithmetic, added into the
+    branch entry of the two indices' other digits from +0.0.  Per outcome:
+    the probability, the diagonal added left to right from +0.0, and the
+    output support with the branch block on it, not normalised."""
+    pos = rho.layout.index_of(label)
+    s, low = rho.layout.dims[pos], math.prod(rho.layout.dims[pos + 1:])
+    digit = [i // low % s for i in rho.support.tolist()]
+    rest = [i // (s * low) * low + i % low for i in rho.support.tolist()]
+    support = sorted(set(rest))
+    cell = [support.index(r) for r in rest]
+    br, bi = rho.block.real.tolist(), rho.block.imag.tolist()
+    out = []
+    for ket in basis:
+        vr, vi = ket.amplitudes.real.tolist(), (-ket.amplitudes.imag).tolist()  # conj(v)
+        re = [[0.0] * len(support) for _ in support]
+        im = [[0.0] * len(support) for _ in support]
+        for x, (a, i) in enumerate(zip(digit, cell)):
+            for y, (b, j) in enumerate(zip(digit, cell)):
+                wr = vr[a] * vr[b] - vi[a] * -vi[b]  # conj(v[a]) v[b]
+                wi = vr[a] * -vi[b] + vi[a] * vr[b]
+                re[i][j] += br[x][y] * wr - bi[x][y] * wi
+                im[i][j] += br[x][y] * wi + bi[x][y] * wr
+        p = 0.0
+        for i in range(len(support)):
+            p += re[i][i]
+        block = np.empty((len(support), len(support)), dtype=complex)
+        block.real, block.imag = re, im
+        out.append((p, np.array(support), block))
+    return out
+
+
 @pytest.mark.parametrize("seed", [11, 12])
 @pytest.mark.parametrize("dims,size", KERNEL_STATES)
-def test_measurement_kernel_equals_the_whole_range_formula(dims, size, seed, monkeypatch):
+def test_measurement_kernel_equals_the_whole_range_formula(dims, size, seed):
+    # the same bits as the loop over the support terms, and the old BLAS
+    # formula over the whole range within the spectral tolerance
     rho = kernel_state(dims, size, seed)
-    blocks = []  # each outcome's block as its products give it, in outcome order
-    whole_trace = linalg._whole_trace
-
-    def recording(support, block, n):
-        blocks.append(_trimmed(support, block, n))
-        return whole_trace(support, block, n)
-
-    monkeypatch.setattr(linalg, "_whole_trace", recording)
     for label in rho.layout.labels:
-        s = rho.layout.dims[rho.layout.index_of(label)]
+        pos = rho.layout.index_of(label)
+        s = rho.layout.dims[pos]
         g = np.random.default_rng(seed).normal(size=(s, s, 2)) @ [1, 1j]
-        branches = projective_measure(rho, [Ket(v) for v in np.linalg.qr(g)[0].T], label)
+        basis = [Ket(v) for v in np.linalg.qr(g)[0].T]
+        branches = projective_measure(rho, basis, label)
+        blas = tensordot_measure(rho.entries, rho.layout.dims, pos, basis)
         out_dim = rho.dim // s
-        assert len(blocks) == len(branches)
-        for branch, (support, block) in zip(branches, blocks):
-            assert (support.size == out_dim) == (out_dim <= 16)
-            # the trace over the whole diagonal, its zeros in place
-            diagonal = np.zeros(out_dim, dtype=complex)
-            diagonal[support] = block.diagonal()
-            p = float(np.real(diagonal.sum()))
-            assert branch.probability == (0.0 if branch.state is None else p)
+        for branch, (p, support, block), b in zip(branches, loop_measure(rho, basis, label), blas,
+                                                   strict=True):
+            assert (branch.state is None) == (p < policy.null_branch_tol) == (b is None)
+            assert branch.probability.hex() == (0.0 if branch.state is None else p).hex()
             if branch.state is not None:
-                assert np.array_equal(branch.state.support, support)
-                assert np.array_equal(branch.state.block, block / p)
-        blocks.clear()
+                assert np.array_equal(branch.state.support, _trimmed(support, block, out_dim)[0])
+                assert np.array_equal(branch.state.block, _trimmed(support, block / p, out_dim)[1])
+                assert np.abs(branch.state.entries - b).max() <= policy.spectral_tol
 
 
-PLANS = (linalg._split, linalg._grid, linalg._trace_terms, linalg._coincidence_terms)
+PLANS = (linalg._split, linalg._measure_terms, linalg._trace_terms, linalg._coincidence_terms)
 
 
 def test_private_dit_messages_share_their_plans():
@@ -389,7 +449,7 @@ def test_private_dit_messages_share_their_plans():
     # and no plan was built twice
     assert [plan.cache_info().currsize for plan in PLANS] == built
     state = run_private_dit(10, 3, res).stages["transmitted"]
-    for a in linalg._grid(state, [1]):
+    for a in linalg._measure_terms(state, [1]):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
 
