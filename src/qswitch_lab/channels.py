@@ -30,7 +30,7 @@ from .linalg import (
     _readonly,
     _trimmed,
 )
-from .numeric import guard_dimension, policy
+from .numeric import PSD_FLOOR, guard_dimension, policy
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +223,7 @@ class ChoiMatrix:
         if not np.isfinite(m).all():  # eigvalsh does not converge on them
             raise ValueError("Choi matrix has NaN or infinite entries")
         min_eig = _min_eigenvalue(_trimmed(np.arange(n), m, n)[1], n)
-        if not min_eig >= policy.psd_floor:
+        if not min_eig >= PSD_FLOOR:
             raise ValueError(f"Choi matrix not PSD: min eigenvalue {min_eig:.3e}")
         red = np.einsum(
             m.reshape(self.in_dim, self.out_dim, self.in_dim, self.out_dim), [0, 2, 1, 2]

@@ -46,7 +46,7 @@ from .combinators import (
     t_decomposition,
     target_sector_restriction,
 )
-from .linalg import DensityMatrix, SubsystemLayout, fidelity_with_ket, ghz_ket
+from .linalg import DensityMatrix, Ket, SubsystemLayout, fidelity_with_ket, ghz_ket
 from .numeric import guard_dimension, policy
 from .protocols import (
     ResourceState,
@@ -239,7 +239,7 @@ def _random_extensions(d: int) -> list:
     exts = []
     for l in range(d):
         a = rng.normal(size=d) + 1j * rng.normal(size=d)
-        exts.append(vacuum_extend(erasing_channel(d, l), a / np.linalg.norm(a)))
+        exts.append(vacuum_extend(erasing_channel(d, l), Ket.normalized(a).amplitudes))
     return exts
 
 

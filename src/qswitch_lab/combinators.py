@@ -35,13 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ExtendedChannel, KrausChannel, erasing_channel, vacuum_extend
-from .linalg import Ket, _readonly
-from .numeric import guard_dimension, policy
+from .linalg import Ket, _product, _readonly
+from .numeric import STRUCTURAL_TOL, ZERO_OPERATOR_TOL, guard_dimension, policy
 
 
 def _drop_zero(ops: np.ndarray) -> np.ndarray:
     """The operators of a stack whose largest entry is above the zero tolerance."""
-    return ops[np.abs(ops).max(axis=(1, 2)) > policy.zero_operator_tol]
+    return ops[np.abs(ops).max(axis=(1, 2)) > ZERO_OPERATOR_TOL]
 
 
 def _control_diagonal(counts: list[int], dim: int, block) -> KrausChannel:
@@ -56,7 +56,7 @@ def _control_diagonal(counts: list[int], dim: int, block) -> KrausChannel:
     live = np.zeros(tuple(counts), dtype=bool)
     for j in range(n):
         ops[..., :, j, :, j] = blk = block(j)
-        live |= np.abs(blk).max(axis=(-2, -1)) > policy.zero_operator_tol
+        live |= np.abs(blk).max(axis=(-2, -1)) > ZERO_OPERATOR_TOL
     ops.setflags(write=False)  # the channel keeps a read-only stack without a copy
     ops = ops.reshape(-1, dim * n, dim * n)
     return KrausChannel(ops if live.all() else ops[live.ravel()])  # no copy when all live
@@ -124,9 +124,9 @@ def controlled_choice(channels: list[ExtendedChannel]) -> KrausChannel:
     amps = _on_own_axis([c.amplitudes for c in channels])
 
     def block(j: int) -> np.ndarray:
-        # the other channels' vacuum amplitudes, multiplied in channel order
-        coeff = math.prod((amps[l] for l in range(n) if l != j), start=np.ones((1,) * n))
-        return coeff[..., None, None] * stacks[j]
+        # the other channels' vacuum amplitudes, multiplied in channel order (_product)
+        coeff = functools.reduce(_product, (amps[l] for l in range(n) if l != j), np.ones((1,) * n))
+        return _product(coeff[..., None, None], stacks[j])
 
     return _control_diagonal([c.realized.n_kraus for c in channels], dd, block)
 
@@ -253,7 +253,7 @@ class TDecomposition:
         """
         d = self.d
         vals, vecs = np.linalg.eigh(self.remainder_weights)
-        j, k = np.nonzero(vals >= policy.zero_operator_tol)  # eigenpair k of remainder j
+        j, k = np.nonzero(vals >= ZERO_OPERATOR_TOL)  # eigenpair k of remainder j
         bras = np.sqrt(vals[j, k])[:, None] * vecs[j, :, k].conj()  # sqrt(mu) <u|
         ops = np.zeros((1 + len(j), d, d, d, d), dtype=complex)
         ops[0] = self.t0.reshape(d, d, d, d)
@@ -280,7 +280,7 @@ def t_decomposition(channels: list[ExtendedChannel]) -> TDecomposition:
         if np.linalg.norm(np.delete(f, j, axis=0)) > policy.spectral_tol:
             raise ValueError(f"channel {j} is not an erasing channel onto |{j}>")
         vs[j] = f[j].conj()
-        if np.linalg.norm(vs[j]) > 1.0 + policy.structural_tol:
+        if np.linalg.norm(vs[j]) > 1.0 + STRUCTURAL_TOL:
             raise ValueError(f"extracted vector {j} has norm above 1")
         t0[j, j, :, j] = f[j]  # |j><v_j| (x) |j><j|
     remainders = np.eye(d) - vs[:, :, None] * vs[:, None, :].conj()

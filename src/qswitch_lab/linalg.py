@@ -56,7 +56,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numeric import policy
+from .numeric import NULL_BRANCH_TOL, PSD_FLOOR, STRUCTURAL_TOL, policy
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -153,7 +153,8 @@ class Ket:
     @classmethod
     def normalized(cls, amplitudes) -> "Ket":
         a = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(a)
+        # the squared moduli added in order, with no BLAS call: the same bits on every CPU
+        nrm = math.sqrt(_sum_left(a.real * a.real + a.imag * a.imag)) if a.size else 0.0
         if nrm == 0:
             raise ValueError("cannot normalize the zero vector")
         return cls(a / nrm)
@@ -181,7 +182,7 @@ def _check_norms(amplitudes: np.ndarray) -> None:
     unit Euclidean norm within the structural tolerance; the first row that
     fails raises the message its own ``Ket`` raises."""
     norms = np.sqrt((amplitudes.conj() * amplitudes).real.sum(axis=-1))
-    bad = ~(abs(norms - 1.0) <= policy.structural_tol)  # rejects NaN too
+    bad = ~(abs(norms - 1.0) <= STRUCTURAL_TOL)  # rejects NaN too
     if bad.any():
         raise ValueError(f"ket norm is {float(norms[bad][0])!r}, not 1; use Ket.normalized "
                          "or Ket.raw for explicit unnormalized construction")
@@ -264,20 +265,19 @@ def _check(block: np.ndarray, n: int) -> None:
     NaN or infinite entry fails the residual, and past it every entry is
     finite.  An empty support (the zero matrix) fails on the trace.
     """
-    tol = policy.structural_tol
     herm = np.abs(block - block.conj().swapaxes(-1, -2)).max() if block.size else 0.0
-    if herm <= tol and block.size:
-        ok = ((abs(block.trace(axis1=-2, axis2=-1) - 1.0) <= tol)
-              & (_min_eigenvalue(block, n) >= policy.psd_floor))
+    if herm <= STRUCTURAL_TOL and block.size:
+        ok = ((abs(block.trace(axis1=-2, axis2=-1) - 1.0) <= STRUCTURAL_TOL)
+              & (_min_eigenvalue(block, n) >= PSD_FLOOR))
         if _every(ok):
             return
     if block.ndim > 2:
         for row in block:
             _check(_trimmed(np.arange(row.shape[-1]), row, n)[1], n)
-    if not herm <= tol:
+    if not herm <= STRUCTURAL_TOL:
         raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
     tr = block.trace()
-    if not abs(tr - 1.0) <= tol:
+    if not abs(tr - 1.0) <= STRUCTURAL_TOL:
         raise ValueError(f"trace is {tr!r}, not 1")
     raise ValueError(f"not positive semidefinite: min eigenvalue {_min_eigenvalue(block, n):.3e}")
 
@@ -599,11 +599,15 @@ def _added(terms: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
     return out.reshape(lead + (size,))
 
 
-def _pairs_by(key: np.ndarray, among: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (i, j) of ``among`` with ``key[i] == key[j]``, by ascending key."""
-    among = among[np.argsort(key[among], kind="stable")]
-    i, j = np.nonzero(key[among, None] == key[among])
-    return among[i], among[j]
+def _paired(key: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The terms (as ``_summed`` takes them) that map each support index to
+    ``out``: every pair (i, j) with ``key[i] == key[j]``, by ascending key
+    and then row-major, into output cell (out[i], out[j])."""
+    out_support, row = np.unique(out, return_inverse=True)
+    order = np.argsort(key, kind="stable")
+    i, j = np.nonzero(key[order, None] == key[order])
+    i, j = order[i], order[j]
+    return out_support, row[i] * out_support.size + row[j], i, j
 
 
 def _trace_plan(dims, keep_pos, support) -> tuple[np.ndarray, ...]:
@@ -612,9 +616,7 @@ def _trace_plan(dims, keep_pos, support) -> tuple[np.ndarray, ...]:
     over the whole matrix runs."""
     kept = _split_plan(dims, keep_pos, support)[0]
     traced = _split_plan(dims, tuple(p for p in range(len(dims)) if p not in keep_pos), support)[0]
-    out_support, row = np.unique(kept, return_inverse=True)
-    i, j = _pairs_by(traced, np.arange(traced.size))
-    return out_support, row[i] * out_support.size + row[j], i, j
+    return _paired(traced, kept)
 
 
 _trace_terms = _per_layout(_trace_plan)
@@ -680,12 +682,8 @@ def _coincidence_plan(dims, positions, support) -> tuple[np.ndarray, ...]:
     span = j * ((d ** len(positions) - 1) // (d - 1))  # c_j = |j>^N|j>
     # every digit of c_j is j, so its full-index offset is j times the strides' sum
     offset = j * sum(math.prod(dims[p + 1:]) for p in positions)
-    out_support, row = np.unique(rest + offset, return_inverse=True)
-    kept = np.flatnonzero(acted == span)
-    moved_i, moved_j = _pairs_by(acted, np.flatnonzero(acted != span))
-    i = np.concatenate([np.repeat(kept, kept.size), moved_i])
-    j = np.concatenate([np.tile(kept, kept.size), moved_j])
-    return out_support, row[i] * out_support.size + row[j], i, j
+    # the span entries pair with each other under one key below every acted index
+    return _paired(np.where(acted == span, -1, acted), rest + offset)
 
 
 _coincidence_terms = _per_layout(_coincidence_plan)
@@ -847,7 +845,7 @@ def projective_measure(
     blocks = _added(terms, cells, support.size ** 2).reshape(terms.shape[:-1] + (support.size,) * 2)
     p = _sum_left(blocks.real.diagonal(axis1=-2, axis2=-1))  # (outcome, *lead)
 
-    null = (p < policy.null_branch_tol).reshape(s, -1)
+    null = (p < NULL_BRANCH_TOL).reshape(s, -1)
     some = null.any(axis=1) & ~null.all(axis=1)
     if some.any():
         raise ValueError(f"branch {np.flatnonzero(some)[0]} is null in some rows of the stack only")

@@ -20,7 +20,7 @@ import numpy as np
 from .linalg import (
     DensityMatrix, Ket, SubsystemLayout, _clamp, _cut_matrices, _every, schmidt_coefficients,
 )
-from .numeric import ResourceGuardError, policy
+from .numeric import MAX_GGM_PARTIES, STRUCTURAL_TOL, ResourceGuardError, policy
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -54,7 +54,7 @@ class BipartitionReport:
     top_schmidt_sq: float
 
     def __post_init__(self):
-        if not 0.0 < self.top_schmidt_sq <= 1.0 + policy.structural_tol:
+        if not 0.0 < self.top_schmidt_sq <= 1.0 + STRUCTURAL_TOL:
             raise ValueError(f"top squared Schmidt coefficient {self.top_schmidt_sq} out of (0, 1]")
 
 
@@ -68,10 +68,9 @@ def bipartition_reports(psi: Ket, layout: SubsystemLayout) -> list[BipartitionRe
     n = layout.n_subsystems
     if n < 2:
         raise ValueError("need at least two subsystems")
-    if n > policy.max_ggm_parties:
+    if n > MAX_GGM_PARTIES:
         raise ResourceGuardError(
-            f"bipartition enumeration over {n} parties exceeds the cap of "
-            f"{policy.max_ggm_parties}"
+            f"bipartition enumeration over {n} parties exceeds the cap of {MAX_GGM_PARTIES}"
         )
     # every unordered cut exactly once: the side containing the first label
     lefts = [(0,) + rest for r in range(1, n) for rest in combinations(range(1, n), r - 1)]

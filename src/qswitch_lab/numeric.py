@@ -1,12 +1,11 @@
-"""Global numeric policy: tolerances and resource guards.
+"""Numeric policy: tolerances and resource guards.
 
-Every structural invariant (hermiticity, normalization, trace) is checked
-against ``structural_tol``; everything that goes through an eigen- or
-singular-value decomposition uses the looser ``spectral_tol``.  A single
-module-level :data:`policy` instance is consulted by all modules; callers
-that need different tolerances either pass an explicit ``tol`` argument or
-set the policy fields.  Each CLI command sets ``max_dim`` and
-``spectral_tol`` from its flags and restores them when it ends.
+The policy is two settable values, held by the one module-level
+:data:`policy` that every module reads: ``spectral_tol``, the tolerance of
+everything that goes through an eigen- or singular-value decomposition, and
+``max_dim``, the size limit.  Each CLI command sets them from its flags and
+restores them when it ends; a caller that needs another tolerance passes an
+explicit ``tol``.  Every other rule is a fixed constant of this module.
 :func:`guard_dimension` is the one size rule; a dense site calls it with what
 it is about to allocate, before allocating.
 """
@@ -15,6 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+STRUCTURAL_TOL = 1e-12  # hermiticity, normalization and trace
+PSD_FLOOR = -1e-10  # the least eigenvalue a positive semidefinite matrix may show
+ZERO_OPERATOR_TOL = 1e-14  # a Kraus operator (or eigenvalue) no larger is zero
+NULL_BRANCH_TOL = 1e-12  # a measurement branch of lower probability is null
+MAX_GGM_PARTIES = 6  # the most parties whose bipartitions the GGM enumerates
+
 
 class ResourceGuardError(ValueError):
     """Raised when a requested computation exceeds the configured size limits."""
@@ -22,13 +27,8 @@ class ResourceGuardError(ValueError):
 
 @dataclass
 class NumericPolicy:
-    structural_tol: float = 1e-12
     spectral_tol: float = 1e-10
-    psd_floor: float = -1e-10
-    zero_operator_tol: float = 1e-14
-    null_branch_tol: float = 1e-12
     max_dim: int = 4096
-    max_ggm_parties: int = 6
 
 
 policy = NumericPolicy()

@@ -35,7 +35,7 @@ receiver probability in one elementwise product with the Fourier amplitudes,
 added left to right, as a fidelity is.  The privacy report and the
 fixed-order baseline take the trace distances of all their pairs in one
 call.  The pre-measurement GGM of a GHZ run is skipped, with the reason
-recorded in the metrics, past ``policy.max_ggm_parties``.  A
+recorded in the metrics, past ``MAX_GGM_PARTIES``.  A
 fixed-configuration baseline and necessity sweeps over non-uniform Schmidt
 spectra probe why coherent control and maximal resource entanglement are
 needed.
@@ -62,6 +62,7 @@ from .linalg import (
     _readonly,
     _remapped,
     _stacked,
+    _sum_left,
     apply_phases,
     basis_ket,
     fidelity_with_ket,
@@ -76,7 +77,7 @@ from .metrics import (
     concurrence_2qubit, ggm, helstrom_error, is_maximally_entangled, mutual_information,
     total_variation,
 )
-from .numeric import guard_dimension, policy
+from .numeric import MAX_GGM_PARTIES, NULL_BRANCH_TOL, STRUCTURAL_TOL, guard_dimension, policy
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +205,10 @@ def _schmidt_spectrum(spectrum) -> tuple[float, ...]:
     """A Schmidt spectrum as floats, checked: nonnegative within the
     structural tolerance, and summing to 1."""
     spec = tuple(float(s) for s in spectrum)
-    if not all(s >= -policy.structural_tol for s in spec):  # rejects NaN too
+    if not all(s >= -STRUCTURAL_TOL for s in spec):  # rejects NaN too
         raise ValueError("Schmidt spectrum entries must be nonnegative")
     total = functools.reduce(operator.add, spec, 0.0)  # left to right on every Python
-    if not abs(total - 1.0) <= policy.structural_tol:
+    if not abs(total - 1.0) <= STRUCTURAL_TOL:
         raise ValueError(f"Schmidt spectrum sums to {total!r}, not 1")
     return spec
 
@@ -285,7 +286,7 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
         for mb in range(d):
             p = pmf[mb][cb.outcome]
             branches.append(Branch(cb.outcome, p, (mb,), (mb + cb.outcome) % d,
-                                   None if p < policy.null_branch_tol else cb.state))
+                                   None if p < NULL_BRANCH_TOL else cb.state))
     metrics = {
         "success_probability": float(_decoded(joint, x)),
         "charlie_pmf": [cb.probability for cb in measured],
@@ -320,8 +321,8 @@ def _private_dit_stack(d: int, x: int, rho0: DensityMatrix) -> tuple:
 def _decoded(joint: np.ndarray, x: int):
     """The probability of decoding x: the sum of the cells of ``joint[..., m_B,
     m_C]`` with m_B + m_C = x mod d, left to right."""
-    d = joint.shape[-1]
-    return functools.reduce(operator.add, (joint[..., mb, (x - mb) % d] for mb in range(d)), 0.0)
+    mb = np.arange(joint.shape[-1])
+    return _sum_left(joint[..., mb, (x - mb) % mb.size])
 
 
 def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
@@ -438,13 +439,8 @@ def _establishment_stack(
     corrected = [(None, None)] * len(measured)
     for i, (cb, f) in enumerate(zip(live, fidelities)):
         corrected[cb.outcome] = (states._row(i), f)
-    # left to right on every Python, which a builtin sum() of floats is not
-    # (3.12's is compensated)
-    fidelity_mean = np.zeros(rho0.block.shape[:-2])
-    for cb, (_, f) in zip(measured, corrected):
-        if f is not None:
-            fidelity_mean += cb.probability * f
-    return stages, measured, corrected, fidelity_mean
+    terms = [cb.probability * f for cb, (_, f) in zip(measured, corrected) if f is not None]
+    return stages, measured, corrected, _sum_left(np.moveaxis(np.array(terms), 0, -1))
 
 
 def _establishment_run(
@@ -467,9 +463,9 @@ def _establishment_run(
     sent = stages["transmitted"]
     if sent.is_pure():
         parties = sent.layout.n_subsystems
-        if parties > policy.max_ggm_parties:
+        if parties > MAX_GGM_PARTIES:
             metrics["pre_measurement_ggm_skipped"] = (
-                f"{parties} parties exceed the bipartition cap of {policy.max_ggm_parties}"
+                f"{parties} parties exceed the bipartition cap of {MAX_GGM_PARTIES}"
             )
         else:
             metrics["pre_measurement_ggm"] = ggm(sent.to_ket(), sent.layout)
@@ -568,12 +564,10 @@ def _discrimination_success(states: list[np.ndarray]) -> float:
     n = len(states)
     avg = sum(states) / n
     vals, vecs = np.linalg.eigh(avg)
-    inv_sqrt = np.zeros_like(avg)
     # a pseudo-inverse cut, not a check: no verdict compares against it, and
     # as ``policy.spectral_tol`` it would let ``--tol`` move the success
-    for lam, col in zip(vals, vecs.T):
-        if lam > 1e-13:
-            inv_sqrt += np.outer(col, col.conj()) / math.sqrt(lam)
+    kept = vals > 1e-13
+    inv_sqrt = (vecs[:, kept] / np.sqrt(vals[kept])) @ vecs[:, kept].conj().T
     success = 0.0
     for rho in states:
         m = inv_sqrt @ (rho / n) @ inv_sqrt

@@ -26,6 +26,7 @@ from qswitch_lab import (
 )
 
 from qswitch_lab.linalg import _min_eigenvalue, _trimmed
+from qswitch_lab.numeric import PSD_FLOOR
 
 from conftest import random_density, random_unitary
 
@@ -295,7 +296,7 @@ class TestChoiSupport:
             assert support.size < n, name
             assert np.array_equal(block, m[np.ix_(support, support)]), name
             full = float(np.linalg.eigvalsh(m)[0])
-            assert full >= policy.psd_floor
+            assert full >= PSD_FLOOR
             assert abs(_min_eigenvalue(block, m.shape[0]) - full) <= 1e-14, name
 
     @pytest.mark.parametrize("d", [3, 4])

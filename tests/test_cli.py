@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -655,6 +656,10 @@ class TestTolerance:
 
 class TestPolicyScope:
     """Tolerance and guard overrides last only as long as their command."""
+
+    def test_policy_holds_only_what_a_command_sets(self):
+        # every other numeric rule is a constant of ``numeric``
+        assert [f.name for f in dataclasses.fields(NumericPolicy)] == ["spectral_tol", "max_dim"]
 
     @pytest.mark.parametrize(
         "args, code",

@@ -41,6 +41,7 @@ from qswitch_lab import (
     run_private_dit,
 )
 from qswitch_lab.cli import _parse_alpha
+from qswitch_lab.numeric import MAX_GGM_PARTIES, STRUCTURAL_TOL
 
 SWEEPS = [("private-dit", 1), ("bipartite", 1), ("ghz", 2), ("ghz", 3), ("ghz", 4), ("ghz", 5)]
 
@@ -61,7 +62,7 @@ def dirichlet_spectra(d: int, count: int, seed: int) -> list[tuple[float, ...]]:
 
 
 def is_uniform(lam) -> bool:
-    return max(abs(x - 1.0 / len(lam)) for x in lam) <= policy.structural_tol
+    return max(abs(x - 1.0 / len(lam)) for x in lam) <= STRUCTURAL_TOL
 
 
 @pytest.mark.parametrize("protocol,receivers", SWEEPS)
@@ -74,7 +75,7 @@ def test_sweep_metric_is_closed_form(protocol, receivers, d, spectra):
     table = necessity_sweep(protocol, d, spectra, n_receivers=receivers)
     assert len(table["rows"]) == len(spectra)
     for row, lam in zip(table["rows"], spectra):
-        assert abs(row["metric"] - closed_form_metric(lam)) <= policy.structural_tol, lam
+        assert abs(row["metric"] - closed_form_metric(lam)) <= STRUCTURAL_TOL, lam
         # perfect exactly at the uniform spectrum, as Cauchy-Schwarz says
         assert row["is_perfect"] == is_uniform(lam), lam
     assert table["summary"]["perfect_only_at_uniform"]
@@ -109,7 +110,7 @@ def test_closed_form_reaches_one_only_at_uniform():
     # everywhere on the grids except at the uniform spectrum
     for lam in cli_grid() + dirichlet_spectra(3, 12, seed=31):
         value = closed_form_metric(lam)
-        assert value <= 1.0 + policy.structural_tol
+        assert value <= 1.0 + STRUCTURAL_TOL
         assert (value >= 1.0 - 1e-9) == is_uniform(lam), lam
 
 
@@ -137,11 +138,11 @@ def test_private_dit_distributions_and_privacy_are_closed_form(d):
         ensemble = [run_private_dit(d, x, resource) for x in range(d)]
         for x, t in enumerate(ensemble):
             joint = np.asarray(t.metrics["joint_pmf"])
-            assert np.abs(joint - closed_form_joint_pmf(lam, x)).max() <= policy.structural_tol
+            assert np.abs(joint - closed_form_joint_pmf(lam, x)).max() <= STRUCTURAL_TOL
             charlie = np.asarray(t.metrics["charlie_pmf"])
-            assert np.abs(charlie - 1.0 / d).max() <= policy.structural_tol, (lam, x)
+            assert np.abs(charlie - 1.0 / d).max() <= STRUCTURAL_TOL, (lam, x)
         report = privacy_report(ensemble)
-        assert 0.0 <= report["max_pairwise_trace_distance"] <= policy.structural_tol, lam
+        assert 0.0 <= report["max_pairwise_trace_distance"] <= STRUCTURAL_TOL, lam
 
 
 @pytest.mark.parametrize("d,receivers", GHZ_SIZES)
@@ -149,9 +150,9 @@ def test_ghz_charlie_pmf_and_fidelity_min_are_closed_form(d, receivers):
     for lam in dirichlet_spectra(d, 4, seed=50 + 10 * d + receivers):
         t = run_ghz_distribution(d, receivers, ResourceState.from_schmidt(lam))
         charlie = np.asarray(t.metrics["charlie_pmf"])
-        assert np.abs(charlie - 1.0 / d).max() <= policy.structural_tol, lam
+        assert np.abs(charlie - 1.0 / d).max() <= STRUCTURAL_TOL, lam
         expected = closed_form_metric(lam)
-        assert abs(t.metrics["fidelity_min"] - expected) <= policy.structural_tol, lam
+        assert abs(t.metrics["fidelity_min"] - expected) <= STRUCTURAL_TOL, lam
 
 
 GUARD_CEILING = [(2, 10), (3, 5), (4, 4), (5, 3)]
@@ -162,13 +163,13 @@ def test_ghz_at_the_guard_ceiling_is_closed_form(d, receivers):
     for lam in dirichlet_spectra(d, 2, seed=70 + 10 * d + receivers):
         t = run_ghz_distribution(d, receivers, ResourceState.from_schmidt(lam))
         expected = closed_form_metric(lam)
-        assert abs(t.metrics["fidelity_mean"] - expected) <= policy.structural_tol, lam
-        assert abs(t.metrics["fidelity_min"] - expected) <= policy.structural_tol, lam
+        assert abs(t.metrics["fidelity_mean"] - expected) <= STRUCTURAL_TOL, lam
+        assert abs(t.metrics["fidelity_min"] - expected) <= STRUCTURAL_TOL, lam
         charlie = np.asarray(t.metrics["charlie_pmf"])
-        assert np.abs(charlie - 1.0 / d).max() <= policy.structural_tol, lam
+        assert np.abs(charlie - 1.0 / d).max() <= STRUCTURAL_TOL, lam
         assert t.metrics["maximally_entangled_all_branches"] == is_uniform(lam), lam
         ggm = 1.0 - max(lam)
-        if receivers + 2 <= policy.max_ggm_parties:
+        if receivers + 2 <= MAX_GGM_PARTIES:
             assert abs(t.metrics["pre_measurement_ggm"] - ggm) <= policy.spectral_tol, lam
             continue
         # past the bipartition cap the transcript records the skip; the GGM
@@ -179,5 +180,5 @@ def test_ghz_at_the_guard_ceiling_is_closed_form(d, receivers):
         span = np.arange(d) * ((psi.size - 1) // (d - 1))  # the index of |j..j>
         assert np.array_equal(np.flatnonzero(psi), span)
         weights = np.abs(psi[span]) ** 2
-        assert np.abs(weights - np.asarray(lam)).max() <= policy.structural_tol, lam
-        assert abs(1.0 - weights.max() - ggm) <= policy.structural_tol, lam
+        assert np.abs(weights - np.asarray(lam)).max() <= STRUCTURAL_TOL, lam
+        assert abs(1.0 - weights.max() - ggm) <= STRUCTURAL_TOL, lam

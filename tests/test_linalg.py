@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from qswitch_lab import (
 )
 from qswitch_lab import linalg
 from qswitch_lab.linalg import _SUPPORT_MIN_DIM, _min_eigenvalue, _stacked, _sum_left, _trimmed
+from qswitch_lab.numeric import PSD_FLOOR, STRUCTURAL_TOL
 
 from conftest import (
     assert_rows_equal, naive_partial_trace, random_density, random_ket, random_unitary,
@@ -133,7 +136,7 @@ class TestSupportPSD:
             m = padded_state(n, support, lam, rng)
             full_min = float(np.linalg.eigvalsh(m)[0])
             assert abs(support_min_eigenvalue(m) - full_min) < 1e-14
-            if full_min < policy.psd_floor:
+            if full_min < PSD_FLOOR:
                 with pytest.raises(ValueError, match="not positive semidefinite"):
                     DensityMatrix(m, layout)
             else:
@@ -171,12 +174,12 @@ class TestSupportPSD:
 def full_matrix_verdict(m):
     """The whole-matrix check, in the constructor's order: error text or None."""
     herm = np.abs(m - m.conj().T).max()
-    if not herm <= policy.structural_tol:
+    if not herm <= STRUCTURAL_TOL:
         return f"not Hermitian: max asymmetry {herm:.3e}"
-    if not abs(m.trace() - 1.0) <= policy.structural_tol:
+    if not abs(m.trace() - 1.0) <= STRUCTURAL_TOL:
         return "trace is"
     min_eig = float(np.linalg.eigvalsh(m)[0])
-    if not min_eig >= policy.psd_floor:
+    if not min_eig >= PSD_FLOOR:
         return f"not positive semidefinite: min eigenvalue {min_eig:.3e}"
     return None
 
@@ -584,6 +587,20 @@ class TestLeftToRightSum:
         for terms in ([-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0] * 130, [1.5, -1.5], [-1.5, 1.5]):
             got = float(_sum_left(np.array(terms)))
             assert got == 0.0 and np.copysign(1.0, got) == 1.0, terms
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 127, 128, 129])
+    def test_ket_norm_equals_a_python_loop(self, n, rng):
+        # Ket.normalized divides by the root of the squared moduli added in
+        # order, so a ket's bits do not depend on how BLAS groups a norm
+        a = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.integers(-6, 6, size=n)
+        a[::3] = 0.0
+        total = 0.0
+        for z in a.tolist():
+            total += z.real * z.real + z.imag * z.imag
+        want = a / math.sqrt(total)
+        got = Ket.normalized(a).amplitudes
+        for g, w in zip(got.tolist(), want.tolist()):
+            assert (g.real.hex(), g.imag.hex()) == (w.real.hex(), w.imag.hex())
 
 
 class TestDistances:

@@ -92,14 +92,14 @@ class TestGGM:
             ggm(basis_ket(2, 0), SubsystemLayout((2,), ("A",)))
 
     def test_drift_beyond_tolerance_raises(self, monkeypatch):
-        # under a loosened structural tolerance a ket of norm 1 + 1e-9 is
-        # accepted, and its product cuts put the GGM 2e-9 below 0
-        monkeypatch.setattr(policy, "structural_tol", 1e-8)
+        # under a tightened spectral tolerance the product cuts of a ket of
+        # squared norm 1 + 5e-13 put the GGM 5e-13 below 0, beyond it
+        monkeypatch.setattr(policy, "spectral_tol", 1e-13)
         layout = SubsystemLayout((2, 2), ("A", "B"))
-        psi = Ket(np.sqrt(1 + 2e-9) * basis_ket(4, 0).amplitudes)
+        psi = Ket.raw(np.sqrt(1 + 5e-13) * basis_ket(4, 0).amplitudes)
         with pytest.raises(ValueError, match="GGM .* outside \\[0, 1\\]"):
             ggm(psi, layout)
-        assert ggm(Ket(np.sqrt(1 + 0.5e-10) * basis_ket(4, 0).amplitudes), layout) == 0.0
+        assert ggm(Ket.raw(np.sqrt(1 + 0.5e-13) * basis_ket(4, 0).amplitudes), layout) == 0.0
 
     def test_party_guard(self):
         layout = SubsystemLayout((2,) * 7, tuple(f"P{i}" for i in range(7)))

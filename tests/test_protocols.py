@@ -35,6 +35,7 @@ from qswitch_lab import (
 
 import qswitch_lab
 from qswitch_lab import protocols
+from qswitch_lab.numeric import MAX_GGM_PARTIES
 from qswitch_lab.serialize import dumps_json, transcript_to_dict
 
 from conftest import (
@@ -466,12 +467,12 @@ class TestGHZ:
         t = run_ghz_distribution(d, n, ResourceState.maximally_entangled(d))
         assert t.metrics["fidelity_min"] > 1 - 1e-10
         assert t.metrics["maximally_entangled_all_branches"]
-        if n + 2 <= policy.max_ggm_parties:
+        if n + 2 <= MAX_GGM_PARTIES:
             assert abs(t.metrics["pre_measurement_ggm"] - (d - 1) / d) < 1e-10
         else:
             assert "pre_measurement_ggm" not in t.metrics
             assert t.metrics["pre_measurement_ggm_skipped"] == (
-                f"{n + 2} parties exceed the bipartition cap of {policy.max_ggm_parties}"
+                f"{n + 2} parties exceed the bipartition cap of {MAX_GGM_PARTIES}"
             )
 
     def test_reduction_to_bipartite_qubits(self):

@@ -44,6 +44,7 @@ from qswitch_lab import (
 )
 from qswitch_lab import channels, linalg
 from qswitch_lab.linalg import _clamp, _product, _trimmed
+from qswitch_lab.numeric import NULL_BRANCH_TOL
 from qswitch_lab.protocols import phase_vector
 
 from conftest import random_density, random_ket
@@ -135,7 +136,7 @@ def dense_measure(m, dims, pos, basis):
         p = 0.0
         for x in block.diagonal().real.tolist():
             p += x
-        branches.append(None if p < policy.null_branch_tol else block / p)
+        branches.append(None if p < NULL_BRANCH_TOL else block / p)
     return branches
 
 
@@ -151,7 +152,7 @@ def tensordot_measure(m, dims, pos, basis):
         t1 = np.tensordot(v.conj(), t, axes=(0, pos))
         t2 = np.tensordot(v, t1, axes=(0, n - 1 + pos)).reshape(out_dim, out_dim)
         p = float(np.real(np.trace(t2)))
-        branches.append(None if p < policy.null_branch_tol else t2 / p)
+        branches.append(None if p < NULL_BRANCH_TOL else t2 / p)
     return branches
 
 
@@ -425,7 +426,7 @@ def test_measurement_kernel_equals_the_whole_range_formula(dims, size, seed):
         out_dim = rho.dim // s
         for branch, (p, support, block), b in zip(branches, loop_measure(rho, basis, label), blas,
                                                    strict=True):
-            assert (branch.state is None) == (p < policy.null_branch_tol) == (b is None)
+            assert (branch.state is None) == (p < NULL_BRANCH_TOL) == (b is None)
             assert branch.probability.hex() == (0.0 if branch.state is None else p).hex()
             if branch.state is not None:
                 assert np.array_equal(branch.state.support, _trimmed(support, block, out_dim)[0])
