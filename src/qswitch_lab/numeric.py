@@ -30,6 +30,16 @@ class NumericPolicy:
     spectral_tol: float = 1e-10
     max_dim: int = 4096
 
+    def __setattr__(self, name: str, value) -> None:
+        # a name that is not a field, such as a rule that is now a constant,
+        # would otherwise be set and never read
+        if name not in self.__dataclass_fields__:
+            raise AttributeError(
+                f"NumericPolicy has no setting {name!r}; its settings are "
+                + " and ".join(self.__dataclass_fields__)
+            )
+        super().__setattr__(name, value)
+
 
 policy = NumericPolicy()
 

@@ -680,3 +680,22 @@ class TestPolicyScope:
         result = runner.invoke(main, args)
         assert result.exit_code == code, result.output
         assert policy == NumericPolicy()
+
+    def test_setting_a_name_that_is_not_a_field_raises(self):
+        # the tolerances that became constants of ``numeric`` cannot be set
+        # here and silently read nowhere
+        with pytest.raises(AttributeError, match="'structural_tol'; its settings are spectral_tol and max_dim"):
+            policy.structural_tol = 1e-8
+        assert vars(policy) == vars(NumericPolicy())
+
+    def test_vars_of_a_policy_are_its_two_settings(self):
+        assert vars(NumericPolicy()) == {"spectral_tol": 1e-10, "max_dim": 4096}
+
+    def test_command_restores_a_monkeypatched_setting(self, runner, monkeypatch):
+        monkeypatch.delenv("QSWITCH_MAX_DIM", raising=False)
+        monkeypatch.setattr(policy, "max_dim", 512)
+        monkeypatch.setattr(policy, "spectral_tol", 1e-9)
+        args = ["run", "ghz", "--d", "2", "--receivers", "2", "--tol", "1e-3", "--max-dim", "64"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert (policy.max_dim, policy.spectral_tol) == (512, 1e-9)

@@ -81,14 +81,15 @@ for args in json.loads(sys.argv[1]):
 """
 
 
-def regenerate(out_dir: Path, env: dict | None = None) -> None:
-    """Write every pinned output into ``out_dir``, one BLAS thread, default
-    guards; ``env`` adds variables to the interpreter's environment."""
+def regenerate(out_dir: Path, env: dict | None = None, names=GOLDENS) -> None:
+    """Write the pinned outputs ``names`` (every one by default) into
+    ``out_dir``, one BLAS thread, default guards; ``env`` adds variables to
+    the interpreter's environment."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
     env.pop("QSWITCH_MAX_DIM", None)
-    commands = [[*args, "--out", name] for name, (args, _) in GOLDENS.items()]
+    commands = [[*GOLDENS[name][0], "--out", name] for name in names]
     done = subprocess.run(
         [sys.executable, "-c", _DRIVER, json.dumps(commands)],
         cwd=out_dir, env=env, capture_output=True, text=True,
@@ -130,6 +131,15 @@ def assert_pinned(out_dir: Path, name: str) -> None:
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_output_matches_pinned_hash(regenerated, name):
     assert_pinned(regenerated, name)
+
+
+def test_output_over_a_longer_stale_file(tmp_path):
+    # the file holds the pinned text and a stale tail, as a later run finds an
+    # earlier one's output; writing over it in place must cut the tail
+    name = "pdskew.json"
+    (tmp_path / name).write_bytes(_pinned_bytes(name) + b"stale tail\n")
+    regenerate(tmp_path, names=[name])
+    assert_pinned(tmp_path, name)
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,8 @@ of ``complex_pairs``.
 
 import json
 import os
+import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -252,3 +254,74 @@ class TestWriteText:
         finally:
             tracemalloc.stop()
         assert peak < os.path.getsize(path) / 4
+
+    # an existing file is written over in place and cut to the length written,
+    # which must leave what open(path, "w") leaves
+
+    def test_shorter_text_over_a_longer_file_leaves_only_the_text(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"x" * 5000 + b"old tail\n")
+        write_text(path, ["new\n", "text\n"])
+        assert path.read_bytes() == b"new\ntext\n"
+
+    def test_existing_mode_is_kept(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"earlier run, a longer one\n")
+        path.chmod(0o640)
+        write_text(path, ["a,b\n"])
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_new_file_mode_is_0o666_less_the_umask(self, tmp_path):
+        path = tmp_path / "out.csv"
+        umask = os.umask(0o027)
+        try:
+            write_text(path, ["a,b\n"])
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_symlink_is_followed_and_kept(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"earlier run, a longer one\n")
+        link.symlink_to(target)
+        write_text(link, ["new\n"])
+        assert link.is_symlink()
+        assert target.read_bytes() == b"new\n"
+
+    def test_hard_link_reads_the_new_text(self, tmp_path):
+        path, other = tmp_path / "out.json", tmp_path / "other.json"
+        path.write_bytes(b"earlier run, a longer one\n")
+        os.link(path, other)
+        write_text(path, ["new\n"])
+        assert other.read_bytes() == b"new\n"
+        assert os.path.samefile(path, other)
+
+    def test_dev_null_is_written_without_a_truncate_error(self):
+        write_text(os.devnull, ["a,b\n", "1,2\n"])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    def test_fifo_is_written_without_a_truncate_error(self, tmp_path):
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            write_text(path, ["a,b\n", "1,2\n"])
+        finally:
+            reader.join(timeout=10)
+        assert got == [b"a,b\n1,2\n"]
+
+    def test_chunk_that_raises_leaves_the_written_prefix(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"x" * 5000 + b"old tail\n")
+
+        def chunks():
+            yield "first\n"
+            yield "second\n"
+            raise RuntimeError("renderer failed")
+
+        with pytest.raises(RuntimeError, match="renderer failed"):
+            write_text(path, chunks())
+        assert path.read_bytes() == b"first\nsecond\n"
