@@ -64,7 +64,6 @@ from .protocols import (
     ProtocolTranscript,
     ResourceState,
     classical_flag_encodings,
-    clone_extend_unitary,
     clone_fan_out,
     decode_summary,
     dfs_phase_encodings,
@@ -75,6 +74,7 @@ from .protocols import (
     run_bipartite_establishment,
     run_ghz_distribution,
     run_private_dit,
+    run_private_dit_ensemble,
 )
 
 __version__ = "0.1.0"

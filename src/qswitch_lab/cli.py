@@ -54,10 +54,9 @@ from .protocols import (
     dfs_phase_encodings,
     fixed_configuration_baseline,
     necessity_sweep,
-    privacy_report,
     run_bipartite_establishment,
     run_ghz_distribution,
-    run_private_dit,
+    run_private_dit_ensemble,
 )
 
 _EXIT_CHECK_FAILED = 1
@@ -377,11 +376,7 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out, format):
         header = {"command": "run", "protocol": protocol}
         res = _parse_resource(resource, d)
         if protocol == "private-dit":
-            if not 0 <= x < d:
-                raise ValueError(f"message {x} out of range for dimension {d}")
-            ensemble = [run_private_dit(d, msg, res) for msg in range(d)]
-            transcript = ensemble[x]
-            privacy = privacy_report(ensemble)
+            transcript, privacy = run_private_dit_ensemble(d, x, res)
         elif protocol == "bipartite":
             transcript = run_bipartite_establishment(d, res)
         else:

@@ -965,7 +965,13 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarr
     stacks an array of one per row, from one ``eigvalsh`` call."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    eigs = np.linalg.eigvalsh(rho.entries - sigma.entries)
+    return _half_trace_norms(rho.entries - sigma.entries)
+
+
+def _half_trace_norms(diff: np.ndarray):
+    """(1/2) * trace norm of a Hermitian difference of states, or of each of
+    a stack of them, clamped into [0, 1] as a trace distance."""
+    eigs = np.linalg.eigvalsh(diff)
     return _clamp(0.5 * np.abs(eigs).sum(axis=-1), "trace distance")
 
 

@@ -19,26 +19,29 @@ channel is applied through ``channels.apply_coincidence``, its closed
 action; no Kraus list is built here (``combinators.k_multiline`` is the
 oracle it is tested against).  Likewise the clone fan-out, a permutation of
 basis states, is applied by ``clone_fan_out``, which moves the support's
-indices by their digits, with the dense ``clone_extend_unitary`` as its
-oracle.  All runs are pure functions returning a
-:class:`ProtocolTranscript`, the one record of a run: the state after every
-stage by name, the controller's measurement and every branch; one step of
-every pipeline transmits and measures, through
-``linalg.projective_measure``.  Each pipeline takes a resource state or a
-stack of them (``linalg``), so a necessity sweep runs its rows together,
-whatever their supports; a stack's measurement holds each row's
-probability and the stack of the rows' states per outcome.  Within a run the
-live branches are one stack too, on the union of their supports: they are
-corrected in one ``apply_phases`` call, each with its own phases on its row,
-and scored in one ``fidelity_with_ket`` call, and a private dit reads every
-receiver probability in one elementwise product with the Fourier amplitudes,
-added left to right, as a fidelity is.  The privacy report and the
-fixed-order baseline take the trace distances of all their pairs in one
-call.  The pre-measurement GGM of a GHZ run is skipped, with the reason
-recorded in the metrics, past ``MAX_GGM_PARTIES``.  A
-fixed-configuration baseline and necessity sweeps over non-uniform Schmidt
-spectra probe why coherent control and maximal resource entanglement are
-needed.
+indices by their digits; the tests hold its dense unitary as the oracle.
+All runs are pure functions returning a :class:`ProtocolTranscript`, the one
+record of a run: the state after every stage by name, the controller's
+measurement and every branch; one step of every pipeline transmits and
+measures, through ``linalg.projective_measure``.  Each pipeline takes a
+resource state or a stack of them (``linalg``), so a necessity sweep runs
+its rows together, whatever their supports; a stack's measurement holds each
+row's probability and the stack of the rows' states per outcome.  Within a
+run the live branches are one stack too, on the union of their supports:
+they are corrected in one ``apply_phases`` call, each with its own phases on
+its row, and scored in one ``fidelity_with_ket`` call, and a private dit
+reads every receiver probability in one elementwise product with the
+Fourier amplitudes, added left to right, as a fidelity is.  A private-dit
+ensemble (``run_private_dit_ensemble``, behind ``run private-dit``) runs its
+messages as stacks of the resource, one row per message with its own
+phases, each stack as large as the entry budget ``_ENSEMBLE_ENTRIES``
+admits, and takes its privacy report from the stack of the transmitted
+states: one ``partial_trace`` call, and the trace distances of all pairs in
+one call, as the fixed-order baseline takes its own.  The pre-measurement
+GGM of a GHZ run is skipped, with the reason recorded in the metrics, past
+``MAX_GGM_PARTIES``.  A fixed-configuration baseline and necessity sweeps
+over non-uniform Schmidt spectra probe why coherent control and maximal
+resource entanglement are needed.
 """
 
 from __future__ import annotations
@@ -54,11 +57,13 @@ import numpy as np
 from .channels import apply_coincidence
 from .linalg import (
     DensityMatrix,
+    MeasurementBranch,
     SubsystemLayout,
     _check_norms,
     _clamp,
     _densities,
     _expectations,
+    _half_trace_norms,
     _readonly,
     _remapped,
     _stacked,
@@ -71,7 +76,6 @@ from .linalg import (
     partial_trace,
     projective_measure,
     tensor,
-    trace_distance,
 )
 from .metrics import (
     concurrence_2qubit, ggm, helstrom_error, is_maximally_entangled, mutual_information,
@@ -108,39 +112,15 @@ def phase_unitary(k: int, d: int) -> np.ndarray:
     return _readonly(np.diag(phase_vector(k, d)))
 
 
-def clone_extend_unitary(d: int, n_copies: int) -> np.ndarray:
-    """Basis-copy unitary on 1 + n_copies qudits: |k>|0..0> -> |k>^(n+1).
-
-    Completed to a full unitary by cyclic addition on each ancilla register
-    (|k, a_1, ..., a_n> -> |k, a_1 + k, ..., a_n + k> mod d), the qudit
-    generalization of a CNOT fan-out: sum_k |k><k| (x) (X^k)^(x n), X the
-    cyclic shift |a> -> |a + 1 mod d>.  No caller in the package: the
-    protocols apply :func:`clone_fan_out`.  It stays as the dense reference
-    that tests compare the fan-out with, bit for bit.
-    """
-    if d < 2 or n_copies < 1:
-        raise ValueError("need d >= 2 and at least one copy")
-    dim = d ** (n_copies + 1)
-    guard_dimension(dim, "cloning unitary")
-    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    block = dim // d
-    u = np.zeros((dim, dim), dtype=complex)
-    for k in range(d):
-        # |k><k| (x) (X^k)^(x n) is the k-th diagonal block
-        power = functools.reduce(np.kron, [np.linalg.matrix_power(shift, k)] * n_copies)
-        u[k * block:(k + 1) * block, k * block:(k + 1) * block] = power
-    return u
-
-
 def clone_fan_out(rho: DensityMatrix, source: str, targets) -> DensityMatrix:
     """Conjugate a state, or a stack, by the fan-out of ``source`` onto
     ``targets``: |k, a_1, ..., a_n> -> |k, a_1 + k, ..., a_n + k> (mod d).
 
-    Equals ``apply_unitary`` with ``clone_extend_unitary(d, n)`` on
-    ``(source, *targets)``, but moves each support index by its digits
-    instead of multiplying, so it keeps every bit and builds nothing over the
-    basis.  The labels must be known and distinct, with at least one target,
-    all of one dimension d.
+    Equals ``apply_unitary`` with the dense fan-out unitary on ``(source,
+    *targets)``, the oracle the tests compare it with bit for bit, but moves
+    each support index by its digits instead of multiplying, so it builds
+    nothing over the basis.  The labels must be known and distinct, with at
+    least one target, all of one dimension d.
     """
     targets = tuple(targets)
     positions = rho.layout.positions((source,) + targets)
@@ -274,9 +254,75 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
     by round-off reads 0; one below ``-policy.spectral_tol`` raises.
     """
     guard_dimension(d * d, "private-dit")
+    _check_message(d, x)
+    stages, measured, joint = _private_dit_stack(d, phase_vector(x, d), resource.state(d))
+    return _private_dit_transcript(d, x, resource, stages, measured, joint)
+
+
+def run_private_dit_ensemble(
+    d: int, x: int, resource: ResourceState
+) -> tuple[ProtocolTranscript, dict]:
+    """Send every message 0..d-1 and return the transcript of message x and
+    the ensemble's privacy report: ``run_private_dit(d, x, resource)`` and
+    ``privacy_report`` of the d lone runs, to the bit.
+
+    The messages run as stacks of the resource, one row per message, each
+    row with its own phases; every step of the pipeline works entry by
+    entry, so a row keeps the bits of its lone run.  A stack holds as many
+    messages as ``_ENSEMBLE_ENTRIES`` admits, from d and the resource's
+    support, and a message over it runs alone.  Only message x's transcript
+    is built, from the stack that runs last; the report comes from the stack
+    of the transmitted states.
+    """
+    _check_message(d, x)
+    guard_dimension(d * d, "private-dit")
+    k = resource.state(d).support.size
+    # a message's largest temporaries: the d^2 terms per entry of its branch
+    # blocks that the receiver probabilities take, on at most min(d, k)
+    # indices (the channel's output lies in the coincidence span), and the
+    # k^2 <= d^4 entries of its encoded state
+    rows = max(1, _ENSEMBLE_ENTRIES // (d * min(d, k)) ** 2)
+    own = x - x % rows  # x's stack runs last, so no other stack's peak holds its transcript
+    starts = [s for s in range(0, d, rows) if s != own] + [own]
+    runs = {s: _ensemble_stack(d, x, resource, range(s, min(s + rows, d))) for s in starts}
+    sent, pmfs, _ = zip(*(runs[s] for s in sorted(runs)))
+    sent = sent[0] if len(sent) == 1 else _stacked(
+        [s._row(i) for s in sent for i in range(s.block.shape[0])])
+    return runs[own][2], _privacy(sent, np.concatenate(pmfs))
+
+
+def _ensemble_stack(d: int, x: int, resource: ResourceState, messages: range) -> tuple:
+    """Run ``messages`` as one stack of the resource, one row each: the
+    stack of their transmitted states, the controller's pmf of each (a row
+    per message), and message x's transcript when x is among them."""
+    rho0 = resource.state(d)
+    block = np.broadcast_to(rho0.block, (len(messages),) + rho0.block.shape)
+    phases = np.array([phase_vector(m, d) for m in messages])
+    stages, measured, joint = _private_dit_stack(
+        d, phases, DensityMatrix._unchecked(rho0.layout, rho0.support, block))
+    pmfs = np.array([cb.probability for cb in measured]).T
+    if x not in messages:
+        return stages["transmitted"], pmfs, None
+    i = x - messages.start
+    lone = {name: rho0 if name == "resource" else state._row(i) for name, state in stages.items()}
+    branches = [MeasurementBranch(cb.outcome, float(cb.probability[i]),
+                                  None if cb.state is None else cb.state._row(i))
+                for cb in measured]
+    transcript = _private_dit_transcript(d, x, resource, lone, branches, joint[i])
+    return stages["transmitted"], pmfs, transcript
+
+
+def _check_message(d: int, x: int) -> None:
     if not 0 <= x < d:
         raise ValueError(f"message {x} out of range for dimension {d}")
-    stages, measured, joint = _private_dit_stack(d, x, resource.state(d))
+
+
+def _private_dit_transcript(
+    d: int, x: int, resource: ResourceState, stages: dict, measured: list, joint: np.ndarray
+) -> ProtocolTranscript:
+    """The record of message x's run from its stages, the controller's
+    measurement and the joint pmf ``joint[m_B, m_C]``: a branch per
+    controller and receiver outcome, and the decode metrics."""
     pmf = joint.tolist()
     branches: list[Branch] = []
     for cb in measured:
@@ -297,11 +343,12 @@ def run_private_dit(d: int, x: int, resource: ResourceState) -> ProtocolTranscri
     return ProtocolTranscript("private-dit", params, stages, branches, metrics, measured)
 
 
-def _private_dit_stack(d: int, x: int, rho0: DensityMatrix) -> tuple:
+def _private_dit_stack(d: int, phases: np.ndarray, rho0: DensityMatrix) -> tuple:
     """The private-dit pipeline over a resource state, or a stack of them: its
     stages, the controller's measurement and the joint pmf ``joint[m_B, m_C]``
-    (of each row)."""
-    stages = {"resource": rho0, "encoded": apply_phases(rho0, phase_vector(x, d), "A")}
+    (of each row).  The message is ``phases``, its ``phase_vector``, or one
+    per row of the stack (``apply_phases``'s per-row lead)."""
+    stages = {"resource": rho0, "encoded": apply_phases(rho0, phases, "A")}
     measured = _transmit_and_measure(stages, d, ("A",), ("B",))
     live = [cb for cb in measured if cb.state is not None]
     states = _stacked([cb.state for cb in live])  # [m_C, (row,)] of the receiver's qudit
@@ -330,31 +377,44 @@ def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
 
     Reports the worst pairwise trace distance between the controller's
     reduced states, the worst total-variation distance between his outcome
-    distributions, and the equal-prior Helstrom error for every pair.
+    distributions, and the equal-prior Helstrom error for every pair.  The
+    transcripts' transmitted states are stacked and reduced in one
+    ``partial_trace`` call, as ``run_private_dit_ensemble`` reduces the
+    stack its messages ran as, and every pair's trace distance is one
+    ``eigvalsh`` call.
     """
     _shared_dimension(transcripts)
-    charlie_states = [partial_trace(t.stages["transmitted"], ("C",)) for t in transcripts]
-    pmfs = [np.asarray(t.metrics["charlie_pmf"]) for t in transcripts]
-    pairs = list(itertools.combinations(range(len(transcripts)), 2))
-    tds = dict(zip(pairs, _pairwise_trace_distances(charlie_states)))
+    sent = _stacked([t.stages["transmitted"] for t in transcripts])
+    return _privacy(sent, np.array([t.metrics["charlie_pmf"] for t in transcripts]))
+
+
+def _privacy(sent: DensityMatrix, pmfs: np.ndarray) -> dict:
+    """The privacy report of a stack of transmitted states, one row per
+    message, and of each message's controller pmf (a row of ``pmfs``)."""
+    pairs = list(itertools.combinations(range(len(pmfs)), 2))
+    tds = dict(zip(pairs, _pairwise_trace_distances(partial_trace(sent, ("C",)))))
     tvs = [total_variation(pmfs[i], pmfs[j]) for i, j in pairs]
     return {
         "max_pairwise_trace_distance": max([0.0, *tds.values()]),
         "max_pairwise_outcome_tv": max([0.0, *tvs]),
         # the equal-prior Helstrom errors
         "helstrom_errors": {pair: 0.5 * (1.0 - td) for pair, td in tds.items()},
-        "charlie_pmfs": [p.tolist() for p in pmfs],
+        "charlie_pmfs": pmfs.tolist(),
     }
 
 
-def _pairwise_trace_distances(states: list[DensityMatrix]) -> list[float]:
-    """The trace distance of every pair of states of one layout, in the order
-    of ``itertools.combinations``: one stacked ``trace_distance`` call."""
-    first, second = np.triu_indices(len(states), 1)  # in that order
+def _pairwise_trace_distances(states: DensityMatrix) -> list[float]:
+    """The trace distance of every pair of rows of a stack, in the order of
+    ``itertools.combinations``, as ``trace_distance`` takes it, from one
+    ``eigvalsh`` call.  The pairs' differences are formed in place, so at
+    most two stacks of pairs are held at once."""
+    first, second = np.triu_indices(states.block.shape[0], 1)  # in that order
     if not first.size:
         return []
-    stack = _stacked(states)
-    return trace_distance(stack._row(first), stack._row(second)).tolist()
+    entries = states.entries
+    diff = entries[first]
+    diff -= entries[second]
+    return _half_trace_norms(diff).tolist()
 
 
 def _shared_dimension(transcripts: list[ProtocolTranscript]) -> int:
@@ -538,7 +598,7 @@ def fixed_configuration_baseline(d: int, encoded_states: list[DensityMatrix]) ->
     control_label = encoded_states[0].layout.labels[1]
     marginals = [partial_trace(st, (control_label,)) for st in encoded_states]
 
-    min_td = min([1.0, *_pairwise_trace_distances(marginals)])
+    min_td = min([1.0, *_pairwise_trace_distances(_stacked(marginals))])
     bound = (1.0 + min_td) / 2.0
     # two messages: the Helstrom measurement attains the bound
     success = bound if d == 2 else _discrimination_success([m.entries for m in marginals])
@@ -602,6 +662,10 @@ _MONOTONE_SLACK = 1e-12  # a rise of at most this along the gap order is monoton
 # the most rows one stack of a sweep holds, so that its memory stays bounded
 # as the grid grows; every pinned grid (101 rows) is one stack
 _STACK_ROWS = 1024
+# the most entries of the largest temporaries of one stack of a private-dit
+# ensemble: with the maximal resource, d <= 9 runs as one stack and d >= 16
+# one message at a time
+_ENSEMBLE_ENTRIES = 2 ** 16
 
 
 def _uniformity_deficit(spectrum) -> float:
@@ -670,7 +734,7 @@ def _stack_measures(protocol: str, d: int, n_receivers: int, rho0: DensityMatrix
     if protocol != "private-dit":  # the measured core, no diagnostics
         mean = _establishment_stack(d, n_receivers, rho0, protocol)[3]
         return [{"metric": float(f)} for f in mean]
-    runs = [_private_dit_stack(d, x, rho0) for x in range(d)]
+    runs = [_private_dit_stack(d, phase_vector(x, d), rho0) for x in range(d)]
     worst = functools.reduce(np.minimum, (_decoded(joint, x) for x, (*_, joint) in enumerate(runs)))
     rows = [{"metric": float(m)} for m in worst]
     if d == 2:

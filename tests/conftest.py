@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,26 @@ def random_unitary(dim, rng):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def clone_extend_unitary(d, n_copies):
+    """Basis-copy unitary on 1 + n_copies qudits: |k>|0..0> -> |k>^(n+1).
+
+    Completed to a full unitary by cyclic addition on each ancilla register
+    (|k, a_1, ..., a_n> -> |k, a_1 + k, ..., a_n + k> mod d), the qudit
+    generalization of a CNOT fan-out: sum_k |k><k| (x) (X^k)^(x n), X the
+    cyclic shift |a> -> |a + 1 mod d>.  The dense oracle of
+    ``protocols.clone_fan_out``, which moves support indices instead.
+    """
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    dim = d ** (n_copies + 1)
+    block = dim // d
+    u = np.zeros((dim, dim), dtype=complex)
+    for k in range(d):
+        # |k><k| (x) (X^k)^(x n) is the k-th diagonal block
+        power = functools.reduce(np.kron, [np.linalg.matrix_power(shift, k)] * n_copies)
+        u[k * block:(k + 1) * block, k * block:(k + 1) * block] = power
+    return u
 
 
 def bell_phase_flip_mixture(eps):

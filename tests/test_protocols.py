@@ -12,7 +12,6 @@ from qswitch_lab import (
     apply_unitary,
     basis_ket,
     classical_flag_encodings,
-    clone_extend_unitary,
     clone_fan_out,
     concurrence_2qubit,
     decode_summary,
@@ -40,6 +39,7 @@ from qswitch_lab.serialize import dumps_json, transcript_to_dict
 
 from conftest import (
     bell_phase_flip_mixture,
+    clone_extend_unitary,
     random_density,
     random_ket,
     refused_before_allocating,
@@ -869,7 +869,8 @@ class TestStackedSweep:
         stack = protocols._schmidt_states(spectra)
         for x in range(d):
             lone = [run_private_dit(d, x, ResourceState.from_schmidt(spec)) for spec in spectra]
-            stages, measured, joint = protocols._private_dit_stack(d, x, stack)
+            stages, measured, joint = protocols._private_dit_stack(
+                d, protocols.phase_vector(x, d), stack)
             for name, rows in stages.items():
                 assert_rows_on_own_supports(rows, [t.stages[name] for t in lone])
             for k, cb in enumerate(measured):

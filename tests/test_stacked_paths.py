@@ -3,7 +3,8 @@
 A run checks the live branches of a measurement as one stack, corrects and
 scores them in one call with phases per row, reads a cut's Schmidt
 spectrum off the support's digits (all cuts of one shape in one SVD) and
-takes all trace distances of an ensemble in one ``eigvalsh``.  Each test
+takes all trace distances of an ensemble in one ``eigvalsh``; a private
+dit's messages run as stacks of the resource.  Each test
 here runs the same items one at a time, as the library did before, and asks
 for the same bits (or, where LAPACK gets a different matrix, the same
 values within a few ulps and the same verdicts).  The last tests check that
@@ -11,6 +12,7 @@ no index plan tabulates the basis.
 """
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -32,12 +34,15 @@ from qswitch_lab import (
     projective_measure,
     run_ghz_distribution,
     run_private_dit,
+    run_private_dit_ensemble,
     schmidt_coefficients,
     trace_distance,
 )
 from qswitch_lab import linalg, protocols
+from qswitch_lab.cli import _parse_resource
 from qswitch_lab.linalg import _stacked
-from qswitch_lab.metrics import bipartition_reports, is_maximally_entangled
+from qswitch_lab.metrics import bipartition_reports, is_maximally_entangled, total_variation
+from qswitch_lab.serialize import csv_text, dumps_json, transcript_metric_row, transcript_to_dict
 
 from conftest import random_density, random_ket, random_unitary
 from test_support_path import KERNEL_STATES, kernel_state
@@ -372,7 +377,7 @@ class TestStackedTraceDistance:
             assert np.array_equal(row, state.entries)
         pairs = list(itertools.combinations(states, 2))
         loop = [trace_distance(x, y) for x, y in pairs]
-        assert protocols._pairwise_trace_distances(states) == loop
+        assert protocols._pairwise_trace_distances(stack) == loop
 
     def test_privacy_report_and_baseline_equal_the_pairwise_loop(self):
         d = 4
@@ -437,3 +442,99 @@ class TestStridePlans:
         # the same bits as on the two factors that are not trivial
         pair = DensityMatrix(rho.entries, SubsystemLayout((2, 2), ("a", "b")))
         assert np.array_equal(partial_trace(rho, ["L71"]).entries, partial_trace(pair, ["b"]).entries)
+
+
+def list_privacy_report(transcripts):
+    """The privacy report as it was built from lone runs: each controller
+    marginal traced on its own, each pair's trace distance and total
+    variation taken on its own."""
+    charlie = [partial_trace(t.stages["transmitted"], ("C",)) for t in transcripts]
+    pmfs = [np.asarray(t.metrics["charlie_pmf"]) for t in transcripts]
+    pairs = list(itertools.combinations(range(len(transcripts)), 2))
+    tds = {(i, j): trace_distance(charlie[i], charlie[j]) for i, j in pairs}
+    tvs = [total_variation(pmfs[i], pmfs[j]) for i, j in pairs]
+    return {
+        "max_pairwise_trace_distance": max([0.0, *tds.values()]),
+        "max_pairwise_outcome_tv": max([0.0, *tvs]),
+        "helstrom_errors": {pair: 0.5 * (1.0 - td) for pair, td in tds.items()},
+        "charlie_pmfs": [p.tolist() for p in pmfs],
+    }
+
+
+def resource_specs(d, tmp_path):
+    """The maximal resource, a skewed Schmidt spectrum and an explicit
+    full-support state from a file, as the CLI spells them."""
+    rho = random_density(d * d, np.random.default_rng(70 + d)).entries
+    path = tmp_path / f"resource{d}.json"
+    path.write_text(json.dumps({"dims": [d, d], "labels": ["X", "Y"],
+                                "entries": [[[z.real, z.imag] for z in row] for row in rho]}))
+    spectrum = np.arange(1, d + 1) / (d * (d + 1) / 2)
+    return ["max", "schmidt:" + ",".join(repr(float(s)) for s in spectrum), f"file:{path}"]
+
+
+class TestPrivateDitEnsemble:
+    """``run_private_dit_ensemble`` against the lone run of every message and
+    the report built from them, through the serializer's JSON and CSV."""
+
+    HEADER = {"command": "run", "protocol": "private-dit"}
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("per_stack", ["1", "2", "d"])
+    def test_equals_the_lone_runs(self, d, per_stack, tmp_path, monkeypatch):
+        stacks = []
+        stack_core = protocols._private_dit_stack
+
+        def recording(d, phases, rho0):
+            stacks.append(len(rho0.block))
+            return stack_core(d, phases, rho0)
+
+        monkeypatch.setattr(protocols, "_private_dit_stack", recording)
+        for spec in resource_specs(d, tmp_path):
+            res = _parse_resource(spec, d)
+            lone = [run_private_dit(d, x, res) for x in range(d)]
+            privacy = list_privacy_report(lone)
+            assert privacy_report(lone) == privacy
+            rows = d if per_stack == "d" else int(per_stack)
+            cost = (d * min(d, res.rho.support.size)) ** 2
+            monkeypatch.setattr(protocols, "_ENSEMBLE_ENTRIES", rows * cost)
+            for x in range(d):
+                stacks.clear()
+                t, report = run_private_dit_ensemble(d, x, res)
+                sizes = [min(rows, d - i) for i in range(0, d, rows)]
+                assert sorted(stacks) == sorted(sizes) and stacks[-1] == sizes[x // rows]
+                assert report == privacy
+                assert (dumps_json(transcript_to_dict(t, self.HEADER, report))
+                        == dumps_json(transcript_to_dict(lone[x], self.HEADER, privacy)))
+                assert (csv_text(transcript_metric_row(t))
+                        == csv_text(transcript_metric_row(lone[x])))
+                for cb, lone_cb in zip(t.measured, lone[x].measured):
+                    assert cb.probability == lone_cb.probability
+                    assert (cb.state is None) == (lone_cb.state is None)
+                    if cb.state is not None:
+                        assert_same_state(cb.state, lone_cb.state)
+
+    def test_refuses_a_message_out_of_range(self):
+        with pytest.raises(ValueError, match="message 3 out of range for dimension 3"):
+            run_private_dit_ensemble(3, 3, ResourceState.maximally_entangled(3))
+
+    def test_peak_stays_near_a_lone_run(self):
+        # at d = 16 each message runs alone, so the ensemble holds little
+        # beyond one lone run: the transcript of x and the controller's states
+        d = 16
+        res = ResourceState.maximally_entangled(d)
+        run_private_dit_ensemble(d, 5, res)  # the plans, cached
+        tracemalloc.start()
+        try:
+            lone = []
+            for x in range(d):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                run_private_dit(d, x, res)
+                lone.append(tracemalloc.get_traced_memory()[1] - start)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            run_private_dit_ensemble(d, 5, res)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * max(lone), (peak, max(lone))

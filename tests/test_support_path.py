@@ -32,7 +32,6 @@ from qswitch_lab import (
     ResourceState,
     SubsystemLayout,
     apply_phases,
-    clone_extend_unitary,
     fidelity_with_ket,
     fourier_basis,
     ghz_ket,
@@ -47,7 +46,7 @@ from qswitch_lab.linalg import _clamp, _product, _trimmed
 from qswitch_lab.numeric import NULL_BRANCH_TOL
 from qswitch_lab.protocols import phase_vector
 
-from conftest import random_density, random_ket
+from conftest import clone_extend_unitary, random_density, random_ket
 
 
 def dense_embedded(m, dims, positions, kernel):
