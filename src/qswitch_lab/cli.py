@@ -392,7 +392,7 @@ def run(ctx, protocol, d, x, receivers, resource, encodings, out, format):
         if format == "csv":
             cols, row = (serialize.metric_row(header, metrics) if transcript is None
                          else serialize.transcript_metric_row(transcript))
-            chunks = [serialize.csv_text([cols, row])]
+            chunks = [serialize.csv_text([cols, row]).encode()]
         else:
             chunks = serialize.json_chunks(
                 serialize.report_to_dict(header, metrics) if transcript is None
@@ -423,7 +423,7 @@ def sweep(ctx, protocol, d, alpha, receivers, out):
 
     text = serialize.csv_text(serialize.sweep_csv_lines(table))
     if out:
-        serialize.write_text(out, [text])
+        serialize.write_text(out, [text.encode()])
         click.echo(f"wrote {out}")
     else:
         click.echo(text, nl=False)

@@ -376,8 +376,11 @@ class DensityMatrix:
         return m
 
     def purity(self) -> float:
-        # sum of |rho_ij|^2, which is Tr rho^2 for Hermitian rho
-        return float(np.vdot(self.block, self.block).real)
+        # sum of |rho_ij|^2, which is Tr rho^2 for Hermitian rho; the squared
+        # moduli added in row-major order, with no BLAS call: the same bits on
+        # every CPU, so the verdict of is_pure does not move with the kernel
+        b = self.block.reshape(-1)
+        return float(_sum_left(b.real * b.real + b.imag * b.imag))
 
     def is_pure(self, tol: float | None = None) -> bool:
         tol = policy.spectral_tol if tol is None else tol
@@ -530,8 +533,7 @@ def ghz_ket(d: int, parties: int, phase_index: int = 0) -> Ket:
         raise ValueError("need d >= 2 and at least one party")
     v = np.zeros(d**parties, dtype=complex)
     stride = (d**parties - 1) // (d - 1)  # index of |j,j,...,j> is j * stride
-    for j in range(d):
-        v[j * stride] = np.exp(2j * np.pi * j * phase_index / d) / np.sqrt(d)
+    v[::stride] = np.exp(1j * (2 * np.pi * np.arange(d) * phase_index / d)) / np.sqrt(d)
     return Ket(v)
 
 

@@ -170,6 +170,23 @@ class TestSupportPSD:
         assert abs(rho.purity() - np.trace(rho.entries @ rho.entries).real) < 1e-15
         assert basis_ket(20, 7).density().purity() == 1.0
 
+    def test_purity_is_the_row_major_sum_of_squared_moduli(self, rng):
+        # the oracle adds |rho_ij|^2 over the support block row by row, from
+        # +0.0, in Python floats
+        def oracle(rho):
+            total = 0.0
+            for z in rho.block.reshape(-1).tolist():
+                total += z.real * z.real + z.imag * z.imag
+            return total
+
+        states = [random_density(n, rng) for n in (1, 2, 7, 12, 16, 33)]
+        states.append(DensityMatrix(padded_state(40, np.array([3, 9, 17, 38]),
+                                                 np.array([0.1, 0.2, 0.3, 0.4]), rng),
+                                    SubsystemLayout((40,), ("A",))))
+        states.append(ghz_ket(3, 3, 2).density(SubsystemLayout((3, 3, 3), ("A", "B", "C"))))
+        for rho in states:
+            assert rho.purity() == oracle(rho)
+
 
 def full_matrix_verdict(m):
     """The whole-matrix check, in the constructor's order: error text or None."""
@@ -331,6 +348,18 @@ class TestCachedConstants:
         again = ghz_ket(*args)
         assert again is not ket and np.array_equal(again.amplitudes, ket.amplitudes)
         assert_read_only(ket)
+
+    def test_ghz_ket_amplitudes_are_the_loops_bits(self):
+        # the oracle builds each amplitude with a scalar np.exp, as ghz_ket
+        # did before it took one array expression
+        for d in range(2, 17):
+            for parties in (1, 2, 3):
+                stride = (d**parties - 1) // (d - 1)
+                for x in range(-d, 2 * d):
+                    v = np.zeros(d**parties, dtype=complex)
+                    for j in range(d):
+                        v[j * stride] = np.exp(2j * np.pi * j * x / d) / np.sqrt(d)
+                    assert ghz_ket(d, parties, x).amplitudes.tobytes() == v.tobytes()
 
     def test_fourier_basis_built_once_and_read_only(self):
         fb = fourier_basis(4)

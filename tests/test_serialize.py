@@ -7,6 +7,7 @@ whole ``entries``, or an array) written out as the nested ``[re, im]`` lists
 of ``complex_pairs``.
 """
 
+import itertools
 import json
 import os
 import stat
@@ -19,6 +20,7 @@ import pytest
 from qswitch_lab import (
     DensityMatrix,
     ResourceState,
+    SubsystemLayout,
     dfs_phase_encodings,
     fixed_configuration_baseline,
     privacy_report,
@@ -222,6 +224,16 @@ class TestSparseRows:
             for m in (dense, sparse, np.zeros(shape, dtype=complex)):
                 _assert_oracle({"entries": m})
 
+    def test_zero_rows_are_one_shared_buffer(self, rng):
+        m = np.zeros((6, 4), dtype=complex)
+        m[2] = rng.normal(size=4) + 1j * rng.normal(size=4)
+        chunks = list(json_chunks({"a": m, "b": m}))
+        assert all(isinstance(c, bytes) for c in chunks)
+        assert b"".join(chunks).decode() == _oracle({"a": m, "b": m})
+        # the rows after the first that hold only 0.0: one object per matrix
+        zero_rows = [c for c in chunks if c.startswith(b",") and c.count(b"0.0") == 8]
+        assert len(zero_rows) == 8 and len({id(c) for c in zero_rows}) == 2
+
 
 class TestWriteText:
     def test_unserializable_payload_creates_no_file(self, tmp_path):
@@ -239,7 +251,7 @@ class TestWriteText:
 
     def test_csv_lines_are_written_as_given(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_text(path, ["a,b\n", "1,2\n"])
+        write_text(path, [b"a,b\n", b"1,2\n"])
         assert path.read_bytes() == b"a,b\n1,2\n"
 
     def test_ghz_transcript_streams_in_a_fraction_of_its_size(self, tmp_path):
@@ -255,20 +267,72 @@ class TestWriteText:
             tracemalloc.stop()
         assert peak < os.path.getsize(path) / 4
 
+    def test_dense_matrix_is_held_a_bounded_part_at_a_time(self, rng, tmp_path):
+        # every row of a full-support state is formatted; a batch bounded by
+        # its count of chunks alone would hold the whole text (amplitudes of
+        # a few values keep the run short under tracemalloc)
+        v = (rng.choice([-1.0, 1.0], size=512) + 1j * rng.choice([-1.0, 1.0], size=512)) / 32
+        state = DensityMatrix(np.outer(v, v.conj()), SubsystemLayout((512,), ("A",)))
+        assert state.support.size == 512
+        path = tmp_path / "dense.json"
+        tracemalloc.start()
+        try:
+            write_text(path, json_chunks({"state": {"entries": state}}))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(path) / 4
+        pairs = np.array(json.loads(path.read_bytes())["state"]["entries"])
+        assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], state.entries)
+
+    def test_short_writev_calls_still_write_every_byte(self, tmp_path, monkeypatch):
+        writev, sizes, calls = os.writev, itertools.cycle([1, 7, 3, 40]), []
+
+        def short_writev(fd, buffers):
+            calls.append(len(buffers))
+            return writev(fd, [b"".join(buffers)[:next(sizes)]])
+
+        monkeypatch.setattr(os, "writev", short_writev)
+        t = run_bipartite_establishment(2, ResourceState.maximally_entangled(2))
+        payload = transcript_to_dict(t, {"command": "run", "protocol": "bipartite"})
+        path = tmp_path / "out.json"
+        path.write_bytes(b"x" * 50000)
+        write_text(path, json_chunks(payload))
+        assert path.read_bytes() == _oracle(payload).encode()
+        assert len(calls) > 100 and max(calls) > 1
+
+    def test_without_writev_a_batch_is_written_joined(self, tmp_path, monkeypatch):
+        write, sizes, calls = os.write, itertools.cycle([5, 4096, 1]), []
+
+        def short_write(fd, data):
+            calls.append(len(data))
+            return write(fd, data[:next(sizes)])
+
+        monkeypatch.delattr(os, "writev")
+        monkeypatch.setattr(os, "write", short_write)
+        t = run_ghz_distribution(2, 2, ResourceState.maximally_entangled(2))
+        payload = transcript_to_dict(t, {"command": "run", "protocol": "ghz"})
+        path = tmp_path / "out.json"
+        path.write_bytes(b"x" * 50000)
+        write_text(path, json_chunks(payload))
+        assert path.read_bytes() == _oracle(payload).encode()
+        # the file is less than one batch: the first write is offered all of it
+        assert calls[0] == os.path.getsize(path) and len(calls) > 1
+
     # an existing file is written over in place and cut to the length written,
     # which must leave what open(path, "w") leaves
 
     def test_shorter_text_over_a_longer_file_leaves_only_the_text(self, tmp_path):
         path = tmp_path / "out.json"
         path.write_bytes(b"x" * 5000 + b"old tail\n")
-        write_text(path, ["new\n", "text\n"])
+        write_text(path, [b"new\n", b"text\n"])
         assert path.read_bytes() == b"new\ntext\n"
 
     def test_existing_mode_is_kept(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_bytes(b"earlier run, a longer one\n")
         path.chmod(0o640)
-        write_text(path, ["a,b\n"])
+        write_text(path, [b"a,b\n"])
         assert stat.S_IMODE(path.stat().st_mode) == 0o640
         assert path.read_bytes() == b"a,b\n"
 
@@ -276,7 +340,7 @@ class TestWriteText:
         path = tmp_path / "out.csv"
         umask = os.umask(0o027)
         try:
-            write_text(path, ["a,b\n"])
+            write_text(path, [b"a,b\n"])
         finally:
             os.umask(umask)
         assert stat.S_IMODE(path.stat().st_mode) == 0o640
@@ -285,7 +349,7 @@ class TestWriteText:
         target, link = tmp_path / "target.json", tmp_path / "link.json"
         target.write_bytes(b"earlier run, a longer one\n")
         link.symlink_to(target)
-        write_text(link, ["new\n"])
+        write_text(link, [b"new\n"])
         assert link.is_symlink()
         assert target.read_bytes() == b"new\n"
 
@@ -293,12 +357,12 @@ class TestWriteText:
         path, other = tmp_path / "out.json", tmp_path / "other.json"
         path.write_bytes(b"earlier run, a longer one\n")
         os.link(path, other)
-        write_text(path, ["new\n"])
+        write_text(path, [b"new\n"])
         assert other.read_bytes() == b"new\n"
         assert os.path.samefile(path, other)
 
     def test_dev_null_is_written_without_a_truncate_error(self):
-        write_text(os.devnull, ["a,b\n", "1,2\n"])
+        write_text(os.devnull, [b"a,b\n", b"1,2\n"])
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
     def test_fifo_is_written_without_a_truncate_error(self, tmp_path):
@@ -308,7 +372,7 @@ class TestWriteText:
         reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
         reader.start()
         try:
-            write_text(path, ["a,b\n", "1,2\n"])
+            write_text(path, [b"a,b\n", b"1,2\n"])
         finally:
             reader.join(timeout=10)
         assert got == [b"a,b\n1,2\n"]
@@ -318,8 +382,8 @@ class TestWriteText:
         path.write_bytes(b"x" * 5000 + b"old tail\n")
 
         def chunks():
-            yield "first\n"
-            yield "second\n"
+            yield b"first\n"
+            yield b"second\n"
             raise RuntimeError("renderer failed")
 
         with pytest.raises(RuntimeError, match="renderer failed"):
