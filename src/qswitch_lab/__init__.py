@@ -13,13 +13,10 @@ from .channels import (
     ChoiMatrix,
     ExtendedChannel,
     KrausChannel,
-    apply,
     apply_coincidence,
     channels_equal,
     choi,
     erasing_channel,
-    identity_channel,
-    remix,
     vacuum_extend,
 )
 from .combinators import (
@@ -38,7 +35,6 @@ from .linalg import (
     MeasurementBranch,
     SubsystemLayout,
     apply_phases,
-    apply_unitary,
     basis_ket,
     fidelity_with_ket,
     fourier_basis,
@@ -69,7 +65,7 @@ from .protocols import (
     dfs_phase_encodings,
     fixed_configuration_baseline,
     necessity_sweep,
-    phase_unitary,
+    phase_vector,
     privacy_report,
     run_bipartite_establishment,
     run_ghz_distribution,

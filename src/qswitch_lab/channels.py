@@ -1,4 +1,5 @@
-"""Kraus channels: construction, application, Choi matrices, equality.
+"""Kraus channels: construction, Choi matrices, equality, and the closed
+action of the coincidence channel.
 
 A channel is stored as one read-only stack of its Kraus operators, shape
 ``(n_kraus, out_dim, in_dim)``, and every list is built by array
@@ -11,12 +12,13 @@ The Choi matrix uses the unnormalized convention ``C = (id (x) ch)(Omega)``
 with ``Omega = sum_{k,l} |kk><ll|``, so ``trace(C) = in_dim`` and the
 partial trace of ``C`` over the output factor equals the identity for a
 trace-preserving channel.  Its positivity is decided on its support, as for
-``linalg.DensityMatrix``.
+``linalg.DensityMatrix``.  No dense Kraus action is applied here: the
+protocols apply the coincidence channel through :func:`apply_coincidence`,
+and the tests hold the dense action of a Kraus list as its oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,8 +27,8 @@ import numpy as np
 from .linalg import (
     DensityMatrix,
     _coincidence,
-    _conjugate,
     _min_eigenvalue,
+    _norms,
     _readonly,
     _trimmed,
 )
@@ -76,12 +78,6 @@ class KrausChannel:
 
     def is_square(self) -> bool:
         return self.in_dim == self.out_dim
-
-
-def identity_channel(d: int) -> KrausChannel:
-    """The identity channel on d levels; no caller in the package, it stays
-    as public channel API, the unit of channel composition."""
-    return KrausChannel(np.eye(d, dtype=complex)[None])
 
 
 def erasing_channel(d: int, j: int) -> KrausChannel:
@@ -136,7 +132,7 @@ def vacuum_extend(base: KrausChannel, amplitudes) -> ExtendedChannel:
         raise ValueError(
             f"got {alpha.shape[0]} amplitudes for {base.n_kraus} Kraus operators"
         )
-    nrm = np.linalg.norm(alpha)
+    nrm = float(_norms(alpha))
     if not abs(nrm - 1.0) <= policy.spectral_tol:  # rejects NaN too
         raise ValueError(f"amplitude vector norm is {nrm!r}, not 1")
     d = base.in_dim
@@ -147,42 +143,9 @@ def vacuum_extend(base: KrausChannel, amplitudes) -> ExtendedChannel:
     return ExtendedChannel(base, _readonly(alpha), realized)
 
 
-def remix(ch: KrausChannel, unitary: np.ndarray) -> KrausChannel:
-    """Change Kraus representation: K'_m = sum_i U[m, i] K_i (same channel).
-
-    No caller in the package; it stays as public channel API, the freedom
-    that Choi-based equality (:func:`channels_equal`) is insensitive to.
-    """
-    u = np.asarray(unitary, dtype=complex)
-    if u.shape != (ch.n_kraus, ch.n_kraus):
-        raise ValueError("remixing unitary must be square over the Kraus index")
-    return KrausChannel(np.tensordot(u, ch.kraus, axes=1))
-
-
 # ---------------------------------------------------------------------------
-# Application, Choi, equality
+# The coincidence channel's action, Choi, equality
 # ---------------------------------------------------------------------------
-
-
-def apply(ch: KrausChannel, rho: DensityMatrix, acting_on: Sequence[str]) -> DensityMatrix:
-    """Apply the channel to the addressed labels, identity elsewhere.
-
-    ``acting_on`` is ordered: its k-th label corresponds to the k-th tensor
-    factor of the channel's input space.  No caller in the package: the
-    protocols use :func:`apply_coincidence`.  It stays as the general Kraus
-    action of the public API and as the reference that tests compare
-    ``apply_coincidence`` with, bit for bit.
-    """
-    if not ch.is_square():
-        raise ValueError("only square channels can be embedded with identity padding")
-    positions = rho.layout.positions(acting_on)
-    acted_dim = math.prod(rho.layout.dims[p] for p in positions)
-    if acted_dim != ch.in_dim:
-        raise ValueError(
-            f"channel input dimension {ch.in_dim} does not match labels "
-            f"{tuple(acting_on)} with total dimension {acted_dim}"
-        )
-    return _conjugate(rho, positions, ch.kraus)
 
 
 def apply_coincidence(rho: DensityMatrix, acting_on: Sequence[str]) -> DensityMatrix:
@@ -190,10 +153,10 @@ def apply_coincidence(rho: DensityMatrix, acting_on: Sequence[str]) -> DensityMa
 
     ``acting_on`` lists the N >= 1 target labels and then the control label,
     the input factors of ``k_multiline(d, N)`` in order; all of them must
-    have the same dimension d >= 2.  The result equals
-    ``apply(k_multiline(d, N), rho, acting_on)`` bit for bit, from the
-    channel's closed action on the state's support block instead of its
-    d(d^N - 1) + 1 Kraus operators.
+    have the same dimension d >= 2.  The result equals the dense Kraus
+    action of ``k_multiline(d, N)`` on these labels (the tests' oracle
+    ``kraus_apply``) bit for bit, from the channel's closed action on the
+    state's support block instead of its d(d^N - 1) + 1 Kraus operators.
     """
     positions = rho.layout.positions(acting_on)
     acted = tuple(rho.layout.dims[p] for p in positions)

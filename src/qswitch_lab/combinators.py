@@ -171,8 +171,8 @@ def k_multiline(d: int, n_lines: int) -> KrausChannel:
     ``P0^N = sum_j (|j><j|)^N (x) |j><j|``.  N = 1 is the single-line
     closed form ``{P0} + {|j><l| (x) |j><j| : l != j}``, with the identity on
     span{|j>|j>}.
-    Identity on any spectator system is the caller's job via
-    ``apply(..., acting_on)``.
+    The package applies it, identity on any spectator system, through its
+    closed action ``channels.apply_coincidence``.
 
     The list holds d(d^N - 1) + 1 dense operators of dimension d^(N+1).
     """

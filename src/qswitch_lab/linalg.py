@@ -24,17 +24,13 @@ terms (``_added``), the phase gates (``apply_phases``), the expectations
 (``fidelity_with_ket``) and the measurement (``projective_measure``)
 multiply entry by entry from real products (``_product``), which round
 alike on every CPU, and add in order from +0.0, with no BLAS call; so a row
-keeps the bits of its lone run on any union of supports, on any CPU.  Only
-the BLAS products of ``apply_unitary`` read each row in the memory order of
-a lone state's, so that a row that holds the whole support rounds as a run
-of its own, and meet a row on part of it in a larger matrix, which may round
-them otherwise.  A measurement of a stack gives per outcome one
-``MeasurementBranch`` that holds each row's probability and the stack of the
-rows' states; a stack's branch is null in every row or in none.
-The live branches of one measurement are checked as one stack, each
-outcome's state its row; ``apply_unitary`` and ``apply_phases`` take one
-gate, or one per row of a stack; and ``trace_distance`` takes two stacks,
-one ``eigvalsh`` call for all rows.
+keeps the bits of its lone run on any union of supports, on any CPU.  A
+measurement of a stack gives per outcome one ``MeasurementBranch`` that
+holds each row's probability and the stack of the rows' states; a stack's
+branch is null in every row or in none.  The live branches of one
+measurement are checked as one stack, each outcome's state its row;
+``apply_phases`` takes one phase vector, or one per row of a stack; and
+``trace_distance`` takes two stacks, one ``eigvalsh`` call for all rows.
 
 Everything here is a pure function of its inputs.  In particular,
 measurement is exact branch enumeration: :func:`projective_measure` returns
@@ -153,8 +149,7 @@ class Ket:
     @classmethod
     def normalized(cls, amplitudes) -> "Ket":
         a = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        # the squared moduli added in order, with no BLAS call: the same bits on every CPU
-        nrm = math.sqrt(_sum_left(a.real * a.real + a.imag * a.imag)) if a.size else 0.0
+        nrm = _norms(a)
         if nrm == 0:
             raise ValueError("cannot normalize the zero vector")
         return cls(a / nrm)
@@ -167,9 +162,6 @@ class Ket:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def density(self, layout: SubsystemLayout | None = None) -> "DensityMatrix":
         """|psi><psi|, its block the outer product of the nonzero amplitudes."""
         if layout is None:
@@ -177,11 +169,20 @@ class Ket:
         return _densities(self.amplitudes, layout)
 
 
+def _norms(a: np.ndarray):
+    """The Euclidean norm over the last axis of ``a``: its squared moduli
+    added in order (``_sum_left``), with no BLAS call, so the same bits, and
+    the same verdict at a tolerance, on every CPU; an empty axis has norm 0."""
+    if not a.shape[-1]:
+        return np.zeros(a.shape[:-1])
+    return np.sqrt(_sum_left(a.real * a.real + a.imag * a.imag))
+
+
 def _check_norms(amplitudes: np.ndarray) -> None:
     """Check that a ket's amplitudes, or every row of a stack of them, have
-    unit Euclidean norm within the structural tolerance; the first row that
-    fails raises the message its own ``Ket`` raises."""
-    norms = np.sqrt((amplitudes.conj() * amplitudes).real.sum(axis=-1))
+    unit Euclidean norm (``_norms``) within the structural tolerance; the
+    first row that fails raises the message its own ``Ket`` raises."""
+    norms = _norms(amplitudes)
     bad = ~(abs(norms - 1.0) <= STRUCTURAL_TOL)  # rejects NaN too
     if bad.any():
         raise ValueError(f"ket norm is {float(norms[bad][0])!r}, not 1; use Ket.normalized "
@@ -624,57 +625,6 @@ def _trace_plan(dims, keep_pos, support) -> tuple[np.ndarray, ...]:
 _trace_terms = _per_layout(_trace_plan)
 
 
-def _grid_plan(dims, positions, support) -> tuple[np.ndarray, ...]:
-    """Where ``_conjugate`` puts each support index, and its grid in full indices.
-
-    The grid is (acted basis state, rest-index occurring in the support).
-    Returns each support index's flat place in it, the occurring
-    rest-indices (ascending), and the grid's places and full indices in
-    ascending full-index order.
-    """
-    acted, rest = _split_plan(dims, positions, support)
-    rest, col = np.unique(rest, return_inverse=True)
-    index = np.zeros(1, dtype=np.intp)  # each acted basis state's full-index offset
-    for p in positions:
-        index = (index[:, None] + math.prod(dims[p + 1:]) * np.arange(dims[p])).reshape(-1)
-    index = (index[:, None] + rest).reshape(-1)
-    order = np.argsort(index)
-    return acted * rest.size + col, rest, order, index[order]
-
-
-_grid = _per_layout(_grid_plan)
-
-
-def _conjugate(rho: DensityMatrix, positions: Sequence[int], ops: np.ndarray) -> DensityMatrix:
-    """sum_i (K_i on `positions`, identity elsewhere) rho (...)^dagger.
-
-    ``positions`` fixes the correspondence between the operators' tensor
-    factors and the subsystems they act on; the operators must be square
-    with dimension equal to the product of the addressed subsystem dims,
-    which the callers check; each operator may be one per row of a stack,
-    ``(*lead, m, m)`` with a lead that broadcasts to the stack's.  The two
-    products per operator contract the acted axis of rho on its grid
-    (``_grid``), an ``(m, r, m, r)`` tensor, over its full length, as they
-    would on the whole matrix; each is the product, on the same
-    operands in the same memory order, that ``np.tensordot(K, t, (1, 0))``
-    and ``np.tensordot(t1, K.conj(), (2, 1))`` compute with ``np.dot``, so it
-    rounds as they do (``np.matmul`` over a C-ordered stack multiplies each
-    row as ``np.dot`` does).
-    """
-    flat, rest, order, index = _grid(rho, positions)
-    m, r, lead = ops.shape[-1], rest.size, rho.block.shape[:-2]
-    t = np.zeros(lead + (m * r, m * r), dtype=complex)
-    t[..., flat[:, None], flat] = rho.block
-    t = t.reshape(lead + (m, r, m, r))
-    out = np.zeros_like(t)
-    for K in ops:
-        t1 = (K @ t.reshape(lead + (m, -1))).reshape(t.shape)  # (i, q, l, r)
-        t2 = t1.swapaxes(-1, -2).reshape(lead + (-1, m)) @ K.conj().swapaxes(-1, -2)  # (i q r, k)
-        out += t2.reshape(lead + (m, r, r, m)).swapaxes(-1, -2)
-    out = out.reshape(lead + (index.size, index.size))[..., order[:, None], order]
-    return DensityMatrix._of_block(rho.layout, index, out)
-
-
 def _coincidence_plan(dims, positions, support) -> tuple[np.ndarray, ...]:
     """The terms of ``_coincidence``: the span entries, then the collapse
     terms by ascending acted index, the order of the Kraus list."""
@@ -700,38 +650,15 @@ def _coincidence(rho: DensityMatrix, positions: Sequence[int]) -> DensityMatrix:
     control digit is j, the block <a| rho |a> on the other subsystems moved
     onto |c_j><c_j|.  Each output entry takes its terms in the order of the
     Kraus list of ``k_multiline`` (the projector, then a ascending), so the
-    result equals the Kraus application bit for bit.
+    result equals that list's dense Kraus action (the tests' oracle
+    ``kraus_apply``) bit for bit.
     """
     return DensityMatrix._of_block(rho.layout, *_summed(rho, _coincidence_terms(rho, positions)))
 
 
-def _broadcasts(gates: tuple, lead: tuple) -> bool:
-    """Whether a lead of gates (or phase vectors) broadcasts to a stack's."""
-    return len(gates) <= len(lead) and all(g in (1, r) for g, r in zip(gates[::-1], lead[::-1]))
-
-
-def apply_unitary(rho: DensityMatrix, u: np.ndarray, acting_on: Sequence[str]) -> DensityMatrix:
-    """Conjugate a state, or a stack, by a unitary on the addressed labels,
-    identity elsewhere.
-
-    ``u`` is one gate, or one gate per row: a ``(*lead, m, m)`` stack whose
-    lead broadcasts to the stack's, so a stack of states may take a gate
-    each.  Every gate must be unitary within ``spectral_tol``.  Each row's
-    products are those of its gate on a lone state, so it rounds as one.
-    """
-    u = np.asarray(u, dtype=complex)
-    positions = rho.layout.positions(acting_on)
-    acted_dim = math.prod(rho.layout.dims[p] for p in positions)
-    lead = rho.block.shape[:-2]
-    if u.shape[-2:] != (acted_dim, acted_dim) or not _broadcasts(u.shape[:-2], lead):
-        raise ValueError(
-            f"unitary of shape {u.shape} cannot act on labels {tuple(acting_on)} "
-            f"with total dimension {acted_dim}" + (f" of a stack of shape {lead}" if lead else "")
-        )
-    gram = u.conj().swapaxes(-1, -2) @ u
-    if not np.abs(gram - np.eye(acted_dim)).max() <= policy.spectral_tol:  # NaN too
-        raise ValueError("operator is not unitary within tolerance")
-    return _conjugate(rho, positions, u[None])
+def _broadcasts(vectors: tuple, lead: tuple) -> bool:
+    """Whether a lead of phase vectors broadcasts to a stack's."""
+    return len(vectors) <= len(lead) and all(v in (1, r) for v, r in zip(vectors[::-1], lead[::-1]))
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -750,8 +677,8 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def apply_phases(rho: DensityMatrix, phases, label: str) -> DensityMatrix:
     """Conjugate a state, or a stack, by the diagonal gate diag(g) on one
-    labeled factor, identity elsewhere: ``apply_unitary`` with ``np.diag(g)``,
-    up to rounding.
+    labeled factor, identity elsewhere: up to rounding, the dense Kraus
+    action of ``np.diag(g)`` (the tests' oracle ``kraus_apply``).
 
     ``phases`` is one vector g, or one per row: a ``(*lead, m)`` stack whose
     lead broadcasts to the stack's.  Every phase must have modulus 1 within

@@ -13,13 +13,14 @@ Three constructive protocols are implemented:
 * GHZ distribution to N receivers: same idea with N clones through N
   parallel lines; one receiver corrects.
 
-The sender's phase encoding and the receiver's correction are one gate,
-``phase_unitary``, applied as its diagonal by ``linalg.apply_phases``.  The
+The sender's phase encoding and the receiver's correction are one diagonal
+gate, its phases ``phase_vector``, applied by ``linalg.apply_phases``.  The
 channel is applied through ``channels.apply_coincidence``, its closed
-action; no Kraus list is built here (``combinators.k_multiline`` is the
-oracle it is tested against).  Likewise the clone fan-out, a permutation of
-basis states, is applied by ``clone_fan_out``, which moves the support's
-indices by their digits; the tests hold its dense unitary as the oracle.
+action; no Kraus list is built here (the dense Kraus action of
+``combinators.k_multiline`` is the oracle it is tested against).  Likewise
+the clone fan-out, a permutation of basis states, is applied by
+``clone_fan_out``, which moves the support's indices by their digits; the
+tests hold the dense action of its unitary as the oracle.
 All runs are pure functions returning a :class:`ProtocolTranscript`, the one
 record of a run: the state after every stage by name, the controller's
 measurement and every branch; one step of every pipeline transmits and
@@ -91,36 +92,30 @@ from .numeric import MAX_GGM_PARTIES, NULL_BRANCH_TOL, STRUCTURAL_TOL, guard_dim
 
 @functools.cache  # depends only on its integers and is immutable: built once
 def phase_vector(k: int, d: int) -> np.ndarray:
-    """The phases exp(2*pi*i*j*k/d), j = 0..d-1, of ``phase_unitary``; read-only."""
-    if not 0 <= k < d:
-        raise ValueError(f"phase index {k} out of range for dimension {d}")
-    return _readonly(np.exp(2j * np.pi * np.arange(d) * k / d))
+    """The phases exp(2*pi*i*j*k/d), j = 0..d-1, of the diagonal phase gate
+    (Z^k for d = 2); read-only.
 
-
-@functools.cache
-def phase_unitary(k: int, d: int) -> np.ndarray:
-    """Diagonal phase gate diag(exp(2*pi*i*j*k/d)); for d = 2 it is Z^k.
-
-    The sender encodes message k with it on her half of the canonical
+    The sender encodes message k with the gate on her half of the canonical
     maximally entangled pair, which gives the k-th member of the phased
     family.  The receiver applies it for the controller's Fourier outcome k:
     with the +-sign Fourier convention that outcome leaves phases
     exp(-2*pi*i*j*k/d) on the |j...j> components, which the gate undoes.
-    The protocols apply it as its diagonal, ``phase_vector``, through
-    ``apply_phases``.  The array is read-only.
+    The protocols apply it through ``apply_phases``.
     """
-    return _readonly(np.diag(phase_vector(k, d)))
+    if not 0 <= k < d:
+        raise ValueError(f"phase index {k} out of range for dimension {d}")
+    return _readonly(np.exp(2j * np.pi * np.arange(d) * k / d))
 
 
 def clone_fan_out(rho: DensityMatrix, source: str, targets) -> DensityMatrix:
     """Conjugate a state, or a stack, by the fan-out of ``source`` onto
     ``targets``: |k, a_1, ..., a_n> -> |k, a_1 + k, ..., a_n + k> (mod d).
 
-    Equals ``apply_unitary`` with the dense fan-out unitary on ``(source,
-    *targets)``, the oracle the tests compare it with bit for bit, but moves
-    each support index by its digits instead of multiplying, so it builds
-    nothing over the basis.  The labels must be known and distinct, with at
-    least one target, all of one dimension d.
+    Equals the dense action of the fan-out unitary on ``(source, *targets)``
+    (the tests' oracle ``kraus_apply``) bit for bit, but moves each support
+    index by its digits instead of multiplying, so it builds nothing over
+    the basis.  The labels must be known and distinct, with at least one
+    target, all of one dimension d.
     """
     targets = tuple(targets)
     positions = rho.layout.positions((source,) + targets)

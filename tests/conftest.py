@@ -1,10 +1,11 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qswitch_lab import DensityMatrix, Ket, ResourceGuardError, SubsystemLayout
+from qswitch_lab import DensityMatrix, Ket, KrausChannel, ResourceGuardError, SubsystemLayout
 
 
 @pytest.fixture
@@ -65,6 +66,68 @@ def clone_extend_unitary(d, n_copies):
         power = functools.reduce(np.kron, [np.linalg.matrix_power(shift, k)] * n_copies)
         u[k * block:(k + 1) * block, k * block:(k + 1) * block] = power
     return u
+
+
+def identity_channel(d):
+    """The identity channel on d levels, one Kraus operator."""
+    return KrausChannel(np.eye(d, dtype=complex)[None])
+
+
+def remix(ch, u):
+    """The same channel in another Kraus representation: K'_m = sum_i u[m, i] K_i."""
+    return KrausChannel(np.tensordot(u, ch.kraus, axes=1))
+
+
+def dense_embedded(m, dims, positions, kernel):
+    """Run ``kernel`` on the whole matrix with the addressed factors moved
+    to the front, as an ``(m, r, m, r)`` tensor, and move them back."""
+    n = len(dims)
+    positions = list(positions)
+    rest = [p for p in range(n) if p not in positions]
+    perm = positions + rest
+    acted = math.prod(dims[p] for p in positions)
+    rest_dim = m.shape[0] // acted
+    t = m.reshape(tuple(dims) * 2).transpose(perm + [n + p for p in perm])
+    out = kernel(t.reshape(acted, rest_dim, acted, rest_dim))
+    out = out.reshape(tuple(dims[p] for p in perm) * 2)
+    inv = list(np.argsort(perm))
+    return out.transpose(inv + [n + i for i in inv]).reshape(m.shape)
+
+
+def dense_conjugate(m, dims, positions, ops):
+    """sum_i (K_i on ``positions``, identity elsewhere) m (...)^dagger on a
+    whole matrix: per operator, two BLAS products over the full acted axis of
+    the ``(a, r, a, r)`` tensor, C-ordered as ``np.tensordot`` orders them."""
+
+    def kraus_sum(t):
+        a, r = t.shape[:2]
+        out = np.zeros_like(t)
+        for K in ops:
+            t1 = (K @ t.reshape(a, -1)).reshape(t.shape)  # (i, q, l, r)
+            t2 = t1.swapaxes(-1, -2).reshape(-1, a) @ K.conj().T  # (i q r, k)
+            out += t2.reshape(a, r, r, a).swapaxes(-1, -2)
+        return out
+
+    return dense_embedded(m, dims, positions, kraus_sum)
+
+
+def kraus_apply(ops, rho, labels):
+    """The dense Kraus action, the oracle of the package's closed forms:
+    sum_i (K_i on ``labels``, identity elsewhere) rho (...)^dagger.
+
+    ``ops`` is a stack of square operators, ``u[None]`` for a unitary; the
+    k-th label is the k-th tensor factor of their input space.  It reads the
+    whole matrix ``rho.entries``, with no index plan of the library
+    (``dense_conjugate``), and builds the result with ``DensityMatrix``, which
+    checks it.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    positions = rho.layout.positions(labels)
+    acted = math.prod(rho.layout.dims[p] for p in positions)
+    if ops.ndim != 3 or ops.shape[1:] != (acted, acted):
+        raise ValueError(f"operators of shape {ops.shape} cannot act on labels "
+                         f"{tuple(labels)} of total dimension {acted}")
+    return DensityMatrix(dense_conjugate(rho.entries, rho.layout.dims, positions, ops), rho.layout)
 
 
 def bell_phase_flip_mixture(eps):

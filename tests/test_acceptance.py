@@ -12,7 +12,6 @@ from click.testing import CliRunner
 
 from qswitch_lab import (
     SubsystemLayout,
-    apply,
     channels_equal,
     choi,
     classical_flag_encodings,
@@ -25,7 +24,6 @@ from qswitch_lab import (
     necessity_sweep,
     privacy_report,
     projective_measure,
-    remix,
     run_bipartite_establishment,
     run_ghz_distribution,
     run_private_dit,
@@ -34,7 +32,7 @@ from qswitch_lab import (
 from qswitch_lab import cli
 from qswitch_lab.cli import CHECKS, main as cli_main
 
-from conftest import random_density, random_unitary
+from conftest import kraus_apply, random_density, random_unitary, remix
 
 
 def report(criterion, ok, detail):
@@ -51,7 +49,7 @@ def _rows_read_closed_form(monkeypatch, rows):
     monkeypatch.setattr(cli, "k_multiline", lambda d, n: erasing_channel(d ** (n + 1), 0))
     monkeypatch.setattr(
         cli, "apply_coincidence",
-        lambda rho, labels: apply(erasing_channel(rho.dim, 0), rho, labels),
+        lambda rho, labels: kraus_apply(erasing_channel(rho.dim, 0).kraus, rho, labels),
     )
     return all(CHECKS[name].distance(d, n) > 1e-10 for name, d, n in rows)
 
@@ -244,7 +242,7 @@ def test_criterion_09_property_suites():
         k = k_multiline(d, 1)
         for _ in range(200):
             rho = random_density(d * d, rng, layout)
-            out = apply(k, rho, ("A", "C"))
+            out = kraus_apply(k.kraus, rho, ("A", "C"))
             worst_tp = max(worst_tp, abs(np.real(np.trace(out.entries)) - 1.0))
         for ch in (k, erasing_channel(d, 0)):
             worst_choi = max(worst_choi, -float(np.linalg.eigvalsh(choi(ch).entries)[0]))

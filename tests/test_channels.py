@@ -8,17 +8,14 @@ from qswitch_lab import (
     KrausChannel,
     ResourceGuardError,
     SubsystemLayout,
-    apply,
     basis_ket,
     channels_equal,
     choi,
     cyclic_switch,
     erasing_channel,
-    identity_channel,
     ghz_ket,
     k_multiline,
     policy,
-    remix,
     tensor,
     vacuum_extend,
     Ket,
@@ -28,7 +25,7 @@ from qswitch_lab import (
 from qswitch_lab.linalg import _min_eigenvalue, _trimmed
 from qswitch_lab.numeric import PSD_FLOOR
 
-from conftest import random_density, random_unitary
+from conftest import identity_channel, kraus_apply, random_density, random_unitary, remix
 
 
 def oracle_choi(kraus_ops, in_dim, out_dim):
@@ -105,12 +102,12 @@ class TestKrausChannel:
 class TestErasingChannel:
     def test_erases_plus_state(self):
         rho = Ket.normalized([1, 1]).density()
-        out = apply(erasing_channel(2, 0), rho, ("A",))
+        out = kraus_apply(erasing_channel(2, 0).kraus, rho, ("A",))
         assert np.allclose(out.entries, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_erases_maximally_mixed(self):
         rho = DensityMatrix(np.eye(2) / 2, SubsystemLayout((2,), ("A",)))
-        out = apply(erasing_channel(2, 1), rho, ("A",))
+        out = kraus_apply(erasing_channel(2, 1).kraus, rho, ("A",))
         assert np.allclose(out.entries, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_kraus_list_d3_target2(self):
@@ -128,8 +125,8 @@ class TestErasingChannel:
     def test_idempotent(self, rng):
         ch = erasing_channel(2, 1)
         rho = random_density(2, rng)
-        once = apply(ch, rho, ("A",))
-        twice = apply(ch, once, ("A",))
+        once = kraus_apply(ch.kraus, rho, ("A",))
+        twice = kraus_apply(ch.kraus, once, ("A",))
         assert np.abs(once.entries - twice.entries).max() < 1e-12
 
 
@@ -160,15 +157,15 @@ class TestVacuumExtend:
         ch = erasing_channel(3, 1)
         ext = vacuum_extend(ch, a)
         triv = basis_ket(4, 3).density(SubsystemLayout((4,), ("T",)))
-        out = apply(ext.realized, triv, ("T",))
+        out = kraus_apply(ext.realized.kraus, triv, ("T",))
         assert np.abs(out.entries - triv.entries).max() < 1e-12
 
     def test_extension_is_not_erasing_on_larger_space(self):
         # unlike the base channel, the extension has no fixed output state
         ext = vacuum_extend(erasing_channel(2, 0), [1.0, 0.0])
         layout = SubsystemLayout((3,), ("T",))
-        out_a = apply(ext.realized, basis_ket(3, 0).density(layout), ("T",))
-        out_b = apply(ext.realized, basis_ket(3, 2).density(layout), ("T",))
+        out_a = kraus_apply(ext.realized.kraus, basis_ket(3, 0).density(layout), ("T",))
+        out_b = kraus_apply(ext.realized.kraus, basis_ket(3, 2).density(layout), ("T",))
         assert np.abs(out_a.entries - out_b.entries).max() > 0.5
 
     def test_normalization_enforced(self):
@@ -186,13 +183,13 @@ class TestVacuumExtend:
 class TestApply:
     def test_identity_channel(self, rng):
         rho = random_density(4, rng, SubsystemLayout((2, 2), ("A", "B")))
-        out = apply(identity_channel(4), rho, ("A", "B"))
+        out = kraus_apply(identity_channel(4).kraus, rho, ("A", "B"))
         assert np.abs(out.entries - rho.entries).max() < 1e-12
 
     def test_erase_half_of_bell_pair(self):
         layout = SubsystemLayout((2, 2), ("A", "C"))
         rho = ghz_ket(2, 2).density(layout)
-        out = apply(erasing_channel(2, 0), rho, ("A",))
+        out = kraus_apply(erasing_channel(2, 0).kraus, rho, ("A",))
         kraus = erasing_channel(2, 0).kraus
         full = [np.kron(k, np.eye(2)) for k in kraus]
         oracle = oracle_apply(full, rho.entries)
@@ -203,7 +200,7 @@ class TestApply:
     def test_dimension_mismatch(self, rng):
         rho = random_density(4, rng, SubsystemLayout((2, 2), ("A", "B")))
         with pytest.raises(ValueError, match="dimension"):
-            apply(erasing_channel(3, 0), rho, ("A",))
+            kraus_apply(erasing_channel(3, 0).kraus, rho, ("A",))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_trace_preserved_on_random_states(self, d, rng):
@@ -212,7 +209,7 @@ class TestApply:
         for ch in chans:
             for _ in range(200):
                 rho = random_density(d, rng, layout)
-                out = apply(ch, rho, ("A",))
+                out = kraus_apply(ch.kraus, rho, ("A",))
                 assert abs(np.trace(out.entries) - 1.0) <= 1e-10
 
 

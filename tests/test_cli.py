@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qswitch_lab import SubsystemLayout, apply, fidelity_with_ket, ghz_ket, k_multiline
+from qswitch_lab import SubsystemLayout, fidelity_with_ket, ghz_ket, k_multiline
 from qswitch_lab.cli import CHECKS, main
 from qswitch_lab.numeric import NumericPolicy, policy
 
-from conftest import bell_phase_flip_mixture
+from conftest import bell_phase_flip_mixture, kraus_apply
 
 
 @pytest.fixture
@@ -55,7 +55,8 @@ class TestVerify:
         worst = 0.0
         for x in range(d):
             g = ghz_ket(d, n + 1, x)
-            worst = max(worst, 1.0 - fidelity_with_ket(apply(k, g.density(layout), labels), g))
+            out = kraus_apply(k.kraus, g.density(layout), labels)
+            worst = max(worst, 1.0 - fidelity_with_ket(out, g))
         assert CHECKS["multiline-noiseless"].distance(d, n) == worst
         if n == 1:
             assert CHECKS["noiseless"].distance(d, n) == worst

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,31 +7,30 @@ import pytest
 from qswitch_lab import (
     DensityMatrix,
     Ket,
+    KrausChannel,
     SubsystemLayout,
-    apply,
     apply_coincidence,
     apply_phases,
-    apply_unitary,
     basis_ket,
     clone_fan_out,
     fidelity_with_ket,
     fourier_basis,
     fourier_ket,
     ghz_ket,
-    identity_channel,
     partial_trace,
     policy,
     projective_measure,
     schmidt_coefficients,
     tensor,
     trace_distance,
+    vacuum_extend,
 )
 from qswitch_lab import linalg
 from qswitch_lab.linalg import _SUPPORT_MIN_DIM, _min_eigenvalue, _stacked, _sum_left, _trimmed
 from qswitch_lab.numeric import PSD_FLOOR, STRUCTURAL_TOL
 
 from conftest import (
-    assert_rows_equal, naive_partial_trace, random_density, random_ket, random_unitary,
+    assert_rows_equal, kraus_apply, naive_partial_trace, random_density, random_ket, random_unitary,
 )
 
 
@@ -39,11 +39,15 @@ class TestTypes:
         with pytest.raises(ValueError, match="norm"):
             Ket(np.array([1.0, 1.0]))
         k = Ket.normalized(np.array([1.0, 1.0]))
-        assert abs(k.norm() - 1.0) < 1e-15
+        assert abs(np.linalg.norm(k.amplitudes) - 1.0) < 1e-15
+        with pytest.raises(ValueError, match="ket norm is 0.0, not 1"):  # no amplitudes
+            Ket(np.array([]))
+        with pytest.raises(ValueError, match="zero vector"):
+            Ket.normalized([])
 
     def test_ket_raw_allows_subnormalized(self):
         k = Ket.raw(np.array([0.5, 0.0]))
-        assert abs(k.norm() - 0.5) < 1e-15
+        assert abs(np.linalg.norm(k.amplitudes) - 0.5) < 1e-15
 
     def test_density_matrix_invariants_enforced(self):
         layout = SubsystemLayout((2,), ("A",))
@@ -109,10 +113,8 @@ def support_min_eigenvalue(m):
         lambda rho: partial_trace(rho, ["A", "A"]),
         lambda rho: clone_fan_out(rho, "A", ("A",)),
         lambda rho: apply_coincidence(rho, ("A", "A", "C")),
-        lambda rho: apply_unitary(rho, np.eye(4), ("A", "A")),
-        lambda rho: apply(identity_channel(4), rho, ("A", "A")),
     ],
-    ids=["partial_trace", "clone_fan_out", "apply_coincidence", "apply_unitary", "apply"],
+    ids=["partial_trace", "clone_fan_out", "apply_coincidence"],
 )
 def test_repeated_labels_rejected(call):
     ghz3 = ghz_ket(2, 3).density(SubsystemLayout((2, 2, 2), ("A", "B", "C")))
@@ -632,6 +634,57 @@ class TestLeftToRightSum:
             assert (g.real.hex(), g.imag.hex()) == (w.real.hex(), w.imag.hex())
 
 
+def ordered_norm(a):
+    """The norm rule of ``Ket`` and ``vacuum_extend``: the root of the
+    squared moduli added in order."""
+    return math.sqrt(_sum_left(a.real * a.real + a.imag * a.imag))
+
+
+class TestOrderedNormRule:
+    """A ket's norm check and ``vacuum_extend`` decide on ``ordered_norm``,
+    past 128 amplitudes too, where numpy's pairwise ``sum`` regroups the
+    terms: a verdict at the tolerance is the same on every CPU, and the
+    message gives that norm to the bit."""
+
+    @staticmethod
+    def amplitudes(size, norm, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=size) + 1j * rng.normal(size=size)
+        return a * (norm / ordered_norm(a))
+
+    @pytest.mark.parametrize("size", [129, 300, 1000])
+    def test_ket_message_gives_the_ordered_norm(self, size):
+        bad = self.amplitudes(size, 1 + 2e-12, size)
+        message = re.escape(f"ket norm is {ordered_norm(bad)!r}, not 1")
+        with pytest.raises(ValueError, match=message):
+            Ket(bad)
+        # a stack raises the first failing row's message
+        good = self.amplitudes(size, 1.0, size + 1)
+        with pytest.raises(ValueError, match=message):
+            linalg._check_norms(np.stack([good, bad, 2 * good]))
+
+    @pytest.mark.parametrize("size", [129, 300])
+    def test_verdict_at_the_tolerance_is_the_ordered_one(self, size):
+        verdicts = set()
+        for k in range(-32, 33):  # steps of one ulp of 1.0 across the tolerance
+            a = self.amplitudes(size, 1 + STRUCTURAL_TOL + k * 2.0**-52, size)
+            ok = abs(ordered_norm(a) - 1.0) <= STRUCTURAL_TOL
+            verdicts.add(ok)
+            if ok:
+                Ket(a)
+            else:
+                with pytest.raises(ValueError, match="ket norm"):
+                    Ket(a)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("size", [129, 300])
+    def test_vacuum_extend_message_gives_the_ordered_norm(self, size):
+        a = self.amplitudes(size, 1 + 2 * policy.spectral_tol, size)
+        base = KrausChannel((a / ordered_norm(a))[:, None, None])  # scalar operators
+        with pytest.raises(ValueError, match=re.escape(f"vector norm is {ordered_norm(a)!r}, not 1")):
+            vacuum_extend(base, a)
+
+
 class TestDistances:
     def test_self_distance_zero(self, rng):
         rho = random_density(4, rng, SubsystemLayout((4,), ("A",)))
@@ -698,11 +751,14 @@ class TestDistances:
 
 
 class TestEmbeddedUnitaries:
+    """The tests' dense Kraus oracle ``kraus_apply`` against explicit
+    ``np.kron`` embeddings."""
+
     def test_acts_on_addressed_factor_only(self, rng):
         layout = SubsystemLayout((2, 3, 2), ("A", "B", "C"))
         rho = random_density(12, rng, layout)
         u = random_unitary(3, rng)
-        out = apply_unitary(rho, u, ("B",))
+        out = kraus_apply(u[None], rho, ("B",))
         full = np.kron(np.kron(np.eye(2), u), np.eye(2))
         assert np.abs(out.entries - full @ rho.entries @ full.conj().T).max() < 1e-12
 
@@ -710,10 +766,17 @@ class TestEmbeddedUnitaries:
         layout = SubsystemLayout((2, 3, 2), ("A", "B", "C"))
         rho = random_density(12, rng, layout)
         u = random_unitary(4, rng)
-        out = apply_unitary(rho, u, ("C", "A"))  # reversed, non-adjacent
+        out = kraus_apply(u[None], rho, ("C", "A"))  # reversed, non-adjacent
         assert abs(np.trace(out.entries) - 1.0) < 1e-12
-        back = apply_unitary(out, u.conj().T, ("C", "A"))
+        back = kraus_apply(u.conj().T[None], out, ("C", "A"))
         assert np.abs(back.entries - rho.entries).max() < 1e-12
+        # C is the more significant factor of u = sum t[c', a', c, a] |c' a'><c a|,
+        # which embeds as sum t[c', a', c, a] |a'><a| (x) I_B (x) |c'><c|
+        t, e = u.reshape(2, 2, 2, 2), np.eye(2)  # t[c', a', c, a]
+        full = sum(t[c2, a2, c, a] * np.kron(np.kron(np.outer(e[a2], e[a]), np.eye(3)),
+                                             np.outer(e[c2], e[c]))
+                   for c2, a2, c, a in np.ndindex(t.shape))
+        assert np.abs(out.entries - full @ rho.entries @ full.conj().T).max() < 1e-12
 
     def test_factor_order_of_acting_labels(self, rng):
         # a controlled-phase between C (control) and A (target) with the
@@ -721,7 +784,7 @@ class TestEmbeddedUnitaries:
         layout = SubsystemLayout((2, 2, 2), ("A", "B", "C"))
         rho = random_density(8, rng, layout)
         cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-        out = apply_unitary(rho, cz, ("C", "A"))
+        out = kraus_apply(cz[None], rho, ("C", "A"))
         full = np.zeros((8, 8), dtype=complex)
         for a in range(2):
             for b in range(2):
@@ -729,20 +792,6 @@ class TestEmbeddedUnitaries:
                     i = (a * 2 + b) * 2 + c
                     full[i, i] = -1.0 if (c == 1 and a == 1) else 1.0
         assert np.abs(out.entries - full @ rho.entries @ full.conj().T).max() < 1e-12
-
-    def test_rejects_non_unitary(self, rng):
-        rho = random_density(4, rng, SubsystemLayout((2, 2), ("A", "B")))
-        with pytest.raises(ValueError, match="not unitary"):
-            apply_unitary(rho, np.array([[1, 1], [0, 1]], dtype=complex), ("A",))
-
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_unitary(self, bad, rng):
-        rho = random_density(4, rng, SubsystemLayout((2, 2), ("A", "B")))
-        u = np.eye(2, dtype=complex)
-        u[0, 1] = bad
-        with pytest.raises(ValueError, match="not unitary"):
-            apply_unitary(rho, u, ("A",))
 
 
 def stack_of(states):
@@ -830,14 +879,12 @@ class TestStacks:
         states = [random_density(layout.total_dim, rng, layout) for _ in range(3)]
         stack = stack_of(states)
         d = dims[0]
-        u = random_unitary(d * dims[1], rng)
         phases = np.exp(2j * np.pi * np.random.default_rng(7).random(dims[1]))
         ancilla = random_density(2, rng, SubsystemLayout((2,), ("Z",)))
         steps = [
             lambda rho: tensor(rho, ancilla),
             lambda rho: rho.reorder(labels[::-1]),
             lambda rho: clone_fan_out(rho, labels[0], labels[1:2]),
-            lambda rho: apply_unitary(rho, u, labels[1::-1]),
             lambda rho: apply_phases(rho, phases, labels[1]),
             lambda rho: partial_trace(rho, labels[1:]),
         ]
@@ -875,16 +922,14 @@ class TestStacks:
         assert np.array_equal(stack.support, union)
         assert np.array_equal(stack._row(np.array([1, 3])).support, union[[0, 1, 2, 6]])
 
-        def rows_equal(out, lone, exact=len(states)):
-            """Every row on its lone run's support, and the first ``exact``
-            rows with its bits too (the others within an ulp)."""
+        def rows_equal(out, lone):
+            """Every row on its lone run's support, with its bits, signed
+            zeros too."""
             for i, state in enumerate(lone):
                 row = out._row(i)
                 assert row.layout == state.layout
                 assert np.array_equal(row.support, state.support)
-                assert np.allclose(row.block, state.block, rtol=0, atol=1e-15)
-                # the bits, signed zeros too
-                assert row.block.tobytes() == state.block.tobytes() or i >= exact
+                assert row.block.tobytes() == state.block.tobytes()
 
         # the index moves, the summed terms and the phases, which work entry
         # by entry: every row as a run of its own
@@ -901,12 +946,6 @@ class TestStacks:
                       lambda rho: apply_coincidence(rho, labels[:2])]
         for step in steps:
             rows_equal(step(stack), [step(s) for s in states])
-        # the BLAS products of a gate round the row that holds the union as a
-        # run of its own; a row on part of it sits in a larger matrix, which
-        # BLAS may round otherwise
-        u = random_unitary(dims[0] * dims[1], rng)
-        rows_equal(apply_unitary(stack, u, labels[1::-1]),
-                   [apply_unitary(s, u, labels[1::-1]) for s in states], exact=1)
         # the fidelity and the measurement add their terms in order from
         # +0.0, so the zeros of a row off its own support leave its bits as
         # they are, and a sweep stacks resources of any support

@@ -9,7 +9,6 @@ from qswitch_lab import (
     ResourceGuardError,
     ResourceState,
     SubsystemLayout,
-    apply_unitary,
     basis_ket,
     classical_flag_encodings,
     clone_fan_out,
@@ -22,7 +21,6 @@ from qswitch_lab import (
     mutual_information,
     necessity_sweep,
     partial_trace,
-    phase_unitary,
     policy,
     privacy_report,
     run_bipartite_establishment,
@@ -34,12 +32,14 @@ from qswitch_lab import (
 
 import qswitch_lab
 from qswitch_lab import protocols
+from qswitch_lab.protocols import phase_vector
 from qswitch_lab.numeric import MAX_GGM_PARTIES
 from qswitch_lab.serialize import dumps_json, transcript_to_dict
 
 from conftest import (
     bell_phase_flip_mixture,
     clone_extend_unitary,
+    kraus_apply,
     random_density,
     random_ket,
     refused_before_allocating,
@@ -121,25 +121,25 @@ def oracle_bipartite_branch_states(alpha):
 
 class TestLocalUnitaries:
     def test_phase_encoding_identity_and_z(self):
-        assert np.allclose(phase_unitary(0, 3), np.eye(3))
-        assert np.allclose(phase_unitary(1, 2), np.diag([1, -1]))
+        assert np.allclose(np.diag(phase_vector(0, 3)), np.eye(3))
+        assert np.allclose(phase_vector(1, 2), [1, -1])
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_phase_encoding_generates_phased_family(self, d):
         phi0 = ghz_ket(d, 2)
         for x in range(d):
-            u = phase_unitary(x, d)
+            u = np.diag(phase_vector(x, d))
             rotated = np.kron(u, np.eye(d)) @ phi0.amplitudes
             assert np.abs(rotated - ghz_ket(d, 2, x).amplitudes).max() < 1e-12
 
     def test_correction_is_z_power_for_qubits(self):
-        assert np.allclose(phase_unitary(0, 2), np.eye(2))
-        assert np.allclose(phase_unitary(1, 2), np.diag([1, -1]))
+        assert np.allclose(phase_vector(0, 2), [1, 1])
+        assert np.allclose(phase_vector(1, 2), [1, -1])
 
     @pytest.mark.parametrize("k,d", [(3, 3), (-1, 2), (2, 2)])
     def test_phase_index_out_of_range(self, k, d):
         with pytest.raises(ValueError, match="out of range"):
-            phase_unitary(k, d)
+            phase_vector(k, d)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_correction_restores_zero_branch(self, d):
@@ -148,7 +148,7 @@ class TestLocalUnitaries:
             cond = np.zeros(d * d, dtype=complex)
             for j in range(d):
                 cond[j * d + j] = np.exp(-2j * np.pi * j * m / d) / np.sqrt(d)
-            fixed = np.kron(np.eye(d), phase_unitary(m, d)) @ cond
+            fixed = np.kron(np.eye(d), np.diag(phase_vector(m, d))) @ cond
             assert abs(abs(np.vdot(ghz_ket(d, 2).amplitudes, fixed)) - 1.0) < 1e-12
 
     def test_clone_unitary_on_basis(self):
@@ -177,7 +177,7 @@ class TestLocalUnitaries:
         u = clone_extend_unitary(d, n)
         for order in (acted, acted[::-1], [acted[-1], *acted[:-1]]):
             fast = clone_fan_out(rho, order[0], order[1:])
-            dense = apply_unitary(rho, u, order)
+            dense = kraus_apply(u[None], rho, order)
             assert fast.entries.tobytes() == dense.entries.tobytes()
 
     def test_clone_permutation_is_the_unitary_index_map(self):
@@ -223,19 +223,17 @@ class TestLocalUnitaries:
         assert peak < 1 << 20
 
     def test_gates_built_once_and_read_only(self):
-        gate = phase_unitary(1, 3)
-        assert phase_unitary(1, 3) is gate
+        gate = phase_vector(1, 3)
+        assert phase_vector(1, 3) is gate
         with pytest.raises(ValueError, match="read-only"):
-            gate[0, 0] = 0.0
+            gate[0] = 0.0
 
     def test_clone_builds_ghz_from_pair(self):
         layout = SubsystemLayout((2, 2, 2), ("A", "A1", "C"))
         rho = tensor(ghz_ket(2, 2), basis_ket(2, 0)).density(
             SubsystemLayout((2, 2, 2), ("A", "C", "A1"))
         ).reorder(("A", "A1", "C"))
-        from qswitch_lab import apply_unitary
-
-        out = apply_unitary(rho, clone_extend_unitary(2, 1), ("A", "A1"))
+        out = kraus_apply(clone_extend_unitary(2, 1)[None], rho, ("A", "A1"))
         from qswitch_lab import fidelity_with_ket
 
         assert fidelity_with_ket(out, ghz_ket(2, 3)) > 1 - 1e-12
@@ -495,7 +493,7 @@ class TestGHZ:
     @staticmethod
     def _dense_clone(rho, source, targets):
         d = rho.layout.dims[rho.layout.index_of(source)]
-        return apply_unitary(rho, clone_extend_unitary(d, len(targets)), (source, *targets))
+        return kraus_apply(clone_extend_unitary(d, len(targets))[None], rho, (source, *targets))
 
     @pytest.mark.parametrize(
         "protocol,d,n", [("ghz", 2, 4), ("ghz", 3, 3), ("ghz", 4, 2), ("bipartite", 3, 1)]

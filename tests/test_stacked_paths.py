@@ -25,7 +25,6 @@ from qswitch_lab import (
     ResourceState,
     SubsystemLayout,
     apply_phases,
-    apply_unitary,
     fixed_configuration_baseline,
     ghz_ket,
     partial_trace,
@@ -44,7 +43,7 @@ from qswitch_lab.linalg import _stacked
 from qswitch_lab.metrics import bipartition_reports, is_maximally_entangled, total_variation
 from qswitch_lab.serialize import csv_text, dumps_json, transcript_metric_row, transcript_to_dict
 
-from conftest import random_density, random_ket, random_unitary
+from conftest import kraus_apply, random_density, random_ket
 from test_support_path import KERNEL_STATES, kernel_state
 
 
@@ -179,38 +178,6 @@ def shared_support_states(dims, size, count, seed):
 
 
 class TestGatePerRow:
-    @pytest.mark.parametrize("dims,size", [((2, 2, 4), None), ((2, 4, 5), 9), ((3, 2, 3), 7)])
-    @pytest.mark.parametrize("labels", [("A",), ("C",), ("C", "A")])
-    def test_equals_one_call_per_row(self, dims, size, labels):
-        states = shared_support_states(dims, size, 4, seed=31)
-        layout = states[0].layout
-        m = math.prod(layout.dims[p] for p in layout.positions(labels))
-        rng = np.random.default_rng(32)
-        gates = np.array([random_unitary(m, rng) for _ in states])
-        out = apply_unitary(_stacked(states), gates, labels)
-        lone = [apply_unitary(s, g, labels) for s, g in zip(states, gates)]
-        for row, state in zip(out.block, lone):
-            assert np.array_equal(out.support, state.support)
-            assert np.array_equal(row, state.block)
-
-    def test_a_gate_per_row_broadcasts_over_a_stack_of_stacks(self):
-        states = shared_support_states((2, 2, 4), None, 6, seed=33)
-        stacks = [_stacked(states[:3]), _stacked(states[3:])]
-        gates = np.array([random_unitary(2, np.random.default_rng(s)) for s in (34, 35)])
-        out = apply_unitary(_stacked(stacks), gates[:, None], ("B",))
-        for row, stack, gate in zip(out.block, stacks, gates):
-            assert np.array_equal(row, apply_unitary(stack, gate, ("B",)).block)
-
-    def test_each_gate_is_checked(self):
-        states = shared_support_states((2, 2, 4), None, 3, seed=36)
-        gates = np.array([np.eye(2), np.eye(2), [[1, 0], [0, 1.001]]], dtype=complex)
-        with pytest.raises(ValueError, match="not unitary"):
-            apply_unitary(_stacked(states), gates, ("A",))
-        with pytest.raises(ValueError, match="cannot act"):  # one gate too many
-            apply_unitary(_stacked(states), np.array([np.eye(2)] * 4), ("A",))
-        with pytest.raises(ValueError, match="cannot act"):  # a lone state takes one gate
-            apply_unitary(states[0], np.array([np.eye(2)] * 3), ("A",))
-
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 3), (5, 2)])
     def test_run_corrections_equal_one_call_per_branch(self, d, n):
         t = run_ghz_distribution(d, n, ResourceState.maximally_entangled(d))
@@ -227,8 +194,9 @@ def random_phases(shape, seed):
 
 
 class TestPhases:
-    """``apply_phases`` against ``apply_unitary`` with the diagonal gate, its
-    oracle, within the spectral tolerance (their roundings differ)."""
+    """``apply_phases`` against the dense action of the diagonal gate, its
+    oracle ``kraus_apply``, within the spectral tolerance (their roundings
+    differ)."""
 
     def assert_close(self, got, want):
         assert np.array_equal(got.support, want.support)
@@ -239,7 +207,7 @@ class TestPhases:
         rho = kernel_state(dims, size, 41)
         for label, m in zip(rho.layout.labels, rho.layout.dims):
             g = random_phases(m, 42)
-            self.assert_close(apply_phases(rho, g, label), apply_unitary(rho, np.diag(g), (label,)))
+            self.assert_close(apply_phases(rho, g, label), kraus_apply(np.diag(g)[None], rho, (label,)))
 
     @pytest.mark.parametrize("dims,size", [((2, 2, 4), None), ((2, 4, 5), 9), ((3, 2, 3), 7)])
     def test_phases_per_row_of_a_stack(self, dims, size):
@@ -250,7 +218,7 @@ class TestPhases:
             lone = [apply_phases(s, gs, label) for s, gs in zip(states, g)]
             for i, (state, gs) in enumerate(zip(states, g)):
                 assert_same_state(out._row(i), lone[i])  # each row as a lone run
-                self.assert_close(lone[i], apply_unitary(state, np.diag(gs), (label,)))
+                self.assert_close(lone[i], kraus_apply(np.diag(gs)[None], state, (label,)))
 
     def test_a_zero_entry_stays_positive_zero(self):
         # the encoding of pdskew.json: the factors exp(+-2*pi*i/3) have a

@@ -2,21 +2,22 @@
 
 Every protocol step maps a state's support block to a support block.  The
 reference here runs the protocols on whole matrices with the kernels the
-whole-matrix path used: ``np.kron`` and transposes for the tensor factors, and
-two ``tensordot``s per operator on the ``(m, r, m, r)`` tensor for the clone
-unitary and the Kraus list of ``k_multiline`` (``np.einsum`` would round
-differently from these BLAS products).  The phase gates (the sender's
-encoding and the receiver's correction) multiply each entry of the whole
-matrix by its phase, as ``apply_phases`` does on the block, and the
-measurement adds each entry of the whole matrix times its basis weights into
-its branch entry, in the order ``projective_measure`` adds them on the block.
-For every stage and branch, the support and block of the library's state
-must equal what ``_trimmed`` finds on the reference matrix, bit for bit.  The
-same references check the library's direct ``np.dot`` products and its
-measurement on a seeded mixed state with a partial support; the fidelity and
-the measurement are checked against Python loops over their support terms,
-and the last tests check that states sharing a support share their kept
-index plans.
+whole-matrix path used: ``np.kron`` and transposes for the tensor factors,
+and the dense Kraus action of the oracle ``kraus_apply`` (``dense_conjugate``
+in conftest.py: two BLAS products per operator on the ``(m, r, m, r)``
+tensor) for the clone unitary and the Kraus list of ``k_multiline``
+(``np.einsum`` would round differently from these BLAS products).  The phase
+gates (the sender's encoding and the receiver's correction) multiply each
+entry of the whole matrix by its phase, as ``apply_phases`` does on the
+block, and the measurement adds each entry of the whole matrix times its
+basis weights into its branch entry, in the order ``projective_measure``
+adds them on the block.  For every stage and branch, the support and block
+of the library's state must equal what ``_trimmed`` finds on the reference
+matrix, bit for bit.  The same references check the oracle's products
+against ``np.tensordot``'s, and the library's measurement, on a seeded mixed
+state with a partial support; the fidelity and the measurement are checked
+against Python loops over their support terms, and the last tests check
+that states sharing a support share their kept index plans.
 """
 
 import math
@@ -41,40 +42,14 @@ from qswitch_lab import (
     run_ghz_distribution,
     run_private_dit,
 )
-from qswitch_lab import channels, linalg
+from qswitch_lab import linalg
 from qswitch_lab.linalg import _clamp, _product, _trimmed
 from qswitch_lab.numeric import NULL_BRANCH_TOL
 from qswitch_lab.protocols import phase_vector
 
-from conftest import clone_extend_unitary, random_density, random_ket
-
-
-def dense_embedded(m, dims, positions, kernel):
-    """Run ``kernel`` on the whole matrix with the addressed factors moved
-    to the front, as an ``(m, r, m, r)`` tensor, and move them back."""
-    n = len(dims)
-    positions = list(positions)
-    rest = [p for p in range(n) if p not in positions]
-    perm = positions + rest
-    acted = math.prod(dims[p] for p in positions)
-    rest_dim = m.shape[0] // acted
-    t = m.reshape(tuple(dims) * 2).transpose(perm + [n + p for p in perm])
-    out = kernel(t.reshape(acted, rest_dim, acted, rest_dim))
-    out = out.reshape(tuple(dims[p] for p in perm) * 2)
-    inv = list(np.argsort(perm))
-    return out.transpose(inv + [n + i for i in inv]).reshape(m.shape)
-
-
-def dense_conjugate(m, dims, positions, ops):
-    def kraus_sum(t):
-        out = np.zeros_like(t)
-        for K in ops:
-            t1 = np.tensordot(K, t, axes=(1, 0))
-            t2 = np.tensordot(t1, K.conj(), axes=(2, 1))
-            out += t2.transpose(0, 1, 3, 2)
-        return out
-
-    return dense_embedded(m, dims, positions, kraus_sum)
+from conftest import (
+    clone_extend_unitary, dense_conjugate, dense_embedded, kraus_apply, random_density, random_ket,
+)
 
 
 def dense_phases(m, dims, pos, g):
@@ -290,13 +265,24 @@ def partial_support_state(dims, size, rank, seed):
 
 
 def test_kraus_products_equal_the_tensordot_path_on_a_partial_support():
+    # the oracle's two products per operator are the np.dot calls that
+    # np.tensordot makes, on the same operands in the same memory order
     rho = partial_support_state((3, 2, 3), 7, 3, seed=7)
     assert 0 < rho.support.size < rho.dim
     rng = np.random.default_rng(8)
     g = rng.normal(size=(27, 9)) + 1j * rng.normal(size=(27, 9))
     ch = KrausChannel(np.linalg.qr(g)[0].reshape(3, 9, 9))  # three Kraus operators
-    out = channels.apply(ch, rho, ("C", "A"))
-    assert_support_block_of(out, dense_conjugate(rho.entries, rho.layout.dims, [2, 0], ch.kraus))
+
+    def tensordots(t):
+        out = np.zeros_like(t)
+        for K in ch.kraus:
+            t1 = np.tensordot(K, t, axes=(1, 0))
+            t2 = np.tensordot(t1, K.conj(), axes=(2, 1))
+            out += t2.transpose(0, 1, 3, 2)
+        return out
+
+    out = kraus_apply(ch.kraus, rho, ("C", "A"))
+    assert_support_block_of(out, dense_embedded(rho.entries, rho.layout.dims, [2, 0], tensordots))
 
 
 @pytest.mark.parametrize("label,low", [("C", 1), ("B", 3), ("A", 6)])
