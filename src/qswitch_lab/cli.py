@@ -36,7 +36,7 @@ import click
 import numpy as np
 
 from . import serialize
-from .channels import apply_coincidence, channels_equal, erasing_channel, vacuum_extend
+from .channels import apply_coincidence, channels_equal, choi, erasing_channel, vacuum_extend
 from .combinators import (
     coincidence_extensions,
     controlled_choice,
@@ -216,17 +216,34 @@ def main():
 # ---------------------------------------------------------------------------
 
 
+def _shared_chois() -> Callable:
+    """``chois(build, *args)``: ``choi(build(*args))``, built on the first
+    request of these arguments and kept for the life of ``chois``.
+
+    ``verify`` makes one per call, and a row called on its own gets a new
+    one, so nothing outlives a call and a swapped ``k_multiline`` is read by
+    the next call.
+    """
+    return functools.cache(lambda build, *args: choi(build(*args)))
+
+
 @dataclass(frozen=True)
 class Check:
-    """One named identity: ``distance(d, n)`` for dimension d and n lines.
+    """One named identity: ``measure(d, n, chois)`` for dimension d and n lines.
 
     ``equal`` is the expected verdict: the row passes when
     ``(distance <= tol) == equal``.  ``label`` is formatted with d and n.
+    ``chois`` (:func:`_shared_chois`) holds the Choi matrices the rows of one
+    ``verify`` call share: K^(1)'s for the order and choice rows, the
+    restricted coincidence choice's for the choice and round-trip rows.
     """
 
     label: str
-    distance: Callable[[int, int], float]
+    measure: Callable[[int, int, Callable], float]
     equal: bool = True
+
+    def distance(self, d: int, n: int, chois: Callable | None = None) -> float:
+        return self.measure(d, n, chois or _shared_chois())
 
 
 def _erasing_channels(d: int) -> list:
@@ -242,16 +259,20 @@ def _random_extensions(d: int) -> list:
     return exts
 
 
-def _choice_vs_closed_form(d: int, extensions: list) -> float:
-    choice = target_sector_restriction(controlled_choice(extensions), d)
-    return channels_equal(choice, k_multiline(d, 1)).distance
+def _restricted_choice(d: int, extensions: list):
+    return target_sector_restriction(controlled_choice(extensions), d)
 
 
-def _noiseless_infidelity(d: int, n: int) -> float:
+def _coincidence_choice(d: int):
+    return _restricted_choice(d, coincidence_extensions(d))
+
+
+def _noiseless_infidelity(d: int, n: int, chois=None) -> float:
     """Worst infidelity of K^(N) over the phased GHZ family of N targets and control.
 
     K^(N) acts through its closed action, ``apply_coincidence``; tier-1 tests
     it against the Kraus list of ``k_multiline``, its oracle, bit for bit.
+    No Choi matrix is read, so ``chois`` goes unused.
     """
     labels = tuple(f"B{i}" for i in range(1, n + 1)) + ("C",)
     layout = SubsystemLayout((d,) * (n + 1), labels)
@@ -263,36 +284,39 @@ def _noiseless_infidelity(d: int, n: int) -> float:
     return worst
 
 
-def _round_trip_distance(d: int, n: int) -> float:
-    extensions = coincidence_extensions(d)
-    dec = t_decomposition(extensions)
-    target = target_sector_restriction(controlled_choice(extensions), d)
-    return channels_equal(dec.reconstructed_channel(), target).distance
-
-
 # the identities `verify` certifies; the acceptance tests call the same rows
 CHECKS = {
     "order": Check(
         "closed form vs order enumeration (d={d})",
-        lambda d, n: channels_equal(
-            cyclic_switch(_erasing_channels(d)), k_multiline(d, 1)
+        lambda d, n, chois: channels_equal(
+            cyclic_switch(_erasing_channels(d)), chois(k_multiline, d, 1)
         ).distance,
     ),
     "choice": Check(
         "coincidence: choice vs order (d={d})",
-        lambda d, n: _choice_vs_closed_form(d, coincidence_extensions(d)),
+        lambda d, n, chois: channels_equal(
+            chois(_coincidence_choice, d), chois(k_multiline, d, 1)
+        ).distance,
     ),
     "random-choice": Check(
         "random extensions: choice differs from order (d={d})",
-        lambda d, n: _choice_vs_closed_form(d, _random_extensions(d)),
+        lambda d, n, chois: channels_equal(
+            _restricted_choice(d, _random_extensions(d)), chois(k_multiline, d, 1)
+        ).distance,
         equal=False,
     ),
     "noiseless": Check("noiseless subspace preserved (d={d}, all phases)", _noiseless_infidelity),
-    "round-trip": Check("rank-one decomposition round-trip (d={d})", _round_trip_distance),
+    "round-trip": Check(
+        "rank-one decomposition round-trip (d={d})",
+        lambda d, n, chois: channels_equal(
+            t_decomposition(coincidence_extensions(d)).reconstructed_channel(),
+            chois(_coincidence_choice, d),
+        ).distance,
+    ),
     "multiline-enumeration": Check(
         "multiline closed form vs enumeration (d={d}, N={n})",
-        lambda d, n: channels_equal(
-            k_multiline(d, n), k_multiline_enumerated(_erasing_channels(d), n)
+        lambda d, n, chois: channels_equal(
+            chois(k_multiline, d, n), k_multiline_enumerated(_erasing_channels(d), n)
         ).distance,
     ),
     "multiline-noiseless": Check(
@@ -328,7 +352,10 @@ def verify(ctx, d, n, choice_amplitudes):
     guard_dimension(d * d, "verification")
     if n is not None:
         guard_dimension(d ** (n + 1), "multiline verification")
-    results = [(CHECKS[name], lines, CHECKS[name].distance(d, lines)) for name, lines in rows]
+    chois = _shared_chois()
+    results = [
+        (CHECKS[name], lines, CHECKS[name].distance(d, lines, chois)) for name, lines in rows
+    ]
 
     failed = 0
     for check, lines, dist in results:

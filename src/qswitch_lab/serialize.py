@@ -50,8 +50,9 @@ _MARKER = "@qswitch-lab matrix@"
 # the cells of a matrix formatted at once, so that rendering a dense matrix
 # holds a bounded part of its text
 _RENDER_CELLS = 1 << 12
-# a batch of write_text ends at this many bytes, or at the most buffers one
-# writev call takes (16 is the least POSIX allows)
+# a batch of write_text ends at this many bytes held (a chunk repeated in a
+# row counted once), or at the most buffers one writev call takes (16 is the
+# least POSIX allows)
 _BATCH_BYTES = 1 << 20
 try:
     _BATCH_CHUNKS = max(os.sysconf("SC_IOV_MAX"), 16)
@@ -250,8 +251,10 @@ def write_text(path: str, chunks: Iterable[bytes]) -> None:
     the kernel copies a repeated zero row from its one buffer each time.  A
     batch ends at ``_BATCH_BYTES`` or at the most buffers one ``writev``
     takes, so a matrix whose rows are all formatted is held a bounded part at
-    a time.  Where ``os.writev`` does not exist (Windows), each batch is
-    joined and written by one ``os.write``.
+    a time; a chunk that is the same object as the one before it holds no
+    more memory, so its bytes are not counted again.  Where ``os.writev``
+    does not exist (Windows), each batch is joined, every chunk counted, and
+    written by one ``os.write``.
 
     An existing regular file is not truncated on opening: the text is written
     over its bytes in place and the file is then cut to the length written.
@@ -269,10 +272,12 @@ def write_text(path: str, chunks: Iterable[bytes]) -> None:
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
         batch, size = [first], len(first)
+        shared = hasattr(os, "writev")  # else a batch is joined, each repeat copied
         try:
             for chunk in chunks:
+                if not (shared and batch and chunk is batch[-1]):
+                    size += len(chunk)
                 batch.append(chunk)
-                size += len(chunk)
                 if size >= _BATCH_BYTES or len(batch) == _BATCH_CHUNKS:
                     full, batch, size = batch, [], 0
                     _write_all(fd, full)

@@ -11,11 +11,13 @@ from qswitch_lab import (
     basis_ket,
     channels_equal,
     choi,
+    coincidence_extensions,
     cyclic_switch,
     erasing_channel,
     ghz_ket,
     k_multiline,
     policy,
+    t_decomposition,
     tensor,
     vacuum_extend,
     Ket,
@@ -29,15 +31,17 @@ from conftest import identity_channel, kraus_apply, random_density, random_unita
 
 
 def oracle_choi(kraus_ops, in_dim, out_dim):
-    """Independent Choi builder: (id (x) ch) applied to sum_kl |kk><ll|."""
-    c = np.zeros((in_dim * out_dim, in_dim * out_dim), dtype=complex)
+    """Independent Choi builder: (id (x) ch) applied to sum_kl |kk><ll|.
+
+    The whole matrix, block (k, l) the image ch(|k><l|) = sum_i |K_i k><K_i l|
+    of the outer products of columns k and l of every operator.
+    """
+    ops = np.asarray(kraus_ops, dtype=complex)
+    c = np.zeros((in_dim, out_dim, in_dim, out_dim), dtype=complex)
     for k in range(in_dim):
         for l in range(in_dim):
-            ekl = np.zeros((in_dim, in_dim), dtype=complex)
-            ekl[k, l] = 1.0
-            image = sum(K @ ekl @ K.conj().T for K in kraus_ops)
-            c += np.kron(ekl, image)
-    return c
+            c[k, :, l, :] = ops[:, :, k].T @ ops[:, :, l].conj()
+    return c.reshape(in_dim * out_dim, in_dim * out_dim)
 
 
 def oracle_apply(kraus_ops, rho_entries):
@@ -173,6 +177,18 @@ class TestVacuumExtend:
             vacuum_extend(erasing_channel(2, 0), [1.0, 1.0])
         with pytest.raises(ValueError, match="amplitudes"):
             vacuum_extend(erasing_channel(2, 0), [1.0])
+
+    @pytest.mark.parametrize("excess", [3e-11, 6e-11, 9e-11, 1.2e-10])
+    def test_amplitudes_near_unit_norm_give_a_channel_or_the_norm_message(self, excess):
+        # the squared norm is what the realized channel's trace check reads:
+        # below 5e-11 of excess it is within the tolerance, above it is not
+        amplitudes = [1.0 + excess, 0.0, 0.0]
+        if 2 * excess <= policy.spectral_tol:
+            ext = vacuum_extend(erasing_channel(3, 0), amplitudes)
+            assert ext.realized.kraus[0, 3, 3] == 1.0 + excess
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"norm is {1.0 + excess!r}, not 1")):
+                vacuum_extend(erasing_channel(3, 0), amplitudes)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_amplitudes_rejected(self, bad):
@@ -310,6 +326,125 @@ class TestChoiSupport:
             assert expected.endswith("-1.000e-06")
             with pytest.raises(ValueError, match=re.escape(expected)):
                 ChoiMatrix(m, ch.in_dim, ch.out_dim)
+
+
+def random_channel(n_kraus, in_dim, out_dim, rng):
+    """The columns of a random isometry, cut into n_kraus blocks of rows."""
+    g = rng.normal(size=(n_kraus * out_dim, in_dim)) + 1j * rng.normal(
+        size=(n_kraus * out_dim, in_dim)
+    )
+    return KrausChannel(np.linalg.qr(g)[0].reshape(n_kraus, out_dim, in_dim))
+
+
+def verified_channels(d):
+    """Every channel a `verify` row compares at dimension d, by its row."""
+    from qswitch_lab.cli import _coincidence_choice, _random_extensions, _restricted_choice
+
+    return {
+        "order": cyclic_switch([erasing_channel(d, j) for j in range(d)]),
+        "closed form": k_multiline(d, 1),
+        "choice": _coincidence_choice(d),
+        "random choice": _restricted_choice(d, _random_extensions(d)),
+        "round trip": t_decomposition(coincidence_extensions(d)).reconstructed_channel(),
+    }
+
+
+def support_form_cases():
+    rng = np.random.default_rng(5)
+    cases = [
+        ("random", random_channel(3, 3, 3, rng)),
+        ("random 4x4", random_channel(2, 4, 4, rng)),
+        ("rectangular 2->5", random_channel(2, 2, 5, rng)),
+        ("rectangular 6->2", random_channel(4, 6, 2, rng)),
+        ("erasing d=2", erasing_channel(2, 1)),
+        ("erasing d=9", erasing_channel(9, 4)),
+        # a 3 -> 4 isometry into the span of |1>, |3>: zero rows and so zero columns
+        ("zero outputs", KrausChannel(np.eye(4)[:, [1, 3]] @ random_channel(2, 3, 2, rng).kraus)),
+        ("multiline d=2, N=2", k_multiline(2, 2)),
+    ]
+    cases += [(f"{row} d={d}", ch) for d in (2, 3, 4, 5) for row, ch in verified_channels(d).items()]
+    return cases
+
+
+class TestChoiSupportForm:
+    """``choi`` holds the Gram block of the nonzero columns of the Kraus
+    vectors; every entry must agree with the whole matrix of the oracle."""
+
+    @pytest.mark.parametrize("name, ch", support_form_cases(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_matches_the_dense_oracle(self, name, ch):
+        oracle = oracle_choi(ch.kraus, ch.in_dim, ch.out_dim)
+        c = choi(ch)
+        nonzero = oracle != 0
+        assert np.array_equal(c.support, np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1)))
+        assert np.abs(c.block - oracle[np.ix_(c.support, c.support)]).max() <= 1e-14
+        assert np.abs(c.entries - oracle).max() <= 1e-14
+        assert not c.block.flags.writeable and not c.entries.flags.writeable
+        if name.startswith("random") and "choice" not in name:
+            assert c.support.size == ch.in_dim * ch.out_dim and c.entries is c.block
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_distances_of_the_verified_pairs_match_the_dense_distance(self, d):
+        chans = verified_channels(d)
+        pairs = [("order", "closed form"), ("choice", "closed form"),
+                 ("random choice", "closed form"), ("round trip", "choice")]
+        for left, right in pairs:
+            a, b = chans[left], chans[right]
+            dense = np.linalg.norm(oracle_choi(a.kraus, a.in_dim, a.out_dim)
+                                   - oracle_choi(b.kraus, b.in_dim, b.out_dim))
+            cmp = channels_equal(a, b)
+            assert abs(cmp.distance - dense) <= 1e-12, (left, right)
+            assert channels_equal(choi(a), choi(b)).distance == cmp.distance
+
+    @pytest.mark.parametrize("a, b, overlap", [
+        (erasing_channel(2, 0), erasing_channel(2, 1), False),
+        (erasing_channel(5, 0), erasing_channel(5, 3), False),
+        (erasing_channel(4, 2), identity_channel(4), True),
+        (k_multiline(3, 1), erasing_channel(9, 0), True),
+    ])
+    def test_distance_on_the_union_of_two_supports(self, a, b, overlap):
+        ca, cb = choi(a), choi(b)
+        assert not np.array_equal(ca.support, cb.support)
+        assert bool(np.intersect1d(ca.support, cb.support).size) == overlap
+        dense = np.linalg.norm(oracle_choi(a.kraus, a.in_dim, a.out_dim)
+                               - oracle_choi(b.kraus, b.in_dim, b.out_dim))
+        for x, y in ((a, b), (b, a), (ca, b), (a, cb)):
+            assert abs(channels_equal(x, y).distance - dense) <= 1e-12
+
+    @pytest.mark.parametrize("name, ch", [
+        ("identity d=2", identity_channel(2)),
+        ("erasing d=3", erasing_channel(3, 1)),
+        ("order d=3", cyclic_switch([erasing_channel(3, j) for j in range(3)])),
+    ])
+    def test_public_constructor_rejects_a_bad_marginal_with_the_dense_text(self, name, ch):
+        m = 1.5 * np.array(choi(ch).entries)
+        n, d_in, d_out = m.shape[0], ch.in_dim, ch.out_dim
+        red = np.einsum(m.reshape(d_in, d_out, d_in, d_out), [0, 2, 1, 2])
+        dev = np.abs(red - np.eye(d_in)).max()
+        expected = f"output marginal of Choi differs from identity by {dev:.3e}"
+        assert expected.endswith("5.000e-01")
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            ChoiMatrix(m, d_in, d_out)
+        assert n > 16 or ChoiMatrix(m / 1.5, d_in, d_out).support.size == n
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_zero_matrix_fails_on_its_marginal(self, n):
+        # above 16 indices its support is empty, and no eigenvalue is asked of it
+        with pytest.raises(ValueError, match="differs from identity by 1.000e"):
+            ChoiMatrix(np.zeros((n * n, n * n)), n, n)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_public_constructor_finds_the_support_choi_holds(self, d):
+        for name, ch in sparse_channels(d):
+            c = choi(ch)
+            again = ChoiMatrix(c.entries, ch.in_dim, ch.out_dim)
+            assert np.array_equal(again.support, c.support), name
+            assert np.array_equal(again.block, c.block), name
+
+    def test_public_constructor_copies_a_writeable_matrix(self):
+        m = np.array(choi(identity_channel(2)).entries)
+        c = ChoiMatrix(m, 2, 2)
+        m[0, 0] = 7.0
+        assert c.entries[0, 0] == 1.0 and not c.entries.flags.writeable
 
 
 class TestChannelEquality:

@@ -61,6 +61,34 @@ class TestVerify:
         if n == 1:
             assert CHECKS["noiseless"].distance(d, n) == worst
 
+    @pytest.mark.parametrize("args, built", [
+        # the order, closed form, coincidence choice and round-trip Choi matrices
+        (["--d", "4"], 4),
+        # the random choice's too; the coincidence choice only for the round trip
+        (["--d", "4", "--choice-amplitudes", "random-seeded"], 5),
+        # K^(1) is the N = 1 enumeration row's closed form as well
+        (["--d", "2", "--n", "1"], 5),
+    ])
+    def test_each_choi_matrix_is_built_once_per_call(self, runner, monkeypatch, args, built):
+        from qswitch_lab import channels, cli
+
+        calls = []
+
+        def counted(ch, choi=channels.choi):
+            calls.append(ch)
+            return choi(ch)
+
+        monkeypatch.setattr(channels, "choi", counted)
+        monkeypatch.setattr(cli, "choi", counted)
+        outputs = []
+        for _ in range(2):  # nothing is kept from one call to the next
+            calls.clear()
+            result = runner.invoke(main, ["verify", *args])
+            assert result.exit_code == 0, result.output
+            assert len(calls) == built
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1]
+
     def test_multiline_checks(self, runner):
         result = runner.invoke(main, ["verify", "--d", "2", "--n", "2"])
         assert result.exit_code == 0, result.output

@@ -285,6 +285,40 @@ class TestWriteText:
         pairs = np.array(json.loads(path.read_bytes())["state"]["entries"])
         assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], state.entries)
 
+    def test_a_repeated_zero_row_is_counted_once_per_batch(self, tmp_path, monkeypatch):
+        # 11.7 MB of text, but under 0.2 MB of distinct chunks: mostly one
+        # shared zero row, so no byte bound ends a batch and only the bound
+        # on buffers per writev call can
+        writev, calls = os.writev, []
+
+        def counted_writev(fd, buffers):
+            calls.append(len(buffers))
+            return writev(fd, buffers)
+
+        monkeypatch.setattr(os, "writev", counted_writev)
+        t = run_ghz_distribution(3, 3, ResourceState.maximally_entangled(3))
+        payload = transcript_to_dict(t, {"command": "run", "protocol": "ghz"})
+        chunks = list(json_chunks(payload))
+        distinct = {id(c): c for c in chunks}.values()
+        assert sum(map(len, distinct)) < serialize._BATCH_BYTES < sum(map(len, chunks))
+        path = tmp_path / "ghz.json"
+        write_text(path, chunks)
+        assert path.read_bytes() == b"".join(chunks)
+        assert sum(calls) == len(chunks)
+        assert len(calls) == -(-len(chunks) // serialize._BATCH_CHUNKS)
+        # joined for os.write, a batch holds every repeat: each one counts
+        write, sizes = os.write, []
+
+        def counted_write(fd, data):
+            sizes.append(len(data))
+            return write(fd, data)
+
+        monkeypatch.delattr(os, "writev")
+        monkeypatch.setattr(os, "write", counted_write)
+        write_text(path, chunks)
+        assert path.read_bytes() == b"".join(chunks)
+        assert max(sizes) < serialize._BATCH_BYTES + max(map(len, chunks))
+
     def test_short_writev_calls_still_write_every_byte(self, tmp_path, monkeypatch):
         writev, sizes, calls = os.writev, itertools.cycle([1, 7, 3, 40]), []
 
