@@ -52,7 +52,6 @@ from .metrics import (
     ggm,
     helstrom_error,
     is_maximally_entangled,
-    mutual_information,
 )
 from .numeric import NumericPolicy, ResourceGuardError, policy
 from .protocols import (
@@ -61,7 +60,6 @@ from .protocols import (
     ResourceState,
     classical_flag_encodings,
     clone_fan_out,
-    decode_summary,
     dfs_phase_encodings,
     fixed_configuration_baseline,
     necessity_sweep,

@@ -216,34 +216,41 @@ def main():
 # ---------------------------------------------------------------------------
 
 
-def _shared_chois() -> Callable:
-    """``chois(build, *args)``: ``choi(build(*args))``, built on the first
-    request of these arguments and kept for the life of ``chois``.
+def _per_call() -> Callable:
+    """``built(build, *args)``: ``build(*args)``, made on the first request of
+    these arguments and kept for the life of ``built``.
 
     ``verify`` makes one per call, and a row called on its own gets a new
     one, so nothing outlives a call and a swapped ``k_multiline`` is read by
     the next call.
     """
-    return functools.cache(lambda build, *args: choi(build(*args)))
+    return functools.cache(lambda build, *args: build(*args))
+
+
+def _choi(built: Callable, build: Callable, *args):
+    """``choi(build(*args))``: the channel and its Choi matrix, each made
+    once for ``built``."""
+    return built(choi, built(build, *args))
 
 
 @dataclass(frozen=True)
 class Check:
-    """One named identity: ``measure(d, n, chois)`` for dimension d and n lines.
+    """One named identity: ``measure(d, n, built)`` for dimension d and n lines.
 
     ``equal`` is the expected verdict: the row passes when
     ``(distance <= tol) == equal``.  ``label`` is formatted with d and n.
-    ``chois`` (:func:`_shared_chois`) holds the Choi matrices the rows of one
-    ``verify`` call share: K^(1)'s for the order and choice rows, the
-    restricted coincidence choice's for the choice and round-trip rows.
+    ``built`` (:func:`_per_call`) holds what the rows of one ``verify`` call
+    share: the coincidence extensions, K^(1)'s Choi matrix for the order and
+    choice rows, and the restricted coincidence choice's for the choice and
+    round-trip rows.
     """
 
     label: str
     measure: Callable[[int, int, Callable], float]
     equal: bool = True
 
-    def distance(self, d: int, n: int, chois: Callable | None = None) -> float:
-        return self.measure(d, n, chois or _shared_chois())
+    def distance(self, d: int, n: int, built: Callable | None = None) -> float:
+        return self.measure(d, n, built or _per_call())
 
 
 def _erasing_channels(d: int) -> list:
@@ -263,16 +270,16 @@ def _restricted_choice(d: int, extensions: list):
     return target_sector_restriction(controlled_choice(extensions), d)
 
 
-def _coincidence_choice(d: int):
-    return _restricted_choice(d, coincidence_extensions(d))
+def _coincidence_choice(d: int, built: Callable):
+    return _restricted_choice(d, built(coincidence_extensions, d))
 
 
-def _noiseless_infidelity(d: int, n: int, chois=None) -> float:
+def _noiseless_infidelity(d: int, n: int, built=None) -> float:
     """Worst infidelity of K^(N) over the phased GHZ family of N targets and control.
 
     K^(N) acts through its closed action, ``apply_coincidence``; tier-1 tests
     it against the Kraus list of ``k_multiline``, its oracle, bit for bit.
-    No Choi matrix is read, so ``chois`` goes unused.
+    No Choi matrix is read, so ``built`` goes unused.
     """
     labels = tuple(f"B{i}" for i in range(1, n + 1)) + ("C",)
     layout = SubsystemLayout((d,) * (n + 1), labels)
@@ -288,35 +295,35 @@ def _noiseless_infidelity(d: int, n: int, chois=None) -> float:
 CHECKS = {
     "order": Check(
         "closed form vs order enumeration (d={d})",
-        lambda d, n, chois: channels_equal(
-            cyclic_switch(_erasing_channels(d)), chois(k_multiline, d, 1)
+        lambda d, n, built: channels_equal(
+            cyclic_switch(_erasing_channels(d)), _choi(built, k_multiline, d, 1)
         ).distance,
     ),
     "choice": Check(
         "coincidence: choice vs order (d={d})",
-        lambda d, n, chois: channels_equal(
-            chois(_coincidence_choice, d), chois(k_multiline, d, 1)
+        lambda d, n, built: channels_equal(
+            _choi(built, _coincidence_choice, d, built), _choi(built, k_multiline, d, 1)
         ).distance,
     ),
     "random-choice": Check(
         "random extensions: choice differs from order (d={d})",
-        lambda d, n, chois: channels_equal(
-            _restricted_choice(d, _random_extensions(d)), chois(k_multiline, d, 1)
+        lambda d, n, built: channels_equal(
+            _restricted_choice(d, _random_extensions(d)), _choi(built, k_multiline, d, 1)
         ).distance,
         equal=False,
     ),
     "noiseless": Check("noiseless subspace preserved (d={d}, all phases)", _noiseless_infidelity),
     "round-trip": Check(
         "rank-one decomposition round-trip (d={d})",
-        lambda d, n, chois: channels_equal(
-            t_decomposition(coincidence_extensions(d)).reconstructed_channel(),
-            chois(_coincidence_choice, d),
+        lambda d, n, built: channels_equal(
+            t_decomposition(built(coincidence_extensions, d)).reconstructed_channel(),
+            _choi(built, _coincidence_choice, d, built),
         ).distance,
     ),
     "multiline-enumeration": Check(
         "multiline closed form vs enumeration (d={d}, N={n})",
-        lambda d, n, chois: channels_equal(
-            chois(k_multiline, d, n), k_multiline_enumerated(_erasing_channels(d), n)
+        lambda d, n, built: channels_equal(
+            _choi(built, k_multiline, d, n), k_multiline_enumerated(_erasing_channels(d), n)
         ).distance,
     ),
     "multiline-noiseless": Check(
@@ -352,9 +359,9 @@ def verify(ctx, d, n, choice_amplitudes):
     guard_dimension(d * d, "verification")
     if n is not None:
         guard_dimension(d ** (n + 1), "multiline verification")
-    chois = _shared_chois()
+    built = _per_call()
     results = [
-        (CHECKS[name], lines, CHECKS[name].distance(d, lines, chois)) for name, lines in rows
+        (CHECKS[name], lines, CHECKS[name].distance(d, lines, built)) for name, lines in rows
     ]
 
     failed = 0

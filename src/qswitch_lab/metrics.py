@@ -2,12 +2,11 @@
 
 Concurrence for two qubits, the generalized geometric measure (GGM) for
 pure multipartite states, maximal-entanglement tests, the Helstrom error
-for binary state discrimination, and classical mutual information for
-scoring decode tables.  Entropies are in bits (base-2 logarithms).  The
-pure-state measures read only Schmidt coefficients
-(``linalg.schmidt_coefficients``), never Schmidt vectors, each cut's from
-the support's digits; the GGM takes all cuts of one matrix shape in one
-stacked SVD.
+for binary state discrimination, and the total-variation distance of two
+outcome distributions.  The pure-state measures read only Schmidt
+coefficients (``linalg.schmidt_coefficients``), never Schmidt vectors, each
+cut's from the support's digits; the GGM takes all cuts of one matrix shape
+in one stacked SVD.
 """
 
 from __future__ import annotations
@@ -120,28 +119,6 @@ def helstrom_error(
     p = p[..., None, None]
     eigs = np.linalg.eigvalsh(p * rho0.entries - (1.0 - p) * rho1.entries)
     return _clamp(0.5 * (1.0 - np.abs(eigs).sum(axis=-1)), "Helstrom error", 0.5)
-
-
-def mutual_information(joint_pmf) -> float:
-    """Shannon mutual information of a joint pmf, in bits (0 log 0 := 0);
-    round-off below 0 reads 0, and below ``-spectral_tol`` raises."""
-    p = np.asarray(joint_pmf, dtype=float)
-    if p.ndim != 2:
-        raise ValueError("joint pmf must be a matrix")
-    if (p < -policy.spectral_tol).any():
-        raise ValueError("pmf entries must be nonnegative")
-    total = p.sum()
-    if abs(total - 1.0) > policy.spectral_tol:
-        raise ValueError(f"pmf sums to {total!r}, not 1")
-    p = np.clip(p, 0.0, None) / total  # a sum off 1 within the check must not push mi below 0
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    mi = 0.0
-    for i in range(p.shape[0]):
-        for j in range(p.shape[1]):
-            if p[i, j] > 0.0:
-                mi += p[i, j] * np.log2(p[i, j] / (px[i] * py[j]))
-    return _clamp(float(mi), "mutual information", np.inf)
 
 
 def total_variation(p, q) -> float:

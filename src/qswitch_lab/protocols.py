@@ -32,17 +32,18 @@ run the live branches are one stack too, on the union of their supports:
 they are corrected in one ``apply_phases`` call, each with its own phases on
 its row, and scored in one ``fidelity_with_ket`` call, and a private dit
 reads every receiver probability in one elementwise product with the
-Fourier amplitudes, added left to right, as a fidelity is.  A private-dit
-ensemble (``run_private_dit_ensemble``, behind ``run private-dit``) runs its
-messages as stacks of the resource, one row per message with its own
-phases, each stack as large as the entry budget ``_ENSEMBLE_ENTRIES``
-admits, and takes its privacy report from the stack of the transmitted
-states: one ``partial_trace`` call, and the trace distances of all pairs in
-one call, as the fixed-order baseline takes its own.  The pre-measurement
-GGM of a GHZ run is skipped, with the reason recorded in the metrics, past
-``MAX_GGM_PARTIES``.  A fixed-configuration baseline and necessity sweeps
-over non-uniform Schmidt spectra probe why coherent control and maximal
-resource entanglement are needed.
+Fourier amplitudes, added left to right, as a fidelity is.  One runner,
+``_message_stacks``, sends every message of a private dit over a resource
+or a sweep's stack of them, as stacks with the message axis first, each
+message with its own phases and each stack as large as the entry budget
+``_ENSEMBLE_ENTRIES`` admits.  The ensemble behind ``run private-dit``
+(``run_private_dit_ensemble``) takes its privacy report from the stack of
+the transmitted states: one ``partial_trace`` call, and the trace distances
+of all pairs in one call, as the fixed-order baseline takes its own.  The
+pre-measurement GGM of a GHZ run is skipped, with the reason recorded in
+the metrics, past ``MAX_GGM_PARTIES``.  A fixed-configuration baseline and
+necessity sweeps over non-uniform Schmidt spectra probe why coherent
+control and maximal resource entanglement are needed.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ from .linalg import (
     tensor,
 )
 from .metrics import (
-    concurrence_2qubit, ggm, helstrom_error, is_maximally_entangled, mutual_information,
-    total_variation,
+    concurrence_2qubit, ggm, helstrom_error, is_maximally_entangled, total_variation,
 )
 from .numeric import MAX_GGM_PARTIES, NULL_BRANCH_TOL, STRUCTURAL_TOL, guard_dimension, policy
 
@@ -261,50 +261,63 @@ def run_private_dit_ensemble(
     the ensemble's privacy report: ``run_private_dit(d, x, resource)`` and
     ``privacy_report`` of the d lone runs, to the bit.
 
-    The messages run as stacks of the resource, one row per message, each
-    row with its own phases; every step of the pipeline works entry by
-    entry, so a row keeps the bits of its lone run.  A stack holds as many
-    messages as ``_ENSEMBLE_ENTRIES`` admits, from d and the resource's
-    support, and a message over it runs alone.  Only message x's transcript
-    is built, from the stack that runs last; the report comes from the stack
-    of the transmitted states.
+    The messages run as stacks of the resource (``_message_stacks``).  Only
+    message x's transcript is built, from the stack that runs last; the
+    report comes from the stack of the transmitted states.
     """
     _check_message(d, x)
     guard_dimension(d * d, "private-dit")
-    k = resource.state(d).support.size
-    # a message's largest temporaries: the d^2 terms per entry of its branch
-    # blocks that the receiver probabilities take, on at most min(d, k)
-    # indices (the channel's output lies in the coincidence span), and the
-    # k^2 <= d^4 entries of its encoded state
-    rows = max(1, _ENSEMBLE_ENTRIES // (d * min(d, k)) ** 2)
-    own = x - x % rows  # x's stack runs last, so no other stack's peak holds its transcript
-    starts = [s for s in range(0, d, rows) if s != own] + [own]
-    runs = {s: _ensemble_stack(d, x, resource, range(s, min(s + rows, d))) for s in starts}
-    sent, pmfs, _ = zip(*(runs[s] for s in sorted(runs)))
+    rho0 = resource.state(d)
+
+    def read(messages: range, stages: dict, measured: list, joint: np.ndarray) -> tuple:
+        pmfs = np.array([cb.probability for cb in measured]).T  # a row per message
+        if x not in messages:
+            return stages["transmitted"], pmfs, None
+        i = x - messages.start
+        lone = {name: rho0 if name == "resource" else state._row(i) for name, state in stages.items()}
+        branches = [MeasurementBranch(cb.outcome, float(cb.probability[i]),
+                                      None if cb.state is None else cb.state._row(i))
+                    for cb in measured]
+        transcript = _private_dit_transcript(d, x, resource, lone, branches, joint[i])
+        return stages["transmitted"], pmfs, transcript
+
+    sent, pmfs, transcripts = zip(*_message_stacks(d, rho0, read, last=x))
     sent = sent[0] if len(sent) == 1 else _stacked(
         [s._row(i) for s in sent for i in range(s.block.shape[0])])
-    return runs[own][2], _privacy(sent, np.concatenate(pmfs))
+    return next(filter(None, transcripts)), _privacy(sent, np.concatenate(pmfs))
 
 
-def _ensemble_stack(d: int, x: int, resource: ResourceState, messages: range) -> tuple:
-    """Run ``messages`` as one stack of the resource, one row each: the
-    stack of their transmitted states, the controller's pmf of each (a row
-    per message), and message x's transcript when x is among them."""
-    rho0 = resource.state(d)
-    block = np.broadcast_to(rho0.block, (len(messages),) + rho0.block.shape)
-    phases = np.array([phase_vector(m, d) for m in messages])
-    stages, measured, joint = _private_dit_stack(
-        d, phases, DensityMatrix._unchecked(rho0.layout, rho0.support, block))
-    pmfs = np.array([cb.probability for cb in measured]).T
-    if x not in messages:
-        return stages["transmitted"], pmfs, None
-    i = x - messages.start
-    lone = {name: rho0 if name == "resource" else state._row(i) for name, state in stages.items()}
-    branches = [MeasurementBranch(cb.outcome, float(cb.probability[i]),
-                                  None if cb.state is None else cb.state._row(i))
-                for cb in measured]
-    transcript = _private_dit_transcript(d, x, resource, lone, branches, joint[i])
-    return stages["transmitted"], pmfs, transcript
+def _message_stacks(d: int, rho0: DensityMatrix, read, last: int = 0) -> list:
+    """Run every message 0..d-1 over a resource state, or a stack of them, as
+    stacks with the message axis first (lead ``(messages, *rows)``), each
+    message with its own phases, and return ``read(messages, stages,
+    measured, joint)`` of each stack (``_private_dit_stack``), in message
+    order.
+
+    Every step works entry by entry, so a row keeps the bits of its lone
+    run.  A stack holds as many messages as ``_ENSEMBLE_ENTRIES`` admits once
+    the rows are counted, and a message over it runs alone.  The stack that
+    holds message ``last`` runs last, and only what ``read`` returns outlives
+    its stack.
+    """
+    rows = math.prod(rho0.block.shape[:-2])
+    # a message's largest temporaries per row: the d^2 terms per entry of its
+    # branch blocks that the receiver probabilities take, on at most min(d, k)
+    # indices (the channel's output lies in the coincidence span), and the
+    # k^2 <= d^4 entries of its encoded state
+    size = max(1, _ENSEMBLE_ENTRIES // (rows * (d * min(d, rho0.support.size)) ** 2))
+
+    def run(messages: range):  # a call per stack, so no stack is held while the next runs
+        phases = np.array([phase_vector(m, d) for m in messages])
+        phases = phases.reshape((len(messages),) + (1,) * (rho0.block.ndim - 2) + (d,))
+        block = np.broadcast_to(rho0.block, (len(messages),) + rho0.block.shape)
+        stack = DensityMatrix._unchecked(rho0.layout, rho0.support, block)
+        return read(messages, *_private_dit_stack(d, phases, stack))
+
+    own = last - last % size
+    starts = [s for s in range(0, d, size) if s != own] + [own]
+    runs = {s: run(range(s, min(s + size, d))) for s in starts}
+    return [runs[s] for s in sorted(runs)]
 
 
 def _check_message(d: int, x: int) -> None:
@@ -378,7 +391,18 @@ def privacy_report(transcripts: list[ProtocolTranscript]) -> dict:
     stack its messages ran as, and every pair's trace distance is one
     ``eigvalsh`` call.
     """
-    _shared_dimension(transcripts)
+    if not transcripts:
+        raise ValueError("need at least one transcript")
+    kinds = sorted({t.protocol_id for t in transcripts})
+    if kinds != ["private-dit"]:
+        raise ValueError(f"need private-dit transcripts only, got {kinds}")
+    # one d and one resource state: its support and block, whatever its name
+    d, first = transcripts[0].params["d"], transcripts[0].stages["resource"]
+    for t in transcripts:
+        rho = t.stages["resource"]
+        if t.params["d"] != d or not (np.array_equal(rho.support, first.support)
+                                      and np.array_equal(rho.block, first.block)):
+            raise ValueError("transcripts must share dimension and resource")
     sent = _stacked([t.stages["transmitted"] for t in transcripts])
     return _privacy(sent, np.array([t.metrics["charlie_pmf"] for t in transcripts]))
 
@@ -410,46 +434,6 @@ def _pairwise_trace_distances(states: DensityMatrix) -> list[float]:
     diff = entries[first]
     diff -= entries[second]
     return _half_trace_norms(diff).tolist()
-
-
-def _shared_dimension(transcripts: list[ProtocolTranscript]) -> int:
-    """The dimension d of a nonempty private-dit ensemble of one d and one
-    resource state: its support and block, whatever its name."""
-    if not transcripts:
-        raise ValueError("need at least one transcript")
-    kinds = sorted({t.protocol_id for t in transcripts})
-    if kinds != ["private-dit"]:
-        raise ValueError(f"need private-dit transcripts only, got {kinds}")
-    d, first = transcripts[0].params["d"], transcripts[0].stages["resource"]
-    for t in transcripts:
-        rho = t.stages["resource"]
-        if t.params["d"] != d or not (np.array_equal(rho.support, first.support)
-                                      and np.array_equal(rho.block, first.block)):
-            raise ValueError("transcripts must share dimension and resource")
-    return d
-
-
-def decode_summary(transcripts: list[ProtocolTranscript]) -> dict:
-    """Decode table over a uniform message ensemble: p(x, x_hat) and its MI.
-
-    The transcripts share d and the resource and carry each message 0..d-1 once.
-    """
-    d = _shared_dimension(transcripts)
-    messages = sorted(t.params["x"] for t in transcripts)
-    if messages != list(range(d)):
-        raise ValueError(f"need one transcript per message value 0..{d - 1}, got {messages}")
-    table = np.zeros((d, d))
-    for t in transcripts:
-        x = t.params["x"]
-        joint = np.asarray(t.metrics["joint_pmf"])
-        for mb in range(d):
-            for mc in range(d):
-                table[x, (mb + mc) % d] += joint[mb, mc] / d
-    return {
-        "joint_pmf": table.tolist(),
-        "mutual_information_bits": mutual_information(table),
-        "min_success": float(min(table[x, x] * d for x in range(d))),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +641,11 @@ _MONOTONE_SLACK = 1e-12  # a rise of at most this along the gap order is monoton
 # the most rows one stack of a sweep holds, so that its memory stays bounded
 # as the grid grows; every pinned grid (101 rows) is one stack
 _STACK_ROWS = 1024
-# the most entries of the largest temporaries of one stack of a private-dit
-# ensemble: with the maximal resource, d <= 9 runs as one stack and d >= 16
-# one message at a time
+# the most entries of the largest temporaries of one stack of private-dit
+# messages (``_message_stacks``), for the ensemble's stacks of the resource
+# and the sweep's stacks of messages over its rows: the ensemble with the
+# maximal resource runs d <= 9 as one stack and d >= 16 one message at a
+# time, and a 101-row d = 2 sweep runs both messages as one stack
 _ENSEMBLE_ENTRIES = 2 ** 16
 
 
@@ -691,6 +677,8 @@ def necessity_sweep(
     """
     if protocol not in ("private-dit", "bipartite", "ghz"):
         raise ValueError(f"unknown protocol tag {protocol!r}")
+    if not len(spectra):
+        raise ValueError("a sweep needs at least one spectrum")
     specs = [_schmidt_spectrum(spec) for spec in spectra]
     for spec, checked in zip(spectra, specs):
         if len(checked) != d:
@@ -729,24 +717,21 @@ def _stack_measures(protocol: str, d: int, n_receivers: int, rho0: DensityMatrix
     if protocol != "private-dit":  # the measured core, no diagnostics
         mean = _establishment_stack(d, n_receivers, rho0, protocol)[3]
         return [{"metric": float(f)} for f in mean]
-    runs = [_private_dit_stack(d, phase_vector(x, d), rho0) for x in range(d)]
-    worst = functools.reduce(np.minimum, (_decoded(joint, x) for x, (*_, joint) in enumerate(runs)))
-    rows = [{"metric": float(m)} for m in worst]
-    if d == 2:
-        for row, s in zip(rows, _optimal_two_state_success(runs[0][1], runs[1][1])):
+
+    def read(messages: range, stages: dict, measured: list, joint: np.ndarray) -> list:
+        # each message's decode, and for a private bit its outcomes' probabilities and states
+        return [(_decoded(joint[i], m), [(cb.probability[i], cb.state and cb.state._row(i))
+                                         for cb in measured] if d == 2 else None)
+                for i, m in enumerate(messages)]
+
+    runs = [run for stack in _message_stacks(d, rho0, read) for run in stack]
+    rows = [{"metric": float(m)} for m in functools.reduce(np.minimum, (r[0] for r in runs))]
+    if d == 2:  # each row's best decode averaged over the controller's announcement
+        total = np.zeros(len(rows))
+        for (p0, state0), (p1, state1) in zip(runs[0][1], runs[1][1]):
+            if state0 is not None and state1 is not None:  # one stacked Helstrom error
+                weight = 0.5 * (p0 + p1)
+                total += weight * (1.0 - helstrom_error(state0, state1, p0 * 0.5 / weight))
+        for row, s in zip(rows, total):
             row["optimal_decode_success"] = float(s)
     return rows
-
-
-def _optimal_two_state_success(measured0: list, measured1: list) -> np.ndarray:
-    """Each row's best two-state decode averaged over the controller's
-    announcement, from his measurements of the stacks for messages 0 and 1:
-    one stacked Helstrom error per outcome."""
-    total = np.zeros(len(measured0[0].probability))
-    for b0, b1 in zip(measured0, measured1):
-        if b0.state is None or b1.state is None:
-            continue
-        weight = 0.5 * (b0.probability + b1.probability)
-        err = helstrom_error(b0.state, b1.state, b0.probability * 0.5 / weight)
-        total += weight * (1.0 - err)
-    return total

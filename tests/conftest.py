@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qswitch_lab import DensityMatrix, Ket, KrausChannel, ResourceGuardError, SubsystemLayout
+from qswitch_lab import DensityMatrix, Ket, KrausChannel, ResourceGuardError, SubsystemLayout, policy
 
 
 @pytest.fixture
@@ -137,6 +137,29 @@ def bell_phase_flip_mixture(eps):
     phi_p = np.array([1, 0, 0, 1]) / np.sqrt(2)
     phi_m = np.array([1, 0, 0, -1]) / np.sqrt(2)
     return (1 - eps) * np.outer(phi_p, phi_p) + eps * np.outer(phi_m, phi_m)
+
+
+def mutual_information(joint_pmf):
+    """Direct-summation oracle: the Shannon mutual information of a joint
+    pmf, in bits (0 log 0 := 0).  A sum off 1 within ``spectral_tol`` is
+    normalized first, and round-off below 0 within it reads 0."""
+    tol = policy.spectral_tol
+    p = np.asarray(joint_pmf, dtype=float)
+    if (p < -tol).any():
+        raise ValueError("pmf entries must be nonnegative")
+    total = p.sum()
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"pmf sums to {total!r}, not 1")
+    p = np.clip(p, 0.0, None) / total
+    px, py = p.sum(axis=1), p.sum(axis=0)
+    mi = 0.0
+    for i in range(p.shape[0]):
+        for j in range(p.shape[1]):
+            if p[i, j] > 0.0:
+                mi += p[i, j] * np.log2(p[i, j] / (px[i] * py[j]))
+    if mi < -tol:
+        raise ValueError(f"mutual information is {float(mi)!r}, below 0")
+    return max(float(mi), 0.0)
 
 
 def naive_partial_trace(entries, dims, keep):

@@ -338,12 +338,12 @@ def random_channel(n_kraus, in_dim, out_dim, rng):
 
 def verified_channels(d):
     """Every channel a `verify` row compares at dimension d, by its row."""
-    from qswitch_lab.cli import _coincidence_choice, _random_extensions, _restricted_choice
+    from qswitch_lab.cli import _random_extensions, _restricted_choice
 
     return {
         "order": cyclic_switch([erasing_channel(d, j) for j in range(d)]),
         "closed form": k_multiline(d, 1),
-        "choice": _coincidence_choice(d),
+        "choice": _restricted_choice(d, coincidence_extensions(d)),
         "random choice": _restricted_choice(d, _random_extensions(d)),
         "round trip": t_decomposition(coincidence_extensions(d)).reconstructed_channel(),
     }

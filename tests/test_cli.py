@@ -72,20 +72,28 @@ class TestVerify:
     def test_each_choi_matrix_is_built_once_per_call(self, runner, monkeypatch, args, built):
         from qswitch_lab import channels, cli
 
-        calls = []
+        calls, extended = [], []
 
         def counted(ch, choi=channels.choi):
             calls.append(ch)
             return choi(ch)
 
+        def extensions(d, build=cli.coincidence_extensions):
+            extended.append(d)
+            return build(d)
+
         monkeypatch.setattr(channels, "choi", counted)
         monkeypatch.setattr(cli, "choi", counted)
+        # the choice and round-trip rows share the coincidence extensions too
+        monkeypatch.setattr(cli, "coincidence_extensions", extensions)
         outputs = []
         for _ in range(2):  # nothing is kept from one call to the next
             calls.clear()
+            extended.clear()
             result = runner.invoke(main, ["verify", *args])
             assert result.exit_code == 0, result.output
             assert len(calls) == built
+            assert extended == [int(args[1])]
             outputs.append(result.output)
         assert outputs[0] == outputs[1]
 

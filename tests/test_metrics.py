@@ -12,12 +12,11 @@ from qswitch_lab import (
     ghz_ket,
     helstrom_error,
     is_maximally_entangled,
-    mutual_information,
     policy,
     tensor,
 )
 
-from conftest import random_ket, random_unitary
+from conftest import mutual_information, random_ket, random_unitary
 
 
 def two_qubit(psi_amps):
@@ -207,6 +206,9 @@ class TestHelstrom:
 
 
 class TestMutualInformation:
+    """The direct-summation oracle that the private-dit decode tables read
+    their bits from."""
+
     def test_product_pmf(self):
         px = np.array([0.3, 0.7])
         py = np.array([0.25, 0.25, 0.5])

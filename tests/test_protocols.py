@@ -13,12 +13,10 @@ from qswitch_lab import (
     classical_flag_encodings,
     clone_fan_out,
     concurrence_2qubit,
-    decode_summary,
     dfs_phase_encodings,
     fixed_configuration_baseline,
     ghz_ket,
     helstrom_error,
-    mutual_information,
     necessity_sweep,
     partial_trace,
     policy,
@@ -40,6 +38,7 @@ from conftest import (
     bell_phase_flip_mixture,
     clone_extend_unitary,
     kraus_apply,
+    mutual_information,
     random_density,
     random_ket,
     refused_before_allocating,
@@ -329,6 +328,20 @@ class TestPrivateDit:
         assert t.stages["transmitted"].layout.labels == ("B", "C")
 
 
+def decode_table(transcripts):
+    """p(x, x_hat) of a uniform ensemble of one private-dit run per message:
+    the receiver decodes x_hat = m_B + m_C mod d."""
+    d = len(transcripts)
+    assert sorted(t.params["x"] for t in transcripts) == list(range(d))
+    table = np.zeros((d, d))
+    for t in transcripts:
+        joint = np.asarray(t.metrics["joint_pmf"])
+        for mb in range(d):
+            for mc in range(d):
+                table[t.params["x"], (mb + mc) % d] += joint[mb, mc] / d
+    return table
+
+
 class TestPrivacy:
     @pytest.mark.parametrize("d", [2, 3])
     def test_no_leakage_at_maximal_entanglement(self, d):
@@ -359,28 +372,33 @@ class TestPrivacy:
             for (i, j), err in privacy_report(ts)["helstrom_errors"].items():
                 assert err == helstrom_error(marginals[i], marginals[j], 0.5)
 
-    def test_decode_table_mutual_information(self):
-        d = 3
-        res = ResourceState.maximally_entangled(d)
-        ts = [run_private_dit(d, x, res) for x in range(d)]
-        summary = decode_summary(ts)
-        assert abs(summary["mutual_information_bits"] - np.log2(d)) < 1e-9
-        assert summary["min_success"] > 1 - 1e-9
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_receiver_reads_log2_d_bits_at_maximal_entanglement(self, d):
+        # the decode table p(x, x_hat) of the uniform ensemble carries log2 d
+        # bits over a maximally entangled resource and none over a product one,
+        # whose phases are global
+        for spectrum, bits, success in [((1 / d,) * d, np.log2(d), 1.0),
+                                        ((1.0,) + (0.0,) * (d - 1), 0.0, 1 / d)]:
+            res = ResourceState.from_schmidt(spectrum)
+            table = decode_table([run_private_dit(d, x, res) for x in range(d)])
+            assert abs(table.sum() - 1.0) < 1e-12
+            assert abs(mutual_information(table) - bits) < 1e-9
+            assert np.abs(np.diag(table) * d - success).max() < 1e-9
 
-    def test_decode_table_rejects_an_empty_ensemble(self):
+    def test_report_rejects_an_empty_ensemble(self):
         with pytest.raises(ValueError, match="at least one transcript"):
-            decode_summary([])
+            privacy_report([])
 
-    def test_decode_table_rejects_a_repeated_message(self):
-        t0 = run_private_dit(2, 0, ResourceState.maximally_entangled(2))
-        with pytest.raises(ValueError, match=r"one transcript per message value 0\.\.1, got \[0, 0\]"):
-            decode_summary([t0, t0])
-
-    def test_decode_table_rejects_mixed_resources(self):
-        ts = [run_private_dit(2, 0, ResourceState.maximally_entangled(2)),
-              run_private_dit(2, 1, ResourceState.from_schmidt((0.7, 0.3)))]
-        with pytest.raises(ValueError, match="share dimension and resource"):
-            decode_summary(ts)
+    def test_report_rejects_mixed_resources(self):
+        for pair in [
+            [run_private_dit(2, 0, ResourceState.maximally_entangled(2)),
+             run_private_dit(3, 1, ResourceState.maximally_entangled(3))],
+            [run_private_dit(2, 0, ResourceState.maximally_entangled(2)),
+             run_private_dit(2, 1, ResourceState.from_schmidt((0.7, 0.3)))],
+        ]:
+            with pytest.raises(ValueError) as err:
+                privacy_report(pair)
+            assert str(err.value) == "transcripts must share dimension and resource"
 
     def test_mismatched_transcripts_rejected(self):
         a = run_private_dit(2, 0, ResourceState.maximally_entangled(2))
@@ -388,7 +406,7 @@ class TestPrivacy:
         with pytest.raises(ValueError, match="share"):
             privacy_report([a, b])
 
-    @pytest.mark.parametrize("report", [privacy_report, decode_summary])
+    @pytest.mark.parametrize("report", [privacy_report])
     def test_ensemble_compares_resource_states_not_names(self, report):
         maximal = ResourceState.explicit(ResourceState.maximally_entangled(2).rho)
         skewed = ResourceState.explicit(ResourceState.from_schmidt((0.9, 0.1)).rho)
@@ -400,7 +418,7 @@ class TestPrivacy:
         report(same)  # one state under two names
         assert [t.params["resource"] for t in same] == ["explicit", "max"]
 
-    @pytest.mark.parametrize("report", [privacy_report, decode_summary])
+    @pytest.mark.parametrize("report", [privacy_report])
     def test_ensemble_holds_private_dit_runs_only(self, report):
         # each ensemble shares d and the resource, so only the protocol
         # check tells it from a private-dit ensemble
@@ -722,11 +740,11 @@ class TestNecessitySweep:
         (3, [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2)]),
     ])
     def test_private_dit_row_measures_once_per_message(self, d, spectra, monkeypatch):
-        rows, decoded = [], []  # the rows of each measured stack and of each decode
+        leads, decoded = [], []  # the lead of each measured stack and the rows of each decode
         measure, helstrom = protocols.projective_measure, protocols.helstrom_error
 
         def counted(rho, *args):
-            rows.append(len(rho.block))
+            leads.append(rho.block.shape[:-2])
             return measure(rho, *args)
 
         def decode(rho0, rho1, p0):
@@ -736,10 +754,10 @@ class TestNecessitySweep:
         monkeypatch.setattr(protocols, "projective_measure", counted)
         monkeypatch.setattr(protocols, "helstrom_error", decode)
         necessity_sweep("private-dit", d, spectra)
-        # one stack of every row, whatever their supports, measured once per
-        # message: the decode makes no second measurement, and a private bit
-        # decodes each controller outcome of a stack in one call
-        assert rows == [len(spectra)] * d
+        # one stack of every message over every row, whatever their supports,
+        # measured once: the decode makes no second measurement, and a
+        # private bit decodes each controller outcome of a stack in one call
+        assert leads == [(d, len(spectra))]
         assert decoded == ([len(spectra)] * d if d == 2 else [])
 
     D3_SPECTRA = [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2), (0.6, 0.4, 0.0), (1.0, 0.0, 0.0)]
@@ -793,6 +811,19 @@ class TestNecessitySweep:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             necessity_sweep("teleport", 2, [(0.5, 0.5)])
+
+    @pytest.mark.parametrize("protocol,kwargs", [
+        ("private-dit", {}), ("bipartite", {}), ("ghz", {"n_receivers": 2}),
+    ])
+    def test_empty_grid_rejected_before_any_run(self, protocol, kwargs, monkeypatch):
+        # no rows would certify both verdicts vacuously, and the CSV writer
+        # reads a first row
+        def unrun(*args):
+            raise AssertionError("an empty grid built a resource")
+
+        monkeypatch.setattr(protocols, "_schmidt_states", unrun)
+        with pytest.raises(ValueError, match="a sweep needs at least one spectrum"):
+            necessity_sweep(protocol, 2, [], **kwargs)
 
     @pytest.mark.parametrize("eps", [1e-5, 1e-6])
     @pytest.mark.parametrize("protocol,kwargs", [
@@ -884,23 +915,52 @@ class TestStackedSweep:
             "success_probability"] for x in range(d)) for spec in spectra]
         assert np.array_equal([r["metric"] for r in table["rows"]], worst)
 
+    @pytest.mark.parametrize("d,spectra", [(2, GRID), (3, D3_MIXED), (5, D5)],
+                             ids=["grid", "d3-mixed", "d5"])
+    @pytest.mark.parametrize("per_stack", ["1", "2", "d"])
+    def test_private_dit_message_stacks_equal_lone_runs(self, d, spectra, per_stack, monkeypatch):
+        # the messages run 1, 2 or d to a stack of every row, as the entry
+        # budget admits, and the table is the same whatever their grouping
+        default = repr(necessity_sweep("private-dit", d, spectra))
+        stacks, stack_core = [], protocols._private_dit_stack
+
+        def recording(d, phases, rho0):
+            stacks.append(rho0.block.shape[:-2])
+            return stack_core(d, phases, rho0)
+
+        messages = d if per_stack == "d" else int(per_stack)
+        k = protocols._schmidt_states(spectra).support.size
+        monkeypatch.setattr(protocols, "_ENSEMBLE_ENTRIES",
+                            messages * len(spectra) * (d * min(d, k)) ** 2)
+        monkeypatch.setattr(protocols, "_private_dit_stack", recording)
+        table = necessity_sweep("private-dit", d, spectra)
+        sizes = [(min(messages, d - m), len(spectra)) for m in range(0, d, messages)]
+        assert sorted(stacks) == sorted(sizes) and stacks[-1] == sizes[0]  # message 0's last
+        assert repr(table) == default
+        for spec, row in zip(spectra, table["rows"]):
+            lone = [run_private_dit(d, x, ResourceState.from_schmidt(spec)) for x in range(d)]
+            assert row["metric"] == min(t.metrics["success_probability"] for t in lone)
+            if d == 2:
+                assert row["optimal_decode_success"] == oracle_optimal_two_state_success(lone)
+
     @pytest.mark.parametrize("protocol,n,measures", [
         ("private-dit", 1, 3), ("bipartite", 1, 1), ("ghz", 2, 1),
     ])
     def test_rows_on_different_supports_run_as_one_stack(self, protocol, n, measures, monkeypatch):
         # D3_MIXED holds five rows on five supports: the sweep measures one
-        # stack of all five (once per message of a private dit), not a stack
-        # per support
-        rows, measure = [], protocols.projective_measure
+        # stack of all five (with a private dit's three messages as its first
+        # axis), not a stack per support
+        leads, measure = [], protocols.projective_measure
 
         def counted(rho, *args):
-            rows.append(len(rho.block))
+            leads.append(rho.block.shape[:-2])
             return measure(rho, *args)
 
         monkeypatch.setattr(protocols, "projective_measure", counted)
         assert len({tuple(s > 0 for s in spec) for spec in self.D3_MIXED}) == 5
         necessity_sweep(protocol, 3, self.D3_MIXED, n_receivers=n)
-        assert rows == [len(self.D3_MIXED)] * measures
+        rows = (len(self.D3_MIXED),)
+        assert leads == [(measures,) + rows if protocol == "private-dit" else rows]
 
     def test_a_stack_raises_the_first_failing_rows_ket_message(self):
         # (1 + 3t, -t, -t, -t) passes the spectrum check, but its amplitudes,
