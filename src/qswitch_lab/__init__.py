@@ -47,7 +47,6 @@ from .linalg import (
     trace_distance,
 )
 from .metrics import (
-    BipartitionReport,
     concurrence_2qubit,
     ggm,
     helstrom_error,

@@ -33,9 +33,11 @@ from .linalg import (
     DensityMatrix,
     _coincidence,
     _min_eigenvalue,
+    _on_union,
     _readonly,
     _sum_left,
     _trimmed,
+    _whole,
 )
 from .numeric import PSD_FLOOR, guard_dimension, policy
 
@@ -239,13 +241,7 @@ class ChoiMatrix:
     @property
     def entries(self) -> np.ndarray:
         """The whole matrix, read-only."""
-        n = self.in_dim * self.out_dim
-        if self.support.size == n:
-            return self.block
-        m = np.zeros((n, n), dtype=complex)
-        m[self.support[:, None], self.support] = self.block
-        m.setflags(write=False)
-        return m
+        return _whole(self.support, self.block, self.in_dim * self.out_dim)
 
 
 def choi(ch: KrausChannel) -> ChoiMatrix:
@@ -282,14 +278,8 @@ def channels_equal(a: KrausChannel | ChoiMatrix, b: KrausChannel | ChoiMatrix,
         )
     tol = policy.spectral_tol if tol is None else float(tol)
     ca, cb = (c if isinstance(c, ChoiMatrix) else choi(c) for c in (a, b))
-    # the union as a mask over the indices: np.union1d's first call maps
-    # about 1.7 MB more of numpy (2.4) into memory
-    held = np.zeros(a.in_dim * a.out_dim, dtype=bool)
-    held[ca.support] = held[cb.support] = True
-    place = np.cumsum(held) - 1  # of each held index, in the union
-    on_union = np.zeros((2, place[-1] + 1, place[-1] + 1), dtype=complex)
-    for m, c in zip(on_union, (ca, cb)):
-        at = place[c.support]
-        m[at[:, None], at] = c.block
+    # both blocks on the union of their supports (linalg._on_union, which
+    # finds it without the numpy.ma import of a plain np.unique or np.union1d)
+    on_union = _on_union((ca, cb))[1]
     dist = float(np.linalg.norm(on_union[0] - on_union[1]))
     return ChannelComparison(dist <= tol, dist, tol)

@@ -140,21 +140,20 @@ def coincidence_extensions(d: int) -> list[ExtendedChannel]:
     return [vacuum_extend(erasing_channel(d, l), np.eye(d)[l]) for l in range(d)]
 
 
-def target_sector_restriction(ch: KrausChannel, d: int, n_targets: int = 1) -> KrausChannel:
-    """Compress a combinator on extended targets to the message sector.
+def target_sector_restriction(ch: KrausChannel, d: int) -> KrausChannel:
+    """Compress a combinator on an extended target to the message sector.
 
-    Drops the vacuum level of each of the ``n_targets`` extended (d+1)-level
-    factors, keeping the control factor whole.  The compression is a channel
+    Drops the vacuum level of the extended (d+1)-level target, the first
+    factor, keeping the control factor whole.  The compression is a channel
     only when ``ch`` maps the message sector into itself, as vacuum
     extensions do; the trace-preservation test of the compressed operators
     checks this.
     """
-    control_dim = ch.in_dim // (d + 1) ** n_targets
-    if control_dim * (d + 1) ** n_targets != ch.in_dim:
-        raise ValueError("channel dimension is not (d+1)^n_targets * control_dim")
-    # the digits of every basis index in C order, i.e. flat index order
-    digits = np.indices((d + 1,) * n_targets + (control_dim,)).reshape(n_targets + 1, -1)
-    keep = np.flatnonzero((digits[:n_targets] < d).all(axis=0))
+    control_dim = ch.in_dim // (d + 1)
+    if control_dim * (d + 1) != ch.in_dim:
+        raise ValueError(f"channel dimension {ch.in_dim} is not (d+1) * control_dim for d={d}")
+    # the target's digit of a basis index is the index // control_dim
+    keep = np.flatnonzero(np.arange(ch.in_dim) // control_dim < d)
     return KrausChannel(_drop_zero(ch.kraus[:, keep[:, None], keep]))
 
 

@@ -5,7 +5,8 @@ are plain arrays, read-only where cached.  A density matrix is stored as its
 support block: the ascending indices whose row or column holds a nonzero
 entry (every index for a small matrix), and the matrix on them.  Every step
 maps a support block to a support block, so a low-rank state in a large
-space costs its support only; the whole matrix is built only on request.
+space costs its support only; ``_whole`` builds the whole matrix on request,
+and ``_on_union`` stacks several blocks on the union of their supports.
 The index plan of a step (where each support index goes) is kept per
 dimensions, addressed factors and support, so states that share a support
 share one plan; it reads each digit of a support index off its stride, so no
@@ -226,17 +227,36 @@ def _trimmed(support: np.ndarray, block: np.ndarray, n: int) -> tuple[np.ndarray
     stack of blocks keeps every index that some row holds.
     """
     if n <= _SUPPORT_MIN_DIM:
-        if support.size == n:
-            return support, block
-        m = np.zeros(block.shape[:-2] + (n, n), dtype=complex)
-        m[..., support[:, None], support] = block
-        return np.arange(n), m
+        return (support, block) if support.size == n else (np.arange(n), _whole(support, block, n))
     nz = block != 0
     held = (nz.any(axis=-1) | nz.any(axis=-2)).reshape(-1, support.size)
     keep = np.flatnonzero(held.any(axis=0))
     if keep.size < support.size:
         support, block = support[keep], block[..., keep[:, None], keep]
     return support, block
+
+
+def _whole(support: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
+    """The whole n x n matrix (of each row of a stack) of a block held on
+    ``support``, read-only; the block itself when it is already whole."""
+    if support.size == n:
+        return block
+    m = np.zeros(block.shape[:-2] + (n, n), dtype=complex)
+    m[..., support[:, None], support] = block
+    m.setflags(write=False)
+    return m
+
+
+def _on_union(held: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending union of several support blocks' supports (of states,
+    stacks or Choi matrices), and each block placed on it, stacked; blocks of
+    one support are stacked as they are.  With ``return_inverse``, numpy 2's
+    ``unique`` does not import ``numpy.ma``."""
+    if len({h.support.tobytes() for h in held}) == 1:
+        return held[0].support, np.stack([h.block for h in held])
+    support, place = np.unique(np.concatenate([h.support for h in held]), return_inverse=True)
+    at = np.split(place, np.cumsum([h.support.size for h in held[:-1]]))
+    return support, np.stack([_whole(p, h.block, support.size) for p, h in zip(at, held)])
 
 
 def _min_eigenvalue(block: np.ndarray, n: int):
@@ -369,12 +389,7 @@ class DensityMatrix:
     def entries(self) -> np.ndarray:
         """The whole matrix (of each row of a stack), read-only; built on
         each request unless the block is the whole matrix."""
-        if self.support.size == self.dim:
-            return self.block
-        m = np.zeros(self.block.shape[:-2] + (self.dim, self.dim), dtype=complex)
-        m[..., self.support[:, None], self.support] = self.block
-        m.setflags(write=False)
-        return m
+        return _whole(self.support, self.block, self.dim)
 
     def purity(self) -> float:
         # sum of |rho_ij|^2, which is Tr rho^2 for Hermitian rho; the squared
@@ -473,17 +488,7 @@ def _stacked(states: Sequence[DensityMatrix]) -> DensityMatrix:
     reads each state as it is; states of one support keep their blocks as
     they are.
     """
-    first = states[0]
-    if len({rho.support.tobytes() for rho in states}) == 1:
-        return DensityMatrix._unchecked(first.layout, first.support,
-                                        np.stack([rho.block for rho in states]))
-    support = np.unique(np.concatenate([rho.support for rho in states]))
-    shape = (len(states),) + first.block.shape[:-2] + (support.size, support.size)
-    block = np.zeros(shape, dtype=complex)
-    for row, rho in zip(block, states):
-        at = np.searchsorted(support, rho.support)
-        row[..., at[:, None], at] = rho.block
-    return DensityMatrix._unchecked(first.layout, support, block)
+    return DensityMatrix._unchecked(states[0].layout, *_on_union(states))
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +551,7 @@ def ghz_ket(d: int, parties: int, phase_index: int = 0) -> Ket:
 def tensor(a, b):
     """Kronecker product; the left operand is the most significant factor.
 
-    Accepts two kets, two arrays or two density matrices (whose layouts are
+    Accepts two kets or two density matrices (whose layouts are
     concatenated, and whose blocks are multiplied on the product support;
     the left one may be a stack); any other pair is rejected.
     """
@@ -556,8 +561,6 @@ def tensor(a, b):
         return DensityMatrix._of_block(layout, support, np.kron(a.block, b.block))
     if isinstance(a, Ket) and isinstance(b, Ket):
         return Ket.raw(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return np.kron(a, b)
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
 
 

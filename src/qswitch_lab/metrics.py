@@ -11,7 +11,6 @@ in one stacked SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -47,18 +46,10 @@ def concurrence_2qubit(rho: DensityMatrix) -> float:
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-@dataclass(frozen=True)
-class BipartitionReport:
-    cut: tuple[tuple[str, ...], tuple[str, ...]]
-    top_schmidt_sq: float
-
-    def __post_init__(self):
-        if not 0.0 < self.top_schmidt_sq <= 1.0 + STRUCTURAL_TOL:
-            raise ValueError(f"top squared Schmidt coefficient {self.top_schmidt_sq} out of (0, 1]")
-
-
-def bipartition_reports(psi: Ket, layout: SubsystemLayout) -> list[BipartitionReport]:
-    """Top squared Schmidt coefficient for every nonempty proper bipartition.
+def bipartition_reports(psi: Ket, layout: SubsystemLayout) -> np.ndarray:
+    """Top squared Schmidt coefficient of every nonempty proper bipartition,
+    a read-only array checked to lie in (0, 1]; the cuts run by the side with
+    the first label, by its size and then lexicographically.
 
     Each cut's matrix is read off the support's digits
     (``linalg._cut_matrices``), and the cuts of one matrix shape take one
@@ -73,14 +64,19 @@ def bipartition_reports(psi: Ket, layout: SubsystemLayout) -> list[BipartitionRe
         )
     # every unordered cut exactly once: the side containing the first label
     lefts = [(0,) + rest for r in range(1, n) for rest in combinations(range(1, n), r - 1)]
-    cuts = [(tuple(layout.labels[p] for p in pos),
-             tuple(l for p, l in enumerate(layout.labels) if p not in pos)) for pos in lefts]
     sides = np.array([[p in pos for p in range(n)] for pos in lefts])
-    top = np.zeros(len(cuts))
+    top = np.zeros(len(lefts))
     for members, mats in _cut_matrices(psi, layout, sides):
         # the full decomposition, as in schmidt_coefficients
         top[members] = np.linalg.svd(mats, full_matrices=False)[1][:, 0]
-    return [BipartitionReport(cut, float(s**2)) for cut, s in zip(cuts, top)]
+    # pow(s, 2), as a float's s**2 computes it; an array's ** 2 is s * s,
+    # which rounds another way for about 1 value in 1000
+    top = np.float_power(top, 2)
+    bad = ~((0.0 < top) & (top <= 1.0 + STRUCTURAL_TOL))  # NaN too
+    if bad.any():
+        raise ValueError(f"top squared Schmidt coefficient {float(top[bad][0])} out of (0, 1]")
+    top.setflags(write=False)
+    return top
 
 
 def ggm(psi: Ket, layout: SubsystemLayout) -> float:
@@ -90,9 +86,7 @@ def ggm(psi: Ket, layout: SubsystemLayout) -> float:
     bipartitions; 0 for states product across some cut, (d-1)/d for
     d-level GHZ states.
     """
-    reports = bipartition_reports(psi, layout)
-    top = max(r.top_schmidt_sq for r in reports)
-    return _clamp(float(1.0 - top), "GGM")
+    return _clamp(float(1.0 - bipartition_reports(psi, layout).max()), "GGM")
 
 
 def is_maximally_entangled(

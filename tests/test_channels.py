@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qswitch_lab
 from qswitch_lab import (
     ChoiMatrix,
     KrausChannel,
@@ -409,6 +414,26 @@ class TestChoiSupportForm:
                                - oracle_choi(b.kraus, b.in_dim, b.out_dim))
         for x, y in ((a, b), (b, a), (ca, b), (a, cb)):
             assert abs(channels_equal(x, y).distance - dense) <= 1e-12
+
+    def test_no_union_imports_numpy_ma(self):
+        # numpy 2's np.unique without return_inverse imports numpy.ma on its
+        # first call; both unions of disjoint supports run in a fresh process
+        script = "\n".join([
+            "import sys",
+            "from qswitch_lab import basis_ket, channels_equal, erasing_channel",
+            "from qswitch_lab.linalg import _stacked",
+            "channels_equal(erasing_channel(5, 0), erasing_channel(5, 1))",
+            "assert 'numpy.ma' not in sys.modules, 'channels_equal'",
+            "stack = _stacked([basis_ket(32, 0).density(), basis_ket(32, 1).density()])",
+            "assert stack.support.tolist() == [0, 1]",
+            "assert 'numpy.ma' not in sys.modules, '_stacked'",
+        ])
+        src = str(Path(qswitch_lab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("name, ch", [
         ("identity d=2", identity_channel(2)),

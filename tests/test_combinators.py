@@ -591,25 +591,19 @@ class TestApplyCoincidence:
 
 
 class TestTargetSectorRestriction:
-    @pytest.mark.parametrize("d, n_targets, control_dim", [(2, 1, 2), (2, 2, 3), (3, 2, 2)])
-    def test_keeps_message_sector_in_basis_order(self, d, n_targets, control_dim, rng):
+    @pytest.mark.parametrize("d, control_dim", [(2, 2), (2, 3), (3, 2)])
+    def test_keeps_message_sector_in_basis_order(self, d, control_dim, rng):
         # a diagonal unitary leaves every basis subset invariant
-        dims = (d + 1,) * n_targets + (control_dim,)
+        dims = (d + 1, control_dim)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=int(np.prod(dims))))
-        restricted = target_sector_restriction(
-            KrausChannel(np.diag(phases)[None]), d, n_targets
-        )
-        keep = [
-            flat
-            for flat, idx in enumerate(product(*[range(s) for s in dims]))
-            if all(i < d for i in idx[:n_targets])
-        ]
-        assert len(keep) == d**n_targets * control_dim
+        restricted = target_sector_restriction(KrausChannel(np.diag(phases)[None]), d)
+        keep = [flat for flat, (t, _) in enumerate(product(*[range(s) for s in dims])) if t < d]
+        assert len(keep) == d * control_dim
         assert np.array_equal(restricted.kraus[0], np.diag(phases[keep]))
 
     def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError, match="n_targets"):
-            target_sector_restriction(identity_channel(7), 2, 2)
+        with pytest.raises(ValueError, match=r"dimension 7 is not \(d\+1\) \* control_dim"):
+            target_sector_restriction(identity_channel(7), 2)
 
 
 class TestTDecomposition:

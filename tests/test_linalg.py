@@ -379,10 +379,6 @@ class TestTensor:
         expected[1] = 1.0
         assert np.allclose(out.amplitudes, expected)
 
-    def test_identity_case(self):
-        out = tensor(np.eye(2), np.eye(3))
-        assert np.array_equal(out, np.eye(6))
-
     def test_uniform_superposition(self):
         plus = Ket.normalized([1.0, 1.0])
         out = tensor(plus, plus)

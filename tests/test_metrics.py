@@ -100,6 +100,18 @@ class TestGGM:
             ggm(psi, layout)
         assert ggm(Ket.raw(np.sqrt(1 + 0.5e-13) * basis_ket(4, 0).amplitudes), layout) == 0.0
 
+    def test_zero_ket_is_out_of_range(self):
+        # the zero ket keeps its index 0 in every cut's matrix, a zero
+        layout = SubsystemLayout((2, 2, 2), ("A", "B", "C"))
+        with pytest.raises(ValueError, match=r"coefficient 0\.0 out of \(0, 1\]"):
+            ggm(Ket.raw(np.zeros(8)), layout)
+
+    def test_top_coefficient_above_one_is_out_of_range(self):
+        layout = SubsystemLayout((2, 2, 2), ("A", "B", "C"))
+        psi = Ket.raw(np.sqrt(1 + 1e-9) * basis_ket(8, 0).amplitudes)
+        with pytest.raises(ValueError, match=r"coefficient 1\.000000001 out of \(0, 1\]"):
+            ggm(psi, layout)
+
     def test_party_guard(self):
         layout = SubsystemLayout((2,) * 7, tuple(f"P{i}" for i in range(7)))
         with pytest.raises(ResourceGuardError, match="cap"):
