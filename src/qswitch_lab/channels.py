@@ -188,12 +188,12 @@ class ChoiMatrix:
     Held as a ``linalg.DensityMatrix`` is: ascending ``support`` indices that
     hold every row and column with a nonzero entry, and the read-only
     ``block`` on them.  ``ChoiMatrix(entries, in_dim, out_dim)`` finds the
-    support of a whole matrix as ``DensityMatrix(entries, layout)`` does
-    (every index at or below 16), :func:`choi` that of a Kraus stack.  The
-    checks (finite, positive semidefinite, output marginal the identity) read
-    the block only and are exact: the zeros left out add only zero
-    eigenvalues and nothing to the marginal.  ``entries``, the whole matrix,
-    is built on each request unless the block is the whole matrix.
+    support of a whole matrix as ``DensityMatrix(entries, layout)`` does,
+    :func:`choi` that of a Kraus stack.  The checks (finite, positive
+    semidefinite, output marginal the identity) read the block only and are
+    exact: the zeros left out add only zero eigenvalues and nothing to the
+    marginal.  ``entries``, the whole matrix, is built on each request unless
+    the block is the whole matrix.
     """
 
     in_dim: int
@@ -206,7 +206,7 @@ class ChoiMatrix:
         n = in_dim * out_dim
         if m.shape != (n, n):
             raise ValueError(f"Choi matrix must be {n}x{n}")
-        support, block = _trimmed(np.arange(n), m, n)
+        support, block = _trimmed(np.arange(n), m)
         self._hold(in_dim, out_dim, support, _readonly(block) if block is m else block)
 
     @classmethod

@@ -3,10 +3,10 @@
 Kets are thin immutable wrappers around ``numpy`` arrays; operators and gates
 are plain arrays, read-only where cached.  A density matrix is stored as its
 support block: the ascending indices whose row or column holds a nonzero
-entry (every index for a small matrix), and the matrix on them.  Every step
-maps a support block to a support block, so a low-rank state in a large
-space costs its support only; ``_whole`` builds the whole matrix on request,
-and ``_on_union`` stacks several blocks on the union of their supports.
+entry, and the matrix on them, at every dimension.  Every step maps a
+support block to a support block, so a low-rank state in a large space
+costs its support only; ``_whole`` builds the whole matrix on request, and
+``_on_union`` stacks several blocks on the union of their supports.
 The index plan of a step (where each support index goes) is kept per
 dimensions, addressed factors and support, so states that share a support
 share one plan; it reads each digit of a support index off its stride, so no
@@ -195,39 +195,22 @@ def _densities(amplitudes: np.ndarray, layout: SubsystemLayout) -> "DensityMatri
     amplitudes, on the indices where some row is nonzero."""
     dim = amplitudes.shape[-1]
     _check_dim(dim, layout)
-    # a small state keeps the whole outer product, its signed zeros too;
-    # this saves time only, see _SUPPORT_MIN_DIM
-    if dim <= _SUPPORT_MIN_DIM:
-        support = np.arange(dim)
-    else:
-        support = np.flatnonzero((amplitudes != 0).reshape(-1, dim).any(axis=0))
+    support = np.flatnonzero((amplitudes != 0).reshape(-1, dim).any(axis=0))
     v = amplitudes[..., support]
     outer = _product(v[..., :, None], v.conj()[..., None, :])  # no fused multiply-add
     return DensityMatrix._of_block(layout, support, outer)
 
 
-# at or below this dimension a state keeps its whole matrix as its block and
-# skips the support scan.  For speed only: at 0 every golden keeps its bytes,
-# but `_trimmed` scans every small block, and the benchmark's `dense-protocols`
-# `run_ref` rose from 4.75 to 5.49 (medians of 4 order-alternating 6 s pairs,
-# slower in 4 of 4; 1 BLAS thread, 2 vCPU), while `sweep-small` fell only
-# from 6.40 to 6.24
-_SUPPORT_MIN_DIM = 16
-
-
-def _trimmed(support: np.ndarray, block: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _trimmed(support: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The support of an n x n matrix given by its block on ``support``, and
-    the block on it; ``_trimmed(np.arange(n), m, n)`` for a whole matrix ``m``.
+    the block on it; ``_trimmed(np.arange(n), m)`` for a whole matrix ``m``.
 
     ``support`` holds ascending indices and may be larger than the support;
     every entry outside it is zero.  The support is every index whose row or
     column holds an exactly nonzero entry; a NaN or infinite entry is
-    nonzero, so it stays in.  At or below ``_SUPPORT_MIN_DIM`` the support is
-    every index and the block the whole matrix, its signed zeros kept.  A
-    stack of blocks keeps every index that some row holds.
+    nonzero, so it stays in.  A stack of blocks keeps every index that some
+    row holds.
     """
-    if n <= _SUPPORT_MIN_DIM:
-        return (support, block) if support.size == n else (np.arange(n), _whole(support, block, n))
     nz = block != 0
     held = (nz.any(axis=-1) | nz.any(axis=-2)).reshape(-1, support.size)
     keep = np.flatnonzero(held.any(axis=0))
@@ -294,7 +277,7 @@ def _check(block: np.ndarray, n: int) -> None:
             return
     if block.ndim > 2:
         for row in block:
-            _check(_trimmed(np.arange(row.shape[-1]), row, n)[1], n)
+            _check(_trimmed(np.arange(row.shape[-1]), row)[1], n)
     if not herm <= STRUCTURAL_TOL:
         raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
     tr = block.trace()
@@ -317,13 +300,12 @@ class DensityMatrix:
 
     A state is its layout, its ``support`` (the ascending indices whose row
     or column holds an exactly nonzero entry) and its ``block``, the
-    read-only matrix on the support; every other entry is zero.  At or below
-    ``_SUPPORT_MIN_DIM`` the support is every index, ``np.arange(dim)``, and
-    ``block`` the whole matrix.  ``entries``, the whole matrix, is built only
-    on request.  The steps of this module also take a stack of states of one
-    layout, held as the same type on the union of their supports with a
-    block of shape ``(R, k, k)``; ``_row`` takes a row out on its own
-    support, and the public constructor builds states only.
+    read-only matrix on the support; every other entry is zero.
+    ``entries``, the whole matrix, is built only on request.  The steps of
+    this module also take a stack of states of one layout, held as the same
+    type on the union of their supports with a block of shape ``(R, k, k)``;
+    ``_row`` takes a row out on its own support, and the public constructor
+    builds states only.
 
     ``DensityMatrix(entries, layout)`` finds the support of a whole matrix.
     The steps of this module map a support block to a support block, and
@@ -344,7 +326,7 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         n = m.shape[0]
         _check_dim(n, layout)
-        support, block = _trimmed(np.arange(n), m, n)
+        support, block = _trimmed(np.arange(n), m)
         if block is entries:  # the caller keeps its own array
             block = block.copy()
         self._set(layout, support, block)
@@ -355,7 +337,7 @@ class DensityMatrix:
         """The checked state with ``block`` on ``support`` (as for ``_trimmed``),
         or the checked stack with a block of shape ``(*lead, k, k)``, on the
         union of its rows' supports."""
-        out = cls._unchecked(layout, *_trimmed(support, block, layout.total_dim))
+        out = cls._unchecked(layout, *_trimmed(support, block))
         out.__post_init__()
         return out
 
@@ -369,7 +351,7 @@ class DensityMatrix:
     def _row(self, k) -> "DensityMatrix":
         """Row k of a stack, or the stack of the rows in an index array, on its
         own support (as ``_trimmed`` finds it); not checked again."""
-        return DensityMatrix._unchecked(self.layout, *_trimmed(self.support, self.block[k], self.dim))
+        return DensityMatrix._unchecked(self.layout, *_trimmed(self.support, self.block[k]))
 
     def _set(self, layout, support, block) -> None:
         support.setflags(write=False)

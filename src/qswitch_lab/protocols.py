@@ -562,11 +562,14 @@ def fixed_configuration_baseline(d: int, encoded_states: list[DensityMatrix]) ->
     ``encoded_states[x]`` is the joint target-control state prepared for
     message x, just before the first erasing channel.  That channel resets
     the target, so everything downstream is a function of the controller's
-    marginal alone; the receiver's realized success therefore equals the
-    best discrimination of those marginals (Helstrom measurement for d = 2,
-    square-root measurement beyond), and perfect decoding forces the
-    marginals to be pairwise perfectly distinguishable -- i.e. the
-    controller can read the message too.
+    marginal alone: perfect decoding forces the marginals to be pairwise
+    perfectly distinguishable -- i.e. the controller can read the message too.
+    ``bob_success`` is an achievable success on those marginals: Helstrom's,
+    optimal, for d = 2, and beyond it the square-root measurement's, optimal
+    for geometrically uniform sets (both CLI families) and in general within
+    P_opt^2 <= P_sqrt <= P_opt (Barnum & Knill).  ``bob_success_upper_bound``,
+    (1 + min pairwise trace distance)/2, bounds the worse message of the
+    closest pair; for d > 2 not ``bob_success`` itself.
     """
     if len(encoded_states) != d:
         raise ValueError(f"need one encoded state per message, got {len(encoded_states)}")
@@ -611,7 +614,7 @@ def _discrimination_success(states: list[np.ndarray]) -> float:
     for rho in states:
         m = inv_sqrt @ (rho / n) @ inv_sqrt
         success += float(np.real(np.trace(m @ rho))) / n
-    return min(success, 1.0)
+    return _clamp(success, "square-root measurement success")
 
 
 def dfs_phase_encodings(d: int) -> list[DensityMatrix]:

@@ -58,8 +58,8 @@ GOLDENS = {
     "sweep_pd.csv": (("sweep", "private-dit") + _ALPHA, "155aa4fe7b32d7cbea802715c4a36d9662281d353d1f5403051e0408a33058b0"),
     "sweep_bip.csv": (("sweep", "bipartite") + _ALPHA, _SWEEP_BIP),
     "sweep_ghz.csv": (("sweep", "ghz") + _ALPHA, _SWEEP_BIP),
-    # three and four receivers: dimensions 32 and 64, past _SUPPORT_MIN_DIM,
-    # so the product endpoints run on a trimmed support
+    # three and four receivers: dimensions 32 and 64, the product endpoints
+    # on a trimmed support
     "sweep_ghz3.csv": (("sweep", "ghz", "--receivers", "3") + _ALPHA[2:], _SWEEP_BIP),
     "sweep_ghz4.csv": (("sweep", "ghz", "--receivers", "4") + _ALPHA[2:], _SWEEP_BIP),
     "fixed_d3.json": (("run", "fixed-baseline", "--d", "3"), "100ff92093f7065837d5e8e40d7dd17dcafdc21e945483ee8b222427721855cd"),

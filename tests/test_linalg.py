@@ -26,7 +26,7 @@ from qswitch_lab import (
     vacuum_extend,
 )
 from qswitch_lab import linalg
-from qswitch_lab.linalg import _SUPPORT_MIN_DIM, _min_eigenvalue, _stacked, _sum_left, _trimmed
+from qswitch_lab.linalg import _min_eigenvalue, _stacked, _sum_left, _trimmed
 from qswitch_lab.numeric import PSD_FLOOR, STRUCTURAL_TOL
 
 from conftest import (
@@ -104,7 +104,7 @@ def padded_state(n, support, eigenvalues, rng):
 def support_min_eigenvalue(m):
     """The minimum eigenvalue as construction finds it, on the support block."""
     n = m.shape[0]
-    return _min_eigenvalue(_trimmed(np.arange(n), m, n)[1], n)
+    return _min_eigenvalue(_trimmed(np.arange(n), m)[1], n)
 
 
 @pytest.mark.parametrize(
@@ -238,7 +238,7 @@ class TestSupportChecks:
             m[i, i] += 1e-9
         elif case == "negative":
             m = padded_state(n, support, [-1e-6, 0.1, 0.2, 0.2, 0.2, 0.3 + 1e-6], rng)
-        found, block = _trimmed(np.arange(n), m, n)
+        found, block = _trimmed(np.arange(n), m)
         assert np.array_equal(found, support)
         assert np.abs(block - block.conj().T).max() == np.abs(m - m.conj().T).max()
         expected = full_matrix_verdict(m)
@@ -266,14 +266,16 @@ class TestSupportChecks:
         with pytest.raises(ValueError, match="trace is .*0j.*, not 1"):
             DensityMatrix(np.zeros((n, n)), SubsystemLayout((n,), ("A",)))
 
-    def test_support_kept_only_above_threshold(self, rng):
+    def test_support_kept_at_every_dimension(self, rng):
+        assert basis_ket(2, 0).density().support.tolist() == [0]
         small = DensityMatrix(np.diag([1.0] + [0.0] * 15), SubsystemLayout((16,), ("A",)))
-        assert np.array_equal(small.support, np.arange(16)) and small.block.shape == (16, 16)
-        m, support = random_padded_state(17, rng)
-        rho = DensityMatrix(m, SubsystemLayout((17,), ("A",)))
-        assert np.array_equal(rho.support, support)
-        assert np.array_equal(rho.block, m[np.ix_(support, support)])
-        assert np.array_equal(rho.entries, m)
+        assert small.support.tolist() == [0] and small.block.shape == (1, 1)
+        for n in (8, 17):
+            m, support = random_padded_state(n, rng)
+            rho = DensityMatrix(m, SubsystemLayout((n,), ("A",)))
+            assert np.array_equal(rho.support, support)
+            assert np.array_equal(rho.block, m[np.ix_(support, support)])
+            assert np.array_equal(rho.entries, m)
         assert np.array_equal(random_density(20, rng).support, np.arange(20))  # full support
 
 
@@ -295,8 +297,8 @@ class TestToKet:
             full = np.linalg.eigh(rho.entries)[1][:, -1]
             assert_same_ket_up_to_phase(got, full)
             assert_same_ket_up_to_phase(got, psi)
-            if n > _SUPPORT_MIN_DIM:  # the ket is embedded in exact zeros
-                assert np.all(got[np.setdiff1d(np.arange(n), support)] == 0)
+            # the ket is embedded in exact zeros
+            assert np.all(got[np.setdiff1d(np.arange(n), support)] == 0)
 
     def test_mixed_state_has_no_ket(self, rng):
         m, _ = random_padded_state(40, rng)
@@ -790,12 +792,6 @@ class TestEmbeddedUnitaries:
         assert np.abs(out.entries - full @ rho.entries @ full.conj().T).max() < 1e-12
 
 
-def stack_of(states):
-    """One stack of states that share a layout and a support, unchecked."""
-    rho = states[0]
-    return DensityMatrix._unchecked(rho.layout, rho.support, np.array([s.block for s in states]))
-
-
 class TestStacks:
     """A stack of states of one layout and support runs through each step's
     one kernel; every row gets the verdict, the branches and the bits of a
@@ -805,7 +801,7 @@ class TestStacks:
     @pytest.mark.parametrize("n", [4, 17])
     @pytest.mark.parametrize("case", ["nan", "trace", "negative"])
     def test_failing_row_raises_its_own_message(self, n, case, rng):
-        support = np.arange(n) if n <= _SUPPORT_MIN_DIM else np.array([1, 4, 6, 9, 12, 16])
+        support = np.array([0, 2, 3]) if n == 4 else np.array([1, 4, 6, 9, 12, 16])
         rows = [padded_state(n, support, np.full(support.size, 1.0 / support.size), rng)
                 for _ in range(3)]
         bad = rows[1]
@@ -862,9 +858,9 @@ class TestStacks:
         alone = [projective_measure(s, basis, "C") for s in states]
         assert [a[1].state is None for a in alone] == [True, False]  # null for row 0 only
         with pytest.raises(ValueError, match="branch 1 is null in some rows"):
-            projective_measure(stack_of(states), basis, "C")
+            projective_measure(_stacked(states), basis, "C")
         # null in every row: a null branch of the stack, zero in each row
-        both = projective_measure(stack_of([states[0], states[0]]), basis, "C")
+        both = projective_measure(_stacked([states[0], states[0]]), basis, "C")
         assert both[1].state is None and both[1].probability.tolist() == [0.0, 0.0]
         assert_rows_equal(both[0].state, [alone[0][0].state] * 2)
 
@@ -873,7 +869,7 @@ class TestStacks:
         labels = tuple(f"L{i}" for i in range(len(dims)))
         layout = SubsystemLayout(dims, labels)
         states = [random_density(layout.total_dim, rng, layout) for _ in range(3)]
-        stack = stack_of(states)
+        stack = _stacked(states)
         d = dims[0]
         phases = np.exp(2j * np.pi * np.random.default_rng(7).random(dims[1]))
         ancilla = random_density(2, rng, SubsystemLayout((2,), ("Z",)))
@@ -900,13 +896,12 @@ class TestStacks:
 
     @pytest.mark.parametrize("dims", [(3, 3, 2), (2, 2, 2, 3), (2, 2, 2, 2, 2)])
     def test_rows_on_different_supports_run_on_their_union(self, dims, rng):
-        # past _SUPPORT_MIN_DIM: rows on nested and overlapping supports, held
-        # on their union, which the first row holds whole; each row taken out
-        # by _row is on its own support
+        # rows on nested and overlapping supports, held on their union, which
+        # the first row holds whole; each row taken out by _row is on its own
+        # support
         labels = tuple(f"L{i}" for i in range(len(dims)))
         layout = SubsystemLayout(dims, labels)
         n = layout.total_dim
-        assert n > _SUPPORT_MIN_DIM
         union = np.sort(rng.choice(n, size=8, replace=False))
         states = []
         for on in (union, union[:3], union[4:], union[[1, 6]]):

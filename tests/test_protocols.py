@@ -660,14 +660,16 @@ class TestRecord:
 
 
 class TestFixedBaseline:
-    @pytest.mark.parametrize("d", [2, 3])
+    # both CLI families are geometrically uniform, so the square-root
+    # measurement reaches the optimum: 1 for the flags, 1/d for the phases
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_classical_flags_leak(self, d):
         rep = fixed_configuration_baseline(d, classical_flag_encodings(d))
         assert abs(rep["bob_success"] - 1.0) < 1e-10
         assert abs(rep["min_pairwise_charlie_trace_distance"] - 1.0) < 1e-10
         assert rep["leak_certified"]
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_dfs_phases_are_useless_in_fixed_order(self, d):
         rep = fixed_configuration_baseline(d, dfs_phase_encodings(d))
         assert abs(rep["bob_success"] - 1.0 / d) < 1e-10
@@ -685,6 +687,22 @@ class TestFixedBaseline:
             enc = [random_density(4, rng, layout) for _ in range(2)]
             rep = fixed_configuration_baseline(2, enc)
             assert rep["bob_success"] == rep["bob_success_upper_bound"]
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_square_root_success_within_the_barnum_knill_bracket(self, d, rng):
+        # commuting marginals: the optimum is classical, sum_k max_x p_x(k) / d,
+        # and P_opt^2 <= P_sqrt <= P_opt (Barnum & Knill, J. Math. Phys. 43, 2097)
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(d), size=d)  # row x: message x's distribution
+            p_opt = p.max(axis=0).sum() / d
+            success = protocols._discrimination_success([np.diag(px) for px in p])
+            assert p_opt ** 2 - 1e-12 <= success <= p_opt + 1e-12
+
+    def test_square_root_success_past_one_raises(self):
+        # three orthogonal states of trace 2: a success of 2 (to rounding),
+        # not clamped to 1
+        with pytest.raises(ValueError, match=r"measurement success is .*, outside \[0, 1\]"):
+            protocols._discrimination_success([2.0 * np.diag(e) for e in np.eye(3)])
 
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError, match="one encoded state"):
@@ -981,24 +999,21 @@ class TestStackedSweep:
             assert str(grouped.value) == ket_message(failing)
 
     def test_stacks_hold_at_most_the_row_cap(self, monkeypatch):
-        # a sweep splits into stacks of at most `_STACK_ROWS` rows:
-        # the rows keep the bits of one stack, and the peak stays flat in
-        # the grid (about 7.5x from 16 to 128 rows without the cap)
-        cap, grid = 8, lambda n: [(a, 1 - a) for a in np.linspace(0.05, 0.95, n)]
-        one_stack = necessity_sweep("ghz", 2, grid(16 * cap), n_receivers=3)
+        # a sweep splits into stacks of at most `_STACK_ROWS` rows, which
+        # together hold the grid, and the rows keep the bits of one stack
+        cap = 8
+        grid = [(a, 1 - a) for a in np.linspace(0.05, 0.95, 16 * cap + 3)]
+        one_stack = necessity_sweep("ghz", 2, grid, n_receivers=3)
+        measures, rows = protocols._stack_measures, []
+
+        def counted(protocol, d, n_receivers, rho0):
+            rows.append(rho0.block.shape[0])
+            return measures(protocol, d, n_receivers, rho0)
+
         monkeypatch.setattr(protocols, "_STACK_ROWS", cap)
-        assert repr(necessity_sweep("ghz", 2, grid(16 * cap), n_receivers=3)) == repr(one_stack)
-
-        def peak(rows):
-            spectra = grid(rows)
-            tracemalloc.start()
-            try:
-                necessity_sweep("ghz", 2, spectra, n_receivers=3)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(16 * cap) <= 2 * peak(2 * cap)
+        monkeypatch.setattr(protocols, "_stack_measures", counted)
+        assert repr(necessity_sweep("ghz", 2, grid, n_receivers=3)) == repr(one_stack)
+        assert max(rows) <= cap and sum(rows) == len(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from qswitch_lab import (
     run_private_dit,
     run_private_dit_ensemble,
     schmidt_coefficients,
+    tensor,
     trace_distance,
 )
 from qswitch_lab import linalg, protocols
@@ -223,8 +224,10 @@ class TestPhases:
     def test_a_zero_entry_stays_positive_zero(self):
         # the encoding of pdskew.json: the factors exp(+-2*pi*i/3) have a
         # negative real part, so a product with a zero entry is -0.0 before
-        # the +0.0 start
-        rho = ResourceState.from_schmidt([0.2, 0.3, 0.5]).rho  # a 9 x 9 block, mostly zeros
+        # the +0.0 start.  Beside a maximally mixed ancilla, the resource's
+        # 3 x 3 block becomes a 12 x 12 block with 108 zero entries
+        mixed = DensityMatrix(np.eye(4) / 4, SubsystemLayout((4,), ("Z",)))
+        rho = tensor(ResourceState.from_schmidt([0.2, 0.3, 0.5]).rho, mixed)
         out = apply_phases(rho, protocols.phase_vector(2, 3), "A")
         zeros = np.concatenate([out.block.real[out.block.real == 0], out.block.imag[out.block.imag == 0]])
         assert zeros.size > 100 and not np.signbit(zeros).any()

@@ -178,7 +178,7 @@ def resource(d, kind):
 
 def assert_support_block_of(state, dense):
     n = dense.shape[0]
-    support, block = _trimmed(np.arange(n), dense, n)
+    support, block = _trimmed(np.arange(n), dense)
     # every step hands back an ascending index array
     assert isinstance(state.support, np.ndarray) and state.support.dtype.kind == "i"
     assert np.all(np.diff(state.support) > 0)
@@ -253,7 +253,7 @@ def test_entries_are_built_on_request_and_read_only():
 
 def partial_support_state(dims, size, rank, seed):
     """A seeded mixed state of the given rank whose support is ``size``
-    random indices of a space larger than ``_SUPPORT_MIN_DIM``."""
+    random indices of the space."""
     rng = np.random.default_rng(seed)
     n = math.prod(dims)
     g = np.zeros((n, rank), dtype=complex)
@@ -414,8 +414,8 @@ def test_measurement_kernel_equals_the_whole_range_formula(dims, size, seed):
             assert (branch.state is None) == (p < NULL_BRANCH_TOL) == (b is None)
             assert branch.probability.hex() == (0.0 if branch.state is None else p).hex()
             if branch.state is not None:
-                assert np.array_equal(branch.state.support, _trimmed(support, block, out_dim)[0])
-                assert np.array_equal(branch.state.block, _trimmed(support, block / p, out_dim)[1])
+                assert np.array_equal(branch.state.support, _trimmed(support, block)[0])
+                assert np.array_equal(branch.state.block, _trimmed(support, block / p)[1])
                 assert np.abs(branch.state.entries - b).max() <= policy.spectral_tol
 
 
