@@ -11,15 +11,18 @@ reported alongside every verdict.
 The Choi matrix uses the unnormalized convention ``C = (id (x) ch)(Omega)``
 with ``Omega = sum_{k,l} |kk><ll|``, so ``trace(C) = in_dim`` and the
 partial trace of ``C`` over the output factor equals the identity for a
-trace-preserving channel.  As a ``linalg.DensityMatrix``, it is held as its
-support block: :func:`choi` keeps the indices where some vectorized Kraus
-operator is nonzero (d^2 of the d^4 of the coincidence channel K^(1)) and
-forms the Gram product there, its checks read that block, and
-:func:`channels_equal` takes the Frobenius distance on the union of the two
-supports, from a channel or from a Choi matrix built once for several
-comparisons.  No dense Kraus action is applied here: the
-protocols apply the coincidence channel through :func:`apply_coincidence`,
-and the tests hold the dense action of a Kraus list as its oracle.
+trace-preserving channel.  It shares the state's support-block holder
+(``linalg._SupportBlock``) at layout ``(in_dim, out_dim)`` and adds only its
+own checks: finite, Hermitian, positive semidefinite, and the output
+marginal, read through the partial-trace plan of a state, the identity.
+:func:`choi` keeps the indices where some vectorized Kraus operator is
+nonzero (d^2 of the d^4 of the coincidence channel K^(1)) and forms the Gram
+product there, the checks read that block, and :func:`channels_equal` takes
+the Frobenius distance on the union of the two supports, from a channel or
+from a Choi matrix built once for several comparisons.  No dense Kraus
+action is applied here: the protocols apply the coincidence channel through
+:func:`apply_coincidence`, and the tests hold the dense action of a Kraus
+list as its oracle.
 """
 
 from __future__ import annotations
@@ -31,15 +34,18 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
+    SubsystemLayout,
     _coincidence,
     _min_eigenvalue,
     _on_union,
     _readonly,
     _sum_left,
-    _trimmed,
+    _summed,
+    _SupportBlock,
+    _trace_terms,
     _whole,
 )
-from .numeric import PSD_FLOOR, guard_dimension, policy
+from .numeric import PSD_FLOOR, STRUCTURAL_TOL, guard_dimension, policy
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +68,11 @@ class KrausChannel:
             raise ValueError("a channel needs at least one Kraus operator")
         if ops.ndim != 3:
             raise ValueError(f"Kraus operators must be matrices, got a stack of shape {ops.shape}")
+        if not all(ops.shape[1:]):
+            raise ValueError(f"Kraus operators must have positive dimensions, got {ops.shape[1:]}")
         # sum_i K_i^dag K_i = flat^dag flat, over row chunks of 16 MB: no whole conjugate copy
         flat = ops.reshape(-1, ops.shape[2])
-        step = 2**20 // max(ops.shape[2], 1)
+        step = 2**20 // ops.shape[2]
         gram = sum(f.conj().T @ f for f in (flat[i:i + step] for i in range(0, len(flat), step)))
         dev = np.abs(gram - np.eye(ops.shape[2])).max()
         if not dev <= policy.spectral_tol:  # rejects NaN too
@@ -180,68 +188,50 @@ def apply_coincidence(rho: DensityMatrix, acting_on: Sequence[str]) -> DensityMa
     return _coincidence(rho, positions)
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class ChoiMatrix:
+class ChoiMatrix(_SupportBlock):
     """Unnormalized Choi matrix; factor order is input (x) output, so index
     ``k * out_dim + a`` is input k and output a.
 
-    Held as a ``linalg.DensityMatrix`` is: ascending ``support`` indices that
-    hold every row and column with a nonzero entry, and the read-only
-    ``block`` on them.  ``ChoiMatrix(entries, in_dim, out_dim)`` finds the
+    Held on its support as a state is (``linalg._SupportBlock``), at layout
+    ``(in_dim, out_dim)``: ``ChoiMatrix(entries, in_dim, out_dim)`` finds the
     support of a whole matrix as ``DensityMatrix(entries, layout)`` does,
-    :func:`choi` that of a Kraus stack.  The checks (finite, positive
-    semidefinite, output marginal the identity) read the block only and are
-    exact: the zeros left out add only zero eigenvalues and nothing to the
-    marginal.  ``entries``, the whole matrix, is built on each request unless
-    the block is the whole matrix.
+    :func:`choi` that of a Kraus stack.  Its checks (finite, Hermitian,
+    positive semidefinite, output marginal the identity) read the block only.
     """
-
-    in_dim: int
-    out_dim: int
-    support: np.ndarray
-    block: np.ndarray
 
     def __init__(self, entries, in_dim: int, out_dim: int):
         m = np.asarray(entries, dtype=complex)
         n = in_dim * out_dim
         if m.shape != (n, n):
             raise ValueError(f"Choi matrix must be {n}x{n}")
-        support, block = _trimmed(np.arange(n), m)
-        self._hold(in_dim, out_dim, support, _readonly(block) if block is m else block)
-
-    @classmethod
-    def _of_block(cls, in_dim: int, out_dim: int, support, block: np.ndarray) -> "ChoiMatrix":
-        """The checked Choi matrix with ``block`` on ``support``."""
-        out = object.__new__(cls)
-        out._hold(in_dim, out_dim, support, block)
-        return out
-
-    def _hold(self, in_dim: int, out_dim: int, support, block: np.ndarray) -> None:
-        """Check the block and keep it, read-only."""
-        n = in_dim * out_dim
-        if not np.isfinite(block).all():  # eigvalsh does not converge on them
-            raise ValueError("Choi matrix has NaN or infinite entries")
-        min_eig = _min_eigenvalue(block, n) if support.size else 0.0
-        if not min_eig >= PSD_FLOOR:
-            raise ValueError(f"Choi matrix not PSD: min eigenvalue {min_eig:.3e}")
-        # Tr_out C: entry (k, l) adds the block's entries at (k, a), (l, a) over outputs a
-        k, a = np.divmod(support, out_dim)
-        p, q = np.nonzero(a[:, None] == a)
-        red = np.zeros((in_dim, in_dim), dtype=complex)
-        np.add.at(red, (k[p], k[q]), block[p, q])
-        dev = np.abs(red - np.eye(in_dim)).max()
-        if not dev <= policy.spectral_tol:
-            raise ValueError(f"output marginal of Choi differs from identity by {dev:.3e}")
-        support.setflags(write=False)
-        block.setflags(write=False)
-        for name, value in zip(("in_dim", "out_dim", "support", "block"),
-                               (in_dim, out_dim, support, block)):
-            object.__setattr__(self, name, value)
+        super().__init__(m, _choi_layout(in_dim, out_dim))
 
     @property
-    def entries(self) -> np.ndarray:
-        """The whole matrix, read-only."""
-        return _whole(self.support, self.block, self.in_dim * self.out_dim)
+    def in_dim(self) -> int:
+        return self.layout.dims[0]
+
+    @property
+    def out_dim(self) -> int:
+        return self.layout.dims[1]
+
+    def __post_init__(self):
+        block = self.block
+        if not np.isfinite(block).all():  # eigvalsh does not converge on them
+            raise ValueError("Choi matrix has NaN or infinite entries")
+        herm = np.abs(block - block.conj().T).max() if block.size else 0.0
+        if not herm <= STRUCTURAL_TOL:  # eigvalsh reads one triangle only
+            raise ValueError(f"Choi matrix not Hermitian: max asymmetry {herm:.3e}")
+        min_eig = _min_eigenvalue(block, self.dim) if block.size else 0.0
+        if not min_eig >= PSD_FLOOR:
+            raise ValueError(f"Choi matrix not PSD: min eigenvalue {min_eig:.3e}")
+        red = _whole(*_summed(self, _trace_terms(self, [0])), self.in_dim)  # Tr_out C
+        dev = np.abs(red - np.eye(self.in_dim)).max()
+        if not dev <= policy.spectral_tol:
+            raise ValueError(f"output marginal of Choi differs from identity by {dev:.3e}")
+
+
+def _choi_layout(in_dim: int, out_dim: int) -> SubsystemLayout:
+    return SubsystemLayout((in_dim, out_dim), ("in", "out"))
 
 
 def choi(ch: KrausChannel) -> ChoiMatrix:
@@ -254,7 +244,8 @@ def choi(ch: KrausChannel) -> ChoiMatrix:
     guard_dimension(ch.in_dim * ch.out_dim, "Choi matrix")
     k, a = np.nonzero((ch.kraus != 0).any(axis=0).T)  # ascending k * out_dim + a
     vecs = ch.kraus[:, a, k]  # row i is |K_i>> on the support
-    return ChoiMatrix._of_block(ch.in_dim, ch.out_dim, k * ch.out_dim + a, vecs.T @ vecs.conj())
+    return ChoiMatrix._of_block(_choi_layout(ch.in_dim, ch.out_dim), k * ch.out_dim + a,
+                                vecs.T @ vecs.conj())
 
 
 @dataclass(frozen=True)

@@ -268,6 +268,8 @@ def t_decomposition(channels: list[ExtendedChannel]) -> TDecomposition:
     has the form |j><v_j| (Chiribella & Kristjansson, Proc. R. Soc. A 475,
     20180903 (2019)).
     """
+    if not channels:
+        raise ValueError("need at least one channel")
     d = len(channels)
     if any(c.target_dim != d for c in channels):
         raise ValueError("need d extensions of d-dimensional channels")

@@ -3,10 +3,12 @@
 Kets are thin immutable wrappers around ``numpy`` arrays; operators and gates
 are plain arrays, read-only where cached.  A density matrix is stored as its
 support block: the ascending indices whose row or column holds a nonzero
-entry, and the matrix on them, at every dimension.  Every step maps a
-support block to a support block, so a low-rank state in a large space
-costs its support only; ``_whole`` builds the whole matrix on request, and
-``_on_union`` stacks several blocks on the union of their supports.
+entry, and the matrix on them, at every dimension; ``_SupportBlock`` holds
+that form for states and ``channels.ChoiMatrix`` alike, and each kind adds
+only its own checks.  Every step maps a support block to a support block,
+so a low-rank state in a large space costs its support only; ``_whole``
+builds the whole matrix on request, and ``_on_union`` stacks several blocks
+on the union of their supports.
 The index plan of a step (where each support index goes) is kept per
 dimensions, addressed factors and support, so states that share a support
 share one plan; it reads each digit of a support index off its stride, so no
@@ -231,7 +233,7 @@ def _whole(support: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
 
 
 def _on_union(held: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending union of several support blocks' supports (of states,
+    """The ascending union of several ``_SupportBlock``s' supports (states,
     stacks or Choi matrices), and each block placed on it, stacked; blocks of
     one support are stacked as they are.  With ``return_inverse``, numpy 2's
     ``unique`` does not import ``numpy.ma``."""
@@ -295,46 +297,28 @@ def _check_dim(n: int, layout: SubsystemLayout) -> None:
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive semidefinite matrix with a layout.
-
-    A state is its layout, its ``support`` (the ascending indices whose row
-    or column holds an exactly nonzero entry) and its ``block``, the
-    read-only matrix on the support; every other entry is zero.
-    ``entries``, the whole matrix, is built only on request.  The steps of
-    this module also take a stack of states of one layout, held as the same
-    type on the union of their supports with a block of shape ``(R, k, k)``;
-    ``_row`` takes a row out on its own support, and the public constructor
-    builds states only.
-
-    ``DensityMatrix(entries, layout)`` finds the support of a whole matrix.
-    The steps of this module map a support block to a support block, and
-    each checked output is checked once, on its block: every nonzero entry
-    lies inside it, so the Hermiticity residual and the trace are those of
-    the whole matrix, and the rows and columns left out add only zero
-    eigenvalues.  The checks are exact, and a low-rank state in a large space
-    costs its support only.
+class _SupportBlock:
+    """A matrix with a layout, held as its ``support`` (the ascending indices
+    whose row or column holds an exactly nonzero entry) and its ``block``, the
+    read-only matrix on them; ``entries``, the whole matrix, is built only on
+    request.  Each kind (``DensityMatrix``, ``channels.ChoiMatrix``) adds its
+    own ``__post_init__`` check, which reads the block only and is exact: the
+    rows and columns left out are zero and add only zero eigenvalues.
     """
 
     layout: SubsystemLayout
     support: np.ndarray
     block: np.ndarray
 
-    def __init__(self, entries, layout: SubsystemLayout):
-        m = np.asarray(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        n = m.shape[0]
-        _check_dim(n, layout)
-        support, block = _trimmed(np.arange(n), m)
-        if block is entries:  # the caller keeps its own array
-            block = block.copy()
-        self._set(layout, support, block)
+    def __init__(self, m: np.ndarray, layout: SubsystemLayout):
+        """Hold the whole complex matrix ``m``, its shape checked, on its support."""
+        support, block = _trimmed(np.arange(m.shape[0]), m)
+        self._set(layout, support, _readonly(block) if block is m else block)
         self.__post_init__()
 
     @classmethod
-    def _of_block(cls, layout: SubsystemLayout, support, block: np.ndarray) -> "DensityMatrix":
-        """The checked state with ``block`` on ``support`` (as for ``_trimmed``),
+    def _of_block(cls, layout: SubsystemLayout, support, block: np.ndarray):
+        """The checked matrix with ``block`` on ``support`` (as for ``_trimmed``),
         or the checked stack with a block of shape ``(*lead, k, k)``, on the
         union of its rows' supports."""
         out = cls._unchecked(layout, *_trimmed(support, block))
@@ -342,16 +326,11 @@ class DensityMatrix:
         return out
 
     @classmethod
-    def _unchecked(cls, layout: SubsystemLayout, support, block: np.ndarray) -> "DensityMatrix":
-        """The state with exactly this support and block, not checked."""
+    def _unchecked(cls, layout: SubsystemLayout, support, block: np.ndarray):
+        """The matrix with exactly this support and block, not checked."""
         out = object.__new__(cls)
         out._set(layout, support, block)
         return out
-
-    def _row(self, k) -> "DensityMatrix":
-        """Row k of a stack, or the stack of the rows in an index array, on its
-        own support (as ``_trimmed`` finds it); not checked again."""
-        return DensityMatrix._unchecked(self.layout, *_trimmed(self.support, self.block[k]))
 
     def _set(self, layout, support, block) -> None:
         support.setflags(write=False)
@@ -359,9 +338,6 @@ class DensityMatrix:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "block", block)
-
-    def __post_init__(self):
-        _check(self.block, self.dim)
 
     @property
     def dim(self) -> int:
@@ -372,6 +348,31 @@ class DensityMatrix:
         """The whole matrix (of each row of a stack), read-only; built on
         each request unless the block is the whole matrix."""
         return _whole(self.support, self.block, self.dim)
+
+
+class DensityMatrix(_SupportBlock):
+    """Hermitian, unit-trace, positive semidefinite matrix with a layout,
+    held on its support; ``DensityMatrix(entries, layout)`` finds the
+    support of a whole matrix.  The steps of this module also take a stack
+    of states of one layout, held on the union of their supports with a
+    block of shape ``(R, k, k)``; ``_row`` takes a row out on its own
+    support, and the public constructor builds states only.
+    """
+
+    def __init__(self, entries, layout: SubsystemLayout):
+        m = np.asarray(entries, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("density matrix must be square")
+        _check_dim(m.shape[0], layout)
+        super().__init__(m, layout)
+
+    def _row(self, k) -> "DensityMatrix":
+        """Row k of a stack, or the stack of the rows in an index array, on its
+        own support (as ``_trimmed`` finds it); not checked again."""
+        return DensityMatrix._unchecked(self.layout, *_trimmed(self.support, self.block[k]))
+
+    def __post_init__(self):
+        _check(self.block, self.dim)
 
     def purity(self) -> float:
         # sum of |rho_ij|^2, which is Tr rho^2 for Hermitian rho; the squared

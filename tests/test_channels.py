@@ -71,6 +71,10 @@ class TestKrausChannel:
             KrausChannel((np.array([1.0, 0.0]),))
         with pytest.raises(ValueError, match="must be matrices"):
             KrausChannel(np.eye(2)[None, None])
+        for shape in ((1, 0, 0), (1, 0, 2), (2, 3, 0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"Kraus operators must have positive dimensions, got {shape[1:]}")):
+                KrausChannel(np.zeros(shape))
 
     def test_kraus_is_one_read_only_stack(self):
         iso = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])  # an isometry 2 -> 3
@@ -287,6 +291,22 @@ class TestChoi:
         with pytest.raises(ValueError, match="NaN or infinite"):
             ChoiMatrix(m, 2, 2)
 
+    def test_rejects_a_non_hermitian_matrix(self):
+        # eigvalsh reads the lower triangle only, and the marginal pairs only
+        # entries of one output: neither sees the entry at (0, 3)
+        m = np.array(choi(erasing_channel(2, 0)).entries)
+        m[0, 3] += 0.5
+        with pytest.raises(ValueError, match=re.escape(
+                "Choi matrix not Hermitian: max asymmetry 5.000e-01")):
+            ChoiMatrix(m, 2, 2)
+        # checked after finiteness and before positivity and the marginal
+        m[0, 0] = -1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ChoiMatrix(m, 2, 2)
+        m[1, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            ChoiMatrix(m, 2, 2)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_choi_positive_and_unit_marginal(self, d):
         for ch in (erasing_channel(d, 0), identity_channel(d)):
@@ -439,6 +459,9 @@ class TestChoiSupportForm:
         ("identity d=2", identity_channel(2)),
         ("erasing d=3", erasing_channel(3, 1)),
         ("order d=3", cyclic_switch([erasing_channel(3, j) for j in range(3)])),
+        # non-square layouts pin which digit the marginal traces out
+        ("random 2->3", random_channel(2, 2, 3, np.random.default_rng(7))),
+        ("random 3->2", random_channel(3, 3, 2, np.random.default_rng(8))),
     ])
     def test_public_constructor_rejects_a_bad_marginal_with_the_dense_text(self, name, ch):
         m = 1.5 * np.array(choi(ch).entries)
@@ -455,6 +478,10 @@ class TestChoiSupportForm:
         # its support is empty, and no eigenvalue is asked of it
         with pytest.raises(ValueError, match="differs from identity by 1.000e"):
             ChoiMatrix(np.zeros((n * n, n * n)), n, n)
+
+    def test_zero_dimensions_rejected_by_the_layout(self):
+        with pytest.raises(ValueError, match="subsystem dimensions must be positive"):
+            ChoiMatrix(np.zeros((0, 0)), 0, 0)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_public_constructor_finds_the_support_choi_holds(self, d):

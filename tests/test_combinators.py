@@ -674,6 +674,12 @@ class TestTDecomposition:
         with pytest.raises(ValueError, match="erasing"):
             t_decomposition([ext, ext])
 
+    def test_empty_list_rejected(self):
+        # as cyclic_switch and controlled_choice reject it, not as a d = 0
+        # decomposition whose reconstruction fails in numpy
+        with pytest.raises(ValueError, match="need at least one channel"):
+            t_decomposition([])
+
 
 class TestCombinatorChannelProperties:
     @pytest.mark.parametrize("d", [2, 3, 4])
