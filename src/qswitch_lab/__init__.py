@@ -43,7 +43,6 @@ from .linalg import (
     partial_trace,
     projective_measure,
     schmidt_coefficients,
-    tensor,
     trace_distance,
 )
 from .metrics import (

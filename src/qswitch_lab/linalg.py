@@ -8,7 +8,9 @@ that form for states and ``channels.ChoiMatrix`` alike, and each kind adds
 only its own checks.  Every step maps a support block to a support block,
 so a low-rank state in a large space costs its support only; ``_whole``
 builds the whole matrix on request, and ``_on_union`` stacks several blocks
-on the union of their supports.
+on the union of their supports.  A step that only moves entries to other
+indices (``_remapped``) is not checked again; this module has no Kronecker
+product, as a factor in a basis state joins a state by such a move.
 The index plan of a step (where each support index goes) is kept per
 dimensions, addressed factors and support, so states that share a support
 share one plan; it reads each digit of a support index off its stride, so no
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -89,7 +92,10 @@ class SubsystemLayout:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        dims = tuple(self.dims)
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims):
+            raise ValueError(f"subsystem dimensions must be integers, got {dims}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.dims) != len(self.labels):
             raise ValueError("dims and labels must have equal length")
@@ -402,15 +408,6 @@ class DensityMatrix(_SupportBlock):
         """The same state under renamed labels, sharing the support block."""
         return DensityMatrix._unchecked(self.layout.relabel(mapping), self.support, self.block)
 
-    def reorder(self, new_labels: Sequence[str]) -> "DensityMatrix":
-        """Permute tensor factors into the given label order."""
-        if sorted(new_labels) != sorted(self.layout.labels):
-            raise ValueError(f"{new_labels} is not a permutation of {self.layout.labels}")
-        perm = self.layout.positions(new_labels)
-        dims = self.layout.dims
-        new_layout = SubsystemLayout(tuple(dims[p] for p in perm), tuple(new_labels))
-        return _remapped(self, new_layout, _split(self, perm)[0])
-
 
 def _per_layout(plan):
     """Call ``plan(dims, positions, support)`` as ``plan(rho, positions)``.
@@ -524,27 +521,6 @@ def ghz_ket(d: int, parties: int, phase_index: int = 0) -> Ket:
     stride = (d**parties - 1) // (d - 1)  # index of |j,j,...,j> is j * stride
     v[::stride] = np.exp(1j * (2 * np.pi * np.arange(d) * phase_index / d)) / np.sqrt(d)
     return Ket(v)
-
-
-# ---------------------------------------------------------------------------
-# Tensor products
-# ---------------------------------------------------------------------------
-
-
-def tensor(a, b):
-    """Kronecker product; the left operand is the most significant factor.
-
-    Accepts two kets or two density matrices (whose layouts are
-    concatenated, and whose blocks are multiplied on the product support;
-    the left one may be a stack); any other pair is rejected.
-    """
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        layout = SubsystemLayout(a.layout.dims + b.layout.dims, a.layout.labels + b.layout.labels)
-        support = (a.support[:, None] * b.dim + b.support).reshape(-1)
-        return DensityMatrix._of_block(layout, support, np.kron(a.block, b.block))
-    if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket.raw(np.kron(a.amplitudes, b.amplitudes))
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -118,4 +118,6 @@ def helstrom_error(
 def total_variation(p, q) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError(f"distributions differ in shape: {p.shape} vs {q.shape}")
     return float(0.5 * np.abs(p - q).sum())

@@ -20,7 +20,9 @@ action; no Kraus list is built here (the dense Kraus action of
 ``combinators.k_multiline`` is the oracle it is tested against).  Likewise
 the clone fan-out, a permutation of basis states, is applied by
 ``clone_fan_out``, which moves the support's indices by their digits; the
-tests hold the dense action of its unitary as the oracle.
+tests hold the dense action of its unitary as the oracle.  The receivers'
+|0> ancillas join the resource the same way: each support index a*d + c
+moves to a*d^(N+1) + c, with no Kronecker product and no check.
 All runs are pure functions returning a :class:`ProtocolTranscript`, the one
 record of a run: the state after every stage by name, the controller's
 measurement and every branch; one step of every pipeline transmits and
@@ -71,13 +73,11 @@ from .linalg import (
     _stacked,
     _sum_left,
     apply_phases,
-    basis_ket,
     fidelity_with_ket,
     fourier_basis,
     ghz_ket,
     partial_trace,
     projective_measure,
-    tensor,
 )
 from .metrics import (
     concurrence_2qubit, ggm, helstrom_error, is_maximally_entangled, total_variation,
@@ -453,10 +453,11 @@ def _establishment_stack(
     guard_dimension(d ** (n_receivers + 2), protocol_id)
     send_labels = tuple(f"A{i}" for i in range(1, n_receivers + 1))
     recv_labels = tuple(f"B{i}" for i in range(1, n_receivers + 1))
-    # one |0..0> state holds the ancilla of every receiver: its one index
-    ancillas = DensityMatrix._of_block(SubsystemLayout((d,) * n_receivers, send_labels),
-                                       np.zeros(1, np.intp), np.ones((1, 1), complex))
-    extended = tensor(rho0, ancillas).reorder(("A",) + send_labels + ("C",))
+    # the receivers' ancillas |0..0> between A and C: index a*d + c moves to
+    # a*d^(N+1) + c, and moving entries changes no verdict
+    layout = SubsystemLayout((d,) * (n_receivers + 2), ("A",) + send_labels + ("C",))
+    a, c = np.divmod(rho0.support, d)
+    extended = _remapped(rho0, layout, a * d ** (n_receivers + 1) + c)
     stages = {
         "resource": rho0,
         "extended": extended,
@@ -571,6 +572,8 @@ def fixed_configuration_baseline(d: int, encoded_states: list[DensityMatrix]) ->
     (1 + min pairwise trace distance)/2, bounds the worse message of the
     closest pair; for d > 2 not ``bob_success`` itself.
     """
+    if not encoded_states:
+        raise ValueError("need at least one encoded state")
     if len(encoded_states) != d:
         raise ValueError(f"need one encoded state per message, got {len(encoded_states)}")
     dims = encoded_states[0].layout.dims
@@ -628,7 +631,9 @@ def classical_flag_encodings(d: int) -> list[DensityMatrix]:
     """Encodings that copy the message into the control: |0>(x)|x>."""
     guard_dimension(d * d, "encodings")
     layout = SubsystemLayout((d, d), ("T", "C"))
-    return [tensor(basis_ket(d, 0), basis_ket(d, x)).density(layout) for x in range(d)]
+    # |0>|x> is basis state x: one support index
+    return [DensityMatrix._of_block(layout, np.array([x]), np.ones((1, 1), complex))
+            for x in range(d)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from qswitch_lab import (
     k_multiline,
     policy,
     t_decomposition,
-    tensor,
     vacuum_extend,
     Ket,
     DensityMatrix,

@@ -243,6 +243,18 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert "cannot load resource state" in result.output
 
+    @pytest.mark.parametrize("dims", [[2.7, 2.2], [2.0, 2.0], [True, 4]])
+    def test_file_resource_with_non_integer_dims_is_usage_error(self, runner, tmp_path, dims):
+        phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        path = tmp_path / "resource.json"
+        path.write_text(json.dumps({
+            "labels": ["A", "C"], "dims": dims,
+            "entries": [[[float(v), 0.0] for v in row] for row in np.outer(phi, phi)],
+        }))
+        result = runner.invoke(main, ["run", "bipartite", "--d", "2", "--resource", f"file:{path}"])
+        assert result.exit_code == 2, result.output
+        assert "subsystem dimensions must be integers" in result.output
+
     def test_nan_schmidt_spectrum_is_usage_error(self, runner):
         result = runner.invoke(main, ["run", "bipartite", "--d", "2", "--resource", "schmidt:nan,1"])
         assert result.exit_code == 2, result.output

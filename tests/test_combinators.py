@@ -24,7 +24,6 @@ from qswitch_lab import (
     policy,
     t_decomposition,
     target_sector_restriction,
-    tensor,
     vacuum_extend,
     Ket,
 )
@@ -67,7 +66,7 @@ class TestSwitchTwo:
                     np.kron(e.kraus[a] @ f.kraus[b], p0) + np.kron(f.kraus[b] @ e.kraus[a], p1)
                 )
         plus = Ket.normalized([1, 1])
-        rho_in = tensor(plus, plus).density(two_qudit_layout(2))
+        rho_in = Ket(np.kron(plus.amplitudes, plus.amplitudes)).density(two_qudit_layout(2))
         oracle = sum(K @ rho_in.entries @ K.conj().T for K in ops)
 
         sw = cyclic_switch([e, f])
@@ -119,7 +118,7 @@ class TestChoiceTwo:
         layout = SubsystemLayout((3, 2), ("T", "C"))
         from qswitch_lab import basis_ket
 
-        rho = tensor(basis_ket(3, 2), basis_ket(2, 0)).density(layout)
+        rho = basis_ket(6, 4).density(layout)  # |2>|0>
         out = kraus_apply(ch.kraus, rho, ("T", "C"))
         assert np.abs(out.entries - rho.entries).max() < 1e-12
 
@@ -368,7 +367,7 @@ class TestClosedForm:
     def test_plus_plus_value_matches_switch_example(self):
         k = k_multiline(2, 1)
         plus = Ket.normalized([1, 1])
-        rho = tensor(plus, plus).density(two_qudit_layout(2))
+        rho = Ket(np.kron(plus.amplitudes, plus.amplitudes)).density(two_qudit_layout(2))
         out = kraus_apply(k.kraus, rho, ("A", "C"))
         phi = ghz_ket(2, 2).amplitudes
         expected = 0.5 * np.outer(phi, phi.conj())

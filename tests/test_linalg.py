@@ -21,7 +21,6 @@ from qswitch_lab import (
     policy,
     projective_measure,
     schmidt_coefficients,
-    tensor,
     trace_distance,
     vacuum_extend,
 )
@@ -85,6 +84,14 @@ class TestTypes:
         layout = SubsystemLayout((2, 3), ("A", "B"))
         with pytest.raises(ValueError, match="does not match"):
             DensityMatrix(np.eye(5) / 5, layout)
+
+    @pytest.mark.parametrize("dims", [(2.7, 2.2), (2.0, 2), (True, 2), (2, np.bool_(True)), ("2", 2)])
+    def test_layout_rejects_a_dimension_that_is_not_an_integer(self, dims):
+        # int() would truncate 2.7 to 2 and read True as 1
+        with pytest.raises(ValueError, match="subsystem dimensions must be integers"):
+            SubsystemLayout(dims, ("A", "B"))
+        # numpy integers are integers, and come back as ints
+        assert SubsystemLayout((np.int64(2), np.uint8(3)), ("A", "B")).dims == (2, 3)
 
     def test_entries_are_immutable(self):
         rho = basis_ket(2, 0).density()
@@ -374,38 +381,6 @@ class TestCachedConstants:
                 ket.amplitudes[0] = 0.0
 
 
-class TestTensor:
-    def test_basis_bookkeeping(self):
-        out = tensor(basis_ket(2, 0), basis_ket(2, 1))
-        expected = np.zeros(4)
-        expected[1] = 1.0
-        assert np.allclose(out.amplitudes, expected)
-
-    def test_uniform_superposition(self):
-        plus = Ket.normalized([1.0, 1.0])
-        out = tensor(plus, plus)
-        assert np.allclose(out.amplitudes, np.full(4, 0.5))
-
-    def test_associative_exactly_on_representable_entries(self):
-        # entries whose products are exact binary fractions: bit-identical
-        a = Ket.raw([0.5, -0.5])
-        b = Ket.raw([1.0, 0.25])
-        c = Ket.raw([0.0, -1.0])
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        assert np.array_equal(left.amplitudes, right.amplitudes)
-
-    def test_associative_within_ulps_generically(self, rng):
-        a, b, c = (random_ket(2, rng) for _ in range(3))
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        assert np.abs(left.amplitudes - right.amplitudes).max() <= 4 * np.finfo(float).eps
-
-    def test_mixed_types_rejected(self):
-        with pytest.raises(TypeError):
-            tensor(basis_ket(2, 0), np.eye(2))
-
-
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
         layout = SubsystemLayout((2, 2), ("A", "C"))
@@ -416,7 +391,7 @@ class TestPartialTrace:
     def test_product_factorization(self, rng):
         rho = random_density(2, rng, SubsystemLayout((2,), ("A",)))
         sigma = random_density(3, rng, SubsystemLayout((3,), ("B",)))
-        joint = tensor(rho, sigma)
+        joint = DensityMatrix(np.kron(rho.entries, sigma.entries), SubsystemLayout((2, 3), ("A", "B")))
         red = partial_trace(joint, ("A",))
         assert np.abs(red.entries - rho.entries).max() < 1e-12
 
@@ -483,7 +458,7 @@ class TestSchmidt:
 
     def test_product_state(self):
         layout = SubsystemLayout((2, 2), ("A", "B"))
-        coeffs = schmidt_coefficients(tensor(basis_ket(2, 0), basis_ket(2, 0)), layout, ("A",))
+        coeffs = schmidt_coefficients(basis_ket(4, 0), layout, ("A",))
         assert abs(coeffs[0] - 1.0) < 1e-12
         assert abs(coeffs[1]) < 1e-12
 
@@ -549,7 +524,7 @@ class TestMeasurement:
 
     def test_eigenstate_measurement(self):
         layout = SubsystemLayout((2, 2), ("A", "C"))
-        rho = tensor(basis_ket(2, 0), basis_ket(2, 0)).density(layout)
+        rho = basis_ket(4, 0).density(layout)
         branches = projective_measure(rho, [basis_ket(2, 0), basis_ket(2, 1)], "C")
         assert abs(branches[0].probability - 1.0) < 1e-12
         assert branches[1].probability == 0.0 and branches[1].state is None
@@ -852,8 +827,8 @@ class TestStacks:
 
     def test_branch_null_in_one_row_only_raises(self):
         layout = SubsystemLayout((2, 2), ("A", "C"))
-        states = [tensor(basis_ket(2, 0), basis_ket(2, 0)).density(layout),
-                  tensor(basis_ket(2, 0), Ket.normalized([1.0, 1.0])).density(layout)]
+        states = [basis_ket(4, 0).density(layout),  # |0>|0> and |0>|+>
+                  Ket.normalized([1.0, 1.0, 0.0, 0.0]).density(layout)]
         basis = [basis_ket(2, 0), basis_ket(2, 1)]
         alone = [projective_measure(s, basis, "C") for s in states]
         assert [a[1].state is None for a in alone] == [True, False]  # null for row 0 only
@@ -872,10 +847,7 @@ class TestStacks:
         stack = _stacked(states)
         d = dims[0]
         phases = np.exp(2j * np.pi * np.random.default_rng(7).random(dims[1]))
-        ancilla = random_density(2, rng, SubsystemLayout((2,), ("Z",)))
         steps = [
-            lambda rho: tensor(rho, ancilla),
-            lambda rho: rho.reorder(labels[::-1]),
             lambda rho: clone_fan_out(rho, labels[0], labels[1:2]),
             lambda rho: apply_phases(rho, phases, labels[1]),
             lambda rho: partial_trace(rho, labels[1:]),
@@ -924,11 +896,8 @@ class TestStacks:
 
         # the index moves, the summed terms and the phases, which work entry
         # by entry: every row as a run of its own
-        ancilla = random_density(2, rng, SubsystemLayout((2,), ("Z",)))
         phases = np.exp(2j * np.pi * np.random.default_rng(7).random(dims[1]))
         steps = [
-            lambda rho: tensor(rho, ancilla),
-            lambda rho: rho.reorder(labels[::-1]),
             lambda rho: partial_trace(rho, labels[1:]),
             lambda rho: apply_phases(rho, phases, labels[1]),
         ]

@@ -13,8 +13,8 @@ from qswitch_lab import (
     helstrom_error,
     is_maximally_entangled,
     policy,
-    tensor,
 )
+from qswitch_lab.metrics import total_variation
 
 from conftest import mutual_information, random_ket, random_unitary
 
@@ -72,13 +72,14 @@ class TestGGM:
         assert abs(ggm(ghz_ket(3, 4), layout) - 2 / 3) < 1e-12
 
     def test_product_across_one_cut(self):
-        psi = tensor(ghz_ket(2, 2), basis_ket(2, 0))
+        psi = Ket(np.kron(ghz_ket(2, 2).amplitudes, basis_ket(2, 0).amplitudes))
         layout = SubsystemLayout((2, 2, 2), ("A", "B", "C"))
         assert ggm(psi, layout) < 1e-12
 
     def test_invariant_under_local_unitaries(self, rng):
         layout = SubsystemLayout((2, 2, 2), ("A", "B", "C"))
-        for base in (ghz_ket(2, 3), tensor(ghz_ket(2, 2), basis_ket(2, 0))):
+        product = Ket(np.kron(ghz_ket(2, 2).amplitudes, basis_ket(2, 0).amplitudes))
+        for base in (ghz_ket(2, 3), product):
             ref = ggm(base, layout)
             for _ in range(50):
                 us = [random_unitary(2, rng) for _ in range(3)]
@@ -215,6 +216,18 @@ class TestHelstrom:
         a = basis_ket(2, 0).density()
         with pytest.raises(ValueError, match="prior"):
             helstrom_error(a, a, 1.5)
+
+
+class TestTotalVariation:
+    def test_half_the_l1_distance(self):
+        assert total_variation([0.5, 0.5], [0.5, 0.5]) == 0.0
+        assert total_variation([1.0, 0.0, 0.0], [0.0, 0.5, 0.5]) == 1.0
+
+    @pytest.mark.parametrize("q", [[1.0], [0.5, 0.25, 0.25], [[0.5, 0.5]]])
+    def test_distributions_of_another_shape_are_rejected(self, q):
+        # numpy would broadcast [1.0] against [0.5, 0.5] and give 0.5
+        with pytest.raises(ValueError, match="distributions differ in shape"):
+            total_variation([0.5, 0.5], q)
 
 
 class TestMutualInformation:

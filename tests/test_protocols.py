@@ -24,12 +24,11 @@ from qswitch_lab import (
     run_bipartite_establishment,
     run_ghz_distribution,
     run_private_dit,
-    tensor,
     trace_distance,
 )
 
 import qswitch_lab
-from qswitch_lab import protocols
+from qswitch_lab import linalg, protocols
 from qswitch_lab.protocols import phase_vector
 from qswitch_lab.numeric import MAX_GGM_PARTIES
 from qswitch_lab.serialize import dumps_json, transcript_to_dict
@@ -199,8 +198,7 @@ class TestLocalUnitaries:
             clone_fan_out(rho, "A", ("A1", "A"))
         with pytest.raises(ValueError, match="at least one target"):
             clone_fan_out(rho, "A", ())
-        mixed = tensor(basis_ket(2, 0), basis_ket(3, 0)).density(
-            SubsystemLayout((2, 3), ("A", "A1")))
+        mixed = basis_ket(6, 0).density(SubsystemLayout((2, 3), ("A", "A1")))
         with pytest.raises(ValueError, match="one dimension"):
             clone_fan_out(mixed, "A", ("A1",))
 
@@ -208,9 +206,9 @@ class TestLocalUnitaries:
         # (2, 40): 2^42 basis states, 2 support indices; the GHZ resource with
         # its 40 ancillas after it, cloned onto every ancilla
         n = 40
-        rho = ghz_ket(2, 2).density(SubsystemLayout((2, 2), ("A", "C")))
-        for i in range(1, n + 1):
-            rho = tensor(rho, basis_ket(2, 0).density(SubsystemLayout((2,), (f"A{i}",))))
+        layout = SubsystemLayout((2,) * (n + 2), ("A", "C") + tuple(f"A{i}" for i in range(1, n + 1)))
+        pair = ghz_ket(2, 2).density()
+        rho = DensityMatrix._of_block(layout, np.array([0, 3 << n]), pair.block)  # |00>, |11> then 0s
         tracemalloc.start()
         try:
             out = clone_fan_out(rho, "A", [f"A{i}" for i in range(1, n + 1)])
@@ -229,9 +227,7 @@ class TestLocalUnitaries:
 
     def test_clone_builds_ghz_from_pair(self):
         layout = SubsystemLayout((2, 2, 2), ("A", "A1", "C"))
-        rho = tensor(ghz_ket(2, 2), basis_ket(2, 0)).density(
-            SubsystemLayout((2, 2, 2), ("A", "C", "A1"))
-        ).reorder(("A", "A1", "C"))
+        rho = Ket.normalized([1, 0, 0, 0, 0, 1, 0, 0]).density(layout)  # |000> + |101>
         out = kraus_apply(clone_extend_unitary(2, 1)[None], rho, ("A", "A1"))
         from qswitch_lab import fidelity_with_ket
 
@@ -572,6 +568,71 @@ class TestGHZ:
             run_ghz_distribution(2, 0, ResourceState.maximally_entangled(2))
 
 
+class TestExtendedStage:
+    """The receivers' ancillas |0..0> join the resource as one index move:
+    support index a*d + c goes to a*d^(N+1) + c on ("A", A1..AN, "C"), and
+    the block keeps its bits, signed zeros too."""
+
+    @staticmethod
+    def resources(d, rng):
+        spectra = [np.linspace(1.0, 2.0, d) / np.linspace(1.0, 2.0, d).sum(), np.eye(d)[0]]
+        return {
+            "max": ResourceState.maximally_entangled(d).rho,
+            "schmidt": ResourceState.from_schmidt(spectra[0]).rho,
+            "mixed": random_density(d * d, rng, SubsystemLayout((d, d), ("A", "C"))),
+            "sweep stack": protocols._schmidt_states(spectra),
+        }
+
+    @staticmethod
+    def dense_extended(entries, d, n):
+        """np.kron of the resource with |0..0><0..0|, its ancillas moved
+        between A and C by a transpose."""
+        zero = np.zeros((d ** n, d ** n))
+        zero[0, 0] = 1.0
+        m = np.kron(entries, zero).reshape((d, d, d ** n) * 2)
+        return m.transpose(0, 2, 1, 3, 5, 4).reshape(d ** (n + 2), d ** (n + 2))
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 3), (3, 3)])
+    def test_each_index_moves_and_the_block_keeps_its_bits(self, d, n, rng):
+        labels = ("A",) + tuple(f"A{i}" for i in range(1, n + 1)) + ("C",)
+        for name, rho0 in self.resources(d, rng).items():
+            extended = protocols._establishment_stack(d, n, rho0, "ghz")[0]["extended"]
+            a, c = np.divmod(rho0.support, d)
+            assert extended.layout == SubsystemLayout((d,) * (n + 2), labels), name
+            assert np.array_equal(extended.support, a * d ** (n + 1) + c), name
+            bits = [np.ascontiguousarray(b).view(np.int64) for b in (extended.block, rho0.block)]
+            assert np.array_equal(*bits), name
+            if rho0.block.ndim == 2:
+                assert np.array_equal(extended.entries, self.dense_extended(rho0.entries, d, n)), name
+
+    def test_a_signed_zero_keeps_its_sign(self):
+        # a product with 1 + 0j, as np.kron with the ancilla took it, turns
+        # a -0.0 imaginary part into +0.0; the move keeps it
+        rho0 = ResourceState.maximally_entangled(2).rho
+        block = rho0.block.copy()
+        block.imag[0, 1] = -0.0
+        rho0 = DensityMatrix._of_block(rho0.layout, rho0.support, block)
+        extended = protocols._establishment_stack(2, 1, rho0, "bipartite")[0]["extended"]
+        assert np.signbit(extended.block.imag).tolist() == [[False, True], [False, False]]
+
+    def test_the_move_runs_no_check(self, monkeypatch):
+        rho0 = ResourceState.from_schmidt([0.2, 0.3, 0.5]).rho
+        checked, seen = [], []
+
+        class Cloned(Exception):
+            pass
+
+        def clone(rho, *args):
+            seen.append(rho)
+            raise Cloned
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: checked.append(self))
+        monkeypatch.setattr(protocols, "clone_fan_out", clone)
+        with pytest.raises(Cloned):
+            protocols._establishment_stack(3, 2, rho0, "ghz")
+        assert checked == [] and seen[0].support.tolist() == [0, 28, 56]  # |jj> -> |j00j>
+
+
 class TestDerivedMetrics:
     """A run's figures of merit are functions of its controller measurement
     and its branch records, to the bit: the mean is the left-to-right sum,
@@ -707,6 +768,27 @@ class TestFixedBaseline:
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError, match="one encoded state"):
             fixed_configuration_baseline(2, dfs_phase_encodings(3))
+
+    def test_no_encodings_rejected(self):
+        # d = 0 matches the empty list's length; the first state is then missing
+        with pytest.raises(ValueError, match="need at least one encoded state"):
+            fixed_configuration_baseline(0, [])
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_classical_flags_are_the_dense_product_states(self, d):
+        layout = SubsystemLayout((d, d), ("T", "C"))
+        for x, rho in enumerate(classical_flag_encodings(d)):
+            ket = np.kron(np.eye(d)[0], np.eye(d)[x])  # |0>|x>
+            assert rho.layout == layout
+            assert rho.support.tolist() == [x]
+            assert np.array_equal(rho.entries, np.outer(ket, ket))
+            assert rho.block.view(np.int64).tolist() == [[np.float64(1.0).view(np.int64), 0]]
+
+    def test_classical_flags_build_no_cached_ket(self):
+        # d^2-dimensional kets would stay in the process-wide basis_ket cache
+        misses = linalg.basis_ket.cache_info().misses
+        classical_flag_encodings(7)
+        assert linalg.basis_ket.cache_info().misses == misses
 
     @pytest.mark.parametrize("encode", [dfs_phase_encodings, classical_flag_encodings])
     def test_encodings_guarded_before_building(self, encode):
@@ -1030,7 +1112,7 @@ def _array_holders() -> dict:
         ext = qswitch_lab.coincidence_extensions(2)
         channel = qswitch_lab.erasing_channel(2, 0)
         return {
-            "Ket": tensor(basis_ket(2, 0), basis_ket(2, 1)),
+            "Ket": Ket(np.kron(basis_ket(2, 0).amplitudes, basis_ket(2, 1).amplitudes)),
             "DensityMatrix": rho,
             "MeasurementBranch": qswitch_lab.projective_measure(
                 rho, qswitch_lab.fourier_basis(2), "C")[0],

@@ -35,7 +35,6 @@ from qswitch_lab import (
     run_private_dit,
     run_private_dit_ensemble,
     schmidt_coefficients,
-    tensor,
     trace_distance,
 )
 from qswitch_lab import linalg, protocols
@@ -226,8 +225,9 @@ class TestPhases:
         # negative real part, so a product with a zero entry is -0.0 before
         # the +0.0 start.  Beside a maximally mixed ancilla, the resource's
         # 3 x 3 block becomes a 12 x 12 block with 108 zero entries
-        mixed = DensityMatrix(np.eye(4) / 4, SubsystemLayout((4,), ("Z",)))
-        rho = tensor(ResourceState.from_schmidt([0.2, 0.3, 0.5]).rho, mixed)
+        resource = ResourceState.from_schmidt([0.2, 0.3, 0.5]).rho
+        rho = DensityMatrix(np.kron(resource.entries, np.eye(4) / 4),
+                            SubsystemLayout((3, 3, 4), ("A", "C", "Z")))
         out = apply_phases(rho, protocols.phase_vector(2, 3), "A")
         zeros = np.concatenate([out.block.real[out.block.real == 0], out.block.imag[out.block.imag == 0]])
         assert zeros.size > 100 and not np.signbit(zeros).any()
@@ -403,10 +403,9 @@ class TestStridePlans:
     def test_the_ancilla_is_one_index(self, monkeypatch):
         # the receivers' |0..0> is its one support index, not a cached ket
         # over the 2^10 basis states
-        built = []
-        monkeypatch.setattr(protocols, "basis_ket", lambda *args: built.append(args))
+        misses = linalg.basis_ket.cache_info().misses
         t = run_ghz_distribution(2, 10, ResourceState.maximally_entangled(2))
-        assert built == []
+        assert linalg.basis_ket.cache_info().misses == misses
         ancilla = partial_trace(t.stages["extended"], [f"A{i}" for i in range(1, 11)])
         assert ancilla.support.tolist() == [0] and np.isclose(ancilla.block[0, 0], 1, rtol=0)
         assert t.stages["extended"].support.size == 2  # |00> and |11> on A, C, ancillas 0
